@@ -165,3 +165,19 @@ func (v variant) Run(app App, sc Scenario) (Result, error) {
 }
 
 func (v variant) baseline() bool { return IsBaseline(v.base) }
+
+// Supports reports why backend b cannot run scenario sc, or nil, without
+// running anything: a variant asks its base about the rewritten
+// scenario, the TreadMarks adapter asks tmk.Config.Validate (tree
+// barriers, for one, refuse a lossy network).  Callers that take
+// backend × scenario combinations from outside the program check here,
+// because Run panics on a configuration the system refuses to build.
+func Supports(b Backend, sc Scenario) error {
+	switch b := b.(type) {
+	case variant:
+		return Supports(b.base, b.mutate(sc))
+	case tmkBackend:
+		return sc.DSM.Validate(sc.Net)
+	}
+	return nil
+}

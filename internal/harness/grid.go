@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -271,11 +272,56 @@ func runPool(ctx context.Context, jobs []Job, workers int, progress func(index i
 	return recs, nil
 }
 
-// WriteJSON emits the records as a JSON array (one object per run).
+// WriteJSON emits the records as a JSON array (one object per run):
+// JoinRecordJSON over each record's RecordJSON, in one Write.
 func WriteJSON(w io.Writer, recs []Record) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(recs)
+	body := []byte("null\n") // what encoding/json makes of a nil slice
+	if recs != nil {
+		frags := make([][]byte, len(recs))
+		for i, rec := range recs {
+			frag, err := RecordJSON(rec)
+			if err != nil {
+				return err
+			}
+			frags[i] = frag
+		}
+		body = JoinRecordJSON(nil, frags)
+	}
+	_, err := w.Write(body)
+	return err
+}
+
+// RecordJSON encodes one record as the indented JSON object it is
+// inside the array WriteJSON emits.  A record's bytes depend on nothing
+// but the record, so a layer that serves the same records again and
+// again (the serve store) keeps the fragment and joins instead of
+// re-encoding.
+func RecordJSON(rec Record) ([]byte, error) {
+	return json.MarshalIndent(rec, "  ", "  ")
+}
+
+// JoinRecordJSON appends to body (nil, or a buffer to reuse) the array
+// document made of RecordJSON fragments.  It is the only place the array
+// syntax is written, so the CLI's output and the service's cannot
+// drift; the bytes are those of a two-space indenting json.Encoder over
+// the records (TestWriteJSONMatchesEncoder).
+func JoinRecordJSON(body []byte, frags [][]byte) []byte {
+	if len(frags) == 0 {
+		return append(body, "[]\n"...)
+	}
+	const open, sep, end = "[\n  ", ",\n  ", "\n]\n"
+	n := len(open) + len(sep)*(len(frags)-1) + len(end)
+	for _, f := range frags {
+		n += len(f)
+	}
+	body = append(slices.Grow(body, n), open...)
+	for i, f := range frags {
+		if i > 0 {
+			body = append(body, sep...)
+		}
+		body = append(body, f...)
+	}
+	return append(body, end...)
 }
 
 // csvHeader is the fixed CSV column order.

@@ -3,8 +3,10 @@ package harness
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -111,7 +113,7 @@ func (w *brokenWriter) Write(p []byte) (int, error) {
 // TestWriteRecordsPropagatesWriterErrors pins the satellite fix: both
 // record writers must surface a broken sink as an error — WriteCSV via
 // its per-row flush checks (csv.Writer otherwise buffers the failure
-// past the rows that hit it), WriteJSON via the encoder.
+// past the rows that hit it), WriteJSON via its one Write.
 func TestWriteRecordsPropagatesWriterErrors(t *testing.T) {
 	recs := make([]Record, 64)
 	for i := range recs {
@@ -135,6 +137,62 @@ func TestWriteRecordsPropagatesWriterErrors(t *testing.T) {
 	}
 	if err := WriteJSON(&buf, recs); err != nil {
 		t.Fatalf("WriteJSON on a healthy sink: %v", err)
+	}
+}
+
+// TestWriteJSONMatchesEncoder pins the fragment encoder to the bytes a
+// two-space indenting json.Encoder produces for the same records — what
+// WriteJSON was before it was built on RecordJSON and JoinRecordJSON,
+// and what every cached body and records_sha256 digest was made of.
+// The records cover HTML-escaped and quoted strings and every omitempty
+// field both zero and non-zero; the lengths cover nil, [], one and many.
+func TestWriteJSONMatchesEncoder(t *testing.T) {
+	full := Record{
+		App: "<a&b>", Figure: 7, Problem: "64 \"bodies\" \\ 1.5e3 é\u2028\t", Backend: "tmk-sc", Scenario: "loss=0.05", Procs: 8,
+		TimeNS: 1234567890123, Seconds: 1234.567890123, Messages: 1 << 40, Bytes: 1<<62 + 1,
+		Dropped: 3, Retrans: 4, Timeouts: 5,
+		Faults: 6, DiffRequests: 7, DiffsApplied: 8, DiffBytes: 9, LockWaitNS: 10, BarrierWaitNS: 11,
+	}
+	sparse := Record{App: "EP", Backend: "seq", Scenario: "base", Procs: 1, Seconds: 1e-9}
+	tiny := Record{Seconds: 1e21, TimeNS: -1}
+	var many []Record
+	for i := 0; i < 40; i++ {
+		r := []Record{full, sparse, tiny}[i%3]
+		r.TimeNS += int64(i)
+		r.Seconds /= float64(i + 1)
+		many = append(many, r)
+	}
+	for _, recs := range [][]Record{nil, {}, {full}, {sparse}, {tiny, full}, many} {
+		var want bytes.Buffer
+		enc := json.NewEncoder(&want)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(recs); err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		if err := WriteJSON(&got, recs); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%d records (nil=%v):\nWriteJSON:\n%s\njson.Encoder:\n%s", len(recs), recs == nil, got.Bytes(), want.Bytes())
+		}
+		if recs == nil {
+			continue
+		}
+		frags := make([][]byte, len(recs))
+		for i, r := range recs {
+			frag, err := RecordJSON(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			frags[i] = frag
+		}
+		if joined := JoinRecordJSON(nil, frags); !bytes.Equal(joined, want.Bytes()) {
+			t.Fatalf("%d joined fragments differ from json.Encoder:\n%s", len(recs), joined)
+		}
+	}
+	if _, err := RecordJSON(Record{Seconds: math.NaN()}); err == nil {
+		t.Error("RecordJSON of an unencodable record: no error")
 	}
 }
 

@@ -106,5 +106,16 @@ func (sel Selection) Resolve(scale float64) (Grid, error) {
 		scenarios = append(scenarios, scs...)
 	}
 
+	// A backend that refuses a scenario (the tree-barrier variants on a
+	// lossy network) would panic when its job runs; say so here instead.
+	for _, b := range backends {
+		for _, sc := range scenarios {
+			if err := core.Supports(b, sc); err != nil {
+				return Grid{}, fieldErr("backends", fmt.Errorf("backend %q cannot run scenario %q at %d processors: %v",
+					b.Name(), sc.Name, sc.Procs, err))
+			}
+		}
+	}
+
 	return Grid{Apps: selected, Backends: backends, Scenarios: scenarios}, nil
 }

@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+
+	"repro/internal/core"
 )
 
 // Content-addressed job specs.
@@ -52,7 +54,42 @@ const EngineVersion = "msvdsm-1"
 // identical Record", so a memoizing store may answer one job with
 // another's cached record.
 func SpecHash(j Job) string {
-	sum := sha256.Sum256([]byte(CanonicalSpec(j)))
+	return hashSpec(j, canonConfig(j.Scenario.Config))
+}
+
+// SpecHashes returns SpecHash of every job, in order.  A grid crosses
+// each scenario with every app × backend pair, so the config rendering
+// — the reflective, expensive half of CanonicalSpec — is done once per
+// distinct scenario config instead of once per job.
+func SpecHashes(jobs []Job) []string {
+	type rendered struct {
+		cfg  *core.Config
+		text string
+	}
+	var seen []rendered
+	hashes := make([]string, len(jobs))
+	for i := range jobs {
+		cfg := &jobs[i].Scenario.Config
+		text := ""
+		for _, r := range seen {
+			// Procs rejects most non-matches cheaply; DeepEqual is the proof.
+			if r.cfg.Procs == cfg.Procs && reflect.DeepEqual(r.cfg, cfg) {
+				text = r.text
+				break
+			}
+		}
+		if text == "" {
+			text = canonConfig(*cfg)
+			seen = append(seen, rendered{cfg, text})
+		}
+		hashes[i] = hashSpec(jobs[i], text)
+	}
+	return hashes
+}
+
+func hashSpec(j Job, config string) string {
+	spec := make([]byte, 0, 128+len(config)) // the header lines come to about a hundred bytes
+	sum := sha256.Sum256(appendSpec(spec, j, config))
 	return hex.EncodeToString(sum[:])
 }
 
@@ -60,14 +97,29 @@ func SpecHash(j Job) string {
 // digests.  Exported for debugging and golden tests; the serve API's
 // /v1/spec endpoint returns hashes derived from exactly this string.
 func CanonicalSpec(j Job) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "engine=%s\n", EngineVersion)
-	fmt.Fprintf(&sb, "app=%s\n", j.App.Name())
-	fmt.Fprintf(&sb, "problem=%s\n", j.App.Problem())
-	fmt.Fprintf(&sb, "backend=%s\n", j.Backend.Name())
-	fmt.Fprintf(&sb, "scenario=%s\n", j.Scenario.Name)
-	cfg := j.Scenario.Config
+	return string(appendSpec(nil, j, canonConfig(j.Scenario.Config)))
+}
+
+// appendSpec appends the canonical spec: the identity header lines,
+// then the scenario config as canonConfig rendered it.
+func appendSpec(b []byte, j Job, config string) []byte {
+	for _, kv := range [...][2]string{
+		{"engine=", EngineVersion},
+		{"app=", j.App.Name()},
+		{"problem=", j.App.Problem()},
+		{"backend=", j.Backend.Name()},
+		{"scenario=", j.Scenario.Name},
+	} {
+		b = append(append(append(b, kv[0]...), kv[1]...), '\n')
+	}
+	return append(b, config...)
+}
+
+// canonConfig is the one rendering of a scenario config every spec hash
+// goes through.
+func canonConfig(cfg core.Config) string {
 	cfg.Parallel = false // execution mode: results byte-identical by contract
+	var sb strings.Builder
 	canonValue(&sb, "config", reflect.ValueOf(cfg))
 	return sb.String()
 }

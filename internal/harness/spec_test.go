@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -158,5 +159,87 @@ func TestSpecHashFieldSensitivity(t *testing.T) {
 	// bump strands every old hash, by construction.
 	if !strings.Contains(CanonicalSpec(base), "engine="+EngineVersion+"\n") {
 		t.Errorf("canonical spec does not pin the engine version:\n%s", CanonicalSpec(base))
+	}
+}
+
+// TestSpecHashesMatchSpecHash pins SpecHashes to SpecHash over the whole
+// selection vocabulary: every app × every backend under every scenario
+// set at its default processor counts, plus the bigp registry.  The
+// batch form shares one config rendering per scenario; a memo that
+// confused two scenarios would show here as a wrong cache key.
+func TestSpecHashesMatchSpecHash(t *testing.T) {
+	var backends []string
+	for _, b := range Backends() {
+		backends = append(backends, b.Name())
+	}
+	lossy := map[string]bool{"loss": true, "dup": true, "reorder": true, "partition": true}
+	for _, set := range ScenarioSets() {
+		sel := Selection{Backends: backends, Scenarios: []string{set}}
+		if lossy[set] || set == "placement" {
+			// the tree variants refuse these sets (TestResolveRejectsUnsupportedCombination)
+			sel.Backends = []string{"seq", "tmk", "pvm", "pvm-xdr", "tmk-1k", "tmk-sc"}
+		}
+		g, err := sel.Resolve(0.01)
+		if err != nil {
+			t.Fatalf("%s: %v", set, err)
+		}
+		// Two scenarios that differ only in execution mode still share a hash.
+		g.Scenarios = append(g.Scenarios, g.Scenarios[0])
+		g.Scenarios[len(g.Scenarios)-1].Parallel = true
+		jobs, err := g.Jobs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		hashes := SpecHashes(jobs)
+		if len(hashes) != len(jobs) {
+			t.Fatalf("%s: %d hashes for %d jobs", set, len(hashes), len(jobs))
+		}
+		for i, j := range jobs {
+			if want := SpecHash(j); hashes[i] != want {
+				t.Fatalf("%s job %d (%s/%s/%s n=%d): SpecHashes %s, SpecHash %s",
+					set, i, j.App.Name(), j.Backend.Name(), j.Scenario.Name, j.Scenario.Procs, hashes[i], want)
+			}
+		}
+	}
+}
+
+// TestSpecHashesSameNameDifferentConfig: the memo is keyed by the
+// config's value, not by the scenario's name and processor count.
+func TestSpecHashesSameNameDifferentConfig(t *testing.T) {
+	apps := Apps(0.01)
+	a, b := core.Base(8), core.Base(8)
+	b.DSM.PageSize = 1024
+	jobs := []Job{specJob(t, apps, "EP", "tmk", a), specJob(t, apps, "EP", "tmk", b), specJob(t, apps, "EP", "tmk", a)}
+	h := SpecHashes(jobs)
+	if h[0] == h[1] || h[0] != h[2] || h[1] != SpecHash(jobs[1]) {
+		t.Fatalf("hashes %v: want [x y x] with y the small-page hash %s", h, SpecHash(jobs[1]))
+	}
+}
+
+// TestResolveRejectsUnsupportedCombination pins the resolve-time guard:
+// a backend × scenario pair the system would refuse to build (and panic
+// over, mid-grid) is a FieldError before anything runs, and the pairs
+// around it still resolve.
+func TestResolveRejectsUnsupportedCombination(t *testing.T) {
+	for _, backend := range []string{"tmk-tree", "tmk-sc-tree"} {
+		for _, set := range []string{"loss", "dup", "reorder", "partition", "placement"} {
+			_, err := Selection{Apps: []string{"ep"}, Backends: []string{"pvm", backend}, Scenarios: []string{"base", set}, NProcs: []int{4}}.Resolve(0.01)
+			var fe *FieldError
+			if !errors.As(err, &fe) || fe.Field != "backends" {
+				t.Fatalf("%s × %s: err %v, want a FieldError on backends", backend, set, err)
+			}
+			if !strings.Contains(err.Error(), backend) || !strings.Contains(err.Error(), "TreeBarrier") {
+				t.Errorf("%s × %s: error %q names neither the backend nor the reason", backend, set, err)
+			}
+		}
+		for _, set := range []string{"base", "slow", "lat"} {
+			if _, err := (Selection{Backends: []string{backend}, Scenarios: []string{set}}).Resolve(0.01); err != nil {
+				t.Errorf("%s × %s: %v", backend, set, err)
+			}
+		}
+	}
+	// A partition needs a second node: at one processor the set is fault-free.
+	if _, err := (Selection{Backends: []string{"tmk-tree"}, Scenarios: []string{"partition"}, NProcs: []int{1}}).Resolve(0.01); err != nil {
+		t.Errorf("tmk-tree × partition at 1 processor: %v", err)
 	}
 }

@@ -39,8 +39,9 @@ type Store struct {
 }
 
 type storeEntry struct {
-	key string
-	rec harness.Record
+	key  string
+	rec  harness.Record
+	json []byte // harness.RecordJSON(rec), kept from the first GetJSON on
 }
 
 // StoreStats is a counter snapshot.  Hits counts every Get answered
@@ -74,22 +75,48 @@ func NewStore(capacity int, dir string) (*Store, error) {
 // Get returns the cached record for key.  A memory miss falls through
 // to the disk tier (when configured) and promotes its hit into memory.
 func (s *Store) Get(key string) (harness.Record, bool) {
-	return s.lookup(key, true)
+	rec, _, ok := s.lookup(key, true)
+	return rec, ok
+}
+
+// GetJSON is Get for a reader that wants the record's bytes: it returns
+// harness.RecordJSON of the cached record, encoded on the entry's first
+// such read and kept with it, so a warm record costs a copy, not an
+// encode.  Counting, LRU touch and disk promotion are Get's.
+func (s *Store) GetJSON(key string) ([]byte, bool, error) {
+	rec, frag, ok := s.lookup(key, true)
+	if !ok || frag != nil {
+		return frag, ok, nil
+	}
+	frag, err := harness.RecordJSON(rec)
+	if err != nil {
+		return nil, true, err
+	}
+	s.mu.Lock()
+	if el, ok := s.byKey[key]; ok {
+		if e := el.Value.(*storeEntry); e.rec == rec {
+			e.json = frag
+		}
+	}
+	s.mu.Unlock()
+	return frag, true, nil
 }
 
 // lookup is Get with optional counting: the server's singleflight
 // double-check re-probes keys it already counted a miss for, and must
-// not skew the hit-rate counters doing so.
-func (s *Store) lookup(key string, count bool) (harness.Record, bool) {
+// not skew the hit-rate counters doing so.  It also returns the entry's
+// kept JSON fragment, nil until a GetJSON has encoded it.
+func (s *Store) lookup(key string, count bool) (harness.Record, []byte, bool) {
 	s.mu.Lock()
 	if el, ok := s.byKey[key]; ok {
 		s.ll.MoveToFront(el)
-		rec := el.Value.(*storeEntry).rec
+		e := el.Value.(*storeEntry)
+		rec, frag := e.rec, e.json
 		if count {
 			s.hits++
 		}
 		s.mu.Unlock()
-		return rec, true
+		return rec, frag, true
 	}
 	dir := s.dir
 	s.mu.Unlock()
@@ -102,7 +129,7 @@ func (s *Store) lookup(key string, count bool) (harness.Record, bool) {
 				s.diskHits++
 			}
 			s.mu.Unlock()
-			return rec, true
+			return rec, nil, true
 		}
 	}
 	if count {
@@ -110,7 +137,7 @@ func (s *Store) lookup(key string, count bool) (harness.Record, bool) {
 		s.misses++
 		s.mu.Unlock()
 	}
-	return harness.Record{}, false
+	return harness.Record{}, nil, false
 }
 
 // Put caches the record under key in memory and, when persistence is
@@ -166,7 +193,9 @@ func (s *Store) Stats() StoreStats {
 func (s *Store) insert(key string, rec harness.Record) {
 	if el, ok := s.byKey[key]; ok {
 		s.ll.MoveToFront(el)
-		el.Value.(*storeEntry).rec = rec
+		if e := el.Value.(*storeEntry); e.rec != rec {
+			e.rec, e.json = rec, nil
+		}
 		return
 	}
 	s.byKey[key] = s.ll.PushFront(&storeEntry{key: key, rec: rec})

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -189,5 +190,67 @@ func TestNewStoreUnwritableDir(t *testing.T) {
 	}
 	if _, err := NewStore(0, filepath.Join(file, "cache")); err == nil {
 		t.Fatal("NewStore accepted a cache dir under a regular file")
+	}
+}
+
+// TestStoreGetJSON pins the pre-encoded read: GetJSON returns exactly
+// harness.RecordJSON of what Get returns, counts and touches as Get
+// does (memory hit, disk hit and promotion, miss), keeps the fragment
+// across reads, and drops it when a Put changes the record.
+func TestStoreGetJSON(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewStore(2, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := func(r harness.Record) []byte {
+		b, err := harness.RecordJSON(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	getJSON := func(s *Store, k string) ([]byte, bool) {
+		t.Helper()
+		b, ok, err := s.GetJSON(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b, ok
+	}
+
+	if _, ok := getJSON(s, key("a")); ok {
+		t.Fatal("empty store answered")
+	}
+	s.Put(key("a"), rec(1))
+	s.Put(key("b"), rec(2))
+	first, ok := getJSON(s, key("a")) // touches a: b becomes LRU
+	if !ok || !bytes.Equal(first, want(rec(1))) {
+		t.Fatalf("GetJSON(a) = %s, %v", first, ok)
+	}
+	again, _ := getJSON(s, key("a"))
+	if &first[0] != &again[0] {
+		t.Error("second GetJSON re-encoded instead of returning the kept fragment")
+	}
+	s.Put(key("a"), rec(1)) // same record: the fragment stays
+	if again, _ = getJSON(s, key("a")); &first[0] != &again[0] {
+		t.Error("a Put of the same record dropped the kept fragment")
+	}
+	s.Put(key("a"), rec(5)) // a different record under the key: it must not
+	if got, _ := getJSON(s, key("a")); !bytes.Equal(got, want(rec(5))) {
+		t.Fatalf("GetJSON after overwrite = %s, want the new record", got)
+	}
+	s.Put(key("c"), rec(3)) // evicts b, the least recently used
+	if st := s.Stats(); st.Hits != 4 || st.Misses != 1 || st.DiskHits != 0 || st.Evictions != 1 {
+		t.Fatalf("counters after memory reads: %+v", st)
+	}
+	if got, ok := getJSON(s, key("b")); !ok || !bytes.Equal(got, want(rec(2))) {
+		t.Fatalf("evicted entry not read back from disk: %s, %v", got, ok)
+	}
+	if st := s.Stats(); st.Hits != 5 || st.DiskHits != 1 {
+		t.Fatalf("disk read not counted as Get counts it: %+v", st)
+	}
+	if r, ok := s.Get(key("b")); !ok || r != rec(2) {
+		t.Fatal("disk hit was not promoted into memory")
 	}
 }

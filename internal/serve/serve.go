@@ -26,7 +26,8 @@
 //	POST /v1/spec    same, selection in a JSON body
 //	GET  /v1/stats   service and cache counters (hits, misses, disk
 //	                 hits, evictions, inflight, computed, records
-//	                 served, requests)
+//	                 served, requests, job panics, plan hits, plan
+//	                 misses, plan entries)
 //
 // /v1/grid and /v1/spec take the msvdsm grid selection vocabulary —
 // query parameters apps, backends, scenarios (scenario-set names),
@@ -47,6 +48,40 @@
 // harness.EngineVersion, which must be bumped in lockstep with golden
 // regeneration — any model-change PR invalidates every cached record
 // simply by moving the hashes.  See internal/harness/spec.go.
+//
+// # Warm path
+//
+// A warm request does work in proportion to the bytes it sends.  Two
+// things are kept besides the records themselves:
+//
+//   - The plan of a selection: the spec hashes of its jobs in
+//     enumeration order and its /v1/spec body, keyed by the parsed
+//     selection and the effective scale (plan.go).  A selection's plan
+//     is a pure function of that key, the app and backend registries
+//     and harness.EngineVersion; the registries and the version are
+//     constants of the process, so a plan never needs invalidating — a
+//     new engine version arrives as a new process.  The cache is bounded
+//     by maxPlanHashes (32768) hashes in all; a plan that would overflow
+//     it empties the cache first.  A request looks its plan up, then
+//     probes the store once per hash, exactly as before; the registry
+//     is rebuilt and the selection resolved again only when the plan is
+//     missing or some hash misses the store (a cold job needs app
+//     instances of its own).
+//   - Each cached record's JSON: the store keeps harness.RecordJSON of
+//     a record from its first read on (Store.GetJSON), and the array
+//     body is harness.JoinRecordJSON over those fragments — warm and
+//     freshly computed records alike, the same two functions the CLI's
+//     harness.WriteJSON is made of.  A record is immutable under its
+//     hash, so the fragment is too.
+//
+// /v1/stats reports plan_hits, plan_misses and plan_entries beside the
+// store counters; hits + misses still moves by one per job per request.
+//
+// A backend × scenario pair the system refuses to build (tmk-tree or
+// tmk-sc-tree under loss, dup, reorder, partition or mgr=spread) is a
+// 400 on the backends field at resolve time.  Should a job panic all the
+// same, the cold path recovers it into that request's 500 and counts it
+// as job_panics; the process keeps serving.
 //
 // # Quickstart
 //
@@ -70,6 +105,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -116,6 +152,7 @@ type Server struct {
 	opts Options
 
 	flights flightGroup
+	plans   planCache
 
 	requests      atomic.Int64
 	badRequests   atomic.Int64
@@ -124,6 +161,7 @@ type Server struct {
 	inflight      atomic.Int64
 	dispatched    atomic.Int64
 	fallbacks     atomic.Int64
+	jobPanics     atomic.Int64
 }
 
 // New returns a server over the given options.
@@ -167,7 +205,9 @@ type Stats struct {
 	Inflight      int64  `json:"inflight"`
 	Dispatched    int64  `json:"dispatched"`
 	Fallbacks     int64  `json:"fallbacks"`
+	JobPanics     int64  `json:"job_panics"`
 	StoreStats
+	PlanStats
 	Dispatch *dispatch.Stats `json:"dispatch,omitempty"`
 }
 
@@ -175,7 +215,8 @@ type Stats struct {
 // actual local backend runs (the warm-path proof is this number
 // standing still while records keep flowing), Dispatched the records
 // obtained from the worker fleet, and Fallbacks the jobs that came
-// back from the dispatcher unserved and ran locally instead.
+// back from the dispatcher unserved and ran locally instead; JobPanics
+// the local runs that panicked and became their request's 500.
 func (s *Server) Stats() Stats {
 	st := Stats{
 		Engine:        harness.EngineVersion,
@@ -186,7 +227,9 @@ func (s *Server) Stats() Stats {
 		Inflight:      s.inflight.Load(),
 		Dispatched:    s.dispatched.Load(),
 		Fallbacks:     s.fallbacks.Load(),
+		JobPanics:     s.jobPanics.Load(),
 		StoreStats:    s.opts.Store.Stats(),
+		PlanStats:     s.plans.stats(),
 	}
 	if s.opts.Dispatcher != nil {
 		ds := s.opts.Dispatcher.Stats()
@@ -276,14 +319,35 @@ func parseRequest(r *http.Request) (gridRequest, error) {
 	return req, nil
 }
 
-// resolve turns a request into enumerated jobs plus their spec hashes,
-// and reports the effective workload scale (the request's, or the
-// server default) so the dispatch path can name it on the wire.
-func (s *Server) resolve(req gridRequest) ([]harness.Job, []string, float64, error) {
+// plan returns the selection's plan and the effective workload scale
+// (the request's, or the server default).  A cached plan costs one map
+// lookup; a miss resolves and hashes the selection, and then also
+// returns the jobs it enumerated so the caller need not resolve again.
+func (s *Server) plan(req gridRequest) (*plan, []harness.Job, float64, error) {
 	scale := req.Scale
 	if scale == 0 {
 		scale = s.opts.Scale
 	}
+	key := planKey(req, scale)
+	if p := s.plans.get(key); p != nil {
+		return p, nil, scale, nil
+	}
+	jobs, err := s.jobs(req, scale)
+	if err != nil {
+		return nil, nil, scale, err
+	}
+	p := &plan{hashes: harness.SpecHashes(jobs)}
+	if p.spec, err = specBody(jobs, p.hashes); err != nil {
+		return nil, nil, scale, err
+	}
+	s.plans.put(key, p)
+	return p, jobs, scale, nil
+}
+
+// jobs resolves a request against fresh registries and enumerates its
+// grid.  The cold path needs this even when the plan was cached: jobs
+// carry app instances, whose run state belongs to one request.
+func (s *Server) jobs(req gridRequest, scale float64) ([]harness.Job, error) {
 	sel := harness.Selection{
 		Apps:      req.Apps,
 		Backends:  req.Backends,
@@ -292,7 +356,7 @@ func (s *Server) resolve(req gridRequest) ([]harness.Job, []string, float64, err
 	}
 	grid, err := sel.Resolve(scale)
 	if err != nil {
-		return nil, nil, scale, err
+		return nil, err
 	}
 	if s.opts.Parallel {
 		for i := range grid.Scenarios {
@@ -301,13 +365,9 @@ func (s *Server) resolve(req gridRequest) ([]harness.Job, []string, float64, err
 	}
 	jobs, err := grid.Jobs()
 	if err != nil {
-		return nil, nil, scale, &harness.FieldError{Field: "scenarios", Err: err}
+		return nil, &harness.FieldError{Field: "scenarios", Err: err}
 	}
-	hashes := make([]string, len(jobs))
-	for i, j := range jobs {
-		hashes[i] = harness.SpecHash(j)
-	}
-	return jobs, hashes, scale, nil
+	return jobs, nil
 }
 
 func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
@@ -347,18 +407,8 @@ type specJob struct {
 	Hash     string `json:"hash"`
 }
 
-func (s *Server) handleSpec(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	req, err := parseRequest(r)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	jobs, hashes, _, err := s.resolve(req)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
+// specBody renders the /v1/spec document of an enumerated grid.
+func specBody(jobs []harness.Job, hashes []string) ([]byte, error) {
 	out := struct {
 		Engine string    `json:"engine"`
 		Jobs   []specJob `json:"jobs"`
@@ -374,10 +424,32 @@ func (s *Server) handleSpec(w http.ResponseWriter, r *http.Request) {
 			Hash:     hashes[i],
 		}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
-	enc.Encode(out)
+	err := enc.Encode(out)
+	return buf.Bytes(), err
+}
+
+func writeBody(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.Write(body) // a failed write is a client that hung up; nothing to salvage
+}
+
+func (s *Server) handleSpec(w http.ResponseWriter, r *http.Request) {
+	s.requests.Add(1)
+	req, err := parseRequest(r)
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	p, _, _, err := s.plan(req)
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	writeBody(w, p.spec)
 }
 
 // streamLine is one JSON line of a streaming grid response.
@@ -404,25 +476,16 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	jobs, hashes, scale, err := s.resolve(req)
+	p, jobs, scale, err := s.plan(req)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
+	total := len(p.hashes)
 
-	// Partition warm and cold: warm jobs answer from the store without
-	// touching any backend, cold indices go to the worker pool below.
-	recs := make([]harness.Record, len(jobs))
-	cached := make([]bool, len(jobs))
-	var cold []int
-	for i := range jobs {
-		if rec, ok := s.opts.Store.Get(hashes[i]); ok {
-			recs[i], cached[i] = rec, true
-		} else {
-			cold = append(cold, i)
-		}
-	}
-
+	// An array reply is assembled from one JSON fragment per record, a
+	// streamed one is written line by line as records become known.
+	var frags [][]byte
 	var emit func(line any) error
 	if req.Stream {
 		w.Header().Set("Content-Type", "application/x-ndjson")
@@ -441,42 +504,82 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 			}
 			return nil
 		}
-		for i := range jobs {
-			if cached[i] {
-				emit(streamLine{Index: i, Total: len(jobs), Cached: true, Record: &recs[i]})
+	} else {
+		frags = make([][]byte, total)
+	}
+
+	// Partition warm and cold with one counted probe per hash: warm jobs
+	// answer from the store without touching any backend, cold indices
+	// go to the worker pool below.
+	var cold []int
+	for i, h := range p.hashes {
+		if req.Stream {
+			if rec, ok := s.opts.Store.Get(h); ok {
+				emit(streamLine{Index: i, Total: total, Cached: true, Record: &rec})
+				continue
+			}
+		} else {
+			frag, ok, err := s.opts.Store.GetJSON(h)
+			if err != nil {
+				s.writeError(w, http.StatusInternalServerError, err)
+				return
+			}
+			if ok {
+				frags[i] = frag
+				continue
 			}
 		}
+		cold = append(cold, i)
 	}
 
-	if err := s.runCold(r.Context(), req, scale, jobs, hashes, recs, cold, emit); err != nil {
-		if req.Stream {
-			// Headers are long gone; report the failure in-band.
-			emit(streamDone{Done: true, Records: len(jobs), Hits: len(jobs) - len(cold),
-				Computed: len(cold), Error: err.Error()})
+	if len(cold) > 0 {
+		if jobs == nil { // the plan was cached: the cold path still needs app instances
+			jobs, err = s.jobs(req, scale)
+		}
+		recs := make([]harness.Record, len(cold)) // recs[k] is job cold[k]'s
+		if err == nil {
+			err = s.runCold(r.Context(), req, scale, jobs, p.hashes, cold, recs, emit)
+		}
+		if err == nil && !req.Stream {
+			for k, i := range cold {
+				if frags[i], err = harness.RecordJSON(recs[k]); err != nil {
+					break
+				}
+			}
+		}
+		if err != nil {
+			if req.Stream {
+				// Headers are long gone; report the failure in-band.
+				emit(streamDone{Done: true, Records: total, Hits: total - len(cold),
+					Computed: len(cold), Error: err.Error()})
+				return
+			}
+			s.writeError(w, http.StatusInternalServerError, err)
 			return
 		}
-		s.writeError(w, http.StatusInternalServerError, err)
-		return
 	}
 
-	s.recordsServed.Add(int64(len(recs)))
+	s.recordsServed.Add(int64(total))
 	if req.Stream {
-		emit(streamDone{Done: true, Records: len(jobs), Hits: len(jobs) - len(cold), Computed: len(cold)})
+		emit(streamDone{Done: true, Records: total, Hits: total - len(cold), Computed: len(cold)})
 		return
 	}
-	// One JSON array in enumeration order: byte-identical whether every
-	// record came from the store or from a fresh computation.
-	w.Header().Set("Content-Type", "application/json")
-	if err := harness.WriteJSON(w, recs); err != nil {
-		return // broken client connection mid-stream; nothing to salvage
-	}
+	// One JSON array in enumeration order, joined by the one function the
+	// CLI's WriteJSON joins with: byte-identical whether a record came
+	// from the store or from a fresh computation.
+	bp := bodyPool.Get().(*[]byte)
+	*bp = harness.JoinRecordJSON((*bp)[:0], frags)
+	writeBody(w, *bp)
+	bodyPool.Put(bp)
 }
 
-// runCold executes the cold job indices, filling recs in place.  Each
-// computation goes through the singleflight group keyed by spec hash,
-// and re-checks the store inside the flight, so an identical job — in
-// this request or a concurrent one — computes exactly once no matter
-// how the flights interleave with completions.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// runCold executes the cold job indices, filling recs (recs[k] is job
+// cold[k]'s record).  Each computation goes through the singleflight
+// group keyed by spec hash, and re-checks the store inside the flight,
+// so an identical job — in this request or a concurrent one — computes
+// exactly once no matter how the flights interleave with completions.
 //
 // With a dispatcher attached and workers registered, cold jobs are
 // leased to the fleet (all of them concurrently — the goroutines just
@@ -489,7 +592,7 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 // jobs not yet started are abandoned instead of burning CPU for a
 // reply nobody reads.  A job already running completes (a simulation
 // is not interruptible) and still lands in the store.
-func (s *Server) runCold(ctx context.Context, req gridRequest, scale float64, jobs []harness.Job, hashes []string, recs []harness.Record, cold []int, emit func(any) error) error {
+func (s *Server) runCold(ctx context.Context, req gridRequest, scale float64, jobs []harness.Job, hashes []string, cold []int, recs []harness.Record, emit func(any) error) error {
 	if len(cold) == 0 {
 		return nil
 	}
@@ -522,7 +625,7 @@ func (s *Server) runCold(ctx context.Context, req gridRequest, scale float64, jo
 	// width even when the goroutine count was widened for dispatch
 	// fan-out and jobs fall back local.
 	localSlots := make(chan struct{}, local)
-	errs := make([]error, len(jobs))
+	errs := make([]error, len(cold))
 	var next atomic.Int64
 	next.Store(-1)
 	var wg sync.WaitGroup
@@ -537,7 +640,7 @@ func (s *Server) runCold(ctx context.Context, req gridRequest, scale float64, jo
 				}
 				i := cold[k]
 				if err := ctx.Err(); err != nil {
-					errs[i] = err
+					errs[k] = err
 					continue
 				}
 				s.inflight.Add(1)
@@ -545,7 +648,7 @@ func (s *Server) runCold(ctx context.Context, req gridRequest, scale float64, jo
 					// Double-check the store: a flight for this hash may
 					// have completed between our miss and now.  Quiet
 					// lookup — this request already counted its miss.
-					if rec, ok := s.opts.Store.lookup(hashes[i], false); ok {
+					if rec, _, ok := s.opts.Store.lookup(hashes[i], false); ok {
 						return rec, nil
 					}
 					if fleet {
@@ -577,16 +680,16 @@ func (s *Server) runCold(ctx context.Context, req gridRequest, scale float64, jo
 						mu.Lock()
 						defer mu.Unlock()
 					}
-					rec, err := j.Run()
+					rec, err := s.runJob(j)
 					if err == nil {
 						s.opts.Store.Put(hashes[i], rec)
 					}
 					return rec, err
 				})
 				s.inflight.Add(-1)
-				recs[i], errs[i] = rec, err
+				recs[k], errs[k] = rec, err
 				if err == nil && emit != nil {
-					emit(streamLine{Index: i, Total: len(jobs), Cached: false, Record: &recs[i]})
+					emit(streamLine{Index: i, Total: len(jobs), Cached: false, Record: &recs[k]})
 				}
 			}
 		}()
@@ -598,4 +701,19 @@ func (s *Server) runCold(ctx context.Context, req gridRequest, scale float64, jo
 		}
 	}
 	return nil
+}
+
+// runJob is Job.Run with a panic turned into the job's error.  The
+// resolver refuses the configurations known to panic, but a cold job
+// runs on a pool goroutine, where anything it missed (or a bug in a
+// model) would otherwise end the process and every other request with
+// it; counted in /v1/stats as job_panics.
+func (s *Server) runJob(j harness.Job) (rec harness.Record, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			s.jobPanics.Add(1)
+			err = fmt.Errorf("%s/%s/%s n=%d: job panicked: %v", j.App.Name(), j.Backend.Name(), j.Scenario.Name, j.Scenario.Procs, p)
+		}
+	}()
+	return j.Run()
 }

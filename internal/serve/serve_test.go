@@ -444,7 +444,7 @@ func TestFlightGroupSharesInFlightResult(t *testing.T) {
 func TestRunColdCanceledContext(t *testing.T) {
 	srv, _ := testServer(t, Options{Workers: 2})
 	req := gridRequest{Apps: []string{"ep"}, Backends: []string{"tmk", "pvm"}, Scenarios: []string{"base"}, NProcs: []int{2}}
-	jobs, hashes, scale, err := srv.resolve(req)
+	p, jobs, scale, err := srv.plan(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,11 +452,11 @@ func TestRunColdCanceledContext(t *testing.T) {
 	for i := range cold {
 		cold[i] = i
 	}
-	recs := make([]harness.Record, len(jobs))
+	recs := make([]harness.Record, len(cold))
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := srv.runCold(ctx, req, scale, jobs, hashes, recs, cold, nil); !errors.Is(err, context.Canceled) {
+	if err := srv.runCold(ctx, req, scale, jobs, p.hashes, cold, recs, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("runCold with canceled ctx: %v, want context.Canceled", err)
 	}
 	if got := srv.Stats().Computed; got != 0 {

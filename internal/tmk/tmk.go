@@ -120,6 +120,7 @@
 package tmk
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -244,34 +245,42 @@ type System struct {
 	rBase, rCap sim.Time // retransmit timeout: base, doubling cap
 }
 
+// Validate reports why a system cannot be built from cfg on a network
+// configured as nc, or nil.  NewSystem panics with the same message, so
+// layers that take configurations from outside the program (the harness
+// selection resolver) reject them before anything runs.
+func (cfg Config) Validate(nc vnet.Config) error {
+	switch {
+	case cfg.PageSize <= 0 || cfg.PageSize%8 != 0:
+		return errors.New("tmk: page size must be a positive multiple of 8")
+	case cfg.TreeBarrier != 0 && cfg.TreeBarrier < 2:
+		return errors.New("tmk: TreeBarrier radix must be >= 2")
+	case cfg.TreeFanout != 0 && cfg.TreeFanout < 2:
+		return errors.New("tmk: TreeFanout radix must be >= 2")
+	case cfg.TreeBarrier != 0 && cfg.SpreadBarrierMgr:
+		return errors.New("tmk: TreeBarrier and SpreadBarrierMgr are mutually exclusive")
+	case cfg.TreeBarrier != 0 && nc.Faults.Lossy():
+		// The at-least-once layer retransmits the client/manager RPC
+		// shape; the tree's hop-by-hop aggregation has no reply per
+		// edge to time out on.  Keep the variant honest instead of
+		// silently unreliable.
+		return errors.New("tmk: TreeBarrier requires a fault-free network")
+	}
+	return nil
+}
+
 // NewSystem creates a TreadMarks system with n processors on net.
 func NewSystem(eng *sim.Engine, net *vnet.Network, n int, cfg Config) *System {
 	if n < 1 {
 		panic("tmk: need at least one processor")
 	}
-	if cfg.PageSize <= 0 || cfg.PageSize%8 != 0 {
-		panic("tmk: page size must be a positive multiple of 8")
-	}
-	if cfg.TreeBarrier != 0 && cfg.TreeBarrier < 2 {
-		panic("tmk: TreeBarrier radix must be >= 2")
-	}
-	if cfg.TreeFanout != 0 && cfg.TreeFanout < 2 {
-		panic("tmk: TreeFanout radix must be >= 2")
-	}
-	if cfg.TreeBarrier != 0 && cfg.SpreadBarrierMgr {
-		panic("tmk: TreeBarrier and SpreadBarrierMgr are mutually exclusive")
+	nc := net.Config()
+	if err := cfg.Validate(nc); err != nil {
+		panic(err.Error())
 	}
 	s := &System{eng: eng, net: net, cfg: cfg, n: n, initial: map[int][]byte{}}
-	nc := net.Config()
 	s.reliable = nc.Faults.Lossy()
 	s.causalAdmit = s.reliable || cfg.TreeFanout != 0
-	if cfg.TreeBarrier != 0 && s.reliable {
-		// The at-least-once layer retransmits the client/manager RPC
-		// shape; the tree's hop-by-hop aggregation has no reply per
-		// edge to time out on.  Keep the variant honest instead of
-		// silently unreliable.
-		panic("tmk: TreeBarrier requires a fault-free network")
-	}
 	if s.reliable {
 		s.rBase = cfg.RetransBase
 		if s.rBase == 0 {
