@@ -1,6 +1,7 @@
 package tmk
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/sim"
@@ -167,11 +168,36 @@ func runLargeP(b *testing.B, nprocs int, cfg Config, body func(p *Proc, r int, b
 	}
 }
 
+// startLargeP builds an nprocs system over a preloaded region of
+// imagePages pages and runs it through one round — every processor writes
+// one word on a page of its own, then all meet at a tree barrier: what a
+// large-P cell pays on the host before its first iteration.
+func startLargeP(nprocs, imagePages int) error {
+	cfg := DefaultConfig()
+	cfg.TreeBarrier = 2
+	e := sim.NewEngine()
+	s := NewSystem(e, vnet.New(vnet.FDDI()), nprocs, cfg)
+	base := s.MallocPageAligned(cfg.PageSize * imagePages)
+	img := make([]byte, cfg.PageSize*imagePages)
+	for i := range img {
+		img[i] = byte(i)
+	}
+	s.InitBytes(base, img)
+	for i := 0; i < nprocs; i++ {
+		s.Spawn(i, func(p *Proc) {
+			p.WriteI64(base+Addr(p.ID()*cfg.PageSize), -1)
+			p.Barrier(0)
+		})
+	}
+	return e.Run()
+}
+
 // BenchmarkLargeP measures the protocol paths the procs=64/256 scenario
 // family leans on, at P=64: an empty barrier round (centralized versus
 // radix-2 combining tree), a round where every processor closes an
 // interval (64 write notices through the barrier), and an eager-mode
-// round (flat broadcast versus radix-4 fan-out tree).
+// round (flat broadcast versus radix-4 fan-out tree); and, at P=256, the
+// start of a run over a 4 MB preloaded region (startLargeP).
 func BenchmarkLargeP(b *testing.B) {
 	const nprocs = 64
 	ownPage := func(p *Proc, r int, base Addr) {
@@ -191,6 +217,14 @@ func BenchmarkLargeP(b *testing.B) {
 	b.Run("close-tree", func(b *testing.B) { runLargeP(b, nprocs, tree, ownPage) })
 	b.Run("eager-flat", func(b *testing.B) { runLargeP(b, nprocs, eager, ownPage) })
 	b.Run("eager-tree", func(b *testing.B) { runLargeP(b, nprocs, eagerTree, ownPage) })
+	b.Run("start-256", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := startLargeP(256, 1024); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // faultAllocBudget is the ceiling on BenchmarkFault's allocs/op (one
@@ -226,5 +260,30 @@ func TestFaultPathAllocBudget(t *testing.T) {
 	res = testing.Benchmark(BenchmarkFaultReliable)
 	if got := res.AllocsPerOp(); got > reliableAllocBudget {
 		t.Errorf("reliable fault round allocates %d times, budget %d", got, reliableAllocBudget)
+	}
+}
+
+// largePStartBudget is the ceiling on what startLargeP(256, 1024) may
+// allocate in total: a 4 MB image preloaded on 256 processors.  The image
+// exists once (plus the caller's staging copy), and each processor pays
+// for its page table (1024 pages x ~112 B), the one page it wrote (private
+// copy, twin, diff) and its share of the first barrier's protocol state
+// (256 timestamps each growing to 256 entries one insert at a time, about
+// 70 MB together).  Measured 159 MB when pinned; cloning the image into
+// every processor — 256 x 4 MB — costs 1.2 GB.
+const largePStartBudget = 320 << 20
+
+// TestLargePStartAllocBudget pins the host memory cost of starting a
+// large-P run at O(image + P x pages touched), not O(P x image).
+func TestLargePStartAllocBudget(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := startLargeP(256, 1024); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > largePStartBudget {
+		t.Errorf("starting 256 processors over a 4 MB image allocates %d MB, budget %d MB",
+			got>>20, largePStartBudget>>20)
 	}
 }

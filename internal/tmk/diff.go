@@ -59,40 +59,16 @@ func makeDiff(page int, twin, cur []byte, a *memArena) *Diff {
 	} else {
 		d = &Diff{Page: page}
 	}
+	// Find each run's coalesced extent first — runs separated by a short
+	// unchanged gap merge, as real diff implementations word-align and
+	// merge to cut per-run overhead — then carve and copy it once.
 	n := len(cur)
-	i := 0
-	for i < n {
-		// Skip the unchanged stretch.
-		for i+8 <= n && getU64(twin[i:]) == getU64(cur[i:]) {
-			i += 8
-		}
-		for i < n && twin[i] == cur[i] {
-			i++
-		}
-		if i >= n {
-			break
-		}
-		// Scan the modified run: a word whose XOR has no zero byte is
-		// modified throughout; the trailing boundary is found bytewise.
-		j := i + 1
-		for j+8 <= n && !hasZeroByte(getU64(twin[j:])^getU64(cur[j:])) {
-			j += 8
-		}
-		for j < n && twin[j] != cur[j] {
-			j++
-		}
-		// Coalesce runs separated by a short unchanged gap: real diff
-		// implementations word-align and merge to cut per-run overhead.
-		if nr := len(d.Runs); nr > 0 {
-			last := &d.Runs[nr-1]
-			gap := i - (last.Off + len(last.Data))
-			if gap <= 8 {
-				// May outgrow an arena-carved payload; append then falls
-				// back to the heap, which is correct, just unpooled.
-				last.Data = append(last.Data, cur[last.Off+len(last.Data):j]...)
-				i = j
-				continue
-			}
+	for i := skipSame(twin, cur, 0); i < n; {
+		j := runEnd(twin, cur, i)
+		next := skipSame(twin, cur, j)
+		for next < n && next-j <= 8 {
+			j = runEnd(twin, cur, next)
+			next = skipSame(twin, cur, j)
 		}
 		var data []byte
 		if a != nil {
@@ -104,9 +80,37 @@ func makeDiff(page int, twin, cur []byte, a *memArena) *Diff {
 			data = append([]byte(nil), cur[i:j]...)
 		}
 		d.Runs = append(d.Runs, Run{Off: i, Data: data})
-		i = j
+		i = next
 	}
 	return d
+}
+
+// skipSame returns the first index >= i at which twin and cur differ, or
+// len(cur): unchanged stretches advance eight bytes per uint64 compare.
+func skipSame(twin, cur []byte, i int) int {
+	n := len(cur)
+	for i+8 <= n && getU64(twin[i:]) == getU64(cur[i:]) {
+		i += 8
+	}
+	for i < n && twin[i] == cur[i] {
+		i++
+	}
+	return i
+}
+
+// runEnd returns the end of the modified run starting at i (twin[i] !=
+// cur[i]): a word whose XOR has no zero byte is modified throughout; the
+// trailing boundary is found bytewise.
+func runEnd(twin, cur []byte, i int) int {
+	n := len(cur)
+	j := i + 1
+	for j+8 <= n && !hasZeroByte(getU64(twin[j:])^getU64(cur[j:])) {
+		j += 8
+	}
+	for j < n && twin[j] != cur[j] {
+		j++
+	}
+	return j
 }
 
 // Empty reports whether the diff carries no modifications.

@@ -49,6 +49,34 @@ func TestMakeDiffCoalescesShortGaps(t *testing.T) {
 	}
 }
 
+// An arena-backed diff copies each coalesced run into the arena exactly
+// once: a page whose modified bytes sit a short gap apart — every run
+// coalesces into its predecessor — must not touch the heap at all once the
+// arena's chunks are in place.
+func TestMakeDiffArenaPayloadNoHeap(t *testing.T) {
+	const ps, runs = 4096, 100
+	twin := make([]byte, ps)
+	cur := make([]byte, ps)
+	for i := 0; i < ps; i += 8 {
+		cur[i] = 1
+	}
+	a := &memArena{
+		hdrs:  make([]Diff, runs+1), // AllocsPerRun adds a warm-up call
+		runs:  make([]Run, 4*(runs+1)),
+		bytes: make([]byte, ps*(runs+1)),
+	}
+	var d *Diff
+	if n := testing.AllocsPerRun(runs, func() { d = makeDiff(0, twin, cur, a) }); n != 0 {
+		t.Fatalf("arena-backed makeDiff allocates %v times per page, want 0", n)
+	}
+	if len(d.Runs) != 1 || d.Runs[0].Off != 0 || len(d.Runs[0].Data) != ps-7 {
+		t.Fatalf("short gaps should coalesce into one run: %d runs", len(d.Runs))
+	}
+	if !bytes.Equal(d.Runs[0].Data, cur[:ps-7]) {
+		t.Fatal("coalesced payload differs from the page")
+	}
+}
+
 func TestDiffApplyRoundTrip(t *testing.T) {
 	twin := []byte("the quick brown fox jumps over the lazy dog....")
 	cur := append([]byte(nil), twin...)

@@ -2,6 +2,7 @@ package tmk
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -237,4 +238,173 @@ func TestCoverScratchReuse(t *testing.T) {
 			p.Barrier(2*r + 1)
 		}
 	})
+}
+
+// referencePendingOrder is the order applyPending's doc comment promises,
+// computed the straightforward way: repeatedly take, in (proc, idx) order,
+// the first pending notice that no other pending notice happens before —
+// the lexicographically smallest topological extension of happens-before.
+func referencePendingOrder(recs [][]*IntervalRec, pending []diffWant) []diffWant {
+	left := append([]diffWant(nil), pending...)
+	sort.Slice(left, func(i, j int) bool {
+		if left[i].Proc != left[j].Proc {
+			return left[i].Proc < left[j].Proc
+		}
+		return left[i].Idx < left[j].Idx
+	})
+	var out []diffWant
+	for len(left) > 0 {
+		pick := -1
+		for i, w := range left {
+			vc := recs[w.Proc][w.Idx].VC
+			minimal := true
+			for j, x := range left {
+				if j == i {
+					continue
+				}
+				if (x.Proc == w.Proc && x.Idx < w.Idx) || (x.Proc != w.Proc && vc.CoversInterval(x.Proc, x.Idx)) {
+					minimal = false
+					break
+				}
+			}
+			if minimal {
+				pick = i
+				break
+			}
+		}
+		if pick < 0 {
+			panic("reference: cycle in happens-before")
+		}
+		out = append(out, left[pick])
+		left = append(left[:pick], left[pick+1:]...)
+	}
+	return out
+}
+
+// TestApplyPendingOrderProperty: for random synchronization histories of
+// up to 64 writers — most of which hear from only a few others, so the
+// interval timestamps are sparse — applyPending must apply a page's
+// pending diffs in exactly the reference order.  The order is read back
+// off the page: the diff of notice a writes, for every other notice b, one
+// byte that only those two diffs write, so the page ends up recording
+// which of each pair came last.
+func TestApplyPendingOrderProperty(t *testing.T) {
+	const maxPending = 120
+	cfg := DefaultConfig()
+	cfg.PageSize = maxPending * maxPending
+	drained := 0 // notices whose blocker was another writer's last pending notice
+	for seed := int64(0); seed < 150; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		w := 1 + r.Intn(64) // writers 0..w-1; the observer is processor w
+		n := w + 1
+		pSync, pWrite := r.Float64(), 0.2+0.8*r.Float64()
+
+		// A random history: q closes an interval (which may have written
+		// the page), or q acquires from src and merges its timestamp.
+		vcs := make([]VC, w)
+		for q := range vcs {
+			vcs[q] = NewVC(n)
+		}
+		recs := make([][]*IntervalRec, n)
+		var pending []diffWant
+		for ev := 4 * w; ev > 0; ev-- {
+			q := r.Intn(w)
+			if r.Float64() < pSync {
+				vcs[q].Merge(vcs[r.Intn(w)])
+				continue
+			}
+			idx := len(recs[q])
+			vcs[q].SetMax(q, int32(idx+1))
+			recs[q] = append(recs[q], &IntervalRec{Proc: q, Idx: idx, VC: vcs[q].Clone()})
+			if len(pending) < maxPending && r.Float64() < pWrite {
+				pending = append(pending, diffWant{Proc: q, Idx: idx})
+			}
+		}
+		k := len(pending)
+		want := referencePendingOrder(recs, pending)
+		last := make([]int, w) // per writer: its last pending interval, -1 if none
+		for q := range last {
+			last[q] = -1
+		}
+		for _, x := range pending {
+			last[x.Proc] = x.Idx
+		}
+		for _, x := range pending {
+			for q := 0; q < w; q++ {
+				if q != x.Proc && last[q] >= 0 && recs[x.Proc][x.Idx].VC.CoversInterval(q, last[q]) {
+					drained++
+					break
+				}
+			}
+		}
+
+		// Notices reach a page in any interleaving that keeps each
+		// writer's in interval order.
+		wn := append([]diffWant(nil), pending...)
+		r.Shuffle(k, func(i, j int) { wn[i], wn[j] = wn[j], wn[i] })
+		next := make([]int, w)
+		byWriter := make([][]int, w)
+		for _, x := range pending {
+			byWriter[x.Proc] = append(byWriter[x.Proc], x.Idx)
+		}
+		for i, x := range wn {
+			wn[i].Idx = byWriter[x.Proc][next[x.Proc]]
+			next[x.Proc]++
+		}
+
+		eng := sim.NewEngine()
+		sys := NewSystem(eng, vnet.New(vnet.FDDI()), n, cfg)
+		sys.Malloc(cfg.PageSize)
+		var data []byte
+		sys.Spawn(w, func(p *Proc) {
+			p.recs = recs
+			pg := p.pages[0]
+			pg.wn = wn
+			for a, x := range pending { // ascending idx per writer, as storeDiff requires
+				d := &Diff{}
+				for b := range pending {
+					if b == a {
+						continue
+					}
+					lo, hi, mark := a, b, byte(1)
+					if b < a {
+						lo, hi, mark = b, a, 2
+					}
+					d.Runs = append(d.Runs, Run{Off: lo*k + hi, Data: []byte{mark}})
+				}
+				p.storeDiff(pg, x.Proc, x.Idx, d)
+			}
+			p.applyPending(0)
+			data = pg.data
+		})
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+
+		// Notice a's position is the number of notices it came after.
+		got := make([]diffWant, k)
+		seen := make([]bool, k)
+		for a, x := range pending {
+			pos := 0
+			for b := range pending {
+				switch {
+				case a < b && data[a*k+b] == 1, b < a && data[b*k+a] == 2:
+					pos++
+				}
+			}
+			if seen[pos] {
+				t.Fatalf("seed %d: page does not record a total order", seed)
+			}
+			seen[pos], got[pos] = true, x
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d (%d writers, %d notices): position %d applied %+v, reference %+v",
+					seed, w, k, i, got[i], want[i])
+			}
+		}
+	}
+	if drained == 0 {
+		t.Fatal("no generated history blocks a head on a writer that drains mid-merge")
+	}
 }

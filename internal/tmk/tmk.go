@@ -42,8 +42,9 @@
 //     base-offset slice.
 //   - applyPending orders pending write notices by merging per-writer
 //     head cursors (notices of one writer are already totally ordered);
-//     readiness is a single vector-clock component test.  Application is
-//     linear in the common single-writer case.
+//     readiness is one vector-clock component test per other head, and a
+//     blocked head re-tests only the component that blocked it.
+//     Application is linear in the common single-writer case.
 //   - Protocol messages travel as structured objects with modeled wire
 //     sizes (vnet.SendObj); the encoders in wire.go remain the documented
 //     wire format and are pinned against the size functions by test.
@@ -52,6 +53,10 @@
 //   - Per-fault scratch (missing-notice list, cover targets, request
 //     objects, apply cursors) is recycled on the Proc; long-lived records
 //     and diffs are carved from a per-processor memArena.
+//   - Memory preloaded with Init* exists once: every processor's pages
+//     alias that image read-only and a processor copies a page the first
+//     time it mutates it locally (a write, or a diff applied on a fault),
+//     so host memory follows what processors touch, not P x the image.
 //
 // # Fault model
 //
@@ -388,10 +393,12 @@ func (s *System) Pages() int {
 	return (int(s.brk) + s.cfg.PageSize - 1) / s.cfg.PageSize
 }
 
-// InitBytes preloads shared memory with initial contents, replicated on
+// InitBytes preloads shared memory with initial contents, present on
 // every processor at no modeled cost.  The paper's measurements exclude
 // initial data distribution (e.g. SOR's first iteration, FFT's initial
-// value distribution); preloading models that exclusion.
+// value distribution); preloading models that exclusion.  On the host the
+// image is held once and shared read-only: a processor copies a page out
+// of it on its first local mutation, also at no modeled cost.
 func (s *System) InitBytes(a Addr, b []byte) {
 	if s.started {
 		panic("tmk: InitBytes after start")
@@ -470,6 +477,7 @@ func (s *System) Stats() vnet.Stats { return s.net.WireStats() }
 type page struct {
 	data  []byte        // nil means all-zero (never written locally)
 	valid bool          // false: must fetch missing diffs before access
+	image bool          // data aliases System.initial: copy before mutating (ownData)
 	twin  []byte        // pre-modification copy; non-nil while dirty
 	wn    []diffWant    // write notices not yet applied locally
 	dw    []writerDiffs // held diffs, one slot per writer; nil until first store
@@ -758,6 +766,7 @@ type Proc struct {
 	wrCount []int32 // applyPending: per-writer pending count / scatter cursor
 	wrPos   []int32 // applyPending: per-writer head cursor into wrIdx
 	wrEnd   []int32 // applyPending: per-writer group end in wrIdx
+	wrBlock []int32 // applyPending: per-writer index into its head's VC of the entry that last blocked it (-1: none)
 	wrIdx   []int32 // applyPending: pending interval idxs grouped by writer
 	wrList  []int32 // applyPending: writers with pending notices, ascending
 
@@ -790,14 +799,16 @@ func (p *Proc) Now() sim.Time { return p.app.Now() }
 // PageSize returns the page size.
 func (p *Proc) PageSize() int { return p.sys.cfg.PageSize }
 
+// initPages builds the page table: one slab of page structs, preloaded
+// pages aliasing the system's image until this processor first mutates
+// them (ownData), so start-up costs O(pages), not O(image), per processor.
 func (p *Proc) initPages() {
-	n := p.sys.Pages()
-	p.pages = make([]*page, n)
-	for i := 0; i < n; i++ {
-		pg := &page{valid: true}
-		if init, ok := p.sys.initial[i]; ok {
-			pg.data = append([]byte(nil), init...)
-		}
+	slab := make([]page, p.sys.Pages())
+	p.pages = make([]*page, len(slab))
+	for i := range slab {
+		pg := &slab[i]
+		pg.valid = true
+		pg.data, pg.image = p.sys.initial[i]
 		p.pages[i] = pg
 	}
 }
@@ -891,7 +902,7 @@ func (p *Proc) closeInterval() {
 		if pg.twin == nil {
 			panic("tmk: dirty page without twin")
 		}
-		d := makeDiff(pid, pg.twin, pg.getData(cfg.PageSize), &p.arena)
+		d := makeDiff(pid, pg.twin, pg.data, &p.arena)
 		p.storeDiff(pg, p.id, idx, d)
 		p.twinFree = append(p.twinFree, pg.twin) // recycle: diffs copy out of cur, never twin
 		pg.twin = nil
@@ -1129,12 +1140,7 @@ func (p *Proc) drainFuture() {
 // the causal-delivery condition admitRecord buffers on under fault
 // injection.
 func (p *Proc) recCausallyReady(r *IntervalRec) bool {
-	for i, q := range r.VC.ps {
-		if int(q) != r.Proc && p.vc.Get(int(q)) < r.VC.vs[i] {
-			return false
-		}
-	}
-	return true
+	return p.vc.CoversExcept(r.VC, r.Proc)
 }
 
 // recTouchesBusy reports whether the record names a twinned or mid-fault
@@ -2005,7 +2011,7 @@ func (p *Proc) applyPending(pid int) {
 		return
 	}
 	cfg := p.sys.cfg
-	data := pg.getData(cfg.PageSize)
+	data := p.ownData(pg)
 
 	// Fast path: all notices from one writer, already in interval order.
 	single := true
@@ -2030,6 +2036,7 @@ func (p *Proc) applyPending(pid int) {
 		p.wrCount = make([]int32, n)
 		p.wrPos = make([]int32, n)
 		p.wrEnd = make([]int32, n)
+		p.wrBlock = make([]int32, n)
 	}
 	count := p.wrCount
 	for _, w := range pg.wn {
@@ -2045,6 +2052,7 @@ func (p *Proc) applyPending(pid int) {
 		p.wrPos[q] = off
 		off += count[q]
 		p.wrEnd[q] = off
+		p.wrBlock[q] = -1
 		count[q] = off - count[q] // scatter cursor: group start
 	}
 	p.wrList = writers
@@ -2061,7 +2069,11 @@ func (p *Proc) applyPending(pid int) {
 	}
 
 	// Merge: scan writers in ascending proc order, apply the first ready
-	// head, restart.  W is at most nprocs, so the rescan is cheap.
+	// head, restart.  A blocked head remembers where in its timestamp the
+	// blocking component sits (wrBlock) and re-tests only that one until
+	// the blocker's head moves past it or drains; only then does it pay
+	// the full test again, walking writers and the timestamp's sorted
+	// entries in step.  Same predicate, evaluated lazily: same order.
 	for remaining := k; remaining > 0; {
 		progress := false
 		for _, q := range writers {
@@ -2071,18 +2083,32 @@ func (p *Proc) applyPending(pid int) {
 			}
 			h := int(idxs[p.wrPos[qi]])
 			vc := p.recs[qi][h].VC
-			ready := true
-			for _, r := range writers {
-				ri := int(r)
-				if ri == qi || p.wrPos[ri] == p.wrEnd[ri] {
-					continue
-				}
-				if vc.Get(ri) > idxs[p.wrPos[ri]] {
-					ready = false
-					break
+			b := p.wrBlock[qi]
+			if b >= 0 {
+				if r := vc.ps[b]; p.wrPos[r] == p.wrEnd[r] || vc.vs[b] <= idxs[p.wrPos[r]] {
+					b = -1
 				}
 			}
-			if !ready {
+			if b < 0 {
+				i := 0
+				for _, r := range writers {
+					if r == q || p.wrPos[r] == p.wrEnd[r] {
+						continue
+					}
+					for i < len(vc.ps) && vc.ps[i] < r {
+						i++
+					}
+					if i == len(vc.ps) {
+						break
+					}
+					if vc.ps[i] == r && vc.vs[i] > idxs[p.wrPos[r]] {
+						b = int32(i)
+						break
+					}
+				}
+				p.wrBlock[qi] = b
+			}
+			if b >= 0 {
 				continue
 			}
 			p.applyOne(pg, data, qi, h, cfg)
@@ -2112,9 +2138,19 @@ func (p *Proc) applyOne(pg *page, data []byte, proc, idx int, cfg Config) {
 	p.app.Compute(sim.Time(d.Size()) * cfg.DiffApplyPerByte)
 }
 
-func (pg *page) getData(pageSize int) []byte {
-	if pg.data == nil {
-		pg.data = make([]byte, pageSize)
+// ownData returns the page's bytes for mutation — the first write of an
+// interval (writable) or diff application (applyPending).  A never-written
+// page materializes as zeros; a page still aliasing the preloaded image is
+// copied first, at no modeled cost, like the preload itself.  The read
+// cache may window the image's bytes (Store reaches writable without
+// refilling it), so it is dropped with them.
+func (p *Proc) ownData(pg *page) []byte {
+	switch {
+	case pg.data == nil:
+		pg.data = make([]byte, p.sys.cfg.PageSize)
+	case pg.image:
+		pg.data, pg.image = append([]byte(nil), pg.data...), false
+		p.rc = accCache{}
 	}
 	return pg.data
 }
@@ -2137,7 +2173,7 @@ func (p *Proc) writable(pid int) *page {
 	}
 	if pg.twin == nil {
 		cfg := p.sys.cfg
-		data := pg.getData(cfg.PageSize)
+		data := p.ownData(pg)
 		if n := len(p.twinFree); n > 0 {
 			pg.twin = p.twinFree[n-1]
 			p.twinFree = p.twinFree[:n-1]

@@ -1,6 +1,7 @@
 package tmk
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/sim"
@@ -8,10 +9,21 @@ import (
 )
 
 // world builds an engine + network + n-processor DSM for tests.
-func world(n int) (*sim.Engine, *System) {
-	eng := sim.NewEngine()
+func world(n int) (*sim.Engine, *System) { return worldOn(n, false) }
+
+// worldOn is world on the serial or the parallel engine.
+func worldOn(n int, parallel bool) (*sim.Engine, *System) {
+	eng := sim.NewEngineOpts(sim.Options{Parallel: parallel})
 	net := vnet.New(vnet.FDDI())
 	return eng, NewSystem(eng, net, n, DefaultConfig())
+}
+
+// bothEngines runs f as a subtest on the serial and on the parallel
+// engine; under the latter the race detector sees processors sharing
+// state at the same virtual instant.
+func bothEngines(t *testing.T, f func(t *testing.T, parallel bool)) {
+	t.Run("serial", func(t *testing.T) { f(t, false) })
+	t.Run("parallel", func(t *testing.T) { f(t, true) })
 }
 
 // runAll spawns the same body on every processor and runs to completion.
@@ -242,18 +254,106 @@ func TestMinimalDiffRequestSet(t *testing.T) {
 }
 
 func TestInitDataVisibleEverywhereFree(t *testing.T) {
-	eng, sys := world(3)
-	a := sys.Malloc(24)
-	sys.InitF64(a, []float64{1.5, 2.5, 3.5})
-	runAll(t, eng, sys, func(p *Proc) {
-		arr := p.F64Array(a, 3)
-		if arr.At(0) != 1.5 || arr.At(1) != 2.5 || arr.At(2) != 3.5 {
-			t.Errorf("proc %d sees %v %v %v", p.ID(), arr.At(0), arr.At(1), arr.At(2))
+	bothEngines(t, func(t *testing.T, parallel bool) {
+		eng, sys := worldOn(3, parallel)
+		a := sys.Malloc(24)
+		sys.InitF64(a, []float64{1.5, 2.5, 3.5})
+		runAll(t, eng, sys, func(p *Proc) {
+			arr := p.F64Array(a, 3)
+			if arr.At(0) != 1.5 || arr.At(1) != 2.5 || arr.At(2) != 3.5 {
+				t.Errorf("proc %d sees %v %v %v", p.ID(), arr.At(0), arr.At(1), arr.At(2))
+			}
+		})
+		if sys.Stats().Messages != 0 {
+			t.Fatalf("initial data should be preloaded, not fetched: %d msgs", sys.Stats().Messages)
 		}
 	})
-	if sys.Stats().Messages != 0 {
-		t.Fatalf("initial data should be preloaded, not fetched: %d msgs", sys.Stats().Messages)
-	}
+}
+
+// TestPreloadedImageCopyOnWrite: every processor's preloaded pages alias
+// the system's one image until that processor mutates them.  The three
+// ways a page's bytes change — a scalar write, a bulk Store (here after a
+// scalar read cached the image's bytes), and a fault applying a remote
+// diff — must each leave the writer reading its new bytes through the
+// cached fast path and the uncached bulk path, and leave the image and
+// every other processor's view alone until synchronization carries the
+// write over.
+func TestPreloadedImageCopyOnWrite(t *testing.T) {
+	bothEngines(t, func(t *testing.T, parallel bool) {
+		const words = 512 // float64s per page
+		eng, sys := worldOn(4, parallel)
+		a := sys.MallocPageAligned(3 * 4096) // page 0: scalar, 1: Store, 2: never written
+		init := make([]float64, 3*words)
+		for i := range init {
+			init[i] = float64(i + 1)
+		}
+		sys.InitF64(a, init)
+		image := map[int][]byte{}
+		for pid, b := range sys.initial {
+			image[pid] = append([]byte(nil), b...)
+		}
+		// expect checks elements [lo,hi) against want through At (the
+		// scalar caches) and through Load (straight off the page).
+		expect := func(p *Proc, when string, lo, hi int, want func(i int) float64) {
+			arr := p.F64Array(a, len(init))
+			buf := make([]float64, hi-lo)
+			arr.Load(buf, lo, hi)
+			for i := lo; i < hi; i++ {
+				if got := arr.At(i); got != want(i) {
+					t.Errorf("proc %d %s: At(%d) = %v, want %v", p.ID(), when, i, got, want(i))
+				}
+				if got := buf[i-lo]; got != want(i) {
+					t.Errorf("proc %d %s: Load[%d] = %v, want %v", p.ID(), when, i, got, want(i))
+				}
+			}
+		}
+		initial := func(i int) float64 { return init[i] }
+		written := func(i int) float64 {
+			switch i {
+			case 1:
+				return -1
+			case words, words + 1:
+				return float64(-2 - (i - words))
+			}
+			return init[i]
+		}
+		runAll(t, eng, sys, func(p *Proc) {
+			arr := p.F64Array(a, len(init))
+			switch p.ID() {
+			case 0:
+				arr.Set(1, -1)
+				expect(p, "after its scalar write", 0, words, written)
+				expect(p, "beside its scalar write", words, 3*words, initial)
+			case 1:
+				if arr.At(words) != init[words] { // read cache now windows the image
+					t.Errorf("proc 1 reads %v before its Store", arr.At(words))
+				}
+				arr.Store([]float64{-2, -3}, words)
+				expect(p, "after its Store", words, 2*words, written)
+			default:
+				expect(p, "before synchronization", 0, 3*words, initial)
+			}
+			p.Barrier(0)
+			// Procs 2 and 3 fault on pages they still share with the
+			// image; procs 0 and 1 on each other's page.
+			expect(p, "after the barrier", 0, 3*words, written)
+		})
+		for pid, b := range sys.initial {
+			if !bytes.Equal(b, image[pid]) {
+				t.Errorf("page %d of the preloaded image was written through", pid)
+			}
+		}
+		first := int(a) / 4096
+		for id := 0; id < sys.N(); id++ {
+			for i := 0; i < 3; i++ {
+				pg := sys.Proc(id).pages[first+i]
+				aliases := &pg.data[0] == &sys.initial[first+i][0]
+				if want := i == 2; pg.image != want || aliases != want {
+					t.Errorf("proc %d page %d: image=%v aliases=%v, want %v", id, i, pg.image, aliases, want)
+				}
+			}
+		}
+	})
 }
 
 func TestReadYourOwnWritesNoTraffic(t *testing.T) {

@@ -109,13 +109,21 @@ func (v VC) Clone() VC {
 }
 
 // Covers reports whether v >= w pointwise: everything w has seen, v has.
-func (v VC) Covers(w VC) bool {
+func (v VC) Covers(w VC) bool { return v.CoversExcept(w, -1) }
+
+// CoversExcept reports whether v >= w at every component but skip (-1:
+// none): one walk of the two sorted entry lists in step, where a Get per
+// component of w would search v each time.
+func (v VC) CoversExcept(w VC, skip int) bool {
 	i := 0
-	for j := range w.ps {
-		for i < len(v.ps) && v.ps[i] < w.ps[j] {
+	for j, q := range w.ps {
+		if int(q) == skip {
+			continue
+		}
+		for i < len(v.ps) && v.ps[i] < q {
 			i++
 		}
-		if i == len(v.ps) || v.ps[i] != w.ps[j] || v.vs[i] < w.vs[j] {
+		if i == len(v.ps) || v.ps[i] != q || v.vs[i] < w.vs[j] {
 			return false
 		}
 	}

@@ -209,8 +209,9 @@ func (v denseVC) mergeMin(w denseVC) {
 
 // TestVCSparseMatchesDense drives random operation sequences through
 // the sparse VC and the dense reference in lockstep and requires every
-// observable — Get, Covers, CoversInterval, Before, Concurrent, and
-// the vectors produced by Merge/MergeMin — to agree exactly.
+// observable — Get, Covers, CoversExcept, CoversInterval, Before,
+// Concurrent, and the vectors produced by Merge/MergeMin — to agree
+// exactly.
 func TestVCSparseMatchesDense(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -235,6 +236,14 @@ func TestVCSparseMatchesDense(t *testing.T) {
 			}
 		}
 		if sa.Covers(sb) != da.covers(db) || sb.Covers(sa) != db.covers(da) {
+			return false
+		}
+		skip := r.Intn(n+1) - 1 // -1: no component excused
+		ds, dbs := append(denseVC(nil), da...), append(denseVC(nil), db...)
+		if skip >= 0 {
+			ds[skip], dbs[skip] = 0, 0
+		}
+		if sa.CoversExcept(sb, skip) != ds.covers(dbs) {
 			return false
 		}
 		if sa.Before(sb) != da.before(db) || sb.Before(sa) != db.before(da) {
@@ -270,6 +279,73 @@ func TestVCSparseMatchesDense(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestVCCoversExcept pins the merge walk behind Covers and
+// recCausallyReady: components absent from either side, the skipped
+// component (a record's own writer) failing or missing, and vectors on
+// both sides of the linear-scan/binary-search width split.
+func TestVCCoversExcept(t *testing.T) {
+	type ent struct {
+		p int
+		x int32
+	}
+	mk := func(n int, es []ent) VC {
+		v := NewVC(n)
+		for _, e := range es {
+			v.SetMax(e.p, e.x)
+		}
+		return v
+	}
+	for _, n := range []int{8, 64, 256} {
+		last := n - 1
+		for _, c := range []struct {
+			name string
+			v, w []ent
+			skip int
+			want bool
+		}{
+			{"both empty", nil, nil, -1, true},
+			{"w empty", []ent{{0, 3}, {last, 1}}, nil, -1, true},
+			{"v empty", nil, []ent{{last, 1}}, -1, false},
+			{"equal", []ent{{1, 2}, {last, 4}}, []ent{{1, 2}, {last, 4}}, -1, true},
+			{"v ahead, extra components", []ent{{0, 9}, {1, 3}, {5, 1}, {last, 4}}, []ent{{1, 2}, {last, 4}}, -1, true},
+			{"v behind at one", []ent{{1, 2}, {last, 3}}, []ent{{1, 2}, {last, 4}}, -1, false},
+			{"component absent from v", []ent{{1, 2}, {last, 4}}, []ent{{1, 2}, {4, 1}, {last, 4}}, -1, false},
+			{"absent from v past its end", []ent{{1, 2}}, []ent{{1, 2}, {last, 1}}, -1, false},
+			{"skip the one behind", []ent{{1, 2}, {last, 3}}, []ent{{1, 2}, {last, 4}}, last, true},
+			{"skip the one absent", []ent{{1, 2}, {last, 4}}, []ent{{1, 2}, {4, 1}, {last, 4}}, 4, true},
+			{"skip first, fail later", []ent{{last, 3}}, []ent{{0, 1}, {last, 4}}, 0, false},
+			{"skip elsewhere does not excuse", []ent{{1, 2}, {last, 3}}, []ent{{1, 2}, {last, 4}}, 1, false},
+			{"skip absent from both", []ent{{1, 2}}, []ent{{1, 2}}, 3, true},
+		} {
+			v, w := mk(n, c.v), mk(n, c.w)
+			if got := v.CoversExcept(w, c.skip); got != c.want {
+				t.Errorf("n=%d %s: CoversExcept = %v, want %v", n, c.name, got, c.want)
+			}
+			// The component-at-a-time definition the walk replaces.
+			ref := true
+			for q := 0; q < n; q++ {
+				if q != c.skip && v.Get(q) < w.Get(q) {
+					ref = false
+				}
+			}
+			if ref != c.want {
+				t.Errorf("n=%d %s: table disagrees with the Get definition", n, c.name)
+			}
+		}
+		// Dense vectors wider than the linear-scan cutoff on both sides.
+		var all, most []ent
+		for q := 0; q < n; q++ {
+			all = append(all, ent{q, int32(q%3 + 1)})
+			if q != n/2 {
+				most = append(most, ent{q, int32(q%3 + 1)})
+			}
+		}
+		if v, w := mk(n, most), mk(n, all); v.CoversExcept(w, -1) || !v.CoversExcept(w, n/2) || !w.CoversExcept(v, -1) {
+			t.Errorf("n=%d: dense vectors differing only at %d", n, n/2)
+		}
 	}
 }
 
