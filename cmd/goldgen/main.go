@@ -8,7 +8,14 @@
 //	go run ./cmd/goldgen -format go
 //
 // emits the Go table literal to paste over the `golden` map, so
-// regeneration after an intentional model change is mechanical.
+// regeneration after an intentional model change is mechanical.  The
+// paper-scale pins in internal/harness/paperscale_test.go come from
+//
+//	go run ./cmd/goldgen -format paper
+//
+// which ignores -scale and runs the plan that test runs: every app's
+// sequential baseline at scale 1.0, plus TSP under tmk and pvm at 8
+// processors.
 //
 // goldgen is a thin view over the harness grid: it runs
 // apps x {tmk,pvm} x base{2,4,8} and reformats the records.
@@ -25,12 +32,19 @@ import (
 
 var goldenProcs = []int{2, 4, 8}
 
+// paperProcs is the processor count of the paper-scale TSP pins.
+const paperProcs = 8
+
 func main() {
 	scale := flag.Float64("scale", 0.1, "workload scale (1.0 = paper scale)")
-	format := flag.String("format", "text", `output format: "text" (diffable lines) or "go" (golden_test.go table literal)`)
+	format := flag.String("format", "text", `output format: "text" (diffable lines), "go" (golden_test.go table literal) or "paper" (paperscale_test.go table literals, always at scale 1.0)`)
 	workers := flag.Int("j", runtime.GOMAXPROCS(0), "grid worker pool width (1 = serial); output is identical at any width")
 	flag.Parse()
 
+	if *format == "paper" {
+		emitPaper(*workers)
+		return
+	}
 	apps := harness.Apps(*scale)
 	recs, err := harness.Grid{
 		Apps:      apps,
@@ -80,4 +94,33 @@ func main() {
 	default:
 		panic(fmt.Sprintf("goldgen: unknown format %q", *format))
 	}
+}
+
+// emitPaper prints the tables TestPaperScaleGolden pins: what the
+// reduced-scale grid above cannot see, because the search and sort apps
+// swap in smaller instances below scale 1.0.
+func emitPaper(workers int) {
+	apps := harness.Apps(1.0)
+	seq, err := harness.Grid{Apps: apps, Backends: []core.Backend{core.Seq}, Workers: workers}.Run()
+	if err != nil {
+		panic(err)
+	}
+	tsp, err := harness.Grid{
+		Apps:      []core.App{harness.Find(apps, "TSP")},
+		Backends:  []core.Backend{core.TMK, core.PVM},
+		Scenarios: harness.BaseScenarios(paperProcs),
+		Workers:   workers,
+	}.Run()
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("var paperSeq = map[string]int64{\n")
+	for _, r := range seq {
+		fmt.Printf("\t%q: %d,\n", r.App, r.TimeNS)
+	}
+	fmt.Printf("}\n\nvar paperTSP = map[string]metric{\n")
+	for _, r := range tsp {
+		fmt.Printf("\t%q: {time: %d, msgs: %d, bytes: %d},\n", r.Backend, r.TimeNS, r.Messages, r.Bytes)
+	}
+	fmt.Printf("}\n")
 }

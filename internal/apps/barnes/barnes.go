@@ -116,7 +116,24 @@ type tree struct {
 	root  *cell
 	pos   []float64 // snapshot: stride-7 body records
 	n     int
-	built int // insertion count, for cost accounting
+	built int    // insertion count, for cost accounting
+	slab  []cell // unused cells of the current chunk (see newCell)
+}
+
+// newCell carves an empty cell from the tree's slab.  Every processor
+// rebuilds the whole tree every step, so cells are allocated a chunk at
+// a time instead of one by one.  A tree holds about 1.5 cells per body;
+// chunks of half the body count fit that in three or four allocations
+// with under half a chunk unused.  A full chunk is left to the cells
+// that point into it and a fresh one started.
+func (t *tree) newCell(center [3]float64, size float64) *cell {
+	if len(t.slab) == 0 {
+		t.slab = make([]cell, max(t.n/2, 64))
+	}
+	c := &t.slab[0]
+	t.slab = t.slab[1:]
+	c.center, c.size, c.body = center, size, -1
+	return c
 }
 
 // buildTree constructs the octree over all bodies, inserting them in
@@ -138,7 +155,7 @@ func buildTree(bodies []float64, n int) *tree {
 	}
 	half := (max - min) / 2
 	mid := (max + min) / 2
-	t.root = &cell{center: [3]float64{mid, mid, mid}, size: 2 * half * 1.0001, body: -1}
+	t.root = t.newCell([3]float64{mid, mid, mid}, 2*half*1.0001)
 	for i := 0; i < n; i++ {
 		t.insert(t.root, i)
 		t.built++
@@ -172,7 +189,7 @@ func (t *tree) child(c *cell, o int) *cell {
 				ctr[k] -= q
 			}
 		}
-		c.kids[o] = &cell{center: ctr, size: c.size / 2, body: -1}
+		c.kids[o] = t.newCell(ctr, c.size/2)
 	}
 	return c.kids[o]
 }
@@ -249,40 +266,47 @@ func (t *tree) leavesInOrder(c *cell, out []int) []int {
 // force computes the acceleration on body i by tree traversal with the
 // given opening criterion, returning the interaction count.
 func (t *tree) force(i int, theta float64, acc *[3]float64) int {
+	if t.root.nbody == 0 {
+		return 0
+	}
 	p := t.bodyPos(i)
-	interactions := 0
+	return t.root.walk(i, p[0], p[1], p[2], theta*theta, acc)
+}
+
+// walk adds to acc the pull on body i, at (p0,p1,p2), of the bodies under
+// the non-empty cell c, and returns the interaction count.  The count is
+// modeled time and the sums are the app's output, so the traversal
+// order, the opening test and the order of every floating-point
+// operation are fixed: r2 is summed x, y, z from zero, and the criterion
+// compares size*size with (theta*theta)*r2.
+func (c *cell) walk(i int, p0, p1, p2, theta2 float64, acc *[3]float64) int {
+	if c.leaf && c.body == i && c.nbody == 1 {
+		return 0
+	}
 	const soft = 0.01
-	var walk func(c *cell)
-	walk = func(c *cell) {
-		if c == nil || c.nbody == 0 {
-			return
-		}
-		if c.leaf && c.body == i && c.nbody == 1 {
-			return
-		}
-		var d [3]float64
-		r2 := 0.0
-		for k := 0; k < 3; k++ {
-			d[k] = c.com[k] - p[k]
-			r2 += d[k] * d[k]
-		}
-		if c.leaf || c.size*c.size < theta*theta*r2 {
-			interactions++
-			if r2 == 0 {
-				return
-			}
+	d0 := c.com[0] - p0
+	d1 := c.com[1] - p1
+	d2 := c.com[2] - p2
+	r2 := 0.0
+	r2 += d0 * d0
+	r2 += d1 * d1
+	r2 += d2 * d2
+	if c.leaf || c.size*c.size < theta2*r2 {
+		if r2 != 0 {
 			inv := c.mass / ((r2 + soft) * math.Sqrt(r2+soft))
-			for k := 0; k < 3; k++ {
-				acc[k] += inv * d[k]
-			}
-			return
+			acc[0] += inv * d0
+			acc[1] += inv * d1
+			acc[2] += inv * d2
 		}
-		for _, k := range c.kids {
-			walk(k)
+		return 1
+	}
+	n := 0
+	for o := range c.kids {
+		if k := c.kids[o]; k != nil && k.nbody != 0 {
+			n += k.walk(i, p0, p1, p2, theta2, acc)
 		}
 	}
-	walk(t.root)
-	return interactions
+	return n
 }
 
 // costzone splits the in-order leaf list into nprocs equal slices and

@@ -1,6 +1,8 @@
 package barnes
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/core"
@@ -162,5 +164,121 @@ func TestPaperScaleGap(t *testing.T) {
 	}
 	if st >= sp {
 		t.Errorf("tmk speedup %.2f should trail pvm %.2f", st, sp)
+	}
+}
+
+// refForce is the traversal as it stood before the closure-free rewrite,
+// kept verbatim as the reference the production kernel is differenced
+// against.
+func refForce(t *tree, i int, theta float64, acc *[3]float64) int {
+	p := t.bodyPos(i)
+	interactions := 0
+	const soft = 0.01
+	var walk func(c *cell)
+	walk = func(c *cell) {
+		if c == nil || c.nbody == 0 {
+			return
+		}
+		if c.leaf && c.body == i && c.nbody == 1 {
+			return
+		}
+		var d [3]float64
+		r2 := 0.0
+		for k := 0; k < 3; k++ {
+			d[k] = c.com[k] - p[k]
+			r2 += d[k] * d[k]
+		}
+		if c.leaf || c.size*c.size < theta*theta*r2 {
+			interactions++
+			if r2 == 0 {
+				return
+			}
+			inv := c.mass / ((r2 + soft) * math.Sqrt(r2+soft))
+			for k := 0; k < 3; k++ {
+				acc[k] += inv * d[k]
+			}
+			return
+		}
+		for _, k := range c.kids {
+			walk(k)
+		}
+	}
+	walk(t.root)
+	return interactions
+}
+
+// TestForceMatchesReferenceProperty: for every body of random clustered
+// sets — coincident bodies included, which end in the degenerate
+// two-body leaf — the kernel must add bit-identical accelerations and
+// count the same interactions as the reference.
+func TestForceMatchesReferenceProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(667430))
+	thetas := []float64{0, 0.3, 0.7, 1, 2.5}
+	for iter := 0; iter < 60; iter++ {
+		n := 1 + rng.Intn(300)
+		bodies := make([]float64, stride*n)
+		centers := make([][3]float64, 1+rng.Intn(4))
+		for c := range centers {
+			for k := range centers[c] {
+				centers[c][k] = 8*rng.Float64() - 4
+			}
+		}
+		for i := 0; i < n; i++ {
+			if i > 0 && rng.Intn(8) == 0 {
+				// Coincident with an earlier body.
+				j := rng.Intn(i)
+				copy(bodies[stride*i:stride*i+3], bodies[stride*j:stride*j+3])
+			} else {
+				ctr := centers[rng.Intn(len(centers))]
+				spread := math.Pow(10, -3*rng.Float64())
+				for k := 0; k < 3; k++ {
+					bodies[stride*i+k] = ctr[k] + spread*rng.NormFloat64()
+				}
+			}
+			bodies[stride*i+6] = rng.Float64() / float64(n)
+		}
+		tr := buildTree(bodies, n)
+		theta := thetas[rng.Intn(len(thetas))]
+		for i := 0; i < n; i++ {
+			start := [3]float64{rng.NormFloat64(), rng.NormFloat64(), 0}
+			want, got := start, start
+			wantN := refForce(tr, i, theta, &want)
+			gotN := tr.force(i, theta, &got)
+			if gotN != wantN {
+				t.Fatalf("iter %d: n=%d theta=%v body %d: %d interactions, reference %d", iter, n, theta, i, gotN, wantN)
+			}
+			for k := range want {
+				if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+					t.Fatalf("iter %d: n=%d theta=%v body %d: acc[%d] = %x, reference %x",
+						iter, n, theta, i, k, math.Float64bits(got[k]), math.Float64bits(want[k]))
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkForce is one body's tree traversal over the paper's initial
+// body set, the bodies taken in index order.
+func BenchmarkForce(b *testing.B) {
+	cfg := Paper()
+	tr := buildTree(cfg.initBodies(), cfg.Bodies)
+	b.ReportAllocs()
+	b.ResetTimer()
+	inter := 0
+	for i := 0; i < b.N; i++ {
+		var acc [3]float64
+		inter += tr.force(i%cfg.Bodies, cfg.Theta, &acc)
+	}
+	b.ReportMetric(float64(inter)/float64(b.N), "interactions/op")
+}
+
+// BenchmarkBuildTree is one MakeTree over the same set: the slab's work.
+func BenchmarkBuildTree(b *testing.B) {
+	cfg := Paper()
+	bodies := cfg.initBodies()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buildTree(bodies, cfg.Bodies)
 	}
 }

@@ -123,24 +123,33 @@ func partition(v []int32) int {
 	return m
 }
 
-// bubble sorts v in place and returns the comparison count.
+// bubble sorts v in place and returns the comparison count, which is
+// modeled time: a pass over n elements is n-1 comparisons, each pass
+// drops the last element, and the sort stops after the first pass that
+// swaps nothing.  A pass carries its running maximum in hi and writes
+// each smaller element one place down, which leaves the slice exactly as
+// a pass of adjacent swaps would.
 func bubble(v []int32) int64 {
 	var ops int64
-	n := len(v)
-	for {
-		swapped := false
-		for i := 1; i < n; i++ {
-			ops++
-			if v[i-1] > v[i] {
-				v[i-1], v[i] = v[i], v[i-1]
-				swapped = true
+	for n := len(v); n > 1; n-- {
+		ops += int64(n - 1)
+		w := v[:n]
+		hi := w[0]
+		swaps := 0
+		for i := 1; i < len(w); i++ {
+			x := w[i]
+			if hi > x {
+				swaps++
 			}
+			w[i-1] = min(hi, x)
+			hi = max(hi, x)
 		}
-		n--
-		if !swapped || n <= 1 {
-			return ops
+		w[n-1] = hi
+		if swaps == 0 {
+			break
 		}
 	}
+	return ops
 }
 
 // RunSeq runs the sequential program (explicit stack of subarrays).

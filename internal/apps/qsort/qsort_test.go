@@ -1,6 +1,8 @@
 package qsort
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -169,4 +171,88 @@ func TestPaperScaleGap(t *testing.T) {
 	if st < 0.5*sp {
 		t.Errorf("tmk speedup %.2f below half of pvm %.2f", st, sp)
 	}
+}
+
+// refBubble is the sort as it stood before the flat rewrite, kept
+// verbatim as the reference the production kernel is differenced
+// against: one count per comparison, every swap through memory.
+func refBubble(v []int32) int64 {
+	var ops int64
+	n := len(v)
+	for {
+		swapped := false
+		for i := 1; i < n; i++ {
+			ops++
+			if v[i-1] > v[i] {
+				v[i-1], v[i] = v[i], v[i-1]
+				swapped = true
+			}
+		}
+		n--
+		if !swapped || n <= 1 {
+			return ops
+		}
+	}
+}
+
+// TestBubbleMatchesReferenceProperty: same slice and — because it is
+// charged as modeled time — the same comparison count, early exit
+// included, on random, sorted, reversed, nearly sorted, few-valued and
+// tiny inputs.
+func TestBubbleMatchesReferenceProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(141421))
+	check := func(name string, in []int32) {
+		t.Helper()
+		want := append([]int32(nil), in...)
+		got := append([]int32(nil), in...)
+		wantOps := refBubble(want)
+		gotOps := bubble(got)
+		if gotOps != wantOps || !slices.Equal(got, want) {
+			t.Fatalf("%s, len %d: ops %d, reference %d; slices equal: %v", name, len(in), gotOps, wantOps, slices.Equal(got, want))
+		}
+	}
+	check("nil", nil)
+	for iter := 0; iter < 300; iter++ {
+		n := rng.Intn(200)
+		if iter < 9 {
+			n = iter / 3 // len 0, 1 and 2, three times each
+		}
+		v := make([]int32, n)
+		for i := range v {
+			v[i] = rng.Int31()
+		}
+		check("random", v)
+		slices.Sort(v)
+		check("sorted", v)
+		if n > 1 {
+			// One element out of place: the early exit fires after a
+			// few passes, at a pass count that depends on the direction.
+			w := append([]int32(nil), v...)
+			i, j := rng.Intn(n), rng.Intn(n)
+			w[i], w[j] = w[j], w[i]
+			check("nearly sorted", w)
+		}
+		slices.Reverse(v)
+		check("reversed", v)
+		for i := range v {
+			v[i] = int32(rng.Intn(4))
+		}
+		check("few values", v)
+	}
+}
+
+// BenchmarkBubble sorts one paper-scale leaf: Threshold integers of the
+// paper's input, copied fresh each iteration.
+func BenchmarkBubble(b *testing.B) {
+	cfg := Paper()
+	in := cfg.input()[:cfg.Threshold]
+	v := make([]int32, len(in))
+	b.ReportAllocs()
+	b.ResetTimer()
+	var ops int64
+	for i := 0; i < b.N; i++ {
+		copy(v, in)
+		ops = bubble(v)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(ops), "ns/comparison")
 }

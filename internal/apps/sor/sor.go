@@ -103,36 +103,45 @@ func (o Output) Check(other Output) error {
 }
 
 // sweepRow updates one row of the target color and returns the modeled
-// cost.  target[k] corresponds to matrix column 2k+colPar; its stencil
-// neighbors live in the other-color rows above, at, and below.
+// cost.  target[k] is matrix column 2k+colPar of row i; its stencil
+// neighbors live in the other-color rows above (up), at (same) and below
+// (down).  The vertical neighbors share its index k; the horizontal ones,
+// columns 2k+colPar-1 and 2k+colPar+1 of the opposite parity, sit at
+// same[k-1+colPar] and same[k+colPar].
 //
-// Row geometry (h = N/2): for a target element at matrix (i, cj):
-// vertical neighbors are other[i-1][k'] and other[i+1][k'] with the same
-// column index mapping, horizontal neighbors are other[i][k-?]..  With
-// red/black split storage, the other-color row i holds columns of parity
-// 1-colPar; the element to the left of cj is at index k-1+colPar? — the
-// arithmetic is easier stated directly: for row parity p = i%2, a red
-// element (i,k) sits at column 2k+p, its horizontal other-color
-// neighbors sit at indices k-1+p and k+p of the other array's row i.
+// The cost is modeled time and the row is the app's output: each
+// element is 0.25*(((up+down)+left)+right), and pays CostSlow when the
+// result is exactly zero, CostFast otherwise.
 func sweepRow(cfg Config, i int, target, up, same, down []float64, colPar int) sim.Time {
-	h := cfg.half()
-	var fast, slow int
-	for k := 0; k < h; k++ {
-		cj := 2*k + colPar
-		if i == 0 || i == cfg.M-1 || cj == 0 || cj == cfg.N-1 {
-			continue // fixed boundary
-		}
-		left := same[k-1+colPar]
-		right := same[k+colPar]
-		sum := up[k] + down[k] + left + right
-		v := 0.25 * sum
+	if i == 0 || i == cfg.M-1 {
+		return 0 // fixed boundary row
+	}
+	// The interior elements are target[lo:hi]: element 0 is the fixed
+	// column 0 when colPar is 0, and the last element the fixed column
+	// N-1 when colPar is 1 and N is even.
+	lo, hi := 1-colPar, cfg.half()
+	if 2*(hi-1)+colPar == cfg.N-1 {
+		hi--
+	}
+	if lo >= hi {
+		return 0
+	}
+	// The last horizontal neighbor is indexed before the rows are cut to
+	// the interior, because an index is checked against len and a slice
+	// bound only against cap.
+	_ = same[hi-1+colPar]
+	target = target[lo:hi]
+	up, down = up[lo:hi], down[lo:hi]
+	left, right := same[lo-1+colPar:hi-1+colPar], same[lo+colPar:hi+colPar]
+	slow := 0
+	for k := range target {
+		v := 0.25 * (up[k] + down[k] + left[k] + right[k])
 		target[k] = v
 		if v == 0 {
 			slow++
-		} else {
-			fast++
 		}
 	}
+	fast := len(target) - slow
 	return sim.Time(fast)*cfg.CostFast + sim.Time(slow)*cfg.CostSlow
 }
 

@@ -1,9 +1,12 @@
 package sor
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/sim"
 )
 
 func TestSeqDeterministic(t *testing.T) {
@@ -146,5 +149,104 @@ func TestTMKWithinReasonOfPVM(t *testing.T) {
 	gap := tmkRes.Time.Seconds() / pvmRes.Time.Seconds()
 	if gap > 1.25 {
 		t.Fatalf("tmk %.3fs vs pvm %.3fs: gap %.2fx too large", tmkRes.Time.Seconds(), pvmRes.Time.Seconds(), gap)
+	}
+}
+
+// refSweepRow is the row update as it stood before the flat rewrite,
+// kept verbatim as the reference the production kernel is differenced
+// against: the four boundary tests inside the loop, both costs counted.
+func refSweepRow(cfg Config, i int, target, up, same, down []float64, colPar int) sim.Time {
+	h := cfg.half()
+	var fast, slow int
+	for k := 0; k < h; k++ {
+		cj := 2*k + colPar
+		if i == 0 || i == cfg.M-1 || cj == 0 || cj == cfg.N-1 {
+			continue // fixed boundary
+		}
+		left := same[k-1+colPar]
+		right := same[k+colPar]
+		sum := up[k] + down[k] + left + right
+		v := 0.25 * sum
+		target[k] = v
+		if v == 0 {
+			slow++
+		} else {
+			fast++
+		}
+	}
+	return sim.Time(fast)*cfg.CostFast + sim.Time(slow)*cfg.CostSlow
+}
+
+// TestSweepRowMatchesReferenceProperty: bit-identical target row and
+// identical modeled cost for first, last and interior rows, both column
+// parities, odd and even N down to a single column pair, and rows
+// holding exact zeros and cancelling pairs (the slow-cost case).  For odd
+// N the odd-parity color reaches one element past N/2 in the same-row
+// neighbor, in the reference as in the kernel, so rows are cut one longer
+// there.
+func TestSweepRowMatchesReferenceProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(2048))
+	fill := func(n int) []float64 {
+		v := make([]float64, n)
+		for k := range v {
+			switch rng.Intn(6) {
+			case 0, 1:
+				v[k] = 0
+			case 2:
+				v[k] = 1
+			case 3:
+				v[k] = -1
+			case 4:
+				v[k] = rng.NormFloat64()
+			case 5:
+				v[k] = math.Ldexp(rng.Float64(), -1070) // denormal
+			}
+		}
+		return v
+	}
+	for iter := 0; iter < 2000; iter++ {
+		cfg := Config{M: 3 + rng.Intn(5), N: 2 + rng.Intn(40),
+			CostFast: sim.Time(1 + rng.Intn(1000)), CostSlow: sim.Time(1 + rng.Intn(3000))}
+		rowLen := cfg.half() + cfg.N%2
+		i := rng.Intn(cfg.M)
+		colPar := rng.Intn(2)
+		up, same, down := fill(rowLen), fill(rowLen), fill(rowLen)
+		// The fixed first and last rows have no row above or below.
+		if i == 0 {
+			up = nil
+		}
+		if i == cfg.M-1 {
+			down = nil
+		}
+		want := fill(rowLen)
+		got := append([]float64(nil), want...)
+		wantCost := refSweepRow(cfg, i, want, up, same, down, colPar)
+		gotCost := sweepRow(cfg, i, got, up, same, down, colPar)
+		if gotCost != wantCost {
+			t.Fatalf("iter %d: M=%d N=%d row %d colPar %d: cost %d, reference %d", iter, cfg.M, cfg.N, i, colPar, gotCost, wantCost)
+		}
+		for k := range want {
+			if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+				t.Fatalf("iter %d: M=%d N=%d row %d colPar %d: target[%d] = %v, reference %v", iter, cfg.M, cfg.N, i, colPar, k, got[k], want[k])
+			}
+		}
+	}
+}
+
+// BenchmarkSweepRow is one interior row of the paper's nonzero problem.
+func BenchmarkSweepRow(b *testing.B) {
+	cfg := Paper(false)
+	red, black := cfg.grids()
+	h := cfg.half()
+	row := func(arr []float64, i int) []float64 { return arr[i*h : (i+1)*h] }
+	b.ReportAllocs()
+	b.ResetTimer()
+	var cost sim.Time
+	for n := 0; n < b.N; n++ {
+		i := 1 + n%(cfg.M-2)
+		cost += sweepRow(cfg, i, row(red, i), row(black, i-1), row(black, i), row(black, i+1), colParity(i, true))
+	}
+	if cost == 0 {
+		b.Fatal("no work")
 	}
 }

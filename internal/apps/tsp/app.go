@@ -92,8 +92,7 @@ func (a *app) TMK(p *tmk.Proc) {
 			break
 		}
 		localBest := p.ReadI32(a.l.best)
-		var nodes int64
-		found := a.s.recursiveSolve(path, length, localBest, &nodes)
+		found, nodes := a.s.recursiveSolve(path, length, localBest)
 		p.Compute(sim.Time(nodes) * cfg.NodeCost)
 		if found < localBest {
 			// Update the shortest tour under its lock.
@@ -137,8 +136,7 @@ func (a *app) PVM(p *pvm.Proc) {
 		r.UnpackInt32(path, ln, 1)
 		length := r.UnpackOneInt32()
 		best := r.UnpackOneInt32()
-		var nodes int64
-		found := a.s.recursiveSolve(path, length, best, &nodes)
+		found, nodes := a.s.recursiveSolve(path, length, best)
 		p.Compute(sim.Time(nodes) * cfg.NodeCost)
 		if found < best {
 			b := p.InitSend()

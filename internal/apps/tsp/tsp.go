@@ -23,6 +23,7 @@ package tsp
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -57,9 +58,15 @@ func Small() Config {
 		QueueCost: 1500 * sim.Nanosecond}
 }
 
-// dist builds the deterministic distance matrix: cities on a seeded
-// pseudo-random grid, Euclidean distances rounded to integers.
-func (c Config) dist() [][]int32 {
+// maxCities bounds an instance: the set of visited cities is a uint32
+// mask.  It is also the fixed row stride of the distance matrix, so a row
+// is an array and an index reduced modulo it needs no bounds check.
+const maxCities = 32
+
+// dist builds the deterministic distance matrix, one contiguous block of
+// fixed-stride rows: cities on a seeded pseudo-random grid, Euclidean
+// distances rounded to integers.
+func (c Config) dist() [][maxCities]int32 {
 	sm := func(x uint64) uint64 {
 		x += 0x9E3779B97F4A7C15
 		x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
@@ -72,10 +79,9 @@ func (c Config) dist() [][]int32 {
 		xs[i] = float64(sm(c.Seed+uint64(2*i))%1000) / 10
 		ys[i] = float64(sm(c.Seed+uint64(2*i+1))%1000) / 10
 	}
-	d := make([][]int32, c.Cities)
+	d := make([][maxCities]int32, c.Cities)
 	for i := range d {
-		d[i] = make([]int32, c.Cities)
-		for j := range d[i] {
+		for j := range d {
 			dx, dy := xs[i]-xs[j], ys[i]-ys[j]
 			d[i][j] = int32(math.Round(math.Sqrt(dx*dx + dy*dy)))
 		}
@@ -98,20 +104,21 @@ func (o Output) Check(other Output) error {
 }
 
 // solver carries the per-run search machinery shared by all versions.
+// One solver serves every simulated processor of a run, and under the
+// parallel engine their compute phases call it from concurrent host
+// goroutines: it is read-only once built.
 type solver struct {
 	cfg  Config
-	d    [][]int32
-	minE []int32 // cheapest incident edge per city
-	min2 []int32 // second-cheapest incident edge per city
+	d    [][maxCities]int32
+	minE [maxCities]int32 // cheapest incident edge per city
+	min2 [maxCities]int32 // second-cheapest incident edge per city
 }
 
 func newSolver(cfg Config) *solver {
 	s := &solver{cfg: cfg, d: cfg.dist()}
-	s.minE = make([]int32, cfg.Cities)
-	s.min2 = make([]int32, cfg.Cities)
-	for i := range s.minE {
+	for i := range s.d {
 		m1, m2 := int32(math.MaxInt32), int32(math.MaxInt32)
-		for j := range s.d[i] {
+		for j := range s.d {
 			if j == i {
 				continue
 			}
@@ -148,15 +155,6 @@ func (s *solver) lowerBound(path []int32, length int32) int32 {
 	return length + est/2
 }
 
-// pathLen sums the edges of a path.
-func (s *solver) pathLen(path []int32) int32 {
-	var l int32
-	for i := 1; i < len(path); i++ {
-		l += s.d[path[i-1]][path[i]]
-	}
-	return l
-}
-
 // greedy returns the length of the nearest-neighbor tour from city 0:
 // the deterministic initial bound every version seeds the search with,
 // so pruning is effective from the first expansion.
@@ -184,41 +182,61 @@ func (s *solver) greedy() int32 {
 
 // recursiveSolve tries all permutations of the cities missing from path,
 // pruning against best, and returns the best complete-cycle length found
-// (or best unchanged).  nodes counts visited search nodes for costing.
-func (s *solver) recursiveSolve(path []int32, length int32, best int32, nodes *int64) int32 {
-	n := s.cfg.Cities
-	visited := uint32(0)
+// (or best unchanged) and the number of search nodes visited.
+//
+// The node count is modeled time (NodeCost each, paper section 3.6), so
+// it rests on three invariants that any rewrite of the search must keep:
+//
+//   - a node is counted on entry: once for the path handed in, and once
+//     for every extension that survives the prune, complete tours
+//     included;
+//   - the candidates for the next city are tried in ascending city
+//     order;
+//   - a candidate c is pruned when nl+minE[c] >= best, where nl is the
+//     length of the path extended by c and best is the live bound: an
+//     improvement found under an earlier sibling prunes the later ones.
+func (s *solver) recursiveSolve(path []int32, length int32, best int32) (int32, int64) {
+	remaining := uint32(1)<<uint(s.cfg.Cities) - 1
 	for _, c := range path {
-		visited |= 1 << uint(c)
+		remaining &^= 1 << uint(c)
 	}
-	var rec func(last int32, length int32)
-	buf := append([]int32(nil), path...)
-	rec = func(last int32, length int32) {
-		*nodes++
-		if len(buf) == n {
-			total := length + s.d[last][buf[0]]
-			if total < best {
-				best = total
+	return s.search(path[len(path)-1], path[0], remaining, length, best)
+}
+
+// search visits the node whose path runs from start to last, has the
+// given length and leaves the cities of the remaining mask unvisited.
+// Everything it changes lives in its arguments and results.
+func (s *solver) search(last, start int32, remaining uint32, length, best int32) (int32, int64) {
+	nodes := int64(1)
+	row := &s.d[last]
+	if remaining&(remaining-1) == 0 {
+		// At most one city left: close the tour here instead of
+		// recursing into a node that could only count itself.
+		if remaining != 0 {
+			c := bits.TrailingZeros32(remaining) % maxCities
+			length += row[c]
+			if length+s.minE[c] >= best {
+				return best, nodes
 			}
-			return
+			nodes++
+			row = &s.d[c]
 		}
-		for c := int32(0); c < int32(n); c++ {
-			if visited&(1<<uint(c)) != 0 {
-				continue
-			}
-			nl := length + s.d[last][c]
-			if nl+s.minE[c] >= best {
-				continue
-			}
-			visited |= 1 << uint(c)
-			buf = append(buf, c)
-			rec(c, nl)
-			buf = buf[:len(buf)-1]
-			visited &^= 1 << uint(c)
+		if total := length + row[start]; total < best {
+			best = total
 		}
+		return best, nodes
 	}
-	rec(path[len(path)-1], length)
-	return best
+	for m := remaining; m != 0; m &= m - 1 {
+		c := bits.TrailingZeros32(m) % maxCities
+		nl := length + row[c]
+		if nl+s.minE[c] >= best {
+			continue
+		}
+		var sub int64
+		best, sub = s.search(int32(c), start, remaining&^(1<<uint(c)), nl, best)
+		nodes += sub
+	}
+	return best, nodes
 }
 
 // returnLen is the path length at which get_tour stops extending:
@@ -289,7 +307,7 @@ func (a *app) Seq(ctx *sim.Ctx) {
 			}
 			if len(it.path) >= cfg.returnLen() {
 				var nodes int64
-				best = s.recursiveSolve(it.path, it.length, best, &nodes)
+				best, nodes = s.recursiveSolve(it.path, it.length, best)
 				ctx.Compute(sim.Time(nodes) * cfg.NodeCost)
 				continue
 			}

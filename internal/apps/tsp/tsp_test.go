@@ -2,6 +2,7 @@ package tsp
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/core"
@@ -145,4 +146,172 @@ func TestLockWaitDominates(t *testing.T) {
 	if frac > 0.95 {
 		t.Fatalf("lock wait fraction %.3f implausibly high", frac)
 	}
+}
+
+// refSolver is the search as it stood before the closure-free rewrite,
+// kept verbatim as the reference the production kernel is differenced
+// against: a nested distance matrix, a recursive closure over
+// visited/buf/best, a scan of all n cities per level, the node count
+// through a pointer.
+type refSolver struct {
+	cfg  Config
+	d    [][]int32
+	minE []int32
+}
+
+func refDist(c Config) [][]int32 {
+	sm := func(x uint64) uint64 {
+		x += 0x9E3779B97F4A7C15
+		x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
+		x = (x ^ (x >> 27)) * 0x94D049BB133111EB
+		return x ^ (x >> 31)
+	}
+	xs := make([]float64, c.Cities)
+	ys := make([]float64, c.Cities)
+	for i := 0; i < c.Cities; i++ {
+		xs[i] = float64(sm(c.Seed+uint64(2*i))%1000) / 10
+		ys[i] = float64(sm(c.Seed+uint64(2*i+1))%1000) / 10
+	}
+	d := make([][]int32, c.Cities)
+	for i := range d {
+		d[i] = make([]int32, c.Cities)
+		for j := range d[i] {
+			dx, dy := xs[i]-xs[j], ys[i]-ys[j]
+			d[i][j] = int32(math.Round(math.Sqrt(dx*dx + dy*dy)))
+		}
+	}
+	return d
+}
+
+func (s *refSolver) recursiveSolve(path []int32, length int32, best int32, nodes *int64) int32 {
+	n := s.cfg.Cities
+	visited := uint32(0)
+	for _, c := range path {
+		visited |= 1 << uint(c)
+	}
+	var rec func(last int32, length int32)
+	buf := append([]int32(nil), path...)
+	rec = func(last int32, length int32) {
+		*nodes++
+		if len(buf) == n {
+			total := length + s.d[last][buf[0]]
+			if total < best {
+				best = total
+			}
+			return
+		}
+		for c := int32(0); c < int32(n); c++ {
+			if visited&(1<<uint(c)) != 0 {
+				continue
+			}
+			nl := length + s.d[last][c]
+			if nl+s.minE[c] >= best {
+				continue
+			}
+			visited |= 1 << uint(c)
+			buf = append(buf, c)
+			rec(c, nl)
+			buf = buf[:len(buf)-1]
+			visited &^= 1 << uint(c)
+		}
+	}
+	rec(path[len(path)-1], length)
+	return best
+}
+
+// TestRecursiveSolveMatchesReferenceProperty: over random instances,
+// prefixes and incoming bounds the kernel must return the reference's
+// best and — because it is charged as modeled time — its exact node
+// count.
+func TestRecursiveSolveMatchesReferenceProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(16180))
+	for iter := 0; iter < 400; iter++ {
+		cfg := Config{Cities: 5 + rng.Intn(9), Seed: rng.Uint64()}
+		s := newSolver(cfg)
+		ref := &refSolver{cfg: cfg, d: refDist(cfg), minE: s.minE[:]}
+		for i, row := range ref.d {
+			for j, v := range row {
+				if got := s.d[i][j]; got != v {
+					t.Fatalf("iter %d: d[%d][%d] = %d, reference %d", iter, i, j, got, v)
+				}
+			}
+		}
+		// A random prefix: any start city, any length up to the full
+		// tour (nothing left to search), but at most seven cities open
+		// so an unpruned search stays small.
+		perm := rng.Perm(cfg.Cities)
+		minLen := 1
+		if cfg.Cities > 8 {
+			minLen = cfg.Cities - 7
+		}
+		path := make([]int32, minLen+rng.Intn(cfg.Cities-minLen+1))
+		var length int32
+		for i := range path {
+			path[i] = int32(perm[i])
+			if i > 0 {
+				length += ref.d[path[i-1]][path[i]]
+			}
+		}
+		// Incoming bounds from "prunes everything" to "prunes nothing".
+		var best int32
+		switch rng.Intn(5) {
+		case 0:
+			best = 0
+		case 1:
+			best = length
+		case 2:
+			best = length + int32(rng.Intn(60*(cfg.Cities-len(path)+1)))
+		case 3:
+			best = s.greedy()
+		case 4:
+			best = math.MaxInt32
+		}
+		var wantNodes int64
+		wantBest := ref.recursiveSolve(path, length, best, &wantNodes)
+		gotBest, gotNodes := s.recursiveSolve(path, length, best)
+		if gotBest != wantBest || gotNodes != wantNodes {
+			t.Fatalf("iter %d: %d cities, path %v, length %d, best %d: got (best %d, nodes %d), reference (best %d, nodes %d)",
+				iter, cfg.Cities, path, length, best, gotBest, gotNodes, wantBest, wantNodes)
+		}
+	}
+}
+
+// BenchmarkRecursiveSolve runs the kernel over the paper instance's root
+// subtours — every path of returnLen cities from city 0, in city order,
+// the bound starting at the greedy tour and carried from one subtour to
+// the next — so one iteration is a fixed number of nodes.
+func BenchmarkRecursiveSolve(b *testing.B) {
+	cfg := Paper()
+	s := newSolver(cfg)
+	type tour struct {
+		path   []int32
+		length int32
+	}
+	var tours []tour
+	var extend func(path []int32, visited uint32, length int32)
+	extend = func(path []int32, visited uint32, length int32) {
+		if len(path) == cfg.returnLen() {
+			tours = append(tours, tour{append([]int32(nil), path...), length})
+			return
+		}
+		for c := int32(0); c < int32(cfg.Cities); c++ {
+			if visited&(1<<uint(c)) == 0 {
+				extend(append(path, c), visited|1<<uint(c), length+s.d[path[len(path)-1]][c])
+			}
+		}
+	}
+	extend([]int32{0}, 1, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var nodes int64
+	for i := 0; i < b.N; i++ {
+		best := s.greedy()
+		nodes = 0
+		for _, tr := range tours {
+			var k int64
+			best, k = s.recursiveSolve(tr.path, tr.length, best)
+			nodes += k
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(nodes), "ns/node")
 }
