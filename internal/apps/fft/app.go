@@ -81,7 +81,7 @@ func (a *app) Check() error {
 func (a *app) Seq(ctx *sim.Ctx) {
 	cfg := a.cfg
 	n := cfg.N
-	prev := cfg.initData()
+	prev := cfg.initData(0, 2*cfg.points())
 	cur := make([]float64, len(prev))
 	for it := 0; it < cfg.Iters; it++ {
 		// Transpose by rotation: cur[x][y][z] = prev[z][x][y].
@@ -106,7 +106,7 @@ func (a *app) SetupTMK(sys *tmk.System) {
 	cfg := a.cfg
 	a.aA = sys.MallocPageAligned(16 * cfg.points())
 	a.bA = sys.MallocPageAligned(16 * cfg.points())
-	sys.InitF64(a.aA, cfg.initData())
+	sys.InitF64(a.aA, cfg.initData(0, 2*cfg.points()))
 }
 
 func (a *app) TMK(p *tmk.Proc) {
@@ -159,8 +159,7 @@ func (a *app) PVM(p *pvm.Proc) {
 	lo, hi := span(n, nprocs, p.ID())
 	plane := 2 * n * n
 	// Own planes of the previous layout (z is the old first dim).
-	prev := make([]float64, (hi-lo)*plane)
-	copy(prev, cfg.initData()[lo*plane:hi*plane])
+	prev := cfg.initData(lo*plane, hi*plane)
 	cur := make([]float64, (hi-lo)*plane)
 	for it := 0; it < cfg.Iters; it++ {
 		// Iteration-distinct tag: the wildcard receive must not conflate

@@ -72,15 +72,36 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// initData builds the deterministic initial array (interleaved re/im
-// float64, row-major).
-func (c Config) initData() []float64 {
-	v := make([]float64, 2*c.points())
+// initData builds elements [lo,hi) of the deterministic initial array
+// (interleaved re/im float64, row-major; the whole array is
+// [0, 2*c.points())).  Each value depends only on its global index.
+func (c Config) initData(lo, hi int) []float64 {
+	v := make([]float64, hi-lo)
 	for i := range v {
-		v[i] = float64(splitmix64(c.Seed+uint64(i))>>11)/(1<<53) - 0.5
+		v[i] = float64(splitmix64(c.Seed+uint64(lo+i))>>11)/(1<<53) - 0.5
 	}
 	return v
 }
+
+// stageTwiddle[l] is the butterfly stage's base twiddle (cos, sin) of
+// -2*pi/2^l: what fft1d would otherwise recompute per stage per transform.
+// Filled once at init and never written again.
+var stageTwiddle = func() (t [63][2]float64) {
+	for l := 1; l < len(t); l++ {
+		ang := -2 * math.Pi / float64(int(1)<<l)
+		t[l] = [2]float64{math.Cos(ang), math.Sin(ang)}
+	}
+	return t
+}()
+
+// evolvePhase holds the 64 phase factors evolve can apply.  Filled once at
+// init and never written again.
+var evolvePhase = func() (t [64]complex128) {
+	for k := range t {
+		t[k] = cmplx.Rect(1, float64(k)/64*2*math.Pi)
+	}
+	return t
+}()
 
 // fft1d performs an in-place radix-2 complex FFT on re/im pairs of
 // length n (a power of two).
@@ -97,9 +118,8 @@ func fft1d(re, im []float64) {
 			im[i], im[j] = im[j], im[i]
 		}
 	}
-	for length := 2; length <= n; length <<= 1 {
-		ang := -2 * math.Pi / float64(length)
-		wr, wi := math.Cos(ang), math.Sin(ang)
+	for l, length := 1, 2; length <= n; l, length = l+1, length<<1 {
+		wr, wi := stageTwiddle[l][0], stageTwiddle[l][1]
 		for start := 0; start < n; start += length {
 			cwr, cwi := 1.0, 0.0
 			for k := 0; k < length/2; k++ {
@@ -116,7 +136,7 @@ func fft1d(re, im []float64) {
 
 // evolve applies the deterministic per-point phase factor of iteration it.
 func evolve(re, im *float64, it, idx int) {
-	ph := cmplx.Rect(1, float64((it*31+idx)%64)/64*2*math.Pi)
+	ph := evolvePhase[(it*31+idx)%64]
 	r, i := *re, *im
 	*re = r*real(ph) - i*imag(ph)
 	*im = r*imag(ph) + i*real(ph)

@@ -2,11 +2,13 @@ package fft
 
 import (
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/core"
+	"repro/internal/sim"
 )
 
 // TestFFT1DKnownValues: FFT of a constant signal is an impulse.
@@ -157,5 +159,158 @@ func TestPaperScaleGap(t *testing.T) {
 	if gap < 1.02 || gap > 1.6 {
 		t.Fatalf("gap %.3f (tmk %.2fs pvm %.2fs), want ~1.25",
 			gap, tmkRes.Time.Seconds(), pvmRes.Time.Seconds())
+	}
+}
+
+// refFFT1D, refEvolve and refPasses are the iteration's local work as it
+// stood before the twiddle and phase tables, kept verbatim as the
+// reference the production kernel is differenced against: the stage
+// twiddle from math.Cos/math.Sin per stage per transform, the phase from
+// cmplx.Rect per point.
+func refFFT1D(re, im []float64) {
+	n := len(re)
+	for i, j := 1, 0; i < n; i++ {
+		bit := n >> 1
+		for ; j&bit != 0; bit >>= 1 {
+			j ^= bit
+		}
+		j |= bit
+		if i < j {
+			re[i], re[j] = re[j], re[i]
+			im[i], im[j] = im[j], im[i]
+		}
+	}
+	for length := 2; length <= n; length <<= 1 {
+		ang := -2 * math.Pi / float64(length)
+		wr, wi := math.Cos(ang), math.Sin(ang)
+		for start := 0; start < n; start += length {
+			cwr, cwi := 1.0, 0.0
+			for k := 0; k < length/2; k++ {
+				i0, i1 := start+k, start+k+length/2
+				xr := re[i1]*cwr - im[i1]*cwi
+				xi := re[i1]*cwi + im[i1]*cwr
+				re[i1], im[i1] = re[i0]-xr, im[i0]-xi
+				re[i0], im[i0] = re[i0]+xr, im[i0]+xi
+				cwr, cwi = cwr*wr-cwi*wi, cwr*wi+cwi*wr
+			}
+		}
+	}
+}
+
+func refEvolve(re, im *float64, it, idx int) {
+	ph := cmplx.Rect(1, float64((it*31+idx)%64)/64*2*math.Pi)
+	r, i := *re, *im
+	*re = r*real(ph) - i*imag(ph)
+	*im = r*imag(ph) + i*real(ph)
+}
+
+func refPasses(cfg Config, data []float64, lo, hi, it int) sim.Time {
+	n := cfg.N
+	re := make([]float64, n)
+	im := make([]float64, n)
+	for x := 0; x < hi-lo; x++ {
+		for y := 0; y < n; y++ {
+			base := 2 * ((x*n + y) * n)
+			for z := 0; z < n; z++ {
+				re[z], im[z] = data[base+2*z], data[base+2*z+1]
+			}
+			refFFT1D(re, im)
+			for z := 0; z < n; z++ {
+				data[base+2*z], data[base+2*z+1] = re[z], im[z]
+			}
+		}
+	}
+	for x := 0; x < hi-lo; x++ {
+		for z := 0; z < n; z++ {
+			for y := 0; y < n; y++ {
+				idx := 2 * ((x*n+y)*n + z)
+				re[y], im[y] = data[idx], data[idx+1]
+			}
+			refFFT1D(re, im)
+			for y := 0; y < n; y++ {
+				idx := 2 * ((x*n+y)*n + z)
+				data[idx], data[idx+1] = re[y], im[y]
+			}
+		}
+	}
+	for x := 0; x < hi-lo; x++ {
+		for yz := 0; yz < n*n; yz++ {
+			idx := 2 * (x*n*n + yz)
+			refEvolve(&data[idx], &data[idx+1], it, (lo+x)*n*n+yz)
+		}
+	}
+	levels := 2*ilog2(n) + 1
+	return sim.Time((hi-lo)*n*n*levels) * cfg.PointCost
+}
+
+// TestPassesMatchesReferenceProperty: over random cube edges, plane
+// ranges (empty and whole-cube included) and iteration numbers, the
+// buffer is math.Float64bits-identical and the modeled cost equal.  The
+// tables hold the results of the same calls on the same arguments, so
+// this is identity, not tolerance.
+func TestPassesMatchesReferenceProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(299792))
+	for iter := 0; iter < 300; iter++ {
+		cfg := Config{N: 2 << rng.Intn(5), PointCost: sim.Time(1 + rng.Intn(3000))}
+		lo := rng.Intn(cfg.N + 1)
+		hi := lo + rng.Intn(cfg.N+1-lo)
+		it := rng.Intn(40)
+		want := make([]float64, 2*(hi-lo)*cfg.N*cfg.N)
+		for i := range want {
+			want[i] = rng.NormFloat64()
+		}
+		got := append([]float64(nil), want...)
+		wantCost := refPasses(cfg, want, lo, hi, it)
+		gotCost := passes(cfg, got, lo, hi, it)
+		if gotCost != wantCost {
+			t.Fatalf("iter %d: N=%d planes [%d,%d) it %d: cost %d, reference %d", iter, cfg.N, lo, hi, it, gotCost, wantCost)
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("iter %d: N=%d planes [%d,%d) it %d: data[%d] = %v, reference %v", iter, cfg.N, lo, hi, it, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestInitDataRangeMatchesWhole: a processor's slice of the initial array
+// is the same values the whole-array generation puts there.
+func TestInitDataRangeMatchesWhole(t *testing.T) {
+	cfg := Small()
+	whole := cfg.initData(0, 2*cfg.points())
+	plane := 2 * cfg.N * cfg.N
+	for _, nprocs := range []int{1, 3, 8} {
+		for id := 0; id < nprocs; id++ {
+			lo, hi := span(cfg.N, nprocs, id)
+			part := cfg.initData(lo*plane, hi*plane)
+			if len(part) != (hi-lo)*plane {
+				t.Fatalf("nprocs %d id %d: %d values, want %d", nprocs, id, len(part), (hi-lo)*plane)
+			}
+			for i, v := range part {
+				if math.Float64bits(v) != math.Float64bits(whole[lo*plane+i]) {
+					t.Fatalf("nprocs %d id %d: element %d = %v, whole array has %v", nprocs, id, lo*plane+i, v, whole[lo*plane+i])
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkPasses is one processor's share of a paper-scale iteration:
+// eight of the 64 planes.
+func BenchmarkPasses(b *testing.B) {
+	cfg := Paper()
+	const lo, hi = 8, 16
+	plane := 2 * cfg.N * cfg.N
+	init := cfg.initData(lo*plane, hi*plane)
+	data := make([]float64, len(init))
+	b.ReportAllocs()
+	b.ResetTimer()
+	var cost sim.Time
+	for i := 0; i < b.N; i++ {
+		copy(data, init) // repeated passes over one buffer would overflow
+		cost += passes(cfg, data, lo, hi, i%cfg.Iters)
+	}
+	if cost == 0 {
+		b.Fatal("no work")
 	}
 }

@@ -121,10 +121,11 @@ func (a *app) Check() error {
 
 func (a *app) Seq(ctx *sim.Ctx) {
 	cfg := a.cfg
+	keys := cfg.keys(0, cfg.Keys)
 	for it := 0; it < cfg.Iters; it++ {
-		counts := cfg.countKeys(ctx, 0, cfg.Keys)
+		counts := cfg.countKeys(ctx, keys)
 		a.seqOut.BucketSum = bucketChecksum(counts)
-		a.seqOut.RankSum = cfg.rankChunk(ctx, counts, 0, cfg.Keys)
+		a.seqOut.RankSum = cfg.rankChunk(ctx, counts, keys, 0)
 	}
 	a.hasSeq = true
 }
@@ -138,9 +139,10 @@ func (a *app) SetupTMK(sys *tmk.System) {
 func (a *app) TMK(p *tmk.Proc) {
 	cfg := a.cfg
 	lo, hi := span(cfg.Keys, p.N(), p.ID())
+	keys := cfg.keys(lo, hi)
 	counts := make([]int32, cfg.Bmax)
 	for it := 0; it < cfg.Iters; it++ {
-		private := cfg.countKeys(p.Ctx(), lo, hi)
+		private := cfg.countKeys(p.Ctx(), keys)
 		// Add private counts into the shared array under a lock.
 		p.LockAcquire(lockBuckets)
 		shared := p.I32Array(a.bktA, cfg.Bmax)
@@ -161,7 +163,7 @@ func (a *app) TMK(p *tmk.Proc) {
 		p.Barrier(2 * it)
 		// All processors read the final counts and rank.
 		shared.Load(counts, 0, cfg.Bmax)
-		a.ranks[p.ID()] = cfg.rankChunk(p.Ctx(), counts, lo, hi)
+		a.ranks[p.ID()] = cfg.rankChunk(p.Ctx(), counts, keys, lo)
 		if p.ID() == 0 {
 			a.bucketSum = bucketChecksum(counts)
 			a.hasPar = true
@@ -177,10 +179,11 @@ func (a *app) SetupPVM(sys *pvm.System) {
 func (a *app) PVM(p *pvm.Proc) {
 	cfg := a.cfg
 	lo, hi := span(cfg.Keys, p.N(), p.ID())
+	keys := cfg.keys(lo, hi)
 	n := p.N()
 	final := make([]int32, cfg.Bmax)
 	for it := 0; it < cfg.Iters; it++ {
-		private := cfg.countKeys(p.Ctx(), lo, hi)
+		private := cfg.countKeys(p.Ctx(), keys)
 		if n == 1 {
 			copy(final, private)
 		} else {
@@ -211,7 +214,7 @@ func (a *app) PVM(p *pvm.Proc) {
 				}
 			}
 		}
-		a.ranks[p.ID()] = cfg.rankChunk(p.Ctx(), final, lo, hi)
+		a.ranks[p.ID()] = cfg.rankChunk(p.Ctx(), final, keys, lo)
 		if p.ID() == 0 {
 			a.bucketSum = bucketChecksum(final)
 			a.hasPar = true

@@ -95,22 +95,33 @@ func span(total, nprocs, id int) (int, int) {
 	return id * total / nprocs, (id + 1) * total / nprocs
 }
 
-// countKeys tallies keys [lo,hi) into a fresh bucket array.
-func (c Config) countKeys(ctx *sim.Ctx, lo, hi int) []int32 {
-	b := make([]int32, c.Bmax)
-	for i := lo; i < hi; i++ {
-		b[c.key(i)]++
+// keys materialises keys [lo,hi) — as NAS IS keeps its keys in an array —
+// so a job hashes each key once rather than once per pass per iteration.
+func (c Config) keys(lo, hi int) []int32 {
+	ks := make([]int32, hi-lo)
+	for i := range ks {
+		ks[i] = c.key(lo + i)
 	}
-	ctx.Compute(sim.Time(hi-lo) * c.KeyCost)
+	return ks
+}
+
+// countKeys tallies keys into a fresh bucket array.
+func (c Config) countKeys(ctx *sim.Ctx, keys []int32) []int32 {
+	b := make([]int32, c.Bmax)
+	for _, k := range keys {
+		b[k]++
+	}
+	ctx.Compute(sim.Time(len(keys)) * c.KeyCost)
 	return b
 }
 
-// rankChunk ranks keys [lo,hi) given global counts, returning the rank
-// checksum contribution.  rank(k) = number of keys with smaller value
-// plus this key's ordinal among equal keys scanned so far in the chunk —
-// the per-chunk ordinal keeps the checksum partition-independent by
-// using the global index i as tiebreaker weight.
-func (c Config) rankChunk(ctx *sim.Ctx, counts []int32, lo, hi int) int64 {
+// rankChunk ranks keys, which hold global indices [lo, lo+len(keys)),
+// given global counts, returning the rank checksum contribution.
+// rank(k) = number of keys with smaller value plus this key's ordinal
+// among equal keys scanned so far in the chunk — the per-chunk ordinal
+// keeps the checksum partition-independent by using the global index i as
+// tiebreaker weight.
+func (c Config) rankChunk(ctx *sim.Ctx, counts, keys []int32, lo int) int64 {
 	// Prefix sums: start[v] = #keys < v.
 	start := make([]int64, c.Bmax)
 	var acc int64
@@ -120,12 +131,15 @@ func (c Config) rankChunk(ctx *sim.Ctx, counts []int32, lo, hi int) int64 {
 	}
 	ctx.Compute(sim.Time(c.Bmax) * c.BktCost)
 	var sum int64
-	for i := lo; i < hi; i++ {
-		k := c.key(i)
-		r := start[k] // rank of the first key with this value
-		sum += r * int64(i%97+1)
+	w := int64(lo % 97) // counts up to global index i's weight, i%97+1
+	for _, k := range keys {
+		w++
+		sum += start[k] * w // start[k]: rank of the first key with this value
+		if w == 97 {
+			w = 0
+		}
 	}
-	ctx.Compute(sim.Time(hi-lo) * c.KeyCost)
+	ctx.Compute(sim.Time(len(keys)) * c.KeyCost)
 	return sum
 }
 

@@ -24,8 +24,9 @@ func runSolo(b *testing.B, nwords int, body func(p *Proc, base Addr)) {
 	}
 }
 
-// BenchmarkAccess measures the software access check on the scalar and
-// bulk paths: per-element cost of reads and writes to valid pages.
+// BenchmarkAccess measures the software access check on the scalar path:
+// per-element cost of reads and writes to valid pages.  BenchmarkLoadStore
+// covers the bulk path.
 func BenchmarkAccess(b *testing.B) {
 	const nwords = 1 << 13 // 64 KB: 16 pages
 	mask := Addr(nwords - 1)
@@ -59,26 +60,50 @@ func BenchmarkAccess(b *testing.B) {
 			_ = sum
 		})
 	})
-	b.Run("bulk-load", func(b *testing.B) {
-		runSolo(b, nwords, func(p *Proc, base Addr) {
-			arr := p.F64Array(base, nwords)
-			dst := make([]float64, nwords)
-			for i := 0; i < b.N; i++ {
-				arr.Load(dst, 0, nwords)
-			}
+}
+
+// BenchmarkLoadStore measures the bulk access path on the two shapes the
+// apps use: one SOR row (768 float64, a page and a half, so every call
+// pays two access checks for little data) and one 64 KB span (16 pages,
+// where the per-element conversion is everything).  The pages are written
+// once first, so Load converts real bytes rather than clearing for a
+// never-written page.
+func BenchmarkLoadStore(b *testing.B) {
+	const nwords = 1 << 13
+	for _, c := range []struct {
+		name  string
+		words int
+	}{{"row-1.5p", 768}, {"span-64k", nwords}} {
+		buf := make([]float64, c.words)
+		for i := range buf {
+			buf[i] = float64(i) + 0.5
+		}
+		b.Run("load/"+c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(8 * c.words))
+			runSolo(b, nwords, func(p *Proc, base Addr) {
+				arr := p.F64Array(base, nwords)
+				arr.Store(buf, 0)
+				dst := make([]float64, c.words)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					arr.Load(dst, 0, c.words)
+				}
+			})
 		})
-		b.SetBytes(8 * nwords)
-	})
-	b.Run("bulk-store", func(b *testing.B) {
-		runSolo(b, nwords, func(p *Proc, base Addr) {
-			arr := p.F64Array(base, nwords)
-			src := make([]float64, nwords)
-			for i := 0; i < b.N; i++ {
-				arr.Store(src, 0)
-			}
+		b.Run("store/"+c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(8 * c.words))
+			runSolo(b, nwords, func(p *Proc, base Addr) {
+				arr := p.F64Array(base, nwords)
+				arr.Store(buf, 0)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					arr.Store(buf, 0)
+				}
+			})
 		})
-		b.SetBytes(8 * nwords)
-	})
+	}
 }
 
 // BenchmarkFault measures the fault path end to end on a two-processor

@@ -1,16 +1,28 @@
 package tmk
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Bit tricks for the word-at-a-time page comparison in MakeDiff.
 const (
 	lsbMask = 0x0101010101010101
+	lowMask = 0x7f7f7f7f7f7f7f7f
 	msbMask = 0x8080808080808080
 )
 
 // hasZeroByte reports whether any byte of x is zero.
 func hasZeroByte(x uint64) bool {
 	return (x-lsbMask) & ^x & msbMask != 0
+}
+
+// nonzeroBytes returns a word with the top bit of each byte set exactly
+// where the corresponding byte of x is non-zero: adding 0x7f to a byte's
+// low seven bits carries into its top bit iff one of them is set, and
+// never out of the byte.
+func nonzeroBytes(x uint64) uint64 {
+	return ((x&lowMask + lowMask) | x) & msbMask
 }
 
 // A Diff is a run-length encoding of the modifications made to a page
@@ -35,12 +47,13 @@ type Run struct {
 // returns the run-length encoding of the changed ranges, or an empty diff
 // if nothing changed.  len(twin) must equal len(cur).
 //
-// The scan is word-at-a-time: unchanged stretches advance eight bytes per
-// uint64 compare, and fully modified stretches advance eight bytes per
-// zero-byte test on the XOR of the two words.  Run boundaries are still
-// resolved byte-exactly, so the encoding is identical to a byte-at-a-time
-// scan — diff sizes feed modeled time and wire accounting, which must not
-// drift.
+// The scan is word-at-a-time: each uint64 of twin^cur is reduced to the
+// mask of its differing bytes, whose first and last set bits bound the
+// word's contribution to a run.  Differing bytes within one word are at
+// most six equal bytes apart, so a run can only close between words.  Run
+// boundaries stay byte-exact, so the encoding is identical to a
+// byte-at-a-time scan — diff sizes feed modeled time and wire accounting,
+// which must not drift.
 func MakeDiff(page int, twin, cur []byte) *Diff {
 	return makeDiff(page, twin, cur, nil)
 }
@@ -62,55 +75,59 @@ func makeDiff(page int, twin, cur []byte, a *memArena) *Diff {
 	// Find each run's coalesced extent first — runs separated by a short
 	// unchanged gap merge, as real diff implementations word-align and
 	// merge to cut per-run overhead — then carve and copy it once.
-	n := len(cur)
-	for i := skipSame(twin, cur, 0); i < n; {
-		j := runEnd(twin, cur, i)
-		next := skipSame(twin, cur, j)
-		for next < n && next-j <= 8 {
-			j = runEnd(twin, cur, next)
-			next = skipSame(twin, cur, j)
+	start, end := -1, 0 // the open run is cur[start:end]; none if start < 0
+	n8 := len(cur) &^ 7
+	tw, cw := twin[:n8], cur[:n8]
+	for i := 0; i < len(tw) && i < len(cw); i += 8 {
+		x := getU64(tw[i:]) ^ getU64(cw[i:])
+		if x == 0 {
+			continue
 		}
-		var data []byte
-		if a != nil {
-			data = a.cloneBytes(cur[i:j])
-			if d.Runs == nil {
-				d.Runs = a.newRuns(4) // seed; growth past 4 goes to the heap
-			}
-		} else {
-			data = append([]byte(nil), cur[i:j]...)
+		lo, hi := i, i+8
+		if hasZeroByte(x) { // else modified throughout: bulk overwrites
+			m := nonzeroBytes(x)
+			lo += bits.TrailingZeros64(m) / 8
+			hi -= bits.LeadingZeros64(m) / 8
 		}
-		d.Runs = append(d.Runs, Run{Off: i, Data: data})
-		i = next
+		if start < 0 {
+			start = lo
+		} else if lo-end > 8 {
+			d.appendRun(a, cur, start, end)
+			start = lo
+		}
+		end = hi
+	}
+	for i := n8; i < len(cur); i++ { // the tail shorter than a word
+		if twin[i] == cur[i] {
+			continue
+		}
+		if start < 0 {
+			start = i
+		} else if i-end > 8 {
+			d.appendRun(a, cur, start, end)
+			start = i
+		}
+		end = i + 1
+	}
+	if start >= 0 {
+		d.appendRun(a, cur, start, end)
 	}
 	return d
 }
 
-// skipSame returns the first index >= i at which twin and cur differ, or
-// len(cur): unchanged stretches advance eight bytes per uint64 compare.
-func skipSame(twin, cur []byte, i int) int {
-	n := len(cur)
-	for i+8 <= n && getU64(twin[i:]) == getU64(cur[i:]) {
-		i += 8
+// appendRun files cur[i:j] as the diff's next run, copying the payload
+// into the arena if there is one.
+func (d *Diff) appendRun(a *memArena, cur []byte, i, j int) {
+	var data []byte
+	if a != nil {
+		data = a.cloneBytes(cur[i:j])
+		if d.Runs == nil {
+			d.Runs = a.newRuns(4) // seed; growth past 4 goes to the heap
+		}
+	} else {
+		data = append([]byte(nil), cur[i:j]...)
 	}
-	for i < n && twin[i] == cur[i] {
-		i++
-	}
-	return i
-}
-
-// runEnd returns the end of the modified run starting at i (twin[i] !=
-// cur[i]): a word whose XOR has no zero byte is modified throughout; the
-// trailing boundary is found bytewise.
-func runEnd(twin, cur []byte, i int) int {
-	n := len(cur)
-	j := i + 1
-	for j+8 <= n && !hasZeroByte(getU64(twin[j:])^getU64(cur[j:])) {
-		j += 8
-	}
-	for j < n && twin[j] != cur[j] {
-		j++
-	}
-	return j
+	d.Runs = append(d.Runs, Run{Off: i, Data: data})
 }
 
 // Empty reports whether the diff carries no modifications.

@@ -202,7 +202,7 @@ func TestMakeDiffMatchesReferenceProperty(t *testing.T) {
 		twin := make([]byte, n)
 		r.Read(twin)
 		cur := append([]byte(nil), twin...)
-		switch r.Intn(4) {
+		switch r.Intn(7) {
 		case 0: // sparse byte flips
 			for k := r.Intn(12); k > 0; k-- {
 				cur[r.Intn(n)] ^= byte(1 + r.Intn(255))
@@ -219,6 +219,28 @@ func TestMakeDiffMatchesReferenceProperty(t *testing.T) {
 			}
 		case 3: // everything changed
 			for i := range cur {
+				cur[i] ^= byte(1 + r.Intn(255))
+			}
+		case 4: // float-like: words that differ in some bytes and agree in others
+			for i := 0; i < n; i += 8 {
+				mask := r.Intn(256) * r.Intn(4) // a quarter of the words stay equal
+				for b := 0; b < 8 && i+b < n; b++ {
+					if mask>>b&1 != 0 {
+						cur[i+b] ^= byte(1 + r.Intn(255))
+					}
+				}
+			}
+		case 5: // single bytes 7, 8 or 9 equal bytes apart: every gap straddles a word boundary
+			for i := r.Intn(8); i < n; i += 1 + 7 + r.Intn(3) {
+				cur[i] ^= byte(1 + r.Intn(255))
+			}
+		case 6: // a differing byte in the tail past the last whole word, 8 or 9 equal bytes after the one before
+			n = (n + 16) | 1 // not a multiple of 8, and room for the byte before
+			twin = append(twin, make([]byte, n-len(twin))...)
+			cur = append([]byte(nil), twin...)
+			i := n&^7 + r.Intn(n&7)
+			cur[i] ^= byte(1 + r.Intn(255))
+			for i -= 1 + 8 + r.Intn(2); i >= 0; i -= 1 + r.Intn(12) {
 				cur[i] ^= byte(1 + r.Intn(255))
 			}
 		}
@@ -239,10 +261,11 @@ func TestMakeDiffMatchesReferenceProperty(t *testing.T) {
 	}
 }
 
-// BenchmarkMakeDiff measures page comparison throughput on the three
+// BenchmarkMakeDiff measures page comparison throughput on the four
 // shapes that matter in practice: a clean page (barrier with no local
-// writes to ship), a sparsely modified page (a few scalars changed), and
-// a densely modified page (bulk overwrite).
+// writes to ship), a sparsely modified page (a few scalars changed), a
+// densely modified page (bulk overwrite), and a page of floating-point
+// values that all moved a little.
 func BenchmarkMakeDiff(b *testing.B) {
 	const ps = 4096
 	twin := make([]byte, ps)
@@ -272,6 +295,14 @@ func BenchmarkMakeDiff(b *testing.B) {
 		dense[i] = twin[i] ^ 0x5a
 	}
 	bench("dense", dense)
+
+	// Every float64 nudged: the low bytes of each word differ, the sign
+	// and exponent bytes agree — what a relaxation sweep leaves behind.
+	float := append([]byte(nil), twin...)
+	for i := 0; i < ps; i += 8 {
+		putU64(float[i:], getU64(twin[i:])^0x0000_00ff_ffff_ffff)
+	}
+	bench("float", float)
 }
 
 // Zero-initialized data that stays mostly zero produces tiny diffs: the

@@ -174,23 +174,21 @@ func (p *Proc) writeI64Slow(a Addr, v int64) {
 	putU64(pg.data[off:], uint64(v))
 }
 
-// forPages walks [a, a+n) page by page, handing the callback each
-// (page-id, in-page offset, byte count, running byte offset).
-func (p *Proc) forPages(a Addr, n int, fn func(pid, off, cnt, done int)) {
+// bulk validates a bulk access to bytes [a, a+n) and returns where it
+// starts — page id and in-page offset — and the page size.  Bulk accesses
+// then walk page by page: one access check each, in address order.
+func (p *Proc) bulk(a Addr, n int) (pid, off, ps int) {
 	if a < 0 || int(a)+n > int(p.sys.brk) {
 		panic(fmt.Sprintf("tmk: range [%d,%d) outside shared space", a, int(a)+n))
 	}
-	ps := p.sys.cfg.PageSize
-	done := 0
-	for done < n {
-		pid := (int(a) + done) / ps
-		off := (int(a) + done) % ps
-		cnt := ps - off
-		if cnt > n-done {
-			cnt = n - done
-		}
-		fn(pid, off, cnt, done)
-		done += cnt
+	ps = p.sys.cfg.PageSize
+	return int(a) / ps, int(a) % ps, ps
+}
+
+// checkIndex panics unless i indexes an n-element view.
+func checkIndex(i, n int) {
+	if i < 0 || i >= n {
+		panic(fmt.Sprintf("tmk: index %d out of range [0,%d)", i, n))
 	}
 }
 
@@ -213,47 +211,46 @@ func (a F64Array) Len() int { return a.n }
 // Addr returns the address of element i.
 func (a F64Array) Addr(i int) Addr { return a.base + Addr(8*i) }
 
-func (a F64Array) check(i int) {
-	if i < 0 || i >= a.n {
-		panic(fmt.Sprintf("tmk: index %d out of range [0,%d)", i, a.n))
-	}
-}
-
 // At reads element i.
 func (a F64Array) At(i int) float64 {
-	a.check(i)
+	checkIndex(i, a.n)
 	return a.p.ReadF64(a.base + Addr(8*i))
 }
 
 // Set writes element i.
 func (a F64Array) Set(i int, v float64) {
-	a.check(i)
+	checkIndex(i, a.n)
 	a.p.WriteF64(a.base+Addr(8*i), v)
 }
 
 // Load copies elements [lo,hi) into dst (bulk read: one access check per
-// page rather than per element).
+// page rather than per element).  An empty range touches no page.
 func (a F64Array) Load(dst []float64, lo, hi int) {
-	a.check(lo)
+	if lo == hi && 0 <= lo && lo <= a.n {
+		return
+	}
+	checkIndex(lo, a.n)
 	if hi < lo || hi > a.n {
 		panic("tmk: bad Load range")
 	}
 	if len(dst) < hi-lo {
 		panic("tmk: Load dst too short")
 	}
-	a.p.forPages(a.base+Addr(8*lo), 8*(hi-lo), func(pid, off, cnt, done int) {
-		pg := a.p.readable(pid)
-		base := done / 8
-		if pg.data == nil {
-			for i := 0; i < cnt/8; i++ {
-				dst[base+i] = 0
+	dst = dst[:hi-lo]
+	pid, off, ps := a.p.bulk(a.base+Addr(8*lo), 8*len(dst))
+	for ; len(dst) > 0; pid, off = pid+1, 0 {
+		d := dst[:min(len(dst), (ps-off)/8)]
+		if data := a.p.readable(pid).data; data == nil {
+			clear(d)
+		} else {
+			src := data[off:]
+			for i := range d {
+				d[i] = getF64(src)
+				src = src[8:]
 			}
-			return
 		}
-		for i := 0; i < cnt/8; i++ {
-			dst[base+i] = getF64(pg.data[off+8*i:])
-		}
-	})
+		dst = dst[len(d):]
+	}
 }
 
 // Store copies src into elements starting at lo (bulk write).
@@ -261,15 +258,18 @@ func (a F64Array) Store(src []float64, lo int) {
 	if len(src) == 0 {
 		return
 	}
-	a.check(lo)
-	a.check(lo + len(src) - 1)
-	a.p.forPages(a.base+Addr(8*lo), 8*len(src), func(pid, off, cnt, done int) {
-		pg := a.p.writable(pid)
-		base := done / 8
-		for i := 0; i < cnt/8; i++ {
-			putF64(pg.data[off+8*i:], src[base+i])
+	checkIndex(lo, a.n)
+	checkIndex(lo+len(src)-1, a.n)
+	pid, off, ps := a.p.bulk(a.base+Addr(8*lo), 8*len(src))
+	for ; len(src) > 0; pid, off = pid+1, 0 {
+		s := src[:min(len(src), (ps-off)/8)]
+		dst := a.p.writable(pid).data[off:]
+		for _, v := range s {
+			putF64(dst, v)
+			dst = dst[8:]
 		}
-	})
+		src = src[len(s):]
+	}
 }
 
 // I32Array is a typed int32 window onto shared memory.
@@ -291,46 +291,45 @@ func (a I32Array) Len() int { return a.n }
 // Addr returns the address of element i.
 func (a I32Array) Addr(i int) Addr { return a.base + Addr(4*i) }
 
-func (a I32Array) check(i int) {
-	if i < 0 || i >= a.n {
-		panic(fmt.Sprintf("tmk: index %d out of range [0,%d)", i, a.n))
-	}
-}
-
 // At reads element i.
 func (a I32Array) At(i int) int32 {
-	a.check(i)
+	checkIndex(i, a.n)
 	return a.p.ReadI32(a.base + Addr(4*i))
 }
 
 // Set writes element i.
 func (a I32Array) Set(i int, v int32) {
-	a.check(i)
+	checkIndex(i, a.n)
 	a.p.WriteI32(a.base+Addr(4*i), v)
 }
 
-// Load copies elements [lo,hi) into dst.
+// Load copies elements [lo,hi) into dst.  An empty range touches no page.
 func (a I32Array) Load(dst []int32, lo, hi int) {
-	a.check(lo)
+	if lo == hi && 0 <= lo && lo <= a.n {
+		return
+	}
+	checkIndex(lo, a.n)
 	if hi < lo || hi > a.n {
 		panic("tmk: bad Load range")
 	}
 	if len(dst) < hi-lo {
 		panic("tmk: Load dst too short")
 	}
-	a.p.forPages(a.base+Addr(4*lo), 4*(hi-lo), func(pid, off, cnt, done int) {
-		pg := a.p.readable(pid)
-		base := done / 4
-		if pg.data == nil {
-			for i := 0; i < cnt/4; i++ {
-				dst[base+i] = 0
+	dst = dst[:hi-lo]
+	pid, off, ps := a.p.bulk(a.base+Addr(4*lo), 4*len(dst))
+	for ; len(dst) > 0; pid, off = pid+1, 0 {
+		d := dst[:min(len(dst), (ps-off)/4)]
+		if data := a.p.readable(pid).data; data == nil {
+			clear(d)
+		} else {
+			src := data[off:]
+			for i := range d {
+				d[i] = int32(getU32(src))
+				src = src[4:]
 			}
-			return
 		}
-		for i := 0; i < cnt/4; i++ {
-			dst[base+i] = int32(getU32(pg.data[off+4*i:]))
-		}
-	})
+		dst = dst[len(d):]
+	}
 }
 
 // Store copies src into elements starting at lo.
@@ -338,15 +337,18 @@ func (a I32Array) Store(src []int32, lo int) {
 	if len(src) == 0 {
 		return
 	}
-	a.check(lo)
-	a.check(lo + len(src) - 1)
-	a.p.forPages(a.base+Addr(4*lo), 4*len(src), func(pid, off, cnt, done int) {
-		pg := a.p.writable(pid)
-		base := done / 4
-		for i := 0; i < cnt/4; i++ {
-			putU32(pg.data[off+4*i:], uint32(src[base+i]))
+	checkIndex(lo, a.n)
+	checkIndex(lo+len(src)-1, a.n)
+	pid, off, ps := a.p.bulk(a.base+Addr(4*lo), 4*len(src))
+	for ; len(src) > 0; pid, off = pid+1, 0 {
+		s := src[:min(len(src), (ps-off)/4)]
+		dst := a.p.writable(pid).data[off:]
+		for _, v := range s {
+			putU32(dst, uint32(v))
+			dst = dst[4:]
 		}
-	})
+		src = src[len(s):]
+	}
 }
 
 // I64Array is a typed int64 window onto shared memory.
@@ -368,20 +370,14 @@ func (a I64Array) Len() int { return a.n }
 // Addr returns the address of element i.
 func (a I64Array) Addr(i int) Addr { return a.base + Addr(8*i) }
 
-func (a I64Array) check(i int) {
-	if i < 0 || i >= a.n {
-		panic(fmt.Sprintf("tmk: index %d out of range [0,%d)", i, a.n))
-	}
-}
-
 // At reads element i.
 func (a I64Array) At(i int) int64 {
-	a.check(i)
+	checkIndex(i, a.n)
 	return a.p.ReadI64(a.base + Addr(8*i))
 }
 
 // Set writes element i.
 func (a I64Array) Set(i int, v int64) {
-	a.check(i)
+	checkIndex(i, a.n)
 	a.p.WriteI64(a.base+Addr(8*i), v)
 }
