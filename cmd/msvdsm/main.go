@@ -31,9 +31,6 @@
 //	                are independent engines, so tables, figures and
 //	                grids execute up to n runs concurrently.  Output is
 //	                byte-identical to -j 1.
-//	-parsim         run each simulation on the deterministically
-//	                parallel engine (sim.Options{Parallel}); modeled
-//	                results are byte-identical to the serial engine.
 //	-cpuprofile f   write a CPU profile of the whole invocation to f
 //	                (inspect with 'go tool pprof')
 //	-memprofile f   write an allocation profile to f at exit
@@ -78,10 +75,10 @@
 //
 // The service answers /v1/grid with the same record JSON the grid
 // command emits, memoized by a canonical content hash of each job spec;
-// the global -scale, -j and -parsim flags set the server's workload
-// scale, cold-path worker pool and engine mode.  See internal/serve for
-// the API and cache-key documentation, and internal/dispatch for the
-// lease protocol and its fault-tolerance machinery.
+// the global -scale and -j flags set the server's workload scale and
+// cold-path worker pool.  See internal/serve for the API and cache-key
+// documentation, and internal/dispatch for the lease protocol and its
+// fault-tolerance machinery.
 package main
 
 import (
@@ -112,12 +109,10 @@ func main() {
 	procs := flag.Int("procs", 8, "maximum processor count for figures")
 	format := flag.String("format", "text", "output format: text, json or csv")
 	workers := flag.Int("j", runtime.GOMAXPROCS(0), "grid worker pool width (1 = serial)")
-	parsim := flag.Bool("parsim", false, "use the deterministically parallel engine per run")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to `file`")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to `file` at exit")
 	flag.Usage = usage
 	flag.Parse()
-	run := runOpts{workers: *workers, parsim: *parsim}
 	if flag.NArg() < 1 {
 		usage()
 		os.Exit(2)
@@ -138,22 +133,22 @@ func main() {
 	var err error
 	switch cmd {
 	case "table1":
-		err = runTable1(apps, *format, run)
+		err = runTable1(apps, *format, *workers)
 	case "table2":
-		err = runTable2(apps, *format, run)
+		err = runTable2(apps, *format, *workers)
 	case "fig", "figure":
 		if flag.NArg() < 2 {
 			fmt.Fprintln(os.Stderr, "msvdsm fig <name>; see 'msvdsm list'")
 			stopProfiles()
 			os.Exit(2)
 		}
-		err = runFigures(apps, []string{flag.Arg(1)}, *procs, *format, run)
+		err = runFigures(apps, []string{flag.Arg(1)}, *procs, *format, *workers)
 	case "figures":
-		err = runFigures(apps, nil, *procs, *format, run)
+		err = runFigures(apps, nil, *procs, *format, *workers)
 	case "grid":
-		err = runGrid(*scale, flag.Args()[1:], *format, run)
+		err = runGrid(*scale, flag.Args()[1:], *format, *workers)
 	case "serve":
-		err = runServe(flag.Args()[1:], *scale, run)
+		err = runServe(flag.Args()[1:], *scale, *workers)
 	case "worker":
 		err = runWorker(flag.Args()[1:])
 	case "ablate":
@@ -167,12 +162,12 @@ func main() {
 			// One structured document, not three concatenated ones: the
 			// figures grid (seq + both systems at 1..procs) is a superset
 			// of the tables' records, so emit it once.
-			err = runFigures(apps, nil, *procs, *format, run)
+			err = runFigures(apps, nil, *procs, *format, *workers)
 			break
 		}
-		if err = runTable1(apps, *format, run); err == nil {
-			if err = runTable2(apps, *format, run); err == nil {
-				err = runFigures(apps, nil, *procs, *format, run)
+		if err = runTable1(apps, *format, *workers); err == nil {
+			if err = runTable2(apps, *format, *workers); err == nil {
+				err = runFigures(apps, nil, *procs, *format, *workers)
 			}
 		}
 	case "list":
@@ -262,28 +257,6 @@ commands:
 	flag.PrintDefaults()
 }
 
-// runOpts carries the execution knobs every command applies: the grid
-// worker pool width and the per-run engine choice.
-type runOpts struct {
-	workers int
-	parsim  bool
-}
-
-// scenarios applies the engine choice to a scenario list.
-func (o runOpts) scenarios(scs []core.Scenario) []core.Scenario {
-	if o.parsim {
-		for i := range scs {
-			scs[i].Parallel = true
-		}
-	}
-	return scs
-}
-
-// grid assembles a Grid with this invocation's worker pool.
-func (o runOpts) grid(apps []core.App, backends []core.Backend, scs []core.Scenario) harness.Grid {
-	return harness.Grid{Apps: apps, Backends: backends, Scenarios: o.scenarios(scs), Workers: o.workers}
-}
-
 // emit prints records in the requested structured format, or renders them
 // with the given text renderer.
 func emit(recs []harness.Record, format string, text func([]harness.Record) string) error {
@@ -298,23 +271,24 @@ func emit(recs []harness.Record, format string, text func([]harness.Record) stri
 	}
 }
 
-func runTable1(apps []core.App, format string, run runOpts) error {
-	recs, err := run.grid(apps, []core.Backend{core.Seq}, nil).Run()
+func runTable1(apps []core.App, format string, workers int) error {
+	recs, err := harness.Grid{Apps: apps, Backends: []core.Backend{core.Seq}, Workers: workers}.Run()
 	if err != nil {
 		return err
 	}
 	return emit(recs, format, harness.RenderTable1)
 }
 
-func runTable2(apps []core.App, format string, run runOpts) error {
-	recs, err := run.grid(apps, []core.Backend{core.TMK, core.PVM}, harness.BaseScenarios(8)).Run()
+func runTable2(apps []core.App, format string, workers int) error {
+	recs, err := harness.Grid{Apps: apps, Backends: []core.Backend{core.TMK, core.PVM},
+		Scenarios: harness.BaseScenarios(8), Workers: workers}.Run()
 	if err != nil {
 		return err
 	}
 	return emit(recs, format, harness.RenderTable2)
 }
 
-func runFigures(apps []core.App, names []string, maxProcs int, format string, run runOpts) error {
+func runFigures(apps []core.App, names []string, maxProcs int, format string, workers int) error {
 	selected := apps
 	if names != nil {
 		selected = nil
@@ -330,7 +304,8 @@ func runFigures(apps []core.App, names []string, maxProcs int, format string, ru
 	for n := 1; n <= maxProcs; n++ {
 		procs = append(procs, n)
 	}
-	recs, err := run.grid(selected, core.StandardBackends(), harness.BaseScenarios(procs...)).Run()
+	recs, err := harness.Grid{Apps: selected, Backends: core.StandardBackends(),
+		Scenarios: harness.BaseScenarios(procs...), Workers: workers}.Run()
 	if err != nil {
 		return err
 	}
@@ -352,7 +327,7 @@ func runFigures(apps []core.App, names []string, maxProcs int, format string, ru
 // cross product.  Selection resolution (names, defaults, bigp registry
 // swap, validation errors) lives in harness.Selection, which the serve
 // API shares — the two surfaces accept and reject identically.
-func runGrid(scale float64, args []string, format string, run runOpts) error {
+func runGrid(scale float64, args []string, format string, workers int) error {
 	fs := flag.NewFlagSet("grid", flag.ContinueOnError)
 	appsFlag := fs.String("apps", "", "comma-separated app names (default: all)")
 	backendsFlag := fs.String("backends", "", "comma-separated backend names (default tmk,pvm; bigp: tmk,tmk-sc,tmk-tree,pvm)")
@@ -381,8 +356,7 @@ func runGrid(scale float64, args []string, format string, run runOpts) error {
 	if err != nil {
 		return err
 	}
-	grid.Scenarios = run.scenarios(grid.Scenarios)
-	grid.Workers = run.workers
+	grid.Workers = workers
 	recs, err := grid.Run()
 	if err != nil {
 		return err
@@ -414,7 +388,7 @@ func splitList(s string) []string {
 // drains in-flight requests up to the -drain deadline.  A clean drain
 // exits 0; blowing the deadline forces connections closed and exits
 // nonzero.  A second signal forces immediate process death.
-func runServe(args []string, scale float64, run runOpts) error {
+func runServe(args []string, scale float64, workers int) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:8177", "listen address")
 	cacheDir := fs.String("cache-dir", "", "persist cached records as <hash>.json files in this directory")
@@ -440,8 +414,7 @@ func runServe(args []string, scale float64, run runOpts) error {
 	}
 	srv := serve.New(serve.Options{
 		Scale:      scale,
-		Workers:    run.workers,
-		Parallel:   run.parsim,
+		Workers:    workers,
 		Store:      store,
 		Dispatcher: dsp,
 	})
@@ -463,7 +436,7 @@ func runServe(args []string, scale float64, run runOpts) error {
 		fleet = fmt.Sprintf(", worker fleet on /v1/dispatch (lease ttl %v)", *leaseTTL)
 	}
 	fmt.Printf("msvdsm serve: engine %s, scale %g, %d workers%s; listening on http://%s\n",
-		harness.EngineVersion, scale, run.workers, fleet, ln.Addr())
+		harness.EngineVersion, scale, workers, fleet, ln.Addr())
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()

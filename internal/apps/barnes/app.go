@@ -7,7 +7,6 @@ import (
 	"repro/internal/pvm"
 	"repro/internal/sim"
 	"repro/internal/tmk"
-	"sync"
 )
 
 // app implements core.App.
@@ -16,8 +15,7 @@ type app struct {
 
 	bodyA tmk.Addr // shared body array of the current TreadMarks run
 
-	mu     sync.Mutex // guards parOut: procs fold partials concurrently
-	parOut Output     // accumulated per-processor checksums (owner sets disjoint)
+	parOut Output // accumulated per-processor checksums (owner sets disjoint)
 	seqOut Output
 	hasSeq bool
 	hasPar bool
@@ -58,13 +56,8 @@ func (a *app) Problem() string {
 
 // addSum folds one processor's partial checksum into the collector.
 // Integer addition commutes, so the result is identical in any
-// accumulation order — including the concurrent compute phases of the
-// parallel engine, which the mutex makes safe.
-func (a *app) addSum(v int64) {
-	a.mu.Lock()
-	a.parOut.Sum += v
-	a.mu.Unlock()
-}
+// accumulation order.
+func (a *app) addSum(v int64) { a.parOut.Sum += v }
 
 func (a *app) Check() error {
 	if !a.hasSeq || !a.hasPar {

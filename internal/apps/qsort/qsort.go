@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sim"
-	"sync"
 )
 
 // Config describes one sorting problem.
@@ -160,20 +159,15 @@ func RunSeq(cfg Config) (core.Result, Output, error) {
 }
 
 // leafSink collects sorted leaves out of band for verification.  The
-// mutex makes add safe from concurrently executing compute phases
-// (parallel engine mode); the assembled output is keyed by offset, so
-// insertion order never matters.
+// assembled output is keyed by offset, so insertion order never matters.
 type leafSink struct {
-	mu     sync.Mutex
 	leaves map[int][]int32
 }
 
 func newSink() *leafSink { return &leafSink{leaves: map[int][]int32{}} }
 
 func (s *leafSink) add(lo int, vals []int32) {
-	s.mu.Lock()
 	s.leaves[lo] = append([]int32(nil), vals...)
-	s.mu.Unlock()
 }
 
 func (s *leafSink) assemble(n int) Output {

@@ -104,9 +104,8 @@ func (o Output) Check(other Output) error {
 }
 
 // solver carries the per-run search machinery shared by all versions.
-// One solver serves every simulated processor of a run, and under the
-// parallel engine their compute phases call it from concurrent host
-// goroutines: it is read-only once built.
+// One solver serves every simulated processor of a run; it is read-only
+// once built.
 type solver struct {
 	cfg  Config
 	d    [][maxCities]int32

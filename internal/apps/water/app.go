@@ -8,7 +8,6 @@ import (
 	"repro/internal/pvm"
 	"repro/internal/sim"
 	"repro/internal/tmk"
-	"sync"
 )
 
 // app implements core.App for one Water input size.
@@ -20,8 +19,7 @@ type app struct {
 	// Shared-memory layout of the current TreadMarks run.
 	posA, frcA tmk.Addr
 
-	mu     sync.Mutex // guards parOut: procs fold partials concurrently
-	parOut Output     // accumulated per-processor checksums (run collector)
+	parOut Output // accumulated per-processor checksums (run collector)
 	seqOut Output
 	hasSeq bool
 	hasPar bool
@@ -79,13 +77,11 @@ func (a *app) Problem() string {
 }
 
 // addPart folds one processor's partial checksums into the collector;
-// integer addition commutes, so any accumulation order — including the
-// parallel engine's concurrent compute phases — gives the same output.
+// integer addition commutes, so any accumulation order gives the same
+// output.
 func (a *app) addPart(part Output) {
-	a.mu.Lock()
 	a.parOut.ForceSum += part.ForceSum
 	a.parOut.PosSum += part.PosSum
-	a.mu.Unlock()
 }
 
 func (a *app) Check() error {

@@ -39,14 +39,6 @@ type Config struct {
 	// one-line scenario override.
 	XDRPerByte sim.Time
 
-	// Parallel runs the simulation on the deterministically parallel
-	// engine (sim.Options{Parallel}): same-virtual-time steps execute on
-	// concurrent goroutines with all observable events forced into the
-	// serial order, so modeled Time/Messages/Bytes are byte-identical to
-	// the serial engine.  The default (false) keeps the serial engine,
-	// which remains the differential oracle.
-	Parallel bool
-
 	// MasterColocated places the app's extra PVM master process (if any)
 	// on node 0, sharing the workstation with slave 0 as in the paper's
 	// physical arrangement: master/slave-0 traffic crosses loopback and
@@ -94,7 +86,7 @@ func RunSeq(body func(ctx *sim.Ctx)) (Result, error) {
 // RunTMK executes the TreadMarks version: setup allocates and preloads
 // shared memory, then body runs on every processor.
 func RunTMK(cfg Config, setup func(sys *tmk.System), body func(p *tmk.Proc)) (Result, error) {
-	eng := sim.NewEngineOpts(sim.Options{Parallel: cfg.Parallel})
+	eng := sim.NewEngine()
 	net := vnet.New(cfg.Net)
 	sys := tmk.NewSystem(eng, net, cfg.Procs, cfg.DSM)
 	setup(sys)
@@ -123,7 +115,7 @@ func RunTMK(cfg Config, setup func(sys *tmk.System), body func(p *tmk.Proc)) (Re
 // n regular processes; if master is non-nil it runs as an additional
 // process (id n), as in the paper's master/slave TSP and QSORT.
 func RunPVM(cfg Config, setup func(sys *pvm.System), body func(p *pvm.Proc), master func(p *pvm.Proc)) (Result, error) {
-	eng := sim.NewEngineOpts(sim.Options{Parallel: cfg.Parallel})
+	eng := sim.NewEngine()
 	net := vnet.New(cfg.Net)
 	sys := pvm.New(eng, net, cfg.Procs)
 	if cfg.XDRPerByte > 0 {

@@ -120,9 +120,9 @@ func TestFaultCausalAdmission(t *testing.T) {
 }
 
 // TestFaultGoldenDeterminism pins one fault scenario and requires the
-// parallel engine and the grid worker pool to reproduce the serial
-// records byte for byte — the fault layer's determinism contract holds
-// in every execution mode, recovery traffic included.
+// grid worker pool to reproduce the serial records byte for byte — the
+// fault layer's determinism contract holds however jobs are scheduled,
+// recovery traffic included.
 func TestFaultGoldenDeterminism(t *testing.T) {
 	apps := []core.App{}
 	for _, name := range []string{"SOR-Zero", "IS-Small", "QSORT"} {
@@ -132,12 +132,9 @@ func TestFaultGoldenDeterminism(t *testing.T) {
 		}
 		apps = append(apps, app)
 	}
-	mk := func(par bool, workers int) Grid {
+	mk := func(workers int) Grid {
 		scs := append(LossScenarios(2, 0.05), LossScenarios(4, 0.05)...)
 		scs = append(scs, PartitionScenarios(4)...)
-		for i := range scs {
-			scs[i].Parallel = par
-		}
 		return Grid{
 			Apps:      apps,
 			Backends:  []core.Backend{core.TMK, core.PVM},
@@ -145,7 +142,7 @@ func TestFaultGoldenDeterminism(t *testing.T) {
 			Workers:   workers,
 		}
 	}
-	want, err := mk(false, 0).Run()
+	want, err := mk(0).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,26 +159,16 @@ func TestFaultGoldenDeterminism(t *testing.T) {
 	if workers < 4 {
 		workers = 4
 	}
-	for _, mode := range []struct {
-		name    string
-		par     bool
-		workers int
-	}{
-		{"parallel-engine", true, 0},
-		{"grid-workers", false, workers},
-		{"parallel-engine+workers", true, workers},
-	} {
-		got, err := mk(mode.par, mode.workers).Run()
-		if err != nil {
-			t.Fatalf("%s: %v", mode.name, err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d records, want %d", mode.name, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("%s record %d:\ngot  %+v\nwant %+v", mode.name, i, got[i], want[i])
-			}
+	got, err := mk(workers).Run()
+	if err != nil {
+		t.Fatalf("grid-workers: %v", err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("grid-workers: %d records, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("grid-workers record %d:\ngot  %+v\nwant %+v", i, got[i], want[i])
 		}
 	}
 }

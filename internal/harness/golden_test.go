@@ -186,32 +186,14 @@ var golden = map[string]map[string][3]metric{
 }
 
 // goldenGrid is the full pinned grid: all 12 experiments x {tmk,pvm} x
-// {2,4,8} processors.  parallelEngine switches every scenario onto the
-// deterministically parallel engine; workers widens Grid.Run's pool.
-func goldenGrid(parallelEngine bool, workers int) Grid {
-	scs := BaseScenarios(goldenProcs[:]...)
-	if parallelEngine {
-		for i := range scs {
-			scs[i].Parallel = true
-		}
-	}
+// {2,4,8} processors.  workers widens Grid.Run's pool.
+func goldenGrid(workers int) Grid {
 	return Grid{
 		Apps:      Apps(goldenScale),
 		Backends:  []core.Backend{core.TMK, core.PVM},
-		Scenarios: scs,
+		Scenarios: BaseScenarios(goldenProcs[:]...),
 		Workers:   workers,
 	}
-}
-
-// runGolden collects the golden metrics for one full pass: the same
-// record grid cmd/goldgen dumps, folded into the pinned-table shape.
-func runGolden(t *testing.T, parallelEngine bool, workers int) map[string]map[string][3]metric {
-	t.Helper()
-	recs, err := goldenGrid(parallelEngine, workers).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return foldRecords(t, recs)
 }
 
 // checkGolden asserts one pass's metrics against the pinned seed values:
@@ -230,24 +212,17 @@ func checkGolden(t *testing.T, mode string, got map[string]map[string][3]metric)
 	}
 }
 
-// TestGoldenMetrics pins the serial engine, serial grid — the oracle
-// configuration every other mode is differenced against.
+// TestGoldenMetrics pins the serial grid — the same records cmd/goldgen
+// dumps, and the oracle the worker pool is differenced against.
 func TestGoldenMetrics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full golden grid in -short mode")
 	}
-	checkGolden(t, "serial", runGolden(t, false, 0))
-}
-
-// TestGoldenMetricsParallelEngine reruns the full pinned grid on the
-// deterministically parallel engine (sim.Options{Parallel}): same-time
-// steps execute on concurrent goroutines, and every modeled metric must
-// still match the seed byte for byte.
-func TestGoldenMetricsParallelEngine(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full golden grid in -short mode")
+	recs, err := goldenGrid(0).Run()
+	if err != nil {
+		t.Fatal(err)
 	}
-	checkGolden(t, "parallel-engine", runGolden(t, true, 0))
+	checkGolden(t, "serial", foldRecords(t, recs))
 }
 
 // TestGoldenMetricsGridWorkers reruns the full pinned grid through the
@@ -263,11 +238,11 @@ func TestGoldenMetricsGridWorkers(t *testing.T) {
 	if workers < 4 {
 		workers = 4 // exercise real pool concurrency even on small hosts
 	}
-	serial, err := goldenGrid(false, 0).Run()
+	serial, err := goldenGrid(0).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	pooled, err := goldenGrid(false, workers).Run()
+	pooled, err := goldenGrid(workers).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,8 +258,8 @@ func TestGoldenMetricsGridWorkers(t *testing.T) {
 }
 
 // TestGridWorkersStress randomizes worker counts (seeded) over a
-// smaller grid, including the parallel engine, and requires every pass
-// to reproduce the serial records exactly.
+// smaller grid and requires every pass to reproduce the serial records
+// exactly.
 func TestGridWorkersStress(t *testing.T) {
 	apps := []core.App{}
 	for _, name := range []string{"SOR-Zero", "IS-Small", "QSORT"} {
@@ -294,15 +269,12 @@ func TestGridWorkersStress(t *testing.T) {
 		}
 		apps = append(apps, app)
 	}
-	mk := func(par bool, workers int) Grid {
+	mk := func(workers int) Grid {
 		scs := BaseScenarios(2, 4)
 		// One lossy cell rides along: recovery traffic (timeouts,
-		// retransmissions, ARQ delays) must be just as mode-independent
-		// as the fault-free runs.
+		// retransmissions, ARQ delays) must be just as independent of the
+		// pool width as the fault-free runs.
 		scs = append(scs, LossScenarios(4, 0.05)...)
-		for i := range scs {
-			scs[i].Parallel = par
-		}
 		return Grid{
 			Apps:      apps,
 			Backends:  []core.Backend{core.Seq, core.TMK, core.PVM},
@@ -310,25 +282,24 @@ func TestGridWorkersStress(t *testing.T) {
 			Workers:   workers,
 		}
 	}
-	want, err := mk(false, 0).Run()
+	want, err := mk(0).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(9137))
 	for round := 0; round < 6; round++ {
 		workers := 2 + rng.Intn(14)
-		par := rng.Intn(2) == 1
-		got, err := mk(par, workers).Run()
+		got, err := mk(workers).Run()
 		if err != nil {
-			t.Fatalf("round %d (workers=%d parallel=%v): %v", round, workers, par, err)
+			t.Fatalf("round %d (workers=%d): %v", round, workers, err)
 		}
 		if len(got) != len(want) {
 			t.Fatalf("round %d: %d records, want %d", round, len(got), len(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Errorf("round %d (workers=%d parallel=%v) record %d:\ngot  %+v\nwant %+v",
-					round, workers, par, i, got[i], want[i])
+				t.Errorf("round %d (workers=%d) record %d:\ngot  %+v\nwant %+v",
+					round, workers, i, got[i], want[i])
 			}
 		}
 	}

@@ -14,7 +14,8 @@ import (
 // Content-addressed job specs.
 //
 // Every run in this reproduction is deterministic — the pinned goldens
-// prove bit-identical modeled metrics across four execution modes — so
+// prove bit-identical modeled metrics however jobs are scheduled: one
+// after another, on the worker pool, or on a worker fleet — so
 // a Record is a pure function of (app, backend, scenario, engine
 // version).  SpecHash names that function application: a canonical hash
 // of the full job spec, stable across processes and registry instances,
@@ -26,15 +27,14 @@ import (
 // scenario's Config as one "path=value" line with struct fields in
 // declaration order and map keys sorted.  Zero-valued leaves are
 // omitted, so adding a new config knob whose zero value preserves
-// today's behavior does not move existing hashes.  Two fields are
-// deliberately excluded:
-//
-//   - Scenario.Config.Parallel selects an execution mode whose results
-//     are byte-identical to the serial engine (that is its contract);
-//     hashing it would split one cacheable result into two keys.
-//   - The backend's configuration beyond its name: a Variant's scenario
-//     rewrite is a fixed function of its registered name, versioned by
-//     EngineVersion like every other piece of model code.
+// today's behavior does not move existing hashes.  Likewise, removing a
+// knob that was zero in every hashed config moves none: the former
+// engine-selection flag on core.Config was forced to zero before
+// rendering, so it never appeared in a canonical form, and deleting it
+// left every hash in place.  One field is deliberately excluded: the
+// backend's configuration beyond its name.  A Variant's scenario rewrite
+// is a fixed function of its registered name, versioned by EngineVersion
+// like every other piece of model code.
 //
 // EngineVersion ties hashes to the modeled-metrics vintage.  Bump it in
 // lockstep with golden regeneration: any PR that changes modeled
@@ -118,7 +118,6 @@ func appendSpec(b []byte, j Job, config string) []byte {
 // canonConfig is the one rendering of a scenario config every spec hash
 // goes through.
 func canonConfig(cfg core.Config) string {
-	cfg.Parallel = false // execution mode: results byte-identical by contract
 	var sb strings.Builder
 	canonValue(&sb, "config", reflect.ValueOf(cfg))
 	return sb.String()

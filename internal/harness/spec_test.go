@@ -146,15 +146,6 @@ func TestSpecHashFieldSensitivity(t *testing.T) {
 		j.Scenario.Net.Faults.Partitions = PartitionScenarios(8)[0].Net.Faults.Partitions
 	})
 
-	// Execution mode is not a spec: the parallel engine's results are
-	// byte-identical to the serial engine's, so both must hit the same
-	// cache entry.
-	par := base
-	par.Scenario.Parallel = true
-	if h := SpecHash(par); h != h0 {
-		t.Errorf("parallel-engine knob moved the hash: %s vs %s", h, h0)
-	}
-
 	// The engine version prefixes every canonical spec: a model-change
 	// bump strands every old hash, by construction.
 	if !strings.Contains(CanonicalSpec(base), "engine="+EngineVersion+"\n") {
@@ -183,9 +174,8 @@ func TestSpecHashesMatchSpecHash(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", set, err)
 		}
-		// Two scenarios that differ only in execution mode still share a hash.
+		// A repeated scenario takes the memoized rendering path.
 		g.Scenarios = append(g.Scenarios, g.Scenarios[0])
-		g.Scenarios[len(g.Scenarios)-1].Parallel = true
 		jobs, err := g.Jobs()
 		if err != nil {
 			t.Fatal(err)

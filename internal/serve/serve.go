@@ -2,7 +2,7 @@
 // harness Grid/Record machinery with a content-addressed result cache.
 //
 // Every run in this reproduction is deterministic (the pinned goldens
-// prove bit-identical modeled metrics across four execution modes), so
+// prove bit-identical modeled metrics however jobs are scheduled), so
 // a Record is a pure function of (app, backend, scenario, nprocs,
 // engine version) and therefore perfectly cacheable.  The server
 // exploits that: each enumerated grid job is named by the canonical
@@ -43,8 +43,8 @@
 //
 // The cache key is harness.SpecHash: the hex SHA-256 of the canonical
 // spec rendering (harness.CanonicalSpec).  The key deliberately
-// excludes execution-mode knobs (parallel engine, worker pool width)
-// whose outputs are byte-identical by contract, and includes
+// excludes the worker pool width, whose outputs are byte-identical by
+// contract, and includes
 // harness.EngineVersion, which must be bumped in lockstep with golden
 // regeneration — any model-change PR invalidates every cached record
 // simply by moving the hashes.  See internal/harness/spec.go.
@@ -130,11 +130,6 @@ type Options struct {
 	// Workers bounds the per-request cold-path worker pool (<= 1 runs
 	// jobs serially).
 	Workers int
-
-	// Parallel runs each simulation on the deterministically parallel
-	// engine.  Results are byte-identical to the serial engine, so the
-	// cache key ignores this knob.
-	Parallel bool
 
 	// Store is the content-addressed record cache; required.
 	Store *Store
@@ -357,11 +352,6 @@ func (s *Server) jobs(req gridRequest, scale float64) ([]harness.Job, error) {
 	grid, err := sel.Resolve(scale)
 	if err != nil {
 		return nil, err
-	}
-	if s.opts.Parallel {
-		for i := range grid.Scenarios {
-			grid.Scenarios[i].Parallel = true
-		}
 	}
 	jobs, err := grid.Jobs()
 	if err != nil {

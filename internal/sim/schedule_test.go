@@ -2,7 +2,7 @@ package sim
 
 import (
 	"fmt"
-	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -68,112 +68,34 @@ func TestSameInstantBatchDrain(t *testing.T) {
 	}
 }
 
-// stableBox is a mailbox whose source declares the Stable contract: the
-// box is single-consumer, deliveries only append, and the head's arrival
-// time never moves — so once the wait condition holds, it keeps holding
-// with the same wake time.  The parallel engine may therefore release
-// the blocked receiver speculatively with its same-time batch; the
-// receiver gates before consuming, and the engine re-verifies the
-// condition when the commit token arrives.
-type stableBox struct {
-	src  Source
-	msgs []Time
-}
-
-func newStableBox() *stableBox {
-	b := &stableBox{}
-	b.src.Stable = true
-	return b
-}
-
-func (b *stableBox) send(c *Ctx, arrival Time) {
-	c.Gate()
-	c.Sync(func() {
-		b.msgs = append(b.msgs, arrival)
-		b.src.Notify()
+// TestStableWithdrawnFailsRun checks the Stable contract's enforcement.
+// The waiter's source is deliberately mis-marked Stable: another proc can
+// withdraw the condition.  The waiter and the withdrawer arm at the same
+// instant, so the run queue commits the waiter early, behind the
+// withdrawer; when the waiter's turn comes its condition no longer holds,
+// and the re-verify at the turn must fail the run rather than resume a
+// proc whose wake-up was taken back.
+func TestStableWithdrawnFailsRun(t *testing.T) {
+	e := NewEngine()
+	var src Source
+	src.Stable = true // wrong: p1 withdraws what satisfied the waiter
+	avail := false
+	e.Spawn("p0", false, func(c *Ctx) {
+		avail = true
+		src.Notify()
 	})
-}
-
-func (b *stableBox) recv(c *Ctx) {
-	c.WaitOn(&b.src, "mail", func() (Time, bool) {
-		if len(b.msgs) == 0 {
-			return 0, false
-		}
-		return b.msgs[0], true
+	e.Spawn("p1", false, func(c *Ctx) {
+		c.Compute(Millisecond)
+		c.Yield()
+		avail = false // runs first at 1ms: p2 is already committed
 	})
-	// The release may have been speculative: consuming is a shared
-	// mutation, so it waits for the commit token.
-	c.Gate()
-	c.Sync(func() { b.msgs = b.msgs[1:] })
-}
-
-// stableRingTrace is ringTrace with Stable mailboxes and every event on
-// the millisecond grid, so receiver wake times collide with computing
-// procs' arrival times and same-time batches routinely contain
-// stable-condition procs — the widened release path.  The returned
-// trace is the committed send order.
-func stableRingTrace(t *testing.T, parallel bool, procs, rounds int, seed int64) []string {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	work := make([][]Time, procs)
-	for i := range work {
-		work[i] = make([]Time, rounds)
-		for r := range work[i] {
-			if i%2 == 0 {
-				work[i][r] = Time(1+r%3) * Millisecond
-			} else {
-				work[i][r] = Time(1+rng.Intn(3)) * Millisecond
-			}
-		}
-	}
-	e := NewEngineOpts(Options{Parallel: parallel})
-	boxes := make([]*stableBox, procs)
-	for i := range boxes {
-		boxes[i] = newStableBox()
-	}
-	var trace []string
-	for i := 0; i < procs; i++ {
-		id := i
-		e.Spawn(fmt.Sprintf("p%d", id), false, func(c *Ctx) {
-			for r := 0; r < rounds; r++ {
-				c.Compute(work[id][r])
-				dst := (id + 1) % procs
-				c.Gate()
-				c.Sync(func() {
-					boxes[dst].msgs = append(boxes[dst].msgs, c.Now()+Millisecond)
-					boxes[dst].src.Notify()
-				})
-				trace = append(trace, fmt.Sprintf("p%d@%d->%d", id, c.Now(), dst))
-				boxes[id].recv(c)
-			}
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	return trace
-}
-
-// TestStableEarlyReleaseMatchesSerial pins the speculative-release
-// determinism claim: widening parallel batches with provably-stable
-// blocked procs must not change the committed event sequence.  The
-// seeded schedules are adversarial by construction — all wake times and
-// compute arrivals share the millisecond grid, so stable receivers are
-// constantly eligible for early release inside mixed batches.
-func TestStableEarlyReleaseMatchesSerial(t *testing.T) {
-	for seed := int64(1); seed <= 5; seed++ {
-		procs := 2 + int(seed)%5
-		serial := stableRingTrace(t, false, procs, 6, seed)
-		par := stableRingTrace(t, true, procs, 6, seed)
-		if len(serial) != len(par) {
-			t.Fatalf("seed %d: trace lengths differ: %d vs %d", seed, len(serial), len(par))
-		}
-		for i := range serial {
-			if serial[i] != par[i] {
-				t.Fatalf("seed %d: traces diverge at %d: %q vs %q\nserial: %v\npar:    %v",
-					seed, i, serial[i], par[i], serial, par)
-			}
-		}
+	e.Spawn("p2", false, func(c *Ctx) {
+		c.WaitOn(&src, "avail", func() (Time, bool) { return Millisecond, avail })
+		t.Error("waiter resumed after its condition was withdrawn")
+	})
+	err := e.Run()
+	if err == nil || !strings.Contains(err.Error(), "stable condition withdrawn") {
+		t.Fatalf("err = %v, want stable condition withdrawn", err)
 	}
 }
 

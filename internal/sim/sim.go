@@ -6,7 +6,7 @@
 // time, and the engine always resumes the resumable proc with the
 // smallest effective virtual time (ties broken by proc id).  Procs
 // advance their virtual clocks explicitly via Compute and block on
-// conditions via Wait/WaitOn.  Because all cross-proc interaction happens
+// conditions via WaitOn.  Because all cross-proc interaction happens
 // through conditions evaluated at scheduling points, runs are bit-for-bit
 // reproducible: message counts, byte counts and virtual times are exact.
 //
@@ -20,19 +20,17 @@
 // on (e.g. a network endpoint's inbox); mutating the state a condition
 // examines must call Source.Notify, which re-polls only the parked and
 // armed waiters of that source.  Pure time-based waits (Yield) go straight
-// into the heap.  Conditions passed to plain Wait, with no Source, fall
-// back to being re-polled at every scheduling step; that legacy path is
-// O(waiters) per step, is kept for tests and ad-hoc conditions only, and
-// is counted by PolledWaits so tests can prove hot paths never take it.
+// into the heap.  No condition is ever re-polled at every step, so a
+// scheduling decision costs the same however many procs are blocked.
 //
-// In the serial engine every proc body runs inside a coroutine
-// (iter.Pull) and Run's goroutine is the driver.  A blocking proc makes
-// the scheduling decision inline in its own stack frame: if it is itself
-// still the minimum it just continues — zero switches — and otherwise it
-// records the chosen successor and suspends, after which the driver
-// resumes the successor's coroutine directly.  A scheduling hop therefore
-// costs two user-space coroutine switches and no channel operations,
-// never waking the Go runtime scheduler.
+// Every proc body runs inside a coroutine (iter.Pull) and Run's goroutine
+// is the driver.  A blocking proc makes the scheduling decision inline in
+// its own stack frame: if it is itself still the minimum it just
+// continues — zero switches — and otherwise it records the chosen
+// successor and suspends, after which the driver resumes the successor's
+// coroutine directly.  A scheduling hop therefore costs two user-space
+// coroutine switches and no channel operations, never waking the Go
+// runtime scheduler.
 //
 // On top of the heap sits a same-instant run queue: when the popped heap
 // minimum leaves further procs runnable at the same virtual time, the
@@ -44,7 +42,7 @@
 // procs whose wake-up cannot be withdrawn are drained: pure time waits
 // (cond == nil) and conditions registered on a Source marked Stable.  The
 // run queue makes a k-waiter wakeup storm k back-to-back steps instead of
-// k heap pops, and it is the serial twin of the parallel engine's batch.
+// k heap pops.
 //
 // # Determinism invariant
 //
@@ -69,61 +67,13 @@
 // condition, and other procs' mutations only add wake-ups (the vnet
 // endpoint inbox is the canonical case).
 //
-// The engine exploits stability twice.  The serial run queue commits
-// same-instant stable wake-ups in advance (above), and the parallel
-// engine releases stable condition-blocked procs speculatively at
-// batch-formation time instead of waiting for their serial turn.  Both
-// re-verify the condition at the proc's serial turn — in the serial
-// engine when the run-queue entry is popped, in the parallel engine at
-// the commit-token grant, in either case before the proc performs any
-// observable effect — and panic if the condition was withdrawn or its
-// wake time moved past the committed key.  A source wrongly marked
-// Stable therefore fails loudly instead of silently reordering steps;
-// no rollback is ever needed because verification precedes effects.
-//
-// # Deterministic parallelism (Options.Parallel)
-//
-// The serial engine runs exactly one proc at a time.  With
-// Options{Parallel: true} the engine additionally exploits host
-// parallelism without changing a single modeled result: when several
-// procs are runnable at the same virtual timestamp, it releases them as
-// a batch and lets their compute phases run on concurrent goroutines
-// between synchronization points.  Correctness rests on a commit-token
-// discipline that keeps every *observable* event in exactly the serial
-// (time, id) order:
-//
-//   - Only procs whose effective resume time equals the current batch
-//     time run concurrently.  Steps at distinct virtual times never
-//     overlap in host time.
-//   - Within a batch, exactly one proc at a time — the serial-minimal
-//     unfinished one — holds the commit token.  Any cross-proc
-//     ("shared") operation must call Ctx.Gate first, which blocks until
-//     the caller holds the token.  Sends, non-blocking receives, probes
-//     and proc exit are shared operations; the vnet layer gates them.
-//     Everything a proc does before its first shared operation must
-//     touch only proc-private or immutable state, so it commutes with
-//     the other batch members and may run speculatively.
-//   - Procs released while condition-blocked (Stable sources only) have
-//     their condition re-verified at the token grant, before the gate
-//     returns — see "Stable sources" above.  A proc resuming from a
-//     stable wait must Gate before its first observable effect; the
-//     vnet receive path does so immediately on waking.
-//   - Procs spawned with the same group id (SpawnGroup) share mutable
-//     state outside the gated operations — e.g. a DSM processor's
-//     application thread and its service daemon share the page table —
-//     and are never released concurrently.
-//   - Mutations of state that a blocked proc's condition examines (an
-//     inbox, a queue) must additionally run inside Ctx.Sync, which makes
-//     them atomic with respect to condition evaluation and Notify; in
-//     parallel mode Source.Notify must only be called within Sync.
-//
-// Why modeled metrics cannot change: virtual clocks are proc-private;
-// message timing and accounting are computed inside gated sections whose
-// global order is forced to the serial schedule; and a step that never
-// performs a shared operation has, by construction, no effect any other
-// proc can observe, so its host-time position is free.  The serial mode
-// remains the differential oracle — the pinned golden grid is verified
-// in both modes.
+// The run queue relies on this contract when it commits a same-instant
+// stable wake-up ahead of the proc's turn (above).  When the entry is
+// popped — the proc's serial turn, before it performs any observable
+// effect — the engine re-verifies the condition, and Run fails with
+// "stable condition withdrawn" if the condition no longer holds or its
+// wake time moved past the committed key.  A source wrongly marked Stable
+// therefore fails loudly instead of silently reordering steps.
 //
 // The engine distinguishes primary procs (application processes) from
 // daemon procs (protocol service threads).  A run completes when every
@@ -137,8 +87,6 @@ import (
 	"iter"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 )
 
 // Time is virtual time in nanoseconds.
@@ -209,10 +157,9 @@ type Source struct {
 	// later evaluations keep reporting ok with wake times <= w until the
 	// waiter resumes.  Single-consumer state (only the blocked owner can
 	// consume what satisfied the condition) is the canonical qualifying
-	// shape.  The engine commits stable wake-ups early — same-instant
-	// run-queue drain in serial mode, speculative batch release in
-	// parallel mode — re-verifying the condition at the proc's serial
-	// turn and panicking if the contract was broken.
+	// shape.  The run queue commits stable same-instant wake-ups early,
+	// re-verifying the condition at the proc's serial turn and failing
+	// the run if the contract was broken.
 	Stable bool
 }
 
@@ -234,8 +181,7 @@ func (s *Source) remove(p *proc) {
 // Notify re-polls the condition of every proc waiting on s, arming in the
 // scheduler's wake-time heap those that became (or remain) resumable.
 // Call it after any mutation that could satisfy a waiter's condition or
-// move its wake time earlier.  In parallel mode, the mutation and the
-// Notify must together run inside Ctx.Sync.
+// move its wake time earlier.
 func (s *Source) Notify() {
 	for _, p := range s.waiters {
 		p.eng.repoll(p)
@@ -247,23 +193,10 @@ func (s *Source) Notify() {
 // can use it to turn concurrent-waiter misuse into an immediate error.
 func (s *Source) HasWaiter() bool { return len(s.waiters) > 0 }
 
-// polledWaits counts block registrations that fell back to the legacy
-// source-less path (plain Wait): conditions with no Source are re-polled
-// at every scheduling step, O(waiters) per step.  The production stack
-// must never take this path; harness tests assert the counter stays flat
-// across the full golden grid.
-var polledWaits atomic.Int64
-
-// PolledWaits returns the process-wide count of source-less Wait
-// registrations (the per-step re-polled legacy path).  Tests use deltas
-// of this counter to prove hot paths are fully event-indexed.
-func PolledWaits() int64 { return polledWaits.Load() }
-
 type proc struct {
 	id     int
 	name   string
 	daemon bool
-	group  int // procs sharing a group never run concurrently (-1: none)
 	state  procState
 	clock  Time
 	cond   Cond          // valid when state == stateBlocked (nil: pure time wait)
@@ -274,130 +207,58 @@ type proc struct {
 	key    Time          // effective resume time while armed in the heap
 	hidx   int           // heap index; -1 when not armed
 	widx   int           // index in src.waiters; -1 when absent
-	pidx   int           // index in eng.polled; -1 when absent
-	ridx   int           // index in eng.released; -1 when absent (parallel)
 
-	// Serial engine: the proc body runs inside an iter.Pull coroutine.
-	// next resumes it, yield suspends it (false: engine shut down), stop
-	// unwinds it.  All three are driven from Run's goroutine only.
+	// The proc body runs inside an iter.Pull coroutine.  next resumes it,
+	// yield suspends it (false: engine shut down), stop unwinds it.  All
+	// three are driven from Run's goroutine only.
 	next  func() (struct{}, bool)
 	stop  func()
 	yield func(struct{}) bool
-
-	// Parallel engine: scheduler -> proc clock handoff; the proc runs on
-	// its own goroutine and parks on this channel between steps.
-	resume chan Time
-
-	// specCond holds, between a parallel-mode release and the commit-token
-	// grant, the condition the proc was blocked on when released early:
-	// advanceLocked re-verifies it at the grant (see Stable sources).
-	specCond Cond
 
 	body func(*Ctx)
 	eng  *Engine
 	err  error // panic captured from the proc body
 }
 
-// Options selects engine behavior; the zero value is the serial engine.
-type Options struct {
-	// Parallel enables deterministic same-time step batching: procs
-	// runnable at the same virtual timestamp run their compute phases on
-	// concurrent goroutines, with all observable events forced into the
-	// serial (time, id) order by the commit-token discipline described in
-	// the package comment.  Modeled results are byte-identical to the
-	// serial engine; the proc bodies must follow the Gate/Sync/SpawnGroup
-	// contract (the vnet/tmk/pvm stack does).
-	Parallel bool
-}
-
 // Engine coordinates a set of procs over virtual time.
 type Engine struct {
 	procs    []*proc
 	heap     []*proc // min-heap by (key, id): armed/ready procs
-	polled   []*proc // blocked procs with source-less conds, re-polled each step
 	primLeft int     // primary procs that have not yet returned
 	runErr   error   // first proc failure or deadlock
-	finished bool    // a termination signal has been sent
-	runDone  chan struct{}
 	started  bool
 
-	// Serial engine: same-instant run queue and driver handoff.  runq
-	// holds procs committed to run back-to-back at the current instant
-	// (id order); handP/handT carry the successor chosen by a yielding
-	// proc to the driver (handP == nil reports a deadlock).
+	// Same-instant run queue and driver handoff.  runq holds procs
+	// committed to run back-to-back at the current instant (id order);
+	// handP/handT carry the successor chosen by a yielding proc to the
+	// driver (handP == nil reports a deadlock).
 	runq     []*proc
 	runqHead int
 	handP    *proc
 	handT    Time
-
-	// Parallel mode (Options.Parallel).  mu protects every scheduling
-	// structure above plus the fields below; turn is broadcast when the
-	// commit token moves, quiet when a released goroutine parks.
-	par      bool
-	mu       sync.Mutex
-	turn     *sync.Cond
-	quiet    *sync.Cond
-	batchT   Time    // virtual time of the current batch
-	released []*proc // released, unfinished procs (running concurrently)
-	holder   *proc   // commit-token holder: the serial-minimal released proc
-	stopped  bool    // run over: released procs must unwind
-	liveRun  int     // goroutines currently executing a released step
-
-	// Scratch buffers for eagerLocked (avoid per-decision allocation).
-	eagerCands []*proc
-	eagerHeld  []int
 }
 
-// NewEngine returns an empty serial engine.  All procs must be spawned
-// before Run.
-func NewEngine() *Engine {
-	return NewEngineOpts(Options{})
-}
-
-// NewEngineOpts returns an empty engine with the given options.
-func NewEngineOpts(o Options) *Engine {
-	e := &Engine{runDone: make(chan struct{}, 1), par: o.Parallel}
-	e.turn = sync.NewCond(&e.mu)
-	e.quiet = sync.NewCond(&e.mu)
-	return e
-}
-
-// Parallel reports whether the engine batches same-time steps.
-func (e *Engine) Parallel() bool { return e.par }
+// NewEngine returns an empty engine.  All procs must be spawned before
+// Run.
+func NewEngine() *Engine { return &Engine{} }
 
 // Spawn registers a new proc.  Primary procs (daemon=false) must all return
 // for Run to complete; daemon procs service requests and may be abandoned
 // while blocked.  Spawn must not be called after Run has started.
 func (e *Engine) Spawn(name string, daemon bool, body func(*Ctx)) {
-	e.SpawnGroup(name, daemon, -1, body)
-}
-
-// SpawnGroup is Spawn with a concurrency group: in parallel mode, procs
-// sharing a group id (>= 0) are never released concurrently, because they
-// share mutable state outside the gated operations (e.g. a DSM
-// processor's application thread and its service daemon share the page
-// table).  Group -1 means no such sharing.
-func (e *Engine) SpawnGroup(name string, daemon bool, group int, body func(*Ctx)) {
 	if e.started {
 		panic("sim: Spawn after Run")
 	}
-	p := &proc{
+	e.procs = append(e.procs, &proc{
 		id:     len(e.procs),
 		name:   name,
 		daemon: daemon,
-		group:  group,
 		state:  stateNew,
 		hidx:   -1,
 		widx:   -1,
-		pidx:   -1,
-		ridx:   -1,
 		body:   body,
 		eng:    e,
-	}
-	if e.par {
-		p.resume = make(chan Time, 1)
-	}
-	e.procs = append(e.procs, p)
+	})
 }
 
 // NumPrimary reports the number of non-daemon procs.
@@ -411,6 +272,15 @@ func (e *Engine) NumPrimary() int {
 	return n
 }
 
+// ---------------------------------------------------------------------
+// Coroutine driver.
+//
+// Run's goroutine drives every proc coroutine.  The yielding proc makes
+// the scheduling decision inline (waitOn), so the driver's loop only
+// transfers control: set the successor's clock, resume its coroutine,
+// repeat.  Proc exit and deadlock detection happen here because the
+// departing coroutine cannot resume anyone itself.
+
 // Run executes the simulation until every primary proc has returned.
 // It returns a deadlock error if primaries remain but no proc can resume,
 // and propagates the first panic raised inside any proc body.
@@ -419,22 +289,6 @@ func (e *Engine) Run() error {
 		return fmt.Errorf("sim: engine already ran")
 	}
 	e.started = true
-	if e.par {
-		return e.runParallel()
-	}
-	return e.runSerial()
-}
-
-// ---------------------------------------------------------------------
-// Serial engine: coroutine driver.
-//
-// Run's goroutine drives every proc coroutine.  The yielding proc makes
-// the scheduling decision inline (waitOn), so the driver's loop only
-// transfers control: set the successor's clock, resume its coroutine,
-// repeat.  Proc exit and deadlock detection happen here because the
-// departing coroutine cannot resume anyone itself.
-
-func (e *Engine) runSerial() error {
 	for _, p := range e.procs {
 		p.state = stateReady
 		e.arm(p, p.clock)
@@ -444,18 +298,18 @@ func (e *Engine) runSerial() error {
 		p.start()
 	}
 	if e.primLeft > 0 {
-		e.driveSerial()
+		e.drive()
 	}
 	e.stopAll()
 	return e.runErr
 }
 
-// driveSerial is the serial driver loop: transfer control to the chosen
+// drive is the driver loop: transfer control to the chosen
 // proc's coroutine, read back the successor it picked, repeat.  A panic
 // propagating out of a coroutine (a real body panic, or a stable-contract
 // violation raised at a scheduling point) is recovered once here — not
 // per step — recorded against the proc being driven, and ends the run.
-func (e *Engine) driveSerial() {
+func (e *Engine) drive() {
 	var cur *proc
 	defer func() {
 		if r := recover(); r != nil {
@@ -498,7 +352,7 @@ func (e *Engine) driveSerial() {
 
 // start wraps p's body in a coroutine.  The wrapper swallows the
 // abandoned{} unwind signal (engine shutdown) and lets real panics
-// propagate out of next into resumeSerial's recover.
+// propagate out of next into drive's recover.
 func (p *proc) start() {
 	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
 		p.yield = yield
@@ -527,374 +381,6 @@ func (e *Engine) stopAll() {
 			p.stop()
 		}()
 	}
-}
-
-// ---------------------------------------------------------------------
-// Parallel mode: same-time batch release with in-order commit.
-//
-// advanceLocked is the scheduling decision.  It replicates the serial
-// scheduler's pick — the minimum (key, id) over everything armed — but
-// over two populations: released procs still running their step (all at
-// the batch time) and the heap.  The pick becomes the commit-token
-// holder; armed heap procs at the batch time whose wake-up cannot be
-// withdrawn (no condition, or a condition on a Stable source) are
-// additionally released speculatively.
-
-// less orders procs by (key, id), the serial scheduling order.
-func (e *Engine) less(a, b *proc) bool {
-	return a.key < b.key || (a.key == b.key && a.id < b.id)
-}
-
-// advanceLocked recomputes the token holder after a scheduling event: a
-// step completing, a proc exiting, or run start.  Caller holds mu.
-func (e *Engine) advanceLocked() {
-	if e.finished || e.stopped {
-		return
-	}
-	if e.holder != nil {
-		// The current serial step is still in progress; only widen the
-		// speculative batch.
-		e.eagerLocked()
-		return
-	}
-	// Legacy source-less conditions are re-polled at every decision,
-	// matching the serial scheduler's per-step re-poll.
-	for _, q := range e.polled {
-		e.repoll(q)
-	}
-	for {
-		var cand *proc // serial-minimal released-unfinished proc
-		for _, q := range e.released {
-			if cand == nil || e.less(q, cand) {
-				cand = q
-			}
-		}
-		pick := cand
-		if len(e.heap) > 0 && (pick == nil || e.less(e.heap[0], pick)) {
-			pick = e.heap[0]
-		}
-		if pick == nil {
-			if len(e.released) == 0 && e.primLeft > 0 {
-				e.finishLocked(fmt.Errorf("sim: deadlock\n%s", e.dump()))
-			}
-			return
-		}
-		if pick == cand {
-			if cand.specCond != nil {
-				// The proc was released while condition-blocked (stable
-				// source) and now reaches its serial turn: re-verify the
-				// condition before it can commit any observable effect.
-				if wake, ok := cand.specCond(); !ok || wake > cand.key {
-					panic(fmt.Sprintf("sim: stable condition withdrawn on %q (ok=%v wake=%v key=%v)",
-						cand.name, ok, wake, cand.key))
-				}
-				cand.specCond = nil
-			}
-			e.holder = cand
-			e.turn.Broadcast()
-			e.eagerLocked()
-			return
-		}
-		// The pick is armed in the heap: it starts the next serial step
-		// (and, when nothing is released, the next batch time).
-		if len(e.released) == 0 && pick.key > e.batchT {
-			e.batchT = pick.key
-		}
-		if e.groupBusyLocked(pick) {
-			// A speculatively released group-mate is still mid-step (e.g. a
-			// service daemon registering its first receive while its
-			// application thread re-armed at the batch time).  The pick
-			// must wait for the mate's memory to quiesce; nobody may
-			// commit shared work before the pick, so the token stays
-			// unassigned until the mate's step end re-runs this decision.
-			// The mate's speculative step cannot itself need the token: it
-			// was released with the pick not yet armed, i.e. ordered after
-			// nothing — a shared operation would have made it the pick.
-			return
-		}
-		e.releaseLocked(pick, false)
-		// Loop: the released pick is now the minimal candidate.
-	}
-}
-
-// eagerLocked widens the speculative batch: it releases, in serial (id)
-// order, every armed heap proc at the batch time whose wake-up cannot be
-// withdrawn — no blocking condition, or a condition on a Stable source —
-// skipping procs whose group already has a released member or an
-// unreleased serial-earlier member at the batch time.  The id order
-// matters: releasing a later group member ahead of an earlier armed mate
-// would let the late proc park at its gate while group exclusion keeps
-// the serial-earlier mate from ever being released — a deadlock the
-// serial order cannot produce.  Caller holds mu.
-func (e *Engine) eagerLocked() {
-	cands := e.eagerCands[:0]
-	for _, q := range e.heap {
-		if q.key == e.batchT {
-			cands = append(cands, q)
-		}
-	}
-	if len(cands) > 0 {
-		// Insertion sort by id: candidate sets are small and almost sorted.
-		for i := 1; i < len(cands); i++ {
-			q := cands[i]
-			j := i - 1
-			for j >= 0 && cands[j].id > q.id {
-				cands[j+1] = cands[j]
-				j--
-			}
-			cands[j+1] = q
-		}
-		held := e.eagerHeld[:0]
-		for _, q := range cands {
-			ok := q.cond == nil || q.stable
-			if ok && q.group >= 0 {
-				for _, g := range held {
-					if g == q.group {
-						ok = false
-						break
-					}
-				}
-			}
-			if ok && !e.groupBusyLocked(q) {
-				e.releaseLocked(q, true)
-				continue
-			}
-			if q.group >= 0 {
-				held = append(held, q.group)
-			}
-		}
-		e.eagerHeld = held[:0]
-	}
-	e.eagerCands = cands[:0]
-}
-
-// groupBusyLocked reports whether a released proc shares p's group.
-func (e *Engine) groupBusyLocked(p *proc) bool {
-	if p.group < 0 {
-		return false
-	}
-	for _, q := range e.released {
-		if q.group == p.group {
-			return true
-		}
-	}
-	return false
-}
-
-// releaseLocked detaches an armed proc and starts its step on its own
-// goroutine.  Caller holds mu; p must be armed at the batch time.  For a
-// speculative release (ahead of the proc's serial turn, stable sources
-// only) a condition is kept in specCond for re-verification at the token
-// grant; a release at the serial turn must NOT keep it — the proc starts
-// running immediately and may mutate the state its condition reads, so a
-// later evaluation would race (and the armed key was already current).
-func (e *Engine) releaseLocked(p *proc, speculative bool) {
-	if p.key != e.batchT {
-		panic(fmt.Sprintf("sim: releasing %q at %v off batch time %v", p.name, p.key, e.batchT))
-	}
-	if e.groupBusyLocked(p) {
-		// Unreachable under positive-cost models: a group-mate can only be
-		// armed at the batch time when the batch formed, and the serial
-		// order then releases the lower id first.  Surface violations
-		// instead of racing on group-shared state.
-		panic(fmt.Sprintf("sim: proc %q released while group %d is running", p.name, p.group))
-	}
-	e.heapRemove(p)
-	if p.src != nil {
-		p.src.remove(p)
-		p.src = nil
-	}
-	if p.pidx >= 0 {
-		e.polledRemove(p)
-	}
-	if speculative {
-		p.specCond = p.cond
-	} else {
-		p.specCond = nil
-	}
-	p.cond, p.what, p.whatFn = nil, "", nil
-	p.stable = false
-	p.state = stateRunning
-	p.ridx = len(e.released)
-	e.released = append(e.released, p)
-	e.liveRun++
-	p.resume <- p.key
-}
-
-func (e *Engine) releasedRemove(p *proc) {
-	i := p.ridx
-	last := len(e.released) - 1
-	e.released[i] = e.released[last]
-	e.released[i].ridx = i
-	e.released[last] = nil
-	e.released = e.released[:last]
-	p.ridx = -1
-}
-
-// finishLocked records the run outcome and signals Run.  Caller holds mu.
-func (e *Engine) finishLocked(err error) {
-	if e.finished {
-		return
-	}
-	e.finished = true
-	if e.runErr == nil {
-		e.runErr = err
-	}
-	e.turn.Broadcast() // wake token waiters so they observe the end
-	e.runDone <- struct{}{}
-}
-
-// abandonLocked unwinds a released proc once the run is over.  Caller
-// holds mu and must release it via defer: the abandoned panic unwinds
-// through the caller, and the proc's goroutine exits in proc.exit.
-func (e *Engine) abandonLocked(p *proc) {
-	if p.ridx >= 0 {
-		e.releasedRemove(p)
-	}
-	e.liveRun--
-	e.quiet.Broadcast()
-	panic(abandoned{})
-}
-
-// gate blocks until p holds the commit token (parallel mode only).
-func (e *Engine) gate(p *proc) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for e.holder != p && !e.stopped {
-		e.turn.Wait()
-	}
-	if e.stopped {
-		e.abandonLocked(p)
-	}
-}
-
-// parWait is the parallel-mode step end: register the block, hand the
-// token on, and park.  The registration itself needs no token — a step
-// that reaches its end without a shared operation had no observable
-// effects, so its serial position is free, and registering early only
-// arms the proc in keyed structures whose content, not insertion order,
-// drives every decision.
-func (e *Engine) parWait(p *proc, src *Source, what string, whatFn func() string, cond Cond) {
-	func() {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		if e.stopped {
-			e.abandonLocked(p)
-		}
-		p.state = stateBlocked
-		p.cond = cond
-		p.what = what
-		p.whatFn = whatFn
-		if cond == nil {
-			e.arm(p, p.clock)
-		} else {
-			p.src = src
-			if src != nil {
-				p.stable = src.Stable
-				src.add(p)
-			} else {
-				e.polledAdd(p)
-			}
-			if wake, ok := cond(); ok {
-				key := p.clock
-				if wake > key {
-					key = wake
-				}
-				e.arm(p, key)
-			}
-		}
-		e.releasedRemove(p)
-		e.liveRun--
-		if e.holder == p {
-			e.holder = nil
-		}
-		e.advanceLocked()
-		e.quiet.Broadcast()
-	}()
-	t, ok := <-p.resume
-	if !ok {
-		panic(abandoned{})
-	}
-	p.clock = t
-}
-
-// parExit commits a proc's exit in serial order: returning decrements the
-// primary count and can end the run, both globally observable, so the
-// exit waits for the commit token like any shared operation.
-func (p *proc) parExit(r any) {
-	e := p.eng
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if r != nil {
-		// A real panic ends the run immediately; serial order is moot.
-		p.err = fmt.Errorf("sim: proc %q panicked: %v", p.name, r)
-		p.state = stateDone
-		if p.ridx >= 0 {
-			e.releasedRemove(p)
-		}
-		e.liveRun--
-		if e.holder == p {
-			e.holder = nil
-		}
-		e.finishLocked(p.err)
-		e.quiet.Broadcast()
-		return
-	}
-	for e.holder != p && !e.stopped && !e.finished {
-		e.turn.Wait()
-	}
-	if e.stopped || e.finished {
-		if p.ridx >= 0 {
-			e.releasedRemove(p)
-		}
-		e.liveRun--
-		e.quiet.Broadcast()
-		return
-	}
-	p.state = stateDone
-	e.releasedRemove(p)
-	e.liveRun--
-	e.holder = nil
-	if !p.daemon {
-		e.primLeft--
-		if e.primLeft == 0 {
-			e.finishLocked(nil)
-			e.quiet.Broadcast()
-			return
-		}
-	}
-	e.advanceLocked()
-	e.quiet.Broadcast()
-}
-
-func (e *Engine) runParallel() error {
-	for _, p := range e.procs {
-		p.state = stateReady
-		e.arm(p, p.clock)
-		if !p.daemon {
-			e.primLeft++
-		}
-		go p.loop()
-	}
-	if e.primLeft == 0 {
-		e.drain()
-		return nil
-	}
-	e.mu.Lock()
-	e.advanceLocked()
-	e.mu.Unlock()
-	<-e.runDone
-	// Quiesce: speculatively running procs unwind at their next gate
-	// or block; only then is engine and application state safe to read.
-	e.mu.Lock()
-	e.stopped = true
-	e.turn.Broadcast()
-	for e.liveRun > 0 {
-		e.quiet.Wait()
-	}
-	e.mu.Unlock()
-	e.drain()
-	return e.runErr
 }
 
 // ---------------------------------------------------------------------
@@ -1004,11 +490,6 @@ func (e *Engine) repoll(p *proc) {
 // chosen proc is detached from every wait structure and marked running.
 // Returns (nil, 0) when nothing can make progress.
 func (e *Engine) schedule() (*proc, Time) {
-	if len(e.polled) > 0 {
-		for _, p := range e.polled {
-			e.repoll(p)
-		}
-	}
 	if e.runqHead < len(e.runq) {
 		q := e.runq[e.runqHead]
 		if len(e.heap) == 0 || !e.heapLess(e.heap[0], q) {
@@ -1041,9 +522,6 @@ func (e *Engine) schedule() (*proc, Time) {
 		p.src.remove(p)
 		p.src = nil
 	}
-	if p.pidx >= 0 {
-		e.polledRemove(p)
-	}
 	p.cond = nil
 	p.what = ""
 	p.whatFn = nil
@@ -1064,41 +542,11 @@ func (e *Engine) schedule() (*proc, Time) {
 				q.src.remove(q)
 				q.src = nil
 			}
-			if q.pidx >= 0 {
-				e.polledRemove(q)
-			}
 			q.state = stateQueued
 			e.runq = append(e.runq, q)
 		}
 	}
 	return p, p.key
-}
-
-func (e *Engine) polledAdd(p *proc) {
-	polledWaits.Add(1)
-	p.pidx = len(e.polled)
-	e.polled = append(e.polled, p)
-}
-
-func (e *Engine) polledRemove(p *proc) {
-	i := p.pidx
-	last := len(e.polled) - 1
-	e.polled[i] = e.polled[last]
-	e.polled[i].pidx = i
-	e.polled[last] = nil
-	e.polled = e.polled[:last]
-	p.pidx = -1
-}
-
-// drain abandons all blocked/ready procs so their goroutines exit
-// (parallel mode; the serial engine unwinds coroutines via stopAll).
-func (e *Engine) drain() {
-	for _, p := range e.procs {
-		if p.state == stateReady || p.state == stateBlocked {
-			p.state = stateDone
-			close(p.resume)
-		}
-	}
 }
 
 // dump renders a state table for deadlock diagnostics.
@@ -1136,33 +584,9 @@ func (e *Engine) MaxPrimaryClock() Time {
 	return max
 }
 
-// loop is a proc's goroutine in parallel mode.
-func (p *proc) loop() {
-	t, ok := <-p.resume
-	if !ok {
-		return
-	}
-	p.clock = t
-	defer p.exit()
-	p.body(&Ctx{p: p, par: true})
-}
-
-// exit runs when a parallel-mode proc body returns or panics: it records
-// the outcome and commits the exit in serial order.
-func (p *proc) exit() {
-	r := recover()
-	if r != nil && IsAbandoned(r) {
-		// The engine shut this proc down after the run ended (or
-		// after another proc failed); exit without reporting.
-		return
-	}
-	p.parExit(r)
-}
-
 // Ctx is the handle a proc body uses to interact with virtual time.
 type Ctx struct {
-	p   *proc
-	par bool // cached Engine.par: keeps Gate/Sync branch-only in serial mode
+	p *proc
 }
 
 // ID returns the proc's engine-wide id (spawn order).
@@ -1182,20 +606,12 @@ func (c *Ctx) Compute(d Time) {
 	}
 }
 
-// Wait blocks the proc until cond reports ok.  The proc's clock becomes
-// max(clock, wake).  what describes the blockage for deadlock dumps.
-//
-// A plain Wait has no wake source, so its condition is re-polled at every
-// scheduling step.  Hot paths must use WaitOn with a Source instead; the
-// PolledWaits counter exposes how often this fallback is taken.
-func (c *Ctx) Wait(what string, cond Cond) {
-	c.waitOn(nil, what, nil, cond)
-}
-
-// WaitOn blocks like Wait, but registers the proc with src: the condition
-// is re-evaluated only when src.Notify is called, not at every scheduling
-// step.  The caller must guarantee that any state change that could
-// satisfy cond (or move its wake time earlier) notifies src.
+// WaitOn blocks the proc on src until cond reports ok.  The proc's clock
+// becomes max(clock, wake); what describes the blockage for deadlock
+// dumps.  The condition is evaluated when the proc blocks and re-evaluated
+// only when src.Notify is called, so the caller must guarantee that any
+// state change that could satisfy cond (or move its wake time earlier)
+// notifies src.  src must not be nil.
 func (c *Ctx) WaitOn(src *Source, what string, cond Cond) {
 	c.waitOn(src, what, nil, cond)
 }
@@ -1210,10 +626,6 @@ func (c *Ctx) WaitOnLazy(src *Source, whatFn func() string, cond Cond) {
 func (c *Ctx) waitOn(src *Source, what string, whatFn func() string, cond Cond) {
 	p := c.p
 	e := p.eng
-	if c.par {
-		e.parWait(p, src, what, whatFn, cond)
-		return
-	}
 	p.state = stateBlocked
 	p.cond = cond
 	p.what = what
@@ -1223,12 +635,8 @@ func (c *Ctx) waitOn(src *Source, what string, whatFn func() string, cond Cond) 
 		e.arm(p, p.clock)
 	} else {
 		p.src = src
-		if src != nil {
-			p.stable = src.Stable
-			src.add(p)
-		} else {
-			e.polledAdd(p)
-		}
+		p.stable = src.Stable
+		src.add(p)
 		if wake, ok := cond(); ok {
 			key := p.clock
 			if wake > key {
@@ -1259,56 +667,6 @@ func (c *Ctx) waitOn(src *Source, what string, whatFn func() string, cond Cond) 
 // earlier clocks run before this proc continues.
 func (c *Ctx) Yield() {
 	c.waitOn(nil, "yield", nil, nil)
-}
-
-// Gate marks a cross-proc ("shared") operation: in parallel mode it
-// blocks until the calling proc holds the commit token, forcing every
-// observable event into the serial (time, id) order.  Once acquired, the
-// token is held until the proc's step ends (its next Wait/WaitOn/Yield
-// or return), so a single Gate covers all subsequent shared work in the
-// step.  In serial mode Gate is free.  The vnet layer gates sends,
-// non-blocking receives and probes; code that mutates other cross-proc
-// state mid-step must gate likewise.
-func (c *Ctx) Gate() {
-	if c.par {
-		c.p.eng.gate(c.p)
-	}
-}
-
-// Sync runs fn atomically with respect to the scheduler in parallel
-// mode.  It is required around mutations of state that a blocked proc's
-// condition examines (an inbox, a queue) together with the Source.Notify
-// that publishes them: condition evaluation happens under the same lock
-// at block-registration and Notify time, so Sync is what keeps a
-// speculatively registering proc from reading the state mid-mutation.
-// In serial mode Sync just calls fn.  Notify must only be called inside
-// Sync when the engine is parallel.
-func (c *Ctx) Sync(fn func()) {
-	if !c.par {
-		fn()
-		return
-	}
-	e := c.p.eng
-	e.mu.Lock()
-	fn()
-	e.mu.Unlock()
-}
-
-// SyncLock and SyncUnlock bracket a Sync region without the closure:
-// hot paths that would otherwise allocate a capture per call (the vnet
-// delivery path) use the pair directly.  The contract is identical to
-// Sync; the region must not block or re-enter the scheduler.
-func (c *Ctx) SyncLock() {
-	if c.par {
-		c.p.eng.mu.Lock()
-	}
-}
-
-// SyncUnlock ends a region opened by SyncLock.
-func (c *Ctx) SyncUnlock() {
-	if c.par {
-		c.p.eng.mu.Unlock()
-	}
 }
 
 // abandoned is panicked through a proc body when the engine shuts it down.

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -82,16 +84,18 @@ func TestLowestClockFirst(t *testing.T) {
 // wake time supplied by the condition.
 func TestWaitWakesAtEventTime(t *testing.T) {
 	e := NewEngine()
+	var src Source
 	var arrival Time
 	ready := false
 	e.Spawn("producer", false, func(c *Ctx) {
 		c.Compute(7 * Millisecond)
 		arrival = c.Now() + 500*Microsecond
 		ready = true
+		src.Notify()
 	})
 	var woke Time
 	e.Spawn("consumer", false, func(c *Ctx) {
-		c.Wait("event", func() (Time, bool) {
+		c.WaitOn(&src, "event", func() (Time, bool) {
 			if !ready {
 				return 0, false
 			}
@@ -111,9 +115,10 @@ func TestWaitWakesAtEventTime(t *testing.T) {
 // wake time, the clock must not move backwards.
 func TestWaitDoesNotRewindClock(t *testing.T) {
 	e := NewEngine()
+	var src Source
 	e.Spawn("p0", false, func(c *Ctx) {
 		c.Compute(10 * Millisecond)
-		c.Wait("past-event", func() (Time, bool) { return 1 * Millisecond, true })
+		c.WaitOn(&src, "past-event", func() (Time, bool) { return 1 * Millisecond, true })
 		if c.Now() != 10*Millisecond {
 			t.Errorf("clock = %v, want 10ms", c.Now())
 		}
@@ -125,8 +130,9 @@ func TestWaitDoesNotRewindClock(t *testing.T) {
 
 func TestDeadlockDetected(t *testing.T) {
 	e := NewEngine()
+	var src Source
 	e.Spawn("stuck", false, func(c *Ctx) {
-		c.Wait("never", func() (Time, bool) { return 0, false })
+		c.WaitOn(&src, "never", func() (Time, bool) { return 0, false })
 	})
 	err := e.Run()
 	if err == nil {
@@ -144,8 +150,9 @@ func TestDeadlockDetected(t *testing.T) {
 // primaries are done.
 func TestDaemonAbandoned(t *testing.T) {
 	e := NewEngine()
+	var src Source
 	e.Spawn("daemon", true, func(c *Ctx) {
-		c.Wait("request", func() (Time, bool) { return 0, false })
+		c.WaitOn(&src, "request", func() (Time, bool) { return 0, false })
 		t.Error("daemon should never wake")
 	})
 	e.Spawn("worker", false, func(c *Ctx) {
@@ -171,8 +178,9 @@ func TestPanicPropagates(t *testing.T) {
 // when other procs are blocked forever.
 func TestPanicUnblocksOthers(t *testing.T) {
 	e := NewEngine()
+	var src Source
 	e.Spawn("stuck", false, func(c *Ctx) {
-		c.Wait("never", func() (Time, bool) { return 0, false })
+		c.WaitOn(&src, "never", func() (Time, bool) { return 0, false })
 	})
 	e.Spawn("bad", false, func(c *Ctx) {
 		c.Compute(Millisecond)
@@ -189,8 +197,9 @@ func TestDeterminism(t *testing.T) {
 	run := func() []Time {
 		e := NewEngine()
 		var trace []Time
-		box := make(map[int][]Time) // naive mailbox: proc -> arrival times
 		n := 4
+		box := make(map[int][]Time) // naive mailbox: proc -> arrival times
+		srcs := make([]Source, n)
 		for i := 0; i < n; i++ {
 			id := i
 			e.Spawn("p", false, func(c *Ctx) {
@@ -198,7 +207,8 @@ func TestDeterminism(t *testing.T) {
 					c.Compute(Time(id+1) * Millisecond)
 					dst := (id + 1) % n
 					box[dst] = append(box[dst], c.Now()+100*Microsecond)
-					c.Wait("msg", func() (Time, bool) {
+					srcs[dst].Notify()
+					c.WaitOn(&srcs[id], "msg", func() (Time, bool) {
 						if len(box[id]) == 0 {
 							return 0, false
 						}
@@ -284,6 +294,7 @@ func TestRandomWorkloadsConvergeProperty(t *testing.T) {
 		// clock + fixed delay).
 		type msg struct{ at Time }
 		boxes := make([][]msg, n)
+		srcs := make([]Source, n)
 		charged := make([]Time, n)
 		finals := make([]Time, n)
 		// Precompute per-round compute amounts (deterministic per proc).
@@ -303,11 +314,12 @@ func TestRandomWorkloadsConvergeProperty(t *testing.T) {
 					charged[id] += work[id][r]
 					dst := (id + r + 1) % n
 					boxes[dst] = append(boxes[dst], msg{c.Now() + 100*Microsecond})
+					srcs[dst].Notify()
 					if dst == id {
 						continue
 					}
 					// Wait for any token addressed to us this round.
-					c.Wait("token", func() (Time, bool) {
+					c.WaitOn(&srcs[id], "token", func() (Time, bool) {
 						if len(boxes[id]) == 0 {
 							return 0, false
 						}
@@ -333,5 +345,134 @@ func TestRandomWorkloadsConvergeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// runEnginesInParallel builds n independent engines and runs them on
+// concurrent goroutines, the way the grid pool runs cells, returning each
+// engine and its Run error.  Under -race this also shows the engine keeps
+// no state shared across instances.
+func runEnginesInParallel(n int, build func(i int, e *Engine)) ([]*Engine, []error) {
+	engines := make([]*Engine, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range engines {
+		engines[i] = NewEngine()
+		build(i, engines[i])
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = engines[i].Run()
+		}(i)
+	}
+	wg.Wait()
+	return engines, errs
+}
+
+// TestParallelDeadlockDetected: engines running in parallel each detect
+// their own deadlock, and each dump names only that engine's condition.
+func TestParallelDeadlockDetected(t *testing.T) {
+	const n = 4
+	_, errs := runEnginesInParallel(n, func(i int, e *Engine) {
+		var src Source
+		e.Spawn("stuck", false, func(c *Ctx) {
+			c.WaitOn(&src, fmt.Sprintf("never-%d", i), func() (Time, bool) { return 0, false })
+		})
+		e.Spawn("busy", false, func(c *Ctx) {
+			for k := 0; k < 100; k++ {
+				c.Compute(Microsecond)
+				c.Yield()
+			}
+		})
+	})
+	for i, err := range errs {
+		if err == nil || !strings.Contains(err.Error(), "deadlock") {
+			t.Fatalf("engine %d: err = %v, want deadlock", i, err)
+		}
+		for j := 0; j < n; j++ {
+			if named := strings.Contains(err.Error(), fmt.Sprintf("never-%d", j)); named != (i == j) {
+				t.Fatalf("engine %d: dump names never-%d = %v: %v", i, j, named, err)
+			}
+		}
+	}
+}
+
+// TestParallelPanicPropagates: a panic raised while other procs are
+// blocked or mid-run fails only its own engine; engines running beside it
+// in parallel finish cleanly.
+func TestParallelPanicPropagates(t *testing.T) {
+	const n = 4
+	_, errs := runEnginesInParallel(n, func(i int, e *Engine) {
+		var src Source
+		if i%2 == 0 {
+			e.Spawn("stuck", false, func(c *Ctx) {
+				c.WaitOn(&src, "never", func() (Time, bool) { return 0, false })
+			})
+		}
+		e.Spawn("busy", false, func(c *Ctx) {
+			for k := 0; k < 1000; k++ {
+				c.Compute(Microsecond)
+				c.Yield()
+			}
+		})
+		if i%2 == 0 {
+			e.Spawn("bad", false, func(c *Ctx) {
+				c.Compute(Millisecond / 2)
+				panic(fmt.Sprintf("late boom %d", i))
+			})
+		}
+	})
+	for i, err := range errs {
+		if i%2 != 0 {
+			if err != nil {
+				t.Fatalf("engine %d: err = %v, want clean run", i, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("late boom %d", i)) {
+			t.Fatalf("engine %d: err = %v, want its own panic", i, err)
+		}
+	}
+}
+
+// TestParallelDaemonAbandoned: in engines running in parallel, a daemon
+// still blocked when the last primary returns is abandoned cleanly, after
+// serving the one request it was sent.
+func TestParallelDaemonAbandoned(t *testing.T) {
+	const n = 4
+	served := make([]int, n)
+	engines, errs := runEnginesInParallel(n, func(i int, e *Engine) {
+		var src Source
+		var box []Time
+		e.Spawn("daemon", true, func(c *Ctx) {
+			for {
+				c.WaitOn(&src, "request", func() (Time, bool) {
+					if len(box) == 0 {
+						return 0, false
+					}
+					return box[0], true
+				})
+				box = box[1:]
+				served[i]++
+			}
+		})
+		e.Spawn("worker", false, func(c *Ctx) {
+			c.Compute(Millisecond)
+			box = append(box, c.Now()+Microsecond)
+			src.Notify()
+			c.Compute(Millisecond)
+			c.Yield() // lets the daemon, blocked until 1ms+1us, run first
+		})
+	})
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("engine %d: %v", i, err)
+		}
+		if got := engines[i].MaxPrimaryClock(); got != 2*Millisecond {
+			t.Errorf("engine %d: MaxPrimaryClock = %v, want 2ms", i, got)
+		}
+		if served[i] != 1 {
+			t.Errorf("engine %d: daemon served %d requests, want 1", i, served[i])
+		}
 	}
 }

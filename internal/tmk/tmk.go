@@ -457,14 +457,14 @@ func (s *System) Spawn(id int, body func(*Proc)) {
 	s.started = true
 	p := s.procs[id]
 	// The application thread and the service daemon share the processor's
-	// state (page table, diff store, lock table): the same engine group
-	// keeps them off concurrent goroutines in parallel mode.
-	s.eng.SpawnGroup(fmt.Sprintf("tmk%d", id), false, id, func(c *sim.Ctx) {
+	// state (page table, diff store, lock table); the engine runs one proc
+	// at a time, so they never touch it concurrently.
+	s.eng.Spawn(fmt.Sprintf("tmk%d", id), false, func(c *sim.Ctx) {
 		p.app = c
 		p.initPages()
 		body(p)
 	})
-	s.eng.SpawnGroup(fmt.Sprintf("tmk%d.srv", id), true, id, func(c *sim.Ctx) {
+	s.eng.Spawn(fmt.Sprintf("tmk%d.srv", id), true, func(c *sim.Ctx) {
 		p.serve(c)
 	})
 }

@@ -9,21 +9,10 @@ import (
 )
 
 // world builds an engine + network + n-processor DSM for tests.
-func world(n int) (*sim.Engine, *System) { return worldOn(n, false) }
-
-// worldOn is world on the serial or the parallel engine.
-func worldOn(n int, parallel bool) (*sim.Engine, *System) {
-	eng := sim.NewEngineOpts(sim.Options{Parallel: parallel})
+func world(n int) (*sim.Engine, *System) {
+	eng := sim.NewEngine()
 	net := vnet.New(vnet.FDDI())
 	return eng, NewSystem(eng, net, n, DefaultConfig())
-}
-
-// bothEngines runs f as a subtest on the serial and on the parallel
-// engine; under the latter the race detector sees processors sharing
-// state at the same virtual instant.
-func bothEngines(t *testing.T, f func(t *testing.T, parallel bool)) {
-	t.Run("serial", func(t *testing.T) { f(t, false) })
-	t.Run("parallel", func(t *testing.T) { f(t, true) })
 }
 
 // runAll spawns the same body on every processor and runs to completion.
@@ -254,8 +243,9 @@ func TestMinimalDiffRequestSet(t *testing.T) {
 }
 
 func TestInitDataVisibleEverywhereFree(t *testing.T) {
-	bothEngines(t, func(t *testing.T, parallel bool) {
-		eng, sys := worldOn(3, parallel)
+	// "serial" names the engine: the serial coroutine engine.
+	t.Run("serial", func(t *testing.T) {
+		eng, sys := world(3)
 		a := sys.Malloc(24)
 		sys.InitF64(a, []float64{1.5, 2.5, 3.5})
 		runAll(t, eng, sys, func(p *Proc) {
@@ -279,9 +269,10 @@ func TestInitDataVisibleEverywhereFree(t *testing.T) {
 // every other processor's view alone until synchronization carries the
 // write over.
 func TestPreloadedImageCopyOnWrite(t *testing.T) {
-	bothEngines(t, func(t *testing.T, parallel bool) {
+	// "serial" names the engine: the serial coroutine engine.
+	t.Run("serial", func(t *testing.T) {
 		const words = 512 // float64s per page
-		eng, sys := worldOn(4, parallel)
+		eng, sys := world(4)
 		a := sys.MallocPageAligned(3 * 4096) // page 0: scalar, 1: Store, 2: never written
 		init := make([]float64, 3*words)
 		for i := range init {

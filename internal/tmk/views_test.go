@@ -26,9 +26,9 @@ type bulkOp struct {
 // bytes): its first three pages are preloaded, so every processor starts
 // with them aliasing the system's image; the rest has never been written
 // (nil page data); and it ends, mid-page, exactly at brk.
-func runBulkScript(t *testing.T, parallel, bulk bool, words int, script [][][]bulkOp) [][]uint64 {
+func runBulkScript(t *testing.T, bulk bool, words int, script [][][]bulkOp) [][]uint64 {
 	t.Helper()
-	eng, sys := worldOn(len(script[0]), parallel)
+	eng, sys := world(len(script[0]))
 	a := sys.MallocPageAligned(8 * words)
 	if int(a)+8*words != int(sys.brk) {
 		t.Fatalf("array ends at %d, brk is %d", int(a)+8*words, sys.brk)
@@ -122,12 +122,13 @@ func runBulkScript(t *testing.T, parallel, bulk bool, words int, script [][][]bu
 // the last barrier, and in the partial page that ends at brk.  Processors
 // store only inside their own third of the array and load anywhere.
 func TestLoadStoreMatchScalarProperty(t *testing.T) {
-	const (
-		nprocs = 3
-		words  = 6*512 + 200
-		rounds = 4
-	)
-	bothEngines(t, func(t *testing.T, parallel bool) {
+	// "serial" names the engine: the serial coroutine engine.
+	t.Run("serial", func(t *testing.T) {
+		const (
+			nprocs = 3
+			words  = 6*512 + 200
+			rounds = 4
+		)
 		for seed := int64(0); seed < 12; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			script := make([][][]bulkOp, rounds)
@@ -160,8 +161,8 @@ func TestLoadStoreMatchScalarProperty(t *testing.T) {
 					script[round][id] = ops
 				}
 			}
-			want := runBulkScript(t, parallel, false, words, script)
-			got := runBulkScript(t, parallel, true, words, script)
+			want := runBulkScript(t, false, words, script)
+			got := runBulkScript(t, true, words, script)
 			for id := range want {
 				if !slices.Equal(got[id], want[id]) {
 					t.Fatalf("seed %d proc %d: bulk trace (%d entries) differs from the element-wise one (%d entries)",

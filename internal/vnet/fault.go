@@ -12,11 +12,11 @@ import "repro/internal/sim"
 // # Determinism contract
 //
 // Every fault decision is a pure function of (Seed, message identity,
-// decision kind): the per-send sequence number assigned inside the
-// engine's gated section is hashed with a splitmix64 mixer, so the same
-// scenario produces bit-identical fault patterns in all execution modes
-// (serial engine, parallel engine, grid worker pool) — there is no
-// draw-order-dependent PRNG stream to perturb.
+// decision kind): the per-send sequence number, assigned in the engine's
+// deterministic step order, is hashed with a splitmix64 mixer, so the
+// same scenario produces bit-identical fault patterns however the grid
+// worker pool schedules its jobs — there is no draw-order-dependent PRNG
+// stream to perturb.
 //
 // # Accounting contract
 //

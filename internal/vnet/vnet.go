@@ -37,16 +37,13 @@
 // this path; their byte encodings remain the documented wire format,
 // test-pinned to produce exactly the declared sizes.
 //
-// # Message recycling and the parallel engine
+// # Message recycling
 //
 // Message structs are pooled: a receiver that has fully extracted a
 // message's Payload/Obj hands the struct back with Endpoint.Free, and
 // the next send reuses it — in steady state a send allocates nothing.
-// The layer is also the engine's shared-operation boundary in parallel
-// mode (sim.Options{Parallel}): sends, non-blocking receives, probes
-// and frees gate into the serial commit order via Ctx.Gate, and inbox
-// delivery runs inside Ctx.Sync so a blocked receiver's wake condition
-// never observes a half-filed inbox.
+// The engine runs one proc at a time, so the pool, the inboxes and the
+// statistics are plain fields with no locking.
 //
 // # Fault injection
 //
@@ -184,9 +181,7 @@ type Network struct {
 	faultsOn bool
 	rto      sim.Time
 
-	// pool recycles Message structs between xmit and Free.  It is only
-	// touched inside gated sections (xmit gates; Free gates), so one
-	// plain slice serves both engine modes.
+	// pool recycles Message structs between xmit and Free.
 	pool []*Message
 }
 
@@ -296,7 +291,7 @@ type Endpoint struct {
 	// endpoint's most recent stream send there: the emulated TCP ARQ
 	// delivers in order, so a later send can never arrive before an
 	// earlier one even if its own loss draws resolve faster.  Allocated
-	// lazily; only touched under Gate (stream sends gate in xmit).
+	// lazily.
 	arqLast map[*Endpoint]sim.Time
 
 	// Inbox index: one bucket per (from, tag) pair ever seen.  index is
@@ -304,9 +299,7 @@ type Endpoint struct {
 	// wildcard filters (creation order).  queued counts live messages.
 	// lastKey/lastB memoize the most recent exact lookup: delivery and an
 	// exact-filter receive hammer the same (from, tag) pair back to back,
-	// so the common case skips the map hash entirely.  The cache is only
-	// touched under the engine's Sync lock or the commit token, like the
-	// index itself.
+	// so the common case skips the map hash entirely.
 	index   map[[2]int]*bucket
 	order   []*bucket
 	queued  int
@@ -349,9 +342,8 @@ func (n *Network) NewEndpointID(node, id int, datagram bool) *Endpoint {
 	// add candidates (the wake time — min of earliest matching arrival
 	// and the optional deadline — can only move earlier), and causality
 	// keeps new arrivals at or after the instant the wake-up committed.
-	// Stability lets the engine commit same-instant wakeups through the
-	// serial run queue and release blocked receivers speculatively in
-	// parallel batches; both re-verify the condition at the serial turn.
+	// Stability lets the engine commit same-instant wakeups through its
+	// run queue, re-verifying the condition at the receiver's turn.
 	e.wake.Stable = true
 	e.wCond = func() (sim.Time, bool) {
 		if !e.wArmed {
@@ -413,10 +405,6 @@ func (e *Endpoint) xmit(ctx *sim.Ctx, dst *Endpoint, tag int, payload []byte, ob
 	if dst == nil {
 		panic("vnet: send to nil endpoint")
 	}
-	// A send mutates cross-proc state (sequence counter, statistics, the
-	// destination inbox): it is a shared operation in the engine's
-	// parallel mode and must commit in serial order.
-	ctx.Gate()
 	cfg := &e.net.cfg
 	fc := &cfg.Faults
 	if dst.node == e.node {
@@ -431,7 +419,7 @@ func (e *Endpoint) xmit(ctx *sim.Ctx, dst *Endpoint, tag int, payload []byte, ob
 		m := e.net.alloc()
 		*m = Message{From: e.id, To: dst.id, Tag: tag, Payload: payload, Obj: obj,
 			Arrival: ctx.Now() + cfg.LocalDelay, size: size, seq: e.net.seq, local: true}
-		dst.deliver(ctx, m)
+		dst.deliver(m)
 		return 1
 	}
 	frags := 1
@@ -462,7 +450,7 @@ func (e *Endpoint) xmit(ctx *sim.Ctx, dst *Endpoint, tag int, payload []byte, ob
 	}
 
 	// Fault layer.  Each decision hashes (seed, seq, kind), so the
-	// outcome is independent of engine mode and of every other message.
+	// outcome is independent of job scheduling and of every other message.
 	delivered := true
 	if e.net.faultsOn {
 		if e.datagram {
@@ -489,7 +477,7 @@ func (e *Endpoint) xmit(ctx *sim.Ctx, dst *Endpoint, tag int, payload []byte, ob
 				d := e.net.alloc()
 				*d = Message{From: e.id, To: dst.id, Tag: tag, Payload: payload, Obj: obj,
 					Arrival: dupArrival, size: size, seq: e.net.seq}
-				dst.deliver(ctx, d)
+				dst.deliver(d)
 				e.stats.Retrans += wn
 				e.net.stats.Retrans += wn
 			}
@@ -502,7 +490,7 @@ func (e *Endpoint) xmit(ctx *sim.Ctx, dst *Endpoint, tag int, payload []byte, ob
 		m := e.net.alloc()
 		*m = Message{From: e.id, To: dst.id, Tag: tag, Payload: payload, Obj: obj,
 			Arrival: arrival, size: size, seq: seq}
-		dst.deliver(ctx, m)
+		dst.deliver(m)
 	}
 
 	// Accounting: delivered first transmissions land in Messages/Bytes,
@@ -572,12 +560,8 @@ func (e *Endpoint) streamArrival(ctx *sim.Ctx, dst *Endpoint, seq uint64, arriva
 }
 
 // deliver files m into its (from, tag) bucket and wakes the endpoint's
-// waiter, if any.  The inbox mutation and the Notify run inside a Sync
-// region (SyncLock/SyncUnlock — the closure-free form): the owner's
-// receive condition reads this inbox when it registers a block, which in
-// parallel mode may happen concurrently with a sender's gated step.
-func (e *Endpoint) deliver(ctx *sim.Ctx, m *Message) {
-	ctx.SyncLock()
+// waiter, if any.
+func (e *Endpoint) deliver(m *Message) {
 	b := e.lastB
 	if b == nil || e.lastKey[0] != m.From || e.lastKey[1] != m.Tag {
 		key := [2]int{m.From, m.Tag}
@@ -592,7 +576,6 @@ func (e *Endpoint) deliver(ctx *sim.Ctx, m *Message) {
 	b.put(m)
 	e.queued++
 	e.wake.Notify()
-	ctx.SyncUnlock()
 }
 
 // peek returns the earliest message matching (from, tag) and the bucket
@@ -648,12 +631,6 @@ func (e *Endpoint) Recv(ctx *sim.Ctx, from, tag int) *Message {
 	}
 	e.wFrom, e.wTag, e.wArmed, e.wHasDL = from, tag, true, false
 	ctx.WaitOnLazy(&e.wake, e.wWhat, e.wCond)
-	// Consuming mutates the inbox: a shared operation.  The wake source
-	// is Stable, so in parallel mode the receiver may have been released
-	// speculatively before its serial turn — this gate is what delays the
-	// consume until the commit token arrives (the engine re-verifies the
-	// wake condition at the grant, before the gate returns).
-	ctx.Gate()
 	// Consume: disarm the wake filter first so it is never evaluated
 	// against this Recv's (now dead) parameters.
 	e.wArmed = false
@@ -680,7 +657,6 @@ func (e *Endpoint) RecvDeadline(ctx *sim.Ctx, from, tag int, deadline sim.Time) 
 	e.wFrom, e.wTag, e.wArmed = from, tag, true
 	e.wDeadline, e.wHasDL = deadline, true
 	ctx.WaitOnLazy(&e.wake, e.wWhat, e.wCond)
-	ctx.Gate()
 	e.wArmed, e.wHasDL = false, false
 	b, m := e.peek(from, tag)
 	if m == nil || m.Arrival > ctx.Now() {
@@ -696,7 +672,6 @@ func (e *Endpoint) RecvDeadline(ctx *sim.Ctx, from, tag int, deadline sim.Time) 
 // time not after the caller's clock) without blocking.  Returns nil if no
 // such message is present.  The ownership/Free contract matches Recv.
 func (e *Endpoint) TryRecv(ctx *sim.Ctx, from, tag int) *Message {
-	ctx.Gate() // inbox read+consume: shared operation
 	b, m := e.peek(from, tag)
 	if m == nil || m.Arrival > ctx.Now() {
 		return nil
@@ -709,7 +684,6 @@ func (e *Endpoint) TryRecv(ctx *sim.Ctx, from, tag int) *Message {
 // Probe reports whether a matching message has arrived by the caller's
 // clock, without consuming it.
 func (e *Endpoint) Probe(ctx *sim.Ctx, from, tag int) bool {
-	ctx.Gate() // inbox read: shared operation
 	_, m := e.peek(from, tag)
 	return m != nil && m.Arrival <= ctx.Now()
 }
@@ -719,9 +693,9 @@ func (e *Endpoint) Probe(ctx *sim.Ctx, from, tag int) bool {
 // endpoint, has extracted everything it needs (the Payload slice and Obj
 // remain valid — only the struct is recycled), calls Free at most once,
 // and does so in the step that consumed the message.  Freeing is what
-// makes steady-state sends allocation-free.
-func (e *Endpoint) Free(ctx *sim.Ctx, m *Message) {
-	ctx.Gate() // pool access: shared operation
+// makes steady-state sends allocation-free.  ctx is the caller's proc,
+// taken for symmetry with Recv; Free does not charge it.
+func (e *Endpoint) Free(_ *sim.Ctx, m *Message) {
 	m.Payload, m.Obj = nil, nil
 	e.net.pool = append(e.net.pool, m)
 }
