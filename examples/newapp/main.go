@@ -91,9 +91,8 @@ func (a *matvec) Name() string    { return "MatVec" }
 func (a *matvec) Figure() int     { return 0 } // not a paper figure
 func (a *matvec) Problem() string { return fmt.Sprintf("%dx%d f64, %d iters", size, size, iters) }
 
-// Clone (optional, core.Cloneable) hands the grid's worker pool an
-// isolated instance per run; without it the pool still works but
-// serializes this app's runs on the one shared instance.
+// Clone (required by core.App) hands the grid's worker pool an isolated
+// instance per run: same configuration, no run state.
 func (a *matvec) Clone() core.App { return &matvec{} }
 
 func (a *matvec) Check() error {

@@ -30,6 +30,7 @@ type miniApp struct {
 func (a *miniApp) Name() string    { return "mini" }
 func (a *miniApp) Figure() int     { return 0 }
 func (a *miniApp) Problem() string { return "conformance kernel" }
+func (a *miniApp) Clone() App      { return &miniApp{withMaster: a.withMaster} }
 
 func (a *miniApp) Check() error {
 	if !a.hasSeq || !a.hasPar {

@@ -52,6 +52,8 @@ func Scaled(n int, scale float64, min int) int {
 // run on.  Implementations carry their outputs between calls: a backend
 // run records the parallel output, Seq records the reference, and Check
 // compares the two, so correctness verification needs no extra plumbing.
+// That run state belongs to one run at a time, so the harness runs every
+// pooled job on its own Clone.
 type App interface {
 	Name() string    // registry name, e.g. "SOR-Zero"
 	Figure() int     // paper figure number (0 for custom apps)
@@ -76,6 +78,12 @@ type App interface {
 	// Check compares the most recent parallel output against the most
 	// recent sequential output; run the Seq backend first.
 	Check() error
+
+	// Clone returns a fresh instance with the same configuration and no
+	// run state, so two clones may run on concurrent goroutines.  Runs
+	// are deterministic functions of (configuration, scenario), so a
+	// clone's records are identical to the original's.
+	Clone() App
 }
 
 // Backend adapts an App to one system.  Run executes the app under the
@@ -85,17 +93,8 @@ type Backend interface {
 	Run(app App, sc Scenario) (Result, error)
 }
 
-// Cloneable is implemented by Apps whose runs can be isolated: Clone
-// returns a fresh instance with the same configuration and no run state,
-// so two clones may run on concurrent goroutines.  Runs are
-// deterministic functions of (configuration, scenario), so a clone's
-// records are identical to the original's.  The harness grid uses
-// clones for its worker pool; apps that do not implement Cloneable are
-// still correct — their runs are serialized per instance.
-type Cloneable interface {
-	App
-	Clone() App
-}
+// Cloneable is App, kept for callers that still type-assert it.
+type Cloneable = App
 
 // The standard adapters, mirroring the paper's three measurement modes.
 var (

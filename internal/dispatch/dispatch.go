@@ -216,7 +216,6 @@ type lease struct {
 	worker   string
 	deadline time.Time
 	granted  time.Time
-	hedged   bool
 	t        *task
 }
 
@@ -569,7 +568,6 @@ func (d *Dispatcher) grantLocked(w *workerState, t *task, now time.Time, hedged 
 		worker:   w.id,
 		deadline: now.Add(d.cfg.LeaseTTL),
 		granted:  now,
-		hedged:   hedged,
 		t:        t,
 	}
 	t.leases[l.id] = l

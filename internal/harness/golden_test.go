@@ -24,8 +24,8 @@ func capture(t *testing.T, res core.Result, err error) metric {
 	return metric{time: int64(res.Time), msgs: res.Net.Messages, bytes: res.Net.Bytes}
 }
 
-// goldenScale matches BenchScale in bench_test.go: the reduced workloads
-// the quick-mode experiments run at.
+// goldenScale is the reduced workload scale the quick-mode experiments
+// run at, and cmd/goldgen's default -scale.
 const goldenScale = 0.1
 
 // goldenProcs are the processor counts each experiment is pinned at.

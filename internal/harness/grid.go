@@ -9,7 +9,6 @@ import (
 	"slices"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -91,18 +90,16 @@ type Grid struct {
 	Backends  []core.Backend
 	Scenarios []core.Scenario
 
-	// Workers widens Run into a worker pool: every run is an independent
-	// engine, so up to Workers of them execute on concurrent goroutines.
-	// Jobs are enumerated exactly as in the serial order and records land
-	// in a preallocated slice by job index, so the output is byte-
-	// identical to Workers <= 1 (the serial path, and the default).
-	// Cloneable apps run on per-job clones; other apps' runs are
-	// serialized per instance (their run state is not shareable).
+	// Workers is the width of the pool Run executes on: every run is an
+	// independent engine on its own clone of the app, so up to Workers of
+	// them execute on concurrent goroutines with nothing shared between
+	// them.  Records land by job index, so the output is byte-identical
+	// at every width; Workers <= 1 (the default) is a pool of one.
 	Workers int
 
 	// Progress, when non-nil, is invoked once per completed job with the
-	// job's enumeration index and its record.  The serial path reports in
-	// enumeration order; the worker pool reports in completion order but
+	// job's enumeration index and its record.  A pool of one reports in
+	// enumeration order; a wider pool reports in completion order but
 	// never concurrently, and with exactly the same (index, record) set.
 	// A failing job reports no progress — its error aborts the grid.
 	// Streaming consumers (the serve API) ride this callback.
@@ -111,16 +108,17 @@ type Grid struct {
 
 // Job is one enumerated run of a Grid: the (app, backend, scenario)
 // coordinates that produce one Record.  Jobs are exported so layers
-// above the grid — the serve result cache, a future coordinator/worker
-// split — can enumerate, content-hash (SpecHash) and execute runs
-// individually; Grid.Run is exactly Jobs followed by RunJobs.
+// above the grid — the serve result cache, the dispatch worker fleet —
+// can enumerate, content-hash (SpecHash) and execute runs individually;
+// Grid.Run is exactly Jobs followed by RunJobs.
 type Job struct {
 	App      core.App
 	Backend  core.Backend
 	Scenario core.Scenario
 }
 
-// Run executes the job and flattens the result into a Record.
+// Run executes the job on j.App itself and flattens the result into a
+// Record; the app keeps the run's output for its Check.
 func (j Job) Run() (Record, error) {
 	res, err := j.Backend.Run(j.App, j.Scenario)
 	if err != nil {
@@ -159,11 +157,8 @@ func (g Grid) Jobs() ([]Job, error) {
 }
 
 // Run executes the grid and returns one record per run in enumeration
-// order.  With Workers <= 1 the runs execute serially on the calling
-// goroutine and the first failing run aborts the grid; with Workers > 1
-// they spread across a worker pool and the error of the earliest-indexed
-// failing job is returned — the same error the serial path would have
-// produced first.
+// order.  A failing run aborts the grid: no run starts after it fails,
+// and the error of the earliest-indexed failing run is returned.
 func (g Grid) Run() ([]Record, error) {
 	jobs, err := g.Jobs()
 	if err != nil {
@@ -172,104 +167,84 @@ func (g Grid) Run() ([]Record, error) {
 	return RunJobs(jobs, g.Workers, g.Progress)
 }
 
-// RunJobs executes an explicit job list (typically from Grid.Jobs, or a
-// subset of it — the serve cache runs only its cold misses this way)
-// under the Grid.Run execution contract: serial on the calling goroutine
-// when workers <= 1, a worker pool otherwise, records by job index, the
-// earliest-indexed failure reported, and the optional progress callback
-// invoked per completed job as documented on Grid.Progress.
+// RunJobs executes an explicit job list (typically from Grid.Jobs) under
+// the Grid.Run execution contract: each job on its own clone of its app,
+// on a pool of the given width, records by job index, the earliest-
+// indexed failure reported, and the optional progress callback invoked
+// per completed job as documented on Grid.Progress.
 func RunJobs(jobs []Job, workers int, progress func(index int, rec Record)) ([]Record, error) {
-	return RunJobsContext(context.Background(), jobs, workers, progress)
-}
-
-// RunJobsContext is RunJobs with cancellation: ctx is consulted before
-// every job start (in the serial loop and in each pool worker), so a
-// canceled sweep — a disconnected streaming client, a shutting-down
-// server — stops burning CPU after at most the jobs already running.
-// An individual simulation is not interruptible; cancellation is
-// between-job granularity.  The first cancellation error observed is
-// returned like any job failure.
-func RunJobsContext(ctx context.Context, jobs []Job, workers int, progress func(index int, rec Record)) ([]Record, error) {
-	if workers > 1 && len(jobs) > 1 {
-		return runPool(ctx, jobs, workers, progress)
-	}
-	var recs []Record
-	for i, j := range jobs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+	recs := make([]Record, len(jobs))
+	var progressMu sync.Mutex
+	err := ForEach(context.Background(), len(jobs), workers, func(i int) error {
+		j := jobs[i]
+		j.App = j.App.Clone()
 		rec, err := j.Run()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		recs = append(recs, rec)
+		recs[i] = rec
 		if progress != nil {
+			progressMu.Lock()
+			defer progressMu.Unlock()
 			progress(i, rec)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return recs, nil
 }
 
-// runPool executes the jobs across a pool of workers, collecting records
-// by job index so the output order and content match the serial path.
-func runPool(ctx context.Context, jobs []Job, workers int, progress func(index int, rec Record)) ([]Record, error) {
-	recs := make([]Record, len(jobs))
-	errs := make([]error, len(jobs))
-	// Isolate per-job app state: cloneable apps get a fresh clone per
-	// job; the rest share their instance under a per-instance lock, so
-	// two of their runs never interleave.
-	locks := map[core.App]*sync.Mutex{}
-	work := make([]Job, len(jobs))
-	for i, j := range jobs {
-		if c, ok := j.App.(core.Cloneable); ok {
-			j.App = c.Clone()
-		} else if locks[j.App] == nil {
-			locks[j.App] = &sync.Mutex{}
+// ForEach calls fn(i) for every i in [0, n) on max(1, min(workers, n))
+// goroutines, handing the indices out in increasing order.  Once ctx is
+// done or any call has failed it hands out no more; calls already
+// running finish.  It returns the error of the lowest failing index —
+// every lower index was handed out first, so it is the error a serial
+// loop over the same calls stops at.  A done ctx fails the first index
+// it kept from starting.  Cancellation is between calls: a call in
+// progress is not interrupted.
+func ForEach(ctx context.Context, n, workers int, fn func(i int) error) error {
+	var (
+		mu     sync.Mutex
+		next   int
+		failed = n // lowest failing index so far; n while none has failed
+		first  error
+		wg     sync.WaitGroup
+	)
+	fail := func(i int, err error) {
+		if i < failed {
+			failed, first = i, err
 		}
-		work[i] = j
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	var progressMu sync.Mutex
-	for w := 0; w < workers; w++ {
+	for range max(1, min(workers, n)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
-				i := int(next.Add(1))
-				if i >= len(work) {
+				mu.Lock()
+				i := next
+				if i >= n || failed < n {
+					mu.Unlock()
 					return
 				}
 				if err := ctx.Err(); err != nil {
-					errs[i] = err
-					continue
-				}
-				if mu := locks[jobs[i].App]; mu != nil {
-					mu.Lock()
-					recs[i], errs[i] = work[i].Run()
+					fail(i, err)
 					mu.Unlock()
-				} else {
-					recs[i], errs[i] = work[i].Run()
+					return
 				}
-				if progress != nil && errs[i] == nil {
-					progressMu.Lock()
-					progress(i, recs[i])
-					progressMu.Unlock()
+				next++
+				mu.Unlock()
+				if err := fn(i); err != nil {
+					mu.Lock()
+					fail(i, err)
+					mu.Unlock()
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return recs, nil
+	return first
 }
 
 // WriteJSON emits the records as a JSON array (one object per run):

@@ -19,13 +19,14 @@
 //
 // A Grid is the cross product apps × backends × scenarios; Grid.Run
 // executes it and emits one structured Record per run.  Runs are
-// independent engines, so Grid.Workers spreads them across a worker
-// pool (jobs scheduled by index, records collected by index: output
-// byte-identical to the serial path) — apps implementing core.Cloneable
-// run on per-job clones, the rest serialize per instance.  Everything
-// else — the rendered Table 1/Table 2, the speedup figures, the goldens
-// pinned in golden_test.go, cmd/goldgen, cmd/msvdsm's JSON/CSV output
-// and the ablation studies — consumes the same records.
+// independent engines, each on its own clone of its app, so nothing is
+// shared between them and Grid.Workers sets how many run at once (jobs
+// handed out by index, records collected by index: output byte-
+// identical at every width).  ForEach is that pool, and the serve cold
+// path runs on it too.  Everything else — the rendered Table 1/Table 2,
+// the speedup figures, the goldens pinned in golden_test.go,
+// cmd/goldgen, cmd/msvdsm's JSON/CSV output and the ablation studies —
+// consumes the same records.
 package harness
 
 import (

@@ -7,6 +7,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"strconv"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -196,50 +200,95 @@ func TestWriteJSONMatchesEncoder(t *testing.T) {
 	}
 }
 
-// TestRunJobsContextCancel pins the cancellation contract on both
-// execution paths: a context canceled mid-sweep stops the remaining
-// jobs and surfaces context.Canceled; a pre-canceled context runs
-// nothing at all.
-func TestRunJobsContextCancel(t *testing.T) {
-	apps := Apps(0.01)
-	grid := Grid{
-		Apps:      []core.App{Find(apps, "EP")},
-		Backends:  core.StandardBackends(),
-		Scenarios: BaseScenarios(2, 4),
-	}
-	jobs, err := grid.Jobs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(jobs) < 3 {
-		t.Fatalf("grid too small for the test: %d jobs", len(jobs))
-	}
+// TestForEachCancel pins the cancellation contract: a context canceled
+// mid-sweep stops the remaining calls and surfaces context.Canceled; a
+// pre-canceled context runs nothing at all.
+func TestForEachCancel(t *testing.T) {
+	const n = 6
 
 	t.Run("serial mid-sweep", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
 		var completed int
-		_, err := RunJobsContext(ctx, jobs, 1, func(i int, rec Record) {
+		err := ForEach(ctx, n, 1, func(i int) error {
 			completed++
 			cancel() // first completion pulls the plug
+			return nil
 		})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("canceled serial sweep: %v, want context.Canceled", err)
 		}
 		if completed != 1 {
-			t.Fatalf("serial sweep completed %d jobs after cancel, want 1", completed)
+			t.Fatalf("serial sweep completed %d calls after cancel, want 1", completed)
 		}
 	})
 
 	t.Run("pool pre-canceled", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		var completed int
-		_, err := RunJobsContext(ctx, jobs, 4, func(i int, rec Record) { completed++ })
+		var completed atomic.Int64
+		err := ForEach(ctx, n, 4, func(i int) error {
+			completed.Add(1)
+			return nil
+		})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("pre-canceled pool sweep: %v, want context.Canceled", err)
 		}
-		if completed != 0 {
-			t.Fatalf("pre-canceled pool sweep completed %d jobs, want 0", completed)
+		if got := completed.Load(); got != 0 {
+			t.Fatalf("pre-canceled pool sweep completed %d calls, want 0", got)
 		}
 	})
+}
+
+// failFrom is a backend that records which jobs start (a job's scenario
+// name is its index) and fails every job from index k on.
+type failFrom struct {
+	k       int
+	mu      sync.Mutex
+	started []int
+}
+
+func (b *failFrom) Name() string { return "fail-from" }
+
+func (b *failFrom) Run(app core.App, sc core.Scenario) (core.Result, error) {
+	i, err := strconv.Atoi(sc.Name)
+	if err != nil {
+		return core.Result{}, err
+	}
+	b.mu.Lock()
+	b.started = append(b.started, i)
+	b.mu.Unlock()
+	if i >= b.k {
+		return core.Result{}, fmt.Errorf("job %d failed", i)
+	}
+	return core.Result{}, nil
+}
+
+// TestRunJobsStopsAtFailure pins the pool's failure contract: once a job
+// has failed no further job starts, and the error returned is that of the
+// lowest failing index, job k's, even when a later job already running
+// beside it fails first.  Since every job from k on fails, each of the
+// pool's goroutines starts at most one job past k-1, so no job at index
+// k+width or beyond may start, and a pool of one stops right after k.
+func TestRunJobsStopsAtFailure(t *testing.T) {
+	const n, k = 16, 5
+	ep := Find(Apps(0.01), "EP")
+	for _, width := range []int{1, 4} {
+		b := &failFrom{k: k}
+		jobs := make([]Job, n)
+		for i := range jobs {
+			jobs[i] = Job{App: ep, Backend: b, Scenario: core.Scenario{Name: strconv.Itoa(i)}}
+		}
+		recs, err := RunJobs(jobs, width, nil)
+		if want := fmt.Sprintf("EP/fail-from/%d n=0: job %d failed", k, k); err == nil || err.Error() != want {
+			t.Fatalf("width %d: error %v, want %q", width, err, want)
+		}
+		if recs != nil {
+			t.Errorf("width %d: a failed sweep returned %d records", width, len(recs))
+		}
+		slices.Sort(b.started)
+		if len(b.started) < k+1 || b.started[k] != k || b.started[len(b.started)-1] >= k+width {
+			t.Errorf("width %d: started jobs %v, want all of 0..%d and none from %d on", width, b.started, k, k+width)
+		}
+	}
 }

@@ -3,23 +3,28 @@ package serve
 import (
 	"strconv"
 	"sync"
+
+	"repro/internal/harness"
 )
 
 // plan is everything about a selection that does not depend on the
-// store: the spec hashes of its jobs in enumeration order, and the
-// /v1/spec document.  Both are pure functions of the selection, the
+// store: its jobs and their spec hashes in enumeration order, and the
+// /v1/spec document.  All are pure functions of the selection, the
 // workload scale, the registries and harness.EngineVersion; the last
 // two are constants of the process, so a plan is never invalidated.
+// The jobs are never run themselves — the cold path runs a clone of
+// each job's app — so one plan serves every request for its selection.
 type plan struct {
+	jobs   []harness.Job
 	hashes []string
 	spec   []byte
 }
 
-// maxPlanHashes bounds the plan cache by the spec hashes it holds across
-// all plans (a job costs about 300 bytes: its hash and its /v1/spec
-// row).  A plan larger than the bound is not kept; a plan that would
-// overflow it empties the cache first — the selections still in use
-// come back at one resolve each.
+// maxPlanHashes bounds the plan cache by the jobs it holds across all
+// plans (a job costs about 650 bytes: its harness.Job, its hash and its
+// /v1/spec row).  A plan larger than the bound is not kept; a plan that
+// would overflow it empties the cache first — the selections still in
+// use come back at one resolve each.
 const maxPlanHashes = 1 << 15
 
 type planCache struct {

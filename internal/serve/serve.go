@@ -54,19 +54,19 @@
 // A warm request does work in proportion to the bytes it sends.  Two
 // things are kept besides the records themselves:
 //
-//   - The plan of a selection: the spec hashes of its jobs in
+//   - The plan of a selection: its jobs and their spec hashes in
 //     enumeration order and its /v1/spec body, keyed by the parsed
 //     selection and the effective scale (plan.go).  A selection's plan
 //     is a pure function of that key, the app and backend registries
 //     and harness.EngineVersion; the registries and the version are
 //     constants of the process, so a plan never needs invalidating — a
 //     new engine version arrives as a new process.  The cache is bounded
-//     by maxPlanHashes (32768) hashes in all; a plan that would overflow
+//     by maxPlanHashes (32768) jobs in all; a plan that would overflow
 //     it empties the cache first.  A request looks its plan up, then
-//     probes the store once per hash, exactly as before; the registry
-//     is rebuilt and the selection resolved again only when the plan is
-//     missing or some hash misses the store (a cold job needs app
-//     instances of its own).
+//     probes the store once per hash; the registry is rebuilt and the
+//     selection resolved only on a plan miss.  A cold job runs on a
+//     clone of its plan job's app, so the plan's jobs never carry run
+//     state and serve every request for the selection.
 //   - Each cached record's JSON: the store keeps harness.RecordJSON of
 //     a record from its first read on (Store.GetJSON), and the array
 //     body is harness.JoinRecordJSON over those fragments — warm and
@@ -98,10 +98,6 @@
 //	curl -s 'localhost:8177/v1/spec?apps=ep&scenarios=loss&nprocs=4'
 //
 //	curl -s localhost:8177/v1/stats
-//
-// The server composes with the planned coordinator/worker split: a
-// coordinator would keep exactly this API and store, and dispatch cache
-// misses to a worker fleet by job index instead of the local pool.
 package serve
 
 import (
@@ -116,7 +112,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/core"
 	"repro/internal/dispatch"
 	"repro/internal/harness"
 )
@@ -127,8 +122,8 @@ type Options struct {
 	// when a request does not carry its own (0 means 1.0, paper scale).
 	Scale float64
 
-	// Workers bounds the per-request cold-path worker pool (<= 1 runs
-	// jobs serially).
+	// Workers bounds how many cold jobs a request computes locally at
+	// once (values below 1 mean 1).
 	Workers int
 
 	// Store is the content-addressed record cache; required.
@@ -316,32 +311,30 @@ func parseRequest(r *http.Request) (gridRequest, error) {
 
 // plan returns the selection's plan and the effective workload scale
 // (the request's, or the server default).  A cached plan costs one map
-// lookup; a miss resolves and hashes the selection, and then also
-// returns the jobs it enumerated so the caller need not resolve again.
-func (s *Server) plan(req gridRequest) (*plan, []harness.Job, float64, error) {
+// lookup; a miss resolves, enumerates and hashes the selection.
+func (s *Server) plan(req gridRequest) (*plan, float64, error) {
 	scale := req.Scale
 	if scale == 0 {
 		scale = s.opts.Scale
 	}
 	key := planKey(req, scale)
 	if p := s.plans.get(key); p != nil {
-		return p, nil, scale, nil
+		return p, scale, nil
 	}
 	jobs, err := s.jobs(req, scale)
 	if err != nil {
-		return nil, nil, scale, err
+		return nil, scale, err
 	}
-	p := &plan{hashes: harness.SpecHashes(jobs)}
+	p := &plan{jobs: jobs, hashes: harness.SpecHashes(jobs)}
 	if p.spec, err = specBody(jobs, p.hashes); err != nil {
-		return nil, nil, scale, err
+		return nil, scale, err
 	}
 	s.plans.put(key, p)
-	return p, jobs, scale, nil
+	return p, scale, nil
 }
 
 // jobs resolves a request against fresh registries and enumerates its
-// grid.  The cold path needs this even when the plan was cached: jobs
-// carry app instances, whose run state belongs to one request.
+// grid.
 func (s *Server) jobs(req gridRequest, scale float64) ([]harness.Job, error) {
 	sel := harness.Selection{
 		Apps:      req.Apps,
@@ -434,7 +427,7 @@ func (s *Server) handleSpec(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	p, _, _, err := s.plan(req)
+	p, _, err := s.plan(req)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
@@ -466,7 +459,7 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	p, jobs, scale, err := s.plan(req)
+	p, scale, err := s.plan(req)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
@@ -523,13 +516,8 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if len(cold) > 0 {
-		if jobs == nil { // the plan was cached: the cold path still needs app instances
-			jobs, err = s.jobs(req, scale)
-		}
 		recs := make([]harness.Record, len(cold)) // recs[k] is job cold[k]'s
-		if err == nil {
-			err = s.runCold(r.Context(), req, scale, jobs, p.hashes, cold, recs, emit)
-		}
+		err = s.runCold(r.Context(), req, scale, p.jobs, p.hashes, cold, recs, emit)
 		if err == nil && !req.Stream {
 			for k, i := range cold {
 				if frags[i], err = harness.RecordJSON(recs[k]); err != nil {
@@ -565,132 +553,89 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 
 var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// runCold executes the cold job indices, filling recs (recs[k] is job
-// cold[k]'s record).  Each computation goes through the singleflight
-// group keyed by spec hash, and re-checks the store inside the flight,
-// so an identical job — in this request or a concurrent one — computes
-// exactly once no matter how the flights interleave with completions.
+// runCold executes the cold job indices on the harness pool
+// (harness.ForEach), filling recs (recs[k] is job cold[k]'s record).
+// The first failure, by k, stops the sweep and is returned.  Each
+// computation goes through the singleflight group keyed by spec hash,
+// and re-checks the store inside the flight, so an identical job — in
+// this request or a concurrent one — computes exactly once no matter
+// how the flights interleave with completions.  A local computation
+// runs on a clone of the job's app, so jobs is never written.
 //
-// With a dispatcher attached and workers registered, cold jobs are
-// leased to the fleet (all of them concurrently — the goroutines just
-// wait on completions) and only fall back to the bounded local pool
-// when the dispatcher cannot serve them (no workers left, coordinator
-// draining, or a job that exhausted its lease attempts): local compute
-// is always correct, just not scaled out.
+// With a dispatcher attached and workers registered, the pool is as
+// wide as the sweep and cold jobs are leased to the fleet (all of them
+// concurrently — the goroutines just wait on completions); they only
+// fall back to local compute, bounded to Workers at a time, when the
+// dispatcher cannot serve them (no workers left, coordinator draining,
+// or a job that exhausted its lease attempts): local compute is always
+// correct, just not scaled out.
 //
 // ctx is the request context: when the client disconnects mid-sweep,
 // jobs not yet started are abandoned instead of burning CPU for a
 // reply nobody reads.  A job already running completes (a simulation
 // is not interruptible) and still lands in the store.
 func (s *Server) runCold(ctx context.Context, req gridRequest, scale float64, jobs []harness.Job, hashes []string, cold []int, recs []harness.Record, emit func(any) error) error {
-	if len(cold) == 0 {
-		return nil
-	}
-	// Isolate per-job app state exactly as the grid pool does: cloneable
-	// apps get a fresh clone per job, the rest serialize per instance.
-	locks := map[core.App]*sync.Mutex{}
-	work := make(map[int]harness.Job, len(cold))
-	for _, i := range cold {
-		j := jobs[i]
-		if c, ok := j.App.(core.Cloneable); ok {
-			j.App = c.Clone()
-		} else if locks[j.App] == nil {
-			locks[j.App] = &sync.Mutex{}
-		}
-		work[i] = j
-	}
-	local := s.opts.Workers
-	if local < 1 {
-		local = 1
-	}
 	fleet := s.opts.Dispatcher != nil && s.opts.Dispatcher.HasWorkers()
-	workers := local
+	width := s.opts.Workers
 	if fleet {
-		workers = len(cold)
-	}
-	if workers > len(cold) {
-		workers = len(cold)
+		width = len(cold)
 	}
 	// localSlots bounds actual local computation to the configured pool
-	// width even when the goroutine count was widened for dispatch
-	// fan-out and jobs fall back local.
-	localSlots := make(chan struct{}, local)
-	errs := make([]error, len(cold))
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				k := int(next.Add(1))
-				if k >= len(cold) {
-					return
-				}
-				i := cold[k]
-				if err := ctx.Err(); err != nil {
-					errs[k] = err
-					continue
-				}
-				s.inflight.Add(1)
-				rec, err, _ := s.flights.do(hashes[i], func() (harness.Record, error) {
-					// Double-check the store: a flight for this hash may
-					// have completed between our miss and now.  Quiet
-					// lookup — this request already counted its miss.
-					if rec, _, ok := s.opts.Store.lookup(hashes[i], false); ok {
-						return rec, nil
-					}
-					if fleet {
-						ref := dispatch.JobRef{
-							Apps:      req.Apps,
-							Backends:  req.Backends,
-							Scenarios: req.Scenarios,
-							NProcs:    req.NProcs,
-							Scale:     scale,
-							Index:     i,
-						}
-						rec, err := s.opts.Dispatcher.Do(ctx, ref, hashes[i])
-						if err == nil {
-							s.dispatched.Add(1)
-							s.opts.Store.Put(hashes[i], rec)
-							return rec, nil
-						}
-						if ctx.Err() != nil {
-							return rec, ctx.Err()
-						}
-						// Unserved by the fleet — compute locally below.
-						s.fallbacks.Add(1)
-					}
-					localSlots <- struct{}{}
-					defer func() { <-localSlots }()
-					s.computed.Add(1)
-					j := work[i]
-					if mu := locks[jobs[i].App]; mu != nil {
-						mu.Lock()
-						defer mu.Unlock()
-					}
-					rec, err := s.runJob(j)
-					if err == nil {
-						s.opts.Store.Put(hashes[i], rec)
-					}
-					return rec, err
-				})
-				s.inflight.Add(-1)
-				recs[k], errs[k] = rec, err
-				if err == nil && emit != nil {
-					emit(streamLine{Index: i, Total: len(jobs), Cached: false, Record: &recs[k]})
-				}
+	// width even when the pool was widened for dispatch fan-out and jobs
+	// fall back local.
+	localSlots := make(chan struct{}, s.opts.Workers)
+	return harness.ForEach(ctx, len(cold), width, func(k int) error {
+		i := cold[k]
+		s.inflight.Add(1)
+		rec, err, _ := s.flights.do(hashes[i], func() (harness.Record, error) {
+			// Double-check the store: a flight for this hash may have
+			// completed between our miss and now.  Quiet lookup — this
+			// request already counted its miss.
+			if rec, _, ok := s.opts.Store.lookup(hashes[i], false); ok {
+				return rec, nil
 			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
+			if fleet {
+				ref := dispatch.JobRef{
+					Apps:      req.Apps,
+					Backends:  req.Backends,
+					Scenarios: req.Scenarios,
+					NProcs:    req.NProcs,
+					Scale:     scale,
+					Index:     i,
+				}
+				rec, err := s.opts.Dispatcher.Do(ctx, ref, hashes[i])
+				if err == nil {
+					s.dispatched.Add(1)
+					s.opts.Store.Put(hashes[i], rec)
+					return rec, nil
+				}
+				if ctx.Err() != nil {
+					return rec, ctx.Err()
+				}
+				// Unserved by the fleet — compute locally below.
+				s.fallbacks.Add(1)
+			}
+			localSlots <- struct{}{}
+			defer func() { <-localSlots }()
+			s.computed.Add(1)
+			j := jobs[i]
+			j.App = j.App.Clone()
+			rec, err := s.runJob(j)
+			if err == nil {
+				s.opts.Store.Put(hashes[i], rec)
+			}
+			return rec, err
+		})
+		s.inflight.Add(-1)
 		if err != nil {
 			return err
 		}
-	}
-	return nil
+		recs[k] = rec
+		if emit != nil {
+			emit(streamLine{Index: i, Total: len(jobs), Cached: false, Record: &recs[k]})
+		}
+		return nil
+	})
 }
 
 // runJob is Job.Run with a panic turned into the job's error.  The

@@ -444,10 +444,11 @@ func TestFlightGroupSharesInFlightResult(t *testing.T) {
 func TestRunColdCanceledContext(t *testing.T) {
 	srv, _ := testServer(t, Options{Workers: 2})
 	req := gridRequest{Apps: []string{"ep"}, Backends: []string{"tmk", "pvm"}, Scenarios: []string{"base"}, NProcs: []int{2}}
-	p, jobs, scale, err := srv.plan(req)
+	p, scale, err := srv.plan(req)
 	if err != nil {
 		t.Fatal(err)
 	}
+	jobs := p.jobs
 	cold := make([]int, len(jobs))
 	for i := range cold {
 		cold[i] = i
