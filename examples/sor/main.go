@@ -21,24 +21,22 @@ func main() {
 		cfg := sor.Small(zero)
 		cfg.M = 512
 		cfg.Sweeps = 10
-		name := "SOR-Zero"
-		if !zero {
-			name = "SOR-Nonzero"
-		}
-		seq, _, err := sor.RunSeq(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%s (%dx%d, %d sweeps): sequential %.2fs\n",
-			name, cfg.M, cfg.N, cfg.Sweeps, seq.Time.Seconds())
-		fmt.Printf("%6s  %22s  %22s\n", "procs", "TreadMarks (sp/msgs/KB)", "PVM (sp/msgs/KB)")
-		for _, n := range []int{1, 2, 4, 8} {
-			tres, _, err := sor.RunTMK(cfg, core.Default(n))
+		a := sor.NewApp(cfg)
+		run := func(b core.Backend, n int) core.Result {
+			res, err := b.Run(a, core.Base(n))
 			if err != nil {
 				log.Fatal(err)
 			}
-			pres, _, err := sor.RunPVM(cfg, core.Default(n))
-			if err != nil {
+			return res
+		}
+		seq := run(core.Seq, 1)
+		fmt.Printf("%s (%dx%d, %d sweeps): sequential %.2fs\n",
+			a.Name(), cfg.M, cfg.N, cfg.Sweeps, seq.Time.Seconds())
+		fmt.Printf("%6s  %22s  %22s\n", "procs", "TreadMarks (sp/msgs/KB)", "PVM (sp/msgs/KB)")
+		for _, n := range []int{1, 2, 4, 8} {
+			tres := run(core.TMK, n)
+			pres := run(core.PVM, n)
+			if err := a.Check(); err != nil {
 				log.Fatal(err)
 			}
 			fmt.Printf("%6d  %7.2f %6d %7.0f  %7.2f %6d %7.0f\n", n,

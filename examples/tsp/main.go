@@ -25,25 +25,26 @@ func main() {
 	cfg.Cities = *cities
 	cfg.Threshold = *cities - 4 // the solver gets all but 4-city prefixes
 
-	seq, out, err := tsp.RunSeq(cfg)
-	if err != nil {
-		log.Fatal(err)
+	a := tsp.NewApp(cfg)
+	run := func(b core.Backend, n int) core.Result {
+		res, err := b.Run(a, core.Base(n))
+		if err != nil {
+			log.Fatal(err)
+		}
+		return res
 	}
-	fmt.Printf("TSP: %d cities, optimal tour length %d, sequential %.2fs\n\n",
-		cfg.Cities, out.Best, seq.Time.Seconds())
+	seq := run(core.Seq, 1)
+	fmt.Printf("TSP: %s, sequential %.2fs\n\n", a.Problem(), seq.Time.Seconds())
 
 	fmt.Printf("%6s  %28s  %28s\n", "procs", "TreadMarks (sp/msgs/faults)", "PVM master-slave (sp/msgs)")
 	for _, n := range []int{1, 2, 4, 8} {
-		tres, tout, err := tsp.RunTMK(cfg, core.Default(n))
-		if err != nil {
-			log.Fatal(err)
+		tres := run(core.TMK, n)
+		if err := a.Check(); err != nil {
+			log.Fatalf("tmk n=%d: %v", n, err)
 		}
-		pres, pout, err := tsp.RunPVM(cfg, core.Default(n))
-		if err != nil {
-			log.Fatal(err)
-		}
-		if tout.Best != out.Best || pout.Best != out.Best {
-			log.Fatalf("optimum mismatch: seq %d tmk %d pvm %d", out.Best, tout.Best, pout.Best)
+		pres := run(core.PVM, n)
+		if err := a.Check(); err != nil {
+			log.Fatalf("pvm n=%d: %v", n, err)
 		}
 		fmt.Printf("%6d  %10.2f %8d %8d  %13.2f %8d   lock-wait %4.0f%%\n", n,
 			seq.Time.Seconds()/tres.Time.Seconds(), tres.Net.Messages, tres.Faults,

@@ -99,6 +99,8 @@ func (a *app) SetupTMK(sys *tmk.System) {
 	sys.InitF64(a.bodyA, cfg.initBodies())
 }
 
+// TMK: the body array is shared, tree cells are private; barriers follow
+// the MakeTree, force, and update phases.
 func (a *app) TMK(p *tmk.Proc) {
 	cfg := a.cfg
 	n3 := stride * cfg.Bodies
@@ -142,6 +144,11 @@ func (a *app) SetupPVM(sys *pvm.System) {
 	a.parOut, a.hasPar = Output{}, true
 }
 
+// PVM message tag.
+const tagBodies = 1
+
+// PVM: every processor broadcasts its updated bodies at the end of each
+// step so each can rebuild the complete tree.
 func (a *app) PVM(p *pvm.Proc) {
 	cfg := a.cfg
 	bodies := cfg.initBodies()

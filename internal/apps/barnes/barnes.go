@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/core"
 	"repro/internal/sim"
 )
 
@@ -337,11 +336,4 @@ func checksum(bodies []float64, idx []int) int64 {
 		}
 	}
 	return s
-}
-
-// RunSeq runs the sequential program.
-func RunSeq(cfg Config) (core.Result, Output, error) {
-	a := &app{cfg: cfg}
-	res, err := core.Seq.Run(a, core.Base(1))
-	return res, a.seqOut, err
 }

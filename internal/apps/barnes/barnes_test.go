@@ -49,53 +49,46 @@ func TestCostzonePartition(t *testing.T) {
 	}
 }
 
+// run runs a on backend b at n processors, failing the test on error.
+func run(t *testing.T, b core.Backend, a *app, n int) core.Result {
+	t.Helper()
+	res, err := b.Run(a, core.Base(n))
+	if err != nil {
+		t.Fatalf("%s n=%d: %v", b.Name(), n, err)
+	}
+	return res
+}
+
 func TestSeqDeterministic(t *testing.T) {
-	cfg := Small()
-	_, a, err := RunSeq(cfg)
-	if err != nil {
+	a := &app{cfg: Small()}
+	run(t, core.Seq, a, 1)
+	first := a.seqOut
+	run(t, core.Seq, a, 1)
+	if err := first.Check(a.seqOut); err != nil {
 		t.Fatal(err)
 	}
-	_, b, err := RunSeq(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Check(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Sum == 0 {
+	if first.Sum == 0 {
 		t.Fatal("degenerate checksum")
 	}
 }
 
 func TestTMKMatchesSequential(t *testing.T) {
-	cfg := Small()
-	_, want, err := RunSeq(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := &app{cfg: Small()}
+	run(t, core.Seq, a, 1)
 	for _, n := range []int{1, 2, 4, 8} {
-		_, got, err := RunTMK(cfg, core.Default(n))
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if err := want.Check(got); err != nil {
+		run(t, core.TMK, a, n)
+		if err := a.Check(); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 	}
 }
 
 func TestPVMMatchesSequential(t *testing.T) {
-	cfg := Small()
-	_, want, err := RunSeq(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := &app{cfg: Small()}
+	run(t, core.Seq, a, 1)
 	for _, n := range []int{1, 2, 4, 8} {
-		_, got, err := RunPVM(cfg, core.Default(n))
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if err := want.Check(got); err != nil {
+		run(t, core.PVM, a, n)
+		if err := a.Check(); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 	}
@@ -108,17 +101,11 @@ func TestFalseSharingDrivesMessages(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale run")
 	}
-	cfg := Paper()
-	cfg.Steps = 4 // step 1 reads preloaded data: no TreadMarks traffic
+	a := &app{cfg: Paper()}
+	a.cfg.Steps = 4 // step 1 reads preloaded data: no TreadMarks traffic
 	const n = 8
-	pvmRes, _, err := RunPVM(cfg, core.Default(n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tmkRes, _, err := RunTMK(cfg, core.Default(n))
-	if err != nil {
-		t.Fatal(err)
-	}
+	pvmRes := run(t, core.PVM, a, n)
+	tmkRes := run(t, core.TMK, a, n)
 	if tmkRes.Net.Messages < 3*pvmRes.Net.Messages {
 		t.Errorf("message ratio %.1f (tmk=%d pvm=%d), want large",
 			float64(tmkRes.Net.Messages)/float64(pvmRes.Net.Messages),
@@ -127,7 +114,7 @@ func TestFalseSharingDrivesMessages(t *testing.T) {
 	// Per steady-state step TreadMarks moves at least as much data as PVM
 	// (false sharing brings in unwanted bytes); TreadMarks pays nothing on
 	// the first (preloaded) step, hence the (Steps-1)/Steps factor.
-	steady := float64(pvmRes.Net.Bytes) * float64(cfg.Steps-1) / float64(cfg.Steps)
+	steady := float64(pvmRes.Net.Bytes) * float64(a.cfg.Steps-1) / float64(a.cfg.Steps)
 	if float64(tmkRes.Net.Bytes) < 0.9*steady {
 		t.Errorf("tmk bytes %d below steady-state parity %.0f with pvm",
 			tmkRes.Net.Bytes, steady)
@@ -140,21 +127,15 @@ func TestPaperScaleGap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale run")
 	}
-	cfg := Paper()
-	cfg.Steps = 3
-	seq, _, err := RunSeq(cfg)
-	if err != nil {
+	a := &app{cfg: Paper()}
+	a.cfg.Steps = 3
+	seq := run(t, core.Seq, a, 1)
+	pvmRes := run(t, core.PVM, a, 8)
+	if err := a.Check(); err != nil {
 		t.Fatal(err)
 	}
-	pvmRes, pvmOut, err := RunPVM(cfg, core.Default(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tmkRes, tmkOut, err := RunTMK(cfg, core.Default(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pvmOut.Check(tmkOut); err != nil {
+	tmkRes := run(t, core.TMK, a, 8)
+	if err := a.Check(); err != nil {
 		t.Fatal(err)
 	}
 	sp := seq.Time.Seconds() / pvmRes.Time.Seconds()

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/core"
 	"repro/internal/sim"
 )
 
@@ -116,31 +115,10 @@ func span(total, nprocs, id int) (int, int) {
 	return lo, hi
 }
 
-// RunSeq runs the sequential program (no communication library).
-func RunSeq(cfg Config) (core.Result, Output, error) {
-	a := newApp(cfg)
-	res, err := core.Seq.Run(a, core.Base(1))
-	return res, a.seqOut, err
-}
-
 // Shared layout for the TreadMarks version.
 const (
 	lockTally = 0
 )
 
-// RunTMK runs the TreadMarks version on ccfg.Procs processors.
-func RunTMK(cfg Config, ccfg core.Config) (core.Result, Output, error) {
-	a := newApp(cfg)
-	res, err := core.TMK.Run(a, core.Scenario{Name: "custom", Config: ccfg})
-	return res, a.parOut, err
-}
-
 // Message tags for the PVM version.
 const tagTally = 1
-
-// RunPVM runs the PVM version on ccfg.Procs processes.
-func RunPVM(cfg Config, ccfg core.Config) (core.Result, Output, error) {
-	a := newApp(cfg)
-	res, err := core.PVM.Run(a, core.Scenario{Name: "custom", Config: ccfg})
-	return res, a.parOut, err
-}

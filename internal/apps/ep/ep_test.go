@@ -6,58 +6,51 @@ import (
 	"repro/internal/core"
 )
 
+// run runs a on backend b at n processors, failing the test on error.
+func run(t *testing.T, b core.Backend, a *app, n int) core.Result {
+	t.Helper()
+	res, err := b.Run(a, core.Base(n))
+	if err != nil {
+		t.Fatalf("%s n=%d: %v", b.Name(), n, err)
+	}
+	return res
+}
+
 func TestSeqDeterministic(t *testing.T) {
-	cfg := Small()
-	_, a, err := RunSeq(cfg)
-	if err != nil {
-		t.Fatal(err)
+	a := newApp(Small())
+	run(t, core.Seq, a, 1)
+	first := a.seqOut
+	run(t, core.Seq, a, 1)
+	if first != a.seqOut {
+		t.Fatalf("sequential runs differ: %+v vs %+v", first, a.seqOut)
 	}
-	_, b, err := RunSeq(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatalf("sequential runs differ: %+v vs %+v", a, b)
-	}
-	if a.Accepted == 0 || a.Q[0] == 0 {
-		t.Fatalf("degenerate output: %+v", a)
+	if first.Accepted == 0 || first.Q[0] == 0 {
+		t.Fatalf("degenerate output: %+v", first)
 	}
 	// Polar method accepts ~ pi/4 of pairs.
-	frac := float64(a.Accepted) / float64(cfg.Pairs)
+	frac := float64(first.Accepted) / float64(a.cfg.Pairs)
 	if frac < 0.75 || frac > 0.82 {
 		t.Fatalf("acceptance fraction %v, want ~0.785", frac)
 	}
 }
 
 func TestTMKMatchesSequential(t *testing.T) {
-	cfg := Small()
-	_, want, err := RunSeq(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := newApp(Small())
+	run(t, core.Seq, a, 1)
 	for _, n := range []int{1, 2, 3, 8} {
-		_, got, err := RunTMK(cfg, core.Default(n))
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if err := want.Check(got); err != nil {
+		run(t, core.TMK, a, n)
+		if err := a.Check(); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 	}
 }
 
 func TestPVMMatchesSequential(t *testing.T) {
-	cfg := Small()
-	_, want, err := RunSeq(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := newApp(Small())
+	run(t, core.Seq, a, 1)
 	for _, n := range []int{1, 2, 5, 8} {
-		_, got, err := RunPVM(cfg, core.Default(n))
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if err := want.Check(got); err != nil {
+		run(t, core.PVM, a, n)
+		if err := a.Check(); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 	}
@@ -68,21 +61,12 @@ func TestPVMMatchesSequential(t *testing.T) {
 func TestNearLinearSpeedup(t *testing.T) {
 	// Use a paper-scale compute/communication ratio (the Small config is
 	// deliberately tiny and communication-bound).
-	cfg := Small()
-	cfg.Pairs = 1 << 17
-	cfg.CostScale = 64
-	seq, _, err := RunSeq(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tmkRes, _, err := RunTMK(cfg, core.Default(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pvmRes, _, err := RunPVM(cfg, core.Default(8))
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := newApp(Small())
+	a.cfg.Pairs = 1 << 17
+	a.cfg.CostScale = 64
+	seq := run(t, core.Seq, a, 1)
+	tmkRes := run(t, core.TMK, a, 8)
+	pvmRes := run(t, core.PVM, a, 8)
 	st := seq.Time.Seconds() / tmkRes.Time.Seconds()
 	sp := seq.Time.Seconds() / pvmRes.Time.Seconds()
 	if st < 7.0 || sp < 7.0 {
@@ -92,11 +76,7 @@ func TestNearLinearSpeedup(t *testing.T) {
 
 // PVM sends exactly n-1 user messages (the tally lists).
 func TestPVMMessageCount(t *testing.T) {
-	cfg := Small()
-	res, _, err := RunPVM(cfg, core.Default(8))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, core.PVM, newApp(Small()), 8)
 	if res.Net.Messages != 7 {
 		t.Fatalf("messages = %d, want 7", res.Net.Messages)
 	}
@@ -105,11 +85,7 @@ func TestPVMMessageCount(t *testing.T) {
 // TreadMarks communication is small: a lock chain plus a barrier plus a
 // handful of diff fetches for the single shared page.
 func TestTMKTrafficSmall(t *testing.T) {
-	cfg := Small()
-	res, _, err := RunTMK(cfg, core.Default(8))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, core.TMK, newApp(Small()), 8)
 	if res.Net.Messages == 0 || res.Net.Messages > 120 {
 		t.Fatalf("tmk messages = %d, want small nonzero", res.Net.Messages)
 	}

@@ -103,6 +103,10 @@ func (a *app) SetupTMK(sys *tmk.System) {
 	sys.InitF64(a.aA, cfg.initData(0, 2*cfg.points()))
 }
 
+// TMK: both array buffers are shared.  Each iteration a processor reads
+// the source planes it needs (remote pages fault in diff by diff), writes
+// its own planes of the destination, runs the local FFT passes in the same
+// interval, and waits at the barrier.
 func (a *app) TMK(p *tmk.Proc) {
 	cfg := a.cfg
 	n := cfg.N
@@ -146,6 +150,11 @@ func (a *app) SetupPVM(sys *pvm.System) {
 	a.parOut, a.hasPar = Output{}, true
 }
 
+// PVM message tag.
+const tagBlock = 1
+
+// PVM: the transpose is performed by explicitly sending each processor
+// the block of planes it will own.
 func (a *app) PVM(p *pvm.Proc) {
 	cfg := a.cfg
 	n := cfg.N

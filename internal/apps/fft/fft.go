@@ -27,7 +27,6 @@ import (
 	"math"
 	"math/cmplx"
 
-	"repro/internal/core"
 	"repro/internal/sim"
 )
 
@@ -212,11 +211,4 @@ func passes(cfg Config, data []float64, lo, hi, it int) sim.Time {
 
 func span(total, nprocs, id int) (int, int) {
 	return id * total / nprocs, (id + 1) * total / nprocs
-}
-
-// RunSeq runs the sequential program.
-func RunSeq(cfg Config) (core.Result, Output, error) {
-	a := &app{cfg: cfg}
-	res, err := core.Seq.Run(a, core.Base(1))
-	return res, a.seqOut, err
 }

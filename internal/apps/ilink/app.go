@@ -101,6 +101,9 @@ func (a *app) SetupTMK(sys *tmk.System) {
 	a.idxA = sys.MallocPageAligned(4 * (cfg.G + 1))
 }
 
+// TMK: the bank of genarrays and the parent's index array are shared;
+// barriers separate the master's reinitialization, the parallel element
+// updates, and the summation.
 func (a *app) TMK(p *tmk.Proc) {
 	cfg := a.cfg
 	n := p.N()
@@ -165,6 +168,16 @@ func (a *app) SetupPVM(sys *pvm.System) {
 	a.parOut, a.hasPar = Output{}, true
 }
 
+// PVM message tags.
+const (
+	tagWork   = 1
+	tagResult = 2
+)
+
+// PVM: the master keeps the bank private; per family it sends each slave
+// its assigned parent elements plus the member cluster contexts (nonzeros
+// only, one message), and receives the updated elements back (one
+// message).
 func (a *app) PVM(p *pvm.Proc) {
 	cfg := a.cfg
 	n := p.N()

@@ -24,7 +24,6 @@ package ilink
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/sim"
 )
 
@@ -131,11 +130,4 @@ func (o Output) Check(other Output) error {
 		return fmt.Errorf("ilink: loglike %v vs %v", o.LogLike, other.LogLike)
 	}
 	return nil
-}
-
-// RunSeq runs the sequential program.
-func RunSeq(cfg Config) (core.Result, Output, error) {
-	a := &app{cfg: cfg}
-	res, err := core.Seq.Run(a, core.Base(1))
-	return res, a.seqOut, err
 }

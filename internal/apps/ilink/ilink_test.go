@@ -30,53 +30,46 @@ func TestParentNonzerosDeterministic(t *testing.T) {
 	}
 }
 
+// run runs a on backend b at n processors, failing the test on error.
+func run(t *testing.T, b core.Backend, a *app, n int) core.Result {
+	t.Helper()
+	res, err := b.Run(a, core.Base(n))
+	if err != nil {
+		t.Fatalf("%s n=%d: %v", b.Name(), n, err)
+	}
+	return res
+}
+
 func TestSeqDeterministic(t *testing.T) {
-	cfg := Small()
-	_, a, err := RunSeq(cfg)
-	if err != nil {
+	a := &app{cfg: Small()}
+	run(t, core.Seq, a, 1)
+	first := a.seqOut
+	run(t, core.Seq, a, 1)
+	if err := first.Check(a.seqOut); err != nil {
 		t.Fatal(err)
 	}
-	_, b, err := RunSeq(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Check(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.LogLike == 0 {
+	if first.LogLike == 0 {
 		t.Fatal("degenerate output")
 	}
 }
 
 func TestTMKMatchesSequential(t *testing.T) {
-	cfg := Small()
-	_, want, err := RunSeq(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := &app{cfg: Small()}
+	run(t, core.Seq, a, 1)
 	for _, n := range []int{1, 2, 4, 8} {
-		_, got, err := RunTMK(cfg, core.Default(n))
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if err := want.Check(got); err != nil {
+		run(t, core.TMK, a, n)
+		if err := a.Check(); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 	}
 }
 
 func TestPVMMatchesSequential(t *testing.T) {
-	cfg := Small()
-	_, want, err := RunSeq(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := &app{cfg: Small()}
+	run(t, core.Seq, a, 1)
 	for _, n := range []int{1, 2, 4, 8} {
-		_, got, err := RunPVM(cfg, core.Default(n))
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if err := want.Check(got); err != nil {
+		run(t, core.PVM, a, n)
+		if err := a.Check(); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 	}
@@ -89,17 +82,12 @@ func TestPaperScaleGap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale run")
 	}
-	cfg := Paper()
-	cfg.Families = 6
-	pvmRes, pvmOut, err := RunPVM(cfg, core.Default(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tmkRes, tmkOut, err := RunTMK(cfg, core.Default(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pvmOut.Check(tmkOut); err != nil {
+	a := &app{cfg: Paper()}
+	a.cfg.Families = 6
+	pvmRes := run(t, core.PVM, a, 8)
+	pvmOut := a.parOut
+	tmkRes := run(t, core.TMK, a, 8)
+	if err := pvmOut.Check(a.parOut); err != nil {
 		t.Fatal(err)
 	}
 	gap := tmkRes.Time.Seconds() / pvmRes.Time.Seconds()

@@ -25,7 +25,6 @@ package is
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/sim"
 )
 
@@ -151,30 +150,9 @@ func bucketChecksum(counts []int32) int64 {
 	return s
 }
 
-// RunSeq runs the sequential program.
-func RunSeq(cfg Config) (core.Result, Output, error) {
-	a := newApp(cfg)
-	res, err := core.Seq.Run(a, core.Base(1))
-	return res, a.seqOut, err
-}
-
 const lockBuckets = 0
-
-// RunTMK runs the TreadMarks version.
-func RunTMK(cfg Config, ccfg core.Config) (core.Result, Output, error) {
-	a := newApp(cfg)
-	res, err := core.TMK.Run(a, core.Scenario{Name: "custom", Config: ccfg})
-	return res, a.assemble(), err
-}
 
 const (
 	tagChain = 1
 	tagFinal = 2
 )
-
-// RunPVM runs the PVM version.
-func RunPVM(cfg Config, ccfg core.Config) (core.Result, Output, error) {
-	a := newApp(cfg)
-	res, err := core.PVM.Run(a, core.Scenario{Name: "custom", Config: ccfg})
-	return res, a.assemble(), err
-}

@@ -9,53 +9,46 @@ import (
 	"repro/internal/sim"
 )
 
+// run runs a on backend b at n processors, failing the test on error.
+func run(t *testing.T, b core.Backend, a *app, n int) core.Result {
+	t.Helper()
+	res, err := b.Run(a, core.Base(n))
+	if err != nil {
+		t.Fatalf("%s n=%d: %v", b.Name(), n, err)
+	}
+	return res
+}
+
 func TestSeqDeterministic(t *testing.T) {
-	cfg := Small()
-	_, a, err := RunSeq(cfg)
-	if err != nil {
+	a := newApp(Small())
+	run(t, core.Seq, a, 1)
+	first := a.seqOut
+	run(t, core.Seq, a, 1)
+	if err := first.Check(a.seqOut); err != nil {
 		t.Fatal(err)
 	}
-	_, b, err := RunSeq(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Check(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.BucketSum == 0 || a.RankSum == 0 {
-		t.Fatalf("degenerate output %+v", a)
+	if first.BucketSum == 0 || first.RankSum == 0 {
+		t.Fatalf("degenerate output %+v", first)
 	}
 }
 
 func TestTMKMatchesSequential(t *testing.T) {
-	cfg := Small()
-	_, want, err := RunSeq(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := newApp(Small())
+	run(t, core.Seq, a, 1)
 	for _, n := range []int{1, 2, 3, 8} {
-		_, got, err := RunTMK(cfg, core.Default(n))
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if err := want.Check(got); err != nil {
+		run(t, core.TMK, a, n)
+		if err := a.Check(); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 	}
 }
 
 func TestPVMMatchesSequential(t *testing.T) {
-	cfg := Small()
-	_, want, err := RunSeq(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := newApp(Small())
+	run(t, core.Seq, a, 1)
 	for _, n := range []int{1, 2, 5, 8} {
-		_, got, err := RunPVM(cfg, core.Default(n))
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if err := want.Check(got); err != nil {
+		run(t, core.PVM, a, n)
+		if err := a.Check(); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 	}
@@ -63,16 +56,23 @@ func TestPVMMatchesSequential(t *testing.T) {
 
 // PVM messages per iteration: (n-1) chain + (n-1) broadcast.
 func TestPVMMessageCount(t *testing.T) {
-	cfg := Small()
+	a := newApp(Small())
 	const n = 8
-	res, _, err := RunPVM(cfg, core.Default(n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := int64(cfg.Iters * 2 * (n - 1))
+	res := run(t, core.PVM, a, n)
+	want := int64(a.cfg.Iters * 2 * (n - 1))
 	if res.Net.Messages != want {
 		t.Fatalf("messages = %d, want %d", res.Net.Messages, want)
 	}
+}
+
+// gap returns the TreadMarks/PVM time ratio of cfg at n processors; the
+// results are for tests that also need the traffic.
+func gap(t *testing.T, cfg Config, n int) (ratio float64, tmkRes, pvmRes core.Result) {
+	t.Helper()
+	a := newApp(cfg)
+	pvmRes = run(t, core.PVM, a, n)
+	tmkRes = run(t, core.TMK, a, n)
+	return tmkRes.Time.Seconds() / pvmRes.Time.Seconds(), tmkRes, pvmRes
 }
 
 // The diff-accumulation law (paper §3.5): per iteration PVM moves
@@ -81,15 +81,7 @@ func TestPVMMessageCount(t *testing.T) {
 func TestDiffAccumulationDataRatio(t *testing.T) {
 	cfg := PaperLarge()
 	cfg.Iters = 3 // ratio per iteration is stable
-	const n = 8
-	pvmRes, _, err := RunPVM(cfg, core.Default(n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tmkRes, _, err := RunTMK(cfg, core.Default(n))
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, tmkRes, pvmRes := gap(t, cfg, 8)
 	ratio := float64(tmkRes.Net.Bytes) / float64(pvmRes.Net.Bytes)
 	// The law predicts n/2 = 4 at full diff density; the centered key
 	// distribution thins the tail pages, so ~3 is expected.
@@ -107,22 +99,13 @@ func TestISLargePVMTwiceAsFast(t *testing.T) {
 	}
 	cfg := PaperLarge()
 	cfg.Iters = 5
-	const n = 8
-	pvmRes, _, err := RunPVM(cfg, core.Default(n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tmkRes, _, err := RunTMK(cfg, core.Default(n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gap := tmkRes.Time.Seconds() / pvmRes.Time.Seconds()
-	if gap < 1.5 {
+	g, tmkRes, pvmRes := gap(t, cfg, 8)
+	if g < 1.5 {
 		t.Fatalf("IS-Large gap = %.2fx (tmk %.3fs pvm %.3fs), want ~2x",
-			gap, tmkRes.Time.Seconds(), pvmRes.Time.Seconds())
+			g, tmkRes.Time.Seconds(), pvmRes.Time.Seconds())
 	}
-	if gap > 3.0 {
-		t.Fatalf("IS-Large gap = %.2fx implausibly large", gap)
+	if g > 3.0 {
+		t.Fatalf("IS-Large gap = %.2fx implausibly large", g)
 	}
 }
 
@@ -132,21 +115,10 @@ func TestISSmallCloserThanISLarge(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale run")
 	}
-	gap := func(cfg Config) float64 {
-		cfg.Iters = 5
-		const n = 8
-		pvmRes, _, err := RunPVM(cfg, core.Default(n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		tmkRes, _, err := RunTMK(cfg, core.Default(n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tmkRes.Time.Seconds() / pvmRes.Time.Seconds()
-	}
-	smallGap := gap(PaperSmall())
-	largeGap := gap(PaperLarge())
+	small, large := PaperSmall(), PaperLarge()
+	small.Iters, large.Iters = 5, 5
+	smallGap, _, _ := gap(t, small, 8)
+	largeGap, _, _ := gap(t, large, 8)
 	if smallGap >= largeGap {
 		t.Fatalf("small gap %.2f should beat large gap %.2f", smallGap, largeGap)
 	}

@@ -69,6 +69,7 @@ func (a *app) Check() error {
 	return a.seqOut.Check(a.sink.assemble(a.cfg.N))
 }
 
+// Seq sorts with an explicit stack of subarrays.
 func (a *app) Seq(ctx *sim.Ctx) {
 	cfg := a.cfg
 	v := cfg.input()
@@ -103,6 +104,8 @@ func (a *app) SetupTMK(sys *tmk.System) {
 	sys.InitI64(a.queueA, []int64{int64(cfg.N)}) // (lo=0)<<32 | hi=N... lo in high half
 }
 
+// TMK: list and work queue shared, queue under a lock, termination via a
+// shared done-count.
 func (a *app) TMK(p *tmk.Proc) {
 	cfg := a.cfg
 	list := p.I32Array(a.listA, cfg.N)
@@ -159,7 +162,7 @@ func (a *app) SetupPVM(sys *pvm.System) {
 	a.hasPar = true
 }
 
-// PVM is the slave body.
+// PVM is the slave body of the master/slave version.
 func (a *app) PVM(p *pvm.Proc) {
 	cfg := a.cfg
 	master := p.N()

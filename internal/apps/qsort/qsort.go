@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/core"
 	"repro/internal/sim"
 )
 
@@ -151,13 +150,6 @@ func bubble(v []int32) int64 {
 	return ops
 }
 
-// RunSeq runs the sequential program (explicit stack of subarrays).
-func RunSeq(cfg Config) (core.Result, Output, error) {
-	a := newApp(cfg)
-	res, err := core.Seq.Run(a, core.Base(1))
-	return res, a.seqOut, err
-}
-
 // leafSink collects sorted leaves out of band for verification.  The
 // assembled output is keyed by offset, so insertion order never matters.
 type leafSink struct {
@@ -195,14 +187,6 @@ const (
 	maxQueue  = 8192
 )
 
-// RunTMK runs the TreadMarks version: list and work queue shared, queue
-// under a lock, termination via a shared done-count.
-func RunTMK(cfg Config, ccfg core.Config) (core.Result, Output, error) {
-	a := newApp(cfg)
-	res, err := core.TMK.Run(a, core.Scenario{Name: "custom", Config: ccfg})
-	return res, a.sink.assemble(cfg.N), err
-}
-
 // PVM message tags.
 const (
 	tagWorkReq = 1
@@ -210,10 +194,3 @@ const (
 	tagLeaf    = 3 // sorted leaf: lo, data
 	tagSplit   = 4 // partitioned subarray: lo, m, data
 )
-
-// RunPVM runs the master/slave PVM version.
-func RunPVM(cfg Config, ccfg core.Config) (core.Result, Output, error) {
-	a := newApp(cfg)
-	res, err := core.PVM.Run(a, core.Scenario{Name: "custom", Config: ccfg})
-	return res, a.sink.assemble(cfg.N), err
-}

@@ -66,52 +66,47 @@ func TestBubbleSortsProperty(t *testing.T) {
 	}
 }
 
-func TestSeqSorts(t *testing.T) {
-	cfg := Small()
-	_, out, err := RunSeq(cfg)
+// run runs a on backend b at n processors, failing the test on error.
+func run(t *testing.T, b core.Backend, a *app, n int) core.Result {
+	t.Helper()
+	res, err := b.Run(a, core.Base(n))
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s n=%d: %v", b.Name(), n, err)
 	}
-	if !out.Sorted {
+	return res
+}
+
+func TestSeqSorts(t *testing.T) {
+	a := newApp(Small())
+	run(t, core.Seq, a, 1)
+	if !a.seqOut.Sorted {
 		t.Fatal("sequential result not sorted")
 	}
-	if out.Checksum == 0 {
+	if a.seqOut.Checksum == 0 {
 		t.Fatal("degenerate checksum")
 	}
 }
 
 func TestTMKMatchesSequential(t *testing.T) {
-	cfg := Small()
-	_, want, err := RunSeq(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := newApp(Small())
+	run(t, core.Seq, a, 1)
 	for _, n := range []int{1, 2, 4, 8} {
-		_, got, err := RunTMK(cfg, core.Default(n))
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if !got.Sorted {
+		run(t, core.TMK, a, n)
+		if !a.sink.assemble(a.cfg.N).Sorted {
 			t.Fatalf("n=%d: not sorted", n)
 		}
-		if err := want.Check(got); err != nil {
+		if err := a.Check(); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 	}
 }
 
 func TestPVMMatchesSequential(t *testing.T) {
-	cfg := Small()
-	_, want, err := RunSeq(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := newApp(Small())
+	run(t, core.Seq, a, 1)
 	for _, n := range []int{1, 2, 4, 8} {
-		_, got, err := RunPVM(cfg, core.Default(n))
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if err := want.Check(got); err != nil {
+		run(t, core.PVM, a, n)
+		if err := a.Check(); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 	}
@@ -120,16 +115,10 @@ func TestPVMMatchesSequential(t *testing.T) {
 // Diff requests dominate TreadMarks traffic here (paper: ~5x more
 // messages than PVM; most are diff requests and responses).
 func TestTMKManyMoreMessages(t *testing.T) {
-	cfg := Small()
+	a := newApp(Small())
 	const n = 4
-	pvmRes, _, err := RunPVM(cfg, core.Default(n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tmkRes, _, err := RunTMK(cfg, core.Default(n))
-	if err != nil {
-		t.Fatal(err)
-	}
+	pvmRes := run(t, core.PVM, a, n)
+	tmkRes := run(t, core.TMK, a, n)
 	if tmkRes.Net.Messages <= pvmRes.Net.Messages {
 		t.Fatalf("tmk %d msgs <= pvm %d msgs", tmkRes.Net.Messages, pvmRes.Net.Messages)
 	}
@@ -144,23 +133,14 @@ func TestPaperScaleGap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale run")
 	}
-	cfg := Paper()
-	seq, want, err := RunSeq(cfg)
-	if err != nil {
+	a := newApp(Paper())
+	seq := run(t, core.Seq, a, 1)
+	pvmRes := run(t, core.PVM, a, 8)
+	if err := a.Check(); err != nil {
 		t.Fatal(err)
 	}
-	pvmRes, pvmOut, err := RunPVM(cfg, core.Default(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tmkRes, tmkOut, err := RunTMK(cfg, core.Default(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := want.Check(pvmOut); err != nil {
-		t.Fatal(err)
-	}
-	if err := want.Check(tmkOut); err != nil {
+	tmkRes := run(t, core.TMK, a, 8)
+	if err := a.Check(); err != nil {
 		t.Fatal(err)
 	}
 	sp := seq.Time.Seconds() / pvmRes.Time.Seconds()

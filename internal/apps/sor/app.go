@@ -127,6 +127,8 @@ func (a *app) SetupTMK(sys *tmk.System) {
 	sys.InitF64(a.blackA, black)
 }
 
+// TMK: both arrays live in shared memory, processors synchronize with one
+// barrier per color sweep.
 func (a *app) TMK(p *tmk.Proc) {
 	cfg := a.cfg
 	h := cfg.half()
@@ -180,6 +182,8 @@ func (a *app) SetupPVM(sys *pvm.System) {
 	a.parOut, a.hasPar = Output{}, false
 }
 
+// PVM: each processor holds its band plus ghost rows and explicitly sends
+// the just-updated boundary rows to neighbors.
 func (a *app) PVM(p *pvm.Proc) {
 	cfg := a.cfg
 	h := cfg.half()

@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/core"
 	"repro/internal/sim"
 )
 
@@ -177,32 +176,9 @@ func band(m, nprocs, id int) (int, int) {
 	return id * m / nprocs, (id + 1) * m / nprocs
 }
 
-// RunSeq runs the sequential program.
-func RunSeq(cfg Config) (core.Result, Output, error) {
-	a := newApp(cfg)
-	res, err := core.Seq.Run(a, core.Base(1))
-	return res, a.seqOut, err
-}
-
-// RunTMK runs the TreadMarks version: both arrays live in shared memory,
-// processors synchronize with one barrier per color sweep.
-func RunTMK(cfg Config, ccfg core.Config) (core.Result, Output, error) {
-	a := newApp(cfg)
-	res, err := core.TMK.Run(a, core.Scenario{Name: "custom", Config: ccfg})
-	return res, a.parOut, err
-}
-
 // Message tags for the PVM version.
 const (
 	tagRowDown = 1 // boundary row sent to the lower neighbor
 	tagRowUp   = 2 // boundary row sent to the upper neighbor
 	tagSums    = 3
 )
-
-// RunPVM runs the PVM version: each processor holds its band plus ghost
-// rows and explicitly sends the just-updated boundary rows to neighbors.
-func RunPVM(cfg Config, ccfg core.Config) (core.Result, Output, error) {
-	a := newApp(cfg)
-	res, err := core.PVM.Run(a, core.Scenario{Name: "custom", Config: ccfg})
-	return res, a.parOut, err
-}

@@ -9,21 +9,26 @@ import (
 	"repro/internal/sim"
 )
 
+// run runs a on backend b at n processors, failing the test on error.
+func run(t *testing.T, b core.Backend, a *app, n int) core.Result {
+	t.Helper()
+	res, err := b.Run(a, core.Base(n))
+	if err != nil {
+		t.Fatalf("%s n=%d: %v", b.Name(), n, err)
+	}
+	return res
+}
+
 func TestSeqDeterministic(t *testing.T) {
 	for _, zero := range []bool{true, false} {
-		cfg := Small(zero)
-		_, a, err := RunSeq(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, b, err := RunSeq(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := a.Check(b); err != nil {
+		a := newApp(Small(zero))
+		run(t, core.Seq, a, 1)
+		first := a.seqOut
+		run(t, core.Seq, a, 1)
+		if err := first.Check(a.seqOut); err != nil {
 			t.Fatalf("zero=%v: %v", zero, err)
 		}
-		if a.Checksum == 0 {
+		if first.Checksum == 0 {
 			t.Fatalf("zero=%v: degenerate checksum", zero)
 		}
 	}
@@ -31,17 +36,11 @@ func TestSeqDeterministic(t *testing.T) {
 
 func TestTMKMatchesSequential(t *testing.T) {
 	for _, zero := range []bool{true, false} {
-		cfg := Small(zero)
-		_, want, err := RunSeq(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		a := newApp(Small(zero))
+		run(t, core.Seq, a, 1)
 		for _, n := range []int{1, 2, 4, 8} {
-			_, got, err := RunTMK(cfg, core.Default(n))
-			if err != nil {
-				t.Fatalf("zero=%v n=%d: %v", zero, n, err)
-			}
-			if err := want.Check(got); err != nil {
+			run(t, core.TMK, a, n)
+			if err := a.Check(); err != nil {
 				t.Fatalf("zero=%v n=%d: %v", zero, n, err)
 			}
 		}
@@ -50,17 +49,11 @@ func TestTMKMatchesSequential(t *testing.T) {
 
 func TestPVMMatchesSequential(t *testing.T) {
 	for _, zero := range []bool{true, false} {
-		cfg := Small(zero)
-		_, want, err := RunSeq(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		a := newApp(Small(zero))
+		run(t, core.Seq, a, 1)
 		for _, n := range []int{1, 2, 4, 8} {
-			_, got, err := RunPVM(cfg, core.Default(n))
-			if err != nil {
-				t.Fatalf("zero=%v n=%d: %v", zero, n, err)
-			}
-			if err := want.Check(got); err != nil {
+			run(t, core.PVM, a, n)
+			if err := a.Check(); err != nil {
 				t.Fatalf("zero=%v n=%d: %v", zero, n, err)
 			}
 		}
@@ -71,19 +64,13 @@ func TestPVMMatchesSequential(t *testing.T) {
 // messages; TreadMarks sends 2*(n-1) for the barrier plus ~8*(n-1) to
 // page in the boundary-row diffs, about 5x more.
 func TestMessageRatioNearFive(t *testing.T) {
-	cfg := Small(false)
-	cfg.Sweeps = 10
+	a := newApp(Small(false))
+	a.cfg.Sweeps = 10
 	const n = 8
-	pvmRes, _, err := RunPVM(cfg, core.Default(n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tmkRes, _, err := RunTMK(cfg, core.Default(n))
-	if err != nil {
-		t.Fatal(err)
-	}
+	pvmRes := run(t, core.PVM, a, n)
+	tmkRes := run(t, core.TMK, a, n)
 	// PVM: 2*(n-1) per sweep plus n-1 residual messages.
-	wantPVM := int64(cfg.Sweeps*2*(n-1) + (n - 1))
+	wantPVM := int64(a.cfg.Sweeps*2*(n-1) + (n - 1))
 	if pvmRes.Net.Messages != wantPVM {
 		t.Errorf("pvm messages = %d, want %d", pvmRes.Net.Messages, wantPVM)
 	}
@@ -97,16 +84,10 @@ func TestMessageRatioNearFive(t *testing.T) {
 // SOR-Zero: most of the matrix stays zero, so TreadMarks diffs are tiny
 // and it ships *less* data than PVM (which sends whole rows regardless).
 func TestZeroCaseTMKSendsLessData(t *testing.T) {
-	cfg := Small(true)
+	a := newApp(Small(true))
 	const n = 4
-	pvmRes, _, err := RunPVM(cfg, core.Default(n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tmkRes, _, err := RunTMK(cfg, core.Default(n))
-	if err != nil {
-		t.Fatal(err)
-	}
+	pvmRes := run(t, core.PVM, a, n)
+	tmkRes := run(t, core.TMK, a, n)
 	if tmkRes.Net.Bytes >= pvmRes.Net.Bytes {
 		t.Fatalf("tmk bytes = %d, pvm bytes = %d: TreadMarks should send less on SOR-Zero",
 			tmkRes.Net.Bytes, pvmRes.Net.Bytes)
@@ -116,14 +97,8 @@ func TestZeroCaseTMKSendsLessData(t *testing.T) {
 // SOR-Zero runs slower sequentially than SOR-Nonzero (underflow traps),
 // and exhibits load imbalance that hurts both systems' speedups.
 func TestZeroSlowerThanNonzero(t *testing.T) {
-	zRes, _, err := RunSeq(Small(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	nzRes, _, err := RunSeq(Small(false))
-	if err != nil {
-		t.Fatal(err)
-	}
+	zRes := run(t, core.Seq, newApp(Small(true)), 1)
+	nzRes := run(t, core.Seq, newApp(Small(false)), 1)
 	if zRes.Time <= nzRes.Time {
 		t.Fatalf("zero %v should be slower than nonzero %v", zRes.Time, nzRes.Time)
 	}
@@ -135,17 +110,11 @@ func TestTMKWithinReasonOfPVM(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale run")
 	}
-	cfg := Paper(false)
-	cfg.Sweeps = 10 // half the sweeps to keep the test quick; ratio per sweep unchanged
+	a := newApp(Paper(false))
+	a.cfg.Sweeps = 10 // half the sweeps to keep the test quick; ratio per sweep unchanged
 	const n = 8
-	pvmRes, _, err := RunPVM(cfg, core.Default(n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tmkRes, _, err := RunTMK(cfg, core.Default(n))
-	if err != nil {
-		t.Fatal(err)
-	}
+	pvmRes := run(t, core.PVM, a, n)
+	tmkRes := run(t, core.TMK, a, n)
 	gap := tmkRes.Time.Seconds() / pvmRes.Time.Seconds()
 	if gap > 1.25 {
 		t.Fatalf("tmk %.3fs vs pvm %.3fs: gap %.2fx too large", tmkRes.Time.Seconds(), pvmRes.Time.Seconds(), gap)

@@ -1,9 +1,6 @@
 package tsp
 
-import (
-	"repro/internal/core"
-	"repro/internal/tmk"
-)
+import "repro/internal/tmk"
 
 // Shared-memory capacity: the tour pool holds this many records; when the
 // pool is exhausted, get_tour hands the current partial path to the solver
@@ -218,25 +215,9 @@ func (w *tmkWorker) getTour() ([]int32, int32) {
 	}
 }
 
-// RunTMK runs the TreadMarks version.
-func RunTMK(cfg Config, ccfg core.Config) (core.Result, Output, error) {
-	a := newApp(cfg)
-	res, err := core.TMK.Run(a, core.Scenario{Name: "custom", Config: ccfg})
-	return res, Output{Best: a.best}, err
-}
-
 // PVM message tags.
 const (
 	tagWorkReq = 1
 	tagWork    = 2 // tour assignment (or empty = done)
 	tagUpdate  = 3
 )
-
-// RunPVM runs the PVM master/slave version: the master keeps all tour
-// structures private; slaves message the master to request solvable tours
-// and to report improved shortest tours.
-func RunPVM(cfg Config, ccfg core.Config) (core.Result, Output, error) {
-	a := newApp(cfg)
-	res, err := core.PVM.Run(a, core.Scenario{Name: "custom", Config: ccfg})
-	return res, Output{Best: a.best}, err
-}

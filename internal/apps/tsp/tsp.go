@@ -25,7 +25,6 @@ import (
 	"math"
 	"math/bits"
 
-	"repro/internal/core"
 	"repro/internal/sim"
 )
 
@@ -242,15 +241,8 @@ func (s *solver) search(last, start int32, remaining uint32, length, best int32)
 // paths with at most Threshold cities remaining are solvable.
 func (c Config) returnLen() int { return c.Cities - c.Threshold }
 
-// RunSeq runs the sequential branch and bound (a single worker with a
-// private queue).
-func RunSeq(cfg Config) (core.Result, Output, error) {
-	a := newApp(cfg)
-	res, err := core.Seq.Run(a, core.Base(1))
-	return res, a.seqOut, err
-}
-
-// Seq is the sequential body.
+// Seq is the sequential branch and bound: a single worker with a private
+// queue.
 func (a *app) Seq(ctx *sim.Ctx) {
 	cfg := a.cfg
 	{

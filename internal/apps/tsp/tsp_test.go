@@ -31,48 +31,44 @@ func bruteForce(cfg Config) int32 {
 	return best
 }
 
+// run runs a on backend b at n processors, failing the test on error.
+func run(t *testing.T, b core.Backend, a *app, n int) core.Result {
+	t.Helper()
+	res, err := b.Run(a, core.Base(n))
+	if err != nil {
+		t.Fatalf("%s n=%d: %v", b.Name(), n, err)
+	}
+	return res
+}
+
 func TestSeqFindsOptimum(t *testing.T) {
 	cfg := Config{Cities: 9, Threshold: 5, Seed: 16180,
 		NodeCost: 1, BoundCost: 1, QueueCost: 1}
 	want := bruteForce(cfg)
-	_, got, err := RunSeq(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Best != want {
-		t.Fatalf("seq best = %d, brute force = %d", got.Best, want)
+	a := newApp(cfg)
+	run(t, core.Seq, a, 1)
+	if a.seqOut.Best != want {
+		t.Fatalf("seq best = %d, brute force = %d", a.seqOut.Best, want)
 	}
 }
 
 func TestTMKMatchesSequential(t *testing.T) {
-	cfg := Small()
-	_, want, err := RunSeq(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := newApp(Small())
+	run(t, core.Seq, a, 1)
 	for _, n := range []int{1, 2, 4, 8} {
-		_, got, err := RunTMK(cfg, core.Default(n))
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if err := want.Check(got); err != nil {
+		run(t, core.TMK, a, n)
+		if err := a.Check(); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 	}
 }
 
 func TestPVMMatchesSequential(t *testing.T) {
-	cfg := Small()
-	_, want, err := RunSeq(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := newApp(Small())
+	run(t, core.Seq, a, 1)
 	for _, n := range []int{1, 2, 4, 8} {
-		_, got, err := RunPVM(cfg, core.Default(n))
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if err := want.Check(got); err != nil {
+		run(t, core.PVM, a, n)
+		if err := a.Check(); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 	}
@@ -81,16 +77,10 @@ func TestPVMMatchesSequential(t *testing.T) {
 // The paper: TreadMarks sends an order of magnitude more messages than
 // PVM (migratory data structures vs a handful of master/slave exchanges).
 func TestTMKSendsManyMoreMessages(t *testing.T) {
-	cfg := Small()
+	a := newApp(Small())
 	const n = 4
-	pvmRes, _, err := RunPVM(cfg, core.Default(n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tmkRes, _, err := RunTMK(cfg, core.Default(n))
-	if err != nil {
-		t.Fatal(err)
-	}
+	pvmRes := run(t, core.PVM, a, n)
+	tmkRes := run(t, core.TMK, a, n)
 	if tmkRes.Net.Messages < 3*pvmRes.Net.Messages {
 		t.Fatalf("tmk %d msgs vs pvm %d msgs: expected a large ratio",
 			tmkRes.Net.Messages, pvmRes.Net.Messages)
@@ -102,20 +92,14 @@ func TestPaperScaleGap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale run")
 	}
-	cfg := Paper()
-	seq, _, err := RunSeq(cfg)
-	if err != nil {
+	a := newApp(Paper())
+	seq := run(t, core.Seq, a, 1)
+	pvmRes := run(t, core.PVM, a, 8)
+	if err := a.Check(); err != nil {
 		t.Fatal(err)
 	}
-	pvmRes, pvmOut, err := RunPVM(cfg, core.Default(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tmkRes, tmkOut, err := RunTMK(cfg, core.Default(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pvmOut.Check(tmkOut); err != nil {
+	tmkRes := run(t, core.TMK, a, 8)
+	if err := a.Check(); err != nil {
 		t.Fatal(err)
 	}
 	sp := seq.Time.Seconds() / pvmRes.Time.Seconds()
@@ -134,11 +118,7 @@ func TestLockWaitDominates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale run")
 	}
-	cfg := Paper()
-	res, _, err := RunTMK(cfg, core.Default(8))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, core.TMK, newApp(Paper()), 8)
 	frac := res.LockWait.Seconds() / (res.Time.Seconds() * 8)
 	if frac < 0.05 {
 		t.Fatalf("lock wait fraction %.3f: expected significant get_tour contention", frac)

@@ -118,6 +118,9 @@ func (a *app) SetupTMK(sys *tmk.System) {
 	sys.InitF64(a.posA, s.pos)
 }
 
+// TMK: positions and forces shared; force contributions accumulated
+// privately and merged under per-processor locks at the end of the force
+// phase.
 func (a *app) TMK(p *tmk.Proc) {
 	cfg := a.cfg
 	n3 := 3 * cfg.Mols
@@ -202,6 +205,8 @@ func (a *app) SetupPVM(sys *pvm.System) {
 	a.parOut, a.hasPar = Output{}, true
 }
 
+// PVM: processors exchange displacements before the force phase and
+// locally accumulated force modifications after it.
 func (a *app) PVM(p *pvm.Proc) {
 	cfg := a.cfg
 	nprocs := p.N()

@@ -1,9 +1,5 @@
 package water
 
-import (
-	"repro/internal/core"
-)
-
 // interactionWindow lists the processors whose chunks overlap the n/2
 // molecules following processor id's chunk — the processors id exchanges
 // data with.
@@ -38,25 +34,8 @@ func interactionWindow(mols, nprocs, id int) []int {
 	return out
 }
 
-// RunTMK runs the TreadMarks version: positions and forces shared; force
-// contributions accumulated privately and merged under per-processor
-// locks at the end of the force phase.
-func RunTMK(cfg Config, ccfg core.Config) (core.Result, Output, error) {
-	a := &app{cfg: cfg}
-	res, err := core.TMK.Run(a, core.Scenario{Name: "custom", Config: ccfg})
-	return res, a.parOut, err
-}
-
 // PVM message tags.
 const (
 	tagPos = 1
 	tagFrc = 2
 )
-
-// RunPVM runs the PVM version: processors exchange displacements before
-// the force phase and locally accumulated force modifications after it.
-func RunPVM(cfg Config, ccfg core.Config) (core.Result, Output, error) {
-	a := &app{cfg: cfg}
-	res, err := core.PVM.Run(a, core.Scenario{Name: "custom", Config: ccfg})
-	return res, a.parOut, err
-}

@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/core"
 	"repro/internal/sim"
 )
 
@@ -231,11 +230,4 @@ func (s *state) checksum(forces []int64) Output {
 		out.PosSum += int64(math.Round(p*1e6)) * int64(i%17+1)
 	}
 	return out
-}
-
-// RunSeq runs the sequential program.
-func RunSeq(cfg Config) (core.Result, Output, error) {
-	a := &app{cfg: cfg}
-	res, err := core.Seq.Run(a, core.Base(1))
-	return res, a.seqOut, err
 }

@@ -6,21 +6,26 @@ import (
 	"repro/internal/core"
 )
 
+// run runs a on backend b at n processors, failing the test on error.
+func run(t *testing.T, b core.Backend, a *app, n int) core.Result {
+	t.Helper()
+	res, err := b.Run(a, core.Base(n))
+	if err != nil {
+		t.Fatalf("%s n=%d: %v", b.Name(), n, err)
+	}
+	return res
+}
+
 func TestSeqDeterministic(t *testing.T) {
-	cfg := Small()
-	_, a, err := RunSeq(cfg)
-	if err != nil {
+	a := &app{cfg: Small()}
+	run(t, core.Seq, a, 1)
+	first := a.seqOut
+	run(t, core.Seq, a, 1)
+	if err := first.Check(a.seqOut); err != nil {
 		t.Fatal(err)
 	}
-	_, b, err := RunSeq(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Check(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.ForceSum == 0 || a.PosSum == 0 {
-		t.Fatalf("degenerate output %+v", a)
+	if first.ForceSum == 0 || first.PosSum == 0 {
+		t.Fatalf("degenerate output %+v", first)
 	}
 }
 
@@ -50,34 +55,22 @@ func TestInteractionWindowCoversForceTargets(t *testing.T) {
 }
 
 func TestTMKMatchesSequential(t *testing.T) {
-	cfg := Small()
-	_, want, err := RunSeq(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := &app{cfg: Small()}
+	run(t, core.Seq, a, 1)
 	for _, n := range []int{1, 2, 4, 8} {
-		_, got, err := RunTMK(cfg, core.Default(n))
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if err := want.Check(got); err != nil {
+		run(t, core.TMK, a, n)
+		if err := a.Check(); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 	}
 }
 
 func TestPVMMatchesSequential(t *testing.T) {
-	cfg := Small()
-	_, want, err := RunSeq(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := &app{cfg: Small()}
+	run(t, core.Seq, a, 1)
 	for _, n := range []int{1, 2, 4, 8} {
-		_, got, err := RunPVM(cfg, core.Default(n))
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if err := want.Check(got); err != nil {
+		run(t, core.PVM, a, n)
+		if err := a.Check(); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 	}
@@ -91,15 +84,11 @@ func TestLargerInputNarrowsGap(t *testing.T) {
 		t.Skip("paper-scale run")
 	}
 	gap := func(cfg Config) float64 {
-		pvmRes, pvmOut, err := RunPVM(cfg, core.Default(8))
-		if err != nil {
-			t.Fatal(err)
-		}
-		tmkRes, tmkOut, err := RunTMK(cfg, core.Default(8))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := pvmOut.Check(tmkOut); err != nil {
+		a := &app{cfg: cfg}
+		pvmRes := run(t, core.PVM, a, 8)
+		pvmOut := a.parOut
+		tmkRes := run(t, core.TMK, a, 8)
+		if err := pvmOut.Check(a.parOut); err != nil {
 			t.Fatal(err)
 		}
 		return tmkRes.Time.Seconds() / pvmRes.Time.Seconds()
@@ -125,15 +114,9 @@ func TestWater288DataRatio(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale run")
 	}
-	cfg := Paper288()
-	pvmRes, _, err := RunPVM(cfg, core.Default(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tmkRes, _, err := RunTMK(cfg, core.Default(8))
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := &app{cfg: Paper288()}
+	pvmRes := run(t, core.PVM, a, 8)
+	tmkRes := run(t, core.TMK, a, 8)
 	ratio := float64(tmkRes.Net.Bytes) / float64(pvmRes.Net.Bytes)
 	if ratio < 1.2 {
 		t.Fatalf("data ratio %.2f: TreadMarks should send more data", ratio)

@@ -3,19 +3,21 @@
 // message-passing library and runs an application on it, returning the
 // modeled execution time and the traffic statistics the paper reports.
 //
-// The three entry points mirror the paper's three measurement modes:
+// An application is an App, implemented once per package under
+// internal/apps, and there is one way to run it: a Backend — Seq, TMK or
+// PVM, the paper's three measurement modes, or a Variant of one — under a
+// Scenario that fully determines the run (experiment.go):
 //
-//   - RunSeq: the sequential program, no communication library (Table 1);
-//   - RunTMK: the TreadMarks version on n processors;
-//   - RunPVM: the PVM version on n processors, optionally with an extra
-//     co-located master process (the paper's TSP/QSORT arrangement).
+//	a := sor.NewApp(sor.Small(false))
+//	res, err := core.TMK.Run(a, core.Base(8))
 //
-// On top of these sits the scenario-first experiment surface
-// (experiment.go): an App implemented once per application package, a
-// Backend adapting it to one system (seq/tmk/pvm, plus Variant-derived
-// ablations), and a Scenario value that fully determines a run.  New
-// configurations are declared as data; the application bodies never
-// change.
+// New configurations are declared as data; the application bodies never
+// change.  Underneath, RunSeq, RunTMK and RunPVM run bare bodies on a
+// fresh cluster: the sequential program with no communication library
+// (Table 1), the TreadMarks version on n processors, and the PVM version
+// on n processors, optionally with an extra co-located master process
+// (the paper's TSP/QSORT arrangement).  The backends are built on them,
+// as are microbenchmarks that need no App.
 package core
 
 import (

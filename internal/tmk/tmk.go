@@ -46,8 +46,9 @@
 //     blocked head re-tests only the component that blocked it.
 //     Application is linear in the common single-writer case.
 //   - Protocol messages travel as structured objects with modeled wire
-//     sizes (vnet.SendObj); the encoders in wire.go remain the documented
-//     wire format and are pinned against the size functions by test.
+//     sizes (vnet.SendObj).  Each message's layout is one field walk in
+//     wire.go: the size charged here is its counting walk, and the same
+//     walk encodes and decodes the documented wire format in tests.
 //     Interval records and diffs are immutable once published and are
 //     shared between processors rather than re-decoded.
 //   - Per-fault scratch (missing-notice list, cover targets, request
@@ -67,10 +68,11 @@
 //
 //   - Every request carries a per-processor monotonic sequence number
 //     (header-resident, see wire.go); replies echo it.
-//   - The requester retransmits on timeout with exponential backoff:
-//     Config.RetransBase doubling up to Config.RetransCap (defaults
-//     derive from the network round trip).  Stale replies — duplicates
-//     whose Seq does not match the outstanding request — are discarded.
+//   - The requester retransmits on timeout with exponential backoff,
+//     derived from the network cost model: the first timeout is 4x a
+//     minimal round trip (at least 4 ms), doubling up to 16x that.
+//     Stale replies — duplicates whose Seq does not match the
+//     outstanding request — are discarded.
 //   - Servers suppress duplicate requests: the manager re-forwards a
 //     retransmitted acquire to its original target, a grantor or the
 //     barrier manager resends its cached reply when the retransmission
@@ -202,14 +204,6 @@ type Config struct {
 	// departure of the previous one, so two barriers managed by the
 	// same processor cannot be simultaneously open.
 	SpreadBarrierMgr bool
-
-	// RetransBase and RetransCap tune the at-least-once RPC layer armed
-	// when the network's fault injection is lossy: the first retransmit
-	// fires RetransBase after a request, doubling per retry up to
-	// RetransCap.  Zero values derive defaults from the network cost
-	// model (4x a minimal round trip, capped at 16x that).
-	RetransBase sim.Time
-	RetransCap  sim.Time
 }
 
 // DefaultConfig models a mid-1990s HP PA-RISC workstation (4 KB pages).
@@ -287,18 +281,9 @@ func NewSystem(eng *sim.Engine, net *vnet.Network, n int, cfg Config) *System {
 	s.reliable = nc.Faults.Lossy()
 	s.causalAdmit = s.reliable || cfg.TreeFanout != 0
 	if s.reliable {
-		s.rBase = cfg.RetransBase
-		if s.rBase == 0 {
-			rtt := 2 * (nc.SendOverhead + nc.Latency + nc.RecvOverhead)
-			s.rBase = 4 * rtt
-			if s.rBase < 4*sim.Millisecond {
-				s.rBase = 4 * sim.Millisecond
-			}
-		}
-		s.rCap = cfg.RetransCap
-		if s.rCap == 0 {
-			s.rCap = 16 * s.rBase
-		}
+		rtt := 2 * (nc.SendOverhead + nc.Latency + nc.RecvOverhead)
+		s.rBase = max(4*rtt, 4*sim.Millisecond)
+		s.rCap = 16 * s.rBase
 	}
 	for i := 0; i < n; i++ {
 		p := &Proc{
@@ -775,7 +760,6 @@ type Proc struct {
 	DiffRequests int
 	DiffsApplied int
 	DiffBytes    int64
-	LockMsgs     int
 	LockWait     sim.Time // time blocked in remote lock acquires
 	BarrierWait  sim.Time // time blocked in barriers
 	Timeouts     int      // RPC timeouts fired (retransmissions triggered)
@@ -942,7 +926,7 @@ func (p *Proc) broadcastInvalidation(rec *IntervalRec) {
 		p.sendInvalChildren(p.app, p.ep, m, 0)
 		return
 	}
-	size := m.wireSize()
+	size := wireSize(m)
 	for q := 0; q < p.sys.n; q++ {
 		if q == p.id {
 			continue
@@ -959,7 +943,7 @@ func (p *Proc) broadcastInvalidation(rec *IntervalRec) {
 // size.
 func (p *Proc) sendInvalChildren(ctx *sim.Ctx, from *vnet.Endpoint, m *invMsg, pos int) {
 	n, k := p.sys.n, p.sys.cfg.TreeFanout
-	size := m.wireSize()
+	size := wireSize(m)
 	for s := 1; s <= k; s++ {
 		cpos := k*pos + s
 		if cpos >= n {
@@ -1259,16 +1243,14 @@ func (p *Proc) LockAcquire(id int) {
 		if prev == p.id {
 			panic("tmk: manager re-requesting a lock it last requested but does not own")
 		}
-		p.ep.SendObj(p.app, p.sys.procs[prev].srv, tagAcqFwd, req, req.wireSize())
-		p.LockMsgs++
+		p.ep.SendObj(p.app, p.sys.procs[prev].srv, tagAcqFwd, req, wireSize(req))
 		resend = func() {
-			p.ep.SendObjRetrans(p.app, p.sys.procs[prev].srv, tagAcqFwd, req, req.wireSize())
+			p.ep.SendObjRetrans(p.app, p.sys.procs[prev].srv, tagAcqFwd, req, wireSize(req))
 		}
 	} else {
-		p.ep.SendObj(p.app, p.sys.procs[mgr].srv, tagAcqReq, req, req.wireSize())
-		p.LockMsgs++
+		p.ep.SendObj(p.app, p.sys.procs[mgr].srv, tagAcqReq, req, wireSize(req))
 		resend = func() {
-			p.ep.SendObjRetrans(p.app, p.sys.procs[mgr].srv, tagAcqReq, req, req.wireSize())
+			p.ep.SendObjRetrans(p.app, p.sys.procs[mgr].srv, tagAcqReq, req, wireSize(req))
 		}
 	}
 	t0 := p.app.Now()
@@ -1316,9 +1298,8 @@ func (p *Proc) LockRelease(id int) {
 // resending until ownership provably reached the requester.
 func (p *Proc) sendGrant(ctx *sim.Ctx, from *vnet.Endpoint, lockID, requester, seq int, reqVC, limitVC VC) {
 	g := &grantMsg{Lock: lockID, Seq: seq, Records: p.recordsNotCoveredBy(reqVC, limitVC)}
-	size := g.wireSize()
+	size := wireSize(g)
 	from.SendObj(ctx, p.sys.procs[requester].ep, tagGrant, g, size)
-	p.LockMsgs++
 	if p.sys.reliable && seq > 0 {
 		lk := p.lock(lockID)
 		lk.served[requester] = seq
@@ -1352,7 +1333,7 @@ func (p *Proc) Barrier(id int) {
 		arr.VC = p.arena.cloneVC(p.vc)
 	}
 	mgr := p.sys.procs[p.sys.barrierMgr(id)]
-	size := arr.wireSize()
+	size := wireSize(arr)
 	p.ep.SendObj(p.app, mgr.srv, tagBarrArrive, arr, size)
 	t0 := p.app.Now()
 	m := p.rpcRecv(p.app, mgr.id, tagBarrDepart, arr.Seq,
@@ -1474,7 +1455,7 @@ func (p *Proc) handleBarrArrive(ctx *sim.Ctx, m *barrMsg) {
 			}
 		}
 		dep := &barrMsg{Barrier: bs.id, From: p.id, Seq: a.Seq, VC: merged, Records: out}
-		size := dep.wireSize()
+		size := wireSize(dep)
 		p.srv.SendObj(ctx, p.sys.procs[a.From].ep, tagBarrDepart, dep, size)
 		if p.sys.reliable && a.Seq > 0 {
 			bs.lastSeq[a.From] = a.Seq
@@ -1521,11 +1502,11 @@ func (p *Proc) treeBarrier(id int) {
 	if p.tree == nil {
 		dst = p.sys.procs[(p.id-1)/p.sys.cfg.TreeBarrier]
 	}
-	p.ep.SendObj(p.app, dst.srv, tagTreeArrive, arr, arr.wireSize())
+	p.ep.SendObj(p.app, dst.srv, tagTreeArrive, arr, wireSize(arr))
 	t0 := p.app.Now()
 	m := p.ep.Recv(p.app, dst.id, tagTreeDepart)
 	p.BarrierWait += p.app.Now() - t0
-	dep := m.Obj.(*treeDepMsg)
+	dep := m.Obj.(*barrMsg)
 	p.ep.Free(p.app, m) // departure extracted; recycle the envelope
 	if dep.Barrier != id {
 		panic(fmt.Sprintf("tmk: proc %d got tree departure for barrier %d while in %d",
@@ -1585,7 +1566,7 @@ func (p *Proc) handleTreeArrive(ctx *sim.Ctx, m *treeArrMsg) {
 	}
 	up := &treeArrMsg{Barrier: ts.id, From: p.id, VC: agg, MinVC: min, Records: ts.union}
 	parent := p.sys.procs[(p.id-1)/p.sys.cfg.TreeBarrier]
-	p.srv.SendObj(ctx, parent.srv, tagTreeArrive, up, up.wireSize())
+	p.srv.SendObj(ctx, parent.srv, tagTreeArrive, up, wireSize(up))
 	// State (arrivals, union) stays live: the departure coming back down
 	// needs the per-child filters and the subtree-exclusion set.
 }
@@ -1593,7 +1574,7 @@ func (p *Proc) handleTreeArrive(ctx *sim.Ctx, m *treeArrMsg) {
 // handleTreeDown merges an internal node's held union back into the
 // departure set its parent sent (the parent excluded exactly those
 // records) and redistributes into the subtree.
-func (p *Proc) handleTreeDown(ctx *sim.Ctx, m *treeDepMsg) {
+func (p *Proc) handleTreeDown(ctx *sim.Ctx, m *barrMsg) {
 	ts := p.tree
 	if ts == nil || ts.got != len(ts.arr) || ts.id != m.Barrier {
 		panic(fmt.Sprintf("tmk: proc %d got tree departure in bad state", p.id))
@@ -1615,17 +1596,17 @@ func (p *Proc) treeRedistribute(ctx *sim.Ctx, depVC VC, needed []*IntervalRec) {
 	for s := 1; s < len(ts.arr); s++ {
 		a := ts.arr[s]
 		c := k*p.id + s
-		dep := &treeDepMsg{Barrier: ts.id, From: p.id, VC: depVC,
+		dep := &barrMsg{Barrier: ts.id, From: p.id, VC: depVC,
 			Records: recordsLacked(needed, a.MinVC, a.Records)}
 		if p.sys.treeKids(c) > 0 {
-			p.srv.SendObj(ctx, p.sys.procs[c].srv, tagTreeDown, dep, dep.wireSize())
+			p.srv.SendObj(ctx, p.sys.procs[c].srv, tagTreeDown, dep, wireSize(dep))
 		} else {
-			p.srv.SendObj(ctx, p.sys.procs[c].ep, tagTreeDepart, dep, dep.wireSize())
+			p.srv.SendObj(ctx, p.sys.procs[c].ep, tagTreeDepart, dep, wireSize(dep))
 		}
 	}
-	self := &treeDepMsg{Barrier: ts.id, From: p.id, VC: depVC,
+	self := &barrMsg{Barrier: ts.id, From: p.id, VC: depVC,
 		Records: recordsLacked(needed, ts.arr[0].VC, nil)}
-	p.srv.SendObj(ctx, p.ep, tagTreeDepart, self, self.wireSize()) // loopback
+	p.srv.SendObj(ctx, p.ep, tagTreeDepart, self, wireSize(self)) // loopback
 	for i := range ts.arr {
 		ts.arr[i] = nil
 	}
@@ -1696,7 +1677,7 @@ func (p *Proc) serve(ctx *sim.Ctx) {
 						if tgt := lk.mgrFwd[req.Requester]; tgt == p.id {
 							p.grantOrQueue(ctx, req)
 						} else {
-							p.srv.SendObjRetrans(ctx, p.sys.procs[tgt].srv, tagAcqFwd, req, req.wireSize())
+							p.srv.SendObjRetrans(ctx, p.sys.procs[tgt].srv, tagAcqFwd, req, wireSize(req))
 						}
 					}
 					continue
@@ -1711,8 +1692,7 @@ func (p *Proc) serve(ctx *sim.Ctx) {
 			if prev == p.id {
 				p.grantOrQueue(ctx, req)
 			} else {
-				p.srv.SendObj(ctx, p.sys.procs[prev].srv, tagAcqFwd, req, req.wireSize())
-				p.LockMsgs++
+				p.srv.SendObj(ctx, p.sys.procs[prev].srv, tagAcqFwd, req, wireSize(req))
 			}
 		case tagAcqFwd:
 			p.grantOrQueue(ctx, obj.(*acqMsg))
@@ -1725,7 +1705,7 @@ func (p *Proc) serve(ctx *sim.Ctx) {
 		case tagTreeArrive:
 			p.handleTreeArrive(ctx, obj.(*treeArrMsg))
 		case tagTreeDown:
-			p.handleTreeDown(ctx, obj.(*treeDepMsg))
+			p.handleTreeDown(ctx, obj.(*barrMsg))
 		case tagDiffReq:
 			p.handleDiffReq(ctx, obj.(*diffReqMsg))
 		case tagInval:
@@ -1814,7 +1794,7 @@ func (p *Proc) handleDiffReq(ctx *sim.Ctx, req *diffReqMsg) {
 		entries = append(entries, diffEntry{Proc: w.Proc, Idx: w.Idx, Diff: d})
 	}
 	resp := &diffRespMsg{Page: req.Page, Seq: req.Seq, Entries: entries}
-	size := resp.wireSize()
+	size := wireSize(resp)
 	p.srv.SendObj(ctx, p.sys.procs[req.Requester].ep, tagDiffResp, resp, size)
 	if p.sys.reliable && req.Seq > 0 {
 		if p.diffLastSeq == nil {
@@ -1881,14 +1861,14 @@ func (p *Proc) fault(pid int) {
 				seq = p.nextRPC()
 			}
 			reqs[i] = diffReqMsg{Page: pid, Requester: p.id, Seq: seq, Wants: wants}
-			p.ep.SendObj(p.app, p.sys.procs[t.proc].srv, tagDiffReq, &reqs[i], reqs[i].wireSize())
+			p.ep.SendObj(p.app, p.sys.procs[t.proc].srv, tagDiffReq, &reqs[i], wireSize(&reqs[i]))
 			p.DiffRequests++
 		}
 		for i := range targets {
 			r := &reqs[i]
 			tgt := targets[i].proc
 			m := p.rpcRecv(p.app, tgt, tagDiffResp, r.Seq,
-				func() { p.ep.SendObjRetrans(p.app, p.sys.procs[tgt].srv, tagDiffReq, r, r.wireSize()) },
+				func() { p.ep.SendObjRetrans(p.app, p.sys.procs[tgt].srv, tagDiffReq, r, wireSize(r)) },
 				func(o any) int { return o.(*diffRespMsg).Seq })
 			resp := m.Obj.(*diffRespMsg)
 			p.ep.Free(p.app, m) // response extracted; recycle the envelope

@@ -1,9 +1,6 @@
 package tmk
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "fmt"
 
 // Protocol message tags.  Requests go to a processor's service endpoint;
 // replies go to the requesting processor's application endpoint.
@@ -25,131 +22,164 @@ const (
 // once RPC sequence numbers, armed only when the network is lossy) ride
 // in the per-fragment protocol header already modeled by
 // vnet.Config.HeaderBytes — like the real system's UDP request ids — so
-// they intentionally appear in neither the encoders nor the wireSize
-// functions below, and zero-fault runs stay byte-identical.
+// they intentionally appear in none of the layouts below, and zero-fault
+// runs stay byte-identical.
 
-// wbuf is a little-endian wire encoder.  Encoders that know their final
-// size presize b's capacity so a message costs one allocation.
-type wbuf struct{ b []byte }
+// ---------------------------------------------------------------------
+// Wire layouts.  Every message type has one walk method that lists its
+// fields in wire order over a codec.  The protocol ships structured
+// messages over vnet.Endpoint.SendObj and charges wireSize, a counting
+// walk, so the hot path never serializes a byte; the encoding and
+// decoding walks are the documented wire format, exercised by the
+// round-trip tests and the fuzz target.
 
-func newWbuf(capacity int) wbuf { return wbuf{b: make([]byte, 0, capacity)} }
+// wireMsg is a protocol message with a wire layout.
+type wireMsg interface{ walk(c *codec) }
 
-func (w *wbuf) u8(v int)  { w.b = append(w.b, byte(v)) }
-func (w *wbuf) u16(v int) { w.b = binary.LittleEndian.AppendUint16(w.b, uint16(v)) }
-func (w *wbuf) u32(v int) { w.b = binary.LittleEndian.AppendUint32(w.b, uint32(v)) }
-func (w *wbuf) i64(v int64) {
-	w.b = binary.LittleEndian.AppendUint64(w.b, uint64(v))
+// wireSize returns the exact length of m's encoding: the modeled size the
+// protocol charges for it.
+func wireSize(m wireMsg) int {
+	var c codec
+	m.walk(&c)
+	return c.n
 }
-func (w *wbuf) bytes(p []byte) { w.b = append(w.b, p...) }
 
-// vc writes the dense encoding of a vector timestamp: width, then one
+// codecMode selects what a walk does with each field.
+type codecMode uint8
+
+const (
+	counting codecMode = iota // add up the encoded length in n
+	encoding                  // append the little-endian encoding to b
+	decoding                  // read b from position n back into the fields
+)
+
+// maxDecodePages bounds the pages one decoded message may name (4 GB of
+// 4 KB pages, far past any modeled address space): page runs are
+// counts, not bytes, so a few input bytes could otherwise ask for an
+// arbitrarily long list.
+const maxDecodePages = 1 << 20
+
+// codec walks a message's fields in one of three modes.  Decoding
+// panics on truncation and on any count the bytes left cannot hold.
+type codec struct {
+	mode  codecMode
+	n     int    // counting: bytes so far; decoding: read position
+	b     []byte // encoding: output; decoding: input
+	named int    // decoding: pages named so far
+}
+
+func (c *codec) need(n int) {
+	if c.n+n > len(c.b) {
+		panic(fmt.Sprintf("tmk: wire decode: past end (pos %d + %d > %d)", c.n, n, len(c.b)))
+	}
+}
+
+// u16 and u32 walk fixed-width unsigned fields.  Counting, the mode the
+// hot path runs, stays small enough to inline; fixed does the rest.
+func (c *codec) u16(v *int) {
+	if c.mode == counting {
+		c.n += 2
+		return
+	}
+	c.fixed(v, 2)
+}
+
+func (c *codec) u32(v *int) {
+	if c.mode == counting {
+		c.n += 4
+		return
+	}
+	c.fixed(v, 4)
+}
+
+// fixed encodes or decodes a w-byte little-endian field.
+func (c *codec) fixed(v *int, w int) {
+	if c.mode == encoding {
+		for i := 0; i < w; i++ {
+			c.b = append(c.b, byte(*v>>(8*i)))
+		}
+		return
+	}
+	c.need(w)
+	x := 0
+	for i := w - 1; i >= 0; i-- {
+		x = x<<8 | int(c.b[c.n+i])
+	}
+	*v = x
+	c.n += w
+}
+
+// list walks a list's length, a u16 or a u32 (wide).  Decoding makes
+// the list (nil when empty) after checking that the bytes left hold n
+// items of at least minBytes bytes each.
+func list[T any](c *codec, s *[]T, wide bool, minBytes int) {
+	n := len(*s)
+	if wide {
+		c.u32(&n)
+	} else {
+		c.u16(&n)
+	}
+	if c.mode == decoding && n > 0 {
+		c.need(n * minBytes)
+		*s = make([]T, n)
+	}
+}
+
+// data is a u16 length and that many payload bytes.  Decoded payloads
+// alias the input: diffs are only ever applied, never edited.
+func (c *codec) data(p *[]byte) {
+	n := len(*p)
+	c.u16(&n)
+	switch c.mode {
+	case counting:
+		c.n += n
+	case encoding:
+		c.b = append(c.b, *p...)
+	default:
+		c.need(n)
+		*p = c.b[c.n : c.n+n : c.n+n]
+		c.n += n
+	}
+}
+
+// vc is the dense encoding of a vector timestamp: width (u16), then one
 // u32 per processor.  The in-memory representation is sparse (vc.go),
 // but the wire format deliberately is not — it predates the sparse
 // refactor, and keeping it pins modeled message sizes bit-identical.
 // A sparse *wire* delta encoding is the planned follow-on (ROADMAP).
-func (w *wbuf) vc(v VC) {
-	w.u16(v.Len())
-	i := 0
-	for p := 0; p < v.Len(); p++ {
-		x := int32(0)
-		if i < len(v.ps) && v.ps[i] == int32(p) {
-			x = v.vs[i]
-			i++
+func (c *codec) vc(v *VC) {
+	if c.mode == counting {
+		c.n += 2 + 4*v.Len()
+		return
+	}
+	c.vcDense(v)
+}
+
+func (c *codec) vcDense(v *VC) {
+	w := v.Len()
+	c.u16(&w)
+	if c.mode == encoding {
+		i := 0
+		for p := 0; p < w; p++ {
+			x := 0
+			if i < len(v.ps) && v.ps[i] == int32(p) {
+				x = int(v.vs[i])
+				i++
+			}
+			c.u32(&x)
 		}
-		w.u32(int(x))
+		return
 	}
-}
-
-// rbuf is the matching decoder.
-type rbuf struct {
-	b   []byte
-	pos int
-}
-
-func (r *rbuf) need(n int) {
-	if r.pos+n > len(r.b) {
-		panic(fmt.Sprintf("tmk: wire decode past end (pos %d + %d > %d)", r.pos, n, len(r.b)))
-	}
-}
-func (r *rbuf) u8() int {
-	r.need(1)
-	v := int(r.b[r.pos])
-	r.pos++
-	return v
-}
-func (r *rbuf) u16() int {
-	r.need(2)
-	v := int(binary.LittleEndian.Uint16(r.b[r.pos:]))
-	r.pos += 2
-	return v
-}
-func (r *rbuf) u32() int {
-	r.need(4)
-	v := int(binary.LittleEndian.Uint32(r.b[r.pos:]))
-	r.pos += 4
-	return v
-}
-func (r *rbuf) i64() int64 {
-	r.need(8)
-	v := int64(binary.LittleEndian.Uint64(r.b[r.pos:]))
-	r.pos += 8
-	return v
-}
-func (r *rbuf) bytes(n int) []byte {
-	r.need(n)
-	v := append([]byte(nil), r.b[r.pos:r.pos+n]...)
-	r.pos += n
-	return v
-}
-
-// view returns n bytes without copying; the slice aliases the wire
-// buffer, so callers must treat it as immutable.
-func (r *rbuf) view(n int) []byte {
-	r.need(n)
-	v := r.b[r.pos : r.pos+n : r.pos+n]
-	r.pos += n
-	return v
-}
-
-func (r *rbuf) vc() VC {
-	n := r.u16()
-	v := NewVC(n)
-	for p := 0; p < n; p++ {
-		if x := int32(r.u32()); x > 0 {
+	c.need(4 * w)
+	*v = NewVC(w)
+	for p := 0; p < w; p++ {
+		var x int
+		c.u32(&x)
+		if int32(x) > 0 {
 			v.ps = append(v.ps, int32(p))
-			v.vs = append(v.vs, x)
+			v.vs = append(v.vs, int32(x))
 		}
 	}
-	return v
-}
-func (r *rbuf) done() {
-	if r.pos != len(r.b) {
-		panic(fmt.Sprintf("tmk: %d trailing wire bytes", len(r.b)-r.pos))
-	}
-}
-
-// ---------------------------------------------------------------------
-// Wire sizes.  Every message type knows the exact length its encoding
-// would have.  The protocol ships structured messages over
-// vnet.Endpoint.SendObj with these modeled sizes, so the encoders in this
-// file are the documented wire format — exercised by the round-trip tests
-// and pinned against the size functions by TestWireSizeMatchesEncoding —
-// while the hot path never serializes a byte.
-
-func vcSize(v VC) int { return 2 + 4*v.Len() }
-
-func (m *acqMsg) wireSize() int   { return 2 + 2 + vcSize(m.VC) }
-func (m *grantMsg) wireSize() int { return 2 + recordsSize(m.Records) }
-func (m *barrMsg) wireSize() int {
-	return 2 + 2 + vcSize(m.VC) + recordsSize(m.Records)
-}
-func (m *diffReqMsg) wireSize() int { return 4 + 2 + 2 + 6*len(m.Wants) }
-func (m *diffRespMsg) wireSize() int {
-	n := 4 + 2
-	for _, e := range m.Entries {
-		n += 8 + e.Diff.Size()
-	}
-	return n
 }
 
 // IntervalRec is a write-notice record: one interval of one processor,
@@ -159,6 +189,26 @@ type IntervalRec struct {
 	Idx   int
 	VC    VC
 	Pages []int
+}
+
+// records walks a batch of interval records: a u32 count, then per
+// record its writer (u16), interval idx (u32), timestamp and pages.
+func (c *codec) records(recs *[]*IntervalRec) {
+	list(c, recs, true, 12)
+	for i, r := range *recs {
+		if r == nil { // decoding
+			r = new(IntervalRec)
+			(*recs)[i] = r
+		}
+		c.u16(&r.Proc)
+		c.u32(&r.Idx)
+		c.vc(&r.VC)
+		if c.mode == counting {
+			c.n += 4 + 8*pageRuns(r.Pages)
+		} else {
+			c.pages(&r.Pages)
+		}
+	}
 }
 
 // pageRuns counts the maximal contiguous runs in a sorted page list.
@@ -174,63 +224,42 @@ func pageRuns(pages []int) int {
 	return runs
 }
 
-// recordsSize returns the exact encoded size of a record batch, so
-// callers can presize their buffers.
-func recordsSize(recs []*IntervalRec) int {
-	n := 4
-	for _, r := range recs {
-		n += 2 + 4 + vcSize(r.VC) + 4 + 8*pageRuns(r.Pages)
-	}
-	return n
-}
-
-// encodeRecords writes interval records; write-notice page lists are
-// encoded as run-length ranges, since applications overwhelmingly write
-// contiguous page runs (SOR bands, FFT planes, bucket arrays).  The lists
-// are sorted by construction (closeInterval sorts the dirty set).
-func encodeRecords(w *wbuf, recs []*IntervalRec) {
-	w.u32(len(recs))
-	for _, r := range recs {
-		w.u16(r.Proc)
-		w.u32(r.Idx)
-		w.vc(r.VC)
-		w.u32(pageRuns(r.Pages))
-		for i := 0; i < len(r.Pages); {
-			start := r.Pages[i]
+// pages walks a write-notice page list as run-length ranges — a u32 run
+// count, then a u32 start and a u32 length per run — since applications
+// overwhelmingly write contiguous page runs (SOR bands, FFT planes,
+// bucket arrays).  The lists are sorted by construction (closeInterval
+// sorts the dirty set).  Its counting length, 4 + 8*pageRuns, is inlined
+// into records: the call alone would cost the hot path more than the
+// count.
+func (c *codec) pages(pages *[]int) {
+	runs := pageRuns(*pages)
+	c.u32(&runs)
+	if c.mode == encoding {
+		ps := *pages
+		for i := 0; i < len(ps); {
 			j := i + 1
-			for j < len(r.Pages) && r.Pages[j] == r.Pages[j-1]+1 {
+			for j < len(ps) && ps[j] == ps[j-1]+1 {
 				j++
 			}
-			w.u32(start)
-			w.u32(j - i)
+			start, cnt := ps[i], j-i
+			c.u32(&start)
+			c.u32(&cnt)
 			i = j
 		}
+		return
 	}
-}
-
-func decodeRecords(r *rbuf) []*IntervalRec {
-	n := r.u32()
-	recs := make([]*IntervalRec, n)
-	for i := range recs {
-		rec := &IntervalRec{Proc: r.u16(), Idx: r.u32(), VC: r.vc()}
-		nr := r.u32()
-		// Runs are fixed-size, so the page total is known up front.
-		r.need(8 * nr)
-		total := 0
-		for j := 0; j < nr; j++ {
-			total += int(binary.LittleEndian.Uint32(r.b[r.pos+8*j+4:]))
+	c.need(8 * runs)
+	for j := 0; j < runs; j++ {
+		var start, cnt int
+		c.u32(&start)
+		c.u32(&cnt)
+		if c.named += cnt; c.named > maxDecodePages {
+			panic(fmt.Sprintf("tmk: wire decode: more than %d pages", maxDecodePages))
 		}
-		rec.Pages = make([]int, 0, total)
-		for j := 0; j < nr; j++ {
-			start := r.u32()
-			cnt := r.u32()
-			for k := 0; k < cnt; k++ {
-				rec.Pages = append(rec.Pages, start+k)
-			}
+		for k := 0; k < cnt; k++ {
+			*pages = append(*pages, start+k)
 		}
-		recs[i] = rec
 	}
-	return recs
 }
 
 // acqMsg is a lock acquire request or forward.
@@ -241,19 +270,10 @@ type acqMsg struct {
 	VC        VC
 }
 
-func (m *acqMsg) encode() []byte {
-	w := newWbuf(m.wireSize())
-	w.u16(m.Lock)
-	w.u16(m.Requester)
-	w.vc(m.VC)
-	return w.b
-}
-
-func decodeAcq(b []byte) *acqMsg {
-	r := rbuf{b: b}
-	m := &acqMsg{Lock: r.u16(), Requester: r.u16(), VC: r.vc()}
-	r.done()
-	return m
+func (m *acqMsg) walk(c *codec) {
+	c.u16(&m.Lock)
+	c.u16(&m.Requester)
+	c.vc(&m.VC)
 }
 
 // grantMsg transfers lock ownership along with the write notices the
@@ -264,23 +284,16 @@ type grantMsg struct {
 	Records []*IntervalRec
 }
 
-func (m *grantMsg) encode() []byte {
-	w := newWbuf(m.wireSize())
-	w.u16(m.Lock)
-	encodeRecords(&w, m.Records)
-	return w.b
+func (m *grantMsg) walk(c *codec) {
+	c.u16(&m.Lock)
+	c.records(&m.Records)
 }
 
-func decodeGrant(b []byte) *grantMsg {
-	r := rbuf{b: b}
-	m := &grantMsg{Lock: r.u16()}
-	m.Records = decodeRecords(&r)
-	r.done()
-	return m
-}
-
-// barrMsg is a barrier arrival (client -> manager) or departure
-// (manager -> client).
+// barrMsg is a barrier arrival (client -> manager) or departure (manager
+// -> client), and a combining-tree departure: the globally merged
+// timestamp plus the records the receiving subtree (or client) has not
+// seen, travelling one edge down the tree (tagTreeDown to an internal
+// child, tagTreeDepart to a client).
 type barrMsg struct {
 	Barrier int
 	From    int
@@ -289,21 +302,11 @@ type barrMsg struct {
 	Records []*IntervalRec
 }
 
-func (m *barrMsg) encode() []byte {
-	w := newWbuf(m.wireSize())
-	w.u16(m.Barrier)
-	w.u16(m.From)
-	w.vc(m.VC)
-	encodeRecords(&w, m.Records)
-	return w.b
-}
-
-func decodeBarr(b []byte) *barrMsg {
-	r := rbuf{b: b}
-	m := &barrMsg{Barrier: r.u16(), From: r.u16(), VC: r.vc()}
-	m.Records = decodeRecords(&r)
-	r.done()
-	return m
+func (m *barrMsg) walk(c *codec) {
+	c.u16(&m.Barrier)
+	c.u16(&m.From)
+	c.vc(&m.VC)
+	c.records(&m.Records)
 }
 
 // invMsg is an eager-invalidate broadcast: the write notices of one
@@ -313,21 +316,9 @@ type invMsg struct {
 	Records []*IntervalRec
 }
 
-func (m *invMsg) wireSize() int { return 2 + recordsSize(m.Records) }
-
-func (m *invMsg) encode() []byte {
-	w := newWbuf(m.wireSize())
-	w.u16(m.From)
-	encodeRecords(&w, m.Records)
-	return w.b
-}
-
-func decodeInval(b []byte) *invMsg {
-	r := rbuf{b: b}
-	m := &invMsg{From: r.u16()}
-	m.Records = decodeRecords(&r)
-	r.done()
-	return m
+func (m *invMsg) walk(c *codec) {
+	c.u16(&m.From)
+	c.records(&m.Records)
 }
 
 // treeArrMsg is a combining-tree barrier arrival: one subtree's
@@ -345,59 +336,12 @@ type treeArrMsg struct {
 	Records []*IntervalRec
 }
 
-func (m *treeArrMsg) wireSize() int {
-	return 2 + 2 + vcSize(m.VC) + vcSize(m.MinVC) + recordsSize(m.Records)
-}
-
-func (m *treeArrMsg) encode() []byte {
-	w := newWbuf(m.wireSize())
-	w.u16(m.Barrier)
-	w.u16(m.From)
-	w.vc(m.VC)
-	w.vc(m.MinVC)
-	encodeRecords(&w, m.Records)
-	return w.b
-}
-
-func decodeTreeArr(b []byte) *treeArrMsg {
-	r := rbuf{b: b}
-	m := &treeArrMsg{Barrier: r.u16(), From: r.u16(), VC: r.vc(), MinVC: r.vc()}
-	m.Records = decodeRecords(&r)
-	r.done()
-	return m
-}
-
-// treeDepMsg is a combining-tree barrier departure: the globally
-// merged timestamp plus the records the receiving subtree (or client)
-// has not seen, travelling one edge down the tree.  The same shape
-// serves both the internal-node hop (tagTreeDown) and the final
-// client delivery (tagTreeDepart).
-type treeDepMsg struct {
-	Barrier int
-	From    int
-	VC      VC
-	Records []*IntervalRec
-}
-
-func (m *treeDepMsg) wireSize() int {
-	return 2 + 2 + vcSize(m.VC) + recordsSize(m.Records)
-}
-
-func (m *treeDepMsg) encode() []byte {
-	w := newWbuf(m.wireSize())
-	w.u16(m.Barrier)
-	w.u16(m.From)
-	w.vc(m.VC)
-	encodeRecords(&w, m.Records)
-	return w.b
-}
-
-func decodeTreeDep(b []byte) *treeDepMsg {
-	r := rbuf{b: b}
-	m := &treeDepMsg{Barrier: r.u16(), From: r.u16(), VC: r.vc()}
-	m.Records = decodeRecords(&r)
-	r.done()
-	return m
+func (m *treeArrMsg) walk(c *codec) {
+	c.u16(&m.Barrier)
+	c.u16(&m.From)
+	c.vc(&m.VC)
+	c.vc(&m.MinVC)
+	c.records(&m.Records)
 }
 
 // diffWant names one missing diff: interval Idx of processor Proc.
@@ -414,28 +358,14 @@ type diffReqMsg struct {
 	Wants     []diffWant
 }
 
-func (m *diffReqMsg) encode() []byte {
-	w := newWbuf(m.wireSize())
-	w.u32(m.Page)
-	w.u16(m.Requester)
-	w.u16(len(m.Wants))
-	for _, d := range m.Wants {
-		w.u16(d.Proc)
-		w.u32(d.Idx)
-	}
-	return w.b
-}
-
-func decodeDiffReq(b []byte) *diffReqMsg {
-	r := rbuf{b: b}
-	m := &diffReqMsg{Page: r.u32(), Requester: r.u16()}
-	n := r.u16()
-	m.Wants = make([]diffWant, n)
+func (m *diffReqMsg) walk(c *codec) {
+	c.u32(&m.Page)
+	c.u16(&m.Requester)
+	list(c, &m.Wants, false, 6)
 	for i := range m.Wants {
-		m.Wants[i] = diffWant{Proc: r.u16(), Idx: r.u32()}
+		c.u16(&m.Wants[i].Proc)
+		c.u32(&m.Wants[i].Idx)
 	}
-	r.done()
-	return m
 }
 
 // diffEntry is one diff on the wire, tagged with its creating interval.
@@ -452,42 +382,22 @@ type diffRespMsg struct {
 	Entries []diffEntry
 }
 
-func (m *diffRespMsg) encode() []byte {
-	w := newWbuf(m.wireSize())
-	w.u32(m.Page)
-	w.u16(len(m.Entries))
-	for _, e := range m.Entries {
-		w.u16(e.Proc)
-		w.u32(e.Idx)
-		w.u16(len(e.Diff.Runs))
-		for _, run := range e.Diff.Runs {
-			w.u16(run.Off)
-			w.u16(len(run.Data))
-			w.bytes(run.Data)
-		}
-	}
-	return w.b
-}
-
-func decodeDiffResp(b []byte) *diffRespMsg {
-	r := rbuf{b: b}
-	m := &diffRespMsg{Page: r.u32()}
-	n := r.u16()
-	m.Entries = make([]diffEntry, n)
+// walk lists each entry's writer (u16), interval idx (u32) and diff: a
+// u16 run count, then per run its offset (u16) and payload.
+func (m *diffRespMsg) walk(c *codec) {
+	c.u32(&m.Page)
+	list(c, &m.Entries, false, 8)
 	for i := range m.Entries {
-		e := diffEntry{Proc: r.u16(), Idx: r.u32()}
-		nr := r.u16()
-		d := &Diff{Page: m.Page, Runs: make([]Run, 0, nr)}
-		for j := 0; j < nr; j++ {
-			off := r.u16()
-			ln := r.u16()
-			// Decoded run data aliases the arrived payload (read-only by
-			// construction: diffs are only ever applied, never edited).
-			d.Runs = append(d.Runs, Run{Off: off, Data: r.view(ln)})
+		e := &m.Entries[i]
+		c.u16(&e.Proc)
+		c.u32(&e.Idx)
+		if e.Diff == nil { // decoding
+			e.Diff = &Diff{Page: m.Page}
 		}
-		e.Diff = d
-		m.Entries[i] = e
+		list(c, &e.Diff.Runs, false, 4)
+		for j := range e.Diff.Runs {
+			c.u16(&e.Diff.Runs[j].Off)
+			c.data(&e.Diff.Runs[j].Data)
+		}
 	}
-	r.done()
-	return m
 }

@@ -34,8 +34,9 @@
 // equal-length payload, but nothing is serialized — the receiver shares
 // the object with the sender and must treat it as immutable.  Protocols
 // whose message volume dominates host time (TreadMarks diff traffic) use
-// this path; their byte encodings remain the documented wire format,
-// test-pinned to produce exactly the declared sizes.
+// this path.  TreadMarks declares each message's size and defines its
+// byte encoding with one field walk per message type, so the two cannot
+// disagree.
 //
 // # Message recycling
 //
