@@ -217,12 +217,35 @@ func startLargeP(nprocs, imagePages int) error {
 	return e.Run()
 }
 
+// lockedPageWrites is one round of lock traffic on 8 shared pages at
+// base: the processor takes two of the pages' locks in turn and writes
+// its own word on each under the lock, so every page gathers notices
+// from many writers and each acquire that faults fetches diffs from many
+// of them.  held, if not nil, runs while each lock is held.
+func lockedPageWrites(p *Proc, r int, base Addr, held func()) {
+	const pages = 8
+	for j := 0; j < 2; j++ {
+		pg := (p.ID() + r + 3*j) % pages
+		p.LockAcquire(pg)
+		p.WriteI64(base+Addr(pg*4096+8*p.ID()), int64(r))
+		if held != nil {
+			held()
+		}
+		p.LockRelease(pg)
+	}
+}
+
 // BenchmarkLargeP measures the protocol paths the procs=64/256 scenario
 // family leans on, at P=64: an empty barrier round (centralized versus
 // radix-2 combining tree), a round where every processor closes an
 // interval (64 write notices through the barrier), and an eager-mode
-// round (flat broadcast versus radix-4 fan-out tree); and, at P=256, the
-// start of a run over a 4 MB preloaded region (startLargeP).
+// round (flat broadcast versus radix-4 fan-out tree); an eager-mode
+// round in the shape of the large-P cell that costs the most host time
+// (water-288 on tmk-sc-tree): both trees, and every processor writing
+// shared pages under per-page locks (lockedPageWrites), so faults merge
+// notices from many writers and the service endpoints field requests
+// and notices from every sender; and, at P=256, the start of a run over
+// a 4 MB preloaded region (startLargeP).
 func BenchmarkLargeP(b *testing.B) {
 	const nprocs = 64
 	ownPage := func(p *Proc, r int, base Addr) {
@@ -242,6 +265,9 @@ func BenchmarkLargeP(b *testing.B) {
 	b.Run("close-tree", func(b *testing.B) { runLargeP(b, nprocs, tree, ownPage) })
 	b.Run("eager-flat", func(b *testing.B) { runLargeP(b, nprocs, eager, ownPage) })
 	b.Run("eager-tree", func(b *testing.B) { runLargeP(b, nprocs, eagerTree, ownPage) })
+	b.Run("eager-tree-locks", func(b *testing.B) {
+		runLargeP(b, nprocs, eagerTree, func(p *Proc, r int, base Addr) { lockedPageWrites(p, r, base, nil) })
+	})
 	b.Run("start-256", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -293,10 +319,12 @@ func TestFaultPathAllocBudget(t *testing.T) {
 // exists once (plus the caller's staging copy), and each processor pays
 // for its page table (1024 pages x ~112 B), the one page it wrote (private
 // copy, twin, diff) and its share of the first barrier's protocol state
-// (256 timestamps each growing to 256 entries one insert at a time, about
-// 70 MB together).  Measured 159 MB when pinned; cloning the image into
-// every processor — 256 x 4 MB — costs 1.2 GB.
-const largePStartBudget = 320 << 20
+// (its timestamp raised to 256 entries in one merge per departure).
+// Measured 159 MB when pinned and 151 MB while timestamps grew one insert
+// at a time (about 70 MB of it); 85 MB once applyRecords raised them once
+// per batch, when the budget came down from 320 MB.  Cloning the image
+// into every processor — 256 x 4 MB — costs 1.2 GB.
+const largePStartBudget = 160 << 20
 
 // TestLargePStartAllocBudget pins the host memory cost of starting a
 // large-P run at O(image + P x pages touched), not O(P x image).

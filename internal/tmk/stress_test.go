@@ -1,6 +1,7 @@
 package tmk
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -282,46 +283,48 @@ func referencePendingOrder(recs [][]*IntervalRec, pending []diffWant) []diffWant
 }
 
 // TestApplyPendingOrderProperty: for random synchronization histories of
-// up to 64 writers — most of which hear from only a few others, so the
+// up to 256 writers — most of which hear from only a few others, so the
 // interval timestamps are sparse — applyPending must apply a page's
 // pending diffs in exactly the reference order.  The order is read back
 // off the page: the diff of notice a writes, for every other notice b, one
 // byte that only those two diffs write, so the page ends up recording
-// which of each pair came last.
+// which of each pair came last.  The histories must reach both lazy
+// paths of the readiness test: a head whose blocker drains, and a head
+// whose blocker clears and which then blocks on a later component.
 func TestApplyPendingOrderProperty(t *testing.T) {
 	const maxPending = 120
 	cfg := DefaultConfig()
 	cfg.PageSize = maxPending * maxPending
 	drained := 0 // notices whose blocker was another writer's last pending notice
+	resumed := 0 // heads blocked again after their blocker cleared
 	for seed := int64(0); seed < 150; seed++ {
 		r := rand.New(rand.NewSource(seed))
-		w := 1 + r.Intn(64) // writers 0..w-1; the observer is processor w
+		w := 1 + r.Intn(256) // writers 0..w-1; the observer is processor w
 		n := w + 1
 		pSync, pWrite := r.Float64(), 0.2+0.8*r.Float64()
-
-		// A random history: q closes an interval (which may have written
-		// the page), or q acquires from src and merges its timestamp.
-		vcs := make([]VC, w)
-		for q := range vcs {
-			vcs[q] = NewVC(n)
+		recs := randomHistory(r, w, n, 4*w, pSync)
+		var all []diffWant
+		for q := 0; q < w; q++ {
+			for _, rec := range recs[q] {
+				all = append(all, diffWant{Proc: q, Idx: rec.Idx})
+			}
 		}
-		recs := make([][]*IntervalRec, n)
+		r.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
 		var pending []diffWant
-		for ev := 4 * w; ev > 0; ev-- {
-			q := r.Intn(w)
-			if r.Float64() < pSync {
-				vcs[q].Merge(vcs[r.Intn(w)])
-				continue
-			}
-			idx := len(recs[q])
-			vcs[q].SetMax(q, int32(idx+1))
-			recs[q] = append(recs[q], &IntervalRec{Proc: q, Idx: idx, VC: vcs[q].Clone()})
+		for _, x := range all {
 			if len(pending) < maxPending && r.Float64() < pWrite {
-				pending = append(pending, diffWant{Proc: q, Idx: idx})
+				pending = append(pending, x)
 			}
 		}
+		sort.Slice(pending, func(i, j int) bool {
+			if pending[i].Proc != pending[j].Proc {
+				return pending[i].Proc < pending[j].Proc
+			}
+			return pending[i].Idx < pending[j].Idx
+		})
 		k := len(pending)
 		want := referencePendingOrder(recs, pending)
+		resumed += blockResumes(recs, pending)
 		last := make([]int, w) // per writer: its last pending interval, -1 if none
 		for q := range last {
 			last[q] = -1
@@ -406,5 +409,149 @@ func TestApplyPendingOrderProperty(t *testing.T) {
 	}
 	if drained == 0 {
 		t.Fatal("no generated history blocks a head on a writer that drains mid-merge")
+	}
+	if resumed == 0 {
+		t.Fatal("no generated history blocks a head again after its blocker clears")
+	}
+}
+
+// blockResumes replays applyPending's scan — writers ascending, apply the
+// first ready head, restart — and counts the times a blocked head, its
+// blocking component cleared, was found blocked by a later component of
+// the same timestamp: the case where the readiness walk resumes midway.
+func blockResumes(recs [][]*IntervalRec, pending []diffWant) int {
+	idxs := map[int][]int{}
+	var writers []int
+	for _, x := range pending {
+		if len(idxs[x.Proc]) == 0 {
+			writers = append(writers, x.Proc)
+		}
+		idxs[x.Proc] = append(idxs[x.Proc], x.Idx)
+	}
+	sort.Ints(writers)
+	head := func(q int) int { // -1: drained (or never pending)
+		if len(idxs[q]) == 0 {
+			return -1
+		}
+		return idxs[q][0]
+	}
+	blockedAt := map[int]int{}
+	resumes := 0
+	for left := len(pending); left > 0; left-- {
+		for _, q := range writers {
+			h := head(q)
+			if h < 0 {
+				continue
+			}
+			vc := recs[q][h].VC
+			b := -1
+			for i, r := range vc.ps {
+				if int(r) != q && head(int(r)) >= 0 && vc.vs[i] > int32(head(int(r))) {
+					b = i
+					break
+				}
+			}
+			if b >= 0 {
+				if prev, ok := blockedAt[q]; ok && prev != b {
+					resumes++
+				}
+				blockedAt[q] = b
+				continue
+			}
+			delete(blockedAt, q)
+			idxs[q] = idxs[q][1:]
+			break
+		}
+	}
+	return resumes
+}
+
+// vcCountsMismatch returns the first writer q whose entry in p's vector
+// timestamp differs from the number of q's records p has filed, or -1:
+// the Proc.vc invariant that causal readiness and applyRecords' batched
+// raise rest on.
+func vcCountsMismatch(p *Proc) int {
+	for q := range p.recs {
+		if int(p.vc.Get(q)) != len(p.recs[q]) {
+			return q
+		}
+	}
+	return -1
+}
+
+// TestVCMatchesRecordCounts pins the Proc.vc invariant — entry q equals
+// the number of q's records filed — at every synchronization point and
+// after the run, on every processor, across the four protocol variants
+// at P = 4, 16 and 64 and the two that run on a lossy network under 5 %
+// loss and reordering.  The workload takes per-page locks on pages many
+// processors write (grants and faults merging notices from many
+// writers) between barriers.
+func TestVCMatchesRecordCounts(t *testing.T) {
+	eager := DefaultConfig()
+	eager.EagerInvalidate = true
+	tree := DefaultConfig()
+	tree.TreeBarrier = 2
+	eagerTree := eager
+	eagerTree.TreeBarrier, eagerTree.TreeFanout = 2, 4
+	lossy := vnet.FDDI()
+	lossy.Faults = vnet.FaultConfig{Seed: 7, Loss: 0.05, Reorder: 0.05}
+	type variant struct {
+		name string
+		cfg  Config
+		net  vnet.Config
+		ps   []int
+	}
+	variants := []variant{
+		{"tmk", DefaultConfig(), vnet.FDDI(), []int{4, 16, 64}},
+		{"tmk-sc", eager, vnet.FDDI(), []int{4, 16, 64}},
+		{"tmk-tree", tree, vnet.FDDI(), []int{4, 16, 64}},
+		{"tmk-sc-tree", eagerTree, vnet.FDDI(), []int{4, 16, 64}},
+		{"tmk/lossy", DefaultConfig(), lossy, []int{4, 16}},
+		{"tmk-sc/lossy", eager, lossy, []int{4, 16}},
+	}
+	if testing.Short() {
+		for i := range variants {
+			variants[i].ps = variants[i].ps[:1]
+		}
+	}
+	for _, v := range variants {
+		for _, n := range v.ps {
+			eng := sim.NewEngine()
+			sys := NewSystem(eng, vnet.New(v.net), n, v.cfg)
+			base := sys.MallocPageAligned(4096 * 8)
+			var bad []string
+			check := func(p *Proc, at string) {
+				if q := vcCountsMismatch(p); q >= 0 {
+					bad = append(bad, fmt.Sprintf("proc %d %s: vc[%d] = %d, %d records filed",
+						p.ID(), at, q, p.vc.Get(q), len(p.recs[q])))
+				}
+			}
+			for i := 0; i < n; i++ {
+				sys.Spawn(i, func(p *Proc) {
+					for r := 0; r < 3; r++ {
+						lockedPageWrites(p, r, base, func() { check(p, "after a grant") })
+						p.Barrier(r)
+						check(p, "after a barrier")
+						p.ReadI64(base + Addr(4096*(r%8)))
+					}
+				})
+			}
+			err := eng.Run()
+			if len(bad) > 0 { // first: a broken invariant can make the run panic later
+				t.Fatalf("%s P=%d: %d violations, first: %s", v.name, n, len(bad), bad[0])
+			}
+			if err != nil {
+				t.Fatalf("%s P=%d: %v", v.name, n, err)
+			}
+			for i := 0; i < n; i++ {
+				check(sys.Proc(i), "at the end")
+			}
+			if len(bad) > 0 {
+				t.Fatalf("%s P=%d: at the end: %s", v.name, n, bad[0])
+			}
+			if v.net.Faults.Lossy() && sys.Stats().Dropped == 0 {
+				t.Errorf("%s P=%d: nothing was dropped", v.name, n)
+			}
+		}
 	}
 }

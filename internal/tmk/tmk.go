@@ -42,8 +42,9 @@
 //     base-offset slice.
 //   - applyPending orders pending write notices by merging per-writer
 //     head cursors (notices of one writer are already totally ordered);
-//     readiness is one vector-clock component test per other head, and a
-//     blocked head re-tests only the component that blocked it.
+//     readiness walks the head's timestamp once over its whole life: a
+//     blocked head re-tests only the component that blocked it, and
+//     resumes the walk after it once it clears.
 //     Application is linear in the common single-writer case.
 //   - Protocol messages travel as structured objects with modeled wire
 //     sizes (vnet.SendObj).  Each message's layout is one field walk in
@@ -296,6 +297,8 @@ func NewSystem(eng *sim.Engine, net *vnet.Network, n int, cfg Config) *System {
 			recs:      make([][]*IntervalRec, n),
 			lastMgrVC: NewVC(n),
 			faultPg:   -1,
+			raisePs:   make([]int32, 0, n),
+			raiseVs:   make([]int32, 0, n),
 		}
 		switch {
 		case cfg.TreeBarrier != 0:
@@ -705,7 +708,14 @@ type Proc struct {
 	ep  *vnet.Endpoint // application endpoint (replies arrive here)
 	srv *vnet.Endpoint // service endpoint (requests arrive here)
 
-	pages     []*page
+	pages []*page
+	// vc is this processor's vector timestamp.  Outside applyRecords it
+	// equals the record counts: vc.Get(q) == len(recs[q]) for every q,
+	// because the clock only moves when records are filed (closeInterval,
+	// applyRecords) or by a departure's timestamp, whose records the same
+	// departure delivers first.  Causal readiness reads the counts, so
+	// applyRecords can raise vc once per batch; TestVCMatchesRecordCounts
+	// pins the invariant.
 	vc        VC
 	recs      [][]*IntervalRec // [proc][idx], contiguous
 	recProcs  []int32          // writers with records filed here, ascending
@@ -737,6 +747,8 @@ type Proc struct {
 
 	// Allocation recycling for protocol hot paths.
 	twinFree [][]byte // page-size buffers returned by closeInterval
+	raisePs  []int32  // applyRecords: writers of the batch, ascending (capacity n)
+	raiseVs  []int32  // applyRecords: their record counts, the VC Merge raises to
 
 	// Fault-path scratch, reused across faults.  Everything here is valid
 	// only while the owning fault runs: missBuf and cover from fault entry
@@ -1021,6 +1033,12 @@ func sortRecords(recs []*IntervalRec) {
 
 // applyRecords merges incoming interval records: stores them, advances
 // the vector clock, and invalidates pages written by other processors.
+// The clock is raised once for the whole batch, to the record counts of
+// the writers it names (nothing between the admissions reads it), then
+// once per record drainFuture admits.  One Merge raises it exactly as one
+// SetMax per admitted record did, live-shared copies included: a
+// writer's records are admitted in index order, so its count is the
+// value its last SetMax wrote.
 func (p *Proc) applyRecords(recs []*IntervalRec) {
 	// Incoming write notices may invalidate any page, including a cached
 	// one; drop the access fast path until the next slow-path fill.
@@ -1032,14 +1050,24 @@ func (p *Proc) applyRecords(recs []*IntervalRec) {
 	for _, r := range recs {
 		p.admitRecord(r)
 	}
+	ps, vs := p.raisePs[:0], p.raiseVs[:0]
+	for _, r := range recs {
+		if c := len(p.recs[r.Proc]); c > 0 && (len(ps) == 0 || ps[len(ps)-1] != int32(r.Proc)) {
+			ps = append(ps, int32(r.Proc))
+			vs = append(vs, int32(c))
+		}
+	}
+	p.vc.Merge(VC{n: p.vc.n, ps: ps, vs: vs})
+	p.raisePs, p.raiseVs = ps, vs
 	if len(p.futureRecs) > 0 {
 		p.drainFuture()
 	}
 }
 
-// admitRecord files one interval record.  Sync-time batches (grants,
-// departures) are gap-free per writer, so a record ahead of its
-// predecessors can only be an eager notice whose predecessor was lost;
+// admitRecord files one interval record; the caller raises the clock.
+// Sync-time batches (grants, departures) are gap-free per writer, so a
+// record ahead of its predecessors can only be an eager notice whose
+// predecessor was lost;
 // with causal admission armed (System.causalAdmit) it is buffered in
 // futureRecs until the gap fills (the predecessor piggybacks on the
 // next grant or departure, or finishes its own multicast relay), and
@@ -1073,7 +1101,6 @@ func (p *Proc) admitRecord(r *IntervalRec) {
 	if len(p.recs[r.Proc]) == 1 {
 		p.noteRecProc(r.Proc)
 	}
-	p.vc.SetMax(r.Proc, int32(r.Idx+1))
 	if r.Proc == p.id {
 		return // own writes: page copies are already current
 	}
@@ -1109,6 +1136,7 @@ func (p *Proc) drainFuture() {
 				kept = append(kept, r)
 			default:
 				p.admitRecord(r)
+				p.vc.SetMax(r.Proc, int32(r.Idx+1))
 				progress = true
 			}
 		}
@@ -1122,9 +1150,16 @@ func (p *Proc) drainFuture() {
 // recCausallyReady reports whether every interval the record's timestamp
 // covers — beyond the record's own writer — has been admitted locally,
 // the causal-delivery condition admitRecord buffers on under fault
-// injection.
+// injection.  It reads the record counts, not p.vc, which lags them
+// inside applyRecords (see Proc.vc): one walk over the record's
+// timestamp, one slice length per entry.
 func (p *Proc) recCausallyReady(r *IntervalRec) bool {
-	return p.vc.CoversExcept(r.VC, r.Proc)
+	for i, q := range r.VC.ps {
+		if int(q) != r.Proc && int32(len(p.recs[q])) < r.VC.vs[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // recTouchesBusy reports whether the record names a twinned or mid-fault
@@ -1164,21 +1199,13 @@ func (p *Proc) noteRecProc(q int) {
 // themselves are shared, never copied: they are immutable once
 // published.  The slice is freshly allocated at exact size — it travels
 // inside a message object and lives until the receiver has applied it.
-// Only active writers are scanned, so the cost is independent of the
-// processor count.
+// Only active writers are scanned, in step with both timestamps, so the
+// cost is independent of the processor count.
 func (p *Proc) recordsNotCoveredBy(from VC, limit VC) []*IntervalRec {
-	bounded := limit.Len() != 0
 	total := 0
-	for _, q32 := range p.recProcs {
-		q := int(q32)
-		lo := int(from.Get(q))
-		hi := len(p.recs[q])
-		if bounded {
-			if l := int(limit.Get(q)); l < hi {
-				hi = l
-			}
-		}
-		if hi > lo {
+	fc, lc := vcCursor{v: from}, vcCursor{v: limit}
+	for _, q := range p.recProcs {
+		if lo, hi := p.notCoveredSpan(q, &fc, &lc); hi > lo {
 			total += hi - lo
 		}
 	}
@@ -1186,20 +1213,25 @@ func (p *Proc) recordsNotCoveredBy(from VC, limit VC) []*IntervalRec {
 		return nil
 	}
 	out := make([]*IntervalRec, 0, total)
-	for _, q32 := range p.recProcs {
-		q := int(q32)
-		lo := int(from.Get(q))
-		hi := len(p.recs[q])
-		if bounded {
-			if l := int(limit.Get(q)); l < hi {
-				hi = l
-			}
-		}
-		for i := lo; i < hi; i++ {
-			out = append(out, p.recs[q][i])
+	fc, lc = vcCursor{v: from}, vcCursor{v: limit}
+	for _, q := range p.recProcs {
+		if lo, hi := p.notCoveredSpan(q, &fc, &lc); hi > lo {
+			out = append(out, p.recs[q][lo:hi]...)
 		}
 	}
 	return out
+}
+
+// notCoveredSpan is recordsNotCoveredBy's per-writer range: writer q's
+// record idxs from its entry in from up to its record count, capped by
+// its entry in limit unless limit is the zero VC.  The span is empty
+// when hi <= lo.
+func (p *Proc) notCoveredSpan(q int32, from, limit *vcCursor) (lo, hi int) {
+	lo, hi = int(from.get(q)), len(p.recs[q])
+	if limit.v.Len() != 0 {
+		hi = min(hi, int(limit.get(q)))
+	}
+	return lo, hi
 }
 
 // ---------------------------------------------------------------------
@@ -1435,26 +1467,10 @@ func (p *Proc) handleBarrArrive(ctx *sim.Ctx, m *barrMsg) {
 	bs.union, bs.heads = mergeRecordBatches(bs.batches, bs.union[:0], bs.heads[:0])
 	union := bs.union
 	// Departures: each client gets the union entries it has not seen, in
-	// the union's (Proc, Idx) order.  The slice is counted first and
-	// allocated at exact size — it travels inside the departure message
-	// and lives until the receiver has applied it.
+	// the union's (Proc, Idx) order.
 	for _, a := range bs.arrived {
-		n := 0
-		for _, r := range union {
-			if int32(r.Idx) >= a.VC.Get(r.Proc) { // client has not seen it
-				n++
-			}
-		}
-		var out []*IntervalRec
-		if n > 0 {
-			out = make([]*IntervalRec, 0, n)
-			for _, r := range union {
-				if int32(r.Idx) >= a.VC.Get(r.Proc) {
-					out = append(out, r)
-				}
-			}
-		}
-		dep := &barrMsg{Barrier: bs.id, From: p.id, Seq: a.Seq, VC: merged, Records: out}
+		dep := &barrMsg{Barrier: bs.id, From: p.id, Seq: a.Seq, VC: merged,
+			Records: recordsLacked(union, a.VC, nil)}
 		size := wireSize(dep)
 		p.srv.SendObj(ctx, p.sys.procs[a.From].ep, tagBarrDepart, dep, size)
 		if p.sys.reliable && a.Seq > 0 {
@@ -1616,13 +1632,15 @@ func (p *Proc) treeRedistribute(ctx *sim.Ctx, depVC VC, needed []*IntervalRec) {
 
 // recordsLacked returns the entries of union not covered by vc, minus
 // the records in sub (both union and sub are in (Proc, Idx) order; nil
-// sub skips the subtraction).  Freshly allocated at exact size — the
-// slice travels inside a departure message.
+// sub skips the subtraction).  vc is read in step with union.  Freshly
+// allocated at exact size — the slice travels inside a departure
+// message.
 func recordsLacked(union []*IntervalRec, vc VC, sub []*IntervalRec) []*IntervalRec {
 	count := 0
 	j := 0
+	c := vcCursor{v: vc}
 	for _, r := range union {
-		if vc.CoversInterval(r.Proc, r.Idx) {
+		if c.get(int32(r.Proc)) > int32(r.Idx) {
 			continue
 		}
 		for j < len(sub) && (sub[j].Proc < r.Proc || (sub[j].Proc == r.Proc && sub[j].Idx < r.Idx)) {
@@ -1638,8 +1656,9 @@ func recordsLacked(union []*IntervalRec, vc VC, sub []*IntervalRec) []*IntervalR
 	}
 	out := make([]*IntervalRec, 0, count)
 	j = 0
+	c = vcCursor{v: vc}
 	for _, r := range union {
-		if vc.CoversInterval(r.Proc, r.Idx) {
+		if c.get(int32(r.Proc)) > int32(r.Idx) {
 			continue
 		}
 		for j < len(sub) && (sub[j].Proc < r.Proc || (sub[j].Proc == r.Proc && sub[j].Idx < r.Idx)) {
@@ -1894,14 +1913,15 @@ type coverTarget struct {
 	wants []diffWant
 }
 
-// coverScratch is minimalCover's reusable state.  latest and cands are
-// reset on entry, so a panic unwinding mid-cover leaves nothing that the
+// coverScratch is minimalCover's reusable state.  latest, row and cands
+// are reset on entry, so a panic unwinding mid-cover leaves nothing that the
 // next call could observe; targets — including the want lists inside —
 // back the returned slice and stay valid only until this processor's next
 // fault.
 type coverScratch struct {
 	latest  []*IntervalRec // per writer: latest missing interval (nil: none)
 	cands   []int          // writers with missing diffs, ascending
+	row     []int32        // per processor: largest entry another candidate's latest timestamp has
 	targets []coverTarget  // chosen writers; slice length is the high-water mark
 }
 
@@ -1909,18 +1929,22 @@ type coverScratch struct {
 // latest interval for the page has been seen by another candidate's latest
 // interval need not be asked, because the dominating writer holds its
 // diffs too (paper §2.2.2).  Interval timestamps are transitively closed
-// (a record's VC covers the VC of every interval it has seen), so the
-// O(1) CoversInterval component test is exactly the vector comparison.
-// The returned targets alias the processor's cover scratch: valid only
-// until the next fault.
+// (a record's VC covers the VC of every interval it has seen), so one
+// component test is exactly the vector comparison: q is dominated iff
+// some other candidate's timestamp exceeds latest[q].Idx at q.  Every
+// candidate's timestamp is scattered once into a dense row holding, per
+// processor, the largest such entry, so the test costs one lookup per
+// candidate instead of a search per candidate pair.  The returned
+// targets alias the processor's cover scratch: valid only until the
+// next fault.
 func (p *Proc) minimalCover(missing []diffWant) []coverTarget {
 	cs := &p.cover
 	if cs.latest == nil {
 		cs.latest = make([]*IntervalRec, p.sys.n)
+		cs.row = make([]int32, p.sys.n)
 	}
-	for i := range cs.latest {
-		cs.latest[i] = nil
-	}
+	clear(cs.latest)
+	clear(cs.row)
 	cands := cs.cands[:0]
 	for _, w := range missing {
 		rec := p.recs[w.Proc][w.Idx]
@@ -1933,19 +1957,20 @@ func (p *Proc) minimalCover(missing []diffWant) []coverTarget {
 	}
 	sort.Ints(cands)
 	cs.cands = cands
+	for _, r := range cands {
+		vc := cs.latest[r].VC
+		for i, q := range vc.ps {
+			if int(q) != r && vc.vs[i] > cs.row[q] {
+				cs.row[q] = vc.vs[i]
+			}
+		}
+	}
 	// Keep the non-dominated candidates, reusing target slots (and their
 	// want-list backing arrays) from previous faults.
 	nt := 0
 	for _, q := range cands {
-		dominated := false
-		for _, r := range cands {
-			if r != q && cs.latest[r].VC.CoversInterval(q, cs.latest[q].Idx) {
-				dominated = true
-				break
-			}
-		}
-		if dominated {
-			continue
+		if cs.row[q] > int32(cs.latest[q].Idx) {
+			continue // dominated
 		}
 		if nt < len(cs.targets) {
 			cs.targets[nt].proc = q
@@ -1982,8 +2007,10 @@ func (p *Proc) minimalCover(missing []diffWant) []coverTarget {
 // no other head (r, j) satisfies rec(q,i).VC[r] > j — the component test
 // again standing in for the full vector comparison.  This reproduces
 // exactly the order of the former repeated-minimal-scan (lexicographically
-// smallest topological extension by (proc, idx)) at O(k·W²) for k notices
-// and W ≤ nprocs pending writers instead of O(k³).
+// smallest topological extension by (proc, idx)) at O(k·(W+V)) for k
+// notices, W ≤ nprocs pending writers and timestamps of at most V
+// entries — each head's timestamp is walked once over its life — instead
+// of O(k³).
 func (p *Proc) applyPending(pid int) {
 	pg := p.pages[pid]
 	k := len(pg.wn)
@@ -2049,11 +2076,15 @@ func (p *Proc) applyPending(pid int) {
 	}
 
 	// Merge: scan writers in ascending proc order, apply the first ready
-	// head, restart.  A blocked head remembers where in its timestamp the
-	// blocking component sits (wrBlock) and re-tests only that one until
-	// the blocker's head moves past it or drains; only then does it pay
-	// the full test again, walking writers and the timestamp's sorted
-	// entries in step.  Same predicate, evaluated lazily: same order.
+	// head, restart.  Within this call the pending writers are fixed and
+	// each head only advances, so a component of a head's timestamp that
+	// did not block it never will.  A blocked head therefore remembers
+	// where in its timestamp the blocking component sits (wrBlock) and
+	// re-tests only that one until the blocker's head moves past it or
+	// drains; then the walk resumes after it, never from the start.
+	// "Writer r is pending" is wrPos[r] < wrEnd[r], valid for every r:
+	// each call drains all its writers, leaving the cursors equal.  Same
+	// predicate, evaluated lazily: same order.
 	for remaining := k; remaining > 0; {
 		progress := false
 		for _, q := range writers {
@@ -2065,29 +2096,19 @@ func (p *Proc) applyPending(pid int) {
 			vc := p.recs[qi][h].VC
 			b := p.wrBlock[qi]
 			if b >= 0 {
-				if r := vc.ps[b]; p.wrPos[r] == p.wrEnd[r] || vc.vs[b] <= idxs[p.wrPos[r]] {
-					b = -1
+				if r := vc.ps[b]; p.wrPos[r] < p.wrEnd[r] && vc.vs[b] > idxs[p.wrPos[r]] {
+					continue // still blocked
 				}
 			}
-			if b < 0 {
-				i := 0
-				for _, r := range writers {
-					if r == q || p.wrPos[r] == p.wrEnd[r] {
-						continue
-					}
-					for i < len(vc.ps) && vc.ps[i] < r {
-						i++
-					}
-					if i == len(vc.ps) {
-						break
-					}
-					if vc.ps[i] == r && vc.vs[i] > idxs[p.wrPos[r]] {
-						b = int32(i)
-						break
-					}
+			from := b + 1
+			b = -1
+			for i := from; int(i) < len(vc.ps); i++ {
+				if r := vc.ps[i]; r != q && p.wrPos[r] < p.wrEnd[r] && vc.vs[i] > idxs[p.wrPos[r]] {
+					b = i
+					break
 				}
-				p.wrBlock[qi] = b
 			}
+			p.wrBlock[qi] = b
 			if b >= 0 {
 				continue
 			}

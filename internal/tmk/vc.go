@@ -96,6 +96,25 @@ func (v *VC) SetMax(p int, x int32) {
 	v.ps, v.vs = nps, nvs
 }
 
+// vcCursor reads entries of a VC for a non-decreasing sequence of
+// processor ids in one forward walk: Get for callers that visit ids in
+// order, with no search per id.
+type vcCursor struct {
+	v VC
+	i int
+}
+
+// get returns entry p; p must be no smaller than on the previous call.
+func (c *vcCursor) get(p int32) int32 {
+	for c.i < len(c.v.ps) && c.v.ps[c.i] < p {
+		c.i++
+	}
+	if c.i < len(c.v.ps) && c.v.ps[c.i] == p {
+		return c.v.vs[c.i]
+	}
+	return 0
+}
+
 // Clone returns an independent copy of v.
 func (v VC) Clone() VC {
 	c := VC{n: v.n}
@@ -133,32 +152,40 @@ func (v VC) CoversExcept(w VC, skip int) bool {
 // CoversInterval reports whether v has seen interval idx of processor p.
 func (v VC) CoversInterval(p, idx int) bool { return v.Get(p) > int32(idx) }
 
-// Merge sets v to the pointwise maximum of v and w.
+// Merge sets v to the pointwise maximum of v and w, at one allocation at
+// most.  It keeps SetMax's aliasing rule, applied to w's entries in
+// ascending order: entries v already holds are raised in place up to the
+// first entry v lacks, and that insert moves v to fresh slices holding
+// everything from there on.  A struct copy of v taken beforehand (a
+// timestamp live-shared into a message) therefore sees exactly what one
+// SetMax per entry of w would have shown it.
 func (v *VC) Merge(w VC) {
-	if len(w.ps) == 0 {
-		return
-	}
-	// First pass: raise entries v already stores; count the rest.
-	missing := 0
-	i := 0
-	for j := range w.ps {
+	i, j := 0, 0
+	for ; j < len(w.ps); j++ {
 		for i < len(v.ps) && v.ps[i] < w.ps[j] {
 			i++
 		}
-		if i < len(v.ps) && v.ps[i] == w.ps[j] {
-			if w.vs[j] > v.vs[i] {
-				v.vs[i] = w.vs[j]
-			}
-		} else {
+		if i == len(v.ps) || v.ps[i] != w.ps[j] {
+			break // first entry v lacks: the rest goes to fresh slices
+		}
+		if w.vs[j] > v.vs[i] {
+			v.vs[i] = w.vs[j]
+		}
+	}
+	if j == len(w.ps) {
+		return
+	}
+	missing := 0
+	for a, b := i, j; b < len(w.ps); b++ {
+		for a < len(v.ps) && v.ps[a] < w.ps[b] {
+			a++
+		}
+		if a == len(v.ps) || v.ps[a] != w.ps[b] {
 			missing++
 		}
 	}
-	if missing == 0 {
-		return
-	}
-	nps := make([]int32, 0, len(v.ps)+missing)
-	nvs := make([]int32, 0, len(v.ps)+missing)
-	i, j := 0, 0
+	nps := append(make([]int32, 0, len(v.ps)+missing), v.ps[:i]...)
+	nvs := append(make([]int32, 0, len(v.ps)+missing), v.vs[:i]...)
 	for i < len(v.ps) || j < len(w.ps) {
 		switch {
 		case j == len(w.ps) || (i < len(v.ps) && v.ps[i] < w.ps[j]):
@@ -170,12 +197,8 @@ func (v *VC) Merge(w VC) {
 			nvs = append(nvs, w.vs[j])
 			j++
 		default:
-			x := v.vs[i]
-			if w.vs[j] > x {
-				x = w.vs[j]
-			}
 			nps = append(nps, v.ps[i])
-			nvs = append(nvs, x)
+			nvs = append(nvs, max(v.vs[i], w.vs[j]))
 			i++
 			j++
 		}

@@ -282,8 +282,7 @@ func TestVCSparseMatchesDense(t *testing.T) {
 	}
 }
 
-// TestVCCoversExcept pins the merge walk behind Covers and
-// recCausallyReady: components absent from either side, the skipped
+// TestVCCoversExcept pins the merge walk behind Covers: components absent from either side, the skipped
 // component (a record's own writer) failing or missing, and vectors on
 // both sides of the linear-scan/binary-search width split.
 func TestVCCoversExcept(t *testing.T) {
@@ -385,5 +384,84 @@ func TestVCWideSparse(t *testing.T) {
 	}
 	if !v.Before(w) {
 		t.Fatal("before after wide insert")
+	}
+}
+
+// randSparseVC returns a width-n vector with about k random nonzero
+// entries.
+func randSparseVC(r *rand.Rand, n, k int) VC {
+	v := NewVC(n)
+	for ; k > 0; k-- {
+		v.SetMax(r.Intn(n), int32(1+r.Intn(6)))
+	}
+	return v
+}
+
+// TestVCMergeMatchesSequentialSetMaxProperty: Merge must leave the
+// vector exactly as one SetMax per entry of w in ascending order does, and
+// a struct copy taken beforehand — the live-shared timestamp inside a
+// message — must see the same values under both, on random sparse vectors
+// up to width 256.  A merge that inserts allocates the new slices once.
+func TestVCMergeMatchesSequentialSetMaxProperty(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	inserts, raisedThenInserted := 0, 0
+	for iter := 0; iter < 3000; iter++ {
+		n := 1 + r.Intn(256)
+		seq := randSparseVC(r, n, r.Intn(n+1)/(1+r.Intn(8)))
+		mrg := seq.Clone()
+		seqAlias, mrgAlias := seq, mrg
+		before := dense(seq)
+		w := randSparseVC(r, n, r.Intn(n+1)/(1+r.Intn(8)))
+		for k, q := range w.ps {
+			seq.SetMax(int(q), w.vs[k])
+		}
+		mrg.Merge(w)
+		if !reflect.DeepEqual(seq, mrg) {
+			t.Fatalf("iter %d: Merge = %v, sequential SetMax = %v", iter, dense(mrg), dense(seq))
+		}
+		if !reflect.DeepEqual(dense(seqAlias), dense(mrgAlias)) {
+			t.Fatalf("iter %d: aliased copy sees %v, sequential SetMax leaves it %v", iter, dense(mrgAlias), dense(seqAlias))
+		}
+		if len(seq.ps) > len(seqAlias.ps) {
+			inserts++
+			if !reflect.DeepEqual(dense(seqAlias), before) {
+				raisedThenInserted++ // the copy saw raises, then the insert froze it
+			}
+		}
+	}
+	if raisedThenInserted == 0 {
+		t.Fatalf("generator too tame: of %d merges that inserted, none raised an entry in place first", inserts)
+	}
+	base := NewVC(256)
+	for q := 0; q < 256; q += 2 {
+		base.SetMax(q, 3)
+	}
+	all := NewVC(256)
+	for q := 0; q < 256; q++ {
+		all.SetMax(q, 4)
+	}
+	vcs := make([]VC, 101)
+	for i := range vcs {
+		vcs[i] = base.Clone()
+	}
+	i := 0
+	if allocs := testing.AllocsPerRun(100, func() { vcs[i].Merge(all); i++ }); allocs != 2 {
+		t.Errorf("a merge inserting 128 entries allocates %v times, want 2 (one ps, one vs)", allocs)
+	}
+}
+
+// TestVCCursorMatchesGet: reading a vector through a cursor, for any
+// non-decreasing sequence of ids, returns what Get returns.
+func TestVCCursorMatchesGet(t *testing.T) {
+	r := rand.New(rand.NewSource(2))
+	for iter := 0; iter < 2000; iter++ {
+		n := 1 + r.Intn(256)
+		v := randSparseVC(r, n, r.Intn(n+1))
+		c := vcCursor{v: v}
+		for q := 0; q < n; q += r.Intn(4) {
+			if got, want := c.get(int32(q)), v.Get(q); got != want {
+				t.Fatalf("iter %d: cursor get(%d) = %d, Get = %d", iter, q, got, want)
+			}
+		}
 	}
 }

@@ -128,3 +128,60 @@ func BenchmarkInboxDepth(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkInboxWildcard measures a wildcard receive on a service-style
+// endpoint that has heard from many (from, tag) pairs but holds messages
+// in only a few: every (from, tag) bucket is created and drained first,
+// then live of them keep one message each.  One op consumes the earliest
+// message with (-1, -1) and resends on its pair, so a bucket empties and
+// refills every op.  ns/op should not grow with the bucket count; 448 is
+// a P=64 service endpoint's 64 senders x 7 request tags.
+func BenchmarkInboxWildcard(b *testing.B) {
+	for _, shape := range []struct{ senders, tags int }{{8, 1}, {64, 1}, {64, 7}} {
+		for _, live := range []int{1, 4} {
+			b.Run(fmt.Sprintf("buckets=%d/live=%d", shape.senders*shape.tags, live), func(b *testing.B) {
+				n := New(FDDI())
+				e := sim.NewEngine()
+				dst := n.NewEndpoint(0, true)
+				src := make([]*Endpoint, shape.senders)
+				for i := range src {
+					src[i] = n.NewEndpoint(1+i, true)
+				}
+				k := b.N
+				miss := false
+				e.Spawn("bench", false, func(c *sim.Ctx) {
+					for _, s := range src {
+						for tag := 0; tag < shape.tags; tag++ {
+							s.Send(c, dst, tag, nil)
+						}
+					}
+					c.Compute(sim.Second)
+					for m := dst.TryRecv(c, -1, -1); m != nil; m = dst.TryRecv(c, -1, -1) {
+						dst.Free(c, m)
+					}
+					for i := 0; i < live; i++ {
+						src[i*5%shape.senders].Send(c, dst, i%shape.tags, nil)
+					}
+					c.Compute(sim.Second)
+					b.ResetTimer()
+					for i := 0; i < k; i++ {
+						m := dst.TryRecv(c, -1, -1)
+						if m == nil {
+							miss = true
+							return
+						}
+						src[m.From-1].Send(c, dst, m.Tag, nil)
+						dst.Free(c, m)
+						c.Compute(sim.Second)
+					}
+				})
+				if err := e.Run(); err != nil {
+					b.Fatal(err)
+				}
+				if miss {
+					b.Fatal("TryRecv missed")
+				}
+			})
+		}
+	}
+}

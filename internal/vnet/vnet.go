@@ -20,11 +20,16 @@
 //
 // Each endpoint's inbox is indexed by (from, tag): queued messages live in
 // per-pair buckets kept in (Arrival, seq) order, so an exact-filter receive
-// peeks one bucket head and a wildcard receive scans only the bucket heads
-// — never the full inbox.  Consuming a message pops a bucket head in O(1)
-// instead of splicing a flat queue.  Selection semantics are unchanged:
-// among matching messages, the one with the earliest arrival wins, ties
-// broken by global send order (seq).
+// peeks one bucket head and a wildcard receive scans the heads of the
+// non-empty buckets only — never the full inbox, and never the buckets a
+// busy service endpoint has accumulated from every sender and tag it has
+// ever heard from.  The non-empty buckets are kept in an unordered list:
+// a bucket joins it when a delivery fills it and leaves (swap-remove) when
+// its last message is consumed.  Consuming a message pops a bucket head in
+// O(1) instead of splicing a flat queue.  Selection semantics are
+// unchanged: among matching messages, the one with the earliest arrival
+// wins, ties broken by global send order (seq) — a total order, so the
+// list's order never shows.
 //
 // # Structured messages
 //
@@ -242,6 +247,7 @@ type bucket struct {
 	from, tag int
 	msgs      []*Message
 	head      int
+	live      int // position in Endpoint.live while non-empty
 }
 
 func (b *bucket) empty() bool { return b.head == len(b.msgs) }
@@ -296,13 +302,13 @@ type Endpoint struct {
 	arqLast map[*Endpoint]sim.Time
 
 	// Inbox index: one bucket per (from, tag) pair ever seen.  index is
-	// the exact-match lookup; order is the deterministic scan list for
-	// wildcard filters (creation order).  queued counts live messages.
+	// the exact-match lookup; live holds the non-empty buckets, the scan
+	// list for wildcard filters.  queued counts live messages.
 	// lastKey/lastB memoize the most recent exact lookup: delivery and an
 	// exact-filter receive hammer the same (from, tag) pair back to back,
 	// so the common case skips the map hash entirely.
 	index   map[[2]int]*bucket
-	order   []*bucket
+	live    []*bucket
 	queued  int
 	lastKey [2]int
 	lastB   *bucket
@@ -570,9 +576,12 @@ func (e *Endpoint) deliver(m *Message) {
 		if b == nil {
 			b = &bucket{from: m.From, tag: m.Tag}
 			e.index[key] = b
-			e.order = append(e.order, b)
 		}
 		e.lastKey, e.lastB = key, b
+	}
+	if b.empty() {
+		b.live = len(e.live)
+		e.live = append(e.live, b)
 	}
 	b.put(m)
 	e.queued++
@@ -581,8 +590,8 @@ func (e *Endpoint) deliver(m *Message) {
 
 // peek returns the earliest message matching (from, tag) and the bucket
 // holding it, without consuming.  Negative from/tag are wildcards.  Exact
-// filters cost one memoized map lookup; wildcard filters scan bucket
-// heads only.
+// filters cost one memoized map lookup; wildcard filters scan the heads
+// of the non-empty buckets only.
 func (e *Endpoint) peek(from, tag int) (*bucket, *Message) {
 	if from >= 0 && tag >= 0 {
 		b := e.lastB
@@ -600,8 +609,8 @@ func (e *Endpoint) peek(from, tag int) (*bucket, *Message) {
 	}
 	var bb *bucket
 	var best *Message
-	for _, b := range e.order {
-		if b.empty() || (from >= 0 && b.from != from) || (tag >= 0 && b.tag != tag) {
+	for _, b := range e.live {
+		if (from >= 0 && b.from != from) || (tag >= 0 && b.tag != tag) {
 			continue
 		}
 		m := b.peek()
@@ -613,10 +622,19 @@ func (e *Endpoint) peek(from, tag int) (*bucket, *Message) {
 	return bb, best
 }
 
-// take consumes the head of b.
+// take consumes the head of b, dropping b from the live list when that
+// empties it.
 func (e *Endpoint) take(b *bucket) *Message {
 	e.queued--
-	return b.pop()
+	m := b.pop()
+	if b.empty() {
+		// The index keeps every bucket alive, so the vacated tail slot
+		// needs no clearing.
+		last := e.live[len(e.live)-1]
+		e.live[b.live], last.live = last, b.live
+		e.live = e.live[:len(e.live)-1]
+	}
+	return m
 }
 
 // Recv blocks until a message matching (from, tag) arrives, consumes it,

@@ -2,6 +2,7 @@ package vnet
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/sim"
@@ -473,5 +474,143 @@ func TestSteadyStateSendAllocFree(t *testing.T) {
 	}
 	if misses != 0 {
 		t.Errorf("steady-state cycle missed the pool %d times", misses)
+	}
+}
+
+// fullScanPeek is the wildcard selection as it was before the inbox kept
+// a list of non-empty buckets: visit every bucket the endpoint has ever
+// created, skip the empty ones, keep the earliest (Arrival, seq) head.
+// (Arrival, seq) is a total order, so the map's visiting order is
+// irrelevant, as the former creation-order list's was.
+func fullScanPeek(e *Endpoint, from, tag int) *Message {
+	var best *Message
+	for _, b := range e.index {
+		if b.empty() || (from >= 0 && b.from != from) || (tag >= 0 && b.tag != tag) {
+			continue
+		}
+		if m := b.peek(); best == nil || m.Arrival < best.Arrival ||
+			(m.Arrival == best.Arrival && m.seq < best.seq) {
+			best = m
+		}
+	}
+	return best
+}
+
+// checkLiveList reports a broken live list: it must hold exactly the
+// non-empty buckets, each at the position it records.
+func checkLiveList(e *Endpoint) error {
+	nonEmpty := 0
+	for _, b := range e.index {
+		if !b.empty() {
+			nonEmpty++
+		}
+	}
+	if len(e.live) != nonEmpty {
+		return fmt.Errorf("live list holds %d buckets, %d are non-empty", len(e.live), nonEmpty)
+	}
+	for i, b := range e.live {
+		if b.empty() || b.live != i {
+			return fmt.Errorf("live[%d] = (%d,%d): empty=%v, recorded position %d", i, b.from, b.tag, b.empty(), b.live)
+		}
+	}
+	return nil
+}
+
+// TestWildcardPeekMatchesFullScanProperty: random interleavings of
+// deliveries from many (from, tag) pairs with Recv, TryRecv, RecvDeadline
+// and Probe under exact, from-only, tag-only and full-wildcard filters
+// must pick exactly the message a scan of every bucket picks, and leave
+// the live list holding exactly the non-empty buckets.  Senders include
+// one on the receiver's node (loopback arrives sooner than wire traffic
+// sent earlier), so arrival order across buckets is not send order.  The
+// run must see buckets empty and refill, and the only live bucket leave.
+func TestWildcardPeekMatchesFullScanProperty(t *testing.T) {
+	const senders, tags = 12, 5
+	refills, lastOut := 0, 0
+	for seed := int64(0); seed < 40; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		n := New(testConfig())
+		e := sim.NewEngine()
+		dst := n.NewEndpoint(0, true)
+		src := make([]*Endpoint, senders)
+		for i := range src {
+			src[i] = n.NewEndpointID(i%4, 100+i, true) // node 0 is loopback to dst
+		}
+		var failed error
+		e.Spawn("ops", false, func(c *sim.Ctx) {
+			for step := 0; step < 600 && failed == nil; step++ {
+				from, tag := -1, -1
+				if r.Intn(2) == 0 {
+					from = 100 + r.Intn(senders+1) // one id that never sends
+				}
+				if r.Intn(2) == 0 {
+					tag = r.Intn(tags + 1)
+				}
+				want := fullScanPeek(dst, from, tag)
+				before := len(dst.live)
+				var got *Message
+				op := r.Intn(10)
+				switch {
+				case op < 4:
+					s := r.Intn(senders)
+					tg := r.Intn(tags)
+					if b := dst.index[[2]int{100 + s, tg}]; b != nil && b.empty() {
+						refills++
+					}
+					src[s].Send(c, dst, tg, nil)
+					if r.Intn(3) == 0 {
+						c.Compute(sim.Time(r.Intn(400)) * sim.Microsecond)
+					}
+					if err := checkLiveList(dst); err != nil {
+						failed = fmt.Errorf("step %d send: %v", step, err)
+					}
+					continue
+				case op < 6:
+					got = dst.TryRecv(c, from, tag)
+					if want != nil && want.Arrival > c.Now() {
+						want = nil
+					}
+				case op < 7:
+					if want == nil {
+						continue // a blocking Recv with nothing to match would deadlock
+					}
+					got = dst.Recv(c, from, tag)
+				case op < 9:
+					dl := c.Now() + sim.Time(r.Intn(300))*sim.Microsecond
+					got = dst.RecvDeadline(c, from, tag, dl)
+					if want != nil && want.Arrival > dl {
+						want = nil
+					}
+				default:
+					ok := dst.Probe(c, from, tag)
+					if exp := want != nil && want.Arrival <= c.Now(); ok != exp {
+						failed = fmt.Errorf("step %d: Probe(%d,%d) = %v, full scan says %v", step, from, tag, ok, exp)
+					}
+					continue
+				}
+				if got != want {
+					failed = fmt.Errorf("step %d: receive(%d,%d) got %+v, full scan picks %+v", step, from, tag, got, want)
+					break
+				}
+				if got != nil {
+					if before == 1 && len(dst.live) == 0 {
+						lastOut++
+					}
+					dst.Free(c, got)
+				}
+				if err := checkLiveList(dst); err != nil {
+					failed = fmt.Errorf("step %d receive: %v", step, err)
+				}
+			}
+		})
+		if err := e.Run(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if failed != nil {
+			t.Fatalf("seed %d: %v", seed, failed)
+		}
+	}
+	if refills == 0 || lastOut == 0 {
+		t.Fatalf("generator too tame: %d refills of an emptied bucket, %d removals of the only live bucket", refills, lastOut)
 	}
 }
