@@ -15,7 +15,14 @@
 //
 // which ignores -scale and runs the plan that test runs: every app's
 // sequential baseline at scale 1.0, plus TSP under tmk and pvm at 8
-// processors.
+// processors.  The lossy-network pins in internal/harness/fault_test.go
+// come from
+//
+//	go run ./cmd/goldgen -format faults
+//
+// which also ignores -scale: six apps under tmk and tmk-sc over every
+// loss, duplication, reordering and partition scenario at 4 processors,
+// scale 0.05, with the fault layer's own counters beside the metrics.
 //
 // goldgen is a thin view over the harness grid: it runs
 // apps x {tmk,pvm} x base{2,4,8} and reformats the records.
@@ -35,14 +42,31 @@ var goldenProcs = []int{2, 4, 8}
 // paperProcs is the processor count of the paper-scale TSP pins.
 const paperProcs = 8
 
+// faultSelection and faultScale are the plan TestFaultGolden runs: the
+// lock-, barrier- and diff-heavy apps over every fault axis, so each
+// at-least-once role (lock manager, grantor, barrier manager, diff
+// server) retransmits and suppresses duplicates.
+var faultSelection = harness.Selection{
+	Apps:      []string{"sor-zero", "is-small", "qsort", "tsp", "water-288", "ep"},
+	Backends:  []string{"tmk", "tmk-sc"},
+	Scenarios: []string{"loss", "dup", "reorder", "partition"},
+	NProcs:    []int{4},
+}
+
+const faultScale = 0.05
+
 func main() {
 	scale := flag.Float64("scale", 0.1, "workload scale (1.0 = paper scale)")
-	format := flag.String("format", "text", `output format: "text" (diffable lines), "go" (golden_test.go table literal) or "paper" (paperscale_test.go table literals, always at scale 1.0)`)
+	format := flag.String("format", "text", `output format: "text" (diffable lines), "go" (golden_test.go table literal), "paper" (paperscale_test.go table literals, always at scale 1.0) or "faults" (fault_test.go table literal, always at scale 0.05)`)
 	workers := flag.Int("j", runtime.GOMAXPROCS(0), "grid worker pool width (1 = serial); output is identical at any width")
 	flag.Parse()
 
-	if *format == "paper" {
+	switch *format {
+	case "paper":
 		emitPaper(*workers)
+		return
+	case "faults":
+		emitFaults(*workers)
 		return
 	}
 	apps := harness.Apps(*scale)
@@ -121,6 +145,26 @@ func emitPaper(workers int) {
 	fmt.Printf("}\n\nvar paperTSP = map[string]metric{\n")
 	for _, r := range tsp {
 		fmt.Printf("\t%q: {time: %d, msgs: %d, bytes: %d},\n", r.Backend, r.TimeNS, r.Messages, r.Bytes)
+	}
+	fmt.Printf("}\n")
+}
+
+// emitFaults prints the table TestFaultGolden pins, one entry per
+// app/backend/scenario cell.
+func emitFaults(workers int) {
+	g, err := faultSelection.Resolve(faultScale)
+	if err != nil {
+		panic(err)
+	}
+	g.Workers = workers
+	recs, err := g.Run()
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("var faultGolden = map[string]faultMetric{\n")
+	for _, r := range recs {
+		fmt.Printf("\t%q: {time: %d, msgs: %d, bytes: %d, dropped: %d, retrans: %d, timeouts: %d},\n",
+			r.App+"/"+r.Backend+"/"+r.Scenario, r.TimeNS, r.Messages, r.Bytes, r.Dropped, r.Retrans, r.Timeouts)
 	}
 	fmt.Printf("}\n")
 }
