@@ -63,22 +63,31 @@
 // # Fault model
 //
 // TreadMarks runs over UDP, so when the network's fault injection is
-// lossy (vnet.FaultConfig.Lossy) the protocol arms an at-least-once RPC
-// layer on every request/reply pair — lock acquire/grant, barrier
-// arrive/depart, diff request/response:
+// lossy (vnet.FaultConfig.Lossy) the protocol arms one at-least-once
+// RPC layer (rpc.go) under every request/reply pair — lock
+// acquire/grant, barrier arrive/depart, diff request/response:
 //
 //   - Every request carries a per-processor monotonic sequence number
-//     (header-resident, see wire.go); replies echo it.
+//     (header-resident, see rpcMsg); replies echo it.
 //   - The requester retransmits on timeout with exponential backoff,
 //     derived from the network cost model: the first timeout is 4x a
 //     minimal round trip (at least 4 ms), doubling up to 16x that.
 //     Stale replies — duplicates whose Seq does not match the
 //     outstanding request — are discarded.
-//   - Servers suppress duplicate requests: the manager re-forwards a
-//     retransmitted acquire to its original target, a grantor or the
-//     barrier manager resends its cached reply when the retransmission
-//     matches the request it last answered, and anything older is
-//     dropped (the requester has provably moved on).
+//   - Each server role — lock manager, lock grantor, barrier manager,
+//     diff server — keeps a reply cache: per client, the newest request
+//     answered and its answer.  A request is fresh (served), a repeat of
+//     that newest request (its answer is sent again as a
+//     retransmission: it may have been lost), or older (dropped: the
+//     client has provably moved on).
+//
+// Three role rules sit on top.  The manager's "answer" is its forward:
+// a repeat is forwarded again to the recorded target, or re-enters the
+// grantor path when that target was the manager itself.  A grant
+// supersedes the grantor's earlier ones, so only its most recent
+// grantee's repeat is answered.  A repeat of a request still in
+// progress — an acquire queued at the grantor, an arrival the barrier
+// has not answered — is dropped.
 //
 // The eager-invalidate broadcast (invMsg) has no reply and is not
 // retransmitted: a lost notice is repaired at the next synchronization
@@ -639,42 +648,23 @@ type plock struct {
 	awaiting  bool     // acquire request outstanding
 	releaseVC VC       // vc snapshot at the last release
 	releaseAt sim.Time // virtual time of the last release
-	nextGrant int      // queued requester (-1: none)
-	nextVC    VC       // queued requester's vc
+	next      *acqMsg  // queued request (nil: none)
 	mgrLast   int      // manager only: last processor to request the lock
 
-	// Reliable-mode duplicate suppression (nil maps otherwise).
-	nextSeq int         // queued requester's request Seq
-	served  map[int]int // grantor: requester -> Seq of the last grant sent to it
-	mgrSeen map[int]int // manager: requester -> latest request Seq handled
-	mgrFwd  map[int]int // manager: requester -> target its latest request went to
-
-	// Cache of the most recent grant this processor issued, for
-	// resending when the retransmitted request matches it.  A single
-	// slot suffices: ownership cannot advance past a requester until
-	// that requester has received its grant, so a live retransmission
-	// can only ever name the cached grantee.
-	lastGrantee   int
-	lastGrant     *grantMsg
-	lastGrantSize int
+	fwds   replyCache // manager: each requester's forward (to this processor: the grantor path)
+	grants replyCache // grantor: each requester's grant; supersede set
 }
 
 type barrierState struct {
 	id      int
 	arrived []*barrMsg
+	deps    replyCache // each client's departure
 
 	// Redistribution scratch, reused across barriers: the merged union of
 	// the arrivals' record batches and the per-arrival merge cursors.
 	// Valid only inside handleBarrArrive's final-arrival step.
 	union []*IntervalRec
 	heads []int
-
-	// Reliable-mode duplicate suppression, indexed by client: Seq of the
-	// last arrival answered and the cached departure sent for it (resent
-	// when the client retransmits that arrival).
-	lastSeq  []int
-	lastDep  []*barrMsg
-	lastSize []int
 
 	// Centralized-mode batch scratch feeding mergeRecordBatches.
 	batches [][]*IntervalRec
@@ -729,12 +719,10 @@ type Proc struct {
 
 	// Reliable-mode state: the RPC sequence counter, records that arrived
 	// ahead of a lost predecessor (eager mode; see admitRecord), and the
-	// diff server's per-requester duplicate-suppression cache.
-	rpcSeq       int
-	futureRecs   []*IntervalRec
-	diffLastSeq  map[int]int
-	diffLastResp map[int]*diffRespMsg
-	diffLastSize map[int]int
+	// diff server's answers.
+	rpcSeq     int
+	futureRecs []*IntervalRec
+	diffs      replyCache
 
 	// Access fast path (views.go): cached [lo,hi) address windows of the
 	// last page hit by a scalar read (valid, data present) and write
@@ -812,59 +800,15 @@ func (p *Proc) initPages() {
 func (p *Proc) lock(id int) *plock {
 	lk, ok := p.locks[id]
 	if !ok {
-		lk = &plock{nextGrant: -1, releaseVC: NewVC(p.sys.n)}
+		lk = &plock{releaseVC: NewVC(p.sys.n), grants: replyCache{supersede: true}}
 		mgr := p.manager(id)
 		if p.id == mgr {
 			lk.owned = true // locks start out owned by their manager
 			lk.mgrLast = mgr
 		}
-		if p.sys.reliable {
-			lk.served = map[int]int{}
-			lk.mgrSeen = map[int]int{}
-			lk.mgrFwd = map[int]int{}
-		}
 		p.locks[id] = lk
 	}
 	return lk
-}
-
-// nextRPC returns a fresh nonzero RPC sequence number (reliable mode;
-// zero marks an unsequenced message).
-func (p *Proc) nextRPC() int {
-	p.rpcSeq++
-	return p.rpcSeq
-}
-
-// rpcRecv receives the reply of an at-least-once RPC.  Without the
-// reliability layer it is the plain blocking Recv.  With it, the receive
-// carries a deadline: on timeout the request is retransmitted (resend)
-// and the deadline backs off exponentially up to the configured cap;
-// replies whose sequence number (extracted by seqOf) does not match want
-// are stale duplicates and are freed and ignored.
-func (p *Proc) rpcRecv(ctx *sim.Ctx, from, tag, want int, resend func(), seqOf func(any) int) *vnet.Message {
-	if !p.sys.reliable {
-		return p.ep.Recv(ctx, from, tag)
-	}
-	to := p.sys.rBase
-	for {
-		m := p.ep.RecvDeadline(ctx, from, tag, ctx.Now()+to)
-		if m == nil {
-			p.Timeouts++
-			resend()
-			if to < p.sys.rCap {
-				to *= 2
-				if to > p.sys.rCap {
-					to = p.sys.rCap
-				}
-			}
-			continue
-		}
-		if seqOf(m.Obj) != want {
-			p.ep.Free(ctx, m) // stale duplicate reply
-			continue
-		}
-		return m
-	}
 }
 
 func (p *Proc) manager(lockID int) int {
@@ -1258,39 +1202,27 @@ func (p *Proc) LockAcquire(id int) {
 	// processor blocks until the grant arrives, and every reader (manager,
 	// owner) runs while it is blocked, so the vector cannot move under
 	// them.  Under faults a stale duplicate of the request can outlive
-	// the block, so the reliable path clones.
-	req := &acqMsg{Lock: id, Requester: p.id, VC: p.vc}
-	if p.sys.reliable {
-		req.Seq = p.nextRPC()
+	// the block, so the sequenced path clones.
+	req := &acqMsg{Lock: id, Requester: p.id, Seq: p.nextRPC(), VC: p.vc}
+	if req.Seq > 0 {
 		req.VC = p.arena.cloneVC(p.vc)
 	}
-	var resend func()
 	mgr := p.manager(id)
+	to, tag := p.sys.procs[mgr].srv, tagAcqReq
 	if mgr == p.id {
 		// We are the manager: perform the manager step locally and
 		// forward straight to the last requester.
-		mlk := p.lock(id)
-		prev := mlk.mgrLast
-		mlk.mgrLast = p.id
+		prev := lk.mgrLast
+		lk.mgrLast = p.id
 		if prev == p.id {
 			panic("tmk: manager re-requesting a lock it last requested but does not own")
 		}
-		p.ep.SendObj(p.app, p.sys.procs[prev].srv, tagAcqFwd, req, wireSize(req))
-		resend = func() {
-			p.ep.SendObjRetrans(p.app, p.sys.procs[prev].srv, tagAcqFwd, req, wireSize(req))
-		}
-	} else {
-		p.ep.SendObj(p.app, p.sys.procs[mgr].srv, tagAcqReq, req, wireSize(req))
-		resend = func() {
-			p.ep.SendObjRetrans(p.app, p.sys.procs[mgr].srv, tagAcqReq, req, wireSize(req))
-		}
+		to, tag = p.sys.procs[prev].srv, tagAcqFwd
 	}
+	p.ep.SendObj(p.app, to, tag, req, wireSize(req))
 	t0 := p.app.Now()
-	m := p.rpcRecv(p.app, -1, tagGrant, req.Seq, resend,
-		func(o any) int { return o.(*grantMsg).Seq })
+	g := p.rpcRecv(p.app, -1, tagGrant, req, to, tag).(*grantMsg)
 	p.LockWait += p.app.Now() - t0
-	g := m.Obj.(*grantMsg)
-	p.ep.Free(p.app, m) // grant extracted; recycle the envelope
 	if g.Lock != id {
 		panic(fmt.Sprintf("tmk: proc %d got grant for lock %d while acquiring %d", p.id, g.Lock, id))
 	}
@@ -1312,68 +1244,58 @@ func (p *Proc) LockRelease(id int) {
 	lk.held = false
 	lk.releaseVC = p.vc.Clone()
 	lk.releaseAt = p.app.Now()
-	if lk.nextGrant >= 0 {
-		p.sendGrant(p.app, p.ep, id, lk.nextGrant, lk.nextSeq, lk.nextVC, lk.releaseVC)
+	if lk.next != nil {
+		p.sendGrant(p.app, p.ep, lk, lk.next)
 		lk.owned = false
-		lk.nextGrant = -1
-		lk.nextVC = VC{}
-		lk.nextSeq = 0
+		lk.next = nil
 	}
 	// Scheduling point so queued protocol work at earlier virtual times
 	// (e.g. a forward racing this release) settles before we run on.
 	p.app.Yield()
 }
 
-// sendGrant ships lock ownership and the write notices the requester
-// lacks, bounded by what this processor knew at its release.  seq echoes
-// the request's RPC id; in reliable mode the grant is cached for
-// resending until ownership provably reached the requester.
-func (p *Proc) sendGrant(ctx *sim.Ctx, from *vnet.Endpoint, lockID, requester, seq int, reqVC, limitVC VC) {
-	g := &grantMsg{Lock: lockID, Seq: seq, Records: p.recordsNotCoveredBy(reqVC, limitVC)}
-	size := wireSize(g)
-	from.SendObj(ctx, p.sys.procs[requester].ep, tagGrant, g, size)
-	if p.sys.reliable && seq > 0 {
-		lk := p.lock(lockID)
-		lk.served[requester] = seq
-		lk.lastGrantee, lk.lastGrant, lk.lastGrantSize = requester, g, size
-	}
+// sendGrant answers req with lock ownership and the write notices the
+// requester lacks, bounded by what this processor knew at its release.
+func (p *Proc) sendGrant(ctx *sim.Ctx, from *vnet.Endpoint, lk *plock, req *acqMsg) {
+	g := &grantMsg{Lock: req.Lock, Seq: req.Seq, Records: p.recordsNotCoveredBy(req.VC, lk.releaseVC)}
+	lk.grants.reply(ctx, from, req.Requester, cachedReply{seq: req.Seq,
+		to: p.sys.procs[req.Requester].ep, tag: tagGrant, msg: g})
 }
 
 // ---------------------------------------------------------------------
 // Barriers (centralized manager at processor 0; 2*(n-1) messages).
 
 // Barrier stalls the calling processor until all processors have arrived
-// at barrier id (Tmk_barrier).
+// at barrier id (Tmk_barrier).  The arrival goes to the barrier manager,
+// or with TreeBarrier to the aggregation point: this processor's own
+// service daemon if it is an internal tree node, its parent's otherwise.
+// The departure comes back from the same place.
 func (p *Proc) Barrier(id int) {
 	p.closeInterval()
-	if p.sys.cfg.TreeBarrier != 0 {
-		p.treeBarrier(id)
-		return
+	// The live vector is safe to share: this processor blocks until
+	// departure, and every reader of the arrival timestamp runs before
+	// the departure is sent.  Under faults a duplicate can outlive the
+	// block, so the sequenced path clones (tree mode never runs lossy).
+	recs := p.recordsNotCoveredBy(p.lastMgrVC, VC{})
+	var arr rpcMsg
+	dst, tag, depTag := p.sys.procs[p.sys.barrierMgr(id)], tagBarrArrive, tagBarrDepart
+	if k := p.sys.cfg.TreeBarrier; k == 0 {
+		a := &barrMsg{Barrier: id, From: p.id, Seq: p.nextRPC(), VC: p.vc, Records: recs}
+		if a.Seq > 0 {
+			a.VC = p.arena.cloneVC(p.vc)
+		}
+		arr = a
+	} else {
+		arr = &treeArrMsg{Barrier: id, From: p.id, VC: p.vc, MinVC: p.vc, Records: recs}
+		dst, tag, depTag = p, tagTreeArrive, tagTreeDepart
+		if p.tree == nil {
+			dst = p.sys.procs[(p.id-1)/k]
+		}
 	}
-	arr := &barrMsg{
-		Barrier: id,
-		From:    p.id,
-		// The live vector is safe to share: this processor blocks until
-		// departure, and the manager reads arrival timestamps before any
-		// departure is delivered.  Under faults a duplicate can outlive
-		// the block, so the reliable path clones.
-		VC:      p.vc,
-		Records: p.recordsNotCoveredBy(p.lastMgrVC, VC{}),
-	}
-	if p.sys.reliable {
-		arr.Seq = p.nextRPC()
-		arr.VC = p.arena.cloneVC(p.vc)
-	}
-	mgr := p.sys.procs[p.sys.barrierMgr(id)]
-	size := wireSize(arr)
-	p.ep.SendObj(p.app, mgr.srv, tagBarrArrive, arr, size)
+	p.ep.SendObj(p.app, dst.srv, tag, arr, arr.size())
 	t0 := p.app.Now()
-	m := p.rpcRecv(p.app, mgr.id, tagBarrDepart, arr.Seq,
-		func() { p.ep.SendObjRetrans(p.app, mgr.srv, tagBarrArrive, arr, size) },
-		func(o any) int { return o.(*barrMsg).Seq })
+	dep := p.rpcRecv(p.app, dst.id, depTag, arr, dst.srv, tag).(*barrMsg)
 	p.BarrierWait += p.app.Now() - t0
-	dep := m.Obj.(*barrMsg)
-	p.ep.Free(p.app, m) // departure extracted; recycle the envelope
 	if dep.Barrier != id {
 		panic(fmt.Sprintf("tmk: proc %d got departure for barrier %d while in %d", p.id, dep.Barrier, id))
 	}
@@ -1417,25 +1339,13 @@ func mergeRecordBatches(batches [][]*IntervalRec, union []*IntervalRec, heads []
 	}
 }
 
-// handleBarrArrive runs in processor 0's service daemon.
+// handleBarrArrive runs in the barrier manager's service daemon.
 func (p *Proc) handleBarrArrive(ctx *sim.Ctx, m *barrMsg) {
 	bs := p.barrier
-	if p.sys.reliable && m.Seq > 0 {
-		if bs.lastSeq == nil {
-			bs.lastSeq = make([]int, p.sys.n)
-			bs.lastDep = make([]*barrMsg, p.sys.n)
-			bs.lastSize = make([]int, p.sys.n)
-		}
-		if m.Seq <= bs.lastSeq[m.From] {
-			// Duplicate of an answered arrival: the departure may have
-			// been lost, so resend the cached copy for the latest one;
-			// older floating duplicates are dropped.
-			if m.Seq == bs.lastSeq[m.From] && bs.lastDep[m.From] != nil {
-				p.srv.SendObjRetrans(ctx, p.sys.procs[m.From].ep, tagBarrDepart,
-					bs.lastDep[m.From], bs.lastSize[m.From])
-			}
-			return
-		}
+	if !bs.deps.admit(ctx, p.srv, m.From, m.Seq) {
+		return
+	}
+	if m.Seq > 0 {
 		for _, a := range bs.arrived {
 			if a.From == m.From {
 				return // retransmission of a current, not-yet-answered arrival
@@ -1471,13 +1381,8 @@ func (p *Proc) handleBarrArrive(ctx *sim.Ctx, m *barrMsg) {
 	for _, a := range bs.arrived {
 		dep := &barrMsg{Barrier: bs.id, From: p.id, Seq: a.Seq, VC: merged,
 			Records: recordsLacked(union, a.VC, nil)}
-		size := wireSize(dep)
-		p.srv.SendObj(ctx, p.sys.procs[a.From].ep, tagBarrDepart, dep, size)
-		if p.sys.reliable && a.Seq > 0 {
-			bs.lastSeq[a.From] = a.Seq
-			bs.lastDep[a.From] = dep
-			bs.lastSize[a.From] = size
-		}
+		bs.deps.reply(ctx, p.srv, a.From, cachedReply{seq: a.Seq,
+			to: p.sys.procs[a.From].ep, tag: tagBarrDepart, msg: dep})
 	}
 	bs.arrived = bs.arrived[:0]
 	bs.id = -1
@@ -1497,41 +1402,6 @@ func (p *Proc) handleBarrArrive(ctx *sim.Ctx, m *barrMsg) {
 // subtree's pointwise-minimum timestamp) minus the records that subtree
 // announced itself, which the child re-adds from its own union before
 // filtering further down.
-
-// treeBarrier is the client side: send the arrival to the aggregation
-// point — this processor's own service daemon if it is an internal
-// node, its parent's otherwise — and block for the departure from the
-// same place.
-func (p *Proc) treeBarrier(id int) {
-	arr := &treeArrMsg{
-		Barrier: id,
-		From:    p.id,
-		// Live shares, like the centralized arrival: this processor
-		// blocks until its departure, and every aggregation step that
-		// reads the vector runs before that departure is sent.  (Tree
-		// mode never runs reliable, so no duplicate outlives the block.)
-		VC:      p.vc,
-		MinVC:   p.vc,
-		Records: p.recordsNotCoveredBy(p.lastMgrVC, VC{}),
-	}
-	dst := p
-	if p.tree == nil {
-		dst = p.sys.procs[(p.id-1)/p.sys.cfg.TreeBarrier]
-	}
-	p.ep.SendObj(p.app, dst.srv, tagTreeArrive, arr, wireSize(arr))
-	t0 := p.app.Now()
-	m := p.ep.Recv(p.app, dst.id, tagTreeDepart)
-	p.BarrierWait += p.app.Now() - t0
-	dep := m.Obj.(*barrMsg)
-	p.ep.Free(p.app, m) // departure extracted; recycle the envelope
-	if dep.Barrier != id {
-		panic(fmt.Sprintf("tmk: proc %d got tree departure for barrier %d while in %d",
-			p.id, dep.Barrier, id))
-	}
-	p.applyRecords(dep.Records)
-	p.vc.Merge(dep.VC)
-	p.lastMgrVC = dep.VC.Clone()
-}
 
 // handleTreeArrive files one arrival (own or a child subtree's) and,
 // when the subtree is complete, aggregates: merged max/min timestamps
@@ -1684,35 +1554,7 @@ func (p *Proc) serve(ctx *sim.Ctx) {
 		p.srv.Free(ctx, m) // handlers keep the Obj, never the envelope
 		switch tag {
 		case tagAcqReq:
-			req := obj.(*acqMsg)
-			lk := p.lock(req.Lock)
-			if p.sys.reliable && req.Seq > 0 {
-				if last, ok := lk.mgrSeen[req.Requester]; ok && req.Seq <= last {
-					// Duplicate.  A retransmission of the requester's current
-					// request re-forwards to the original target (the fwd or
-					// grant may have been lost); anything older is a floating
-					// copy of a completed acquire and is dropped.
-					if req.Seq == last {
-						if tgt := lk.mgrFwd[req.Requester]; tgt == p.id {
-							p.grantOrQueue(ctx, req)
-						} else {
-							p.srv.SendObjRetrans(ctx, p.sys.procs[tgt].srv, tagAcqFwd, req, wireSize(req))
-						}
-					}
-					continue
-				}
-				lk.mgrSeen[req.Requester] = req.Seq
-			}
-			prev := lk.mgrLast
-			lk.mgrLast = req.Requester
-			if p.sys.reliable && req.Seq > 0 {
-				lk.mgrFwd[req.Requester] = prev
-			}
-			if prev == p.id {
-				p.grantOrQueue(ctx, req)
-			} else {
-				p.srv.SendObj(ctx, p.sys.procs[prev].srv, tagAcqFwd, req, wireSize(req))
-			}
+			p.handleAcqReq(ctx, obj.(*acqMsg))
 		case tagAcqFwd:
 			p.grantOrQueue(ctx, obj.(*acqMsg))
 		case tagBarrArrive:
@@ -1742,38 +1584,53 @@ func (p *Proc) serve(ctx *sim.Ctx) {
 	}
 }
 
+// handleAcqReq is the lock manager's step: forward the request to the
+// last requester, or take the grantor path if that was this processor.
+// A repeated request is forwarded again to the target recorded for it
+// (the forward or the grant may have been lost).
+func (p *Proc) handleAcqReq(ctx *sim.Ctx, req *acqMsg) {
+	lk := p.lock(req.Lock)
+	switch lk.fwds.check(req.Requester, req.Seq) {
+	case rpcFresh:
+		prev := lk.mgrLast
+		lk.mgrLast = req.Requester
+		if prev == p.id {
+			lk.fwds.keep(req.Requester, cachedReply{seq: req.Seq})
+			p.grantOrQueue(ctx, req)
+		} else {
+			lk.fwds.reply(ctx, p.srv, req.Requester, cachedReply{seq: req.Seq,
+				to: p.sys.procs[prev].srv, tag: tagAcqFwd, msg: req})
+		}
+	case rpcRepeat:
+		if lk.fwds.last[req.Requester].to == nil {
+			p.grantOrQueue(ctx, req)
+		} else {
+			lk.fwds.resend(ctx, p.srv, req.Requester)
+		}
+	}
+}
+
 // grantOrQueue hands the lock to the requester if this processor is done
-// with it, or queues the request for the next release.
+// with it, or queues the request for the next release.  A repeat of an
+// answered request gets its grant again if no later grant superseded it;
+// a repeat of the queued request is dropped.
 func (p *Proc) grantOrQueue(ctx *sim.Ctx, req *acqMsg) {
 	lk := p.lock(req.Lock)
-	if p.sys.reliable && req.Seq > 0 {
-		if s, ok := lk.served[req.Requester]; ok && req.Seq <= s {
-			// Already granted.  If it is the most recent grant this
-			// processor issued, the grant itself may have been lost:
-			// resend the cached copy.  Otherwise the requester has
-			// provably received it (ownership advanced past it) and the
-			// duplicate is dropped.
-			if req.Seq == s && lk.lastGrantee == req.Requester && lk.lastGrant != nil {
-				p.srv.SendObjRetrans(ctx, p.sys.procs[req.Requester].ep, tagGrant,
-					lk.lastGrant, lk.lastGrantSize)
-			}
-			return
-		}
-		if lk.nextGrant == req.Requester && lk.nextSeq == req.Seq {
-			return // duplicate of the already-queued request
-		}
+	if !lk.grants.admit(ctx, p.srv, req.Requester, req.Seq) {
+		return
+	}
+	if req.Seq > 0 && lk.next != nil && lk.next.Requester == req.Requester && lk.next.Seq == req.Seq {
+		return // repeat of the queued request
 	}
 	if !lk.owned && !lk.awaiting {
 		panic(fmt.Sprintf("tmk: proc %d got forward for lock %d it neither owns nor awaits",
 			p.id, req.Lock))
 	}
 	if lk.held || lk.awaiting {
-		if lk.nextGrant >= 0 {
+		if lk.next != nil {
 			panic("tmk: second queued lock requester")
 		}
-		lk.nextGrant = req.Requester
-		lk.nextVC = req.VC
-		lk.nextSeq = req.Seq
+		lk.next = req
 		return
 	}
 	// Lock is free.  Its release happened at lk.releaseAt; a grant cannot
@@ -1781,7 +1638,7 @@ func (p *Proc) grantOrQueue(ctx *sim.Ctx, req *acqMsg) {
 	if lk.releaseAt > ctx.Now() {
 		ctx.Compute(lk.releaseAt - ctx.Now())
 	}
-	p.sendGrant(ctx, p.srv, req.Lock, req.Requester, req.Seq, req.VC, lk.releaseVC)
+	p.sendGrant(ctx, p.srv, lk, req)
 	lk.owned = false
 }
 
@@ -1790,17 +1647,8 @@ func (p *Proc) grantOrQueue(ctx *sim.Ctx, req *acqMsg) {
 // that modified a page in an interval holds the diffs of all intervals
 // that precede it).
 func (p *Proc) handleDiffReq(ctx *sim.Ctx, req *diffReqMsg) {
-	if p.sys.reliable && req.Seq > 0 {
-		// A requester's RPCs to one server are sequential, so a request
-		// at or below the last answered Seq is a duplicate: resend the
-		// cached response for the latest one, drop anything older.
-		if last := p.diffLastSeq[req.Requester]; last > 0 && req.Seq <= last {
-			if req.Seq == last {
-				p.srv.SendObjRetrans(ctx, p.sys.procs[req.Requester].ep, tagDiffResp,
-					p.diffLastResp[req.Requester], p.diffLastSize[req.Requester])
-			}
-			return
-		}
+	if !p.diffs.admit(ctx, p.srv, req.Requester, req.Seq) {
+		return
 	}
 	pg := p.pages[req.Page]
 	entries := make([]diffEntry, 0, len(req.Wants))
@@ -1813,18 +1661,8 @@ func (p *Proc) handleDiffReq(ctx *sim.Ctx, req *diffReqMsg) {
 		entries = append(entries, diffEntry{Proc: w.Proc, Idx: w.Idx, Diff: d})
 	}
 	resp := &diffRespMsg{Page: req.Page, Seq: req.Seq, Entries: entries}
-	size := wireSize(resp)
-	p.srv.SendObj(ctx, p.sys.procs[req.Requester].ep, tagDiffResp, resp, size)
-	if p.sys.reliable && req.Seq > 0 {
-		if p.diffLastSeq == nil {
-			p.diffLastSeq = map[int]int{}
-			p.diffLastResp = map[int]*diffRespMsg{}
-			p.diffLastSize = map[int]int{}
-		}
-		p.diffLastSeq[req.Requester] = req.Seq
-		p.diffLastResp[req.Requester] = resp
-		p.diffLastSize[req.Requester] = size
-	}
+	p.diffs.reply(ctx, p.srv, req.Requester, cachedReply{seq: req.Seq,
+		to: p.sys.procs[req.Requester].ep, tag: tagDiffResp, msg: resp})
 }
 
 // ---------------------------------------------------------------------
@@ -1874,23 +1712,17 @@ func (p *Proc) fault(pid int) {
 		for i := range targets {
 			t := &targets[i]
 			wants := t.wants
-			seq := 0
-			if p.sys.reliable {
+			seq := p.nextRPC()
+			if seq > 0 {
 				wants = append([]diffWant(nil), t.wants...)
-				seq = p.nextRPC()
 			}
 			reqs[i] = diffReqMsg{Page: pid, Requester: p.id, Seq: seq, Wants: wants}
 			p.ep.SendObj(p.app, p.sys.procs[t.proc].srv, tagDiffReq, &reqs[i], wireSize(&reqs[i]))
 			p.DiffRequests++
 		}
 		for i := range targets {
-			r := &reqs[i]
-			tgt := targets[i].proc
-			m := p.rpcRecv(p.app, tgt, tagDiffResp, r.Seq,
-				func() { p.ep.SendObjRetrans(p.app, p.sys.procs[tgt].srv, tagDiffReq, r, wireSize(r)) },
-				func(o any) int { return o.(*diffRespMsg).Seq })
-			resp := m.Obj.(*diffRespMsg)
-			p.ep.Free(p.app, m) // response extracted; recycle the envelope
+			tgt := p.sys.procs[targets[i].proc]
+			resp := p.rpcRecv(p.app, tgt.id, tagDiffResp, &reqs[i], tgt.srv, tagDiffReq).(*diffRespMsg)
 			if resp.Page != pid {
 				panic("tmk: diff response for wrong page")
 			}

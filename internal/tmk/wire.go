@@ -18,13 +18,6 @@ const (
 	tagTreeDepart              // tree barrier: departure -> client app
 )
 
-// Reliability note: the Seq fields on request/reply messages (at-least-
-// once RPC sequence numbers, armed only when the network is lossy) ride
-// in the per-fragment protocol header already modeled by
-// vnet.Config.HeaderBytes — like the real system's UDP request ids — so
-// they intentionally appear in none of the layouts below, and zero-fault
-// runs stay byte-identical.
-
 // ---------------------------------------------------------------------
 // Wire layouts.  Every message type has one walk method that lists its
 // fields in wire order over a codec.  The protocol ships structured
@@ -266,7 +259,7 @@ func (c *codec) pages(pages *[]int) {
 type acqMsg struct {
 	Lock      int
 	Requester int
-	Seq       int // RPC id (header-resident, see the reliability note)
+	Seq       int // RPC id (header-resident, see rpcMsg)
 	VC        VC
 }
 
@@ -354,7 +347,7 @@ type diffWant struct {
 type diffReqMsg struct {
 	Page      int
 	Requester int
-	Seq       int // RPC id (header-resident, see the reliability note)
+	Seq       int // RPC id (header-resident, see rpcMsg)
 	Wants     []diffWant
 }
 
