@@ -93,7 +93,6 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -324,34 +323,12 @@ func runFigures(apps []core.App, names []string, maxProcs int, format string, wo
 }
 
 // runGrid parses the grid command's own flags and runs the described
-// cross product.  Selection resolution (names, defaults, bigp registry
-// swap, validation errors) lives in harness.Selection, which the serve
-// API shares — the two surfaces accept and reject identically.
+// cross product.
 func runGrid(scale float64, args []string, format string, workers int) error {
-	fs := flag.NewFlagSet("grid", flag.ContinueOnError)
-	appsFlag := fs.String("apps", "", "comma-separated app names (default: all)")
-	backendsFlag := fs.String("backends", "", "comma-separated backend names (default tmk,pvm; bigp: tmk,tmk-sc,tmk-tree,pvm)")
-	scenariosFlag := fs.String("scenarios", "base", "comma-separated scenario sets")
-	nprocsFlag := fs.String("nprocs", "", "comma-separated processor counts (default: per scenario set)")
-	if err := fs.Parse(args); err != nil {
+	sel, err := parseGridFlags(args)
+	if err != nil {
 		return err
 	}
-
-	sel := harness.Selection{
-		Apps:      splitList(*appsFlag),
-		Backends:  splitList(*backendsFlag),
-		Scenarios: splitList(*scenariosFlag),
-	}
-	if *nprocsFlag != "" {
-		for _, s := range strings.Split(*nprocsFlag, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || n < 1 {
-				return fmt.Errorf("bad -nprocs entry %q (want comma-separated positive counts, e.g. 2,4,8)", s)
-			}
-			sel.NProcs = append(sel.NProcs, n)
-		}
-	}
-
 	grid, err := sel.Resolve(scale)
 	if err != nil {
 		return err
@@ -364,18 +341,20 @@ func runGrid(scale float64, args []string, format string, workers int) error {
 	return emit(recs, format, renderGridTable)
 }
 
-// splitList splits a comma-separated flag value, dropping empties.
-func splitList(s string) []string {
-	if s == "" {
-		return nil
+// parseGridFlags reads the grid command's flags into a selection.
+// Parsing (harness.ParseSelection) and resolution (names, defaults, bigp
+// registry swap, validation errors) live in harness, which the serve API
+// shares — the two surfaces accept and reject identically.
+func parseGridFlags(args []string) (harness.Selection, error) {
+	fs := flag.NewFlagSet("grid", flag.ContinueOnError)
+	apps := fs.String("apps", "", "comma-separated app names (default: all)")
+	backends := fs.String("backends", "", "comma-separated backend names (default tmk,pvm; bigp: tmk,tmk-sc,tmk-tree,pvm)")
+	scenarios := fs.String("scenarios", "base", "comma-separated scenario sets")
+	nprocs := fs.String("nprocs", "", "comma-separated processor counts (default: per scenario set)")
+	if err := fs.Parse(args); err != nil {
+		return harness.Selection{}, err
 	}
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
+	return harness.ParseSelection(*apps, *backends, *scenarios, *nprocs)
 }
 
 // runServe starts the experiment service: the serve API over this

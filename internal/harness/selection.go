@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/core"
@@ -9,13 +10,48 @@ import (
 
 // Selection names a grid in the user-facing selection vocabulary —
 // the `msvdsm grid -apps/-backends/-scenarios/-nprocs` flags and the
-// serve API's request schema are both thin parsers into this type, so
-// the two surfaces resolve and validate identically.
+// serve API's query parameters both parse into this type through
+// ParseSelection (a JSON body decodes into it field by field), so the
+// two surfaces resolve and validate identically.
 type Selection struct {
 	Apps      []string // app names; empty selects the full registry
 	Backends  []string // backend names; empty selects tmk,pvm (bigp: tmk,tmk-sc,tmk-tree,pvm)
 	Scenarios []string // scenario-set names; empty selects base
-	NProcs    []int    // processor counts; empty selects each set's defaults
+	NProcs    []int    // processor counts, 1..MaxProcs; empty selects each set's defaults
+}
+
+// MaxProcs bounds the processor counts a selection may name; the largest
+// registered cell runs 256.  Past it a count would only size per-node
+// state — the slow set's slowdown factors, the simulated processors — in
+// whatever process resolves or runs the selection, msvdsm serve included.
+const MaxProcs = 1024
+
+// ParseSelection reads a selection written as comma-separated lists, the
+// syntax of the grid flags and of /v1/grid query parameters.  Entries
+// are trimmed and empty ones dropped; processor counts must parse as
+// integers (Resolve checks their range).  The error is a *FieldError.
+func ParseSelection(apps, backends, scenarios, nprocs string) (Selection, error) {
+	sel := Selection{Apps: splitList(apps), Backends: splitList(backends), Scenarios: splitList(scenarios)}
+	for _, s := range splitList(nprocs) {
+		n, err := strconv.Atoi(s)
+		if err != nil {
+			return Selection{}, fieldErr("nprocs", fmt.Errorf("bad nprocs entry %q (want comma-separated processor counts, e.g. 2,4,8)", s))
+		}
+		sel.NProcs = append(sel.NProcs, n)
+	}
+	return sel, nil
+}
+
+// splitList splits a comma-separated list, trimming entries and dropping
+// empty ones.
+func splitList(s string) []string {
+	var out []string
+	for _, part := range strings.Split(s, ",") {
+		if part = strings.TrimSpace(part); part != "" {
+			out = append(out, part)
+		}
+	}
+	return out
 }
 
 // FieldError tags a selection error with the request field at fault, so
@@ -92,8 +128,8 @@ func (sel Selection) Resolve(scale float64) (Grid, error) {
 	}
 
 	for _, n := range sel.NProcs {
-		if n < 1 {
-			return Grid{}, fieldErr("nprocs", fmt.Errorf("bad processor count %d (want positive counts, e.g. 2,4,8)", n))
+		if n < 1 || n > MaxProcs {
+			return Grid{}, fieldErr("nprocs", fmt.Errorf("bad processor count %d (want counts from 1 to %d, e.g. 2,4,8)", n, MaxProcs))
 		}
 	}
 

@@ -245,38 +245,20 @@ type apiError struct {
 	Field string `json:"field,omitempty"`
 }
 
-func splitList(s string) []string {
-	if s == "" {
-		return nil
-	}
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
-}
-
 // parseRequest decodes the selection from the query string (GET) or a
 // JSON body (POST).  Errors are *harness.FieldError so the reply can
-// name the offending field.
+// name the offending field; processor-count ranges are Resolve's to
+// check, for both.
 func parseRequest(r *http.Request) (gridRequest, error) {
 	var req gridRequest
 	switch r.Method {
 	case http.MethodGet:
 		q := r.URL.Query()
-		req.Apps = splitList(q.Get("apps"))
-		req.Backends = splitList(q.Get("backends"))
-		req.Scenarios = splitList(q.Get("scenarios"))
-		for _, part := range splitList(q.Get("nprocs")) {
-			n, err := strconv.Atoi(part)
-			if err != nil || n < 1 {
-				return req, &harness.FieldError{Field: "nprocs",
-					Err: fmt.Errorf("bad nprocs entry %q (want comma-separated positive counts, e.g. 2,4,8)", part)}
-			}
-			req.NProcs = append(req.NProcs, n)
+		sel, err := harness.ParseSelection(q.Get("apps"), q.Get("backends"), q.Get("scenarios"), q.Get("nprocs"))
+		if err != nil {
+			return req, err
 		}
+		req.Apps, req.Backends, req.Scenarios, req.NProcs = sel.Apps, sel.Backends, sel.Scenarios, sel.NProcs
 		if v := q.Get("scale"); v != "" {
 			f, err := strconv.ParseFloat(v, 64)
 			if err != nil || f <= 0 {
@@ -291,12 +273,6 @@ func parseRequest(r *http.Request) (gridRequest, error) {
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&req); err != nil {
 			return req, &harness.FieldError{Field: "body", Err: fmt.Errorf("bad request body: %w", err)}
-		}
-		for _, n := range req.NProcs {
-			if n < 1 {
-				return req, &harness.FieldError{Field: "nprocs",
-					Err: fmt.Errorf("bad nprocs entry %d (want positive counts, e.g. 2,4,8)", n)}
-			}
 		}
 		if req.Scale < 0 {
 			return req, &harness.FieldError{Field: "scale",

@@ -217,6 +217,10 @@ func TestServeBadRequests(t *testing.T) {
 		{"unknown scenario set", "/v1/grid?scenarios=nonesuch", "scenarios", []string{"unknown scenario set", "base", "loss"}},
 		{"unsupported bigp procs", "/v1/grid?scenarios=bigp&nprocs=8", "scenarios", []string{"does not run at 8", "16 64 256"}},
 		{"bad nprocs", "/v1/grid?nprocs=zero", "nprocs", []string{"bad nprocs entry", "2,4,8"}},
+		// A huge count would size per-node state (and, cold, simulated
+		// processors) inside the server before anything could fail.
+		{"nprocs past the bound", "/v1/grid?nprocs=2000000000", "nprocs", []string{"bad processor count 2000000000", "1024"}},
+		{"slow set past the bound", "/v1/grid?scenarios=slow&nprocs=2000000000", "nprocs", []string{"bad processor count", "1024"}},
 		{"bad scale", "/v1/grid?scale=-1", "scale", []string{"bad scale"}},
 		{"spec endpoint validates too", "/v1/spec?apps=nonesuch", "apps", []string{"unknown experiment"}},
 	}
