@@ -45,6 +45,9 @@ func ParseSelection(apps, backends, scenarios, nprocs string) (Selection, error)
 // splitList splits a comma-separated list, trimming entries and dropping
 // empty ones.
 func splitList(s string) []string {
+	if s == "" {
+		return nil
+	}
 	var out []string
 	for _, part := range strings.Split(s, ",") {
 		if part = strings.TrimSpace(part); part != "" {

@@ -7,10 +7,10 @@ import (
 	"repro/internal/vnet"
 )
 
-// runCache runs body as a server holding cache c, answering three
-// clients on a fault-free network, and returns the wire totals plus how
-// many messages each client was sent.
-func runCache(t *testing.T, c *replyCache, body func(ctx *sim.Ctx, srv *vnet.Endpoint, cli []*vnet.Endpoint)) (vnet.Stats, []int) {
+// runCache runs body as a server answering three clients on a
+// fault-free network, and returns the wire totals plus how many
+// messages each client was sent.
+func runCache(t *testing.T, body func(ctx *sim.Ctx, srv *vnet.Endpoint, cli []*vnet.Endpoint)) (vnet.Stats, []int) {
 	t.Helper()
 	e := sim.NewEngine()
 	net := vnet.New(vnet.FDDI())
@@ -55,7 +55,7 @@ func TestReplyCacheOutcomes(t *testing.T) {
 			var c replyCache
 			var out rpcOutcome
 			var fresh bool
-			st, got := runCache(t, &c, func(ctx *sim.Ctx, srv *vnet.Endpoint, cli []*vnet.Endpoint) {
+			st, got := runCache(t, func(ctx *sim.Ctx, srv *vnet.Endpoint, cli []*vnet.Endpoint) {
 				if c.check(1, 5) != rpcFresh {
 					t.Error("unanswered request 5 is not fresh")
 				}
@@ -90,7 +90,7 @@ func TestReplyCacheSupersede(t *testing.T) {
 		resent    int64 // client 2's resend, plus client 1's unless superseded
 	}{{true, 1, 1}, {false, 2, 2}} {
 		c := replyCache{supersede: tc.supersede}
-		st, got := runCache(t, &c, func(ctx *sim.Ctx, srv *vnet.Endpoint, cli []*vnet.Endpoint) {
+		st, got := runCache(t, func(ctx *sim.Ctx, srv *vnet.Endpoint, cli []*vnet.Endpoint) {
 			c.reply(ctx, srv, 1, grant(cli, 1, 5))
 			c.reply(ctx, srv, 2, grant(cli, 2, 9))
 			if c.admit(ctx, srv, 1, 5) || c.admit(ctx, srv, 2, 9) {
