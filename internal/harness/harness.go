@@ -24,9 +24,10 @@
 // handed out by index, records collected by index: output byte-
 // identical at every width).  ForEach is that pool, and the serve cold
 // path runs on it too.  Everything else — the rendered Table 1/Table 2,
-// the speedup figures, the goldens pinned in golden_test.go,
-// cmd/goldgen, cmd/msvdsm's JSON/CSV output and the ablation studies —
-// consumes the same records.
+// the speedup figures (Table1Grid, Table2Grid and FiguresGrid define
+// their grids), the pinned model output under testdata/pins,
+// cmd/msvdsm's JSON/CSV output and the ablation studies — consumes the
+// same records.
 package harness
 
 import (

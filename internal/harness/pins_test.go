@@ -20,6 +20,13 @@ var update = flag.Bool("update", false, "rewrite testdata/pins/*.csv from a seri
 // pinDir holds one CSV file per pin set.
 var pinDir = filepath.Join("testdata", "pins")
 
+// goldenScale is the reduced workload scale the quick-mode experiments
+// run at.
+const goldenScale = 0.1
+
+// goldenProcs are the processor counts the reduced-scale sets run at.
+var goldenProcs = [3]int{2, 4, 8}
+
 // A pinSet is one slice of the model the tier-1 tests hold still: a
 // selection resolved at a workload scale.  Its pinned value is
 // testdata/pins/<name>.csv, exactly the bytes WriteCSV writes for the
@@ -57,6 +64,22 @@ var pinSets = []pinSet{
 		Backends:  []string{"tmk", "tmk-sc"},
 		Scenarios: []string{"loss", "dup", "reorder", "partition"},
 		NProcs:    []int{4}}},
+	// The protocol variants fault-free: eager invalidation, the combining
+	// tree barrier with its relayed notices, and both together.
+	{name: "variants", scale: goldenScale, long: true, sel: Selection{
+		Backends: []string{"tmk-sc", "tmk-tree", "tmk-sc-tree"}, Scenarios: []string{"base"}, NProcs: goldenProcs[:]}},
+	// Lock and barrier managers all on processor 0, and barrier managers
+	// spread over the processors.
+	{name: "placement", scale: goldenScale, long: true, sel: Selection{
+		Backends: []string{"tmk"}, Scenarios: []string{"placement"}, NProcs: []int{4}}},
+	// Large P on the bigp registry: multi-level trees, relayed notices
+	// under causal admission and the P=64 timestamp paths, on the
+	// barrier-, bucket-, lock- and all-to-all-heavy apps.
+	{name: "bigp", scale: 0.05, long: true, sel: Selection{
+		Apps:      []string{"sor-zero", "is-small", "water-288", "3d-fft"},
+		Backends:  []string{"tmk", "tmk-sc", "tmk-tree", "tmk-sc-tree"},
+		Scenarios: []string{"bigp"},
+		NProcs:    []int{16, 64}}},
 }
 
 // command is the msvdsm invocation whose output is the set's file.

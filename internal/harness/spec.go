@@ -38,7 +38,7 @@ import (
 //
 // EngineVersion ties hashes to the modeled-metrics vintage.  Bump it in
 // lockstep with golden regeneration: any PR that changes modeled
-// Time/Messages/Bytes (a "model-change" PR regenerating golden_test.go)
+// Time/Messages/Bytes (a "model-change" PR regenerating testdata/pins)
 // must also bump EngineVersion, so stale cached records from the old
 // model can never answer for the new one.  Pure performance work that
 // keeps the goldens byte-identical must NOT bump it — warm caches stay

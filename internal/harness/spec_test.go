@@ -27,7 +27,7 @@ func specJob(t *testing.T, apps []core.App, app, backend string, sc core.Scenari
 // These hashes are the serve cache's content addresses: if this test
 // fails, every cached record in every deployed store goes stale.  That
 // is correct exactly when the change is a model change (bump
-// EngineVersion, regenerate these goldens alongside golden_test.go) and
+// EngineVersion, regenerate these goldens alongside testdata/pins) and
 // a bug in every other case — canonicalization must not drift under
 // refactors that keep the model fixed.
 func TestSpecHashGolden(t *testing.T) {

@@ -129,8 +129,7 @@
 // to the extremes the `placement` scenario axis sweeps.
 //
 // All four are variants, not defaults: the paper's protocol is the
-// centralized one, the pinned goldens certify the modeled metrics of
-// exactly that protocol, and the variants exist to measure what each
+// centralized one, and the variants exist to measure what each
 // restructuring buys at processor counts the paper never reached
 // (backends tmk-tree and tmk-sc-tree, scenario sets bigp and
 // placement).
