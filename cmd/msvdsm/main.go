@@ -69,9 +69,10 @@
 //	-coordinator url  coordinator base URL (required)
 //	-name s           worker name in coordinator logs
 //	-poll d           lease long-poll duration (2s)
-//	-fault-*          deterministic fault injection (crash/stall/reject/
-//	                slow on exact job ordinals or seeded rates); the
-//	                reliability tests and the CI fleet smoke drive these
+//	-fault-crash-on n, -fault-stall-on n, -fault-reject-on n
+//	                  deterministic fault injection: crash, stall or
+//	                reject on the nth leased job; the CI fleet smoke
+//	                drives these
 //
 // The service answers /v1/grid with the same record JSON the grid
 // command emits, memoized by a canonical content hash of each job spec;
@@ -132,18 +133,23 @@ func main() {
 	var err error
 	switch cmd {
 	case "table1":
-		err = runTable1(apps, *format, *workers)
+		err = run(harness.Table1Grid(apps), *workers, *format, harness.RenderTable1)
 	case "table2":
-		err = runTable2(apps, *format, *workers)
+		err = run(harness.Table2Grid(apps), *workers, *format, harness.RenderTable2)
 	case "fig", "figure":
 		if flag.NArg() < 2 {
 			fmt.Fprintln(os.Stderr, "msvdsm fig <name>; see 'msvdsm list'")
 			stopProfiles()
 			os.Exit(2)
 		}
-		err = runFigures(apps, []string{flag.Arg(1)}, *procs, *format, *workers)
+		app := harness.Find(apps, flag.Arg(1))
+		if app == nil {
+			err = fmt.Errorf("unknown experiment %q (try 'msvdsm list')", flag.Arg(1))
+			break
+		}
+		err = run(harness.FiguresGrid([]core.App{app}, *procs), *workers, *format, renderFigures)
 	case "figures":
-		err = runFigures(apps, nil, *procs, *format, *workers)
+		err = run(harness.FiguresGrid(apps, *procs), *workers, *format, renderFigures)
 	case "grid":
 		err = runGrid(*scale, flag.Args()[1:], *format, *workers)
 	case "serve":
@@ -157,16 +163,17 @@ func main() {
 			fmt.Println(out)
 		}
 	case "all":
+		figures := harness.FiguresGrid(apps, *procs)
 		if *format != "text" {
 			// One structured document, not three concatenated ones: the
 			// figures grid (seq + both systems at 1..procs) is a superset
 			// of the tables' records, so emit it once.
-			err = runFigures(apps, nil, *procs, *format, *workers)
+			err = run(figures, *workers, *format, renderFigures)
 			break
 		}
-		if err = runTable1(apps, *format, *workers); err == nil {
-			if err = runTable2(apps, *format, *workers); err == nil {
-				err = runFigures(apps, nil, *procs, *format, *workers)
+		if err = run(harness.Table1Grid(apps), *workers, *format, harness.RenderTable1); err == nil {
+			if err = run(harness.Table2Grid(apps), *workers, *format, harness.RenderTable2); err == nil {
+				err = run(figures, *workers, *format, renderFigures)
 			}
 		}
 	case "list":
@@ -256,9 +263,15 @@ commands:
 	flag.PrintDefaults()
 }
 
-// emit prints records in the requested structured format, or renders them
-// with the given text renderer.
-func emit(recs []harness.Record, format string, text func([]harness.Record) string) error {
+// run executes g on a pool of the given width and prints its records in
+// the requested structured format, or renders them with the given text
+// renderer.
+func run(g harness.Grid, workers int, format string, text func([]harness.Record) string) error {
+	g.Workers = workers
+	recs, err := g.Run()
+	if err != nil {
+		return err
+	}
 	switch format {
 	case "json":
 		return harness.WriteJSON(os.Stdout, recs)
@@ -270,56 +283,24 @@ func emit(recs []harness.Record, format string, text func([]harness.Record) stri
 	}
 }
 
-func runTable1(apps []core.App, format string, workers int) error {
-	recs, err := harness.Grid{Apps: apps, Backends: []core.Backend{core.Seq}, Workers: workers}.Run()
-	if err != nil {
-		return err
-	}
-	return emit(recs, format, harness.RenderTable1)
-}
-
-func runTable2(apps []core.App, format string, workers int) error {
-	recs, err := harness.Grid{Apps: apps, Backends: []core.Backend{core.TMK, core.PVM},
-		Scenarios: harness.BaseScenarios(8), Workers: workers}.Run()
-	if err != nil {
-		return err
-	}
-	return emit(recs, format, harness.RenderTable2)
-}
-
-func runFigures(apps []core.App, names []string, maxProcs int, format string, workers int) error {
-	selected := apps
-	if names != nil {
-		selected = nil
-		for _, name := range names {
-			app := harness.Find(apps, name)
-			if app == nil {
-				return fmt.Errorf("unknown experiment %q (try 'msvdsm list')", name)
-			}
-			selected = append(selected, app)
+// renderFigures is the text view of a figures grid: each app's speedup
+// figure, in registry order.
+func renderFigures(recs []harness.Record) string {
+	var parts []string
+	seen := map[string]bool{}
+	for _, r := range recs {
+		if seen[r.App] {
+			continue
 		}
-	}
-	var procs []int
-	for n := 1; n <= maxProcs; n++ {
-		procs = append(procs, n)
-	}
-	recs, err := harness.Grid{Apps: selected, Backends: core.StandardBackends(),
-		Scenarios: harness.BaseScenarios(procs...), Workers: workers}.Run()
-	if err != nil {
-		return err
-	}
-	return emit(recs, format, func(rs []harness.Record) string {
-		var parts []string
-		for _, app := range selected {
-			fig, err := harness.RenderFigure(rs, app.Name())
-			if err != nil {
-				parts = append(parts, fmt.Sprintf("%s: %v", app.Name(), err))
-				continue
-			}
-			parts = append(parts, fig.Render())
+		seen[r.App] = true
+		fig, err := harness.RenderFigure(recs, r.App)
+		if err != nil {
+			parts = append(parts, fmt.Sprintf("%s: %v", r.App, err))
+			continue
 		}
-		return strings.Join(parts, "\n")
-	})
+		parts = append(parts, fig.Render())
+	}
+	return strings.Join(parts, "\n")
 }
 
 // runGrid parses the grid command's own flags and runs the described
@@ -333,12 +314,7 @@ func runGrid(scale float64, args []string, format string, workers int) error {
 	if err != nil {
 		return err
 	}
-	grid.Workers = workers
-	recs, err := grid.Run()
-	if err != nil {
-		return err
-	}
-	return emit(recs, format, renderGridTable)
+	return run(grid, workers, format, renderGridTable)
 }
 
 // parseGridFlags reads the grid command's flags into a selection.
@@ -464,19 +440,15 @@ func runServe(args []string, scale float64, workers int) error {
 // SIGINT/SIGTERM drains gracefully — announce drain, finish the
 // in-flight job, deregister, exit 0; a second signal kills immediately.
 // The -fault-* flags are the deterministic fault-injection harness the
-// reliability tests and CI drive.
+// CI fleet smoke drives.
 func runWorker(args []string) error {
 	fs := flag.NewFlagSet("worker", flag.ContinueOnError)
 	coordinator := fs.String("coordinator", "", "coordinator base URL (required), e.g. http://127.0.0.1:8177")
 	name := fs.String("name", "", "worker name in coordinator logs (default host:pid)")
 	poll := fs.Duration("poll", 2*time.Second, "lease long-poll duration")
-	faultSeed := fs.Uint64("fault-seed", 0, "seed for the fault-injection rate draws")
 	crashOn := fs.Int("fault-crash-on", 0, "crash (no completion, heartbeats stop) on the nth leased job")
 	stallOn := fs.Int("fault-stall-on", 0, "stall (hold the lease forever, keep heartbeating) on the nth leased job")
 	rejectOn := fs.Int("fault-reject-on", 0, "reject the nth leased job with an injected error")
-	rejectRate := fs.Float64("fault-reject-rate", 0, "seeded per-job rejection probability")
-	slowRate := fs.Float64("fault-slow-rate", 0, "seeded per-job straggler probability")
-	slowDelay := fs.Duration("fault-slow-delay", 0, "injected straggler delay (default 2x lease ttl)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -492,13 +464,9 @@ func runWorker(args []string) error {
 		Name:        *name,
 		PollWait:    *poll,
 		Faults: dispatch.FaultConfig{
-			Seed:        *faultSeed,
 			CrashOnJob:  *crashOn,
 			StallOnJob:  *stallOn,
 			RejectOnJob: *rejectOn,
-			RejectRate:  *rejectRate,
-			SlowRate:    *slowRate,
-			SlowDelay:   *slowDelay,
 		},
 		Logf: log.Printf,
 	})

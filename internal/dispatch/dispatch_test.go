@@ -355,7 +355,7 @@ func TestJobRefResolve(t *testing.T) {
 }
 
 // TestFaultConfigDeterminism pins the fault harness: exact ordinal
-// triggers, precedence, and seed-stable rate draws.
+// triggers and their precedence.
 func TestFaultConfigDeterminism(t *testing.T) {
 	f := FaultConfig{CrashOnJob: 3, StallOnJob: 3, RejectOnJob: 5}
 	if f.action(3) != faultCrash {
@@ -366,36 +366,6 @@ func TestFaultConfigDeterminism(t *testing.T) {
 	}
 	if f.action(1) != faultNone || f.action(4) != faultNone {
 		t.Fatal("untargeted ordinals should be clean")
-	}
-
-	seeded := FaultConfig{Seed: 12345, RejectRate: 0.3, SlowRate: 0.3}
-	var first []faultAction
-	for n := 1; n <= 64; n++ {
-		first = append(first, seeded.action(n))
-	}
-	var rejects, slows int
-	for n := 1; n <= 64; n++ {
-		if a := seeded.action(n); a != first[n-1] {
-			t.Fatalf("draw for job %d not deterministic: %v then %v", n, first[n-1], a)
-		} else if a == faultReject {
-			rejects++
-		} else if a == faultSlow {
-			slows++
-		}
-	}
-	if rejects == 0 || slows == 0 {
-		t.Fatalf("seeded rates at 0.3 over 64 jobs drew rejects=%d slows=%d; expected both nonzero", rejects, slows)
-	}
-	other := FaultConfig{Seed: 99999, RejectRate: 0.3, SlowRate: 0.3}
-	same := true
-	for n := 1; n <= 64; n++ {
-		if other.action(n) != first[n-1] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("different seeds produced identical fault patterns")
 	}
 }
 

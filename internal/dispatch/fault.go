@@ -1,21 +1,13 @@
 package dispatch
 
-import "time"
-
 // FaultConfig is the deterministic worker-fault harness: it makes a
 // worker misbehave on exactly reproducible jobs so every recovery path
 // in the dispatcher — lease expiry, liveness revocation, error
-// requeue, duplicate suppression — is exercised by seeded tests and CI
-// rather than by luck.  Jobs are numbered 1,2,... in the order this
-// worker leases them; the *OnJob triggers fire on that ordinal, and the
-// *Rate draws are a pure splitmix64 hash of (Seed, ordinal, kind) —
-// the same decision pattern as vnet's message-fault layer, independent
-// of timing or scheduling.
+// requeue, duplicate suppression — is exercised by tests and CI rather
+// than by luck.  Jobs are numbered 1,2,... in the order this worker
+// leases them; each trigger fires on that ordinal, independent of
+// timing or scheduling.
 type FaultConfig struct {
-	// Seed keys the rate draws.  Two workers with the same config and
-	// seed misbehave on the same job ordinals.
-	Seed uint64
-
 	// CrashOnJob kills the worker while it handles its nth leased job
 	// (1-based): the run loop stops without completing and heartbeats
 	// cease, as if the process were SIGKILLed.  0 disables.
@@ -29,18 +21,6 @@ type FaultConfig struct {
 	// RejectOnJob fails the nth leased job with an injected error.
 	// 0 disables.
 	RejectOnJob int
-
-	// RejectRate is a seeded per-job probability of rejecting.
-	RejectRate float64
-
-	// SlowRate is a seeded per-job probability of sleeping SlowDelay
-	// before completing (straggler emulation for the hedging path).
-	SlowRate float64
-
-	// SlowDelay is the injected straggler delay (default 2x the lease
-	// TTL when a slow draw fires with no delay configured, which
-	// guarantees the lease expires first).
-	SlowDelay time.Duration
 }
 
 type faultAction int
@@ -50,33 +30,10 @@ const (
 	faultCrash
 	faultStall
 	faultReject
-	faultSlow
 )
 
-// Draw kinds keep the per-ordinal decisions independent streams.
-const (
-	faultKindReject uint64 = 0x72656a // "rej"
-	faultKindSlow   uint64 = 0x736c6f // "slo"
-)
-
-// splitmix64 is the finalizing mixer of the splitmix64 generator: a
-// cheap, well-distributed 64-bit hash.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// draw returns a uniform [0,1) decision for (seed, ordinal, kind).
-func draw(seed uint64, n int, kind uint64) float64 {
-	h := splitmix64(splitmix64(seed^uint64(n)) + kind)
-	return float64(h>>11) / (1 << 53)
-}
-
-// action decides what this worker does with its nth leased job.  Exact
-// ordinal triggers take precedence over rate draws; crash beats stall
-// beats reject beats slow.
+// action decides what this worker does with its nth leased job; crash
+// beats stall beats reject.
 func (f FaultConfig) action(n int) faultAction {
 	switch {
 	case f.CrashOnJob > 0 && n == f.CrashOnJob:
@@ -85,10 +42,6 @@ func (f FaultConfig) action(n int) faultAction {
 		return faultStall
 	case f.RejectOnJob > 0 && n == f.RejectOnJob:
 		return faultReject
-	case f.RejectRate > 0 && draw(f.Seed, n, faultKindReject) < f.RejectRate:
-		return faultReject
-	case f.SlowRate > 0 && draw(f.Seed, n, faultKindSlow) < f.SlowRate:
-		return faultSlow
 	}
 	return faultNone
 }

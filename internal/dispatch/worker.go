@@ -60,7 +60,6 @@ type Worker struct {
 	mu        sync.Mutex
 	id        string
 	heartbeat time.Duration
-	leaseTTL  time.Duration
 
 	jobs int // lease ordinal, drives the fault harness
 }
@@ -152,13 +151,6 @@ func (w *Worker) Run(ctx context.Context) error {
 			w.logf("dispatch: worker %s rejecting job %d (injected)", w.workerID(), w.jobs)
 			w.complete(grant, nil, "injected reject fault")
 			continue
-		case faultSlow:
-			delay := w.opts.Faults.SlowDelay
-			if delay <= 0 {
-				delay = 2 * w.leaseDuration()
-			}
-			w.logf("dispatch: worker %s slow on job %d (injected %v)", w.workerID(), w.jobs, delay)
-			time.Sleep(delay)
 		}
 
 		job, err := grant.Job.Resolve(grant.Hash)
@@ -175,15 +167,6 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 }
 
-func (w *Worker) leaseDuration() time.Duration {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.leaseTTL <= 0 {
-		return 10 * time.Second
-	}
-	return w.leaseTTL
-}
-
 // register joins (or re-joins) the fleet, retrying with backoff until
 // ctx is canceled.
 func (w *Worker) register(ctx context.Context) error {
@@ -195,9 +178,9 @@ func (w *Worker) register(ctx context.Context) error {
 			w.mu.Lock()
 			w.id = reply.WorkerID
 			w.heartbeat = time.Duration(reply.HeartbeatMillis) * time.Millisecond
-			w.leaseTTL = time.Duration(reply.LeaseTTLMillis) * time.Millisecond
 			w.mu.Unlock()
-			w.logf("dispatch: registered as %s (heartbeat %v, lease ttl %v)", reply.WorkerID, w.heartbeat, w.leaseTTL)
+			w.logf("dispatch: registered as %s (heartbeat %v, lease ttl %v)", reply.WorkerID,
+				time.Duration(reply.HeartbeatMillis)*time.Millisecond, time.Duration(reply.LeaseTTLMillis)*time.Millisecond)
 			return nil
 		}
 		if ctx.Err() != nil {

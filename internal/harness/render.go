@@ -127,43 +127,25 @@ func RenderFigure(recs []Record, appName string) (stats.Figure, error) {
 }
 
 // ---------------------------------------------------------------------
-// Convenience wrappers: run the minimal grid for one artifact.
+// The grid behind each artifact: the one definition the CLI runs and the
+// tests render.
 
-// Table1 runs the sequential baseline of every app and renders Table 1.
-func Table1(apps []core.App) (string, error) {
-	recs, err := Grid{Apps: apps, Backends: []core.Backend{core.Seq}}.Run()
-	if err != nil {
-		return "", err
-	}
-	return RenderTable1(recs), nil
+// Table1Grid is the grid behind Table 1: every app's sequential baseline.
+func Table1Grid(apps []core.App) Grid {
+	return Grid{Apps: apps, Backends: []core.Backend{core.Seq}}
 }
 
-// Table2 runs both systems at 8 processors and renders Table 2.
-func Table2(apps []core.App) (string, error) {
-	recs, err := Grid{
-		Apps:      apps,
-		Backends:  []core.Backend{core.TMK, core.PVM},
-		Scenarios: BaseScenarios(8),
-	}.Run()
-	if err != nil {
-		return "", err
-	}
-	return RenderTable2(recs), nil
+// Table2Grid is the grid behind Table 2: both systems at 8 processors.
+func Table2Grid(apps []core.App) Grid {
+	return Grid{Apps: apps, Backends: []core.Backend{core.TMK, core.PVM}, Scenarios: BaseScenarios(8)}
 }
 
-// FigureData computes the speedup curves (1..maxProcs) for one app.
-func FigureData(app core.App, maxProcs int) (stats.Figure, error) {
+// FiguresGrid is the grid behind the apps' speedup figures: the
+// sequential baseline plus both systems at 1..maxProcs processors.
+func FiguresGrid(apps []core.App, maxProcs int) Grid {
 	var procs []int
 	for n := 1; n <= maxProcs; n++ {
 		procs = append(procs, n)
 	}
-	recs, err := Grid{
-		Apps:      []core.App{app},
-		Backends:  core.StandardBackends(),
-		Scenarios: BaseScenarios(procs...),
-	}.Run()
-	if err != nil {
-		return stats.Figure{}, err
-	}
-	return RenderFigure(recs, app.Name())
+	return Grid{Apps: apps, Backends: core.StandardBackends(), Scenarios: BaseScenarios(procs...)}
 }

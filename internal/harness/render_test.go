@@ -46,11 +46,11 @@ func TestRenderTable1MatchesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every sequential workload at goldenScale")
 	}
-	out, err := Table1(Apps(goldenScale))
+	recs, err := Table1Grid(Apps(goldenScale)).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out != goldenTable1 {
+	if out := RenderTable1(recs); out != goldenTable1 {
 		t.Errorf("Table 1 rendering drifted:\ngot:\n%s\nwant:\n%s", out, goldenTable1)
 	}
 }
@@ -59,11 +59,11 @@ func TestRenderTable2MatchesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every app at 8 procs at goldenScale")
 	}
-	out, err := Table2(Apps(goldenScale))
+	recs, err := Table2Grid(Apps(goldenScale)).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out != goldenTable2 {
+	if out := RenderTable2(recs); out != goldenTable2 {
 		t.Errorf("Table 2 rendering drifted:\ngot:\n%s\nwant:\n%s", out, goldenTable2)
 	}
 }

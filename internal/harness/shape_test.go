@@ -47,10 +47,11 @@ func TestFind(t *testing.T) {
 }
 
 func TestTable1Renders(t *testing.T) {
-	out, err := Table1(Apps(0.01))
+	recs, err := Table1Grid(Apps(0.01)).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := RenderTable1(recs)
 	for _, want := range []string{"EP", "SOR-Zero", "ILINK", "Time(sec)"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("table 1 missing %q:\n%s", want, out)
@@ -62,10 +63,11 @@ func TestTable2Renders(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs all apps at 8 procs")
 	}
-	out, err := Table2(Apps(0.01))
+	recs, err := Table2Grid(Apps(0.01)).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := RenderTable2(recs)
 	for _, want := range []string{"TMK Messages", "PVM Kilobytes", "QSORT"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("table 2 missing %q:\n%s", want, out)
@@ -75,7 +77,11 @@ func TestTable2Renders(t *testing.T) {
 
 func TestFigureDataShape(t *testing.T) {
 	apps := Apps(0.01)
-	fig, err := FigureData(Find(apps, "EP"), 4)
+	recs, err := FiguresGrid([]core.App{Find(apps, "EP")}, 4).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig, err := RenderFigure(recs, "EP")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,16 +75,11 @@ func (s *System) Spawn(id int, body func(*Proc)) {
 	})
 }
 
-// SpawnExtra registers an additional process (id ≥ n), such as the master
-// in a master/slave decomposition, on a fresh node of its own.  It
-// returns the new process id.  The extra process gets its own endpoint
-// and exchanges real messages with every slave.
-func (s *System) SpawnExtra(name string, body func(*Proc)) int {
-	return s.SpawnExtraAt(name, -1, body)
-}
-
-// SpawnExtraAt registers an additional process placed on the given node:
-// -1 means a fresh node of its own (SpawnExtra), while an existing node
+// SpawnExtraAt registers an additional process (id ≥ n), such as the
+// master in a master/slave decomposition, and returns its process id.
+// The process gets its own endpoint, placed on the given node: -1 means a
+// fresh node of its own, where it exchanges real messages with every
+// slave, while an existing node
 // id co-locates the process with that node's regular process — traffic
 // between the two crosses loopback, costs almost nothing and is not
 // counted as user messages, modeling the paper's master sharing a

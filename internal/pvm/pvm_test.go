@@ -231,7 +231,7 @@ func TestSpawnExtraMaster(t *testing.T) {
 		r := p.Recv(masterID, 5)
 		results <- r.UnpackOneInt32()
 	})
-	masterID = sys.SpawnExtra("master", func(p *Proc) {
+	masterID = sys.SpawnExtraAt("master", -1, func(p *Proc) {
 		for i := 0; i < 2; i++ {
 			b := p.InitSend()
 			b.PackOneInt32(int32(100 + i))

@@ -49,11 +49,6 @@ type FaultConfig struct {
 	// Zero selects 4x the configured wire latency.
 	ReorderDelay sim.Time
 
-	// RTO is the base retransmit timeout of the emulated TCP ARQ on
-	// stream endpoints; it doubles per retry up to 64x.  Zero derives a
-	// default from the network cost model (see Network.New).
-	RTO sim.Time
-
 	// Slowdown scales the per-node CPU costs the network model charges
 	// (send/receive/loopback overheads), indexed by node.  Entries at or
 	// below 1 (and nodes past the end) run at full speed.

@@ -182,8 +182,8 @@ type Network struct {
 	stats Stats // wire-level totals across all endpoints
 
 	// Fault layer state, derived once in New: faultsOn short-circuits the
-	// fault path in xmit, rto is the resolved base timeout of the stream
-	// ARQ (Config.Faults.RTO, or a cost-model default).
+	// fault path in xmit, rto is the base timeout of the stream ARQ,
+	// derived from the cost model.
 	faultsOn bool
 	rto      sim.Time
 
@@ -219,16 +219,10 @@ func New(cfg Config) *Network {
 	n := &Network{cfg: cfg}
 	n.faultsOn = cfg.Faults.Enabled()
 	if n.faultsOn {
-		n.rto = cfg.Faults.RTO
-		if n.rto == 0 {
-			// Default stream-ARQ base timeout: 4x a minimal round trip,
-			// floored at 2 ms (a kernel-granularity TCP timer of the era).
-			rtt := 2 * (cfg.SendOverhead + cfg.Latency + cfg.RecvOverhead)
-			n.rto = 4 * rtt
-			if n.rto < 2*sim.Millisecond {
-				n.rto = 2 * sim.Millisecond
-			}
-		}
+		// Stream-ARQ base timeout: 4x a minimal round trip, floored at
+		// 2 ms (a kernel-granularity TCP timer of the era).
+		rtt := 2 * (cfg.SendOverhead + cfg.Latency + cfg.RecvOverhead)
+		n.rto = max(4*rtt, 2*sim.Millisecond)
 	}
 	return n
 }
