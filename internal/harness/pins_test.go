@@ -3,10 +3,8 @@ package harness
 import (
 	"bytes"
 	"encoding/csv"
-	"errors"
 	"flag"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -146,20 +144,14 @@ func TestPins(t *testing.T) {
 			}
 			path := filepath.Join(pinDir, p.name+".csv")
 			if *update {
-				if err := os.MkdirAll(pinDir, 0o755); err != nil {
-					t.Fatal(err)
-				}
 				if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
 					t.Fatal(err)
 				}
 				return
 			}
 			want, err := os.ReadFile(path)
-			if errors.Is(err, fs.ErrNotExist) {
-				t.Fatalf("%s is missing; create it with -update or with\n  %s", path, p.command())
-			}
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%v; create it with -update or with\n  %s", err, p.command())
 			}
 			if bytes.Equal(got.Bytes(), want) {
 				return
