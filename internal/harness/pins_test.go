@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -99,10 +100,36 @@ func (p pinSet) command() string {
 	return strings.Join(args, " ") + " > internal/harness/" + filepath.ToSlash(filepath.Join(pinDir, p.name+".csv"))
 }
 
-// TestPins runs every pin set on a pool of at least four and compares
-// its CSV with the checked-in file.  With -update it rewrites the files
-// from a serial run instead, so a later pass also shows that the pool
-// reproduces the serial records.  Regenerate only when a change is
+// pinTests names the sets each named pin test checks.  The reduced-scale
+// Table 2 grid, the paper-scale cells and the lossy cells keep the tests
+// that pinned them before the files did; TestPins checks every other set.
+var pinTests = map[string][]string{
+	"TestGoldenMetrics":            {"golden"},
+	"TestGoldenMetricsGridWorkers": {"golden"},
+	"TestPaperScaleGolden":         {"paper-seq", "paper-tsp"},
+	"TestFaultGolden":              {"faults"},
+}
+
+// pinWidth is the pool width the pin tests run at: at least four, so the
+// pool is concurrent even on a small host.
+func pinWidth() int { return max(4, runtime.GOMAXPROCS(0)) }
+
+// TestGoldenMetrics runs the golden set serially.
+func TestGoldenMetrics(t *testing.T) { checkPins(t, 1, pinTests[t.Name()]...) }
+
+// TestGoldenMetricsGridWorkers runs the golden set on a pool: matching the
+// same file as TestGoldenMetrics's serial run shows pool == serial, cell
+// order included.
+func TestGoldenMetricsGridWorkers(t *testing.T) { checkPins(t, pinWidth(), pinTests[t.Name()]...) }
+
+func TestPaperScaleGolden(t *testing.T) { checkPins(t, pinWidth(), pinTests[t.Name()]...) }
+
+func TestFaultGolden(t *testing.T) { checkPins(t, pinWidth(), pinTests[t.Name()]...) }
+
+// TestPins checks that every file pins a set and runs, on a pool, every
+// set no other pin test checks.  With -update it rewrites every set's
+// file from a serial run instead, so a later pass also shows that the
+// pool reproduces the serial records.  Regenerate only when a change is
 // supposed to alter the model: go test ./internal/harness -run TestPins
 // -update.
 func TestPins(t *testing.T) {
@@ -120,11 +147,35 @@ func TestPins(t *testing.T) {
 		}
 	}
 
-	workers := max(4, runtime.GOMAXPROCS(0))
+	owned := map[string]bool{}
+	for _, names := range pinTests {
+		for _, n := range names {
+			owned[n] = true
+		}
+	}
+	var rest []string
+	for _, p := range pinSets {
+		if *update || !owned[p.name] {
+			rest = append(rest, p.name)
+		}
+	}
+	checkPins(t, pinWidth(), rest...)
+}
+
+// checkPins runs the named sets on a pool of the given width and compares
+// each CSV with its checked-in file, one subtest per set.  With -update it
+// rewrites the files from a serial run instead.
+func checkPins(t *testing.T, workers int, names ...string) {
+	t.Helper()
 	if *update {
 		workers = 1
 	}
-	for _, p := range pinSets {
+	for _, name := range names {
+		i := slices.IndexFunc(pinSets, func(p pinSet) bool { return p.name == name })
+		if i < 0 {
+			t.Fatalf("no pin set %q", name)
+		}
+		p := pinSets[i]
 		t.Run(p.name, func(t *testing.T) {
 			if p.long && testing.Short() {
 				t.Skip("long pin set in -short mode")
