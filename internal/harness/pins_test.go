@@ -54,6 +54,11 @@ var pinSets = []pinSet{
 	{name: "paper-seq", scale: 1, long: true, sel: Selection{Backends: []string{"seq"}}},
 	{name: "paper-tsp", scale: 1, long: true, sel: Selection{
 		Apps: []string{"tsp"}, Backends: []string{"tmk", "pvm"}, NProcs: []int{8}}},
+	// Below scale 1.0 3D-FFT runs at N=16; at the paper's N=64 TreadMarks'
+	// diff bytes depend on every value the local passes compute, so a
+	// kernel that moves one bit of one point shows here.
+	{name: "paper-fft", scale: 1, long: true, sel: Selection{
+		Apps: []string{"3d-fft"}, Backends: []string{"tmk", "pvm"}, NProcs: []int{8}}},
 	// The at-least-once layer under every fault axis: the lock-, barrier-
 	// and diff-heavy apps, so each role (lock manager, grantor, barrier
 	// manager, diff server) retransmits and suppresses duplicates.  QSORT
@@ -106,7 +111,7 @@ func (p pinSet) command() string {
 var pinTests = map[string][]string{
 	"TestGoldenMetrics":            {"golden"},
 	"TestGoldenMetricsGridWorkers": {"golden"},
-	"TestPaperScaleGolden":         {"paper-seq", "paper-tsp"},
+	"TestPaperScaleGolden":         {"paper-seq", "paper-tsp", "paper-fft"},
 	"TestFaultGolden":              {"faults"},
 }
 
