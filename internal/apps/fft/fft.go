@@ -12,7 +12,9 @@
 // source page is read by essentially one remote processor, so the
 // TreadMarks version moves almost the same amount of data as PVM (the
 // paper's release-consistency observation for FFT) while sending many
-// more messages (one diff request/response pair per page).
+// more messages (one diff request/response pair per page).  Locally, the
+// innermost pass transforms one row at a time; the middle one runs each
+// butterfly on whole rows of a plane, every column at once.
 //
 // In the TreadMarks version both array buffers are shared and a barrier
 // separates iterations.  In the PVM version each processor explicitly
@@ -82,17 +84,6 @@ func (c Config) initData(lo, hi int) []float64 {
 	return v
 }
 
-// stageTwiddle[l] is the butterfly stage's base twiddle (cos, sin) of
-// -2*pi/2^l: what fft1d would otherwise recompute per stage per transform.
-// Filled once at init and never written again.
-var stageTwiddle = func() (t [63][2]float64) {
-	for l := 1; l < len(t); l++ {
-		ang := -2 * math.Pi / float64(int(1)<<l)
-		t[l] = [2]float64{math.Cos(ang), math.Sin(ang)}
-	}
-	return t
-}()
-
 // evolvePhase holds the 64 phase factors evolve can apply.  Filled once at
 // init and never written again.
 var evolvePhase = func() (t [64]complex128) {
@@ -102,35 +93,77 @@ var evolvePhase = func() (t [64]complex128) {
 	return t
 }()
 
-// fft1d performs an in-place radix-2 complex FFT on re/im pairs of
-// length n (a power of two).
-func fft1d(re, im []float64) {
-	n := len(re)
-	for i, j := 1, 0; i < n; i++ {
-		bit := n >> 1
-		for ; j&bit != 0; bit >>= 1 {
-			j ^= bit
-		}
-		j |= bit
-		if i < j {
-			re[i], re[j] = re[j], re[i]
-			im[i], im[j] = im[j], im[i]
+// A plan is what every n-point transform of a passes call shares: the
+// bit-reversal permutation, and twiddle k of the stage of half-length h at
+// tw[2(h+k)], tw[2(h+k)+1], filled by the recurrence cw = cw*w from the
+// stage's base w = e^(-i*pi/h), the same floats a per-block loop computes.
+type plan struct {
+	rev []int
+	tw  []float64
+}
+
+func newPlan(n int) plan {
+	p := plan{rev: make([]int, n), tw: make([]float64, 2*n)}
+	for i := 1; i < n; i++ {
+		p.rev[i] = p.rev[i>>1]>>1 | (i&1)*(n>>1)
+	}
+	for h := 1; h < n; h <<= 1 {
+		ang := -2 * math.Pi / float64(2*h)
+		wr, wi := math.Cos(ang), math.Sin(ang)
+		cwr, cwi := 1.0, 0.0
+		for k := h; k < 2*h; k++ {
+			p.tw[2*k], p.tw[2*k+1] = cwr, cwi
+			cwr, cwi = cwr*wr-cwi*wi, cwr*wi+cwi*wr
 		}
 	}
-	for l, length := 1, 2; length <= n; l, length = l+1, length<<1 {
-		wr, wi := stageTwiddle[l][0], stageTwiddle[l][1]
-		for start := 0; start < n; start += length {
-			cwr, cwi := 1.0, 0.0
-			for k := 0; k < length/2; k++ {
-				i0, i1 := start+k, start+k+length/2
-				xr := re[i1]*cwr - im[i1]*cwi
-				xi := re[i1]*cwi + im[i1]*cwr
-				re[i1], im[i1] = re[i0]-xr, im[i0]-xi
-				re[i0], im[i0] = re[i0]+xr, im[i0]+xi
-				cwr, cwi = cwr*wr-cwi*wi, cwr*wi+cwi*wr
+	return p
+}
+
+// butterflies runs the radix-2 stages of an n-point transform over d: n
+// rows of equal length in bit-reversed order, each row interleaved re/im,
+// one transform per column.  Each butterfly loads its twiddle once and
+// applies it across the whole row.
+func (p plan) butterflies(d []float64) {
+	n := len(p.rev)
+	w := len(d) / n
+	for h := 1; h < n; h <<= 1 {
+		for start := 0; start < n; start += 2 * h {
+			for k := 0; k < h; k++ {
+				cwr, cwi := p.tw[2*(h+k)], p.tw[2*(h+k)+1]
+				a, b := d[(start+k)*w:(start+k+1)*w], d[(start+k+h)*w:(start+k+h+1)*w]
+				b = b[:len(a)]
+				for z := 1; z < len(a); z += 2 {
+					xr := b[z-1]*cwr - b[z]*cwi
+					xi := b[z-1]*cwi + b[z]*cwr
+					b[z-1], b[z] = a[z-1]-xr, a[z]-xi
+					a[z-1], a[z] = a[z-1]+xr, a[z]+xi
+				}
 			}
 		}
 	}
+}
+
+// fft transforms the n interleaved complex values of d in place: gathered
+// into scratch in bit-reversed order, run through the butterflies of a
+// one-value row with the same twiddles, and copied back.
+func (p plan) fft(d, scratch []float64) {
+	for i, j := range p.rev {
+		scratch[2*i], scratch[2*i+1] = d[2*j], d[2*j+1]
+	}
+	for h := 1; h < len(p.rev); h <<= 1 {
+		tw := p.tw[2*h : 4*h]
+		for start := 0; start+4*h <= len(scratch); start += 4 * h {
+			a, b := scratch[start:start+2*h], scratch[start+2*h:start+4*h]
+			b, t := b[:len(a)], tw[:len(a)]
+			for k := 1; k < len(a); k += 2 {
+				xr := b[k-1]*t[k-1] - b[k]*t[k]
+				xi := b[k-1]*t[k] + b[k]*t[k-1]
+				b[k-1], b[k] = a[k-1]-xr, a[k]-xi
+				a[k-1], a[k] = a[k-1]+xr, a[k]+xi
+			}
+		}
+	}
+	copy(d, scratch)
 }
 
 // evolve applies the deterministic per-point phase factor of iteration it.
@@ -167,37 +200,29 @@ func chunkChecksum(v []float64, base int) int64 {
 
 // passes runs the iteration's local work on a buffer holding planes
 // [lo,hi) of an n x n x n layout (data[0] is the start of plane lo,
-// interleaved re/im): FFT along the third dimension (contiguous), FFT
-// along the second dimension (strided), and the evolution factor, whose
-// phase depends on the global element index.  Returns the modeled cost.
+// interleaved re/im): FFT along the third dimension, one row at a time;
+// FFT along the second dimension on whole rows of a plane, so bit reversal
+// swaps rows and each butterfly runs down every column at once; and the
+// evolution factor, whose phase depends on the global element index.
+// Returns the modeled cost.
 func passes(cfg Config, data []float64, lo, hi, it int) sim.Time {
 	n := cfg.N
-	re := make([]float64, n)
-	im := make([]float64, n)
-	for x := 0; x < hi-lo; x++ {
-		for y := 0; y < n; y++ {
-			base := 2 * ((x*n + y) * n)
-			for z := 0; z < n; z++ {
-				re[z], im[z] = data[base+2*z], data[base+2*z+1]
-			}
-			fft1d(re, im)
-			for z := 0; z < n; z++ {
-				data[base+2*z], data[base+2*z+1] = re[z], im[z]
-			}
-		}
+	p := newPlan(n)
+	row := make([]float64, 2*n)
+	for r := 0; r < (hi-lo)*n; r++ {
+		p.fft(data[2*r*n:2*(r+1)*n], row)
 	}
 	for x := 0; x < hi-lo; x++ {
-		for z := 0; z < n; z++ {
-			for y := 0; y < n; y++ {
-				idx := 2 * ((x*n+y)*n + z)
-				re[y], im[y] = data[idx], data[idx+1]
-			}
-			fft1d(re, im)
-			for y := 0; y < n; y++ {
-				idx := 2 * ((x*n+y)*n + z)
-				data[idx], data[idx+1] = re[y], im[y]
+		plane := data[2*x*n*n : 2*(x+1)*n*n]
+		for i, j := range p.rev {
+			if i < j {
+				ri, rj := plane[2*i*n:2*(i+1)*n], plane[2*j*n:2*(j+1)*n]
+				for z := range ri {
+					ri[z], rj[z] = rj[z], ri[z]
+				}
 			}
 		}
+		p.butterflies(plane)
 	}
 	for x := 0; x < hi-lo; x++ {
 		for yz := 0; yz < n*n; yz++ {

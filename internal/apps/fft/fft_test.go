@@ -19,7 +19,7 @@ func TestFFT1DImpulse(t *testing.T) {
 	for i := range re {
 		re[i] = 1
 	}
-	fft1d(re, im)
+	prodFFT(re, im)
 	if math.Abs(re[0]-8) > 1e-12 {
 		t.Fatalf("re[0] = %v, want 8", re[0])
 	}
@@ -43,7 +43,7 @@ func TestFFT1DParsevalProperty(t *testing.T) {
 			im[i] = r.NormFloat64()
 			e1 += re[i]*re[i] + im[i]*im[i]
 		}
-		fft1d(re, im)
+		prodFFT(re, im)
 		var e2 float64
 		for i := range re {
 			e2 += re[i]*re[i] + im[i]*im[i]
@@ -52,6 +52,18 @@ func TestFFT1DParsevalProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// prodFFT runs passes' per-row transform on re/im.
+func prodFFT(re, im []float64) {
+	d := make([]float64, 2*len(re))
+	for i := range re {
+		d[2*i], d[2*i+1] = re[i], im[i]
+	}
+	newPlan(len(re)).fft(d, make([]float64, len(d)))
+	for i := range re {
+		re[i], im[i] = d[2*i], d[2*i+1]
 	}
 }
 
@@ -225,21 +237,35 @@ func refPasses(cfg Config, data []float64, lo, hi, it int) sim.Time {
 	return sim.Time((hi-lo)*n*n*levels) * cfg.PointCost
 }
 
-// TestPassesMatchesReferenceProperty: over random cube edges, plane
-// ranges (empty and whole-cube included) and iteration numbers, the
-// buffer is math.Float64bits-identical and the modeled cost equal.  The
-// tables hold the results of the same calls on the same arguments, so
-// this is identity, not tolerance.
+// TestPassesMatchesReferenceProperty: over random cube edges up to the
+// paper's 64, plane ranges (empty and whole-cube included) and iteration
+// numbers, the buffer is math.Float64bits-identical and the modeled cost
+// equal.  Each row of the input is normal noise, all -0, or a mix of +0,
+// -0 and 1, so a butterfly that skips a multiply by a unit twiddle, or
+// otherwise changes the sign of a zero, is caught.  The tables hold the
+// results of the same operations on the same arguments, so this is
+// identity, not tolerance.
 func TestPassesMatchesReferenceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(299792))
+	negZero := math.Copysign(0, -1)
 	for iter := 0; iter < 300; iter++ {
-		cfg := Config{N: 2 << rng.Intn(5), PointCost: sim.Time(1 + rng.Intn(3000))}
+		cfg := Config{N: 2 << rng.Intn(6), PointCost: sim.Time(1 + rng.Intn(3000))}
 		lo := rng.Intn(cfg.N + 1)
 		hi := lo + rng.Intn(cfg.N+1-lo)
 		it := rng.Intn(40)
 		want := make([]float64, 2*(hi-lo)*cfg.N*cfg.N)
-		for i := range want {
-			want[i] = rng.NormFloat64()
+		for r := 0; r < len(want); r += 2 * cfg.N {
+			kind := rng.Intn(3)
+			for i := r; i < r+2*cfg.N; i++ {
+				switch kind {
+				case 0:
+					want[i] = rng.NormFloat64()
+				case 1:
+					want[i] = negZero
+				default:
+					want[i] = [3]float64{0, negZero, 1}[rng.Intn(3)]
+				}
+			}
 		}
 		got := append([]float64(nil), want...)
 		wantCost := refPasses(cfg, want, lo, hi, it)
@@ -277,22 +303,32 @@ func TestInitDataRangeMatchesWhole(t *testing.T) {
 	}
 }
 
-// BenchmarkPasses is one processor's share of a paper-scale iteration:
-// eight of the 64 planes.
+// BenchmarkPasses is one processor's share of an iteration: paper is
+// eight of the 64 planes at paper scale, bigp the one 32^3 plane a
+// processor holds at P=64, where building the per-call tables is a larger
+// share of the work.
 func BenchmarkPasses(b *testing.B) {
-	cfg := Paper()
-	const lo, hi = 8, 16
-	plane := 2 * cfg.N * cfg.N
-	init := cfg.initData(lo*plane, hi*plane)
-	data := make([]float64, len(init))
-	b.ReportAllocs()
-	b.ResetTimer()
-	var cost sim.Time
-	for i := 0; i < b.N; i++ {
-		copy(data, init) // repeated passes over one buffer would overflow
-		cost += passes(cfg, data, lo, hi, i%cfg.Iters)
-	}
-	if cost == 0 {
-		b.Fatal("no work")
+	for _, bc := range []struct {
+		name   string
+		n      int
+		lo, hi int
+	}{{"paper", 64, 8, 16}, {"bigp", 32, 5, 6}} {
+		b.Run(bc.name, func(b *testing.B) {
+			cfg := Paper()
+			cfg.N = bc.n
+			plane := 2 * cfg.N * cfg.N
+			init := cfg.initData(bc.lo*plane, bc.hi*plane)
+			data := make([]float64, len(init))
+			b.ReportAllocs()
+			b.ResetTimer()
+			var cost sim.Time
+			for i := 0; i < b.N; i++ {
+				copy(data, init) // repeated passes over one buffer would overflow
+				cost += passes(cfg, data, bc.lo, bc.hi, i%cfg.Iters)
+			}
+			if cost == 0 {
+				b.Fatal("no work")
+			}
+		})
 	}
 }
