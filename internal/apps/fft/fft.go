@@ -209,11 +209,11 @@ func passes(cfg Config, data []float64, lo, hi, it int) sim.Time {
 	n := cfg.N
 	p := newPlan(n)
 	row := make([]float64, 2*n)
-	for r := 0; r < (hi-lo)*n; r++ {
-		p.fft(data[2*r*n:2*(r+1)*n], row)
-	}
 	for x := 0; x < hi-lo; x++ {
 		plane := data[2*x*n*n : 2*(x+1)*n*n]
+		for y := 0; y < n; y++ {
+			p.fft(plane[2*y*n:2*(y+1)*n], row)
+		}
 		for i, j := range p.rev {
 			if i < j {
 				ri, rj := plane[2*i*n:2*(i+1)*n], plane[2*j*n:2*(j+1)*n]
@@ -223,11 +223,8 @@ func passes(cfg Config, data []float64, lo, hi, it int) sim.Time {
 			}
 		}
 		p.butterflies(plane)
-	}
-	for x := 0; x < hi-lo; x++ {
 		for yz := 0; yz < n*n; yz++ {
-			idx := 2 * (x*n*n + yz)
-			evolve(&data[idx], &data[idx+1], it, (lo+x)*n*n+yz)
+			evolve(&plane[2*yz], &plane[2*yz+1], it, (lo+x)*n*n+yz)
 		}
 	}
 	levels := 2*ilog2(n) + 1
