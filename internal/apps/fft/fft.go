@@ -200,11 +200,11 @@ func chunkChecksum(v []float64, base int) int64 {
 
 // passes runs the iteration's local work on a buffer holding planes
 // [lo,hi) of an n x n x n layout (data[0] is the start of plane lo,
-// interleaved re/im): FFT along the third dimension, one row at a time;
-// FFT along the second dimension on whole rows of a plane, so bit reversal
-// swaps rows and each butterfly runs down every column at once; and the
-// evolution factor, whose phase depends on the global element index.
-// Returns the modeled cost.
+// interleaved re/im), one plane at a time while it is in cache: FFT along
+// the third dimension, one row at a time; FFT along the second dimension
+// on whole rows, so bit reversal swaps rows and each butterfly runs down
+// every column at once; and the evolution factor, whose phase depends on
+// the global element index.  Returns the modeled cost.
 func passes(cfg Config, data []float64, lo, hi, it int) sim.Time {
 	n := cfg.N
 	p := newPlan(n)
