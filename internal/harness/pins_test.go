@@ -54,9 +54,10 @@ var pinSets = []pinSet{
 	{name: "paper-seq", scale: 1, long: true, sel: Selection{Backends: []string{"seq"}}},
 	{name: "paper-tsp", scale: 1, long: true, sel: Selection{
 		Apps: []string{"tsp"}, Backends: []string{"tmk", "pvm"}, NProcs: []int{8}}},
-	// Below scale 1.0 3D-FFT runs at N=16; at the paper's N=64 TreadMarks'
-	// diff bytes depend on every value the local passes compute, so a
-	// kernel that moves one bit of one point shows here.
+	// Below scale 1.0 3D-FFT runs at N=16.  At the paper's N=64 TreadMarks'
+	// diff bytes depend on the values the local passes compute, so twiddles
+	// that are off by an ulp move this set while every reduced-scale set
+	// still passes.
 	{name: "paper-fft", scale: 1, long: true, sel: Selection{
 		Apps: []string{"3d-fft"}, Backends: []string{"tmk", "pvm"}, NProcs: []int{8}}},
 	// The at-least-once layer under every fault axis: the lock-, barrier-
