@@ -7,31 +7,45 @@ import (
 )
 
 // ---------------------------------------------------------------------
-// Barriers (centralized manager at processor 0; 2*(n-1) messages).
+// Barriers (a central manager, processor 0 by default; 2*(n-1) messages).
+
+// barrierKind is the barrier protocol: the paper's central manager or the
+// combining tree (tree.go).
+type barrierKind uint8
+
+const (
+	barrierCentral barrierKind = iota
+	barrierTree
+)
+
+// barrierVariant is the barrier protocol NewSystem chose from
+// Config.TreeBarrier and Config.SpreadBarrierMgr, with its parameter.
+type barrierVariant struct {
+	kind  barrierKind
+	mgrs  int // central: barrier id's manager is id mod mgrs (1: processor 0; n: SpreadBarrierMgr)
+	radix int // tree: children per node
+}
 
 type barrierState struct {
 	id      int
 	arrived []*barrMsg
 	deps    replyCache // each client's departure
+	mergeScratch
+}
 
-	// Redistribution scratch, reused across barriers: the merged union of
-	// the arrivals' record batches and the per-arrival merge cursors.
-	// Valid only inside handleBarrArrive's final-arrival step.
-	union []*IntervalRec
-	heads []int
-
-	// Centralized-mode batch scratch feeding mergeRecordBatches.
+// mergeScratch is a barrier node's record-merge scratch, reused across
+// barriers: the record batches to merge, their merged union and the
+// per-batch merge cursors.  The union is valid until the node's next
+// merge into it.
+type mergeScratch struct {
 	batches [][]*IntervalRec
+	union   []*IntervalRec
+	heads   []int
 }
 
-// barrierMgr returns the managing processor of barrier id under the
-// configured placement (centralized barrier protocol only).
-func (s *System) barrierMgr(id int) int {
-	if s.cfg.SpreadBarrierMgr {
-		return id % s.n
-	}
-	return 0
-}
+// barrierMgr returns the managing processor of barrier id (central
+// barrier only).
+func (s *System) barrierMgr(id int) int { return id % s.barrier.mgrs }
 
 // Barrier stalls the calling processor until all processors have arrived
 // at barrier id (Tmk_barrier).  The arrival goes to the barrier manager,
@@ -46,18 +60,18 @@ func (p *Proc) Barrier(id int) {
 	// block, so the sequenced path clones (tree mode never runs lossy).
 	recs := p.recordsNotCoveredBy(p.lastMgrVC, VC{})
 	var arr rpcMsg
-	dst, tag, depTag := p.sys.procs[p.sys.barrierMgr(id)], tagBarrArrive, tagBarrDepart
-	if k := p.sys.cfg.TreeBarrier; k == 0 {
+	dst, tag, depTag := p, tagTreeArrive, tagTreeDepart
+	if b := p.sys.barrier; b.kind == barrierCentral {
 		a := &barrMsg{Barrier: id, From: p.id, Seq: p.nextRPC(), VC: p.vc, Records: recs}
 		if a.Seq > 0 {
 			a.VC = p.arena.cloneVC(p.vc)
 		}
 		arr = a
+		dst, tag, depTag = p.sys.procs[p.sys.barrierMgr(id)], tagBarrArrive, tagBarrDepart
 	} else {
 		arr = &treeArrMsg{Barrier: id, From: p.id, VC: p.vc, MinVC: p.vc, Records: recs}
-		dst, tag, depTag = p, tagTreeArrive, tagTreeDepart
 		if p.tree == nil {
-			dst = p.sys.procs[(p.id-1)/k]
+			dst = p.sys.procs[(p.id-1)/b.radix]
 		}
 	}
 	p.ep.SendObj(p.app, dst.srv, tag, arr, arr.size())
@@ -72,19 +86,19 @@ func (p *Proc) Barrier(id int) {
 	p.lastMgrVC = dep.VC.Clone()
 }
 
-// mergeRecordBatches head-merges record batches into a sorted,
-// deduplicated union.  Each batch must be in (Proc, Idx) order; every
+// mergeRecordBatches head-merges ms.batches into a sorted, deduplicated
+// union appended to dst.  Each batch must be in (Proc, Idx) order; every
 // head carrying the chosen key advances together, so a record announced
-// by several batches appears once.  union and heads are caller-provided
-// scratch (length zero) whose grown backing arrays are returned for
-// reuse.
-func mergeRecordBatches(batches [][]*IntervalRec, union []*IntervalRec, heads []int) ([]*IntervalRec, []int) {
-	for range batches {
+// by several batches appears once.
+func (ms *mergeScratch) mergeRecordBatches(dst []*IntervalRec) []*IntervalRec {
+	heads := ms.heads[:0]
+	for range ms.batches {
 		heads = append(heads, 0)
 	}
+	ms.heads = heads
 	for {
 		var best *IntervalRec
-		for i, b := range batches {
+		for i, b := range ms.batches {
 			if heads[i] == len(b) {
 				continue
 			}
@@ -94,10 +108,10 @@ func mergeRecordBatches(batches [][]*IntervalRec, union []*IntervalRec, heads []
 			}
 		}
 		if best == nil {
-			return union, heads
+			return dst
 		}
-		union = append(union, best)
-		for i, b := range batches {
+		dst = append(dst, best)
+		for i, b := range ms.batches {
 			if heads[i] < len(b) {
 				if r := b[heads[i]]; r.Proc == best.Proc && r.Idx == best.Idx {
 					heads[i]++
@@ -142,13 +156,12 @@ func (p *Proc) handleBarrArrive(ctx *sim.Ctx, m *barrMsg) {
 		merged.Merge(a.VC)
 		bs.batches = append(bs.batches, a.Records)
 	}
-	bs.union, bs.heads = mergeRecordBatches(bs.batches, bs.union[:0], bs.heads[:0])
-	union := bs.union
+	bs.union = bs.mergeRecordBatches(bs.union[:0])
 	// Departures: each client gets the union entries it has not seen, in
 	// the union's (Proc, Idx) order.
 	for _, a := range bs.arrived {
 		dep := &barrMsg{Barrier: bs.id, From: p.id, Seq: a.Seq, VC: merged,
-			Records: recordsLacked(union, a.VC, nil)}
+			Records: recordsLacked(bs.union, a.VC, nil)}
 		bs.deps.reply(ctx, p.srv, a.From, cachedReply{seq: a.Seq,
 			to: p.sys.procs[a.From].ep, tag: tagBarrDepart, msg: dep})
 	}
@@ -160,40 +173,29 @@ func (p *Proc) handleBarrArrive(ctx *sim.Ctx, m *barrMsg) {
 // the records in sub (both union and sub are in (Proc, Idx) order; nil
 // sub skips the subtraction).  vc is read in step with union.  Freshly
 // allocated at exact size — the slice travels inside a departure
-// message.
+// message — so the filter runs twice: once to count, once to fill.
 func recordsLacked(union []*IntervalRec, vc VC, sub []*IntervalRec) []*IntervalRec {
-	count := 0
-	j := 0
-	c := vcCursor{v: vc}
-	for _, r := range union {
-		if c.get(int32(r.Proc)) > int32(r.Idx) {
-			continue
+	var out []*IntervalRec
+	for {
+		count, j, c := 0, 0, vcCursor{v: vc}
+		for _, r := range union {
+			if c.get(int32(r.Proc)) > int32(r.Idx) {
+				continue
+			}
+			for j < len(sub) && (sub[j].Proc < r.Proc || (sub[j].Proc == r.Proc && sub[j].Idx < r.Idx)) {
+				j++
+			}
+			if j < len(sub) && sub[j].Proc == r.Proc && sub[j].Idx == r.Idx {
+				continue
+			}
+			if out != nil {
+				out = append(out, r)
+			}
+			count++
 		}
-		for j < len(sub) && (sub[j].Proc < r.Proc || (sub[j].Proc == r.Proc && sub[j].Idx < r.Idx)) {
-			j++
+		if out != nil || count == 0 {
+			return out
 		}
-		if j < len(sub) && sub[j].Proc == r.Proc && sub[j].Idx == r.Idx {
-			continue
-		}
-		count++
+		out = make([]*IntervalRec, 0, count)
 	}
-	if count == 0 {
-		return nil
-	}
-	out := make([]*IntervalRec, 0, count)
-	j = 0
-	c = vcCursor{v: vc}
-	for _, r := range union {
-		if c.get(int32(r.Proc)) > int32(r.Idx) {
-			continue
-		}
-		for j < len(sub) && (sub[j].Proc < r.Proc || (sub[j].Proc == r.Proc && sub[j].Idx < r.Idx)) {
-			j++
-		}
-		if j < len(sub) && sub[j].Proc == r.Proc && sub[j].Idx == r.Idx {
-			continue
-		}
-		out = append(out, r)
-	}
-	return out
 }

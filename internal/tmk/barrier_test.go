@@ -63,7 +63,7 @@ func TestMergeArrivalRecordsMatchesMapUnion(t *testing.T) {
 			return want[i].Idx < want[j].Idx
 		})
 
-		got, _ := mergeRecordBatches(arrived, nil, nil)
+		got := (&mergeScratch{batches: arrived}).mergeRecordBatches(nil)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: merged %d records, want %d", trial, len(got), len(want))
 		}

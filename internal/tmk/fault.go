@@ -35,14 +35,7 @@ func (p *Proc) serve(ctx *sim.Ctx) {
 		case tagDiffReq:
 			p.handleDiffReq(ctx, obj.(*diffReqMsg))
 		case tagInval:
-			im := obj.(*invMsg)
-			if p.sys.cfg.TreeFanout != 0 {
-				// Multicast relay: forward to this node's children in the
-				// writer-rooted tree before applying locally.
-				p.sendInvalChildren(ctx, p.srv, im,
-					(p.id-im.From+p.sys.n)%p.sys.n)
-			}
-			p.handleInval(im)
+			p.handleInval(ctx, obj.(*invMsg))
 		default:
 			panic(fmt.Sprintf("tmk: service got unexpected tag %d", tag))
 		}

@@ -50,10 +50,8 @@ func (p *Proc) closeInterval() {
 	if len(p.recs[p.id]) == 1 {
 		p.noteRecProc(p.id)
 	}
-	if p.sys.cfg.EagerInvalidate {
-		p.broadcastInvalidation(rec)
-		p.drainInvalidations()
-	}
+	p.broadcastInvalidation(rec)
+	p.drainInvalidations()
 }
 
 // recsByProcIdx orders interval records by (Proc, Idx).

@@ -38,12 +38,7 @@ func (p *Proc) lock(id int) *plock {
 	return lk
 }
 
-func (p *Proc) manager(lockID int) int {
-	if p.sys.cfg.CentralLockMgr {
-		return 0
-	}
-	return lockID % p.sys.n
-}
+func (p *Proc) manager(lockID int) int { return lockID % p.sys.lockMgrs }
 
 // LockAcquire acquires lock id (Tmk_lock_acquire).  If this processor was
 // the last holder and nobody has requested the lock since, the acquire is

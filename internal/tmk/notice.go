@@ -5,18 +5,34 @@ import (
 	"repro/internal/vnet"
 )
 
+// noticeKind is how an interval's write notices reach other processors.
+type noticeKind uint8
+
+const (
+	noticesLazy    noticeKind = iota // piggybacked on the next grant or departure (the paper's protocol)
+	noticesFlat                      // eager: the writer sends every copy at interval close (EagerInvalidate)
+	noticesRelayed                   // eager: through a writer-rooted multicast tree (TreeFanout)
+)
+
+// noticeVariant is the notice protocol NewSystem chose, with its
+// parameter.
+type noticeVariant struct {
+	kind  noticeKind
+	radix int // relayed: children per tree node
+}
+
 // broadcastInvalidation ships a freshly closed interval's write notices
-// to every other processor's service daemon (eager-invalidate mode).
-// With TreeFanout set, the writer only seeds its multicast-tree
-// children; their service daemons relay onward (see serve), so the
-// writer's serial send burst is O(k) instead of O(P).  Message and
-// byte totals are identical either way: n-1 copies of the same notice.
+// to every other processor's service daemon, unless notices are lazy.
+// Relayed, the writer only seeds its multicast-tree children; their
+// service daemons relay onward (see handleInval), so the writer's serial
+// send burst is O(k) instead of O(P).  Message and byte totals are
+// identical either way: n-1 copies of the same notice.
 func (p *Proc) broadcastInvalidation(rec *IntervalRec) {
-	if p.sys.n == 1 {
+	if p.sys.notices.kind == noticesLazy || p.sys.n == 1 {
 		return
 	}
 	m := &invMsg{From: p.id, Records: []*IntervalRec{rec}}
-	if p.sys.cfg.TreeFanout != 0 {
+	if p.sys.notices.kind == noticesRelayed {
 		p.sendInvalChildren(p.app, p.ep, m, 0)
 		return
 	}
@@ -36,7 +52,7 @@ func (p *Proc) broadcastInvalidation(rec *IntervalRec) {
 // immutable and travels by reference, each hop charged its full wire
 // size.
 func (p *Proc) sendInvalChildren(ctx *sim.Ctx, from *vnet.Endpoint, m *invMsg, pos int) {
-	n, k := p.sys.n, p.sys.cfg.TreeFanout
+	n, k := p.sys.n, p.sys.notices.radix
 	size := wireSize(m)
 	for s := 1; s <= k; s++ {
 		cpos := k*pos + s
@@ -56,8 +72,12 @@ func (p *Proc) sendInvalChildren(ctx *sim.Ctx, from *vnet.Endpoint, m *invMsg, p
 // are already deferred (per-writer order must hold).  Deferred records
 // wait for the next interval close, when no page is busy; a record that
 // meanwhile arrives through a grant or departure is applied there and
-// skipped as a duplicate at drain time.
-func (p *Proc) handleInval(m *invMsg) {
+// skipped as a duplicate at drain time.  A relayed notice is first
+// forwarded to this processor's children in the writer's tree.
+func (p *Proc) handleInval(ctx *sim.Ctx, m *invMsg) {
+	if p.sys.notices.kind == noticesRelayed {
+		p.sendInvalChildren(ctx, p.srv, m, (p.id-m.From+p.sys.n)%p.sys.n)
+	}
 	if len(p.pendInv) == 0 && !p.recsTouchBusy(m.Records) {
 		p.applyRecords(m.Records)
 		return

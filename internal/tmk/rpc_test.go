@@ -106,7 +106,7 @@ func TestReplyCacheSupersede(t *testing.T) {
 				tc.supersede, st.Messages, st.Retrans, tc.resent)
 		}
 	}
-	p := &Proc{sys: &System{n: 2}, locks: map[int]*plock{}}
+	p := &Proc{sys: &System{n: 2, lockMgrs: 2}, locks: map[int]*plock{}}
 	if !p.lock(0).grants.supersede {
 		t.Error("the lock grantor's cache does not supersede")
 	}

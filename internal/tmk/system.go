@@ -60,7 +60,7 @@ type Config struct {
 	// still cross the wire — but the writer's serial send burst
 	// collapses to k sends, so interval close stops being an O(P)
 	// stall.  Zero keeps the flat loop; k must be >= 2 otherwise.
-	// Only meaningful with EagerInvalidate (tmk-sc-tree).
+	// Requires EagerInvalidate (tmk-sc-tree).
 	TreeFanout int
 
 	// CentralLockMgr statically places every lock's manager on
@@ -104,14 +104,19 @@ type System struct {
 	started bool
 	initial map[int][]byte // page -> preloaded contents
 
+	// The protocol variants, chosen once by NewSystem from Config.
+	barrier  barrierVariant
+	notices  noticeVariant
+	lockMgrs int // lock id's manager is id mod lockMgrs: n by default, 1 (CentralLockMgr) puts all on processor 0
+
 	// At-least-once RPC layer, armed only when the network can lose,
 	// duplicate or reorder messages (see the package fault-model doc).
 	reliable bool
 	// causalAdmit buffers eager notices that arrive ahead of records
 	// their timestamp covers (admitRecord).  Armed with reliable (loss
-	// reorders notices) and with TreeFanout: a relayed notice crosses
-	// several hops while a causally-earlier notice from a different
-	// writer may still be mid-relay in its own tree, so one-hop
+	// reorders notices) and with relayed notices: a relayed notice
+	// crosses several hops while a causally-earlier notice from a
+	// different writer may still be mid-relay in its own tree, so one-hop
 	// uniform-latency delivery no longer implies causal delivery.
 	causalAdmit bool
 	rBase, rCap sim.Time // retransmit timeout: base, doubling cap
@@ -129,6 +134,8 @@ func (cfg Config) Validate(nc vnet.Config) error {
 		return errors.New("tmk: TreeBarrier radix must be >= 2")
 	case cfg.TreeFanout != 0 && cfg.TreeFanout < 2:
 		return errors.New("tmk: TreeFanout radix must be >= 2")
+	case cfg.TreeFanout != 0 && !cfg.EagerInvalidate:
+		return errors.New("tmk: TreeFanout requires EagerInvalidate")
 	case cfg.TreeBarrier != 0 && cfg.SpreadBarrierMgr:
 		return errors.New("tmk: TreeBarrier and SpreadBarrierMgr are mutually exclusive")
 	case cfg.TreeBarrier != 0 && nc.Faults.Lossy():
@@ -150,9 +157,25 @@ func NewSystem(eng *sim.Engine, net *vnet.Network, n int, cfg Config) *System {
 	if err := cfg.Validate(nc); err != nil {
 		panic(err.Error())
 	}
-	s := &System{eng: eng, net: net, cfg: cfg, n: n, initial: map[int][]byte{}}
+	s := &System{eng: eng, net: net, cfg: cfg, n: n, initial: map[int][]byte{},
+		barrier: barrierVariant{mgrs: 1}, lockMgrs: n}
+	switch {
+	case cfg.TreeBarrier != 0:
+		s.barrier = barrierVariant{kind: barrierTree, radix: cfg.TreeBarrier}
+	case cfg.SpreadBarrierMgr:
+		s.barrier.mgrs = n
+	}
+	switch {
+	case cfg.TreeFanout != 0:
+		s.notices = noticeVariant{kind: noticesRelayed, radix: cfg.TreeFanout}
+	case cfg.EagerInvalidate:
+		s.notices.kind = noticesFlat
+	}
+	if cfg.CentralLockMgr {
+		s.lockMgrs = 1
+	}
 	s.reliable = nc.Faults.Lossy()
-	s.causalAdmit = s.reliable || cfg.TreeFanout != 0
+	s.causalAdmit = s.reliable || s.notices.kind == noticesRelayed
 	if s.reliable {
 		rtt := 2 * (nc.SendOverhead + nc.Latency + nc.RecvOverhead)
 		s.rBase = max(4*rtt, 4*sim.Millisecond)
@@ -172,16 +195,15 @@ func NewSystem(eng *sim.Engine, net *vnet.Network, n int, cfg Config) *System {
 			raisePs:   make([]int32, 0, n),
 			raiseVs:   make([]int32, 0, n),
 		}
-		switch {
-		case cfg.TreeBarrier != 0:
-			// Tree mode: aggregation state lives on every processor
-			// with children, and on the root even when childless (n=1).
-			if kids := s.treeKids(i); kids > 0 || i == 0 {
-				p.tree = &treeBarrState{id: -1, arr: make([]*treeArrMsg, 1+kids)}
+		switch b := s.barrier; {
+		case b.kind == barrierTree:
+			// Aggregation state lives on every processor with children
+			// (ids k*i+1 .. k*i+k that exist), and on the root even when
+			// childless (n=1).
+			if lo := b.radix*i + 1; lo < n || i == 0 {
+				p.tree = &treeBarrState{id: -1, arr: make([]*treeArrMsg, 1+min(b.radix, n-lo))}
 			}
-		case cfg.SpreadBarrierMgr:
-			p.barrier = &barrierState{id: -1} // any proc can manage some barrier id
-		case i == 0:
+		case i < b.mgrs: // processors 0 .. mgrs-1 each manage some barrier id
 			p.barrier = &barrierState{id: -1}
 		}
 		s.procs = append(s.procs, p)

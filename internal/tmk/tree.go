@@ -29,31 +29,12 @@ import (
 // time, as the subtree-exclusion set: records the subtree announced
 // itself never ride back down to it.
 type treeBarrState struct {
-	id   int // barrier in progress (-1: idle)
-	got  int // arrivals so far; need == len(arr)
-	arr  []*treeArrMsg
-	aggr VC // scratch: subtree pointwise-max timestamp
+	id  int // barrier in progress (-1: idle)
+	got int // arrivals so far; need == len(arr)
+	arr []*treeArrMsg
 
-	// Merge scratch, reused across barriers (see barrierState).
-	union   []*IntervalRec
-	heads   []int
-	batches [][]*IntervalRec
-	down    []*IntervalRec // internal nodes: merged departure set
-}
-
-// treeKids returns how many combining-tree children processor i has
-// under the configured radix: the ids k*i+1 .. k*i+k that exist.
-func (s *System) treeKids(i int) int {
-	k := s.cfg.TreeBarrier
-	lo := k*i + 1
-	if lo >= s.n {
-		return 0
-	}
-	hi := lo + k
-	if hi > s.n {
-		hi = s.n
-	}
-	return hi - lo
+	mergeScratch
+	down []*IntervalRec // internal nodes: merged departure set
 }
 
 // handleTreeArrive files one arrival (own or a child subtree's) and,
@@ -67,7 +48,7 @@ func (p *Proc) handleTreeArrive(ctx *sim.Ctx, m *treeArrMsg) {
 	}
 	slot := 0
 	if m.From != p.id {
-		slot = m.From - p.sys.cfg.TreeBarrier*p.id
+		slot = m.From - p.sys.barrier.radix*p.id
 		if slot < 1 || slot >= len(ts.arr) {
 			panic(fmt.Sprintf("tmk: proc %d got tree arrival from non-child %d", p.id, m.From))
 		}
@@ -98,13 +79,13 @@ func (p *Proc) handleTreeArrive(ctx *sim.Ctx, m *treeArrMsg) {
 		min.MergeMin(a.MinVC)
 		ts.batches = append(ts.batches, a.Records)
 	}
-	ts.union, ts.heads = mergeRecordBatches(ts.batches, ts.union[:0], ts.heads[:0])
+	ts.union = ts.mergeRecordBatches(ts.union[:0])
 	if p.id == 0 {
 		p.treeRedistribute(ctx, agg, ts.union)
 		return
 	}
 	up := &treeArrMsg{Barrier: ts.id, From: p.id, VC: agg, MinVC: min, Records: ts.union}
-	parent := p.sys.procs[(p.id-1)/p.sys.cfg.TreeBarrier]
+	parent := p.sys.procs[(p.id-1)/p.sys.barrier.radix]
 	p.srv.SendObj(ctx, parent.srv, tagTreeArrive, up, wireSize(up))
 	// State (arrivals, union) stays live: the departure coming back down
 	// needs the per-child filters and the subtree-exclusion set.
@@ -118,9 +99,8 @@ func (p *Proc) handleTreeDown(ctx *sim.Ctx, m *barrMsg) {
 	if ts == nil || ts.got != len(ts.arr) || ts.id != m.Barrier {
 		panic(fmt.Sprintf("tmk: proc %d got tree departure in bad state", p.id))
 	}
-	ts.batches = ts.batches[:0]
-	ts.batches = append(ts.batches, m.Records, ts.union)
-	ts.down, ts.heads = mergeRecordBatches(ts.batches, ts.down[:0], ts.heads[:0])
+	ts.batches = append(ts.batches[:0], m.Records, ts.union)
+	ts.down = ts.mergeRecordBatches(ts.down[:0])
 	p.treeRedistribute(ctx, m.VC, ts.down)
 }
 
@@ -131,13 +111,13 @@ func (p *Proc) handleTreeDown(ctx *sim.Ctx, m *barrMsg) {
 // subtracts what the target announced itself.
 func (p *Proc) treeRedistribute(ctx *sim.Ctx, depVC VC, needed []*IntervalRec) {
 	ts := p.tree
-	k := p.sys.cfg.TreeBarrier
+	k := p.sys.barrier.radix
 	for s := 1; s < len(ts.arr); s++ {
 		a := ts.arr[s]
 		c := k*p.id + s
 		dep := &barrMsg{Barrier: ts.id, From: p.id, VC: depVC,
 			Records: recordsLacked(needed, a.MinVC, a.Records)}
-		if p.sys.treeKids(c) > 0 {
+		if p.sys.procs[c].tree != nil { // internal child: its service daemon merges and relays on
 			p.srv.SendObj(ctx, p.sys.procs[c].srv, tagTreeDown, dep, wireSize(dep))
 		} else {
 			p.srv.SendObj(ctx, p.sys.procs[c].ep, tagTreeDepart, dep, wireSize(dep))
