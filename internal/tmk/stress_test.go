@@ -482,8 +482,8 @@ func vcCountsMismatch(p *Proc) int {
 // TestVCMatchesRecordCounts pins the Proc.vc invariant — entry q equals
 // the number of q's records filed — at every synchronization point and
 // after the run, on every processor, across the four protocol variants
-// at P = 4, 16 and 64 and the two that run on a lossy network under 5 %
-// loss and reordering.  The workload takes per-page locks on pages many
+// at P = 4, 16 and 64, the two manager placements, and the two variants
+// that run on a lossy network under 5 % loss and reordering.  The workload takes per-page locks on pages many
 // processors write (grants and faults merging notices from many
 // writers) between barriers.
 func TestVCMatchesRecordCounts(t *testing.T) {
@@ -493,6 +493,10 @@ func TestVCMatchesRecordCounts(t *testing.T) {
 	tree.TreeBarrier = 2
 	eagerTree := eager
 	eagerTree.TreeBarrier, eagerTree.TreeFanout = 2, 4
+	centralLocks := DefaultConfig()
+	centralLocks.CentralLockMgr = true
+	spreadBarriers := DefaultConfig()
+	spreadBarriers.SpreadBarrierMgr = true
 	lossy := vnet.FDDI()
 	lossy.Faults = vnet.FaultConfig{Seed: 7, Loss: 0.05, Reorder: 0.05}
 	type variant struct {
@@ -506,6 +510,8 @@ func TestVCMatchesRecordCounts(t *testing.T) {
 		{"tmk-sc", eager, vnet.FDDI(), []int{4, 16, 64}},
 		{"tmk-tree", tree, vnet.FDDI(), []int{4, 16, 64}},
 		{"tmk-sc-tree", eagerTree, vnet.FDDI(), []int{4, 16, 64}},
+		{"tmk/mgr=proc0", centralLocks, vnet.FDDI(), []int{4, 16}},
+		{"tmk/mgr=spread", spreadBarriers, vnet.FDDI(), []int{4, 16}},
 		{"tmk/lossy", DefaultConfig(), lossy, []int{4, 16}},
 		{"tmk-sc/lossy", eager, lossy, []int{4, 16}},
 	}

@@ -2,6 +2,7 @@ package tmk
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/sim"
@@ -630,3 +631,62 @@ func TestWaitTimeAccounting(t *testing.T) {
 }
 
 const time5ms = 5 * sim.Millisecond
+
+// TestConfigValidate pins which variant combinations Validate refuses
+// and that NewSystem panics with exactly Validate's message.  The
+// accepted rows are the configurations the harness ships: the paper's
+// protocol, its eager, tree and eager-tree variants, and the two
+// manager placements.
+func TestConfigValidate(t *testing.T) {
+	with := func(edit func(*Config)) Config {
+		cfg := DefaultConfig()
+		edit(&cfg)
+		return cfg
+	}
+	lossy := vnet.FDDI()
+	lossy.Faults = vnet.FaultConfig{Seed: 7, Loss: 0.05}
+	cases := []struct {
+		name string
+		cfg  Config
+		net  vnet.Config
+		err  string // "": accepted
+	}{
+		{"tmk", DefaultConfig(), vnet.FDDI(), ""},
+		{"tmk/lossy", DefaultConfig(), lossy, ""},
+		{"tmk-sc", with(func(c *Config) { c.EagerInvalidate = true }), lossy, ""},
+		{"tmk-tree", with(func(c *Config) { c.TreeBarrier = 2 }), vnet.FDDI(), ""},
+		{"tmk-sc-tree", with(func(c *Config) { c.EagerInvalidate, c.TreeBarrier, c.TreeFanout = true, 2, 4 }), vnet.FDDI(), ""},
+		{"central lock manager", with(func(c *Config) { c.CentralLockMgr = true }), vnet.FDDI(), ""},
+		{"spread barrier manager", with(func(c *Config) { c.SpreadBarrierMgr = true }), vnet.FDDI(), ""},
+		{"zero page", with(func(c *Config) { c.PageSize = 0 }), vnet.FDDI(),
+			"tmk: page size must be a positive multiple of 8"},
+		{"odd page", with(func(c *Config) { c.PageSize = 1020 }), vnet.FDDI(),
+			"tmk: page size must be a positive multiple of 8"},
+		{"tree radix 1", with(func(c *Config) { c.TreeBarrier = 1 }), vnet.FDDI(),
+			"tmk: TreeBarrier radix must be >= 2"},
+		{"tree radix -2", with(func(c *Config) { c.TreeBarrier = -2 }), vnet.FDDI(),
+			"tmk: TreeBarrier radix must be >= 2"},
+		{"fanout radix 1", with(func(c *Config) { c.EagerInvalidate, c.TreeFanout = true, 1 }), vnet.FDDI(),
+			"tmk: TreeFanout radix must be >= 2"},
+		{"fanout without eager", with(func(c *Config) { c.TreeFanout = 4 }), vnet.FDDI(),
+			"tmk: TreeFanout requires EagerInvalidate"},
+		{"tree with spread manager", with(func(c *Config) { c.TreeBarrier, c.SpreadBarrierMgr = 2, true }), vnet.FDDI(),
+			"tmk: TreeBarrier and SpreadBarrierMgr are mutually exclusive"},
+		{"tree on lossy network", with(func(c *Config) { c.TreeBarrier = 2 }), lossy,
+			"tmk: TreeBarrier requires a fault-free network"},
+	}
+	for _, tc := range cases {
+		err := tc.cfg.Validate(tc.net)
+		if got := fmt.Sprint(err); (err == nil) != (tc.err == "") || (err != nil && got != tc.err) {
+			t.Errorf("%s: Validate = %v, want %q", tc.name, err, tc.err)
+		}
+		var panicked any
+		func() {
+			defer func() { panicked = recover() }()
+			NewSystem(sim.NewEngine(), vnet.New(tc.net), 4, tc.cfg)
+		}()
+		if got := fmt.Sprint(panicked); (panicked == nil) != (tc.err == "") || (panicked != nil && got != tc.err) {
+			t.Errorf("%s: NewSystem panicked with %v, want %q", tc.name, panicked, tc.err)
+		}
+	}
+}
