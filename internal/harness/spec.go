@@ -117,17 +117,13 @@ func appendSpec(b []byte, j Job, config string) []byte {
 
 // canonConfig is the one rendering of a scenario config every spec hash
 // goes through.
-func canonConfig(cfg core.Config) string {
-	var sb strings.Builder
-	canonValue(&sb, "config", reflect.ValueOf(cfg))
-	return sb.String()
-}
+func canonConfig(cfg core.Config) string { return canonicalString("config", cfg) }
 
-// CanonicalString renders any config-like value (structs, maps, slices,
+// canonicalString renders any config-like value (structs, maps, slices,
 // scalars) in the canonical form CanonicalSpec uses for the scenario
-// config.  Exported so tests can pin the ordering rules — in particular
-// that map iteration order never leaks into the rendering.
-func CanonicalString(name string, v any) string {
+// config, so tests can pin the ordering rules — in particular that map
+// iteration order never leaks into the rendering.
+func canonicalString(name string, v any) string {
 	var sb strings.Builder
 	canonValue(&sb, name, reflect.ValueOf(v))
 	return sb.String()

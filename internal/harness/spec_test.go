@@ -98,8 +98,8 @@ func TestCanonicalMapOrder(t *testing.T) {
 	for _, k := range []string{"beta", "mid", "zeta", "alpha"} {
 		m2[k] = len(k)
 	}
-	c1 := CanonicalString("m", m1)
-	c2 := CanonicalString("m", m2)
+	c1 := canonicalString("m", m1)
+	c2 := canonicalString("m", m2)
 	if c1 != c2 {
 		t.Fatalf("insertion order leaked into canonical form:\n%s\nvs\n%s", c1, c2)
 	}
@@ -110,7 +110,7 @@ func TestCanonicalMapOrder(t *testing.T) {
 	// Repeat across many renderings: Go randomizes map iteration per
 	// walk, so any order dependence would flake here immediately.
 	for i := 0; i < 50; i++ {
-		if got := CanonicalString("m", m1); got != want {
+		if got := canonicalString("m", m1); got != want {
 			t.Fatalf("rendering %d drifted:\n%s", i, got)
 		}
 	}

@@ -261,17 +261,6 @@ func (e *Engine) Spawn(name string, daemon bool, body func(*Ctx)) {
 	})
 }
 
-// NumPrimary reports the number of non-daemon procs.
-func (e *Engine) NumPrimary() int {
-	n := 0
-	for _, p := range e.procs {
-		if !p.daemon {
-			n++
-		}
-	}
-	return n
-}
-
 // ---------------------------------------------------------------------
 // Coroutine driver.
 //

@@ -130,9 +130,6 @@ func (d *Diff) appendRun(a *memArena, cur []byte, i, j int) {
 	d.Runs = append(d.Runs, Run{Off: i, Data: data})
 }
 
-// Empty reports whether the diff carries no modifications.
-func (d *Diff) Empty() bool { return len(d.Runs) == 0 }
-
 // Apply copies the diff's runs into page data dst.
 func (d *Diff) Apply(dst []byte) {
 	for _, r := range d.Runs {

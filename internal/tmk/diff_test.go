@@ -10,7 +10,7 @@ import (
 func TestMakeDiffEmpty(t *testing.T) {
 	a := make([]byte, 128)
 	d := MakeDiff(0, a, a)
-	if !d.Empty() || d.Size() != 0 {
+	if len(d.Runs) != 0 || d.Size() != 0 {
 		t.Fatalf("identical pages should produce an empty diff: %+v", d)
 	}
 }

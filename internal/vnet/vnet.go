@@ -368,9 +368,6 @@ func (n *Network) NewEndpointID(node, id int, datagram bool) *Endpoint {
 	return e
 }
 
-// Node returns the endpoint's node id.
-func (e *Endpoint) Node() int { return e.node }
-
 // ID returns the endpoint's logical id (carried in Message.From).
 func (e *Endpoint) ID() int { return e.id }
 
