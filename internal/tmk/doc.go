@@ -133,4 +133,27 @@
 // restructuring buys at processor counts the paper never reached
 // (backends tmk-tree and tmk-sc-tree, scenario sets bigp and
 // placement).
+//
+// # Files
+//
+// NewSystem (system.go) reads the five variant fields of Config once and
+// turns them into one value per axis: the barrier, the notices and the
+// lock-manager placement.  Protocol code switches on those values, never
+// on Config.
+//
+//   - system.go: Config and Validate, NewSystem, System and Proc.
+//   - arena.go: memArena, the allocator behind long-lived records and diffs.
+//   - interval.go: interval close and the record walks (applyRecords,
+//     admitRecord with causal admission, recordsNotCoveredBy).
+//   - notice.go: the notice value (lazy, eager-flat or eager-relayed(k)),
+//     the eager broadcast and relay, and deferred notices.
+//   - lock.go: the lock manager (placement: id mod n, or processor 0)
+//     and grantor, LockAcquire and LockRelease.
+//   - barrier.go: the barrier value (central, manager 0 or id mod n; or
+//     tree(k)), the central barrier and the record merge and filter.
+//   - tree.go: the combining-tree barrier.
+//   - fault.go: the service daemon, the diff store and server, and the
+//     access-fault path.
+//   - views.go, diff.go, vc.go, wire.go, rpc.go: typed access, diffs,
+//     vector timestamps, message layouts, the at-least-once layer.
 package tmk

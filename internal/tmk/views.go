@@ -10,7 +10,7 @@ import (
 // shared memory goes through a software access check that stands in for
 // the virtual-memory protection hardware of the original system.  An
 // access to an invalidated page triggers the fault handler (the indexed
-// diff fetch/apply path in tmk.go); the first write to a page in an
+// diff fetch/apply path in fault.go); the first write to a page in an
 // interval creates a twin.  Valid-page accesses charge no virtual time:
 // the real system's post-fault accesses are ordinary loads and stores.
 
