@@ -121,8 +121,7 @@ func canonConfig(cfg core.Config) string { return canonicalString("config", cfg)
 
 // canonicalString renders any config-like value (structs, maps, slices,
 // scalars) in the canonical form CanonicalSpec uses for the scenario
-// config, so tests can pin the ordering rules — in particular that map
-// iteration order never leaks into the rendering.
+// config; map iteration order never leaks into the rendering.
 func canonicalString(name string, v any) string {
 	var sb strings.Builder
 	canonValue(&sb, name, reflect.ValueOf(v))
