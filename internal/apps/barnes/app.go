@@ -21,9 +21,6 @@ type app struct {
 	hasPar bool
 }
 
-// NewApp wraps a Barnes-Hut configuration as a registrable experiment.
-func NewApp(cfg Config) core.App { return &app{cfg: cfg} }
-
 // Clone returns a fresh instance with the same configuration and no run
 // state, so grid workers can run copies concurrently (core.Cloneable).
 func (a *app) Clone() core.App { return &app{cfg: a.cfg} }

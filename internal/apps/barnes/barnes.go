@@ -42,13 +42,6 @@ func Paper() Config {
 		UpdateCost: 3 * sim.Microsecond}
 }
 
-// Small returns a CI-sized problem.
-func Small() Config {
-	return Config{Bodies: 256, Steps: 3, Theta: 0.7, Seed: 667430,
-		InteractCost: 3 * sim.Microsecond, TreeCost: 8 * sim.Microsecond,
-		UpdateCost: 3 * sim.Microsecond}
-}
-
 func splitmix64(x uint64) uint64 {
 	x += 0x9E3779B97F4A7C15
 	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9

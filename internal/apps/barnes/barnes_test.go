@@ -6,10 +6,11 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/sim"
 )
 
 func TestTreeInvariants(t *testing.T) {
-	cfg := Small()
+	cfg := small()
 	bodies := cfg.initBodies()
 	tr := buildTree(bodies, cfg.Bodies)
 	if tr.built != cfg.Bodies {
@@ -60,7 +61,7 @@ func run(t *testing.T, b core.Backend, a *app, n int) core.Result {
 }
 
 func TestSeqDeterministic(t *testing.T) {
-	a := &app{cfg: Small()}
+	a := &app{cfg: small()}
 	run(t, core.Seq, a, 1)
 	first := a.seqOut
 	run(t, core.Seq, a, 1)
@@ -73,7 +74,7 @@ func TestSeqDeterministic(t *testing.T) {
 }
 
 func TestTMKMatchesSequential(t *testing.T) {
-	a := &app{cfg: Small()}
+	a := &app{cfg: small()}
 	run(t, core.Seq, a, 1)
 	for _, n := range []int{1, 2, 4, 8} {
 		run(t, core.TMK, a, n)
@@ -84,7 +85,7 @@ func TestTMKMatchesSequential(t *testing.T) {
 }
 
 func TestPVMMatchesSequential(t *testing.T) {
-	a := &app{cfg: Small()}
+	a := &app{cfg: small()}
 	run(t, core.Seq, a, 1)
 	for _, n := range []int{1, 2, 4, 8} {
 		run(t, core.PVM, a, n)
@@ -262,4 +263,11 @@ func BenchmarkBuildTree(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		buildTree(bodies, cfg.Bodies)
 	}
+}
+
+// small returns a CI-sized problem.
+func small() Config {
+	return Config{Bodies: 256, Steps: 3, Theta: 0.7, Seed: 667430,
+		InteractCost: 3 * sim.Microsecond, TreeCost: 8 * sim.Microsecond,
+		UpdateCost: 3 * sim.Microsecond}
 }

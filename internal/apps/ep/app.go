@@ -20,9 +20,6 @@ type app struct {
 	hasPar bool
 }
 
-// NewApp wraps an EP configuration as a registrable experiment.
-func NewApp(cfg Config) core.App { return newApp(cfg) }
-
 func newApp(cfg Config) *app { return &app{cfg: cfg} }
 
 // Clone returns a fresh instance with the same configuration and no run

@@ -31,11 +31,6 @@ func Paper() Config {
 	return Config{Pairs: 1 << 22, CostScale: 64, PairCost: 3300 * sim.Nanosecond, Seed: 271828}
 }
 
-// Small returns a CI-sized problem.
-func Small() Config {
-	return Config{Pairs: 1 << 14, CostScale: 1, PairCost: 3300 * sim.Nanosecond, Seed: 271828}
-}
-
 // Output is the benchmark result: annulus counts and deviate sums.
 type Output struct {
 	Q          [10]int64

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/sim"
 )
 
 // run runs a on backend b at n processors, failing the test on error.
@@ -17,7 +18,7 @@ func run(t *testing.T, b core.Backend, a *app, n int) core.Result {
 }
 
 func TestSeqDeterministic(t *testing.T) {
-	a := newApp(Small())
+	a := newApp(small())
 	run(t, core.Seq, a, 1)
 	first := a.seqOut
 	run(t, core.Seq, a, 1)
@@ -35,7 +36,7 @@ func TestSeqDeterministic(t *testing.T) {
 }
 
 func TestTMKMatchesSequential(t *testing.T) {
-	a := newApp(Small())
+	a := newApp(small())
 	run(t, core.Seq, a, 1)
 	for _, n := range []int{1, 2, 3, 8} {
 		run(t, core.TMK, a, n)
@@ -46,7 +47,7 @@ func TestTMKMatchesSequential(t *testing.T) {
 }
 
 func TestPVMMatchesSequential(t *testing.T) {
-	a := newApp(Small())
+	a := newApp(small())
 	run(t, core.Seq, a, 1)
 	for _, n := range []int{1, 2, 5, 8} {
 		run(t, core.PVM, a, n)
@@ -61,7 +62,7 @@ func TestPVMMatchesSequential(t *testing.T) {
 func TestNearLinearSpeedup(t *testing.T) {
 	// Use a paper-scale compute/communication ratio (the Small config is
 	// deliberately tiny and communication-bound).
-	a := newApp(Small())
+	a := newApp(small())
 	a.cfg.Pairs = 1 << 17
 	a.cfg.CostScale = 64
 	seq := run(t, core.Seq, a, 1)
@@ -76,7 +77,7 @@ func TestNearLinearSpeedup(t *testing.T) {
 
 // PVM sends exactly n-1 user messages (the tally lists).
 func TestPVMMessageCount(t *testing.T) {
-	res := run(t, core.PVM, newApp(Small()), 8)
+	res := run(t, core.PVM, newApp(small()), 8)
 	if res.Net.Messages != 7 {
 		t.Fatalf("messages = %d, want 7", res.Net.Messages)
 	}
@@ -85,11 +86,16 @@ func TestPVMMessageCount(t *testing.T) {
 // TreadMarks communication is small: a lock chain plus a barrier plus a
 // handful of diff fetches for the single shared page.
 func TestTMKTrafficSmall(t *testing.T) {
-	res := run(t, core.TMK, newApp(Small()), 8)
+	res := run(t, core.TMK, newApp(small()), 8)
 	if res.Net.Messages == 0 || res.Net.Messages > 120 {
 		t.Fatalf("tmk messages = %d, want small nonzero", res.Net.Messages)
 	}
 	if res.Net.Bytes > 100_000 {
 		t.Fatalf("tmk bytes = %d, want < 100 KB", res.Net.Bytes)
 	}
+}
+
+// small returns a CI-sized problem.
+func small() Config {
+	return Config{Pairs: 1 << 14, CostScale: 1, PairCost: 3300 * sim.Nanosecond, Seed: 271828}
 }

@@ -51,11 +51,6 @@ func Paper() Config {
 	return Config{N: 64, Iters: 6, Seed: 299792, PointCost: 1500 * sim.Nanosecond}
 }
 
-// Small returns a CI-sized problem.
-func Small() Config {
-	return Config{N: 8, Iters: 3, Seed: 299792, PointCost: 1500 * sim.Nanosecond}
-}
-
 func (c Config) points() int { return c.N * c.N * c.N }
 
 func ilog2(n int) int {

@@ -78,7 +78,7 @@ func run(t *testing.T, b core.Backend, a *app, n int) core.Result {
 }
 
 func TestSeqDeterministic(t *testing.T) {
-	a := &app{cfg: Small()}
+	a := &app{cfg: small()}
 	run(t, core.Seq, a, 1)
 	first := a.seqOut
 	run(t, core.Seq, a, 1)
@@ -91,7 +91,7 @@ func TestSeqDeterministic(t *testing.T) {
 }
 
 func TestTMKMatchesSequential(t *testing.T) {
-	a := &app{cfg: Small()}
+	a := &app{cfg: small()}
 	run(t, core.Seq, a, 1)
 	for _, n := range []int{1, 2, 4, 8} {
 		run(t, core.TMK, a, n)
@@ -102,7 +102,7 @@ func TestTMKMatchesSequential(t *testing.T) {
 }
 
 func TestPVMMatchesSequential(t *testing.T) {
-	a := &app{cfg: Small()}
+	a := &app{cfg: small()}
 	run(t, core.Seq, a, 1)
 	for _, n := range []int{1, 2, 4, 8} {
 		run(t, core.PVM, a, n)
@@ -284,7 +284,7 @@ func TestPassesMatchesReferenceProperty(t *testing.T) {
 // TestInitDataRangeMatchesWhole: a processor's slice of the initial array
 // is the same values the whole-array generation puts there.
 func TestInitDataRangeMatchesWhole(t *testing.T) {
-	cfg := Small()
+	cfg := small()
 	whole := cfg.initData(0, 2*cfg.points())
 	plane := 2 * cfg.N * cfg.N
 	for _, nprocs := range []int{1, 3, 8} {
@@ -331,4 +331,9 @@ func BenchmarkPasses(b *testing.B) {
 			}
 		})
 	}
+}
+
+// small returns a CI-sized problem.
+func small() Config {
+	return Config{N: 8, Iters: 3, Seed: 299792, PointCost: 1500 * sim.Nanosecond}
 }

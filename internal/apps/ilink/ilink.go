@@ -48,13 +48,6 @@ func Paper() Config {
 		SumCost: 1 * sim.Microsecond}
 }
 
-// Small returns a CI-sized run.
-func Small() Config {
-	return Config{G: 512, Families: 3, FamSize: 4, Cluster: 128, Seed: 533000,
-		ElemCost: 500 * sim.Microsecond, InitCost: 2 * sim.Microsecond,
-		SumCost: 1 * sim.Microsecond}
-}
-
 func splitmix64(x uint64) uint64 {
 	x += 0x9E3779B97F4A7C15
 	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9

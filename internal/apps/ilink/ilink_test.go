@@ -4,10 +4,11 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/sim"
 )
 
 func TestParentNonzerosDeterministic(t *testing.T) {
-	cfg := Small()
+	cfg := small()
 	a := cfg.parentNonzeros(1)
 	b := cfg.parentNonzeros(1)
 	if len(a) == 0 {
@@ -41,7 +42,7 @@ func run(t *testing.T, b core.Backend, a *app, n int) core.Result {
 }
 
 func TestSeqDeterministic(t *testing.T) {
-	a := &app{cfg: Small()}
+	a := &app{cfg: small()}
 	run(t, core.Seq, a, 1)
 	first := a.seqOut
 	run(t, core.Seq, a, 1)
@@ -54,7 +55,7 @@ func TestSeqDeterministic(t *testing.T) {
 }
 
 func TestTMKMatchesSequential(t *testing.T) {
-	a := &app{cfg: Small()}
+	a := &app{cfg: small()}
 	run(t, core.Seq, a, 1)
 	for _, n := range []int{1, 2, 4, 8} {
 		run(t, core.TMK, a, n)
@@ -65,7 +66,7 @@ func TestTMKMatchesSequential(t *testing.T) {
 }
 
 func TestPVMMatchesSequential(t *testing.T) {
-	a := &app{cfg: Small()}
+	a := &app{cfg: small()}
 	run(t, core.Seq, a, 1)
 	for _, n := range []int{1, 2, 4, 8} {
 		run(t, core.PVM, a, n)
@@ -99,4 +100,11 @@ func TestPaperScaleGap(t *testing.T) {
 		t.Fatalf("message ratio %.1f, want several times more in TreadMarks",
 			float64(tmkRes.Net.Messages)/float64(pvmRes.Net.Messages))
 	}
+}
+
+// small returns a CI-sized run.
+func small() Config {
+	return Config{G: 512, Families: 3, FamSize: 4, Cluster: 128, Seed: 533000,
+		ElemCost: 500 * sim.Microsecond, InitCost: 2 * sim.Microsecond,
+		SumCost: 1 * sim.Microsecond}
 }

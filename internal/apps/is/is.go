@@ -52,12 +52,6 @@ func PaperLarge() Config {
 		KeyCost: 1600 * sim.Nanosecond, BktCost: 100 * sim.Nanosecond}
 }
 
-// Small returns a CI-sized problem with the IS-Large page geometry.
-func Small() Config {
-	return Config{Keys: 1 << 12, Bmax: 1 << 10, Iters: 3, Seed: 31415,
-		KeyCost: 500 * sim.Nanosecond, BktCost: 100 * sim.Nanosecond}
-}
-
 func splitmix64(x uint64) uint64 {
 	x += 0x9E3779B97F4A7C15
 	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9

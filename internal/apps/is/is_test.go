@@ -20,7 +20,7 @@ func run(t *testing.T, b core.Backend, a *app, n int) core.Result {
 }
 
 func TestSeqDeterministic(t *testing.T) {
-	a := newApp(Small())
+	a := newApp(small())
 	run(t, core.Seq, a, 1)
 	first := a.seqOut
 	run(t, core.Seq, a, 1)
@@ -33,7 +33,7 @@ func TestSeqDeterministic(t *testing.T) {
 }
 
 func TestTMKMatchesSequential(t *testing.T) {
-	a := newApp(Small())
+	a := newApp(small())
 	run(t, core.Seq, a, 1)
 	for _, n := range []int{1, 2, 3, 8} {
 		run(t, core.TMK, a, n)
@@ -44,7 +44,7 @@ func TestTMKMatchesSequential(t *testing.T) {
 }
 
 func TestPVMMatchesSequential(t *testing.T) {
-	a := newApp(Small())
+	a := newApp(small())
 	run(t, core.Seq, a, 1)
 	for _, n := range []int{1, 2, 5, 8} {
 		run(t, core.PVM, a, n)
@@ -56,7 +56,7 @@ func TestPVMMatchesSequential(t *testing.T) {
 
 // PVM messages per iteration: (n-1) chain + (n-1) broadcast.
 func TestPVMMessageCount(t *testing.T) {
-	a := newApp(Small())
+	a := newApp(small())
 	const n = 8
 	res := run(t, core.PVM, a, n)
 	want := int64(a.cfg.Iters * 2 * (n - 1))
@@ -228,4 +228,10 @@ func BenchmarkCountRank(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+}
+
+// small returns a CI-sized problem with the IS-Large page geometry.
+func small() Config {
+	return Config{Keys: 1 << 12, Bmax: 1 << 10, Iters: 3, Seed: 31415,
+		KeyCost: 500 * sim.Nanosecond, BktCost: 100 * sim.Nanosecond}
 }

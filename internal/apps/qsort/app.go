@@ -27,9 +27,6 @@ type app struct {
 	hasPar bool
 }
 
-// NewApp wraps a QSORT configuration as a registrable experiment.
-func NewApp(cfg Config) core.App { return newApp(cfg) }
-
 func newApp(cfg Config) *app { return &app{cfg: cfg, sink: newSink()} }
 
 // Clone returns a fresh instance with the same configuration and no run

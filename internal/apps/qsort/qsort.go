@@ -34,12 +34,6 @@ func Paper() Config {
 		PartCost: 250 * sim.Nanosecond, BubbleCost: 150 * sim.Nanosecond}
 }
 
-// Small returns a CI-sized problem.
-func Small() Config {
-	return Config{N: 4096, Threshold: 256, Seed: 141421,
-		PartCost: 250 * sim.Nanosecond, BubbleCost: 150 * sim.Nanosecond}
-}
-
 func splitmix64(x uint64) uint64 {
 	x += 0x9E3779B97F4A7C15
 	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/core"
+	"repro/internal/sim"
 )
 
 func TestPartitionProperty(t *testing.T) {
@@ -77,7 +78,7 @@ func run(t *testing.T, b core.Backend, a *app, n int) core.Result {
 }
 
 func TestSeqSorts(t *testing.T) {
-	a := newApp(Small())
+	a := newApp(small())
 	run(t, core.Seq, a, 1)
 	if !a.seqOut.Sorted {
 		t.Fatal("sequential result not sorted")
@@ -88,7 +89,7 @@ func TestSeqSorts(t *testing.T) {
 }
 
 func TestTMKMatchesSequential(t *testing.T) {
-	a := newApp(Small())
+	a := newApp(small())
 	run(t, core.Seq, a, 1)
 	for _, n := range []int{1, 2, 4, 8} {
 		run(t, core.TMK, a, n)
@@ -102,7 +103,7 @@ func TestTMKMatchesSequential(t *testing.T) {
 }
 
 func TestPVMMatchesSequential(t *testing.T) {
-	a := newApp(Small())
+	a := newApp(small())
 	run(t, core.Seq, a, 1)
 	for _, n := range []int{1, 2, 4, 8} {
 		run(t, core.PVM, a, n)
@@ -115,7 +116,7 @@ func TestPVMMatchesSequential(t *testing.T) {
 // Diff requests dominate TreadMarks traffic here (paper: ~5x more
 // messages than PVM; most are diff requests and responses).
 func TestTMKManyMoreMessages(t *testing.T) {
-	a := newApp(Small())
+	a := newApp(small())
 	const n = 4
 	pvmRes := run(t, core.PVM, a, n)
 	tmkRes := run(t, core.TMK, a, n)
@@ -235,4 +236,10 @@ func BenchmarkBubble(b *testing.B) {
 		ops = bubble(v)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(ops), "ns/comparison")
+}
+
+// small returns a CI-sized problem.
+func small() Config {
+	return Config{N: 4096, Threshold: 256, Seed: 141421,
+		PartCost: 250 * sim.Nanosecond, BubbleCost: 150 * sim.Nanosecond}
 }

@@ -50,13 +50,6 @@ func Paper() Config {
 		QueueCost: 1500 * sim.Nanosecond}
 }
 
-// Small returns a CI-sized instance.
-func Small() Config {
-	return Config{Cities: 11, Threshold: 7, Seed: 16180,
-		NodeCost: 900 * sim.Nanosecond, BoundCost: 3 * sim.Microsecond,
-		QueueCost: 1500 * sim.Nanosecond}
-}
-
 // maxCities bounds an instance: the set of visited cities is a uint32
 // mask.  It is also the fixed row stride of the distance matrix, so a row
 // is an array and an index reduced modulo it needs no bounds check.

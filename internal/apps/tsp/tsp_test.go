@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/sim"
 )
 
 // bruteForce solves a tiny instance exhaustively for ground truth.
@@ -53,7 +54,7 @@ func TestSeqFindsOptimum(t *testing.T) {
 }
 
 func TestTMKMatchesSequential(t *testing.T) {
-	a := newApp(Small())
+	a := newApp(small())
 	run(t, core.Seq, a, 1)
 	for _, n := range []int{1, 2, 4, 8} {
 		run(t, core.TMK, a, n)
@@ -64,7 +65,7 @@ func TestTMKMatchesSequential(t *testing.T) {
 }
 
 func TestPVMMatchesSequential(t *testing.T) {
-	a := newApp(Small())
+	a := newApp(small())
 	run(t, core.Seq, a, 1)
 	for _, n := range []int{1, 2, 4, 8} {
 		run(t, core.PVM, a, n)
@@ -77,7 +78,7 @@ func TestPVMMatchesSequential(t *testing.T) {
 // The paper: TreadMarks sends an order of magnitude more messages than
 // PVM (migratory data structures vs a handful of master/slave exchanges).
 func TestTMKSendsManyMoreMessages(t *testing.T) {
-	a := newApp(Small())
+	a := newApp(small())
 	const n = 4
 	pvmRes := run(t, core.PVM, a, n)
 	tmkRes := run(t, core.TMK, a, n)
@@ -294,4 +295,11 @@ func BenchmarkRecursiveSolve(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(nodes), "ns/node")
+}
+
+// small returns a CI-sized instance.
+func small() Config {
+	return Config{Cities: 11, Threshold: 7, Seed: 16180,
+		NodeCost: 900 * sim.Nanosecond, BoundCost: 3 * sim.Microsecond,
+		QueueCost: 1500 * sim.Nanosecond}
 }

@@ -25,11 +25,6 @@ type app struct {
 	hasPar bool
 }
 
-// NewApp wraps a Water configuration as a registrable experiment.
-func NewApp(cfg Config) core.App {
-	return &app{cfg: cfg, name: fmt.Sprintf("Water-%d", cfg.Mols)}
-}
-
 // Clone returns a fresh instance with the same configuration and no run
 // state, so grid workers can run copies concurrently (core.Cloneable).
 func (a *app) Clone() core.App { return &app{cfg: a.cfg, name: a.name, figure: a.figure} }

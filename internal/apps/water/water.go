@@ -48,12 +48,6 @@ func Paper1728() Config {
 		PairCost: 15 * sim.Microsecond, MolCost: 5 * sim.Microsecond}
 }
 
-// Small returns a CI-sized problem.
-func Small() Config {
-	return Config{Mols: 64, Steps: 3, Seed: 602214,
-		PairCost: 15 * sim.Microsecond, MolCost: 5 * sim.Microsecond}
-}
-
 // Fixed-point scale for force accumulation.
 const fpScale = 1 << 20
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/sim"
 )
 
 // run runs a on backend b at n processors, failing the test on error.
@@ -17,7 +18,7 @@ func run(t *testing.T, b core.Backend, a *app, n int) core.Result {
 }
 
 func TestSeqDeterministic(t *testing.T) {
-	a := &app{cfg: Small()}
+	a := &app{cfg: small()}
 	run(t, core.Seq, a, 1)
 	first := a.seqOut
 	run(t, core.Seq, a, 1)
@@ -55,7 +56,7 @@ func TestInteractionWindowCoversForceTargets(t *testing.T) {
 }
 
 func TestTMKMatchesSequential(t *testing.T) {
-	a := &app{cfg: Small()}
+	a := &app{cfg: small()}
 	run(t, core.Seq, a, 1)
 	for _, n := range []int{1, 2, 4, 8} {
 		run(t, core.TMK, a, n)
@@ -66,7 +67,7 @@ func TestTMKMatchesSequential(t *testing.T) {
 }
 
 func TestPVMMatchesSequential(t *testing.T) {
-	a := &app{cfg: Small()}
+	a := &app{cfg: small()}
 	run(t, core.Seq, a, 1)
 	for _, n := range []int{1, 2, 4, 8} {
 		run(t, core.PVM, a, n)
@@ -124,4 +125,10 @@ func TestWater288DataRatio(t *testing.T) {
 	if ratio > 8 {
 		t.Fatalf("data ratio %.2f implausibly large", ratio)
 	}
+}
+
+// small returns a CI-sized problem.
+func small() Config {
+	return Config{Mols: 64, Steps: 3, Seed: 602214,
+		PairCost: 15 * sim.Microsecond, MolCost: 5 * sim.Microsecond}
 }

@@ -8,7 +8,7 @@
 // PVM, the paper's three measurement modes, or a Variant of one — under a
 // Scenario that fully determines the run (experiment.go):
 //
-//	a := sor.NewApp(sor.Small(false))
+//	a := sor.NewApp(sor.Paper(false))
 //	res, err := core.TMK.Run(a, core.Base(8))
 //
 // New configurations are declared as data; the application bodies never
@@ -49,7 +49,7 @@ type Config struct {
 	// exchange is a real message.  Messages carry the sender's process
 	// id, so receive filters and Buffer.Src() distinguish a co-located
 	// master from slave 0; placement affects cost and accounting only.
-	// See pvm.SpawnExtraAt.
+	// See pvm.System.SpawnExtraAt.
 	MasterColocated bool
 }
 

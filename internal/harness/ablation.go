@@ -145,9 +145,7 @@ func pageFaultLatency() (core.Result, error) {
 			}
 			p.Barrier(0)
 			if p.ID() == 1 {
-				before := p.Now()
 				_ = p.ReadI64(a)
-				_ = before
 			}
 		})
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/csv"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -102,7 +103,6 @@ type Grid struct {
 	// enumeration order; a wider pool reports in completion order but
 	// never concurrently, and with exactly the same (index, record) set.
 	// A failing job reports no progress — its error aborts the grid.
-	// Streaming consumers (the serve API) ride this callback.
 	Progress func(index int, rec Record)
 }
 
@@ -117,17 +117,34 @@ type Job struct {
 	Scenario core.Scenario
 }
 
+// ErrJobPanicked marks the error of a job whose run panicked.  Resolve
+// refuses the configurations known to panic, but a job runs on a pool
+// goroutine or a fleet worker, where a panic anything else raises (or a
+// bug in a model) would end the process and every other job with it.
+var ErrJobPanicked = errors.New("job panicked")
+
 // Run executes the job on j.App itself and flattens the result into a
-// Record; the app keeps the run's output for its Check.
-func (j Job) Run() (Record, error) {
+// Record; the app keeps the run's output for its Check.  A panic in the
+// run becomes an error wrapping ErrJobPanicked.
+func (j Job) Run() (rec Record, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			rec, err = Record{}, j.wrap(fmt.Errorf("%w: %v", ErrJobPanicked, p))
+		}
+	}()
 	res, err := j.Backend.Run(j.App, j.Scenario)
 	if err != nil {
-		if core.IsBaseline(j.Backend) {
-			return Record{}, fmt.Errorf("%s/%s: %w", j.App.Name(), j.Backend.Name(), err)
-		}
-		return Record{}, fmt.Errorf("%s/%s/%s n=%d: %w", j.App.Name(), j.Backend.Name(), j.Scenario.Name, j.Scenario.Procs, err)
+		return Record{}, j.wrap(err)
 	}
 	return recordOf(j.App, j.Backend, j.Scenario, res), nil
+}
+
+// wrap prefixes err with the job's coordinates.
+func (j Job) wrap(err error) error {
+	if core.IsBaseline(j.Backend) {
+		return fmt.Errorf("%s/%s: %w", j.App.Name(), j.Backend.Name(), err)
+	}
+	return fmt.Errorf("%s/%s/%s n=%d: %w", j.App.Name(), j.Backend.Name(), j.Scenario.Name, j.Scenario.Procs, err)
 }
 
 // Jobs enumerates the grid in deterministic order — apps outermost

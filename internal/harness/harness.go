@@ -10,8 +10,9 @@
 //     its package under internal/apps.  The registry (Apps) returns all
 //     twelve in the paper's figure order, configured at a workload scale.
 //   - core.Backend — adapts an App to one system.  The standard adapters
-//     are core.Seq, core.TMK and core.PVM; Variants() adds derived
-//     ablations such as PVM-with-XDR.  A new backend is one value.
+//     are core.Seq, core.TMK and core.PVM; Backends() lists them with
+//     the derived variants such as PVM-with-XDR.  A new backend is one
+//     value.
 //   - core.Scenario — one point in configuration space: processor count,
 //     network cost model, DSM cost model, PVM placement and cost-model
 //     overrides.  scenarios.go provides the stock axes (base testbed,

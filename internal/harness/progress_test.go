@@ -292,3 +292,24 @@ func TestRunJobsStopsAtFailure(t *testing.T) {
 		}
 	}
 }
+
+// panicky is a backend whose every run panics, as a model bug would.
+type panicky struct{}
+
+func (panicky) Name() string { return "boom" }
+
+func (panicky) Run(core.App, core.Scenario) (core.Result, error) { panic("model bug") }
+
+// TestJobRunRecoversPanic: a panicking run is the job's error, marked
+// ErrJobPanicked and naming the job, so the pool goroutine or fleet
+// worker that ran it survives.
+func TestJobRunRecoversPanic(t *testing.T) {
+	j := Job{App: Find(Apps(0.01), "EP"), Backend: panicky{}, Scenario: core.Base(2)}
+	rec, err := j.Run()
+	if !errors.Is(err, ErrJobPanicked) || err.Error() != "EP/boom/base n=2: job panicked: model bug" {
+		t.Fatalf("Run error %v, want ErrJobPanicked naming the job and the panic", err)
+	}
+	if rec != (Record{}) {
+		t.Errorf("a panicked job returned %+v", rec)
+	}
+}

@@ -50,7 +50,7 @@ import (
 const EngineVersion = "msvdsm-1"
 
 // SpecHash returns the content address of one grid job: the hex SHA-256
-// of CanonicalSpec.  Equal hashes mean "the engine would produce the
+// of canonicalSpec.  Equal hashes mean "the engine would produce the
 // identical Record", so a memoizing store may answer one job with
 // another's cached record.
 func SpecHash(j Job) string {
@@ -59,7 +59,7 @@ func SpecHash(j Job) string {
 
 // SpecHashes returns SpecHash of every job, in order.  A grid crosses
 // each scenario with every app × backend pair, so the config rendering
-// — the reflective, expensive half of CanonicalSpec — is done once per
+// — the reflective, expensive half of canonicalSpec — is done once per
 // distinct scenario config instead of once per job.
 func SpecHashes(jobs []Job) []string {
 	type rendered struct {
@@ -93,10 +93,10 @@ func hashSpec(j Job, config string) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// CanonicalSpec renders a grid job in the canonical text form SpecHash
-// digests.  Exported for debugging and golden tests; the serve API's
-// /v1/spec endpoint returns hashes derived from exactly this string.
-func CanonicalSpec(j Job) string {
+// canonicalSpec renders a grid job in the canonical text form SpecHash
+// digests; the serve API's /v1/spec endpoint returns hashes derived from
+// exactly this string.
+func canonicalSpec(j Job) string {
 	return string(appendSpec(nil, j, canonConfig(j.Scenario.Config)))
 }
 
@@ -120,7 +120,7 @@ func appendSpec(b []byte, j Job, config string) []byte {
 func canonConfig(cfg core.Config) string { return canonicalString("config", cfg) }
 
 // canonicalString renders any config-like value (structs, maps, slices,
-// scalars) in the canonical form CanonicalSpec uses for the scenario
+// scalars) in the canonical form canonicalSpec uses for the scenario
 // config; map iteration order never leaks into the rendering.
 func canonicalString(name string, v any) string {
 	var sb strings.Builder

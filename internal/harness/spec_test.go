@@ -66,7 +66,7 @@ func TestSpecHashGolden(t *testing.T) {
 		j := specJob(t, apps, g.app, g.backend, scenario(g.scenario, procs))
 		if got := SpecHash(j); got != g.hash {
 			t.Errorf("%s/%s/%s: hash %s, want %s\ncanonical spec:\n%s",
-				g.app, g.backend, g.scenario, got, g.hash, CanonicalSpec(j))
+				g.app, g.backend, g.scenario, got, g.hash, canonicalSpec(j))
 		}
 	}
 }
@@ -148,8 +148,8 @@ func TestSpecHashFieldSensitivity(t *testing.T) {
 
 	// The engine version prefixes every canonical spec: a model-change
 	// bump strands every old hash, by construction.
-	if !strings.Contains(CanonicalSpec(base), "engine="+EngineVersion+"\n") {
-		t.Errorf("canonical spec does not pin the engine version:\n%s", CanonicalSpec(base))
+	if !strings.Contains(canonicalSpec(base), "engine="+EngineVersion+"\n") {
+		t.Errorf("canonical spec does not pin the engine version:\n%s", canonicalSpec(base))
 	}
 }
 

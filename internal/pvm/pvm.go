@@ -5,9 +5,10 @@
 // As in PVM 3.3, user data is packed into a typed send buffer before
 // dispatch and unpacked from a receive buffer afterwards; pack and unpack
 // calls must match in type and item count.  Sends are non-blocking (the
-// buffer is handed to the transport and the call returns); receives come
-// in blocking (Recv) and non-blocking (NRecv) flavors.  Multicast and
-// broadcast primitives send to several destinations.
+// buffer is handed to the transport and the call returns); a receive
+// blocks until a matching message arrives (Recv), the only receive the
+// paper's programs use.  Multicast and broadcast primitives send to
+// several destinations.
 //
 // Processes communicate over direct TCP connections (the configuration the
 // paper measures), so the accounting matches the paper's PVM columns in
@@ -147,9 +148,6 @@ func (p *Proc) N() int { return p.sys.n }
 // Ctx exposes the underlying sim context for compute-cost charging.
 func (p *Proc) Ctx() *sim.Ctx { return p.ctx }
 
-// Now returns the process's virtual clock.
-func (p *Proc) Now() sim.Time { return p.ctx.Now() }
-
 // Compute charges local computation time.
 func (p *Proc) Compute(d sim.Time) { p.ctx.Compute(d) }
 
@@ -231,24 +229,6 @@ func (p *Proc) Recv(src, tag int) *Buffer {
 	return b
 }
 
-// NRecv is the non-blocking receive (pvm_nrecv): it returns nil when no
-// matching message has arrived yet, allowing the caller to overlap useful
-// work with communication.
-func (p *Proc) NRecv(src, tag int) *Buffer {
-	m := p.ep.TryRecv(p.ctx, src, tag)
-	if m == nil {
-		return nil
-	}
-	b := &Buffer{proc: p, data: m.Payload, src: m.From, tag: m.Tag}
-	p.ep.Free(p.ctx, m)
-	return b
-}
-
-// Probe reports whether a matching message has arrived (pvm_probe).
-func (p *Proc) Probe(src, tag int) bool {
-	return p.ep.Probe(p.ctx, src, tag)
-}
-
 func (s *System) checkDst(dst int) {
 	if dst < 0 || dst >= len(s.eps) {
 		panic(fmt.Sprintf("pvm: destination %d out of range", dst))
@@ -294,9 +274,6 @@ func (b *Buffer) Src() int { return b.src }
 
 // Tag returns the tag of a received buffer.
 func (b *Buffer) Tag() int { return b.tag }
-
-// Len returns the encoded length in bytes (the user data the paper counts).
-func (b *Buffer) Len() int { return len(b.data) }
 
 func (b *Buffer) charge(n int) {
 	if b.proc == nil {

@@ -41,8 +41,8 @@
 //
 // # Cache key and engine version
 //
-// The cache key is harness.SpecHash: the hex SHA-256 of the canonical
-// spec rendering (harness.CanonicalSpec).  The key deliberately
+// The cache key is harness.SpecHash: the hex SHA-256 of the job's
+// canonical spec rendering.  The key deliberately
 // excludes the worker pool width, whose outputs are byte-identical by
 // contract, and includes
 // harness.EngineVersion, which must be bumped in lockstep with golden
@@ -80,8 +80,8 @@
 // A backend × scenario pair the system refuses to build (tmk-tree or
 // tmk-sc-tree under loss, dup, reorder, partition or mgr=spread) is a
 // 400 on the backends field at resolve time.  Should a job panic all the
-// same, the cold path recovers it into that request's 500 and counts it
-// as job_panics; the process keeps serving.
+// same, harness.Job.Run turns the panic into that request's 500 and the
+// cold path counts it as job_panics; the process keeps serving.
 //
 // # Quickstart
 //
@@ -596,8 +596,10 @@ func (s *Server) runCold(ctx context.Context, req gridRequest, scale float64, jo
 			s.computed.Add(1)
 			j := jobs[i]
 			j.App = j.App.Clone()
-			rec, err := s.runJob(j)
-			if err == nil {
+			rec, err := j.Run()
+			if errors.Is(err, harness.ErrJobPanicked) {
+				s.jobPanics.Add(1)
+			} else if err == nil {
 				s.opts.Store.Put(hashes[i], rec)
 			}
 			return rec, err
@@ -612,19 +614,4 @@ func (s *Server) runCold(ctx context.Context, req gridRequest, scale float64, jo
 		}
 		return nil
 	})
-}
-
-// runJob is Job.Run with a panic turned into the job's error.  The
-// resolver refuses the configurations known to panic, but a cold job
-// runs on a pool goroutine, where anything it missed (or a bug in a
-// model) would otherwise end the process and every other request with
-// it; counted in /v1/stats as job_panics.
-func (s *Server) runJob(j harness.Job) (rec harness.Record, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			s.jobPanics.Add(1)
-			err = fmt.Errorf("%s/%s/%s n=%d: job panicked: %v", j.App.Name(), j.Backend.Name(), j.Scenario.Name, j.Scenario.Procs, p)
-		}
-	}()
-	return j.Run()
 }

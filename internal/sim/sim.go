@@ -578,12 +578,6 @@ type Ctx struct {
 	p *proc
 }
 
-// ID returns the proc's engine-wide id (spawn order).
-func (c *Ctx) ID() int { return c.p.id }
-
-// Name returns the proc's name.
-func (c *Ctx) Name() string { return c.p.name }
-
 // Now returns the proc's current virtual clock.
 func (c *Ctx) Now() Time { return c.p.clock }
 

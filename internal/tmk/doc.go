@@ -47,7 +47,7 @@
 //     resumes the walk after it once it clears.
 //     Application is linear in the common single-writer case.
 //   - Protocol messages travel as structured objects with modeled wire
-//     sizes (vnet.SendObj).  Each message's layout is one field walk in
+//     sizes (vnet.Endpoint.SendObj).  Each message's layout is one field walk in
 //     wire.go: the size charged here is its counting walk, and the same
 //     walk encodes and decodes the documented wire format in tests.
 //     Interval records and diffs are immutable once published and are

@@ -1,6 +1,7 @@
 package tmk
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/sim"
@@ -17,12 +18,16 @@ func runCache(t *testing.T, body func(ctx *sim.Ctx, srv *vnet.Endpoint, cli []*v
 	srv := net.NewEndpoint(0, true)
 	cli := []*vnet.Endpoint{net.NewEndpoint(1, true), net.NewEndpoint(2, true), net.NewEndpoint(3, true)}
 	e.Spawn("srv", false, func(ctx *sim.Ctx) { body(ctx, srv, cli) })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
 	got := make([]int, len(cli))
 	for i, ep := range cli {
-		got[i] = ep.Pending()
+		e.Spawn(fmt.Sprintf("cli%d", i+1), false, func(ctx *sim.Ctx) {
+			for ep.RecvDeadline(ctx, -1, -1, sim.Second) != nil {
+				got[i]++
+			}
+		})
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
 	}
 	return net.WireStats(), got
 }

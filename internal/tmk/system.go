@@ -217,9 +217,6 @@ func (s *System) N() int { return s.n }
 // Proc returns processor id's state (behavioral counters, etc.).
 func (s *System) Proc(id int) *Proc { return s.procs[id] }
 
-// PageSize returns the configured page size.
-func (s *System) PageSize() int { return s.cfg.PageSize }
-
 // Malloc allocates size bytes of shared memory (Tmk_malloc).  Allocations
 // are 8-byte aligned and must happen before Spawn bodies run; the layout
 // is global, so every processor sees the same addresses.
@@ -417,12 +414,6 @@ func (p *Proc) Ctx() *sim.Ctx { return p.app }
 
 // Compute charges local computation time to the application thread.
 func (p *Proc) Compute(d sim.Time) { p.app.Compute(d) }
-
-// Now returns the application thread's virtual clock.
-func (p *Proc) Now() sim.Time { return p.app.Now() }
-
-// PageSize returns the page size.
-func (p *Proc) PageSize() int { return p.sys.cfg.PageSize }
 
 // initPages builds the page table: one slab of page structs, preloaded
 // pages aliasing the system's image until this processor first mutates

@@ -127,13 +127,10 @@ func (v VC) Clone() VC {
 	return c
 }
 
-// Covers reports whether v >= w pointwise: everything w has seen, v has.
-func (v VC) Covers(w VC) bool { return v.CoversExcept(w, -1) }
-
-// CoversExcept reports whether v >= w at every component but skip (-1:
+// coversExcept reports whether v >= w at every component but skip (-1:
 // none): one walk of the two sorted entry lists in step, where a Get per
 // component of w would search v each time.
-func (v VC) CoversExcept(w VC, skip int) bool {
+func (v VC) coversExcept(w VC, skip int) bool {
 	i := 0
 	for j, q := range w.ps {
 		if int(q) == skip {
@@ -241,29 +238,3 @@ func (v *VC) MergeMin(w VC) {
 	}
 	v.ps, v.vs = v.ps[:k], v.vs[:k]
 }
-
-// Before reports strict happens-before: v <= w pointwise and v != w.
-func (v VC) Before(w VC) bool {
-	strict := false
-	j := 0
-	for i := range v.ps {
-		for j < len(w.ps) && w.ps[j] < v.ps[i] {
-			strict = true // w has an entry v lacks
-			j++
-		}
-		if j == len(w.ps) || w.ps[j] != v.ps[i] || v.vs[i] > w.vs[j] {
-			return false // v exceeds w at this processor
-		}
-		if v.vs[i] < w.vs[j] {
-			strict = true
-		}
-		j++
-	}
-	if j < len(w.ps) {
-		strict = true
-	}
-	return strict
-}
-
-// Concurrent reports that neither vector covers the other.
-func (v VC) Concurrent(w VC) bool { return !v.Covers(w) && !w.Covers(v) }

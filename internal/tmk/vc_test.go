@@ -30,22 +30,16 @@ func dense(v VC) []int32 {
 func TestVCBasics(t *testing.T) {
 	v := NewVC(3)
 	w := NewVC(3)
-	if !v.Covers(w) || !w.Covers(v) {
+	if !v.coversExcept(w, -1) || !w.coversExcept(v, -1) {
 		t.Fatal("equal vectors must cover each other")
 	}
-	if v.Before(w) {
-		t.Fatal("equal vectors are not strictly ordered")
-	}
 	w.SetMax(1, 2)
-	if !w.Covers(v) || v.Covers(w) {
+	if !w.coversExcept(v, -1) || v.coversExcept(w, -1) {
 		t.Fatal("covers after bump")
 	}
-	if !v.Before(w) || w.Before(v) {
-		t.Fatal("before after bump")
-	}
 	v.SetMax(0, 1)
-	if !v.Concurrent(w) {
-		t.Fatal("divergent vectors are concurrent")
+	if v.coversExcept(w, -1) || w.coversExcept(v, -1) {
+		t.Fatal("divergent vectors cover neither way")
 	}
 }
 
@@ -117,46 +111,22 @@ func randVC(r *rand.Rand, n int) VC {
 	return v
 }
 
-// Property: Covers is a partial order — reflexive, antisymmetric (up to
-// equality), transitive; Merge produces an upper bound.
+// Property: coversExcept(·, -1) is a partial order — reflexive,
+// antisymmetric (up to equality), transitive; Merge produces an upper
+// bound.
 func TestVCPartialOrderProperties(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		a, b, c := randVC(r, 4), randVC(r, 4), randVC(r, 4)
-		if !a.Covers(a) {
+		if !a.coversExcept(a, -1) {
 			return false
 		}
-		if a.Covers(b) && b.Covers(c) && !a.Covers(c) {
+		if a.coversExcept(b, -1) && b.coversExcept(c, -1) && !a.coversExcept(c, -1) {
 			return false
 		}
 		m := a.Clone()
 		m.Merge(b)
-		if !m.Covers(a) || !m.Covers(b) {
-			return false
-		}
-		// Before is irreflexive and asymmetric.
-		if a.Before(a) {
-			return false
-		}
-		if a.Before(b) && b.Before(a) {
-			return false
-		}
-		// Exactly one of: a==b, a<b, b<a, concurrent.
-		eq := a.Covers(b) && b.Covers(a)
-		states := 0
-		if eq {
-			states++
-		}
-		if a.Before(b) {
-			states++
-		}
-		if b.Before(a) {
-			states++
-		}
-		if a.Concurrent(b) {
-			states++
-		}
-		return states == 1
+		return m.coversExcept(a, -1) && m.coversExcept(b, -1)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -178,19 +148,6 @@ func (v denseVC) covers(w denseVC) bool {
 	return true
 }
 
-func (v denseVC) before(w denseVC) bool {
-	strict := false
-	for i := range v {
-		if v[i] > w[i] {
-			return false
-		}
-		if v[i] < w[i] {
-			strict = true
-		}
-	}
-	return strict
-}
-
 func (v denseVC) merge(w denseVC) {
 	for i := range v {
 		if w[i] > v[i] {
@@ -209,9 +166,8 @@ func (v denseVC) mergeMin(w denseVC) {
 
 // TestVCSparseMatchesDense drives random operation sequences through
 // the sparse VC and the dense reference in lockstep and requires every
-// observable — Get, Covers, CoversExcept, CoversInterval, Before,
-// Concurrent, and the vectors produced by Merge/MergeMin — to agree
-// exactly.
+// observable — Get, coversExcept, CoversInterval, and the vectors
+// produced by Merge/MergeMin — to agree exactly.
 func TestVCSparseMatchesDense(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -235,7 +191,7 @@ func TestVCSparseMatchesDense(t *testing.T) {
 				return false
 			}
 		}
-		if sa.Covers(sb) != da.covers(db) || sb.Covers(sa) != db.covers(da) {
+		if sa.coversExcept(sb, -1) != da.covers(db) || sb.coversExcept(sa, -1) != db.covers(da) {
 			return false
 		}
 		skip := r.Intn(n+1) - 1 // -1: no component excused
@@ -243,13 +199,7 @@ func TestVCSparseMatchesDense(t *testing.T) {
 		if skip >= 0 {
 			ds[skip], dbs[skip] = 0, 0
 		}
-		if sa.CoversExcept(sb, skip) != ds.covers(dbs) {
-			return false
-		}
-		if sa.Before(sb) != da.before(db) || sb.Before(sa) != db.before(da) {
-			return false
-		}
-		if sa.Concurrent(sb) != (!da.covers(db) && !db.covers(da)) {
+		if sa.coversExcept(sb, skip) != ds.covers(dbs) {
 			return false
 		}
 		p, idx := r.Intn(n), r.Intn(5)
@@ -282,9 +232,10 @@ func TestVCSparseMatchesDense(t *testing.T) {
 	}
 }
 
-// TestVCCoversExcept pins the merge walk behind Covers: components absent from either side, the skipped
-// component (a record's own writer) failing or missing, and vectors on
-// both sides of the linear-scan/binary-search width split.
+// TestVCCoversExcept pins coversExcept's merge walk: components absent
+// from either side, the skipped component (a record's own writer)
+// failing or missing, and vectors on both sides of the
+// linear-scan/binary-search width split.
 func TestVCCoversExcept(t *testing.T) {
 	type ent struct {
 		p int
@@ -320,8 +271,8 @@ func TestVCCoversExcept(t *testing.T) {
 			{"skip absent from both", []ent{{1, 2}}, []ent{{1, 2}}, 3, true},
 		} {
 			v, w := mk(n, c.v), mk(n, c.w)
-			if got := v.CoversExcept(w, c.skip); got != c.want {
-				t.Errorf("n=%d %s: CoversExcept = %v, want %v", n, c.name, got, c.want)
+			if got := v.coversExcept(w, c.skip); got != c.want {
+				t.Errorf("n=%d %s: coversExcept = %v, want %v", n, c.name, got, c.want)
 			}
 			// The component-at-a-time definition the walk replaces.
 			ref := true
@@ -342,7 +293,7 @@ func TestVCCoversExcept(t *testing.T) {
 				most = append(most, ent{q, int32(q%3 + 1)})
 			}
 		}
-		if v, w := mk(n, most), mk(n, all); v.CoversExcept(w, -1) || !v.CoversExcept(w, n/2) || !w.CoversExcept(v, -1) {
+		if v, w := mk(n, most), mk(n, all); v.coversExcept(w, -1) || !v.coversExcept(w, n/2) || !w.coversExcept(v, -1) {
 			t.Errorf("n=%d: dense vectors differing only at %d", n, n/2)
 		}
 	}
@@ -379,11 +330,8 @@ func TestVCWideSparse(t *testing.T) {
 	}
 	w := v.Clone()
 	w.SetMax(100, 7)
-	if !w.Covers(v) || v.Covers(w) {
+	if !w.coversExcept(v, -1) || v.coversExcept(w, -1) {
 		t.Fatal("cover after wide insert")
-	}
-	if !v.Before(w) {
-		t.Fatal("before after wide insert")
 	}
 }
 

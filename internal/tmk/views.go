@@ -205,12 +205,6 @@ func (p *Proc) F64Array(base Addr, n int) F64Array {
 	return F64Array{p: p, base: base, n: n}
 }
 
-// Len returns the element count.
-func (a F64Array) Len() int { return a.n }
-
-// Addr returns the address of element i.
-func (a F64Array) Addr(i int) Addr { return a.base + Addr(8*i) }
-
 // At reads element i.
 func (a F64Array) At(i int) float64 {
 	checkIndex(i, a.n)
@@ -285,12 +279,6 @@ func (p *Proc) I32Array(base Addr, n int) I32Array {
 	return I32Array{p: p, base: base, n: n}
 }
 
-// Len returns the element count.
-func (a I32Array) Len() int { return a.n }
-
-// Addr returns the address of element i.
-func (a I32Array) Addr(i int) Addr { return a.base + Addr(4*i) }
-
 // At reads element i.
 func (a I32Array) At(i int) int32 {
 	checkIndex(i, a.n)
@@ -363,12 +351,6 @@ func (p *Proc) I64Array(base Addr, n int) I64Array {
 	p.loc(base, 8)
 	return I64Array{p: p, base: base, n: n}
 }
-
-// Len returns the element count.
-func (a I64Array) Len() int { return a.n }
-
-// Addr returns the address of element i.
-func (a I64Array) Addr(i int) Addr { return a.base + Addr(8*i) }
 
 // At reads element i.
 func (a I64Array) At(i int) int64 {

@@ -104,7 +104,7 @@ func runBulkScript(t *testing.T, bulk bool, words int, script [][][]bulkOp) [][]
 						twins++
 					}
 				}
-				tr = append(tr, uint64(p.Faults), uint64(twins), uint64(p.Now()))
+				tr = append(tr, uint64(p.Faults), uint64(twins), uint64(p.app.Now()))
 			}
 			p.Barrier(round)
 		}

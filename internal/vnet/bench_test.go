@@ -75,7 +75,6 @@ func BenchmarkInboxDepth(b *testing.B) {
 			}
 			payload := make([]byte, 32)
 			k := b.N
-			miss := false
 			e.Spawn("bench", false, func(c *sim.Ctx) {
 				for _, f := range fill {
 					f.Send(c, dst, 9, payload)
@@ -83,18 +82,12 @@ func BenchmarkInboxDepth(b *testing.B) {
 				for i := 0; i < k; i++ {
 					hot.Send(c, dst, 1, payload)
 					c.Compute(sim.Second)
-					if dst.TryRecv(c, 1, 1) == nil {
-						miss = true
-						return
-					}
+					dst.Recv(c, 1, 1)
 				}
 			})
 			b.ResetTimer()
 			if err := e.Run(); err != nil {
 				b.Fatal(err)
-			}
-			if miss {
-				b.Fatal("TryRecv missed")
 			}
 		})
 		b.Run(fmt.Sprintf("wildcard/depth=%d", depth), func(b *testing.B) {
@@ -104,7 +97,6 @@ func BenchmarkInboxDepth(b *testing.B) {
 			hot := n.NewEndpoint(1, true)
 			payload := make([]byte, 32)
 			k := b.N
-			miss := false
 			e.Spawn("bench", false, func(c *sim.Ctx) {
 				for i := 0; i < depth; i++ {
 					hot.Send(c, dst, 9, payload) // one deep backlogged stream
@@ -112,18 +104,12 @@ func BenchmarkInboxDepth(b *testing.B) {
 				for i := 0; i < k; i++ {
 					hot.Send(c, dst, 1, payload)
 					c.Compute(sim.Second)
-					if dst.TryRecv(c, -1, 1) == nil {
-						miss = true
-						return
-					}
+					dst.Recv(c, -1, 1)
 				}
 			})
 			b.ResetTimer()
 			if err := e.Run(); err != nil {
 				b.Fatal(err)
-			}
-			if miss {
-				b.Fatal("TryRecv missed")
 			}
 		})
 	}
@@ -148,7 +134,6 @@ func BenchmarkInboxWildcard(b *testing.B) {
 					src[i] = n.NewEndpoint(1+i, true)
 				}
 				k := b.N
-				miss := false
 				e.Spawn("bench", false, func(c *sim.Ctx) {
 					for _, s := range src {
 						for tag := 0; tag < shape.tags; tag++ {
@@ -156,8 +141,8 @@ func BenchmarkInboxWildcard(b *testing.B) {
 						}
 					}
 					c.Compute(sim.Second)
-					for m := dst.TryRecv(c, -1, -1); m != nil; m = dst.TryRecv(c, -1, -1) {
-						dst.Free(c, m)
+					for range shape.senders * shape.tags {
+						dst.Free(c, dst.Recv(c, -1, -1))
 					}
 					for i := 0; i < live; i++ {
 						src[i*5%shape.senders].Send(c, dst, i%shape.tags, nil)
@@ -165,11 +150,7 @@ func BenchmarkInboxWildcard(b *testing.B) {
 					c.Compute(sim.Second)
 					b.ResetTimer()
 					for i := 0; i < k; i++ {
-						m := dst.TryRecv(c, -1, -1)
-						if m == nil {
-							miss = true
-							return
-						}
+						m := dst.Recv(c, -1, -1)
 						src[m.From-1].Send(c, dst, m.Tag, nil)
 						dst.Free(c, m)
 						c.Compute(sim.Second)
@@ -177,9 +158,6 @@ func BenchmarkInboxWildcard(b *testing.B) {
 				})
 				if err := e.Run(); err != nil {
 					b.Fatal(err)
-				}
-				if miss {
-					b.Fatal("TryRecv missed")
 				}
 			})
 		}

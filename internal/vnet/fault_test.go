@@ -1,6 +1,7 @@
 package vnet
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -203,6 +204,16 @@ func TestRecvDeadline(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
+
+	// A second receive while the owner is blocked is a bug; the panic
+	// names the endpoint by id, since co-located endpoints share a node.
+	e = sim.NewEngine()
+	x := n.NewEndpointID(1, 7, true)
+	e.Spawn("owner", false, func(c *sim.Ctx) { x.Recv(c, -1, -1) })
+	e.Spawn("intruder", false, func(c *sim.Ctx) { x.RecvDeadline(c, -1, -1, sim.Second) })
+	if err := e.Run(); err == nil || !strings.Contains(err.Error(), "concurrent Recv on endpoint 7 ") {
+		t.Fatalf("second receiver: err = %v, want a concurrent-Recv panic naming endpoint 7", err)
+	}
 }
 
 func TestSlowdownScalesSendCost(t *testing.T) {
@@ -247,8 +258,8 @@ func TestDropsSkipPool(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			a.SendObj(c, b, 1, i, 100) // all severed
 		}
-		if b.Pending() != 0 {
-			t.Errorf("pending = %d after pure drops, want 0", b.Pending())
+		if len(b.live) != 0 {
+			t.Errorf("%d inbox buckets hold messages after pure drops, want 0", len(b.live))
 		}
 		if c.Now() < 10*sim.Millisecond {
 			c.Compute(10*sim.Millisecond - c.Now())

@@ -297,13 +297,12 @@ type Endpoint struct {
 
 	// Inbox index: one bucket per (from, tag) pair ever seen.  index is
 	// the exact-match lookup; live holds the non-empty buckets, the scan
-	// list for wildcard filters.  queued counts live messages.
+	// list for wildcard filters.
 	// lastKey/lastB memoize the most recent exact lookup: delivery and an
 	// exact-filter receive hammer the same (from, tag) pair back to back,
 	// so the common case skips the map hash entirely.
 	index   map[[2]int]*bucket
 	live    []*bucket
-	queued  int
 	lastKey [2]int
 	lastB   *bucket
 
@@ -367,9 +366,6 @@ func (n *Network) NewEndpointID(node, id int, datagram bool) *Endpoint {
 	}
 	return e
 }
-
-// ID returns the endpoint's logical id (carried in Message.From).
-func (e *Endpoint) ID() int { return e.id }
 
 // Stats returns the endpoint's accounting totals (its sends only).
 func (e *Endpoint) Stats() Stats { return e.stats }
@@ -575,7 +571,6 @@ func (e *Endpoint) deliver(m *Message) {
 		e.live = append(e.live, b)
 	}
 	b.put(m)
-	e.queued++
 	e.wake.Notify()
 }
 
@@ -616,7 +611,6 @@ func (e *Endpoint) peek(from, tag int) (*bucket, *Message) {
 // take consumes the head of b, dropping b from the live list when that
 // empties it.
 func (e *Endpoint) take(b *bucket) *Message {
-	e.queued--
 	m := b.pop()
 	if b.empty() {
 		// The index keeps every bucket alive, so the vacated tail slot
@@ -636,20 +630,10 @@ func (e *Endpoint) take(b *bucket) *Message {
 // — in the same step that received it — so the next send reuses it
 // instead of allocating; a message never freed is merely garbage.
 func (e *Endpoint) Recv(ctx *sim.Ctx, from, tag int) *Message {
-	if e.wake.HasWaiter() {
-		panic(fmt.Sprintf("vnet: concurrent Recv on endpoint %d (endpoints are single-consumer)", e.node))
-	}
-	e.wFrom, e.wTag, e.wArmed, e.wHasDL = from, tag, true, false
-	ctx.WaitOnLazy(&e.wake, e.wWhat, e.wCond)
-	// Consume: disarm the wake filter first so it is never evaluated
-	// against this Recv's (now dead) parameters.
-	e.wArmed = false
-	b, m := e.peek(from, tag)
+	m := e.recv(ctx, from, tag, false, 0)
 	if m == nil {
 		panic("vnet: woke with no matching message")
 	}
-	e.take(b)
-	e.chargeRecv(ctx, m)
 	return m
 }
 
@@ -661,45 +645,33 @@ func (e *Endpoint) Recv(ctx *sim.Ctx, from, tag int) *Message {
 // earlier, preserving the engine's monotonic-wake invariant.  Protocol
 // retransmit loops are built from this plus SendObjRetrans.
 func (e *Endpoint) RecvDeadline(ctx *sim.Ctx, from, tag int, deadline sim.Time) *Message {
+	return e.recv(ctx, from, tag, true, deadline)
+}
+
+// recv arms the wake filter, blocks until it resolves, and consumes the
+// matching message, or returns nil when the deadline (if hasDL) came
+// first.
+func (e *Endpoint) recv(ctx *sim.Ctx, from, tag int, hasDL bool, deadline sim.Time) *Message {
 	if e.wake.HasWaiter() {
-		panic(fmt.Sprintf("vnet: concurrent Recv on endpoint %d (endpoints are single-consumer)", e.node))
+		panic(fmt.Sprintf("vnet: concurrent Recv on endpoint %d (endpoints are single-consumer)", e.id))
 	}
 	e.wFrom, e.wTag, e.wArmed = from, tag, true
-	e.wDeadline, e.wHasDL = deadline, true
+	e.wDeadline, e.wHasDL = deadline, hasDL
 	ctx.WaitOnLazy(&e.wake, e.wWhat, e.wCond)
+	// Disarm the wake filter first so it is never evaluated against this
+	// receive's (now dead) parameters.
 	e.wArmed, e.wHasDL = false, false
 	b, m := e.peek(from, tag)
 	if m == nil || m.Arrival > ctx.Now() {
-		// Woken by the deadline, not a message.
 		return nil
 	}
 	e.take(b)
 	e.chargeRecv(ctx, m)
 	return m
-}
-
-// TryRecv consumes a matching message that has already arrived (arrival
-// time not after the caller's clock) without blocking.  Returns nil if no
-// such message is present.  The ownership/Free contract matches Recv.
-func (e *Endpoint) TryRecv(ctx *sim.Ctx, from, tag int) *Message {
-	b, m := e.peek(from, tag)
-	if m == nil || m.Arrival > ctx.Now() {
-		return nil
-	}
-	e.take(b)
-	e.chargeRecv(ctx, m)
-	return m
-}
-
-// Probe reports whether a matching message has arrived by the caller's
-// clock, without consuming it.
-func (e *Endpoint) Probe(ctx *sim.Ctx, from, tag int) bool {
-	_, m := e.peek(from, tag)
-	return m != nil && m.Arrival <= ctx.Now()
 }
 
 // Free returns a consumed message struct to the network's recycling
-// pool.  Contract: the caller received m from Recv/TryRecv on this
+// pool.  Contract: the caller received m from Recv/RecvDeadline on this
 // endpoint, has extracted everything it needs (the Payload slice and Obj
 // remain valid — only the struct is recycled), calls Free at most once,
 // and does so in the step that consumed the message.  Freeing is what
@@ -709,12 +681,6 @@ func (e *Endpoint) Free(_ *sim.Ctx, m *Message) {
 	m.Payload, m.Obj = nil, nil
 	e.net.pool = append(e.net.pool, m)
 }
-
-// Pending reports the number of queued messages (any arrival time).
-// Fault injection never skews the count: a dropped message is simply
-// never enqueued, and a duplicate counts only while its copy is queued —
-// Pending always reflects exactly the live inbox.
-func (e *Endpoint) Pending() int { return e.queued }
 
 func (e *Endpoint) chargeRecv(ctx *sim.Ctx, m *Message) {
 	cfg := &e.net.cfg

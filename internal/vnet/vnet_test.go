@@ -165,39 +165,6 @@ func TestRecvTakesEarliestArrival(t *testing.T) {
 	}
 }
 
-func TestTryRecvAndProbe(t *testing.T) {
-	n := New(testConfig())
-	e := sim.NewEngine()
-	a := n.NewEndpoint(0, false)
-	b := n.NewEndpoint(1, false)
-	e.Spawn("a", false, func(c *sim.Ctx) {
-		a.Send(c, b, 3, []byte("x"))
-	})
-	e.Spawn("b", false, func(c *sim.Ctx) {
-		// Nothing has arrived at clock 0.
-		if m := b.TryRecv(c, -1, 3); m != nil {
-			t.Errorf("TryRecv before arrival returned %v", m)
-		}
-		if b.Probe(c, -1, 3) {
-			t.Error("Probe before arrival")
-		}
-		c.Compute(sim.Second) // far past arrival
-		c.Yield()
-		if !b.Probe(c, -1, 3) {
-			t.Error("Probe after arrival should succeed")
-		}
-		if m := b.TryRecv(c, -1, 3); m == nil || string(m.Payload) != "x" {
-			t.Errorf("TryRecv after arrival = %v", m)
-		}
-		if b.Pending() != 0 {
-			t.Errorf("pending = %d", b.Pending())
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestFDDIDefaultsSane(t *testing.T) {
 	cfg := FDDI()
 	if cfg.BytesPerSec != 12500000 {
@@ -320,8 +287,8 @@ func TestReusedEndpointFilterReset(t *testing.T) {
 		if m := dst.Recv(c, -1, -1); string(m.Payload) != "a3" {
 			t.Errorf("recv 4 = %q, want a3", m.Payload)
 		}
-		if dst.Pending() != 0 {
-			t.Errorf("pending = %d, want 0", dst.Pending())
+		if len(dst.live) != 0 {
+			t.Errorf("%d inbox buckets still hold messages, want 0", len(dst.live))
 		}
 	})
 	if err := e.Run(); err != nil {
@@ -350,8 +317,12 @@ func TestDeepInboxSelection(t *testing.T) {
 	e.Spawn("dst", false, func(c *sim.Ctx) {
 		c.Compute(sim.Second)
 		c.Yield()
-		if dst.Pending() != 2*senders {
-			t.Fatalf("pending = %d, want %d", dst.Pending(), 2*senders)
+		queued := 0
+		for _, b := range dst.live {
+			queued += len(b.msgs) - b.head
+		}
+		if queued != 2*senders {
+			t.Fatalf("queued = %d, want %d", queued, 2*senders)
 		}
 		// Earliest tag-5 message is from the latest-spawned sender.
 		if m := dst.Recv(c, -1, 5); m.Payload[0] != 100+senders-1 {
@@ -366,11 +337,8 @@ func TestDeepInboxSelection(t *testing.T) {
 			at  sim.Time
 			seq uint64
 		}{}
-		for dst.Pending() > 0 {
-			m := dst.TryRecv(c, -1, -1)
-			if m == nil {
-				t.Fatal("TryRecv returned nil with messages pending")
-			}
+		for len(dst.live) > 0 {
+			m := dst.Recv(c, -1, -1)
 			if m.Arrival < last.at || (m.Arrival == last.at && m.seq < last.seq) {
 				t.Fatalf("out of order: %v/%d after %v/%d", m.Arrival, m.seq, last.at, last.seq)
 			}
@@ -407,8 +375,8 @@ func TestMessageFreeListReuse(t *testing.T) {
 		payload := []byte{1, 2, 3}
 		a.Send(c, b, 7, payload)
 		c.Compute(sim.Second)
-		m1 := b.TryRecv(c, 0, 7)
-		if m1 == nil || &m1.Payload[0] != &payload[0] {
+		m1 := b.Recv(c, 0, 7)
+		if &m1.Payload[0] != &payload[0] {
 			t.Error("first receive lost its payload")
 			return
 		}
@@ -421,11 +389,11 @@ func TestMessageFreeListReuse(t *testing.T) {
 		obj := &struct{ x int }{42}
 		a.SendObj(c, b, 8, obj, 100)
 		c.Compute(sim.Second)
-		m2 := b.TryRecv(c, 0, 8)
+		m2 := b.Recv(c, 0, 8)
 		if m2 != m1 {
 			t.Error("pool did not recycle the freed message struct")
 		}
-		if m2 == nil || m2.Obj != obj || m2.Tag != 8 || m2.Payload != nil {
+		if m2.Obj != obj || m2.Tag != 8 || m2.Payload != nil {
 			t.Errorf("recycled message carries stale fields: %+v", m2)
 		}
 		// ...while the earlier payload stays untouched.
@@ -456,11 +424,7 @@ func TestSteadyStateSendAllocFree(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			a.Send(c, b, 1, payload)
 			c.Compute(sim.Second)
-			m := b.TryRecv(c, 0, 1)
-			if m == nil {
-				t.Error("lost message")
-				return
-			}
+			m := b.Recv(c, 0, 1)
 			if i == 0 {
 				reused = m
 			} else if m != reused {
@@ -517,9 +481,9 @@ func checkLiveList(e *Endpoint) error {
 }
 
 // TestWildcardPeekMatchesFullScanProperty: random interleavings of
-// deliveries from many (from, tag) pairs with Recv, TryRecv, RecvDeadline
-// and Probe under exact, from-only, tag-only and full-wildcard filters
-// must pick exactly the message a scan of every bucket picks, and leave
+// deliveries from many (from, tag) pairs with peek, Recv and RecvDeadline
+// under exact, from-only, tag-only and full-wildcard filters must pick
+// exactly the message a scan of every bucket picks, and leave
 // the live list holding exactly the non-empty buckets.  Senders include
 // one on the receiver's node (loopback arrives sooner than wire traffic
 // sent earlier), so arrival order across buckets is not send order.  The
@@ -566,27 +530,21 @@ func TestWildcardPeekMatchesFullScanProperty(t *testing.T) {
 					}
 					continue
 				case op < 6:
-					got = dst.TryRecv(c, from, tag)
-					if want != nil && want.Arrival > c.Now() {
-						want = nil
+					if _, m := dst.peek(from, tag); m != want {
+						failed = fmt.Errorf("step %d: peek(%d,%d) got %+v, full scan picks %+v", step, from, tag, m, want)
 					}
+					continue
 				case op < 7:
 					if want == nil {
 						continue // a blocking Recv with nothing to match would deadlock
 					}
 					got = dst.Recv(c, from, tag)
-				case op < 9:
+				default:
 					dl := c.Now() + sim.Time(r.Intn(300))*sim.Microsecond
 					got = dst.RecvDeadline(c, from, tag, dl)
 					if want != nil && want.Arrival > dl {
 						want = nil
 					}
-				default:
-					ok := dst.Probe(c, from, tag)
-					if exp := want != nil && want.Arrival <= c.Now(); ok != exp {
-						failed = fmt.Errorf("step %d: Probe(%d,%d) = %v, full scan says %v", step, from, tag, ok, exp)
-					}
-					continue
 				}
 				if got != want {
 					failed = fmt.Errorf("step %d: receive(%d,%d) got %+v, full scan picks %+v", step, from, tag, got, want)
