@@ -13,14 +13,13 @@
 // (/v1/dispatch/complete), all while a background heartbeat
 // (/v1/dispatch/heartbeat) keeps it live.  Every job is leased to one
 // worker at a time with a deadline (Config.LeaseTTL); a lease that
-// expires, or whose worker misses the liveness window
-// (Config.Liveness, default 3x the heartbeat interval), is revoked and
-// its job requeued with capped exponential backoff
-// (Config.RetryBase doubling per failure up to Config.RetryCap, at most
-// Config.MaxAttempts grants per job).  A straggling lease older than
-// Config.HedgeAfter is additionally hedged: an idle worker gets a
-// second lease on the same job, and whichever completion arrives first
-// wins.
+// expires, or whose worker misses the liveness window (3x
+// Config.Heartbeat), is revoked and its job requeued with capped
+// exponential backoff (LeaseTTL/200 doubling per failed lease up to
+// LeaseTTL/2); the job's fifth failed lease fails it.  A straggling
+// lease older than LeaseTTL/2 is additionally hedged: an idle worker
+// gets a second lease on the same job, and whichever completion arrives
+// first wins.
 //
 // # Exactly-once results
 //
@@ -44,7 +43,7 @@
 // Dispatching never strands a request: Do returns ErrNoWorkers when no
 // live worker exists (or none remain after retries), ErrDraining when
 // the coordinator is shutting down, and a terminal error when a job
-// exhausts MaxAttempts — in every case the serve cold path falls back
+// fails its fifth lease — in every case the serve cold path falls back
 // to computing the job locally, which is always correct, just not
 // scaled out.
 package dispatch
@@ -77,41 +76,29 @@ var (
 	ErrUnknownWorker = errors.New("dispatch: unknown worker")
 )
 
-// Config tunes the dispatcher's reliability machinery.  The zero value
-// gets production-shaped defaults; tests shrink every interval.
+// Config sets the dispatcher's two intervals; every other interval of
+// the lease protocol derives from them.  The zero value gets
+// production-shaped defaults; tests shrink both.
 type Config struct {
 	// LeaseTTL is how long a worker holds a job before the lease
-	// expires and the job is reassigned (default 10s).
+	// expires and the job is reassigned (default 10s).  It also sets
+	// the retry backoff and the hedging age.
 	LeaseTTL time.Duration
 
 	// Heartbeat is the interval workers are told to beat at
-	// (default 2s).
+	// (default 2s).  A worker silent for three intervals is declared
+	// dead; lease polls and completions count as beats.
 	Heartbeat time.Duration
-
-	// Liveness is the silence window after which a worker is declared
-	// dead and its leases revoked (default 3x Heartbeat).  Lease polls
-	// and completions also refresh liveness.
-	Liveness time.Duration
-
-	// RetryBase and RetryCap bound the exponential backoff between
-	// grants of a failed/expired job: RetryBase doubles per failure up
-	// to RetryCap (defaults 50ms and 5s).
-	RetryBase time.Duration
-	RetryCap  time.Duration
-
-	// MaxAttempts caps lease grants per job; exhausting it fails the
-	// job back to the caller, which computes locally (default 5).
-	MaxAttempts int
-
-	// HedgeAfter is the age at which an outstanding lease becomes
-	// eligible for hedged re-dispatch to an idle worker (default
-	// LeaseTTL/2; negative disables hedging).
-	HedgeAfter time.Duration
 
 	// Logf, when non-nil, receives recovery-path events (expiries,
 	// revocations, hedges, worker loss).
 	Logf func(format string, args ...any)
 }
+
+// maxFailures is how many failed leases (expiries, revocations and
+// worker errors) fail a job back to its caller, which computes it
+// locally.
+const maxFailures = 5
 
 func (c Config) withDefaults() Config {
 	if c.LeaseTTL <= 0 {
@@ -120,22 +107,31 @@ func (c Config) withDefaults() Config {
 	if c.Heartbeat <= 0 {
 		c.Heartbeat = 2 * time.Second
 	}
-	if c.Liveness <= 0 {
-		c.Liveness = 3 * c.Heartbeat
-	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = 50 * time.Millisecond
-	}
-	if c.RetryCap <= 0 {
-		c.RetryCap = 5 * time.Second
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 5
-	}
-	if c.HedgeAfter == 0 {
-		c.HedgeAfter = c.LeaseTTL / 2
-	}
 	return c
+}
+
+// liveness is the silence after which a worker is declared dead and
+// its leases revoked.
+func (c Config) liveness() time.Duration { return 3 * c.Heartbeat }
+
+// hedgeAfter is the age at which a job's only lease becomes eligible
+// for a hedged twin on an idle worker.
+func (c Config) hedgeAfter() time.Duration { return c.LeaseTTL / 2 }
+
+// backoff is how long a job waits in the queue after its nth failed
+// lease: LeaseTTL/200, doubling per failure up to LeaseTTL/2.
+func (c Config) backoff(failures int) time.Duration {
+	b, ceil := c.LeaseTTL/200<<(failures-1), c.LeaseTTL/2
+	if b > ceil || b <= 0 {
+		b = ceil
+	}
+	return b
+}
+
+// reapTick is the reaper's period: a quarter heartbeat or half the
+// first backoff, whichever is shorter, within [2ms, 100ms].
+func (c Config) reapTick() time.Duration {
+	return min(max(min(c.Heartbeat/4, c.backoff(1)/2), 2*time.Millisecond), 100*time.Millisecond)
 }
 
 // JobRef names one grid job on the wire: the selection that enumerates
@@ -200,7 +196,6 @@ type LeaseGrant struct {
 type task struct {
 	hash     string
 	ref      JobRef
-	attempts int               // lease grants
 	failures int               // expiries + revocations + worker errors
 	readyAt  time.Time         // backoff gate while queued
 	leases   map[string]*lease // outstanding grants
@@ -345,7 +340,9 @@ func (d *Dispatcher) DrainWorker(workerID string) error {
 	if !w.draining {
 		w.draining = true
 		d.logf("dispatch: worker %s (%s) draining", w.id, w.name)
-		d.failPendingIfNoWorkersLocked()
+		if !d.hasWorkersLocked() {
+			d.failQueuedLocked(ErrNoWorkers)
+		}
 	}
 	return nil
 }
@@ -376,23 +373,22 @@ func (d *Dispatcher) removeWorkerLocked(w *workerState, why string) {
 		d.stats.leasesRevoked++
 		d.dropLeaseLocked(l, true)
 	}
-	d.failPendingIfNoWorkersLocked()
+	if !d.hasWorkersLocked() {
+		d.failQueuedLocked(ErrNoWorkers)
+	}
 	d.notifyLocked()
 }
 
-// failPendingIfNoWorkersLocked bounces queued, unleased tasks back to
-// their waiters with ErrNoWorkers once no live worker remains — the
-// serve layer's cue to compute locally.  Without it a sweep whose fleet
-// departed mid-run would block on tasks nobody will ever lease.  Caller
-// holds d.mu.
-func (d *Dispatcher) failPendingIfNoWorkersLocked() {
-	if d.hasWorkersLocked() {
-		return
-	}
+// failQueuedLocked bounces queued, unleased tasks back to their waiters
+// with err — the serve layer's cue to compute locally.  It runs when no
+// live worker remains (ErrNoWorkers), without which a sweep whose fleet
+// departed mid-run would block on tasks nobody will ever lease, and
+// when the coordinator drains (ErrDraining).  Caller holds d.mu.
+func (d *Dispatcher) failQueuedLocked(err error) {
 	for _, t := range append([]*task(nil), d.pending...) {
 		if len(t.leases) == 0 {
 			d.stats.tasksFailed++
-			d.finishLocked(t, harness.Record{}, ErrNoWorkers)
+			d.finishLocked(t, harness.Record{}, err)
 		}
 	}
 }
@@ -537,17 +533,14 @@ func (d *Dispatcher) pickLocked(now time.Time) *task {
 
 // hedgeLocked finds the oldest straggler lease eligible for hedged
 // re-dispatch to this worker: a single outstanding lease, older than
-// HedgeAfter, held by a different worker.  Caller holds d.mu.
+// hedgeAfter, held by a different worker.  Caller holds d.mu.
 func (d *Dispatcher) hedgeLocked(w *workerState, now time.Time) *task {
-	if d.cfg.HedgeAfter < 0 {
-		return nil
-	}
 	var oldest *lease
 	for _, l := range d.leases {
 		if l.worker == w.id || len(l.t.leases) != 1 {
 			continue
 		}
-		if now.Sub(l.granted) < d.cfg.HedgeAfter {
+		if now.Sub(l.granted) < d.cfg.hedgeAfter() {
 			continue
 		}
 		if oldest == nil || l.granted.Before(oldest.granted) {
@@ -571,7 +564,6 @@ func (d *Dispatcher) grantLocked(w *workerState, t *task, now time.Time, hedged 
 		t:        t,
 	}
 	t.leases[l.id] = l
-	t.attempts++
 	d.leases[l.id] = l
 	w.leases[l.id] = l
 	d.stats.leasesGranted++
@@ -605,7 +597,7 @@ func (d *Dispatcher) dropLeaseLocked(l *lease, requeue bool) {
 	}
 	t.failures++
 	switch {
-	case t.failures >= d.cfg.MaxAttempts:
+	case t.failures >= maxFailures:
 		d.stats.tasksFailed++
 		d.finishLocked(t, harness.Record{},
 			fmt.Errorf("dispatch: job %.12s failed %d times (last lease on %s); giving up", t.hash, t.failures, l.worker))
@@ -613,11 +605,7 @@ func (d *Dispatcher) dropLeaseLocked(l *lease, requeue bool) {
 		d.stats.tasksFailed++
 		d.finishLocked(t, harness.Record{}, ErrNoWorkers)
 	default:
-		backoff := d.cfg.RetryBase << (t.failures - 1)
-		if backoff > d.cfg.RetryCap || backoff <= 0 {
-			backoff = d.cfg.RetryCap
-		}
-		t.readyAt = time.Now().Add(backoff)
+		t.readyAt = time.Now().Add(d.cfg.backoff(t.failures))
 		d.stats.reassigned++
 		d.enqueueLocked(t)
 	}
@@ -709,12 +697,7 @@ func (d *Dispatcher) StartDrain() {
 	}
 	d.drain = true
 	d.logf("dispatch: coordinator draining (%d leases in flight, %d jobs queued)", len(d.leases), len(d.pending))
-	for _, t := range append([]*task(nil), d.pending...) {
-		if len(t.leases) == 0 {
-			d.stats.tasksFailed++
-			d.finishLocked(t, harness.Record{}, ErrDraining)
-		}
-	}
+	d.failQueuedLocked(ErrDraining)
 	d.notifyLocked()
 }
 
@@ -793,15 +776,7 @@ func (d *Dispatcher) Stats() Stats {
 // becomes ready.
 func (d *Dispatcher) reap() {
 	defer close(d.reaperDone)
-	tick := d.cfg.Heartbeat / 4
-	if base := d.cfg.RetryBase / 2; base < tick {
-		tick = base
-	}
-	if ttl := d.cfg.LeaseTTL / 4; ttl < tick {
-		tick = ttl
-	}
-	tick = min(max(tick, 2*time.Millisecond), 100*time.Millisecond)
-	ticker := time.NewTicker(tick)
+	ticker := time.NewTicker(d.cfg.reapTick())
 	defer ticker.Stop()
 	for {
 		select {
@@ -820,7 +795,7 @@ func (d *Dispatcher) reap() {
 			d.dropLeaseLocked(l, true)
 		}
 		for _, w := range d.workers {
-			if now.Sub(w.lastSeen) <= d.cfg.Liveness {
+			if now.Sub(w.lastSeen) <= d.cfg.liveness() {
 				continue
 			}
 			d.stats.workersLost++

@@ -10,17 +10,40 @@ import (
 	"repro/internal/harness"
 )
 
-// quietCfg shrinks every interval for tests and makes liveness huge so
-// workers never die by accident; tests that want liveness reaping
-// override Heartbeat/Liveness themselves.
+// quietCfg shrinks the lease for tests (backoff 0.75ms to 75ms, hedge
+// at 75ms) and makes liveness huge so workers never die by accident;
+// tests that want liveness reaping override Heartbeat themselves.
 func quietCfg() Config {
 	return Config{
-		LeaseTTL:    150 * time.Millisecond,
-		Heartbeat:   10 * time.Second,
-		RetryBase:   5 * time.Millisecond,
-		RetryCap:    50 * time.Millisecond,
-		MaxAttempts: 4,
-		HedgeAfter:  -1, // hedging off unless a test wants it
+		LeaseTTL:  150 * time.Millisecond,
+		Heartbeat: 10 * time.Second,
+	}
+}
+
+// TestDerivedIntervals pins the intervals the dispatcher derives from
+// LeaseTTL and Heartbeat at their defaults.
+func TestDerivedIntervals(t *testing.T) {
+	c := Config{}.withDefaults()
+	for _, tc := range []struct {
+		name      string
+		got, want time.Duration
+	}{
+		{"lease ttl", c.LeaseTTL, 10 * time.Second},
+		{"heartbeat", c.Heartbeat, 2 * time.Second},
+		{"liveness", c.liveness(), 6 * time.Second},
+		{"first backoff", c.backoff(1), 50 * time.Millisecond},
+		{"second backoff", c.backoff(2), 100 * time.Millisecond},
+		{"fourth backoff", c.backoff(4), 400 * time.Millisecond},
+		{"backoff cap", c.backoff(maxFailures + 10), 5 * time.Second},
+		{"hedge after", c.hedgeAfter(), 5 * time.Second},
+		{"reaper tick", c.reapTick(), 25 * time.Millisecond},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s = %v, want %v", tc.name, tc.got, tc.want)
+		}
+	}
+	if maxFailures != 5 {
+		t.Errorf("maxFailures = %d, want 5", maxFailures)
 	}
 }
 
@@ -115,9 +138,8 @@ func TestLeaseExpiryAndDuplicateSuppression(t *testing.T) {
 // revoked at the liveness deadline and the job lands on the survivor.
 func TestWorkerLossRevokesLeases(t *testing.T) {
 	cfg := quietCfg()
-	cfg.LeaseTTL = 5 * time.Second // expiry must not beat liveness here
-	cfg.Heartbeat = 20 * time.Millisecond
-	cfg.Liveness = 60 * time.Millisecond
+	cfg.LeaseTTL = 5 * time.Second        // expiry and hedging must not beat liveness here
+	cfg.Heartbeat = 20 * time.Millisecond // liveness 60ms
 	d := New(cfg)
 	defer d.Close()
 
@@ -158,17 +180,16 @@ func TestWorkerLossRevokesLeases(t *testing.T) {
 	}
 }
 
-// TestRejectBackoffAndMaxAttempts exhausts a job's attempts through
+// TestRejectBackoffAndMaxAttempts fails a job's leases through
 // repeated worker errors and checks the terminal failure.
 func TestRejectBackoffAndMaxAttempts(t *testing.T) {
-	cfg := quietCfg()
-	d := New(cfg)
+	d := New(quietCfg())
 	defer d.Close()
 	w1, _, _ := d.Register("rejector")
 
 	res := doAsync(d, "job-c")
 	rejects := 0
-	for rejects < cfg.MaxAttempts {
+	for rejects < maxFailures {
 		g, err := d.Lease(w1, 2*time.Second)
 		if err != nil {
 			t.Fatalf("lease %d: %v", rejects, err)
@@ -184,17 +205,17 @@ func TestRejectBackoffAndMaxAttempts(t *testing.T) {
 		t.Fatalf("Do error = %v, want terminal give-up", got.err)
 	}
 	st := d.Stats()
-	if st.WorkerErrors != int64(cfg.MaxAttempts) || st.TasksFailed != 1 {
+	if st.WorkerErrors != maxFailures || st.TasksFailed != 1 {
 		t.Fatalf("stats: workerErrors=%d tasksFailed=%d", st.WorkerErrors, st.TasksFailed)
 	}
 }
 
-// TestHedgedRedispatch lets a straggler lease age past HedgeAfter and
-// checks an idle second worker gets a twin lease on the same job.
+// TestHedgedRedispatch lets a straggler lease age past hedgeAfter and
+// checks an idle second worker gets a twin lease on the same job, and
+// not before.
 func TestHedgedRedispatch(t *testing.T) {
 	cfg := quietCfg()
-	cfg.LeaseTTL = 5 * time.Second
-	cfg.HedgeAfter = 20 * time.Millisecond
+	cfg.LeaseTTL = time.Second // hedge at 500ms, well before expiry
 	d := New(cfg)
 	defer d.Close()
 	w1, _, _ := d.Register("straggler")
@@ -205,10 +226,13 @@ func TestHedgedRedispatch(t *testing.T) {
 	if err != nil || g1 == nil {
 		t.Fatalf("w1 lease: %v %v", g1, err)
 	}
-	time.Sleep(30 * time.Millisecond)
-	g2, err := d.Lease(w2, time.Second)
+	granted := time.Now()
+	g2, err := d.Lease(w2, 2*time.Second)
 	if err != nil || g2 == nil || g2.Hash != "job-d" {
 		t.Fatalf("hedge lease: %v %v", g2, err)
+	}
+	if age := time.Since(granted); age < cfg.LeaseTTL/2 {
+		t.Fatalf("hedged after %v, before the lease was %v old", age, cfg.LeaseTTL/2)
 	}
 	rec := testRecord(9)
 	if accepted, _ := d.Complete(w2, g2.LeaseID, "job-d", &rec, ""); !accepted {

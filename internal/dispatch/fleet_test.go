@@ -106,11 +106,8 @@ func TestFleetByteIdenticalUnderFaults(t *testing.T) {
 	want := fleetOracle(t)
 
 	srv, d, ts := fleetServer(t, dispatch.Config{
-		LeaseTTL:   1 * time.Second,
-		Heartbeat:  100 * time.Millisecond, // liveness 300ms
-		RetryBase:  10 * time.Millisecond,
-		RetryCap:   100 * time.Millisecond,
-		HedgeAfter: -1, // force the expiry path: the hedge would rescue the stalled job first
+		LeaseTTL:  1 * time.Second,        // hedge at 500ms
+		Heartbeat: 100 * time.Millisecond, // liveness 300ms
 	})
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -146,9 +143,9 @@ func TestFleetByteIdenticalUnderFaults(t *testing.T) {
 	}
 
 	// The crasher must have died on a job (revoked at the liveness
-	// deadline), the staller's lease must have expired, and both jobs
-	// must have been reassigned — the sweep could not have finished
-	// otherwise.
+	// deadline, and its job reassigned), and the staller's lease must
+	// have been hedged onto the healthy worker at 500ms, before it
+	// expires at 1s — the sweep could not have finished otherwise.
 	st := srv.Stats()
 	if st.Dispatch == nil {
 		t.Fatal("stats missing dispatch section")
@@ -156,11 +153,11 @@ func TestFleetByteIdenticalUnderFaults(t *testing.T) {
 	if st.Dispatch.WorkersLost < 1 {
 		t.Errorf("workers_lost = %d, want >= 1 (crashed worker)", st.Dispatch.WorkersLost)
 	}
-	if st.Dispatch.LeasesExpired < 1 {
-		t.Errorf("leases_expired = %d, want >= 1 (stalled worker)", st.Dispatch.LeasesExpired)
+	if st.Dispatch.Hedged < 1 {
+		t.Errorf("hedged = %d, want >= 1 (stalled worker)", st.Dispatch.Hedged)
 	}
-	if st.Dispatch.Reassigned < 2 {
-		t.Errorf("reassigned = %d, want >= 2 (crash + stall)", st.Dispatch.Reassigned)
+	if st.Dispatch.Reassigned < 1 {
+		t.Errorf("reassigned = %d, want >= 1 (crashed worker)", st.Dispatch.Reassigned)
 	}
 	if st.Dispatched < 1 {
 		t.Errorf("dispatched = %d, want >= 1", st.Dispatched)
@@ -208,8 +205,6 @@ func TestFleetDrainFallsBackLocal(t *testing.T) {
 	srv, _, ts := fleetServer(t, dispatch.Config{
 		LeaseTTL:  1 * time.Second,
 		Heartbeat: 100 * time.Millisecond,
-		RetryBase: 10 * time.Millisecond,
-		RetryCap:  100 * time.Millisecond,
 	})
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -296,8 +291,6 @@ func TestWorkerRejectCompletesElsewhere(t *testing.T) {
 	srv, d, ts := fleetServer(t, dispatch.Config{
 		LeaseTTL:  2 * time.Second,
 		Heartbeat: 100 * time.Millisecond,
-		RetryBase: 10 * time.Millisecond,
-		RetryCap:  100 * time.Millisecond,
 	})
 
 	ctx, cancel := context.WithCancel(context.Background())

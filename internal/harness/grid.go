@@ -97,13 +97,6 @@ type Grid struct {
 	// them.  Records land by job index, so the output is byte-identical
 	// at every width; Workers <= 1 (the default) is a pool of one.
 	Workers int
-
-	// Progress, when non-nil, is invoked once per completed job with the
-	// job's enumeration index and its record.  A pool of one reports in
-	// enumeration order; a wider pool reports in completion order but
-	// never concurrently, and with exactly the same (index, record) set.
-	// A failing job reports no progress — its error aborts the grid.
-	Progress func(index int, rec Record)
 }
 
 // Job is one enumerated run of a Grid: the (app, backend, scenario)
@@ -181,14 +174,18 @@ func (g Grid) Run() ([]Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	return RunJobs(jobs, g.Workers, g.Progress)
+	return RunJobs(jobs, g.Workers, nil)
 }
 
 // RunJobs executes an explicit job list (typically from Grid.Jobs) under
 // the Grid.Run execution contract: each job on its own clone of its app,
 // on a pool of the given width, records by job index, the earliest-
-// indexed failure reported, and the optional progress callback invoked
-// per completed job as documented on Grid.Progress.
+// indexed failure reported.  progress, when non-nil, is invoked once per
+// completed job with the job's index and its record.  A pool of one
+// reports in enumeration order; a wider pool reports in completion
+// order but never concurrently, and with exactly the same (index,
+// record) set.  A failing job reports no progress — its error aborts
+// the run.
 func RunJobs(jobs []Job, workers int, progress func(index int, rec Record)) ([]Record, error) {
 	recs := make([]Record, len(jobs))
 	var progressMu sync.Mutex

@@ -21,24 +21,26 @@ import (
 func progressGrid(t *testing.T, workers int, progress func(int, Record)) []Record {
 	t.Helper()
 	apps := Apps(0.01)
-	recs, err := Grid{
+	jobs, err := Grid{
 		Apps:      []core.App{Find(apps, "EP"), Find(apps, "SOR-Nonzero")},
 		Backends:  core.StandardBackends(),
 		Scenarios: BaseScenarios(2, 4),
-		Workers:   workers,
-		Progress:  progress,
-	}.Run()
+	}.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := RunJobs(jobs, workers, progress)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return recs
 }
 
-// TestGridProgressSerialVsPool pins the progress-callback contract the
-// serve API streams over: the serial path reports every job in
-// enumeration order, the worker pool reports the exact same (index,
-// record) set (order unspecified, invocations serialized), and the
-// returned slices stay byte-identical.
+// TestGridProgressSerialVsPool pins RunJobs' progress-callback
+// contract: the serial path reports every job in enumeration order, the
+// worker pool reports the exact same (index, record) set (order
+// unspecified, invocations serialized), and the returned slices stay
+// byte-identical.
 func TestGridProgressSerialVsPool(t *testing.T) {
 	type seen struct {
 		order []int

@@ -77,8 +77,13 @@ func fieldErr(field string, err error) error {
 // set anywhere swaps in the re-sized BigApps registry and, when no
 // backends were named, the large-P backend comparison.  Every
 // resolution error is a *FieldError naming the offending field and the
-// valid choices.
+// valid choices.  The scale must be in (0, 1]: 1 is paper scale, and
+// the problem sizes grow with it, so a larger one would size a run past
+// any host.
 func (sel Selection) Resolve(scale float64) (Grid, error) {
+	if !(scale > 0 && scale <= 1) { // NaN fails both comparisons
+		return Grid{}, fieldErr("scale", fmt.Errorf("bad scale %g (want a workload scale factor in (0, 1], e.g. 0.1; 1 is paper scale)", scale))
+	}
 	sets := make([]string, 0, len(sel.Scenarios))
 	for _, s := range sel.Scenarios {
 		if s = strings.TrimSpace(s); s != "" {

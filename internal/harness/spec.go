@@ -50,17 +50,17 @@ import (
 const EngineVersion = "msvdsm-1"
 
 // SpecHash returns the content address of one grid job: the hex SHA-256
-// of canonicalSpec.  Equal hashes mean "the engine would produce the
-// identical Record", so a memoizing store may answer one job with
-// another's cached record.
+// of its canonical spec (appendSpec).  Equal hashes mean "the engine
+// would produce the identical Record", so a memoizing store may answer
+// one job with another's cached record.
 func SpecHash(j Job) string {
 	return hashSpec(j, canonConfig(j.Scenario.Config))
 }
 
 // SpecHashes returns SpecHash of every job, in order.  A grid crosses
 // each scenario with every app × backend pair, so the config rendering
-// — the reflective, expensive half of canonicalSpec — is done once per
-// distinct scenario config instead of once per job.
+// — the reflective, expensive half of the canonical spec — is done once
+// per distinct scenario config instead of once per job.
 func SpecHashes(jobs []Job) []string {
 	type rendered struct {
 		cfg  *core.Config
@@ -93,15 +93,10 @@ func hashSpec(j Job, config string) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// canonicalSpec renders a grid job in the canonical text form SpecHash
-// digests; the serve API's /v1/spec endpoint returns hashes derived from
-// exactly this string.
-func canonicalSpec(j Job) string {
-	return string(appendSpec(nil, j, canonConfig(j.Scenario.Config)))
-}
-
-// appendSpec appends the canonical spec: the identity header lines,
-// then the scenario config as canonConfig rendered it.
+// appendSpec appends the canonical spec, the text form SpecHash
+// digests: the identity header lines, then the scenario config as
+// canonConfig rendered it.  The serve API's /v1/spec endpoint returns
+// hashes derived from exactly this text.
 func appendSpec(b []byte, j Job, config string) []byte {
 	for _, kv := range [...][2]string{
 		{"engine=", EngineVersion},
@@ -120,7 +115,7 @@ func appendSpec(b []byte, j Job, config string) []byte {
 func canonConfig(cfg core.Config) string { return canonicalString("config", cfg) }
 
 // canonicalString renders any config-like value (structs, maps, slices,
-// scalars) in the canonical form canonicalSpec uses for the scenario
+// scalars) in the canonical form the spec uses for the scenario
 // config; map iteration order never leaks into the rendering.
 func canonicalString(name string, v any) string {
 	var sb strings.Builder

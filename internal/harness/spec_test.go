@@ -8,6 +8,12 @@ import (
 	"repro/internal/core"
 )
 
+// canonicalSpec renders a grid job's canonical spec, the text SpecHash
+// digests, for a failing test to print.
+func canonicalSpec(j Job) string {
+	return string(appendSpec(nil, j, canonConfig(j.Scenario.Config)))
+}
+
 // specJob resolves one golden spec coordinate against the paper-scale
 // registry.
 func specJob(t *testing.T, apps []core.App, app, backend string, sc core.Scenario) Job {

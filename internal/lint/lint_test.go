@@ -5,11 +5,18 @@
 //
 // The rules, each with a fixture under testdata/ that it must flag:
 //
-//   - deadExports: an exported package-level identifier or method under
-//     internal/ that no non-test code in the module (internal/, cmd/,
-//     examples/ and the bench module) references outside its own
-//     declaration.  A method that implements an interface method is
-//     exempt, because it is reached through the interface.
+//   - deadCode: a package-level identifier or method under internal/
+//     that no non-test code in the module (internal/, cmd/, examples/
+//     and the bench module) references outside its own declaration.  A
+//     method that implements an interface method is exempt, because it
+//     is reached through the interface.
+//   - testOnlyKnobs: an exported struct field under internal/ that no
+//     non-test code sets, other than to default its zero value inside
+//     if x.F == 0, x.F <= 0 or x.F == nil.
+//   - writeOnlyFields: a struct field under internal/ that non-test
+//     code writes but never reads.  A tagged field counts as read (an
+//     encoder reads it), and so does every field of a struct type that
+//     non-test code compares with == or !=.
 //   - staleDocRefs: a comment that names pkg.Ident or pkg.Type.Member,
 //     where pkg is one of the module's packages, and the identifier or
 //     member does not exist.
@@ -135,8 +142,9 @@ func (tr *tree) check(ip string) *types.Package {
 		return p.types
 	}
 	p.info = &types.Info{
-		Defs: map[*ast.Ident]types.Object{},
-		Uses: map[*ast.Ident]types.Object{},
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
+		Types: map[ast.Expr]types.TypeAndValue{},
 	}
 	conf := types.Config{
 		Importer: importerFunc(func(path string) (*types.Package, error) {
@@ -190,9 +198,9 @@ func origin(obj types.Object) types.Object {
 	return obj
 }
 
-// deadExports reports exported package-level identifiers and methods
-// under internal/ that nothing but their own declaration references.
-func deadExports(tr *tree) []string {
+// deadCode reports package-level identifiers and methods under
+// internal/ that nothing but their own declaration references.
+func deadCode(tr *tree) []string {
 	// Where each object is declared, so that a use inside its own
 	// declaration (recursion, a method's receiver type) does not count.
 	type span struct{ pos, end token.Pos }
@@ -246,7 +254,7 @@ func deadExports(tr *tree) []string {
 		scope := p.types.Scope()
 		for _, name := range scope.Names() {
 			obj := scope.Lookup(name)
-			if obj.Exported() && !used[obj] {
+			if !used[obj] {
 				out = append(out, qualified(obj))
 			}
 			tn, ok := obj.(*types.TypeName)
@@ -259,7 +267,7 @@ func deadExports(tr *tree) []string {
 			}
 			for i := 0; i < named.NumMethods(); i++ {
 				m := named.Method(i)
-				if m.Exported() && !used[m] && !implementsAny(named, m, ifaces) {
+				if !used[m] && !implementsAny(named, m, ifaces) {
 					out = append(out, qualified(m))
 				}
 			}
@@ -363,6 +371,192 @@ func staleDocRefs(tr *tree) []string {
 	return out
 }
 
+// field is what the tree's non-test code does with one struct field.
+type field struct {
+	name    string // pkg.Type.Field, through any anonymous struct between
+	tagged  bool
+	written bool // assigned, incremented, keyed in a literal or addressed
+	set     bool // written other than to default its zero value
+	read    bool
+}
+
+// fields returns every named field of a struct type declared under
+// internal/, with what non-test code anywhere in the tree does with it.
+func fields(tr *tree) map[*types.Var]*field {
+	out := map[*types.Var]*field{}
+	var declare func(p *pkg, name string, x ast.Expr)
+	declare = func(p *pkg, name string, x ast.Expr) {
+		st, ok := x.(*ast.StructType)
+		if !ok {
+			return
+		}
+		for _, fl := range st.Fields.List {
+			for _, id := range fl.Names {
+				out[p.info.Defs[id].(*types.Var)] = &field{name: name + "." + id.Name, tagged: fl.Tag != nil}
+				declare(p, name+"."+id.Name, fl.Type)
+			}
+		}
+	}
+	for _, p := range tr.sortedPkgs() {
+		if !strings.HasPrefix(p.dir, "internal/") {
+			continue
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if ts, ok := n.(*ast.TypeSpec); ok {
+					declare(p, p.types.Name()+"."+ts.Name.Name, ts.Type)
+				}
+				return true
+			})
+		}
+	}
+	var compared func(t types.Type)
+	compared = func(t types.Type) {
+		switch u := t.Underlying().(type) {
+		case *types.Struct:
+			for i := range u.NumFields() {
+				if f := out[u.Field(i).Origin()]; f != nil {
+					f.read = true
+				}
+				compared(u.Field(i).Type())
+			}
+		case *types.Array:
+			compared(u.Elem())
+		}
+	}
+	for _, p := range tr.pkgs {
+		// fieldOf names the field that writing to x writes: x.F, or x.F
+		// itself when x indexes it (x.F[i]).
+		fieldOf := func(x ast.Expr) (*ast.Ident, *field) {
+			for {
+				switch e := x.(type) {
+				case *ast.ParenExpr:
+					x = e.X
+				case *ast.IndexExpr:
+					x = e.X
+				case *ast.SelectorExpr:
+					return e.Sel, fieldUse(p, e.Sel, out)
+				default:
+					return nil, nil
+				}
+			}
+		}
+		// if x.F == 0 { ... }: the body, and F.
+		type zeroDefault struct {
+			body ast.Node
+			f    *field
+		}
+		var defaults []zeroDefault
+		writes := map[*ast.Ident]bool{} // field uses that write, and do not read
+		write := func(id *ast.Ident, f *field, addressed bool) {
+			if f == nil {
+				return
+			}
+			if !addressed {
+				writes[id] = true
+			}
+			f.written = true
+			for _, d := range defaults {
+				if d.f == f && d.body.Pos() <= id.Pos() && id.Pos() < d.body.End() {
+					return
+				}
+			}
+			f.set = true
+		}
+		for _, file := range p.files {
+			// The if statements come before the writes they enclose.
+			ast.Inspect(file, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.IfStmt:
+					if c, ok := n.Cond.(*ast.BinaryExpr); ok && (c.Op == token.EQL || c.Op == token.LEQ) && isZero(p, c.Y) {
+						if _, f := fieldOf(c.X); f != nil {
+							defaults = append(defaults, zeroDefault{n.Body, f})
+						}
+					}
+				case *ast.AssignStmt:
+					for _, l := range n.Lhs {
+						id, f := fieldOf(l)
+						write(id, f, false)
+					}
+				case *ast.IncDecStmt:
+					id, f := fieldOf(n.X)
+					write(id, f, false)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						id, f := fieldOf(n.X)
+						write(id, f, true)
+					}
+				case *ast.CompositeLit:
+					st, ok := p.info.TypeOf(n).Underlying().(*types.Struct)
+					if !ok {
+						break
+					}
+					for i, e := range n.Elts {
+						if kv, ok := e.(*ast.KeyValueExpr); ok {
+							id := kv.Key.(*ast.Ident)
+							write(id, fieldUse(p, id, out), false)
+						} else if f := out[st.Field(i).Origin()]; f != nil {
+							f.written, f.set = true, true
+						}
+					}
+				case *ast.BinaryExpr:
+					if n.Op == token.EQL || n.Op == token.NEQ {
+						compared(p.info.TypeOf(n.X))
+					}
+				}
+				return true
+			})
+		}
+		for id := range p.info.Uses {
+			if f := fieldUse(p, id, out); f != nil && !writes[id] {
+				f.read = true
+			}
+		}
+	}
+	return out
+}
+
+// fieldUse returns the field that id, a use in p, names, or nil.
+func fieldUse(p *pkg, id *ast.Ident, fs map[*types.Var]*field) *field {
+	if v, ok := p.info.Uses[id].(*types.Var); ok && v.IsField() {
+		return fs[v.Origin()]
+	}
+	return nil
+}
+
+// isZero reports whether x is the literal 0 or nil.
+func isZero(p *pkg, x ast.Expr) bool {
+	if lit, ok := x.(*ast.BasicLit); ok {
+		return lit.Value == "0"
+	}
+	id, ok := x.(*ast.Ident)
+	return ok && p.info.Uses[id] == types.Universe.Lookup("nil")
+}
+
+// testOnlyKnobs reports exported struct fields that non-test code never
+// sets, other than to default their zero value.
+func testOnlyKnobs(fs map[*types.Var]*field) []string {
+	var out []string
+	for v, f := range fs {
+		if v.Exported() && !f.set {
+			out = append(out, f.name)
+		}
+	}
+	return out
+}
+
+// writeOnlyFields reports struct fields that non-test code writes but
+// never reads.
+func writeOnlyFields(fs map[*types.Var]*field) []string {
+	var out []string
+	for _, f := range fs {
+		if f.written && !f.read && !f.tagged {
+			out = append(out, f.name)
+		}
+	}
+	return out
+}
+
 // modelState reports unsafe imports and .s files under internal/, and
 // package-level vars of model packages that varAllowlist does not name.
 func modelState(tr *tree) []string {
@@ -405,10 +599,13 @@ func modelState(tr *tree) []string {
 
 // rules runs every rule over tr.
 func rules(tr *tree) map[string][]string {
+	fs := fields(tr)
 	return map[string][]string{
-		"deadExports":  deadExports(tr),
-		"staleDocRefs": staleDocRefs(tr),
-		"modelState":   modelState(tr),
+		"deadCode":        deadCode(tr),
+		"testOnlyKnobs":   testOnlyKnobs(fs),
+		"writeOnlyFields": writeOnlyFields(fs),
+		"staleDocRefs":    staleDocRefs(tr),
+		"modelState":      modelState(tr),
 	}
 }
 
@@ -429,10 +626,21 @@ func TestRepository(t *testing.T) {
 func TestFixtures(t *testing.T) {
 	tr := load(t, "testdata/fixture", "fixture")
 	want := map[string][]string{
-		"deadExports": {
+		"deadCode": {
 			"model.Dead",
 			"model.OnlySelf",
 			"model.T.Dead",
+			"model.T.dead",
+			"model.dead",
+		},
+		"testOnlyKnobs": {
+			"model.Cfg.Hook",
+			"model.Cfg.Positive",
+			"model.Cfg.TestOnly",
+			"model.Cfg.Zero",
+		},
+		"writeOnlyFields": {
+			"model.counter.n",
 		},
 		"staleDocRefs": {
 			"internal/apps/model/model.go: model.Missing",

@@ -10,5 +10,6 @@ import (
 func main() {
 	model.Live()
 	model.T{}.Live()
+	model.Cfg{Set: 1}.Sum()
 	fmt.Println(model.T{})
 }

@@ -19,14 +19,11 @@ import (
 // model changes arrive as new EngineVersion hashes, never as updates.
 //
 // The disk tier is strictly best-effort: a failed write (ENOSPC, a
-// directory yanked from under the server, permissions) logs once and
-// degrades the store to memory-only rather than failing requests —
-// records are recomputable, so losing persistence costs warmth, never
-// correctness.
+// directory yanked from under the server, permissions) logs once through
+// log.Printf and degrades the store to memory-only rather than failing
+// requests — records are recomputable, so losing persistence costs
+// warmth, never correctness.
 type Store struct {
-	// Logf receives the disk-degrade notice; nil means log.Printf.
-	Logf func(format string, args ...any)
-
 	mu    sync.Mutex
 	cap   int // max in-memory entries; <= 0 means unbounded
 	ll    *list.List
@@ -166,12 +163,8 @@ func (s *Store) disableDisk(err error) {
 	dir := s.dir
 	s.dir = ""
 	s.diskDisabled = true
-	logf := s.Logf
 	s.mu.Unlock()
-	if logf == nil {
-		logf = log.Printf
-	}
-	logf("serve: disk cache write under %s failed (%v); degrading to memory-only", dir, err)
+	log.Printf("serve: disk cache write under %s failed (%v); degrading to memory-only", dir, err)
 }
 
 // Stats returns a snapshot of the store counters.

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"log"
 	"os"
 	"path/filepath"
 	"strings"
@@ -137,10 +138,10 @@ func TestStoreDegradesOnDiskWriteFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var logged []string
-	s.Logf = func(format string, args ...any) {
-		logged = append(logged, format)
-	}
+	var logBuf bytes.Buffer
+	log.SetOutput(&logBuf)
+	defer log.SetOutput(os.Stderr)
+	logged := func() int { return strings.Count(logBuf.String(), "degrading to memory-only") }
 
 	s.Put(key("a"), rec(1))
 	if _, err := os.Stat(filepath.Join(dir, key("a")+".json")); err != nil {
@@ -159,8 +160,8 @@ func TestStoreDegradesOnDiskWriteFailure(t *testing.T) {
 	if st := s.Stats(); !st.DiskDisabled {
 		t.Fatal("store did not flag itself disk-disabled after a failed write")
 	}
-	if len(logged) != 1 {
-		t.Fatalf("degrade logged %d times, want exactly once: %v", len(logged), logged)
+	if n := logged(); n != 1 {
+		t.Fatalf("degrade logged %d times, want exactly once: %s", n, logBuf.String())
 	}
 	if got, ok := s.Get(key("b")); !ok || got.TimeNS != 2 {
 		t.Fatal("memory tier lost the record whose disk write failed")
@@ -171,8 +172,8 @@ func TestStoreDegradesOnDiskWriteFailure(t *testing.T) {
 
 	// Further writes stay memory-only and quiet.
 	s.Put(key("c"), rec(3))
-	if len(logged) != 1 {
-		t.Fatalf("second failed write logged again: %v", logged)
+	if n := logged(); n != 1 {
+		t.Fatalf("failed writes logged %d times, want exactly once: %s", n, logBuf.String())
 	}
 	if _, ok := s.Get(key("c")); !ok {
 		t.Fatal("degraded store dropped a new record")

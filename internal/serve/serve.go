@@ -132,7 +132,7 @@ type Options struct {
 	// Dispatcher, when non-nil, fronts a worker fleet: cold jobs are
 	// leased to registered workers (internal/dispatch) and only fall
 	// back to the local pool when no live worker exists, the
-	// coordinator is draining, or a job exhausts its lease attempts.
+	// coordinator is draining, or a job fails its fifth lease.
 	// The dispatcher's worker-facing routes mount under /v1/dispatch/.
 	Dispatcher *dispatch.Dispatcher
 }
@@ -247,8 +247,9 @@ type apiError struct {
 
 // parseRequest decodes the selection from the query string (GET) or a
 // JSON body (POST).  Errors are *harness.FieldError so the reply can
-// name the offending field; processor-count ranges are Resolve's to
-// check, for both.
+// name the offending field; the ranges of processor counts and of the
+// scale are Resolve's to check, for both.  A scale of 0, or none, means
+// the server default.
 func parseRequest(r *http.Request) (gridRequest, error) {
 	var req gridRequest
 	switch r.Method {
@@ -261,9 +262,9 @@ func parseRequest(r *http.Request) (gridRequest, error) {
 		req.Apps, req.Backends, req.Scenarios, req.NProcs = sel.Apps, sel.Backends, sel.Scenarios, sel.NProcs
 		if v := q.Get("scale"); v != "" {
 			f, err := strconv.ParseFloat(v, 64)
-			if err != nil || f <= 0 {
+			if err != nil {
 				return req, &harness.FieldError{Field: "scale",
-					Err: fmt.Errorf("bad scale %q (want a positive workload scale factor, e.g. 0.1)", v)}
+					Err: fmt.Errorf("bad scale %q (want a workload scale factor in (0, 1], e.g. 0.1)", v)}
 			}
 			req.Scale = f
 		}
@@ -273,10 +274,6 @@ func parseRequest(r *http.Request) (gridRequest, error) {
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&req); err != nil {
 			return req, &harness.FieldError{Field: "body", Err: fmt.Errorf("bad request body: %w", err)}
-		}
-		if req.Scale < 0 {
-			return req, &harness.FieldError{Field: "scale",
-				Err: fmt.Errorf("bad scale %g (want a positive workload scale factor)", req.Scale)}
 		}
 	default:
 		return req, &harness.FieldError{Field: "method",
@@ -543,7 +540,7 @@ var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
 // concurrently — the goroutines just wait on completions); they only
 // fall back to local compute, bounded to Workers at a time, when the
 // dispatcher cannot serve them (no workers left, coordinator draining,
-// or a job that exhausted its lease attempts): local compute is always
+// or a job that failed its fifth lease): local compute is always
 // correct, just not scaled out.
 //
 // ctx is the request context: when the client disconnects mid-sweep,

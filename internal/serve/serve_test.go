@@ -222,6 +222,13 @@ func TestServeBadRequests(t *testing.T) {
 		{"nprocs past the bound", "/v1/grid?nprocs=2000000000", "nprocs", []string{"bad processor count 2000000000", "1024"}},
 		{"slow set past the bound", "/v1/grid?scenarios=slow&nprocs=2000000000", "nprocs", []string{"bad processor count", "1024"}},
 		{"bad scale", "/v1/grid?scale=-1", "scale", []string{"bad scale"}},
+		// Past paper scale the problem sizes grow without bound, and NaN
+		// and Inf would silently resolve to the smallest sizes.
+		{"scale NaN", "/v1/grid?scale=NaN", "scale", []string{"bad scale NaN", "(0, 1]"}},
+		{"scale Inf", "/v1/grid?scale=Inf", "scale", []string{"bad scale +Inf"}},
+		{"scale past paper scale", "/v1/grid?scale=2", "scale", []string{"bad scale 2", "(0, 1]"}},
+		{"scale 1e300", "/v1/spec?scale=1e300", "scale", []string{"bad scale 1e+300"}},
+		{"unparsable scale", "/v1/grid?scale=big", "scale", []string{"bad scale \"big\""}},
 		{"spec endpoint validates too", "/v1/spec?apps=nonesuch", "apps", []string{"unknown experiment"}},
 	}
 	for _, tc := range cases {
@@ -249,15 +256,26 @@ func TestServeBadRequests(t *testing.T) {
 	}
 
 	// Unknown JSON body fields are rejected, not silently ignored — a
-	// typo like "nproc" must not run the full default grid.
-	resp, err := http.Post(ts.URL+"/v1/grid", "application/json",
-		strings.NewReader(`{"apps":["ep"],"nproc":[2]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown JSON field: status %d, want 400", resp.StatusCode)
+	// typo like "nproc" must not run the full default grid.  A body's
+	// scale is held to the same range as a query's.
+	for _, tc := range []struct{ body, wantField string }{
+		{`{"apps":["ep"],"nproc":[2]}`, "body"},
+		{`{"apps":["ep"],"scale":2}`, "scale"},
+		{`{"apps":["ep"],"scale":1e300}`, "scale"},
+		{`{"apps":["ep"],"scale":-0.5}`, "scale"},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/grid", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ae struct {
+			Field string `json:"field"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&ae)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || err != nil || ae.Field != tc.wantField {
+			t.Errorf("POST %s: status %d, field %q (%v), want 400 naming %q", tc.body, resp.StatusCode, ae.Field, err, tc.wantField)
+		}
 	}
 }
 

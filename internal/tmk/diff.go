@@ -31,9 +31,10 @@ func nonzeroBytes(x uint64) uint64 {
 // contents at the end of the interval.  Applying a diff copies those
 // ranges into another copy of the page; diffs from distinct writers to
 // disjoint parts of a page merge without interference, which is the
-// multiple-writer protocol's answer to false sharing.
+// multiple-writer protocol's answer to false sharing.  A diff does not
+// name its page: it is filed under the page, and travels in a reply that
+// names it (diffRespMsg.Page).
 type Diff struct {
-	Page int
 	Runs []Run
 }
 
@@ -45,7 +46,9 @@ type Run struct {
 
 // MakeDiff compares twin (the pre-modification copy) against cur and
 // returns the run-length encoding of the changed ranges, or an empty diff
-// if nothing changed.  len(twin) must equal len(cur).
+// if nothing changed.  len(twin) must equal len(cur).  page is unused: a
+// Diff does not record its page, and the bench module's probes call
+// MakeDiff with one.
 //
 // The scan is word-at-a-time: each uint64 of twin^cur is reduced to the
 // mask of its differing bytes, whose first and last set bits bound the
@@ -55,22 +58,21 @@ type Run struct {
 // byte-at-a-time scan — diff sizes feed modeled time and wire accounting,
 // which must not drift.
 func MakeDiff(page int, twin, cur []byte) *Diff {
-	return makeDiff(page, twin, cur, nil)
+	return makeDiff(twin, cur, nil)
 }
 
 // makeDiff is MakeDiff with an optional arena backing the Diff header and
 // the run payload copies (both permanent once the diff is filed).  The
 // encoding produced is identical either way.
-func makeDiff(page int, twin, cur []byte, a *memArena) *Diff {
+func makeDiff(twin, cur []byte, a *memArena) *Diff {
 	if len(twin) != len(cur) {
 		panic(fmt.Sprintf("tmk: diff size mismatch %d vs %d", len(twin), len(cur)))
 	}
 	var d *Diff
 	if a != nil {
 		d = a.newDiff()
-		d.Page = page
 	} else {
-		d = &Diff{Page: page}
+		d = &Diff{}
 	}
 	// Find each run's coalesced extent first — runs separated by a short
 	// unchanged gap merge, as real diff implementations word-align and

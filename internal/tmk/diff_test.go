@@ -26,9 +26,6 @@ func TestMakeDiffSingleRun(t *testing.T) {
 	if d.Runs[0].Off != 10 || len(d.Runs[0].Data) != 3 {
 		t.Fatalf("run = %+v", d.Runs[0])
 	}
-	if d.Page != 3 {
-		t.Fatalf("page = %d", d.Page)
-	}
 }
 
 func TestMakeDiffCoalescesShortGaps(t *testing.T) {
@@ -66,7 +63,7 @@ func TestMakeDiffArenaPayloadNoHeap(t *testing.T) {
 		bytes: make([]byte, ps*(runs+1)),
 	}
 	var d *Diff
-	if n := testing.AllocsPerRun(runs, func() { d = makeDiff(0, twin, cur, a) }); n != 0 {
+	if n := testing.AllocsPerRun(runs, func() { d = makeDiff(twin, cur, a) }); n != 0 {
 		t.Fatalf("arena-backed makeDiff allocates %v times per page, want 0", n)
 	}
 	if len(d.Runs) != 1 || d.Runs[0].Off != 0 || len(d.Runs[0].Data) != ps-7 {
@@ -163,8 +160,8 @@ func TestDisjointDiffMergeProperty(t *testing.T) {
 
 // referenceMakeDiff is the original byte-at-a-time scan, kept as the
 // specification for the word-at-a-time implementation.
-func referenceMakeDiff(page int, twin, cur []byte) *Diff {
-	d := &Diff{Page: page}
+func referenceMakeDiff(twin, cur []byte) *Diff {
+	d := &Diff{}
 	i := 0
 	for i < len(cur) {
 		if twin[i] == cur[i] {
@@ -245,7 +242,7 @@ func TestMakeDiffMatchesReferenceProperty(t *testing.T) {
 			}
 		}
 		got := MakeDiff(0, twin, cur)
-		want := referenceMakeDiff(0, twin, cur)
+		want := referenceMakeDiff(twin, cur)
 		if len(got.Runs) != len(want.Runs) || got.Size() != want.Size() {
 			return false
 		}

@@ -31,7 +31,7 @@ func (p *Proc) closeInterval() {
 		if pg.twin == nil {
 			panic("tmk: dirty page without twin")
 		}
-		d := makeDiff(pid, pg.twin, pg.data, &p.arena)
+		d := makeDiff(pg.twin, pg.data, &p.arena)
 		p.storeDiff(pg, p.id, idx, d)
 		p.twinFree = append(p.twinFree, pg.twin) // recycle: diffs copy out of cur, never twin
 		pg.twin = nil

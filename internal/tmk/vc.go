@@ -127,25 +127,6 @@ func (v VC) Clone() VC {
 	return c
 }
 
-// coversExcept reports whether v >= w at every component but skip (-1:
-// none): one walk of the two sorted entry lists in step, where a Get per
-// component of w would search v each time.
-func (v VC) coversExcept(w VC, skip int) bool {
-	i := 0
-	for j, q := range w.ps {
-		if int(q) == skip {
-			continue
-		}
-		for i < len(v.ps) && v.ps[i] < q {
-			i++
-		}
-		if i == len(v.ps) || v.ps[i] != q || v.vs[i] < w.vs[j] {
-			return false
-		}
-	}
-	return true
-}
-
 // CoversInterval reports whether v has seen interval idx of processor p.
 func (v VC) CoversInterval(p, idx int) bool { return v.Get(p) > int32(idx) }
 

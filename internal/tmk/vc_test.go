@@ -7,6 +7,27 @@ import (
 	"testing/quick"
 )
 
+// coversExcept reports whether v >= w at every component but skip (-1:
+// none): one walk of the two sorted entry lists in step.  It is the
+// dominance oracle the property tests below compare the dense reference
+// and the merge against; the protocol itself decides causal readiness
+// from record counts.
+func (v VC) coversExcept(w VC, skip int) bool {
+	i := 0
+	for j, q := range w.ps {
+		if int(q) == skip {
+			continue
+		}
+		for i < len(v.ps) && v.ps[i] < q {
+			i++
+		}
+		if i == len(v.ps) || v.ps[i] != q || v.vs[i] < w.vs[j] {
+			return false
+		}
+	}
+	return true
+}
+
 // mkVC builds a width-len(vals) vector with the given dense entries —
 // the test-side constructor replacing the dense composite literals.
 func mkVC(vals ...int32) VC {

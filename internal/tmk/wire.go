@@ -385,7 +385,7 @@ func (m *diffRespMsg) walk(c *codec) {
 		c.u16(&e.Proc)
 		c.u32(&e.Idx)
 		if e.Diff == nil { // decoding
-			e.Diff = &Diff{Page: m.Page}
+			e.Diff = &Diff{}
 		}
 		list(c, &e.Diff.Runs, false, 4)
 		for j := range e.Diff.Runs {

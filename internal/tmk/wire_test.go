@@ -45,7 +45,7 @@ type wireCase struct {
 // wireCases covers every message type with empty and non-empty record
 // batches, nil page lists, empty diffs and a 400-page contiguous record.
 // Messages are in decoded form: Seq zero (it rides in the header), empty
-// lists nil, every diff's Page the response's.
+// lists nil.
 func wireCases() []wireCase {
 	recs := []*IntervalRec{
 		{Proc: 0, Idx: 3, VC: mkVC(4, 1, 0), Pages: []int{7, 8, 9, 30}},
@@ -57,7 +57,7 @@ func wireCases() []wireCase {
 		run[i] = 100 + i
 	}
 	long := []*IntervalRec{{Proc: 0, Idx: 0, VC: mkVC(1, 0), Pages: run}}
-	d1 := &Diff{Page: 3, Runs: []Run{{Off: 16, Data: make([]byte, 40)}, {Off: 100, Data: []byte{9}}}}
+	d1 := &Diff{Runs: []Run{{Off: 16, Data: make([]byte, 40)}, {Off: 100, Data: []byte{9}}}}
 	return []wireCase{
 		{"acq", &acqMsg{Lock: 7, Requester: 3, VC: mkVC(1, 0, 4)}, 18},
 		{"acq-zero-vc", &acqMsg{Lock: 1, VC: mkVC(0)}, 10},
@@ -70,7 +70,7 @@ func wireCases() []wireCase {
 		{"treearr", &treeArrMsg{Barrier: 6, From: 9, VC: mkVC(4, 0, 7), MinVC: mkVC(2, 0, 0), Records: recs}, 0},
 		{"treearr-empty", &treeArrMsg{Barrier: 1, VC: mkVC(0, 0), MinVC: mkVC(0, 0)}, 28},
 		{"diffreq", &diffReqMsg{Page: 42, Requester: 6, Wants: []diffWant{{1, 9}, {3, 0}}}, 20},
-		{"diffresp", &diffRespMsg{Page: 3, Entries: []diffEntry{{1, 2, d1}, {0, 0, &Diff{Page: 3}}}}, 71},
+		{"diffresp", &diffRespMsg{Page: 3, Entries: []diffEntry{{1, 2, d1}, {0, 0, &Diff{}}}}, 71},
 		{"diffresp-empty", &diffRespMsg{Page: 3}, 6},
 	}
 }

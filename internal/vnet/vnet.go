@@ -138,10 +138,10 @@ func (c *Config) transmit(n int) sim.Time {
 // serialized bytes (Payload) or a structured object (Obj) sent through
 // SendObj; in the latter case the wire size is modeled from the size the
 // sender declared.  Receivers of an Obj share it with the sender and must
-// treat it as immutable.
+// treat it as immutable.  A message lands on the endpoint it was sent to,
+// so it does not name its destination.
 type Message struct {
 	From    int // sender's logical endpoint id (its node unless NewEndpointID)
-	To      int
 	Tag     int
 	Payload []byte
 	Obj     any
@@ -411,7 +411,7 @@ func (e *Endpoint) xmit(ctx *sim.Ctx, dst *Endpoint, tag int, payload []byte, ob
 		ctx.Compute(local)
 		e.net.seq++
 		m := e.net.alloc()
-		*m = Message{From: e.id, To: dst.id, Tag: tag, Payload: payload, Obj: obj,
+		*m = Message{From: e.id, Tag: tag, Payload: payload, Obj: obj,
 			Arrival: ctx.Now() + cfg.LocalDelay, size: size, seq: e.net.seq, local: true}
 		dst.deliver(m)
 		return 1
@@ -469,7 +469,7 @@ func (e *Endpoint) xmit(ctx *sim.Ctx, dst *Endpoint, tag int, payload []byte, ob
 					sim.Time(fc.draw(seq, kDupDelay)*float64(cfg.Latency))
 				e.net.seq++
 				d := e.net.alloc()
-				*d = Message{From: e.id, To: dst.id, Tag: tag, Payload: payload, Obj: obj,
+				*d = Message{From: e.id, Tag: tag, Payload: payload, Obj: obj,
 					Arrival: dupArrival, size: size, seq: e.net.seq}
 				dst.deliver(d)
 				e.stats.Retrans += wn
@@ -482,7 +482,7 @@ func (e *Endpoint) xmit(ctx *sim.Ctx, dst *Endpoint, tag int, payload []byte, ob
 
 	if delivered {
 		m := e.net.alloc()
-		*m = Message{From: e.id, To: dst.id, Tag: tag, Payload: payload, Obj: obj,
+		*m = Message{From: e.id, Tag: tag, Payload: payload, Obj: obj,
 			Arrival: arrival, size: size, seq: seq}
 		dst.deliver(m)
 	}

