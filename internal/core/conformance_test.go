@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/pvm"
@@ -252,3 +253,60 @@ func TestMasterPlacement(t *testing.T) {
 			co.Net.Messages, want, apart.Net.Messages)
 	}
 }
+
+// TestRunsAs pins what each adapter reads: RunsAs sees through a
+// Variant to the adapter that runs, projects the scenario onto the
+// fields that adapter reads, and knows nothing of an outside backend;
+// and a run under a scenario that differs only outside the projection
+// is the same run.
+func TestRunsAs(t *testing.T) {
+	sc := Base(3)
+	sc.DSM.PageSize = 1024
+	sc.XDRPerByte = sim.Microsecond
+	sc.MasterColocated = true
+	for _, c := range []struct {
+		b    Backend
+		run  Backend
+		want Config
+	}{
+		{Seq, Seq, Config{}},
+		{TMK, TMK, Config{Procs: 3, Net: sc.Net, DSM: sc.DSM}},
+		{PVM, PVM, Config{Procs: 3, Net: sc.Net, XDRPerByte: sc.XDRPerByte, MasterColocated: true}},
+		{Variant("tmk-4p", TMK, func(sc Scenario) Scenario { sc.Procs = 4; return sc }), TMK, Config{Procs: 4, Net: sc.Net, DSM: sc.DSM}},
+	} {
+		run, cfg, ok := RunsAs(c.b, sc)
+		if !ok || run != c.run || !reflect.DeepEqual(cfg, c.want) {
+			t.Errorf("%s: RunsAs = %T, %+v, %v; want %T, %+v", c.b.Name(), run, cfg, ok, c.run, c.want)
+		}
+	}
+	if run, _, ok := RunsAs(Variant("outside", outsideBackend{}, func(sc Scenario) Scenario { return sc }), sc); ok || run != nil {
+		t.Errorf("RunsAs knows a backend outside core: %v, %v", run, ok)
+	}
+
+	app := &miniApp{withMaster: true}
+	for _, b := range []Backend{TMK, PVM} {
+		want, err := b.Run(app, Base(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Each adapter under the fields only the other one reads.
+		other := Base(3)
+		if b == TMK {
+			other.XDRPerByte, other.MasterColocated = sim.Microsecond, true
+		} else {
+			other.DSM.PageSize = 1024
+		}
+		got, err := b.Run(app, other)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%s read a field outside its projection:\n  %+v\n  %+v", b.Name(), got, want)
+		}
+	}
+}
+
+type outsideBackend struct{}
+
+func (outsideBackend) Name() string                      { return "outside" }
+func (outsideBackend) Run(App, Scenario) (Result, error) { return Result{}, nil }

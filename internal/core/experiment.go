@@ -117,10 +117,19 @@ func IsBaseline(b Backend) bool {
 	return ok && bb.baseline()
 }
 
+// adapter is one of the three standard adapters.  reads projects a
+// config onto the fields the adapter's runner reads, and Run passes the
+// runner nothing else, so two scenarios with one projection are one run.
+type adapter interface {
+	Backend
+	reads(Config) Config
+}
+
 type seqBackend struct{}
 
-func (seqBackend) Name() string   { return "seq" }
-func (seqBackend) baseline() bool { return true }
+func (seqBackend) Name() string        { return "seq" }
+func (seqBackend) baseline() bool      { return true }
+func (seqBackend) reads(Config) Config { return Config{} }
 
 func (seqBackend) Run(app App, sc Scenario) (Result, error) {
 	return RunSeq(app.Seq)
@@ -130,16 +139,39 @@ type tmkBackend struct{}
 
 func (tmkBackend) Name() string { return "tmk" }
 
-func (tmkBackend) Run(app App, sc Scenario) (Result, error) {
-	return RunTMK(sc.Config, app.SetupTMK, app.TMK)
+func (tmkBackend) reads(c Config) Config {
+	return Config{Procs: c.Procs, Net: c.Net, DSM: c.DSM}
+}
+
+func (b tmkBackend) Run(app App, sc Scenario) (Result, error) {
+	return RunTMK(b.reads(sc.Config), app.SetupTMK, app.TMK)
 }
 
 type pvmBackend struct{}
 
 func (pvmBackend) Name() string { return "pvm" }
 
-func (pvmBackend) Run(app App, sc Scenario) (Result, error) {
-	return RunPVM(sc.Config, app.SetupPVM, app.PVM, app.Master())
+func (pvmBackend) reads(c Config) Config {
+	return Config{Procs: c.Procs, Net: c.Net, XDRPerByte: c.XDRPerByte, MasterColocated: c.MasterColocated}
+}
+
+func (b pvmBackend) Run(app App, sc Scenario) (Result, error) {
+	return RunPVM(b.reads(sc.Config), app.SetupPVM, app.PVM, app.Master())
+}
+
+// RunsAs reports the standard adapter that runs backend b on scenario
+// sc, after any Variant rewrite, and the part of the scenario's config
+// that adapter reads: b.Run(app, sc) is a function of the app, the
+// adapter and that config alone.  ok is false for a backend core does
+// not know, whose runs nothing can be said about.
+func RunsAs(b Backend, sc Scenario) (run Backend, cfg Config, ok bool) {
+	switch b := b.(type) {
+	case variant:
+		return RunsAs(b.base, b.mutate(sc))
+	case adapter:
+		return b, b.reads(sc.Config), true
+	}
+	return nil, Config{}, false
 }
 
 // variant is a backend derived from another by rewriting the scenario.

@@ -52,6 +52,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -155,6 +156,16 @@ type JobRef struct {
 // (version skew) — running the job anyway could silently cache a wrong
 // record, so it is refused.
 func (ref JobRef) Resolve(wantHash string) (harness.Job, error) {
+	jobs, err := ref.jobs()
+	if err != nil {
+		return harness.Job{}, err
+	}
+	return ref.pick(jobs, wantHash)
+}
+
+// jobs resolves the selection against fresh registries and enumerates
+// its grid.
+func (ref JobRef) jobs() ([]harness.Job, error) {
 	scale := ref.Scale
 	if scale == 0 {
 		scale = 1.0
@@ -167,12 +178,18 @@ func (ref JobRef) Resolve(wantHash string) (harness.Job, error) {
 	}
 	grid, err := sel.Resolve(scale)
 	if err != nil {
-		return harness.Job{}, fmt.Errorf("dispatch: resolve job ref: %w", err)
+		return nil, fmt.Errorf("dispatch: resolve job ref: %w", err)
 	}
 	jobs, err := grid.Jobs()
 	if err != nil {
-		return harness.Job{}, fmt.Errorf("dispatch: enumerate job ref: %w", err)
+		return nil, fmt.Errorf("dispatch: enumerate job ref: %w", err)
 	}
+	return jobs, nil
+}
+
+// pick returns the referenced job of the selection's enumeration, once
+// its spec hash matches wantHash.
+func (ref JobRef) pick(jobs []harness.Job, wantHash string) (harness.Job, error) {
 	if ref.Index < 0 || ref.Index >= len(jobs) {
 		return harness.Job{}, fmt.Errorf("dispatch: job index %d out of range (grid has %d jobs)", ref.Index, len(jobs))
 	}
@@ -181,6 +198,13 @@ func (ref JobRef) Resolve(wantHash string) (harness.Job, error) {
 		return harness.Job{}, fmt.Errorf("dispatch: spec hash mismatch for job %d (lease %.12s, local %.12s): engine version skew between coordinator and worker", ref.Index, wantHash, h)
 	}
 	return job, nil
+}
+
+// sameSelection reports whether ref and o name the same selection at
+// the same scale, whatever their indices.
+func (ref JobRef) sameSelection(o JobRef) bool {
+	return slices.Equal(ref.Apps, o.Apps) && slices.Equal(ref.Backends, o.Backends) &&
+		slices.Equal(ref.Scenarios, o.Scenarios) && slices.Equal(ref.NProcs, o.NProcs) && ref.Scale == o.Scale
 }
 
 // LeaseGrant is one granted lease on the wire.

@@ -378,6 +378,50 @@ func TestJobRefResolve(t *testing.T) {
 	}
 }
 
+// TestWorkerResolvesSelectionOnce: a worker's leases that name one
+// selection share one enumeration, each still checked against its
+// grant's hash and run on its own clone of the app; a lease naming
+// another selection or scale resolves afresh.
+func TestWorkerResolvesSelectionOnce(t *testing.T) {
+	ref := JobRef{Apps: []string{"ep", "sor-nonzero"}, Backends: []string{"tmk", "pvm"}, NProcs: []int{2}, Scale: 0.01}
+	jobs, err := ref.jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewWorker(WorkerOptions{})
+	grant := func(ref JobRef, i int, hash string) *LeaseGrant {
+		ref.Index = i
+		return &LeaseGrant{Job: ref, Hash: hash}
+	}
+	var enumerated *harness.Job
+	for i := range jobs {
+		job, err := w.resolve(grant(ref, i, harness.SpecHash(jobs[i])))
+		if err != nil {
+			t.Fatalf("lease %d: %v", i, err)
+		}
+		if i == 0 {
+			enumerated = &w.selJobs[0]
+		} else if &w.selJobs[0] != enumerated {
+			t.Fatalf("lease %d resolved the selection again", i)
+		}
+		if job.App == w.selJobs[i].App || harness.SpecHash(job) != harness.SpecHash(jobs[i]) {
+			t.Fatalf("lease %d: not a clone of job %d", i, i)
+		}
+	}
+	if _, err := w.resolve(grant(ref, 1, "0000beef")); err == nil || !strings.Contains(err.Error(), "hash mismatch") {
+		t.Fatalf("cached selection, wrong hash: %v, want mismatch refusal", err)
+	}
+	other := ref
+	other.Scale = 0.02
+	otherJobs, err := other.jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.resolve(grant(other, 0, harness.SpecHash(otherJobs[0]))); err != nil || &w.selJobs[0] == enumerated {
+		t.Fatalf("another scale: err %v, re-resolved %v", err, &w.selJobs[0] != enumerated)
+	}
+}
+
 // TestFaultConfigDeterminism pins the fault harness: exact ordinal
 // triggers and their precedence.
 func TestFaultConfigDeterminism(t *testing.T) {

@@ -283,6 +283,52 @@ func TestFleetNoWorkersComputesLocally(t *testing.T) {
 	}
 }
 
+// TestFleetLeasesOneJobPerRun: a sweep whose jobs share runs leases
+// one job per run key, and the fleet's body is still that of one
+// Job.Run per job.  Per app the page sweep's tmk jobs are 5 runs
+// (page=4096 is base) and its pvm jobs 1.
+func TestFleetLeasesOneJobPerRun(t *testing.T) {
+	sel := harness.Selection{Apps: []string{"ep", "is-small"}, Backends: []string{"tmk", "pvm"}, Scenarios: []string{"base", "page"}, NProcs: []int{2}}
+	grid, err := sel.Resolve(fleetScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := grid.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := make([]harness.Record, len(jobs))
+	for i, j := range jobs {
+		if recs[i], err = j.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var want bytes.Buffer
+	if err := harness.WriteJSON(&want, recs); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, d, ts := fleetServer(t, dispatch.Config{LeaseTTL: 2 * time.Second, Heartbeat: 100 * time.Millisecond})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	wk := dispatch.NewWorker(dispatch.WorkerOptions{Coordinator: ts.URL, Name: "w", PollWait: 50 * time.Millisecond})
+	runErr := make(chan error, 1)
+	go func() { runErr <- wk.Run(ctx) }()
+	waitCond(t, "worker registered", func() bool { return d.Stats().WorkersLive == 1 })
+
+	status, body := httpGet(t, ts.URL+"/v1/grid?apps=ep,is-small&backends=tmk,pvm&scenarios=base,page&nprocs=2&scale=0.01")
+	if status != http.StatusOK || !bytes.Equal(body, want.Bytes()) {
+		t.Fatalf("status %d; body equal to one Job.Run per job: %v", status, bytes.Equal(body, want.Bytes()))
+	}
+	if st := srv.Stats(); st.Dispatched != 12 || st.Shared != 12 || st.Computed != 0 || st.Fallbacks != 0 {
+		t.Errorf("dispatched=%d shared=%d computed=%d fallbacks=%d, want 12/12/0/0", st.Dispatched, st.Shared, st.Computed, st.Fallbacks)
+	}
+	cancel()
+	if err := <-runErr; err != nil {
+		t.Errorf("worker exit: %v", err)
+	}
+}
+
 // TestWorkerRejectCompletesElsewhere runs a two-worker fleet where one
 // worker rejects its first job with an injected error: the job must be
 // requeued and completed by the other worker, not failed.

@@ -62,6 +62,11 @@ type Worker struct {
 	heartbeat time.Duration
 
 	jobs int // lease ordinal, drives the fault harness
+
+	// The last selection a lease named and its enumeration: the leases
+	// of one sweep resolve it once.  Only Run's goroutine touches them.
+	sel     JobRef
+	selJobs []harness.Job
 }
 
 // NewWorker returns an unstarted worker; call Run to join the fleet.
@@ -153,7 +158,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			continue
 		}
 
-		job, err := grant.Job.Resolve(grant.Hash)
+		job, err := w.resolve(grant)
 		if err != nil {
 			w.complete(grant, nil, err.Error())
 			continue
@@ -165,6 +170,27 @@ func (w *Worker) Run(ctx context.Context) error {
 		}
 		w.complete(grant, &rec, "")
 	}
+}
+
+// resolve returns the granted job, on its own clone of its app.  A
+// lease naming the selection the last one named reuses its enumeration;
+// every lease still checks its job's spec hash against the grant, so a
+// worker whose model differs from the coordinator's refuses each job.
+func (w *Worker) resolve(grant *LeaseGrant) (harness.Job, error) {
+	ref := grant.Job
+	if w.selJobs == nil || !ref.sameSelection(w.sel) {
+		jobs, err := ref.jobs()
+		if err != nil {
+			return harness.Job{}, err
+		}
+		w.sel, w.selJobs = ref, jobs
+	}
+	job, err := ref.pick(w.selJobs, grant.Hash)
+	if err != nil {
+		return harness.Job{}, err
+	}
+	job.App = job.App.Clone()
+	return job, nil
 }
 
 // register joins (or re-joins) the fleet, retrying with backoff until

@@ -178,29 +178,37 @@ func (g Grid) Run() ([]Record, error) {
 }
 
 // RunJobs executes an explicit job list (typically from Grid.Jobs) under
-// the Grid.Run execution contract: each job on its own clone of its app,
-// on a pool of the given width, records by job index, the earliest-
-// indexed failure reported.  progress, when non-nil, is invoked once per
-// completed job with the job's index and its record.  A pool of one
-// reports in enumeration order; a wider pool reports in completion
-// order but never concurrently, and with exactly the same (index,
-// record) set.  A failing job reports no progress — its error aborts
-// the run.
+// the Grid.Run execution contract: one run per group of jobs with one
+// run key (Runs), on its first job's own clone of its app, on a pool of
+// the given width; every job of the group gets that record under its
+// own coordinates (Job.Share), so the records are those of a Job.Run
+// per job, by job index; the earliest-indexed failure is reported.
+// progress, when non-nil, is invoked once per job with the job's index
+// and its record, never concurrently.  A pool of one reports run by
+// run in enumeration order, each run's jobs in index order; a wider
+// pool reports in completion order, with exactly the same (index,
+// record) set.  A failing run reports no progress — its error aborts
+// the sweep.
 func RunJobs(jobs []Job, workers int, progress func(index int, rec Record)) ([]Record, error) {
+	runs := Runs(jobs)
 	recs := make([]Record, len(jobs))
 	var progressMu sync.Mutex
-	err := ForEach(context.Background(), len(jobs), workers, func(i int) error {
-		j := jobs[i]
+	err := ForEach(context.Background(), len(runs), workers, func(r int) error {
+		j := jobs[runs[r][0]]
 		j.App = j.App.Clone()
 		rec, err := j.Run()
 		if err != nil {
 			return err
 		}
-		recs[i] = rec
+		for _, i := range runs[r] {
+			recs[i] = jobs[i].Share(rec)
+		}
 		if progress != nil {
 			progressMu.Lock()
 			defer progressMu.Unlock()
-			progress(i, rec)
+			for _, i := range runs[r] {
+				progress(i, recs[i])
+			}
 		}
 		return nil
 	})

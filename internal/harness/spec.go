@@ -62,29 +62,103 @@ func SpecHash(j Job) string {
 // — the reflective, expensive half of the canonical spec — is done once
 // per distinct scenario config instead of once per job.
 func SpecHashes(jobs []Job) []string {
-	type rendered struct {
-		cfg  *core.Config
-		text string
-	}
-	var seen []rendered
+	var texts configTexts
 	hashes := make([]string, len(jobs))
 	for i := range jobs {
-		cfg := &jobs[i].Scenario.Config
-		text := ""
-		for _, r := range seen {
-			// Procs rejects most non-matches cheaply; DeepEqual is the proof.
-			if r.cfg.Procs == cfg.Procs && reflect.DeepEqual(r.cfg, cfg) {
-				text = r.text
-				break
-			}
-		}
-		if text == "" {
-			text = canonConfig(*cfg)
-			seen = append(seen, rendered{cfg, text})
-		}
-		hashes[i] = hashSpec(jobs[i], text)
+		hashes[i] = hashSpec(jobs[i], texts.render(&jobs[i].Scenario.Config))
 	}
 	return hashes
+}
+
+// Run keys.
+//
+// A spec hash names a job; a run key names the simulation behind it.
+// Jobs that differ only in what their backend never reads — PVM under
+// each TreadMarks page size, TreadMarks with the PVM master co-located
+// — produce the same Record apart from the job's own coordinates
+// (Job.Share), so one run answers all of them.  The key is the hex
+// SHA-256 of EngineVersion, the app's name and problem, the standard
+// adapter that runs the job after any Variant rewrite (core.RunsAs) and
+// the config fields that adapter reads, rendered by canonConfig: tmk
+// reads Procs, Net and DSM; pvm reads Procs, Net, XDRPerByte and
+// MasterColocated; seq reads nothing.  The adapters run with exactly
+// that projection, so a key cannot leave out a field a run reads.  A
+// backend core does not know has its spec hash as its run key and
+// shares with nothing.  Run keys are never stored or sent: they group
+// the jobs of one sweep (Runs), and spec hashes stay the only cache and
+// wire names.
+
+// RunKeys returns the run key of every job, in order.
+func RunKeys(jobs []Job) []string {
+	var texts configTexts
+	keys := make([]string, len(jobs))
+	for i, j := range jobs {
+		run, cfg, ok := core.RunsAs(j.Backend, j.Scenario)
+		if !ok {
+			keys[i] = hashSpec(j, texts.render(&jobs[i].Scenario.Config))
+			continue
+		}
+		config := texts.render(&cfg)
+		text := appendHeader(make([]byte, 0, 128+len(config)), [][2]string{
+			{"engine=", EngineVersion},
+			{"app=", j.App.Name()},
+			{"problem=", j.App.Problem()},
+			{"run=", run.Name()},
+		})
+		sum := sha256.Sum256(append(text, config...))
+		keys[i] = hex.EncodeToString(sum[:])
+	}
+	return keys
+}
+
+// Runs groups the jobs by run key: each group lists the indices of the
+// jobs one run answers, in increasing order, and the groups are in the
+// order of their first index.  Running a group's first job and sharing
+// its record (Job.Share) gives every job in the group the record its
+// own Run would.
+func Runs(jobs []Job) [][]int {
+	keys := RunKeys(jobs)
+	group := make(map[string]int, len(keys))
+	var runs [][]int
+	for i, k := range keys {
+		if g, ok := group[k]; ok {
+			runs[g] = append(runs[g], i)
+			continue
+		}
+		group[k] = len(runs)
+		runs = append(runs, []int{i})
+	}
+	return runs
+}
+
+// Share returns j's record given rec, the record of a job with j's run
+// key: the same measurements under j's own backend, scenario and
+// processor count.
+func (j Job) Share(rec Record) Record {
+	rec.Backend, rec.Scenario, rec.Procs = j.Backend.Name(), j.Scenario.Name, j.Scenario.Procs
+	return rec
+}
+
+// configText is one rendered config.
+type configText struct {
+	cfg  core.Config
+	text string
+}
+
+// configTexts memoizes canonConfig over the configs of one job list,
+// compared by value.
+type configTexts []configText
+
+func (c *configTexts) render(cfg *core.Config) string {
+	for i := range *c {
+		// Procs rejects most non-matches cheaply; DeepEqual is the proof.
+		if r := &(*c)[i]; r.cfg.Procs == cfg.Procs && reflect.DeepEqual(&r.cfg, cfg) {
+			return r.text
+		}
+	}
+	text := canonConfig(*cfg)
+	*c = append(*c, configText{*cfg, text})
+	return text
 }
 
 func hashSpec(j Job, config string) string {
@@ -98,16 +172,22 @@ func hashSpec(j Job, config string) string {
 // canonConfig rendered it.  The serve API's /v1/spec endpoint returns
 // hashes derived from exactly this text.
 func appendSpec(b []byte, j Job, config string) []byte {
-	for _, kv := range [...][2]string{
+	b = appendHeader(b, [][2]string{
 		{"engine=", EngineVersion},
 		{"app=", j.App.Name()},
 		{"problem=", j.App.Problem()},
 		{"backend=", j.Backend.Name()},
 		{"scenario=", j.Scenario.Name},
-	} {
+	})
+	return append(b, config...)
+}
+
+// appendHeader appends one "key=value" line per pair.
+func appendHeader(b []byte, lines [][2]string) []byte {
+	for _, kv := range lines {
 		b = append(append(append(b, kv[0]...), kv[1]...), '\n')
 	}
-	return append(b, config...)
+	return b
 }
 
 // canonConfig is the one rendering of a scenario config every spec hash

@@ -25,9 +25,9 @@
 //	                 canonical spec hashes plus the engine version
 //	POST /v1/spec    same, selection in a JSON body
 //	GET  /v1/stats   service and cache counters (hits, misses, disk
-//	                 hits, evictions, inflight, computed, records
-//	                 served, requests, job panics, plan hits, plan
-//	                 misses, plan entries)
+//	                 hits, evictions, inflight, computed, shared,
+//	                 records served, requests, job panics, plan hits,
+//	                 plan misses, plan entries)
 //
 // /v1/grid and /v1/spec take the msvdsm grid selection vocabulary —
 // query parameters apps, backends, scenarios (scenario-set names),
@@ -76,6 +76,21 @@
 //
 // /v1/stats reports plan_hits, plan_misses and plan_entries beside the
 // store counters; hits + misses still moves by one per job per request.
+//
+// # Cold path
+//
+// The cold jobs of a request are grouped by run key (harness.RunKeys):
+// EngineVersion, the app, the standard adapter that runs the job and
+// only the config fields that adapter reads.  Jobs that differ only in
+// what their backend never reads — PVM across the page-size and
+// handler sweeps, TreadMarks with the PVM master co-located — are one
+// simulation: the group's first job is computed (or leased to the
+// fleet), and every other job gets a copy of its record under its own
+// backend and scenario, stored under its own spec hash and counted as
+// shared.  Spec hashes, /v1/spec bodies, store keys and reply bytes are
+// those of one run per job; only the number of runs drops.  Sharing is
+// within one request's cold set: a warm record never answers a cold
+// job with another hash.
 //
 // A backend × scenario pair the system refuses to build (tmk-tree or
 // tmk-sc-tree under loss, dup, reorder, partition or mgr=spread) is a
@@ -148,6 +163,7 @@ type Server struct {
 	badRequests   atomic.Int64
 	recordsServed atomic.Int64
 	computed      atomic.Int64
+	shared        atomic.Int64
 	inflight      atomic.Int64
 	dispatched    atomic.Int64
 	fallbacks     atomic.Int64
@@ -192,6 +208,7 @@ type Stats struct {
 	BadRequests   int64  `json:"bad_requests"`
 	RecordsServed int64  `json:"records_served"`
 	Computed      int64  `json:"computed"`
+	Shared        int64  `json:"shared"`
 	Inflight      int64  `json:"inflight"`
 	Dispatched    int64  `json:"dispatched"`
 	Fallbacks     int64  `json:"fallbacks"`
@@ -204,9 +221,12 @@ type Stats struct {
 // Stats returns a snapshot of the service counters.  Computed counts
 // actual local backend runs (the warm-path proof is this number
 // standing still while records keep flowing), Dispatched the records
-// obtained from the worker fleet, and Fallbacks the jobs that came
-// back from the dispatcher unserved and ran locally instead; JobPanics
-// the local runs that panicked and became their request's 500.
+// obtained from the worker fleet, Shared the cold jobs answered by
+// another job's run in the same sweep (runCold counts each cold job
+// once, as computed, dispatched or shared), and Fallbacks the jobs that
+// came back from the dispatcher unserved and ran locally instead;
+// JobPanics the local runs that panicked and became their request's
+// 500.
 func (s *Server) Stats() Stats {
 	st := Stats{
 		Engine:        harness.EngineVersion,
@@ -214,6 +234,7 @@ func (s *Server) Stats() Stats {
 		BadRequests:   s.badRequests.Load(),
 		RecordsServed: s.recordsServed.Load(),
 		Computed:      s.computed.Load(),
+		Shared:        s.shared.Load(),
 		Inflight:      s.inflight.Load(),
 		Dispatched:    s.dispatched.Load(),
 		Fallbacks:     s.fallbacks.Load(),
@@ -528,86 +549,107 @@ var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // runCold executes the cold job indices on the harness pool
 // (harness.ForEach), filling recs (recs[k] is job cold[k]'s record).
-// The first failure, by k, stops the sweep and is returned.  Each
-// computation goes through the singleflight group keyed by spec hash,
-// and re-checks the store inside the flight, so an identical job — in
-// this request or a concurrent one — computes exactly once no matter
-// how the flights interleave with completions.  A local computation
-// runs on a clone of the job's app, so jobs is never written.
+// The cold jobs are grouped by run key (harness.Runs), and only each
+// group's first job runs; every other job of the group is answered from
+// its record (harness.Job.Share) and counted as shared.  The first
+// failure, by group, stops the sweep and is returned.  Each job —
+// run or shared — goes through the singleflight group keyed by its spec
+// hash, and re-checks the store inside the flight, so an identical job
+// — in this request or a concurrent one — is computed, dispatched or
+// shared exactly once no matter how the flights interleave with
+// completions.  A local computation runs on a clone of the job's app,
+// so jobs is never written.
 //
 // With a dispatcher attached and workers registered, the pool is as
-// wide as the sweep and cold jobs are leased to the fleet (all of them
-// concurrently — the goroutines just wait on completions); they only
-// fall back to local compute, bounded to Workers at a time, when the
-// dispatcher cannot serve them (no workers left, coordinator draining,
-// or a job that failed its fifth lease): local compute is always
-// correct, just not scaled out.
+// wide as the sweep has runs and each run's first job is leased to the
+// fleet (all of them concurrently — the goroutines just wait on
+// completions); they only fall back to local compute, bounded to
+// Workers at a time, when the dispatcher cannot serve them (no workers
+// left, coordinator draining, or a job that failed its fifth lease):
+// local compute is always correct, just not scaled out.
 //
 // ctx is the request context: when the client disconnects mid-sweep,
 // jobs not yet started are abandoned instead of burning CPU for a
 // reply nobody reads.  A job already running completes (a simulation
 // is not interruptible) and still lands in the store.
 func (s *Server) runCold(ctx context.Context, req gridRequest, scale float64, jobs []harness.Job, hashes []string, cold []int, recs []harness.Record, emit func(any) error) error {
+	coldJobs := make([]harness.Job, len(cold))
+	for k, i := range cold {
+		coldJobs[k] = jobs[i]
+	}
+	runs := harness.Runs(coldJobs)
 	fleet := s.opts.Dispatcher != nil && s.opts.Dispatcher.HasWorkers()
 	width := s.opts.Workers
 	if fleet {
-		width = len(cold)
+		width = len(runs)
 	}
 	// localSlots bounds actual local computation to the configured pool
 	// width even when the pool was widened for dispatch fan-out and jobs
 	// fall back local.
 	localSlots := make(chan struct{}, s.opts.Workers)
-	return harness.ForEach(ctx, len(cold), width, func(k int) error {
-		i := cold[k]
-		s.inflight.Add(1)
-		rec, err, _ := s.flights.do(hashes[i], func() (harness.Record, error) {
-			// Double-check the store: a flight for this hash may have
-			// completed between our miss and now.  Quiet lookup — this
-			// request already counted its miss.
-			if rec, _, ok := s.opts.Store.lookup(hashes[i], false); ok {
-				return rec, nil
-			}
-			if fleet {
-				ref := dispatch.JobRef{
-					Apps:      req.Apps,
-					Backends:  req.Backends,
-					Scenarios: req.Scenarios,
-					NProcs:    req.NProcs,
-					Scale:     scale,
-					Index:     i,
+	return harness.ForEach(ctx, len(runs), width, func(r int) error {
+		var run harness.Record // the record of the group's first job
+		for n, k := range runs[r] {
+			i := cold[k]
+			s.inflight.Add(1)
+			rec, err, _ := s.flights.do(hashes[i], func() (harness.Record, error) {
+				// Double-check the store: a flight for this hash may have
+				// completed between our miss and now.  Quiet lookup — this
+				// request already counted its miss.
+				if rec, _, ok := s.opts.Store.lookup(hashes[i], false); ok {
+					return rec, nil
 				}
-				rec, err := s.opts.Dispatcher.Do(ctx, ref, hashes[i])
-				if err == nil {
-					s.dispatched.Add(1)
+				if n > 0 {
+					s.shared.Add(1)
+					rec := jobs[i].Share(run)
 					s.opts.Store.Put(hashes[i], rec)
 					return rec, nil
 				}
-				if ctx.Err() != nil {
-					return rec, ctx.Err()
+				if fleet {
+					ref := dispatch.JobRef{
+						Apps:      req.Apps,
+						Backends:  req.Backends,
+						Scenarios: req.Scenarios,
+						NProcs:    req.NProcs,
+						Scale:     scale,
+						Index:     i,
+					}
+					rec, err := s.opts.Dispatcher.Do(ctx, ref, hashes[i])
+					if err == nil {
+						s.dispatched.Add(1)
+						s.opts.Store.Put(hashes[i], rec)
+						return rec, nil
+					}
+					if ctx.Err() != nil {
+						return rec, ctx.Err()
+					}
+					// Unserved by the fleet — compute locally below.
+					s.fallbacks.Add(1)
 				}
-				// Unserved by the fleet — compute locally below.
-				s.fallbacks.Add(1)
+				localSlots <- struct{}{}
+				defer func() { <-localSlots }()
+				s.computed.Add(1)
+				j := jobs[i]
+				j.App = j.App.Clone()
+				rec, err := j.Run()
+				if errors.Is(err, harness.ErrJobPanicked) {
+					s.jobPanics.Add(1)
+				} else if err == nil {
+					s.opts.Store.Put(hashes[i], rec)
+				}
+				return rec, err
+			})
+			s.inflight.Add(-1)
+			if err != nil {
+				return err
 			}
-			localSlots <- struct{}{}
-			defer func() { <-localSlots }()
-			s.computed.Add(1)
-			j := jobs[i]
-			j.App = j.App.Clone()
-			rec, err := j.Run()
-			if errors.Is(err, harness.ErrJobPanicked) {
-				s.jobPanics.Add(1)
-			} else if err == nil {
-				s.opts.Store.Put(hashes[i], rec)
+			if n == 0 {
+				run = rec
 			}
-			return rec, err
-		})
-		s.inflight.Add(-1)
-		if err != nil {
-			return err
-		}
-		recs[k] = rec
-		if emit != nil {
-			emit(streamLine{Index: i, Total: len(jobs), Cached: false, Record: &recs[k]})
+			recs[k] = rec
+			if emit != nil {
+				emit(streamLine{Index: i, Total: len(jobs), Cached: false, Record: &recs[k]})
+			}
 		}
 		return nil
 	})

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -86,12 +87,17 @@ func TestRunColdRecoversJobPanic(t *testing.T) {
 // cached but the store has evicted its records — with several clients
 // sending the same selection at once every time.  The plan cache skips
 // the resolve, never the probe; the cold path's in-flight re-check
-// stays quiet; and concurrent duplicates still compute once.
+// stays quiet; and concurrent duplicates still compute once.  Each job
+// that was cold when the round began is counted exactly once, as
+// computed, dispatched or shared, however many clients missed it.
 func TestServeCounterInvariant(t *testing.T) {
 	const clients = 4
 	const (
 		narrow = "/v1/grid?apps=ep,sor-zero&backends=seq,tmk,pvm&scenarios=base&nprocs=2"   // 6 jobs
 		wide   = "/v1/grid?apps=ep,sor-zero&backends=seq,tmk,pvm&scenarios=base&nprocs=2,4" // 10 jobs, 6 of them narrow's
+		// 24 jobs, 4 of them narrow's; per app the 5 cold tmk jobs are 5
+		// runs (page=4096's twin, base, is warm) and the 5 cold pvm jobs 1.
+		paged = "/v1/grid?apps=ep,sor-zero&backends=tmk,pvm&scenarios=base,page&nprocs=2"
 	)
 	dir := t.TempDir()
 	newServer := func(capacity int, dir string) (*Server, string) {
@@ -104,7 +110,8 @@ func TestServeCounterInvariant(t *testing.T) {
 	}
 	// step sends the request from every client at once and checks what
 	// the round moved.
-	step := func(name string, srv *Server, base, q string, jobs int, wantComputed int64, check func(before, after Stats)) {
+	// wantComputed and wantShared of -1 check neither, nor the sum.
+	step := func(name string, srv *Server, base, q string, jobs int, wantComputed, wantShared int64, check func(before, after Stats)) {
 		t.Helper()
 		before := srv.Stats()
 		var wg sync.WaitGroup
@@ -135,6 +142,13 @@ func TestServeCounterInvariant(t *testing.T) {
 		if got := after.Computed - before.Computed; wantComputed >= 0 && got != wantComputed {
 			t.Errorf("%s: computed %d jobs, want %d", name, got, wantComputed)
 		}
+		if got := after.Shared - before.Shared; wantShared >= 0 && got != wantShared {
+			t.Errorf("%s: shared %d jobs, want %d", name, got, wantShared)
+		}
+		counted := (after.Computed + after.Dispatched + after.Shared) - (before.Computed + before.Dispatched + before.Shared)
+		if wantComputed >= 0 && counted != wantComputed+wantShared {
+			t.Errorf("%s: %d cold jobs counted as computed, dispatched or shared, want %d", name, counted, wantComputed+wantShared)
+		}
 		if got := after.RecordsServed - before.RecordsServed; got != int64(clients*jobs) {
 			t.Errorf("%s: served %d records, want %d", name, got, clients*jobs)
 		}
@@ -149,26 +163,28 @@ func TestServeCounterInvariant(t *testing.T) {
 	}
 
 	srv, url := newServer(0, dir)
-	step("fully cold", srv, url, narrow, 6, 6, func(_, after Stats) {
+	step("fully cold", srv, url, narrow, 6, 6, 0, func(_, after Stats) {
 		if after.PlanMisses < 1 || after.PlanHits+after.PlanMisses != clients || after.PlanEntries != 1 {
 			t.Errorf("fully cold: plan stats %+v", after.PlanStats)
 		}
 	})
-	step("fully warm", srv, url, narrow, 6, 0, func(before, after Stats) {
+	step("fully warm", srv, url, narrow, 6, 0, 0, func(before, after Stats) {
 		if after.Misses != before.Misses || after.PlanHits-before.PlanHits != clients {
 			t.Errorf("fully warm: misses %d -> %d, plan hits %d -> %d", before.Misses, after.Misses, before.PlanHits, after.PlanHits)
 		}
 	})
-	step("partly warm", srv, url, wide, 10, 4, func(_, after Stats) {
+	step("partly warm", srv, url, wide, 10, 4, 0, func(_, after Stats) {
 		if after.PlanEntries != 2 {
 			t.Errorf("partly warm: %d plans, want 2", after.PlanEntries)
 		}
 	})
 
+	step("shared runs", srv, url, paged, 24, 12, 8, nil)
+
 	// A restarted server over the same directory: every first read of a
 	// record is a disk hit, and still exactly one count per probe.
 	srv, url = newServer(0, dir)
-	step("disk revisit", srv, url, wide, 10, 0, func(_, after Stats) {
+	step("disk revisit", srv, url, wide, 10, 0, 0, func(_, after Stats) {
 		if after.DiskHits < 10 || after.Misses != 0 {
 			t.Errorf("disk revisit: disk hits %d (want every record's first read), misses %d", after.DiskHits, after.Misses)
 		}
@@ -178,8 +194,8 @@ func TestServeCounterInvariant(t *testing.T) {
 	// behind it has forgotten (almost) everything by the second round,
 	// which must go down the cold path with the cached plan's hashes.
 	srv, url = newServer(1, "")
-	step("tiny store, first round", srv, url, narrow, 6, -1, nil)
-	step("tiny store, plan hit and store miss", srv, url, narrow, 6, -1, func(before, after Stats) {
+	step("tiny store, first round", srv, url, narrow, 6, -1, -1, nil)
+	step("tiny store, plan hit and store miss", srv, url, narrow, 6, -1, -1, func(before, after Stats) {
 		if after.PlanHits-before.PlanHits != clients {
 			t.Errorf("tiny store: plan hits moved by %d, want %d", after.PlanHits-before.PlanHits, clients)
 		}
@@ -193,9 +209,11 @@ func TestServeCounterInvariant(t *testing.T) {
 // TestServeBodiesMatchCLI: for one selection per scenario set the cold
 // body, the warm body and what `msvdsm grid -format json` prints (the
 // same Selection through Grid.Run and harness.WriteJSON) are the same
-// bytes, and /v1/spec answers a plan hit with the plan miss's bytes.
+// bytes, /v1/spec answers a plan hit with the plan miss's bytes, and
+// the cold path runs as many simulations as harness.RunKeys predicts.
 func TestServeBodiesMatchCLI(t *testing.T) {
 	srv, ts := testServer(t, Options{Workers: 2})
+	var duplicates int64 // jobs whose run key an earlier job of their selection has
 	for _, set := range harness.ScenarioSets() {
 		sel := harness.Selection{Apps: []string{"ep", "is-small"}, Backends: []string{"seq", "tmk", "pvm"}, Scenarios: []string{set}, NProcs: []int{2}}
 		if set == "bigp" {
@@ -209,6 +227,13 @@ func TestServeBodiesMatchCLI(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", set, err)
 		}
+		jobs, err := grid.Jobs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys := harness.RunKeys(jobs)
+		slices.Sort(keys)
+		duplicates += int64(len(keys) - len(slices.Compact(keys)))
 		var cli bytes.Buffer
 		if err := harness.WriteJSON(&cli, recs); err != nil {
 			t.Fatal(err)
@@ -230,10 +255,12 @@ func TestServeBodiesMatchCLI(t *testing.T) {
 		}
 	}
 	// One resolve per selection (its /v1/spec; the three requests after
-	// it reuse the plan), and every distinct record computed once.
+	// it reuse the plan), and every distinct record computed once or
+	// shared: a selection's cold jobs take one run per run key.
 	sets := int64(len(harness.ScenarioSets()))
-	if st := srv.Stats(); st.PlanMisses != sets || st.PlanHits != 3*sets || st.Computed != st.Misses || int(st.Computed) != st.Entries {
-		t.Fatalf("stats after %d selections: %+v", sets, st)
+	if st := srv.Stats(); st.PlanMisses != sets || st.PlanHits != 3*sets || st.Computed+st.Shared != st.Misses ||
+		st.Shared != duplicates || int(st.Misses) != st.Entries {
+		t.Fatalf("stats after %d selections (%d duplicate runs predicted): %+v", sets, duplicates, st)
 	}
 }
 
