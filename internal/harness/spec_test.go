@@ -1,7 +1,12 @@
 package harness
 
 import (
+	"crypto/sha256"
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -75,6 +80,60 @@ func TestSpecHashGolden(t *testing.T) {
 				g.app, g.backend, g.scenario, got, g.hash, canonicalSpec(j))
 		}
 	}
+}
+
+// TestScenarioSetsGolden pins every registered scenario set's
+// expansion: one line per scenario with its set, name, processor count
+// and the SHA-256 of its canonical config, at the set's default counts
+// and at P=2 (bigp runs only at its own 16, 64 and 256).  The configs
+// are what every spec hash and run key is made of, so a refactor of
+// how the sets are declared must leave testdata/scenarios.txt as it
+// is; -update rewrites it for a change meant to move a scenario.
+func TestScenarioSetsGolden(t *testing.T) {
+	var got []string
+	for _, set := range ScenarioSets() {
+		counts := [][]int{nil, {2}}
+		if set == "bigp" {
+			counts = counts[:1]
+		}
+		for _, procs := range counts {
+			scs, err := ScenarioSet(set, procs)
+			if err != nil {
+				t.Fatalf("%s at %v: %v", set, procs, err)
+			}
+			for _, sc := range scs {
+				sum := sha256.Sum256([]byte(canonConfig(sc.Config)))
+				got = append(got, fmt.Sprintf("%s %s %d %x", set, sc.Name, sc.Procs, sum))
+			}
+		}
+	}
+	path := filepath.Join("testdata", "scenarios.txt")
+	text := strings.Join(got, "\n") + "\n"
+	if *update {
+		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v; create it with go test ./internal/harness -run TestScenarioSetsGolden -update", err)
+	}
+	if string(want) == text {
+		return
+	}
+	wantLines := strings.Split(strings.TrimSuffix(string(want), "\n"), "\n")
+	for _, l := range wantLines {
+		if !slices.Contains(got, l) {
+			t.Errorf("pinned, not produced: %s", l)
+		}
+	}
+	for _, l := range got {
+		if !slices.Contains(wantLines, l) {
+			t.Errorf("produced, not pinned: %s", l)
+		}
+	}
+	t.Errorf("%s does not match the scenario sets (same lines in a different order if none are listed above)", path)
 }
 
 // TestSpecHashInstanceInvariance proves the hash is a function of the
