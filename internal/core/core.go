@@ -64,14 +64,9 @@ type Result struct {
 	Time sim.Time   // modeled wall-clock of the slowest process
 	Net  vnet.Stats // traffic in the system's own accounting
 
-	// TreadMarks behavioral detail (zero for PVM/sequential runs).
-	Faults       int
-	DiffRequests int
-	DiffsApplied int
-	DiffBytes    int64
-	LockWait     sim.Time // total time blocked in remote lock acquires
-	BarrierWait  sim.Time // total time blocked in barriers
-	Timeouts     int      // RPC timeouts fired under fault injection
+	// TreadMarks behavioral detail summed over the processors (zero for
+	// PVM/sequential runs).
+	tmk.Counters
 }
 
 // RunSeq executes the sequential program body on a single simulated
@@ -98,18 +93,7 @@ func RunTMK(cfg Config, setup func(sys *tmk.System), body func(p *tmk.Proc)) (Re
 	if err := eng.Run(); err != nil {
 		return Result{}, err
 	}
-	res := Result{Time: eng.MaxPrimaryClock(), Net: sys.Stats()}
-	for i := 0; i < cfg.Procs; i++ {
-		p := sys.Proc(i)
-		res.Faults += p.Faults
-		res.DiffRequests += p.DiffRequests
-		res.DiffsApplied += p.DiffsApplied
-		res.DiffBytes += p.DiffBytes
-		res.LockWait += p.LockWait
-		res.BarrierWait += p.BarrierWait
-		res.Timeouts += p.Timeouts
-	}
-	return res, nil
+	return Result{Time: eng.MaxPrimaryClock(), Net: sys.Stats(), Counters: sys.Counters()}, nil
 }
 
 // RunPVM executes the PVM version: setup (optional) configures the

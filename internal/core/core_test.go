@@ -51,6 +51,25 @@ func TestRunTMKCollectsDetail(t *testing.T) {
 	}
 }
 
+// TestScaled pins the quick-mode shrink rule the app registries and the
+// ablations share: the product, truncated, and never below min.
+func TestScaled(t *testing.T) {
+	for _, c := range []struct {
+		n         int
+		scale     float64
+		min, want int
+	}{
+		{1000, 1, 64, 1000},
+		{1000, 0.1, 64, 100},
+		{1000, 0.0999, 1, 99},
+		{1000, 0.05, 64, 64},
+	} {
+		if got := Scaled(c.n, c.scale, c.min); got != c.want {
+			t.Errorf("Scaled(%d, %g, %d) = %d, want %d", c.n, c.scale, c.min, got, c.want)
+		}
+	}
+}
+
 func TestRunPVMWithMaster(t *testing.T) {
 	cfg := Default(2)
 	heard := 0

@@ -39,15 +39,16 @@ func ablationTable(title string, recs []Record) string {
 // band boundaries.
 func AblatePageSize(scale float64) (string, error) {
 	cfg := sor.Paper(false)
-	cfg.M = int(float64(cfg.M) * scale)
-	if cfg.M < 64 {
-		cfg.M = 64
-	}
+	cfg.M = core.Scaled(cfg.M, scale, 64)
 	cfg.Sweeps = 10
 	recs, err := Grid{
-		Apps:      []core.App{sor.NewApp(cfg)},
-		Backends:  []core.Backend{core.TMK},
-		Scenarios: PageSizeScenarios(8, 1024, 4096, 16384),
+		Apps:     []core.App{sor.NewApp(cfg)},
+		Backends: []core.Backend{core.TMK},
+		Scenarios: []core.Scenario{
+			scenario("page", "page=1024", 8),
+			scenario("page", "page=4096", 8),
+			scenario("page", "page=16384", 8),
+		},
 	}.Run()
 	if err != nil {
 		return "", err
@@ -61,15 +62,16 @@ func AblatePageSize(scale float64) (string, error) {
 // MTU keeps this from being serious).
 func AblateMTU(scale float64) (string, error) {
 	cfg := is.PaperLarge()
-	cfg.Keys = int(float64(cfg.Keys) * scale)
-	if cfg.Keys < 1<<12 {
-		cfg.Keys = 1 << 12
-	}
+	cfg.Keys = core.Scaled(cfg.Keys, scale, 1<<12)
 	cfg.Iters = 4
 	recs, err := Grid{
-		Apps:      []core.App{is.NewApp(cfg)},
-		Backends:  []core.Backend{core.TMK},
-		Scenarios: MTUScenarios(8, 4096, 16384, 65536),
+		Apps:     []core.App{is.NewApp(cfg)},
+		Backends: []core.Backend{core.TMK},
+		Scenarios: []core.Scenario{
+			scenario("mtu", "mtu=4096", 8),
+			scenario("mtu", "mtu=16384", 8),
+			scenario("mtu", "mtu=65536", 8),
+		},
 	}.Run()
 	if err != nil {
 		return "", err

@@ -20,11 +20,11 @@ func TestGridWorkersStress(t *testing.T) {
 		apps = append(apps, app)
 	}
 	mk := func(workers int) Grid {
-		scs := BaseScenarios(2, 4)
+		scs := []core.Scenario{scenario("base", "base", 2), scenario("base", "base", 4)}
 		// One lossy cell rides along: recovery traffic (timeouts,
 		// retransmissions, ARQ delays) must be just as independent of the
 		// pool width as the fault-free runs.
-		scs = append(scs, LossScenarios(4, 0.05)...)
+		scs = append(scs, scenario("loss", "loss=0.05", 4))
 		return Grid{
 			Apps:      apps,
 			Backends:  []core.Backend{core.Seq, core.TMK, core.PVM},

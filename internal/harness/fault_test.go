@@ -45,7 +45,7 @@ func TestFaultConformance(t *testing.T) {
 		}
 		for _, b := range faultBackends() {
 			for _, n := range []int{2, 4, 8} {
-				checkApp(t, app, b, LossScenarios(n, 0.05)[0])
+				checkApp(t, app, b, scenario("loss", "loss=0.05", n))
 			}
 		}
 	}
@@ -60,11 +60,11 @@ func TestFaultRateSweep(t *testing.T) {
 	}
 	const n = 4
 	scenarios := []core.Scenario{
-		LossScenarios(n, 0.01)[0],
-		LossScenarios(n, 0.20)[0],
-		DupScenarios(n, 0.05)[0],
-		ReorderScenarios(n, 0.05)[0],
-		PartitionScenarios(n)[0],
+		scenario("loss", "loss=0.01", n),
+		scenario("loss", "loss=0.2", n),
+		scenario("dup", "dup=0.05", n),
+		scenario("reorder", "reorder=0.05", n),
+		scenario("partition", "partition", n),
 	}
 	for _, name := range []string{"SOR-Zero", "IS-Small", "QSORT"} {
 		app := Find(Apps(faultScale), name)
@@ -94,8 +94,8 @@ func TestFaultSmoke(t *testing.T) {
 			t.Fatalf("%s seq: %v", app.Name(), err)
 		}
 		for _, b := range faultBackends() {
-			checkApp(t, app, b, LossScenarios(4, 0.05)[0])
-			checkApp(t, app, b, PartitionScenarios(4)[0])
+			checkApp(t, app, b, scenario("loss", "loss=0.05", 4))
+			checkApp(t, app, b, scenario("partition", "partition", 4))
 		}
 	}
 }
@@ -116,7 +116,7 @@ func TestFaultCausalAdmission(t *testing.T) {
 	if _, err := core.Seq.Run(app, core.Base(1)); err != nil {
 		t.Fatalf("seq: %v", err)
 	}
-	checkApp(t, app, TMKEager, LossScenarios(8, 0.20)[0])
+	checkApp(t, app, TMKEager, scenario("loss", "loss=0.2", 8))
 }
 
 // TestFaultGoldenDeterminism pins one fault scenario and requires the
@@ -133,8 +133,11 @@ func TestFaultGoldenDeterminism(t *testing.T) {
 		apps = append(apps, app)
 	}
 	mk := func(workers int) Grid {
-		scs := append(LossScenarios(2, 0.05), LossScenarios(4, 0.05)...)
-		scs = append(scs, PartitionScenarios(4)...)
+		scs := []core.Scenario{
+			scenario("loss", "loss=0.05", 2),
+			scenario("loss", "loss=0.05", 4),
+			scenario("partition", "partition", 4),
+		}
 		return Grid{
 			Apps:      apps,
 			Backends:  []core.Backend{core.TMK, core.PVM},

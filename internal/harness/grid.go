@@ -7,8 +7,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 
 	"repro/internal/core"
@@ -19,7 +21,11 @@ import (
 // (app, backend, scenario, processor count) plus the modeled measurements
 // the paper reports and the TreadMarks behavioral detail.  Records are
 // the single interchange format of the harness: tables, figures, goldens
-// and the CLI's JSON/CSV output are all views of []Record.
+// and the CLI's JSON/CSV output are all views of []Record.  The fields,
+// named by their json tags in declaration order, are also the CSV
+// columns (WriteCSV), so a new column is a field here and its line in
+// recordOf.  Record stays a comparable value of strings and numbers: the
+// serve store compares records with != and decodes cached JSON into it.
 type Record struct {
 	App      string `json:"app"`
 	Figure   int    `json:"figure,omitempty"`
@@ -321,54 +327,51 @@ func JoinRecordJSON(body []byte, frags [][]byte) []byte {
 	return append(body, end...)
 }
 
-// csvHeader is the fixed CSV column order.
-var csvHeader = []string{
-	"app", "figure", "problem", "backend", "scenario", "procs",
-	"time_ns", "seconds", "messages", "bytes",
-	"dropped", "retrans", "timeouts",
-	"faults", "diff_requests", "diffs_applied", "diff_bytes",
-	"lock_wait_ns", "barrier_wait_ns",
-}
-
-// WriteCSV emits the records as CSV with a header row.  The underlying
-// writer is flushed and checked per row, so a sink that breaks mid-
-// stream (a closed HTTP connection) surfaces as an error at the first
-// failing record instead of being swallowed by csv.Writer's buffering
-// until the end.
+// WriteCSV emits the records as CSV: a header row of Record's json
+// names, then one row per record with a column per Record field in
+// declaration order.  Strings are written as they are, integers in
+// decimal, floats in the shortest form that reads back exactly
+// (strconv's 'g', -1); an omitempty field still prints its zero.  The
+// underlying writer is flushed and checked per row, so a sink that
+// breaks mid-stream (a closed HTTP connection) surfaces as an error at
+// the first failing record instead of being swallowed by csv.Writer's
+// buffering until the end.
 func WriteCSV(w io.Writer, recs []Record) error {
+	cols := reflect.TypeFor[Record]()
+	row := make([]string, cols.NumField())
+	for i := range row {
+		row[i], _, _ = strings.Cut(cols.Field(i).Tag.Get("json"), ",")
+	}
 	cw := csv.NewWriter(w)
-	if err := cw.Write(csvHeader); err != nil {
-		return err
-	}
-	cw.Flush()
-	if err := cw.Error(); err != nil {
-		return err
-	}
-	for _, r := range recs {
-		row := []string{
-			r.App, strconv.Itoa(r.Figure), r.Problem, r.Backend, r.Scenario,
-			strconv.Itoa(r.Procs),
-			strconv.FormatInt(r.TimeNS, 10),
-			strconv.FormatFloat(r.Seconds, 'g', -1, 64),
-			strconv.FormatInt(r.Messages, 10),
-			strconv.FormatInt(r.Bytes, 10),
-			strconv.FormatInt(r.Dropped, 10),
-			strconv.FormatInt(r.Retrans, 10),
-			strconv.Itoa(r.Timeouts),
-			strconv.Itoa(r.Faults),
-			strconv.Itoa(r.DiffRequests),
-			strconv.Itoa(r.DiffsApplied),
-			strconv.FormatInt(r.DiffBytes, 10),
-			strconv.FormatInt(r.LockWaitNS, 10),
-			strconv.FormatInt(r.BarrierWaitNS, 10),
-		}
+	writeRow := func() error {
 		if err := cw.Write(row); err != nil {
 			return err
 		}
 		cw.Flush()
-		if err := cw.Error(); err != nil {
+		return cw.Error()
+	}
+	if err := writeRow(); err != nil {
+		return err
+	}
+	for _, r := range recs {
+		v := reflect.ValueOf(r)
+		for i := range row {
+			row[i] = csvCell(v.Field(i))
+		}
+		if err := writeRow(); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// csvCell formats one Record field for WriteCSV.
+func csvCell(v reflect.Value) string {
+	switch v.Kind() {
+	case reflect.String:
+		return v.String()
+	case reflect.Float64:
+		return strconv.FormatFloat(v.Float(), 'g', -1, 64)
+	}
+	return strconv.FormatInt(v.Int(), 10)
 }

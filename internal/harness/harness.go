@@ -15,8 +15,10 @@
 //     value.
 //   - core.Scenario — one point in configuration space: processor count,
 //     network cost model, DSM cost model, PVM placement and cost-model
-//     overrides.  scenarios.go provides the stock axes (base testbed,
-//     page-size sweep, link-bandwidth sweep, co-located master).
+//     overrides.  scenarios.go declares the stock axes, from the base
+//     testbed through the page-size, network, placement and fault sweeps,
+//     in one table (scenarioSets) that the CLI, the serve API and the
+//     rendered artifacts all select from by set and scenario name.
 //
 // A Grid is the cross product apps × backends × scenarios; Grid.Run
 // executes it and emits one structured Record per run.  Runs are
@@ -29,6 +31,12 @@
 // their grids), the pinned model output under testdata/pins,
 // cmd/msvdsm's JSON/CSV output and the ablation studies — consumes the
 // same records.
+//
+// A new result column is a field of Record, with its json tag, and its
+// line in recordOf: the JSON and CSV writers derive everything else.  A
+// new scenario axis is an entry in scenarioSets: its name, the processor
+// counts it supports and its points, each a scenario name and the config
+// field it sets.
 package harness
 
 import (

@@ -24,7 +24,7 @@ func progressGrid(t *testing.T, workers int, progress func(int, Record)) []Recor
 	jobs, err := Grid{
 		Apps:      []core.App{Find(apps, "EP"), Find(apps, "SOR-Nonzero")},
 		Backends:  core.StandardBackends(),
-		Scenarios: BaseScenarios(2, 4),
+		Scenarios: []core.Scenario{scenario("base", "base", 2), scenario("base", "base", 4)},
 	}.Jobs()
 	if err != nil {
 		t.Fatal(err)

@@ -137,15 +137,15 @@ func Table1Grid(apps []core.App) Grid {
 
 // Table2Grid is the grid behind Table 2: both systems at 8 processors.
 func Table2Grid(apps []core.App) Grid {
-	return Grid{Apps: apps, Backends: []core.Backend{core.TMK, core.PVM}, Scenarios: BaseScenarios(8)}
+	return Grid{Apps: apps, Backends: []core.Backend{core.TMK, core.PVM}, Scenarios: []core.Scenario{scenario("base", "base", 8)}}
 }
 
 // FiguresGrid is the grid behind the apps' speedup figures: the
 // sequential baseline plus both systems at 1..maxProcs processors.
 func FiguresGrid(apps []core.App, maxProcs int) Grid {
-	var procs []int
+	var scs []core.Scenario
 	for n := 1; n <= maxProcs; n++ {
-		procs = append(procs, n)
+		scs = append(scs, scenario("base", "base", n))
 	}
-	return Grid{Apps: apps, Backends: core.StandardBackends(), Scenarios: BaseScenarios(procs...)}
+	return Grid{Apps: apps, Backends: core.StandardBackends(), Scenarios: scs}
 }

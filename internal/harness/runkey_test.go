@@ -98,7 +98,7 @@ func TestRunKeyParts(t *testing.T) {
 	base := core.Base(2)
 	page := base
 	page.Name, page.DSM.PageSize = "page=1024", 1024
-	colo := ColocatedScenario(2)
+	colo := scenario("colocated", "colocated", 2)
 	slowNet := base
 	slowNet.Name, slowNet.Net = "eth10", vnet.Ethernet10()
 	for _, c := range []struct {
@@ -223,7 +223,7 @@ func TestRunJobsSharesRuns(t *testing.T) {
 		return sc
 	})
 	ep := Find(Apps(0.01), "EP")
-	colo := ColocatedScenario(2)
+	colo := scenario("colocated", "colocated", 2)
 	bad := []Job{
 		{ep, core.TMK, core.Base(2)},
 		{ep, broken, colo},

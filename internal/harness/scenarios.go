@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -9,151 +10,153 @@ import (
 )
 
 // This file declares the stock scenario axes.  A scenario is data: adding
-// a sweep here (or in a caller) changes no application code and no
-// backend code — the grid crosses whatever it is given.
+// a sweep here changes no application code and no backend code — the
+// grid crosses whatever it is given.
 
-// BaseScenarios returns the paper's testbed at each processor count.
-func BaseScenarios(procs ...int) []core.Scenario {
-	var out []core.Scenario
-	for _, n := range procs {
-		out = append(out, core.Base(n))
+// A scenarioSet is one named axis: the processor counts it supports and
+// its points, each a scenario name and the config field it sets on the
+// paper's testbed.
+type scenarioSet struct {
+	name string
+	// procs lists the processor counts the set supports and defaults to
+	// when the caller names none; nil means any count, with the
+	// testbed's 8 as the default.
+	procs  []int
+	points []point
+}
+
+// A point is one scenario of a set: its name and the change it makes to
+// core.Base; a nil set is the testbed itself.
+type point struct {
+	name string
+	set  func(c *core.Config)
+}
+
+// sweep is the points of a one-field axis: one per value, named by
+// format applied to the value.
+func sweep[T any](format string, vals []T, set func(c *core.Config, v T)) []point {
+	out := make([]point, len(vals))
+	for i, v := range vals {
+		out[i] = point{fmt.Sprintf(format, v), func(c *core.Config) { set(c, v) }}
 	}
 	return out
 }
 
-// PageSizeScenarios sweeps the DSM page size (granularity of false
-// sharing) at a fixed processor count.  The paper's testbed uses 4 KB.
-func PageSizeScenarios(nprocs int, sizes ...int) []core.Scenario {
-	if len(sizes) == 0 {
-		sizes = []int{1024, 2048, 4096, 8192, 16384}
-	}
-	var out []core.Scenario
-	for _, ps := range sizes {
-		sc := core.Base(nprocs)
-		sc.Name = fmt.Sprintf("page=%d", ps)
-		sc.DSM.PageSize = ps
-		out = append(out, sc)
-	}
-	return out
-}
-
-// MTUScenarios sweeps the transport MTU (fragmentation of multi-page
-// diff responses) at a fixed processor count.
-func MTUScenarios(nprocs int, mtus ...int) []core.Scenario {
-	if len(mtus) == 0 {
-		mtus = []int{4096, 16384, 65536}
-	}
-	var out []core.Scenario
-	for _, mtu := range mtus {
-		sc := core.Base(nprocs)
-		sc.Name = fmt.Sprintf("mtu=%d", mtu)
-		sc.Net.MTU = mtu
-		out = append(out, sc)
-	}
-	return out
-}
-
-// BandwidthScenarios compares the paper's 100 Mbit/s FDDI against a
-// 10 Mbit/s Ethernet at a fixed processor count: the link-bandwidth
-// sensitivity of the DSM-versus-message-passing gap.
-func BandwidthScenarios(nprocs int) []core.Scenario {
-	fddi := core.Base(nprocs)
-	fddi.Name = "fddi"
-	eth := core.Base(nprocs)
-	eth.Name = "eth10"
-	eth.Net = vnet.Ethernet10()
-	return []core.Scenario{fddi, eth}
-}
-
-// LatencyScenarios sweeps the one-way wire latency from the paper's
-// FDDI campus value out to WAN-class delays at a fixed processor count.
-// Latency hits the DSM and message-passing systems asymmetrically: a
-// TreadMarks page fault pays the round trip once per missing diff
-// source, while PVM pays it once per application-level exchange.
-func LatencyScenarios(nprocs int, lats ...sim.Time) []core.Scenario {
-	if len(lats) == 0 {
-		lats = []sim.Time{
-			60 * sim.Microsecond, // the paper's FDDI testbed
-			500 * sim.Microsecond,
-			2 * sim.Millisecond, // metro-area link
-			10 * sim.Millisecond,
-			40 * sim.Millisecond, // WAN / transcontinental
+// scenarioSets is the single registry of named scenario axes: the CLI
+// lists its names and ScenarioSet resolves against it, so a new axis is
+// one entry here.
+var scenarioSets = []scenarioSet{
+	// The paper's testbed.
+	{name: "base", points: []point{{"base", nil}}},
+	// The DSM page size (granularity of false sharing); the testbed
+	// uses 4 KB.
+	{name: "page", points: sweep("page=%d", []int{1024, 2048, 4096, 8192, 16384},
+		func(c *core.Config, v int) { c.DSM.PageSize = v })},
+	// The transport MTU (fragmentation of multi-page diff responses).
+	{name: "mtu", points: sweep("mtu=%d", []int{4096, 16384, 65536},
+		func(c *core.Config, v int) { c.Net.MTU = v })},
+	// The paper's 100 Mbit/s FDDI against a 10 Mbit/s Ethernet: the
+	// link-bandwidth sensitivity of the DSM-versus-message-passing gap.
+	{name: "bw", points: []point{
+		{"fddi", nil},
+		{"eth10", func(c *core.Config) { c.Net = vnet.Ethernet10() }},
+	}},
+	// The one-way wire latency in µs, from the paper's FDDI campus value
+	// (60) through a metro-area link (2000) to WAN-class delays (40000).
+	// Latency hits the two systems asymmetrically: a TreadMarks page
+	// fault pays the round trip once per missing diff source, PVM once
+	// per application-level exchange.
+	{name: "lat", points: sweep("lat=%dus", []sim.Time{60, 500, 2000, 10000, 40000},
+		func(c *core.Config, us sim.Time) { c.Net.Latency = us * sim.Microsecond })},
+	// The service-side cost in µs of handling a protocol request
+	// (tmk.Config.HandlerOverhead; the testbed's is 30): the SIGIO
+	// interrupt-and-dispatch cost the paper identifies as a fixed
+	// per-message overhead of the DSM's request/reply structure.  PVM
+	// has no service daemon, so the sweep isolates TreadMarks.
+	{name: "handler", points: sweep("handler=%dus", []sim.Time{0, 30, 100, 300, 1000},
+		func(c *core.Config, us sim.Time) { c.DSM.HandlerOverhead = us * sim.Microsecond })},
+	// The PVM master (of master/slave apps) on node 0 with slave 0, as
+	// in the paper's physical arrangement: their traffic crosses
+	// loopback and disappears from the message counts.
+	{name: "colocated", points: []point{{"colocated", func(c *core.Config) { c.MasterColocated = true }}}},
+	// Synchronization-manager placement, the large-P question of whether
+	// processor 0 serializes.  The testbed spreads lock managers
+	// round-robin and centralizes barriers on processor 0; mgr=proc0
+	// pulls the lock managers onto processor 0 too, mgr=spread spreads
+	// the barrier managers as well.
+	{name: "placement", points: []point{
+		{"mgr=proc0", func(c *core.Config) { c.DSM.CentralLockMgr = true }},
+		{"mgr=spread", func(c *core.Config) { c.DSM.SpreadBarrierMgr = true }},
+	}},
+	// Seeded message loss.  TreadMarks (UDP) recovers through the tmk
+	// at-least-once RPC layer, PVM (TCP) through the transport's
+	// emulated ARQ: which protocol degrades more gracefully.
+	{name: "loss", points: sweep("loss=%g", []float64{0.01, 0.05, 0.20},
+		func(c *core.Config, r float64) { c.Net.Faults.Loss = r })},
+	// Seeded duplication: duplicate suppression with nothing lost.
+	{name: "dup", points: sweep("dup=%g", []float64{0.01, 0.05, 0.20},
+		func(c *core.Config, r float64) { c.Net.Faults.Dup = r })},
+	// A fraction of datagrams held back plus uniform delivery jitter:
+	// sequence-number filtering without loss.
+	{name: "reorder", points: sweep("reorder=%g", []float64{0.05, 0.20},
+		func(c *core.Config, r float64) {
+			c.Net.Faults.Reorder = r
+			c.Net.Faults.ReorderDelay = 1 * sim.Millisecond
+			c.Net.Faults.Jitter = 250 * sim.Microsecond
+		})},
+	// The last node cut off from the rest over an early window that
+	// heals mid-run: datagrams into the partition drop (and are
+	// retransmitted until the heal), stream deliveries stall.  Runs
+	// shorter than the window start never notice.
+	{name: "partition", points: []point{{"partition", func(c *core.Config) {
+		if c.Procs > 1 {
+			c.Net.Faults.Partitions = []vnet.Partition{{
+				Start: 5 * sim.Millisecond,
+				Heal:  25 * sim.Millisecond,
+				Nodes: []int{c.Procs - 1},
+			}}
 		}
-	}
-	var out []core.Scenario
-	for _, l := range lats {
-		sc := core.Base(nprocs)
-		sc.Name = fmt.Sprintf("lat=%dus", int64(l/sim.Microsecond))
-		sc.Net.Latency = l
-		out = append(out, sc)
-	}
-	return out
+	}}}},
+	// The CPU costs the network model charges on the last node, scaled:
+	// the paper-era straggler workstation.  Not lossy, so no reliability
+	// machinery arms; only the load balance shifts.
+	{name: "slow", points: sweep("slow=%gx", []float64{2, 4},
+		func(c *core.Config, f float64) {
+			if c.Procs > 1 {
+				c.Net.Faults.Slowdown = make([]float64, c.Procs)
+				for i := range c.Net.Faults.Slowdown {
+					c.Net.Faults.Slowdown[i] = 1
+				}
+				c.Net.Faults.Slowdown[c.Procs-1] = f
+			}
+		})},
+	// The scale-out cell: the testbed network at processor counts the
+	// paper's hardware never reached.
+	{name: "bigp", procs: []int{16, 64, 256}, points: []point{{"bigp", nil}}},
 }
 
-// HandlerScenarios sweeps the service-side cost of handling a protocol
-// request (tmk.Config.HandlerOverhead) — the stand-in for the SIGIO
-// interrupt-and-dispatch cost the paper identifies as a fixed per-message
-// overhead of the DSM's request/reply structure.  PVM runs are unaffected
-// (no service daemon), so the sweep isolates the interrupt-cost
-// sensitivity of TreadMarks alone.
-func HandlerScenarios(nprocs int, costs ...sim.Time) []core.Scenario {
-	if len(costs) == 0 {
-		costs = []sim.Time{
-			0,
-			30 * sim.Microsecond, // the paper's testbed
-			100 * sim.Microsecond,
-			300 * sim.Microsecond,
-			1 * sim.Millisecond,
+// at builds the set's scenarios at n processors: the testbed, named and
+// changed by each point.  A point that makes the network lossy draws
+// its faults from a seed of its own (faultSeed), so every (scenario,
+// nprocs) cell sees its own reproducible fault pattern.
+func (s scenarioSet) at(n int) []core.Scenario {
+	out := make([]core.Scenario, len(s.points))
+	for i, p := range s.points {
+		sc := core.Base(n)
+		sc.Name = p.name
+		if p.set != nil {
+			p.set(&sc.Config)
 		}
-	}
-	var out []core.Scenario
-	for _, c := range costs {
-		sc := core.Base(nprocs)
-		sc.Name = fmt.Sprintf("handler=%dus", int64(c/sim.Microsecond))
-		sc.DSM.HandlerOverhead = c
-		out = append(out, sc)
+		if sc.Net.Faults.Lossy() {
+			sc.Net.Faults.Seed = faultSeed(sc.Name, n)
+		}
+		out[i] = sc
 	}
 	return out
-}
-
-// ColocatedScenario places the PVM master (for master/slave apps) on
-// node 0 with slave 0, as in the paper's physical arrangement: their
-// traffic crosses loopback and disappears from the message counts.
-func ColocatedScenario(nprocs int) core.Scenario {
-	sc := core.Base(nprocs)
-	sc.Name = "colocated"
-	sc.MasterColocated = true
-	return sc
-}
-
-// PlacementScenarios sweeps synchronization-manager placement at a
-// fixed processor count — the large-P question of whether proc 0
-// serializes.  The testbed default distributes lock managers
-// round-robin and centralizes barriers on proc 0; "mgr=proc0" pulls
-// the lock managers onto proc 0 too (fully centralized), "mgr=spread"
-// spreads the barrier managers round-robin as well (fully
-// distributed).
-func PlacementScenarios(nprocs int) []core.Scenario {
-	central := core.Base(nprocs)
-	central.Name = "mgr=proc0"
-	central.DSM.CentralLockMgr = true
-	spread := core.Base(nprocs)
-	spread.Name = "mgr=spread"
-	spread.DSM.SpreadBarrierMgr = true
-	return []core.Scenario{central, spread}
-}
-
-// BigScenario is the procs=64/256 scale-out cell: the paper's testbed
-// network at a processor count the paper's hardware never reached.
-func BigScenario(nprocs int) core.Scenario {
-	sc := core.Base(nprocs)
-	sc.Name = "bigp"
-	return sc
 }
 
 // faultSeed derives a stable fault-injection seed from a scenario's
-// coordinates (FNV-1a over the name, mixed with the processor count), so
-// every (scenario, nprocs) cell sees its own reproducible fault pattern.
+// coordinates (FNV-1a over the name, mixed with the processor count).
 func faultSeed(name string, nprocs int) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(name); i++ {
@@ -165,129 +168,6 @@ func faultSeed(name string, nprocs int) uint64 {
 	return h
 }
 
-// LossScenarios sweeps seeded message loss.  TreadMarks (UDP) recovers
-// through the tmk at-least-once RPC layer; PVM (TCP) through the
-// transport's emulated ARQ — the paper-era question of which protocol
-// degrades more gracefully.
-func LossScenarios(nprocs int, rates ...float64) []core.Scenario {
-	if len(rates) == 0 {
-		rates = []float64{0.01, 0.05, 0.20}
-	}
-	var out []core.Scenario
-	for _, r := range rates {
-		sc := core.Base(nprocs)
-		sc.Name = fmt.Sprintf("loss=%g", r)
-		sc.Net.Faults.Loss = r
-		sc.Net.Faults.Seed = faultSeed(sc.Name, nprocs)
-		out = append(out, sc)
-	}
-	return out
-}
-
-// DupScenarios sweeps seeded message duplication (duplicate suppression
-// is exercised with nothing actually lost).
-func DupScenarios(nprocs int, rates ...float64) []core.Scenario {
-	if len(rates) == 0 {
-		rates = []float64{0.01, 0.05, 0.20}
-	}
-	var out []core.Scenario
-	for _, r := range rates {
-		sc := core.Base(nprocs)
-		sc.Name = fmt.Sprintf("dup=%g", r)
-		sc.Net.Faults.Dup = r
-		sc.Net.Faults.Seed = faultSeed(sc.Name, nprocs)
-		out = append(out, sc)
-	}
-	return out
-}
-
-// ReorderScenarios holds back a fraction of datagrams plus uniform
-// delivery jitter, stressing sequence-number filtering without loss.
-func ReorderScenarios(nprocs int, rates ...float64) []core.Scenario {
-	if len(rates) == 0 {
-		rates = []float64{0.05, 0.20}
-	}
-	var out []core.Scenario
-	for _, r := range rates {
-		sc := core.Base(nprocs)
-		sc.Name = fmt.Sprintf("reorder=%g", r)
-		sc.Net.Faults.Reorder = r
-		sc.Net.Faults.ReorderDelay = 1 * sim.Millisecond
-		sc.Net.Faults.Jitter = 250 * sim.Microsecond
-		sc.Net.Faults.Seed = faultSeed(sc.Name, nprocs)
-		out = append(out, sc)
-	}
-	return out
-}
-
-// PartitionScenarios severs the last node from the rest of the cluster
-// over an early virtual-time window that heals mid-run: datagrams into
-// the partition drop (and are retransmitted until the heal), stream
-// deliveries stall.  Runs shorter than the window start never notice.
-func PartitionScenarios(nprocs int) []core.Scenario {
-	sc := core.Base(nprocs)
-	sc.Name = "partition"
-	if nprocs > 1 {
-		sc.Net.Faults.Partitions = []vnet.Partition{{
-			Start: 5 * sim.Millisecond,
-			Heal:  25 * sim.Millisecond,
-			Nodes: []int{nprocs - 1},
-		}}
-		sc.Net.Faults.Seed = faultSeed(sc.Name, nprocs)
-	}
-	return []core.Scenario{sc}
-}
-
-// SlowScenarios scales the CPU costs the network model charges on the
-// last node — the paper-era straggler workstation.  Not lossy: no
-// reliability machinery arms, only the load imbalance shifts.
-func SlowScenarios(nprocs int, factors ...float64) []core.Scenario {
-	if len(factors) == 0 {
-		factors = []float64{2, 4}
-	}
-	var out []core.Scenario
-	for _, f := range factors {
-		sc := core.Base(nprocs)
-		sc.Name = fmt.Sprintf("slow=%gx", f)
-		if nprocs > 1 {
-			sl := make([]float64, nprocs)
-			for i := range sl {
-				sl[i] = 1
-			}
-			sl[nprocs-1] = f
-			sc.Net.Faults.Slowdown = sl
-		}
-		out = append(out, sc)
-	}
-	return out
-}
-
-// scenarioSets is the single registry of named scenario axes: the CLI
-// lists its keys and ScenarioSet resolves against it, so a new axis is
-// one entry here.  procs lists the processor counts a set supports and
-// defaults to when the caller passes none; nil means any count, with
-// the testbed's 8 as the default.
-var scenarioSets = []struct {
-	name   string
-	procs  []int
-	expand func(nprocs int) []core.Scenario
-}{
-	{"base", nil, func(n int) []core.Scenario { return []core.Scenario{core.Base(n)} }},
-	{"page", nil, func(n int) []core.Scenario { return PageSizeScenarios(n) }},
-	{"mtu", nil, func(n int) []core.Scenario { return MTUScenarios(n) }},
-	{"bw", nil, BandwidthScenarios},
-	{"lat", nil, func(n int) []core.Scenario { return LatencyScenarios(n) }},
-	{"handler", nil, func(n int) []core.Scenario { return HandlerScenarios(n) }},
-	{"colocated", nil, func(n int) []core.Scenario { return []core.Scenario{ColocatedScenario(n)} }},
-	{"placement", nil, PlacementScenarios},
-	{"loss", nil, func(n int) []core.Scenario { return LossScenarios(n) }},
-	{"dup", nil, func(n int) []core.Scenario { return DupScenarios(n) }},
-	{"reorder", nil, func(n int) []core.Scenario { return ReorderScenarios(n) }},
-	{"partition", nil, PartitionScenarios},
-	{"slow", nil, func(n int) []core.Scenario { return SlowScenarios(n) }},
-	{"bigp", []int{16, 64, 256}, func(n int) []core.Scenario { return []core.Scenario{BigScenario(n)} }},
-}
-
 // ScenarioSets lists the registered scenario-axis names.
 func ScenarioSets() []string {
 	var out []string
@@ -297,51 +177,44 @@ func ScenarioSets() []string {
 	return out
 }
 
-// ScenarioSetProcs returns the processor counts a named set runs at
-// when the caller specifies none.
-func ScenarioSetProcs(name string) []int {
-	for _, s := range scenarioSets {
-		if s.name == name {
-			if s.procs != nil {
-				return append([]int(nil), s.procs...)
-			}
-			return []int{8}
-		}
-	}
-	return nil
-}
-
 // ScenarioSet resolves a named scenario axis at the given processor
 // counts — the CLI's scenario-selection surface.  Sweep axes expand at
 // each count; nil procs selects the set's defaults.  Sets that declare
 // supported counts reject others by listing the valid choices, rather
 // than expanding into a grid nothing was validated at.
 func ScenarioSet(name string, procs []int) ([]core.Scenario, error) {
-	for _, s := range scenarioSets {
-		if s.name != name {
-			continue
-		}
-		if procs == nil {
-			procs = ScenarioSetProcs(name)
-		}
-		var out []core.Scenario
-		for _, n := range procs {
-			if s.procs != nil && !containsInt(s.procs, n) {
-				return nil, fmt.Errorf("scenario set %q does not run at %d processors (valid: %v)",
-					name, n, s.procs)
-			}
-			out = append(out, s.expand(n)...)
-		}
-		return out, nil
+	i := slices.IndexFunc(scenarioSets, func(s scenarioSet) bool { return s.name == name })
+	if i < 0 {
+		return nil, fmt.Errorf("unknown scenario set %q (have %v)", name, ScenarioSets())
 	}
-	return nil, fmt.Errorf("unknown scenario set %q (have %v)", name, ScenarioSets())
+	s := scenarioSets[i]
+	if procs == nil {
+		procs = s.procs
+		if procs == nil {
+			procs = []int{8}
+		}
+	}
+	var out []core.Scenario
+	for _, n := range procs {
+		if s.procs != nil && !slices.Contains(s.procs, n) {
+			return nil, fmt.Errorf("scenario set %q does not run at %d processors (valid: %v)",
+				name, n, s.procs)
+		}
+		out = append(out, s.at(n)...)
+	}
+	return out, nil
 }
 
-func containsInt(xs []int, n int) bool {
-	for _, x := range xs {
-		if x == n {
-			return true
+// scenario returns the scenario of a set named name at n processors.
+// Callers name registered scenarios with constants, so a miss is a
+// programming error and panics.
+func scenario(set, name string, n int) core.Scenario {
+	scs, err := ScenarioSet(set, []int{n})
+	if err == nil {
+		if i := slices.IndexFunc(scs, func(sc core.Scenario) bool { return sc.Name == name }); i >= 0 {
+			return scs[i]
 		}
+		err = fmt.Errorf("scenario set %q has no scenario %q", set, name)
 	}
-	return false
+	panic(err)
 }

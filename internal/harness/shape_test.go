@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -148,6 +150,31 @@ func TestAblationsRender(t *testing.T) {
 	}
 }
 
+// TestMicroBenchBarrier checks the primitive-latency table's sanity
+// signal: the row of an n-processor barrier shows 2(n-1) messages, one
+// arrival and one departure per client.
+func TestMicroBenchBarrier(t *testing.T) {
+	out, err := MicroBench()
+	if err != nil {
+		t.Fatal(err)
+	}
+	barriers := 0
+	for _, line := range strings.Split(out, "\n") {
+		f := strings.Fields(line)
+		if len(f) != 4 || f[0] != "barrier" {
+			continue
+		}
+		barriers++
+		n, _ := strconv.Atoi(f[1])
+		if want := strconv.Itoa(2 * (n - 1)); f[3] != want {
+			t.Errorf("%d-processor barrier: %s messages, want %s", n, f[3], want)
+		}
+	}
+	if barriers != 3 || !strings.Contains(out, "remote lock acquire") || !strings.Contains(out, "page fault") {
+		t.Errorf("microbenchmark table lacks a row:\n%s", out)
+	}
+}
+
 // Smaller pages mean more messages for the same data (more faults, more
 // diff requests) — the granularity trade-off behind false sharing.
 func TestPageSizeAblationMonotone(t *testing.T) {
@@ -160,7 +187,7 @@ func TestPageSizeAblationMonotone(t *testing.T) {
 	recs, err := Grid{
 		Apps:      []core.App{sor.NewApp(cfg)},
 		Backends:  []core.Backend{core.TMK},
-		Scenarios: PageSizeScenarios(8, 1024, 4096),
+		Scenarios: []core.Scenario{scenario("page", "page=1024", 8), scenario("page", "page=4096", 8)},
 	}.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +209,7 @@ func TestGridRecordsJSONRoundTrip(t *testing.T) {
 	recs, err := Grid{
 		Apps:      []core.App{Find(apps, "EP")},
 		Backends:  core.StandardBackends(),
-		Scenarios: BaseScenarios(2),
+		Scenarios: []core.Scenario{scenario("base", "base", 2)},
 	}.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -206,6 +233,18 @@ func TestGridRecordsJSONRoundTrip(t *testing.T) {
 			t.Fatalf("record %d changed in round trip:\n  out %+v\n  in  %+v", i, recs[i], back[i])
 		}
 	}
+
+	// The CSV says what the JSON says: its header is the JSON object's
+	// keys in order, and each cell holds the value the JSON holds under
+	// the column's name.  Beside the run records: a record with every
+	// field zero, whose omitempty fields JSON leaves out and CSV prints
+	// as zeros, and one with every field set, a tiny float included.
+	full := Record{
+		App: "EP", Figure: 1, Problem: `2^28 "pairs", quoted`, Backend: "tmk", Scenario: "loss=0.05", Procs: 8,
+		TimeNS: 1<<62 + 1, Seconds: 1e-9, Messages: 3, Bytes: 4, Dropped: 5, Retrans: 6, Timeouts: 7,
+		Faults: 8, DiffRequests: 9, DiffsApplied: 10, DiffBytes: 11, LockWaitNS: 12, BarrierWaitNS: 13,
+	}
+	recs = append(recs, Record{}, full)
 	buf.Reset()
 	if err := WriteCSV(&buf, recs); err != nil {
 		t.Fatal(err)
@@ -217,11 +256,78 @@ func TestGridRecordsJSONRoundTrip(t *testing.T) {
 	if len(rows) != len(recs)+1 {
 		t.Fatalf("CSV rows = %d, want %d", len(rows), len(recs)+1)
 	}
-	for i, row := range rows {
-		if len(row) != len(csvHeader) {
-			t.Fatalf("CSV row %d has %d fields, want %d", i, len(row), len(csvHeader))
+	header, kinds := jsonFields(t, full)
+	if !slices.Equal(rows[0], header) {
+		t.Fatalf("CSV header %v, want the JSON keys of a record with every field set %v", rows[0], header)
+	}
+	for i, rec := range recs {
+		_, vals := jsonFields(t, rec)
+		for c, name := range header {
+			cell, v := rows[i+1][c], vals[name]
+			if v == nil { // left out by omitempty: the zero of its kind
+				v = json.Number("0")
+				if _, ok := kinds[name].(string); ok {
+					v = ""
+				}
+			}
+			if !cellHolds(cell, v) {
+				t.Errorf("record %d: CSV %s = %q, JSON %v", i, name, cell, v)
+			}
 		}
 	}
+	// Floats print in strconv's shortest 'g' form, not JSON's: the pin
+	// files hold no value small enough to tell 'g' from 'f'.
+	if got := rows[len(rows)-1][slices.Index(header, "seconds")]; got != "1e-09" {
+		t.Errorf("CSV seconds of 1e-9 = %q, want 1e-09", got)
+	}
+}
+
+// jsonFields returns the keys of rec's JSON object in order and their
+// values, numbers as json.Number.
+func jsonFields(t *testing.T, rec Record) ([]string, map[string]any) {
+	t.Helper()
+	b, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.UseNumber()
+	if _, err := dec.Token(); err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	vals := map[string]any{}
+	for dec.More() {
+		k, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var v any
+		if err := dec.Decode(&v); err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, k.(string))
+		vals[k.(string)] = v
+	}
+	return keys, vals
+}
+
+// cellHolds reports whether a CSV cell holds the JSON value v: the same
+// string, or the same number (exactly, as an integer where v is one).
+func cellHolds(cell string, v any) bool {
+	switch v := v.(type) {
+	case string:
+		return cell == v
+	case json.Number:
+		if n, err := v.Int64(); err == nil {
+			c, err := strconv.ParseInt(cell, 10, 64)
+			return err == nil && c == n
+		}
+		f, err := v.Float64()
+		c, cerr := strconv.ParseFloat(cell, 64)
+		return err == nil && cerr == nil && c == f
+	}
+	return false
 }
 
 // TestExtensibilityEndToEnd is the redesign's acceptance check: a new
@@ -230,7 +336,12 @@ func TestGridRecordsJSONRoundTrip(t *testing.T) {
 // internal/apps — and the variant's cost shows up in the records.
 func TestExtensibilityEndToEnd(t *testing.T) {
 	apps := Apps(0.01)
-	scenarios := append(PageSizeScenarios(2, 1024, 4096), BandwidthScenarios(2)...)
+	scenarios := []core.Scenario{
+		scenario("page", "page=1024", 2),
+		scenario("page", "page=4096", 2),
+		scenario("bw", "fddi", 2),
+		scenario("bw", "eth10", 2),
+	}
 	xdr, err := FindBackend("pvm-xdr")
 	if err != nil {
 		t.Fatal(err)
@@ -351,7 +462,7 @@ func TestPlacementConformance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full app x placement cross product")
 	}
-	for _, sc := range PlacementScenarios(4) {
+	for _, sc := range []core.Scenario{scenario("placement", "mgr=proc0", 4), scenario("placement", "mgr=spread", 4)} {
 		for _, app := range Apps(0.01) {
 			if _, err := core.Seq.Run(app, core.Base(1)); err != nil {
 				t.Fatalf("%s seq: %v", app.Name(), err)

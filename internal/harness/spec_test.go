@@ -54,18 +54,6 @@ func TestSpecHashGolden(t *testing.T) {
 		{"SOR-Nonzero", "tmk", "page=1024", "a36ca8f9f79a02de86f8f33ee37914ffa6c440d7d9c80ceca829f0dbc3d726c7"},
 		{"Water-288", "pvm", "loss=0.05", "36689b8f422a274df8444c974c814e60eb617802de09a7217e2a2ca1d002e245"},
 	}
-	scenario := func(name string, procs int) core.Scenario {
-		switch name {
-		case "base":
-			return core.Base(procs)
-		case "page=1024":
-			return PageSizeScenarios(procs, 1024)[0]
-		case "loss=0.05":
-			return LossScenarios(procs, 0.05)[0]
-		}
-		t.Fatalf("unmapped scenario %q", name)
-		return core.Scenario{}
-	}
 	for _, g := range golden {
 		procs := 8
 		if g.backend == "seq" {
@@ -74,7 +62,8 @@ func TestSpecHashGolden(t *testing.T) {
 		if g.app == "SOR-Zero" && g.backend == "tmk" {
 			procs = 2
 		}
-		j := specJob(t, apps, g.app, g.backend, scenario(g.scenario, procs))
+		set, _, _ := strings.Cut(g.scenario, "=")
+		j := specJob(t, apps, g.app, g.backend, scenario(set, g.scenario, procs))
 		if got := SpecHash(j); got != g.hash {
 			t.Errorf("%s/%s/%s: hash %s, want %s\ncanonical spec:\n%s",
 				g.app, g.backend, g.scenario, got, g.hash, canonicalSpec(j))
@@ -208,7 +197,7 @@ func TestSpecHashFieldSensitivity(t *testing.T) {
 	mutate("backend", func(j *Job) { j.Backend = core.PVM })
 	mutate("app problem size", func(j *Job) { j.App = Find(Apps(0.5), "EP") })
 	mutate("partition window", func(j *Job) {
-		j.Scenario.Net.Faults.Partitions = PartitionScenarios(8)[0].Net.Faults.Partitions
+		j.Scenario.Net.Faults.Partitions = scenario("partition", "partition", 8).Net.Faults.Partitions
 	})
 
 	// The engine version prefixes every canonical spec: a model-change

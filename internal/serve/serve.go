@@ -37,7 +37,12 @@
 // and the valid choices.  `stream=1` on /v1/grid switches the response
 // to JSON lines: one {index, total, cached, record} object per
 // completed job in completion order, then a {done, records, hits,
-// computed} summary line.
+// computed, shared} summary line: hits answered from the store,
+// computed the runs the cold jobs grouped into (see Cold path) and
+// shared the cold jobs a run answered besides its own, so hits +
+// computed + shared = records.  On a server with one client they are
+// the request's moves of /v1/stats hits, computed + dispatched and
+// shared.
 //
 // # Cache key and engine version
 //
@@ -437,12 +442,16 @@ type streamLine struct {
 	Record *harness.Record `json:"record"`
 }
 
-// streamDone is the closing summary line.
+// streamDone is the closing summary line: of the request's records,
+// Hits came from the store, Computed are the runs its cold jobs made
+// (local or on the fleet) and Shared the cold jobs those runs answered
+// besides their own, so the three add up to Records.
 type streamDone struct {
 	Done     bool   `json:"done"`
 	Records  int    `json:"records"`
 	Hits     int    `json:"hits"`
 	Computed int    `json:"computed"`
+	Shared   int    `json:"shared"`
 	Error    string `json:"error,omitempty"`
 }
 
@@ -509,9 +518,10 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 		cold = append(cold, i)
 	}
 
+	runs := 0
 	if len(cold) > 0 {
 		recs := make([]harness.Record, len(cold)) // recs[k] is job cold[k]'s
-		err = s.runCold(r.Context(), req, scale, p.jobs, p.hashes, cold, recs, emit)
+		runs, err = s.runCold(r.Context(), req, scale, p.jobs, p.hashes, cold, recs, emit)
 		if err == nil && !req.Stream {
 			for k, i := range cold {
 				if frags[i], err = harness.RecordJSON(recs[k]); err != nil {
@@ -523,7 +533,7 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 			if req.Stream {
 				// Headers are long gone; report the failure in-band.
 				emit(streamDone{Done: true, Records: total, Hits: total - len(cold),
-					Computed: len(cold), Error: err.Error()})
+					Computed: runs, Shared: len(cold) - runs, Error: err.Error()})
 				return
 			}
 			s.writeError(w, http.StatusInternalServerError, err)
@@ -533,7 +543,7 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 
 	s.recordsServed.Add(int64(total))
 	if req.Stream {
-		emit(streamDone{Done: true, Records: total, Hits: total - len(cold), Computed: len(cold)})
+		emit(streamDone{Done: true, Records: total, Hits: total - len(cold), Computed: runs, Shared: len(cold) - runs})
 		return
 	}
 	// One JSON array in enumeration order, joined by the one function the
@@ -551,13 +561,13 @@ var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
 // (harness.ForEach), filling recs (recs[k] is job cold[k]'s record).
 // The cold jobs are grouped by run key (harness.Runs), and only each
 // group's first job runs; every other job of the group is answered from
-// its record (harness.Job.Share) and counted as shared.  The first
-// failure, by group, stops the sweep and is returned.  Each job —
-// run or shared — goes through the singleflight group keyed by its spec
-// hash, and re-checks the store inside the flight, so an identical job
-// — in this request or a concurrent one — is computed, dispatched or
-// shared exactly once no matter how the flights interleave with
-// completions.  A local computation runs on a clone of the job's app,
+// its record (harness.Job.Share) and counted as shared.  It returns the
+// number of groups; the first failure, by group, stops the sweep and is
+// returned.  Each job — run or shared — goes through the singleflight
+// group keyed by its spec hash, and re-checks the store inside the
+// flight, so an identical job — in this request or a concurrent one —
+// is computed, dispatched or shared exactly once no matter how the
+// flights interleave with completions.  A local computation runs on a clone of the job's app,
 // so jobs is never written.
 //
 // With a dispatcher attached and workers registered, the pool is as
@@ -572,7 +582,7 @@ var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
 // jobs not yet started are abandoned instead of burning CPU for a
 // reply nobody reads.  A job already running completes (a simulation
 // is not interruptible) and still lands in the store.
-func (s *Server) runCold(ctx context.Context, req gridRequest, scale float64, jobs []harness.Job, hashes []string, cold []int, recs []harness.Record, emit func(any) error) error {
+func (s *Server) runCold(ctx context.Context, req gridRequest, scale float64, jobs []harness.Job, hashes []string, cold []int, recs []harness.Record, emit func(any) error) (int, error) {
 	coldJobs := make([]harness.Job, len(cold))
 	for k, i := range cold {
 		coldJobs[k] = jobs[i]
@@ -587,7 +597,7 @@ func (s *Server) runCold(ctx context.Context, req gridRequest, scale float64, jo
 	// width even when the pool was widened for dispatch fan-out and jobs
 	// fall back local.
 	localSlots := make(chan struct{}, s.opts.Workers)
-	return harness.ForEach(ctx, len(runs), width, func(r int) error {
+	return len(runs), harness.ForEach(ctx, len(runs), width, func(r int) error {
 		var run harness.Record // the record of the group's first job
 		for n, k := range runs[r] {
 			i := cold[k]

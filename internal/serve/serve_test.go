@@ -201,6 +201,41 @@ func TestServeStream(t *testing.T) {
 	}
 }
 
+// TestServeStreamCounts checks the closing line's tally on a selection
+// with duplicate runs: pvm never reads the page size, so the five jobs
+// of pvm × page are one run.  hits + computed + shared is the record
+// count, and on a server with one client each equals its /v1/stats
+// move, cold (one run, four shared) and warm (five hits).
+func TestServeStreamCounts(t *testing.T) {
+	srv, ts := testServer(t, Options{Workers: 2})
+	for _, want := range []streamDone{
+		{Done: true, Records: 5, Computed: 1, Shared: 4},
+		{Done: true, Records: 5, Hits: 5},
+	} {
+		before := srv.Stats()
+		status, body := get(t, ts.URL+"/v1/grid?apps=ep&backends=pvm&scenarios=page&nprocs=2&stream=1")
+		if status != http.StatusOK {
+			t.Fatalf("status %d: %s", status, body)
+		}
+		lines := bytes.Split(bytes.TrimSpace(body), []byte("\n"))
+		var done streamDone
+		if err := json.Unmarshal(lines[len(lines)-1], &done); err != nil {
+			t.Fatal(err)
+		}
+		if done != want {
+			t.Errorf("closing line %+v, want %+v", done, want)
+		}
+		after := srv.Stats()
+		moved := streamDone{Done: true, Records: done.Records,
+			Hits:     int(after.Hits - before.Hits),
+			Computed: int(after.Computed + after.Dispatched - before.Computed - before.Dispatched),
+			Shared:   int(after.Shared - before.Shared)}
+		if done != moved {
+			t.Errorf("closing line %+v, /v1/stats moved %+v", done, moved)
+		}
+	}
+}
+
 // TestServeBadRequests pins the structured 400 surface: malformed
 // selections name the offending field and the valid choices, reusing
 // the harness resolution errors the CLI prints.
@@ -479,7 +514,7 @@ func TestRunColdCanceledContext(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := srv.runCold(ctx, req, scale, jobs, p.hashes, cold, recs, nil); !errors.Is(err, context.Canceled) {
+	if _, err := srv.runCold(ctx, req, scale, jobs, p.hashes, cold, recs, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("runCold with canceled ctx: %v, want context.Canceled", err)
 	}
 	if got := srv.Stats().Computed; got != 0 {

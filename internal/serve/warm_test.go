@@ -65,7 +65,7 @@ func TestRunColdRecoversJobPanic(t *testing.T) {
 	hashes := harness.SpecHashes(jobs)
 	for attempt := 1; attempt <= 2; attempt++ {
 		recs := make([]harness.Record, len(jobs))
-		err := srv.runCold(context.Background(), gridRequest{}, 0.01, jobs, hashes, []int{0, 1}, recs, nil)
+		_, err := srv.runCold(context.Background(), gridRequest{}, 0.01, jobs, hashes, []int{0, 1}, recs, nil)
 		if err == nil || !strings.Contains(err.Error(), "job panicked: model bug") || !strings.Contains(err.Error(), "EP/boom") {
 			t.Fatalf("attempt %d: runCold error %v, want the recovered panic naming the job", attempt, err)
 		}

@@ -550,7 +550,7 @@ func TestVCMatchesRecordCounts(t *testing.T) {
 				t.Fatalf("%s P=%d: %v", v.name, n, err)
 			}
 			for i := 0; i < n; i++ {
-				check(sys.Proc(i), "at the end")
+				check(sys.procs[i], "at the end")
 			}
 			if len(bad) > 0 {
 				t.Fatalf("%s P=%d: at the end: %s", v.name, n, bad[0])

@@ -3,6 +3,7 @@ package tmk
 import (
 	"errors"
 	"fmt"
+	"reflect"
 
 	"repro/internal/sim"
 	"repro/internal/vnet"
@@ -214,9 +215,6 @@ func NewSystem(eng *sim.Engine, net *vnet.Network, n int, cfg Config) *System {
 // N returns the number of processors.
 func (s *System) N() int { return s.n }
 
-// Proc returns processor id's state (behavioral counters, etc.).
-func (s *System) Proc(id int) *Proc { return s.procs[id] }
-
 // Malloc allocates size bytes of shared memory (Tmk_malloc).  Allocations
 // are 8-byte aligned and must happen before Spawn bodies run; the layout
 // is global, so every processor sees the same addresses.
@@ -393,7 +391,13 @@ type Proc struct {
 	wrIdx   []int32 // applyPending: pending interval idxs grouped by writer
 	wrList  []int32 // applyPending: writers with pending notices, ascending
 
-	// Behavioral counters (not wire stats): useful for analysis output.
+	Counters
+}
+
+// Counters are a processor's behavioral counters (not wire stats), the
+// TreadMarks detail of a run's analysis output.  Every field is an
+// integer: System.Counters sums them field by field.
+type Counters struct {
 	Faults       int
 	DiffRequests int
 	DiffsApplied int
@@ -401,6 +405,19 @@ type Proc struct {
 	LockWait     sim.Time // time blocked in remote lock acquires
 	BarrierWait  sim.Time // time blocked in barriers
 	Timeouts     int      // RPC timeouts fired (retransmissions triggered)
+}
+
+// Counters returns the processors' counters summed.
+func (s *System) Counters() Counters {
+	var sum Counters
+	total := reflect.ValueOf(&sum).Elem()
+	for _, p := range s.procs {
+		c := reflect.ValueOf(&p.Counters).Elem()
+		for i := range c.NumField() {
+			total.Field(i).SetInt(total.Field(i).Int() + c.Field(i).Int())
+		}
+	}
+	return sum
 }
 
 // ID returns the processor id.

@@ -338,7 +338,7 @@ func TestPreloadedImageCopyOnWrite(t *testing.T) {
 		first := int(a) / 4096
 		for id := 0; id < sys.N(); id++ {
 			for i := 0; i < 3; i++ {
-				pg := sys.Proc(id).pages[first+i]
+				pg := sys.procs[id].pages[first+i]
 				aliases := &pg.data[0] == &sys.initial[first+i][0]
 				if want := i == 2; pg.image != want || aliases != want {
 					t.Errorf("proc %d page %d: image=%v aliases=%v, want %v", id, i, pg.image, aliases, want)
