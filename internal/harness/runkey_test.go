@@ -66,7 +66,7 @@ func TestRunKeyExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runs := Runs(jobs)
+	runs := Runs(RunKeys(jobs))
 	for _, run := range runs {
 		want := recs[run[0]]
 		for _, i := range run[1:] {
@@ -153,7 +153,7 @@ func TestRunKeyCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if runs := Runs(jobs); len(jobs) != c.jobs || len(runs) != c.runs {
+		if runs := Runs(RunKeys(jobs)); len(jobs) != c.jobs || len(runs) != c.runs {
 			t.Errorf("%s: %d jobs in %d runs, want %d in %d", c.name, len(jobs), len(runs), c.jobs, c.runs)
 		}
 	}
@@ -177,7 +177,7 @@ func TestRunJobsSharesRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if runs := Runs(jobs); len(runs) == len(jobs) {
+	if runs := Runs(RunKeys(jobs)); len(runs) == len(jobs) {
 		t.Fatalf("%d jobs, no duplicate runs", len(jobs))
 	}
 	var want bytes.Buffer
@@ -230,7 +230,7 @@ func TestRunJobsSharesRuns(t *testing.T) {
 		{ep, core.PVM, core.Base(2)},
 		{ep, broken, core.Base(2)},
 	}
-	if runs := Runs(bad); !slices.Equal(runs[1], []int{1, 3}) {
+	if runs := Runs(RunKeys(bad)); !slices.Equal(runs[1], []int{1, 3}) {
 		t.Fatalf("runs %v, want the two broken jobs in one", runs)
 	}
 	var serialErr error

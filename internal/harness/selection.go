@@ -11,13 +11,13 @@ import (
 // Selection names a grid in the user-facing selection vocabulary —
 // the `msvdsm grid -apps/-backends/-scenarios/-nprocs` flags and the
 // serve API's query parameters both parse into this type through
-// ParseSelection (a JSON body decodes into it field by field), so the
-// two surfaces resolve and validate identically.
+// ParseSelection, and a serve JSON body decodes into it under its json
+// names, so the surfaces resolve and validate identically.
 type Selection struct {
-	Apps      []string // app names; empty selects the full registry
-	Backends  []string // backend names; empty selects tmk,pvm (bigp: tmk,tmk-sc,tmk-tree,pvm)
-	Scenarios []string // scenario-set names; empty selects base
-	NProcs    []int    // processor counts, 1..MaxProcs; empty selects each set's defaults
+	Apps      []string `json:"apps,omitempty"`      // app names; empty selects the full registry
+	Backends  []string `json:"backends,omitempty"`  // backend names; empty selects tmk,pvm (bigp: tmk,tmk-sc,tmk-tree,pvm)
+	Scenarios []string `json:"scenarios,omitempty"` // scenario-set names; empty selects base
+	NProcs    []int    `json:"nprocs,omitempty"`    // processor counts, 1..MaxProcs; empty selects each set's defaults
 }
 
 // MaxProcs bounds the processor counts a selection may name; the largest
@@ -162,4 +162,19 @@ func (sel Selection) Resolve(scale float64) (Grid, error) {
 	}
 
 	return Grid{Apps: selected, Backends: backends, Scenarios: scenarios}, nil
+}
+
+// Jobs resolves the selection at the given scale and enumerates its
+// grid (Resolve, then Grid.Jobs).  Every error is a *FieldError; an
+// enumeration error names the scenarios field.
+func (sel Selection) Jobs(scale float64) ([]Job, error) {
+	grid, err := sel.Resolve(scale)
+	if err != nil {
+		return nil, err
+	}
+	jobs, err := grid.Jobs()
+	if err != nil {
+		return nil, fieldErr("scenarios", err)
+	}
+	return jobs, nil
 }

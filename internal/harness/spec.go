@@ -85,8 +85,8 @@ func SpecHashes(jobs []Job) []string {
 // that projection, so a key cannot leave out a field a run reads.  A
 // backend core does not know has its spec hash as its run key and
 // shares with nothing.  Run keys are never stored or sent: they group
-// the jobs of one sweep (Runs), and spec hashes stay the only cache and
-// wire names.
+// the jobs of one sweep (Runs) and name serve's cold-path flights, and
+// spec hashes stay the only cache and wire names.
 
 // RunKeys returns the run key of every job, in order.
 func RunKeys(jobs []Job) []string {
@@ -111,13 +111,12 @@ func RunKeys(jobs []Job) []string {
 	return keys
 }
 
-// Runs groups the jobs by run key: each group lists the indices of the
-// jobs one run answers, in increasing order, and the groups are in the
-// order of their first index.  Running a group's first job and sharing
-// its record (Job.Share) gives every job in the group the record its
-// own Run would.
-func Runs(jobs []Job) [][]int {
-	keys := RunKeys(jobs)
+// Runs groups jobs by their run keys (RunKeys): each group lists the
+// indices of the jobs one run answers, in increasing order, and the
+// groups are in the order of their first index.  Running a group's
+// first job and sharing its record (Job.Share) gives every job in the
+// group the record its own Run would.
+func Runs(keys []string) [][]int {
 	group := make(map[string]int, len(keys))
 	var runs [][]int
 	for i, k := range keys {

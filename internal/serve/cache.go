@@ -99,9 +99,9 @@ func (s *Store) GetJSON(key string) ([]byte, bool, error) {
 	return frag, true, nil
 }
 
-// lookup is Get with optional counting: the server's singleflight
-// double-check re-probes keys it already counted a miss for, and must
-// not skew the hit-rate counters doing so.  It also returns the entry's
+// lookup is Get with optional counting: the server's cold-path flights
+// re-probe keys their request already counted a miss for, and must not
+// skew the hit-rate counters doing so.  It also returns the entry's
 // kept JSON fragment, nil until a GetJSON has encoded it.
 func (s *Store) lookup(key string, count bool) (harness.Record, []byte, bool) {
 	s.mu.Lock()
@@ -138,11 +138,12 @@ func (s *Store) lookup(key string, count bool) (harness.Record, []byte, bool) {
 }
 
 // Put caches the record under key in memory and, when persistence is
-// configured, on disk.  A disk write failure degrades the store to
-// memory-only (logged once) instead of surfacing to the caller.
-func (s *Store) Put(key string, rec harness.Record) {
+// configured, on disk, and reports whether key was new to the memory
+// tier.  A disk write failure degrades the store to memory-only (logged
+// once) instead of surfacing to the caller.
+func (s *Store) Put(key string, rec harness.Record) bool {
 	s.mu.Lock()
-	s.insert(key, rec)
+	added := s.insert(key, rec)
 	dir := s.dir
 	s.mu.Unlock()
 	if dir != "" {
@@ -150,6 +151,7 @@ func (s *Store) Put(key string, rec harness.Record) {
 			s.disableDisk(err)
 		}
 	}
+	return added
 }
 
 // disableDisk abandons the disk tier after a failed write: later Puts
@@ -181,15 +183,15 @@ func (s *Store) Stats() StoreStats {
 	}
 }
 
-// insert adds or refreshes an entry and enforces the capacity bound.
-// Caller holds s.mu.
-func (s *Store) insert(key string, rec harness.Record) {
+// insert adds or refreshes an entry, enforces the capacity bound and
+// reports whether the entry is new.  Caller holds s.mu.
+func (s *Store) insert(key string, rec harness.Record) bool {
 	if el, ok := s.byKey[key]; ok {
 		s.ll.MoveToFront(el)
 		if e := el.Value.(*storeEntry); e.rec != rec {
 			e.rec, e.json = rec, nil
 		}
-		return
+		return false
 	}
 	s.byKey[key] = s.ll.PushFront(&storeEntry{key: key, rec: rec})
 	if s.cap > 0 {
@@ -200,6 +202,7 @@ func (s *Store) insert(key string, rec harness.Record) {
 			s.evictions++
 		}
 	}
+	return true
 }
 
 // cachePath maps a spec hash to its persistence file.  Hashes are

@@ -1,10 +1,13 @@
 package serve
 
 import (
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -33,12 +36,12 @@ func FuzzGridRequest(f *testing.F) {
 		if len(req.Apps) > 4 || len(req.Backends) > 4 || len(req.Scenarios) > 4 || len(req.NProcs) > 4 {
 			t.Skip() // keeps the grid, and so SpecHashes, small
 		}
-		p, scale, err := srv.plan(req)
+		p, err := srv.plan(req)
 		if err != nil {
 			fieldError(t, "plan", err)
 			return
 		}
-		if !(scale > 0 && scale <= 1) {
+		if scale := p.ref.Scale; !(scale > 0 && scale <= 1) {
 			t.Fatalf("planned at scale %g, outside (0, 1]", scale)
 		}
 		if len(p.hashes) != len(p.jobs) {
@@ -48,6 +51,52 @@ func FuzzGridRequest(f *testing.F) {
 			if h == "" {
 				t.Fatalf("job %d has no spec hash", i)
 			}
+		}
+	})
+}
+
+// FuzzStoreLoad writes arbitrary bytes as a job's <hash>.json in a disk
+// tier.  A fresh store must read them back as a miss, or as a record
+// whose RecordJSON decodes to the same record; a server over another
+// fresh store must answer the job's /v1/grid with 200, from the file or
+// by computing the job.  The seed corpus in testdata/fuzz holds a valid
+// record, a truncated one, null, and a value of the wrong type in each
+// field in turn.
+func FuzzStoreLoad(f *testing.F) {
+	dir := f.TempDir()
+	srv := New(Options{Scale: 0.01})
+	const query = "/v1/grid?apps=ep&backends=pvm&scenarios=base&nprocs=2"
+	p, err := srv.plan(gridRequest{Selection: harness.Selection{Apps: []string{"ep"}, Backends: []string{"pvm"}, Scenarios: []string{"base"}, NProcs: []int{2}}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	path := filepath.Join(dir, p.hashes[0]+".json")
+	fresh := func(t *testing.T) *Store {
+		store, err := NewStore(0, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return store
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if rec, ok := fresh(t).Get(p.hashes[0]); ok {
+			frag, err := harness.RecordJSON(rec)
+			var back harness.Record
+			if err == nil {
+				err = json.Unmarshal(frag, &back)
+			}
+			if err != nil || back != rec {
+				t.Fatalf("loaded %+v, which reads back as %+v (%v)", rec, back, err)
+			}
+		}
+		srv.opts.Store = fresh(t)
+		w := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, query, nil))
+		if w.Code != http.StatusOK {
+			t.Fatalf("/v1/grid status %d: %s", w.Code, w.Body.Bytes())
 		}
 	})
 }

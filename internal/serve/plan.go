@@ -4,20 +4,24 @@ import (
 	"strconv"
 	"sync"
 
+	"repro/internal/dispatch"
 	"repro/internal/harness"
 )
 
 // plan is everything about a selection that does not depend on the
-// store: its jobs and their spec hashes in enumeration order, and the
-// /v1/spec document.  All are pure functions of the selection, the
-// workload scale, the registries and harness.EngineVersion; the last
-// two are constants of the process, so a plan is never invalidated.
-// The jobs are never run themselves — the cold path runs a clone of
-// each job's app — so one plan serves every request for its selection.
+// store: its jobs and their spec hashes in enumeration order, the
+// /v1/spec document, and the selection and scale as the fleet names a
+// job (ref, whose Index the cold path sets per job).  All are pure
+// functions of the selection, the workload scale, the registries and
+// harness.EngineVersion; the last two are constants of the process, so
+// a plan is never invalidated.  The jobs are never run themselves — the
+// cold path runs a clone of each job's app — so one plan serves every
+// request for its selection.
 type plan struct {
 	jobs   []harness.Job
 	hashes []string
 	spec   []byte
+	ref    dispatch.JobRef
 }
 
 // maxPlanHashes bounds the plan cache by the jobs it holds across all

@@ -10,9 +10,9 @@
 // size, backend name, the whole scenario config including fault and
 // cost-model overrides, processor count, and harness.EngineVersion),
 // warm requests answer straight from a memoizing store, a singleflight
-// layer collapses concurrent identical cold requests into one
-// computation, and cold sweeps can stream per-record progress so large
-// grids render incrementally.  Heavy read traffic is served from the
+// layer collapses concurrent requests for one run into one computation,
+// and cold sweeps can stream per-record progress so large grids render
+// incrementally.  Heavy read traffic is served from the
 // cache; only genuinely novel scenarios burn CPU.
 //
 // # Routes
@@ -37,12 +37,15 @@
 // and the valid choices.  `stream=1` on /v1/grid switches the response
 // to JSON lines: one {index, total, cached, record} object per
 // completed job in completion order, then a {done, records, hits,
-// computed, shared} summary line: hits answered from the store,
-// computed the runs the cold jobs grouped into (see Cold path) and
-// shared the cold jobs a run answered besides its own, so hits +
-// computed + shared = records.  On a server with one client they are
-// the request's moves of /v1/stats hits, computed + dispatched and
-// shared.
+// computed, shared} summary line that counts the records the request
+// got: hits answered from the store, computed the runs that answered
+// its cold jobs (see Cold path) and shared the cold jobs those runs
+// answered besides their own.  hits + computed + shared = records; when
+// a sweep fails the line also carries an error, and the sum counts only
+// the records streamed before it.  On a server with one client the
+// three are the request's moves of /v1/stats hits, computed +
+// dispatched and shared; a run that concurrent requests share counts in
+// each of their tallies and once in /v1/stats.
 //
 // # Cache key and engine version
 //
@@ -89,13 +92,14 @@
 // only the config fields that adapter reads.  Jobs that differ only in
 // what their backend never reads — PVM across the page-size and
 // handler sweeps, TreadMarks with the PVM master co-located — are one
-// simulation: the group's first job is computed (or leased to the
-// fleet), and every other job gets a copy of its record under its own
-// backend and scenario, stored under its own spec hash and counted as
-// shared.  Spec hashes, /v1/spec bodies, store keys and reply bytes are
-// those of one run per job; only the number of runs drops.  Sharing is
-// within one request's cold set: a warm record never answers a cold
-// job with another hash.
+// simulation, and each group takes one flight keyed by its run key,
+// which concurrent requests for that run join.  The group's first job
+// is computed (or leased to the fleet); every other job gets a copy of
+// its record under its own backend and scenario, stored under its own
+// spec hash before the run's own job and counted as shared.  Spec
+// hashes, /v1/spec bodies, store keys and reply bytes are those of one
+// run per job; only the number of runs drops.  A warm record answers
+// only jobs of the same request's cold set that have its run key.
 //
 // A backend × scenario pair the system refuses to build (tmk-tree or
 // tmk-sc-tree under loss, dup, reorder, partition or mgr=spread) is a
@@ -225,13 +229,15 @@ type Stats struct {
 
 // Stats returns a snapshot of the service counters.  Computed counts
 // actual local backend runs (the warm-path proof is this number
-// standing still while records keep flowing), Dispatched the records
-// obtained from the worker fleet, Shared the cold jobs answered by
-// another job's run in the same sweep (runCold counts each cold job
-// once, as computed, dispatched or shared), and Fallbacks the jobs that
-// came back from the dispatcher unserved and ran locally instead;
-// JobPanics the local runs that panicked and became their request's
-// 500.
+// standing still while records keep flowing) and Dispatched the runs
+// obtained from the worker fleet, once per cold-path flight that ran;
+// Shared counts the store entries a run added for jobs other than its
+// own, so each cold job is counted once, as computed, dispatched or
+// shared, while the memory tier keeps what a sweep stores.  Inflight is
+// the cold-path flights requests are in, one per run; Fallbacks the
+// jobs that came back from the dispatcher unserved and ran locally
+// instead; JobPanics the local runs that panicked and became their
+// request's 500.
 func (s *Server) Stats() Stats {
 	st := Stats{
 		Engine:        harness.EngineVersion,
@@ -254,15 +260,13 @@ func (s *Server) Stats() Stats {
 	return st
 }
 
-// gridRequest is the selection schema shared by /v1/grid and /v1/spec:
-// the msvdsm grid flag vocabulary as query parameters or a JSON body.
+// gridRequest is the request schema shared by /v1/grid and /v1/spec, as
+// query parameters or a JSON body: a selection in the msvdsm grid flag
+// vocabulary, the workload scale and the stream switch.
 type gridRequest struct {
-	Apps      []string `json:"apps,omitempty"`
-	Backends  []string `json:"backends,omitempty"`
-	Scenarios []string `json:"scenarios,omitempty"`
-	NProcs    []int    `json:"nprocs,omitempty"`
-	Scale     float64  `json:"scale,omitempty"`
-	Stream    bool     `json:"stream,omitempty"`
+	harness.Selection
+	Scale  float64 `json:"scale,omitempty"`
+	Stream bool    `json:"stream,omitempty"`
 }
 
 // apiError is the structured 400/500 body.
@@ -281,11 +285,10 @@ func parseRequest(r *http.Request) (gridRequest, error) {
 	switch r.Method {
 	case http.MethodGet:
 		q := r.URL.Query()
-		sel, err := harness.ParseSelection(q.Get("apps"), q.Get("backends"), q.Get("scenarios"), q.Get("nprocs"))
-		if err != nil {
+		var err error
+		if req.Selection, err = harness.ParseSelection(q.Get("apps"), q.Get("backends"), q.Get("scenarios"), q.Get("nprocs")); err != nil {
 			return req, err
 		}
-		req.Apps, req.Backends, req.Scenarios, req.NProcs = sel.Apps, sel.Backends, sel.Scenarios, sel.NProcs
 		if v := q.Get("scale"); v != "" {
 			f, err := strconv.ParseFloat(v, 64)
 			if err != nil {
@@ -308,48 +311,30 @@ func parseRequest(r *http.Request) (gridRequest, error) {
 	return req, nil
 }
 
-// plan returns the selection's plan and the effective workload scale
-// (the request's, or the server default).  A cached plan costs one map
-// lookup; a miss resolves, enumerates and hashes the selection.
-func (s *Server) plan(req gridRequest) (*plan, float64, error) {
+// plan returns the selection's plan at the request's workload scale
+// (or the server default).  A cached plan costs one map lookup; a miss
+// resolves, enumerates and hashes the selection against fresh
+// registries.
+func (s *Server) plan(req gridRequest) (*plan, error) {
 	scale := req.Scale
 	if scale == 0 {
 		scale = s.opts.Scale
 	}
 	key := planKey(req, scale)
 	if p := s.plans.get(key); p != nil {
-		return p, scale, nil
+		return p, nil
 	}
-	jobs, err := s.jobs(req, scale)
-	if err != nil {
-		return nil, scale, err
-	}
-	p := &plan{jobs: jobs, hashes: harness.SpecHashes(jobs)}
-	if p.spec, err = specBody(jobs, p.hashes); err != nil {
-		return nil, scale, err
-	}
-	s.plans.put(key, p)
-	return p, scale, nil
-}
-
-// jobs resolves a request against fresh registries and enumerates its
-// grid.
-func (s *Server) jobs(req gridRequest, scale float64) ([]harness.Job, error) {
-	sel := harness.Selection{
-		Apps:      req.Apps,
-		Backends:  req.Backends,
-		Scenarios: req.Scenarios,
-		NProcs:    req.NProcs,
-	}
-	grid, err := sel.Resolve(scale)
+	jobs, err := req.Selection.Jobs(scale)
 	if err != nil {
 		return nil, err
 	}
-	jobs, err := grid.Jobs()
-	if err != nil {
-		return nil, &harness.FieldError{Field: "scenarios", Err: err}
+	p := &plan{jobs: jobs, hashes: harness.SpecHashes(jobs), ref: dispatch.JobRef{
+		Apps: req.Apps, Backends: req.Backends, Scenarios: req.Scenarios, NProcs: req.NProcs, Scale: scale}}
+	if p.spec, err = specBody(jobs, p.hashes); err != nil {
+		return nil, err
 	}
-	return jobs, nil
+	s.plans.put(key, p)
+	return p, nil
 }
 
 func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
@@ -426,7 +411,7 @@ func (s *Server) handleSpec(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	p, _, err := s.plan(req)
+	p, err := s.plan(req)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
@@ -442,10 +427,11 @@ type streamLine struct {
 	Record *harness.Record `json:"record"`
 }
 
-// streamDone is the closing summary line: of the request's records,
-// Hits came from the store, Computed are the runs its cold jobs made
-// (local or on the fleet) and Shared the cold jobs those runs answered
-// besides their own, so the three add up to Records.
+// streamDone is the closing summary line.  It counts the records the
+// request got: Hits from the store, Computed the runs that answered its
+// cold jobs and Shared the cold jobs those runs answered besides their
+// own (tally).  They add up to Records, or, when Error says why the
+// sweep stopped, to the records streamed before it.
 type streamDone struct {
 	Done     bool   `json:"done"`
 	Records  int    `json:"records"`
@@ -462,7 +448,7 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	p, scale, err := s.plan(req)
+	p, err := s.plan(req)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
@@ -518,10 +504,10 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 		cold = append(cold, i)
 	}
 
-	runs := 0
+	var got tally
 	if len(cold) > 0 {
-		recs := make([]harness.Record, len(cold)) // recs[k] is job cold[k]'s
-		runs, err = s.runCold(r.Context(), req, scale, p.jobs, p.hashes, cold, recs, emit)
+		var recs []harness.Record // recs[k] is job cold[k]'s
+		recs, got, err = s.runCold(r.Context(), p, cold, emit)
 		if err == nil && !req.Stream {
 			for k, i := range cold {
 				if frags[i], err = harness.RecordJSON(recs[k]); err != nil {
@@ -529,23 +515,23 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 				}
 			}
 		}
-		if err != nil {
-			if req.Stream {
-				// Headers are long gone; report the failure in-band.
-				emit(streamDone{Done: true, Records: total, Hits: total - len(cold),
-					Computed: runs, Shared: len(cold) - runs, Error: err.Error()})
-				return
-			}
-			s.writeError(w, http.StatusInternalServerError, err)
-			return
-		}
 	}
-
-	s.recordsServed.Add(int64(total))
 	if req.Stream {
-		emit(streamDone{Done: true, Records: total, Hits: total - len(cold), Computed: runs, Shared: len(cold) - runs})
+		// Headers are long gone; a failure is reported in-band.
+		done := streamDone{Done: true, Records: total, Hits: total - len(cold), Computed: got.computed, Shared: got.shared}
+		if err != nil {
+			done.Error = err.Error()
+		} else {
+			s.recordsServed.Add(int64(total))
+		}
+		emit(done)
 		return
 	}
+	if err != nil {
+		s.writeError(w, http.StatusInternalServerError, err)
+		return
+	}
+	s.recordsServed.Add(int64(total))
 	// One JSON array in enumeration order, joined by the one function the
 	// CLI's WriteJSON joins with: byte-identical whether a record came
 	// from the store or from a fresh computation.
@@ -557,37 +543,34 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 
 var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// runCold executes the cold job indices on the harness pool
-// (harness.ForEach), filling recs (recs[k] is job cold[k]'s record).
-// The cold jobs are grouped by run key (harness.Runs), and only each
-// group's first job runs; every other job of the group is answered from
-// its record (harness.Job.Share) and counted as shared.  It returns the
-// number of groups; the first failure, by group, stops the sweep and is
-// returned.  Each job — run or shared — goes through the singleflight
-// group keyed by its spec hash, and re-checks the store inside the
-// flight, so an identical job — in this request or a concurrent one —
-// is computed, dispatched or shared exactly once no matter how the
-// flights interleave with completions.  A local computation runs on a clone of the job's app,
-// so jobs is never written.
+// tally counts the records a cold sweep handed its request: computed
+// runs, and shared jobs those runs answered besides their own.
+type tally struct{ computed, shared int }
+
+// runCold answers the cold jobs of plan p (cold holds their indices in
+// p.jobs; see Cold path in the package doc) and returns their records,
+// recs[k] being job cold[k]'s, and their tally.  A flight first probes
+// its group's jobs quietly (the request counted its misses) and shares
+// a warm one's record.  A request that joined another's flight stores
+// those of its jobs that flight did not.  The first failure, by group,
+// stops the sweep (harness.ForEach) and is returned beside the records
+// of the groups that completed, which are all the tally counts.  Runs
+// not yet started when the client disconnects (ctx) are abandoned; a
+// run already going completes and still lands in the store.
 //
-// With a dispatcher attached and workers registered, the pool is as
-// wide as the sweep has runs and each run's first job is leased to the
-// fleet (all of them concurrently — the goroutines just wait on
-// completions); they only fall back to local compute, bounded to
-// Workers at a time, when the dispatcher cannot serve them (no workers
-// left, coordinator draining, or a job that failed its fifth lease):
-// local compute is always correct, just not scaled out.
-//
-// ctx is the request context: when the client disconnects mid-sweep,
-// jobs not yet started are abandoned instead of burning CPU for a
-// reply nobody reads.  A job already running completes (a simulation
-// is not interruptible) and still lands in the store.
-func (s *Server) runCold(ctx context.Context, req gridRequest, scale float64, jobs []harness.Job, hashes []string, cold []int, recs []harness.Record, emit func(any) error) (int, error) {
-	coldJobs := make([]harness.Job, len(cold))
+// With workers registered on the dispatcher, the pool is as wide as the
+// sweep has runs and each run's first job is leased to the fleet; it
+// runs locally, at most Workers at a time, only when the dispatcher
+// cannot serve it.  A local run is on a clone of its app, so p is never
+// written.
+func (s *Server) runCold(ctx context.Context, p *plan, cold []int, emit func(any) error) ([]harness.Record, tally, error) {
+	jobs := make([]harness.Job, len(cold))
+	hashes := make([]string, len(cold))
 	for k, i := range cold {
-		coldJobs[k] = jobs[i]
+		jobs[k], hashes[k] = p.jobs[i], p.hashes[i]
 	}
-	runs := harness.Runs(coldJobs)
+	keys := harness.RunKeys(jobs)
+	runs := harness.Runs(keys)
 	fleet := s.opts.Dispatcher != nil && s.opts.Dispatcher.HasWorkers()
 	width := s.opts.Workers
 	if fleet {
@@ -597,70 +580,78 @@ func (s *Server) runCold(ctx context.Context, req gridRequest, scale float64, jo
 	// width even when the pool was widened for dispatch fan-out and jobs
 	// fall back local.
 	localSlots := make(chan struct{}, s.opts.Workers)
-	return len(runs), harness.ForEach(ctx, len(runs), width, func(r int) error {
-		var run harness.Record // the record of the group's first job
-		for n, k := range runs[r] {
-			i := cold[k]
-			s.inflight.Add(1)
-			rec, err, _ := s.flights.do(hashes[i], func() (harness.Record, error) {
-				// Double-check the store: a flight for this hash may have
-				// completed between our miss and now.  Quiet lookup — this
-				// request already counted its miss.
-				if rec, _, ok := s.opts.Store.lookup(hashes[i], false); ok {
-					return rec, nil
-				}
-				if n > 0 {
-					s.shared.Add(1)
-					rec := jobs[i].Share(run)
-					s.opts.Store.Put(hashes[i], rec)
-					return rec, nil
-				}
-				if fleet {
-					ref := dispatch.JobRef{
-						Apps:      req.Apps,
-						Backends:  req.Backends,
-						Scenarios: req.Scenarios,
-						NProcs:    req.NProcs,
-						Scale:     scale,
-						Index:     i,
-					}
-					rec, err := s.opts.Dispatcher.Do(ctx, ref, hashes[i])
-					if err == nil {
-						s.dispatched.Add(1)
-						s.opts.Store.Put(hashes[i], rec)
-						return rec, nil
-					}
-					if ctx.Err() != nil {
-						return rec, ctx.Err()
-					}
-					// Unserved by the fleet — compute locally below.
-					s.fallbacks.Add(1)
-				}
-				localSlots <- struct{}{}
-				defer func() { <-localSlots }()
-				s.computed.Add(1)
-				j := jobs[i]
-				j.App = j.App.Clone()
-				rec, err := j.Run()
-				if errors.Is(err, harness.ErrJobPanicked) {
-					s.jobPanics.Add(1)
-				} else if err == nil {
-					s.opts.Store.Put(hashes[i], rec)
-				}
-				return rec, err
-			})
-			s.inflight.Add(-1)
-			if err != nil {
-				return err
+	compute := func(k int) (harness.Record, error) {
+		if fleet {
+			ref := p.ref
+			ref.Index = cold[k]
+			rec, err := s.opts.Dispatcher.Do(ctx, ref, hashes[k])
+			if err == nil {
+				s.dispatched.Add(1)
+				return rec, nil
 			}
-			if n == 0 {
-				run = rec
+			if ctx.Err() != nil {
+				return rec, ctx.Err()
 			}
-			recs[k] = rec
-			if emit != nil {
-				emit(streamLine{Index: i, Total: len(jobs), Cached: false, Record: &recs[k]})
+			// Unserved by the fleet — compute locally below.
+			s.fallbacks.Add(1)
+		}
+		localSlots <- struct{}{}
+		defer func() { <-localSlots }()
+		s.computed.Add(1)
+		j := jobs[k]
+		j.App = j.App.Clone()
+		rec, err := j.Run()
+		if errors.Is(err, harness.ErrJobPanicked) {
+			s.jobPanics.Add(1)
+		}
+		return rec, err
+	}
+	// put stores run's record under each job of group the store lacks,
+	// counting each new entry as shared.
+	put := func(group []int, run harness.Record) {
+		for _, k := range group {
+			if _, _, ok := s.opts.Store.lookup(hashes[k], false); !ok && s.opts.Store.Put(hashes[k], jobs[k].Share(run)) {
+				s.shared.Add(1)
 			}
 		}
+	}
+	recs := make([]harness.Record, len(cold))
+	var got tally
+	var mu sync.Mutex
+	err := harness.ForEach(ctx, len(runs), width, func(r int) error {
+		group := runs[r]
+		s.inflight.Add(1)
+		run, err, joined := s.flights.do(keys[group[0]], func() (harness.Record, error) {
+			for _, k := range group {
+				if rec, _, ok := s.opts.Store.lookup(hashes[k], false); ok {
+					put(group, rec)
+					return rec, nil
+				}
+			}
+			rec, err := compute(group[0])
+			if err == nil {
+				put(group[1:], rec)
+				s.opts.Store.Put(hashes[group[0]], rec)
+			}
+			return rec, err
+		})
+		s.inflight.Add(-1)
+		if err != nil {
+			return err
+		}
+		if joined {
+			put(group, run)
+		}
+		for _, k := range group {
+			recs[k] = jobs[k].Share(run)
+			if emit != nil {
+				emit(streamLine{Index: cold[k], Total: len(p.jobs), Cached: false, Record: &recs[k]})
+			}
+		}
+		mu.Lock()
+		got.computed, got.shared = got.computed+1, got.shared+len(group)-1
+		mu.Unlock()
 		return nil
 	})
+	return recs, got, err
 }

@@ -10,6 +10,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -201,38 +202,104 @@ func TestServeStream(t *testing.T) {
 	}
 }
 
-// TestServeStreamCounts checks the closing line's tally on a selection
-// with duplicate runs: pvm never reads the page size, so the five jobs
-// of pvm × page are one run.  hits + computed + shared is the record
-// count, and on a server with one client each equals its /v1/stats
-// move, cold (one run, four shared) and warm (five hits).
+// TestServeStreamCounts checks the closing line's tally, which counts
+// the records the request got: pvm never reads the page size, so the
+// five jobs of pvm × page are one run.  hits + computed + shared is the
+// number of records streamed before the closing line, and the record
+// count unless the line carries an error.  On a server with one client
+// each equals its /v1/stats move, cold (one run, four shared) and warm
+// (five hits).  A cold set whose last job panics streams the four
+// records of its pvm run, and its tally counts those four of five.  Two
+// clients sending one cold selection at once each get a tally that adds
+// up, while /v1/stats counts each cold job once (one run, four shared).
 func TestServeStreamCounts(t *testing.T) {
 	srv, ts := testServer(t, Options{Workers: 2})
+	const page = "/v1/grid?apps=ep&backends=pvm&scenarios=page&stream=1&nprocs="
+	// stream sends q and returns the closing line and the number of
+	// record lines before it.
+	stream := func(q string) (streamDone, int, error) {
+		resp, err := http.Get(ts.URL + q)
+		if err != nil {
+			return streamDone{}, 0, err
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			return streamDone{}, 0, fmt.Errorf("status %d (%v): %s", resp.StatusCode, err, body)
+		}
+		lines := bytes.Split(bytes.TrimSpace(body), []byte("\n"))
+		var done streamDone
+		if err := json.Unmarshal(lines[len(lines)-1], &done); err != nil || !done.Done {
+			return done, 0, fmt.Errorf("closing line %s (%v)", lines[len(lines)-1], err)
+		}
+		return done, len(lines) - 1, nil
+	}
+	check := func(q string, want streamDone) {
+		t.Helper()
+		done, records, err := stream(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := done.Hits + done.Computed + done.Shared; got != records {
+			t.Errorf("%s: closing line %+v counts %d records, %d were streamed", q, done, got, records)
+		}
+		if wantErr := want.Error; wantErr != "" {
+			if !strings.Contains(done.Error, wantErr) {
+				t.Errorf("%s: error %q, want it to mention %q", q, done.Error, wantErr)
+			}
+			done.Error = wantErr
+		}
+		if done != want {
+			t.Errorf("%s: closing line %+v, want %+v", q, done, want)
+		}
+	}
+	moved := func(before, after Stats) streamDone {
+		return streamDone{Done: true, Records: 5, Hits: int(after.Hits - before.Hits),
+			Computed: int(after.Computed + after.Dispatched - before.Computed - before.Dispatched),
+			Shared:   int(after.Shared - before.Shared)}
+	}
+
 	for _, want := range []streamDone{
 		{Done: true, Records: 5, Computed: 1, Shared: 4},
 		{Done: true, Records: 5, Hits: 5},
 	} {
 		before := srv.Stats()
-		status, body := get(t, ts.URL+"/v1/grid?apps=ep&backends=pvm&scenarios=page&nprocs=2&stream=1")
-		if status != http.StatusOK {
-			t.Fatalf("status %d: %s", status, body)
+		check(page+"2", want)
+		if got := moved(before, srv.Stats()); got != want {
+			t.Errorf("closing line %+v, /v1/stats moved %+v", want, got)
 		}
-		lines := bytes.Split(bytes.TrimSpace(body), []byte("\n"))
-		var done streamDone
-		if err := json.Unmarshal(lines[len(lines)-1], &done); err != nil {
-			t.Fatal(err)
-		}
-		if done != want {
-			t.Errorf("closing line %+v, want %+v", done, want)
-		}
-		after := srv.Stats()
-		moved := streamDone{Done: true, Records: done.Records,
-			Hits:     int(after.Hits - before.Hits),
-			Computed: int(after.Computed + after.Dispatched - before.Computed - before.Dispatched),
-			Shared:   int(after.Shared - before.Shared)}
-		if done != moved {
-			t.Errorf("closing line %+v, /v1/stats moved %+v", done, moved)
-		}
+	}
+
+	// The panicking job is planted in the selection's cached plan.
+	req := gridRequest{Selection: harness.Selection{Apps: []string{"ep"}, Backends: []string{"pvm"}, Scenarios: []string{"page"}, NProcs: []int{4}}}
+	p, err := srv.plan(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := slices.Clone(p.jobs)
+	jobs[len(jobs)-1].Backend = panicBackend{}
+	srv.plans.put(planKey(req, srv.opts.Scale), &plan{jobs: jobs, hashes: harness.SpecHashes(jobs)})
+	check(page+"4", streamDone{Done: true, Records: 5, Computed: 1, Shared: 3, Error: "job panicked: model bug"})
+
+	before := srv.Stats()
+	var wg sync.WaitGroup
+	for c := 0; c < 2; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			done, records, err := stream(page + "8")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if got := done.Hits + done.Computed + done.Shared; got != records || records != done.Records || done.Error != "" {
+				t.Errorf("two clients: closing line %+v counts %d records, %d of %d were streamed", done, got, records, done.Records)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := moved(before, srv.Stats()); got.Computed != 1 || got.Shared != 4 {
+		t.Errorf("two clients: /v1/stats moved %+v, want one run and four shared", got)
 	}
 }
 
@@ -500,21 +567,19 @@ func TestFlightGroupSharesInFlightResult(t *testing.T) {
 // instead of burning CPU for a reply nobody reads.
 func TestRunColdCanceledContext(t *testing.T) {
 	srv, _ := testServer(t, Options{Workers: 2})
-	req := gridRequest{Apps: []string{"ep"}, Backends: []string{"tmk", "pvm"}, Scenarios: []string{"base"}, NProcs: []int{2}}
-	p, scale, err := srv.plan(req)
+	req := gridRequest{Selection: harness.Selection{Apps: []string{"ep"}, Backends: []string{"tmk", "pvm"}, Scenarios: []string{"base"}, NProcs: []int{2}}}
+	p, err := srv.plan(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs := p.jobs
-	cold := make([]int, len(jobs))
+	cold := make([]int, len(p.jobs))
 	for i := range cold {
 		cold[i] = i
 	}
-	recs := make([]harness.Record, len(cold))
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := srv.runCold(ctx, req, scale, jobs, p.hashes, cold, recs, nil); !errors.Is(err, context.Canceled) {
+	if _, _, err := srv.runCold(ctx, p, cold, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("runCold with canceled ctx: %v, want context.Canceled", err)
 	}
 	if got := srv.Stats().Computed; got != 0 {

@@ -8,11 +8,11 @@ import (
 )
 
 // flightGroup collapses concurrent duplicate computations: while one
-// caller is computing the record for a key, every other caller of the
-// same key blocks and shares the one result instead of burning CPU on
-// an identical deterministic run.  Completed flights are forgotten —
-// durable memoization is the Store's job; the group only deduplicates
-// work that is literally in flight.
+// caller is computing the record for a key (the cold path's keys are
+// run keys), every other caller of the same key blocks and shares the
+// one result instead of burning CPU on an identical deterministic run.
+// Completed flights are forgotten — durable memoization is the Store's
+// job; the group only deduplicates work that is literally in flight.
 type flightGroup struct {
 	mu sync.Mutex
 	m  map[string]*flightCall

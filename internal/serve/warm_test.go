@@ -64,8 +64,7 @@ func TestRunColdRecoversJobPanic(t *testing.T) {
 	}
 	hashes := harness.SpecHashes(jobs)
 	for attempt := 1; attempt <= 2; attempt++ {
-		recs := make([]harness.Record, len(jobs))
-		_, err := srv.runCold(context.Background(), gridRequest{}, 0.01, jobs, hashes, []int{0, 1}, recs, nil)
+		recs, _, err := srv.runCold(context.Background(), &plan{jobs: jobs, hashes: hashes}, []int{0, 1}, nil)
 		if err == nil || !strings.Contains(err.Error(), "job panicked: model bug") || !strings.Contains(err.Error(), "EP/boom") {
 			t.Fatalf("attempt %d: runCold error %v, want the recovered panic naming the job", attempt, err)
 		}
@@ -292,9 +291,9 @@ func TestPlanCacheBound(t *testing.T) {
 		t.Fatalf("get counting: %+v", st)
 	}
 
-	a := gridRequest{Apps: []string{"a", "b"}}
-	b := gridRequest{Apps: []string{"a;b"}}
-	ab := gridRequest{Apps: []string{"a"}, Backends: []string{"b"}}
+	a := gridRequest{Selection: harness.Selection{Apps: []string{"a", "b"}}}
+	b := gridRequest{Selection: harness.Selection{Apps: []string{"a;b"}}}
+	ab := gridRequest{Selection: harness.Selection{Apps: []string{"a"}, Backends: []string{"b"}}}
 	if planKey(a, 1) == planKey(b, 1) || planKey(a, 1) == planKey(ab, 1) || planKey(a, 1) == planKey(a, 0.5) {
 		t.Fatal("distinct selections share a plan key")
 	}
