@@ -288,7 +288,33 @@ func TestFleetNoWorkersComputesLocally(t *testing.T) {
 // Job.Run per job.  Per app the page sweep's tmk jobs are 5 runs
 // (page=4096 is base) and its pvm jobs 1.
 func TestFleetLeasesOneJobPerRun(t *testing.T) {
-	sel := harness.Selection{Apps: []string{"ep", "is-small"}, Backends: []string{"tmk", "pvm"}, Scenarios: []string{"base", "page"}, NProcs: []int{2}}
+	want := perJobBody(t, harness.Selection{Apps: []string{"ep", "is-small"}, Backends: []string{"tmk", "pvm"}, Scenarios: []string{"base", "page"}, NProcs: []int{2}})
+
+	srv, d, ts := fleetServer(t, dispatch.Config{LeaseTTL: 2 * time.Second, Heartbeat: 100 * time.Millisecond})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	wk := dispatch.NewWorker(dispatch.WorkerOptions{Coordinator: ts.URL, Name: "w", PollWait: 50 * time.Millisecond})
+	runErr := make(chan error, 1)
+	go func() { runErr <- wk.Run(ctx) }()
+	waitCond(t, "worker registered", func() bool { return d.Stats().WorkersLive == 1 })
+
+	status, body := httpGet(t, ts.URL+"/v1/grid?apps=ep,is-small&backends=tmk,pvm&scenarios=base,page&nprocs=2&scale=0.01")
+	if status != http.StatusOK || !bytes.Equal(body, want) {
+		t.Fatalf("status %d; body equal to one Job.Run per job: %v", status, bytes.Equal(body, want))
+	}
+	if st := srv.Stats(); st.Dispatched != 12 || st.Shared != 12 || st.Computed != 0 || st.Fallbacks != 0 {
+		t.Errorf("dispatched=%d shared=%d computed=%d fallbacks=%d, want 12/12/0/0", st.Dispatched, st.Shared, st.Computed, st.Fallbacks)
+	}
+	cancel()
+	if err := <-runErr; err != nil {
+		t.Errorf("worker exit: %v", err)
+	}
+}
+
+// perJobBody is the /v1/grid body of sel at fleetScale made of one
+// Job.Run per job, no run shared.
+func perJobBody(t *testing.T, sel harness.Selection) []byte {
+	t.Helper()
 	grid, err := sel.Resolve(fleetScale)
 	if err != nil {
 		t.Fatal(err)
@@ -303,25 +329,74 @@ func TestFleetLeasesOneJobPerRun(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var want bytes.Buffer
-	if err := harness.WriteJSON(&want, recs); err != nil {
+	var buf bytes.Buffer
+	if err := harness.WriteJSON(&buf, recs); err != nil {
 		t.Fatal(err)
 	}
+	return buf.Bytes()
+}
 
-	srv, d, ts := fleetServer(t, dispatch.Config{LeaseTTL: 2 * time.Second, Heartbeat: 100 * time.Millisecond})
+// TestFleetJoinerOutlivesCanceledLeader: PVM under the page sweep and
+// under the handler sweep is one run, so two requests for them share
+// one flight.  The client of the request leading it disconnects while
+// the run waits on the fleet; the request that joined it must still get
+// its 200 and its bytes once a worker serves the run, and the flight
+// counts once in inflight while both wait.
+func TestFleetJoinerOutlivesCanceledLeader(t *testing.T) {
+	want := perJobBody(t, harness.Selection{Apps: []string{"ep"}, Backends: []string{"pvm"}, Scenarios: []string{"handler"}, NProcs: []int{2}})
+	srv, d, ts := fleetServer(t, dispatch.Config{LeaseTTL: 10 * time.Second, Heartbeat: 5 * time.Second})
+	d.Register("idle") // live, leases nothing: the run waits on the fleet
+
+	leaderCtx, leave := context.WithCancel(context.Background())
+	defer leave()
+	leader := make(chan error, 1)
+	go func() {
+		req, err := http.NewRequestWithContext(leaderCtx, http.MethodGet, ts.URL+"/v1/grid?apps=ep&backends=pvm&scenarios=page&nprocs=2&scale=0.01", nil)
+		if err == nil {
+			var resp *http.Response
+			if resp, err = http.DefaultClient.Do(req); err == nil {
+				resp.Body.Close()
+			}
+		}
+		leader <- err
+	}()
+	waitCond(t, "the leader's run queued", func() bool { return d.Stats().TasksQueued == 1 })
+	misses := srv.Stats().Misses
+
+	type reply struct {
+		status int
+		body   []byte
+		err    error
+	}
+	joiner := make(chan reply, 1)
+	go func() {
+		resp, err := http.Get(ts.URL + "/v1/grid?apps=ep&backends=pvm&scenarios=handler&nprocs=2&scale=0.01")
+		if err != nil {
+			joiner <- reply{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		joiner <- reply{resp.StatusCode, body, err}
+	}()
+	waitCond(t, "the joiner's probe", func() bool { return srv.Stats().Misses > misses })
+	time.Sleep(50 * time.Millisecond) // from its probe to the flight
+	if n := srv.Stats().Inflight; n != 1 {
+		t.Errorf("inflight %d while two requests wait on one run, want 1", n)
+	}
+	leave()
+	if err := <-leader; err == nil {
+		t.Fatal("the leader's request completed although its client left")
+	}
+
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	wk := dispatch.NewWorker(dispatch.WorkerOptions{Coordinator: ts.URL, Name: "w", PollWait: 50 * time.Millisecond})
 	runErr := make(chan error, 1)
 	go func() { runErr <- wk.Run(ctx) }()
-	waitCond(t, "worker registered", func() bool { return d.Stats().WorkersLive == 1 })
-
-	status, body := httpGet(t, ts.URL+"/v1/grid?apps=ep,is-small&backends=tmk,pvm&scenarios=base,page&nprocs=2&scale=0.01")
-	if status != http.StatusOK || !bytes.Equal(body, want.Bytes()) {
-		t.Fatalf("status %d; body equal to one Job.Run per job: %v", status, bytes.Equal(body, want.Bytes()))
-	}
-	if st := srv.Stats(); st.Dispatched != 12 || st.Shared != 12 || st.Computed != 0 || st.Fallbacks != 0 {
-		t.Errorf("dispatched=%d shared=%d computed=%d fallbacks=%d, want 12/12/0/0", st.Dispatched, st.Shared, st.Computed, st.Fallbacks)
+	r := <-joiner
+	if r.err != nil || r.status != http.StatusOK || !bytes.Equal(r.body, want) {
+		t.Fatalf("joiner: status %d, err %v, body equal to one Job.Run per job: %v: %s", r.status, r.err, bytes.Equal(r.body, want), r.body)
 	}
 	cancel()
 	if err := <-runErr; err != nil {

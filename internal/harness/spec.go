@@ -138,6 +138,12 @@ func (j Job) Share(rec Record) Record {
 	return rec
 }
 
+// Names reports whether rec is a record of j: j's app, backend,
+// scenario and processor count.
+func (j Job) Names(rec Record) bool {
+	return rec.App == j.App.Name() && j.Share(rec) == rec
+}
+
 // configText is one rendered config.
 type configText struct {
 	cfg  core.Config

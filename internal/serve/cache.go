@@ -7,6 +7,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 
 	"repro/internal/harness"
@@ -22,7 +23,8 @@ import (
 // directory yanked from under the server, permissions) logs once through
 // log.Printf and degrades the store to memory-only rather than failing
 // requests — records are recomputable, so losing persistence costs
-// warmth, never correctness.
+// warmth, never correctness.  For the same reason a file that does not
+// hold a record of the job its hash names is read as a miss.
 type Store struct {
 	mu    sync.Mutex
 	cap   int // max in-memory entries; <= 0 means unbounded
@@ -72,16 +74,18 @@ func NewStore(capacity int, dir string) (*Store, error) {
 // Get returns the cached record for key.  A memory miss falls through
 // to the disk tier (when configured) and promotes its hit into memory.
 func (s *Store) Get(key string) (harness.Record, bool) {
-	rec, _, ok := s.lookup(key, true)
+	rec, _, ok := s.lookup(key, true, nil)
 	return rec, ok
 }
 
-// GetJSON is Get for a reader that wants the record's bytes: it returns
-// harness.RecordJSON of the cached record, encoded on the entry's first
-// such read and kept with it, so a warm record costs a copy, not an
-// encode.  Counting, LRU touch and disk promotion are Get's.
-func (s *Store) GetJSON(key string) ([]byte, bool, error) {
-	rec, frag, ok := s.lookup(key, true)
+// GetJSON is Get for a reader that wants the record's bytes and knows
+// the job j that key hashes: it returns harness.RecordJSON of the
+// cached record, encoded on the entry's first such read and kept with
+// it, so a warm record costs a copy, not an encode.  Counting, LRU
+// touch and disk promotion are Get's; a disk file that does not name j
+// is a miss (see lookup).
+func (s *Store) GetJSON(key string, j *harness.Job) ([]byte, bool, error) {
+	rec, frag, ok := s.lookup(key, true, j)
 	if !ok || frag != nil {
 		return frag, ok, nil
 	}
@@ -102,8 +106,10 @@ func (s *Store) GetJSON(key string) ([]byte, bool, error) {
 // lookup is Get with optional counting: the server's cold-path flights
 // re-probe keys their request already counted a miss for, and must not
 // skew the hit-rate counters doing so.  It also returns the entry's
-// kept JSON fragment, nil until a GetJSON has encoded it.
-func (s *Store) lookup(key string, count bool) (harness.Record, []byte, bool) {
+// kept JSON fragment, nil until a GetJSON has encoded it.  A record
+// read off disk is kept only if it names job j (harness.Job.Names), or
+// any job when j is nil; the memory tier holds only what Put stored.
+func (s *Store) lookup(key string, count bool, j *harness.Job) (harness.Record, []byte, bool) {
 	s.mu.Lock()
 	if el, ok := s.byKey[key]; ok {
 		s.ll.MoveToFront(el)
@@ -118,7 +124,7 @@ func (s *Store) lookup(key string, count bool) (harness.Record, []byte, bool) {
 	dir := s.dir
 	s.mu.Unlock()
 	if dir != "" {
-		if rec, ok := s.load(dir, key); ok {
+		if rec, ok := s.load(dir, key, j); ok {
 			s.mu.Lock()
 			s.insert(key, rec)
 			if count {
@@ -158,15 +164,12 @@ func (s *Store) Put(key string, rec harness.Record) bool {
 // and Gets skip it entirely.
 func (s *Store) disableDisk(err error) {
 	s.mu.Lock()
-	if s.dir == "" {
-		s.mu.Unlock()
-		return
-	}
 	dir := s.dir
-	s.dir = ""
-	s.diskDisabled = true
+	s.dir, s.diskDisabled = "", true
 	s.mu.Unlock()
-	log.Printf("serve: disk cache write under %s failed (%v); degrading to memory-only", dir, err)
+	if dir != "" { // else a concurrent write failed first and logged
+		log.Printf("serve: disk cache write under %s failed (%v); degrading to memory-only", dir, err)
+	}
 }
 
 // Stats returns a snapshot of the store counters.
@@ -209,30 +212,23 @@ func (s *Store) insert(key string, rec harness.Record) bool {
 // lowercase hex by construction; anything else is rejected so a
 // hand-crafted key can never escape the cache directory.
 func cachePath(dir, key string) (string, bool) {
-	if key == "" {
+	if key == "" || strings.Trim(key, "0123456789abcdef") != "" {
 		return "", false
-	}
-	for i := 0; i < len(key); i++ {
-		c := key[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return "", false
-		}
 	}
 	return filepath.Join(dir, key+".json"), true
 }
 
-func (s *Store) load(dir, key string) (harness.Record, bool) {
+func (s *Store) load(dir, key string, j *harness.Job) (harness.Record, bool) {
 	p, ok := cachePath(dir, key)
 	if !ok {
 		return harness.Record{}, false
 	}
-	data, err := os.ReadFile(p)
-	if err != nil {
-		return harness.Record{}, false
-	}
+	// A missing or corrupt file is a miss, and so is one that decodes
+	// but names no job (null, {}, a partial object) or another job than j.
 	var rec harness.Record
-	if err := json.Unmarshal(data, &rec); err != nil {
-		return harness.Record{}, false // corrupt file: treat as a miss
+	data, err := os.ReadFile(p)
+	if err != nil || json.Unmarshal(data, &rec) != nil || rec.App == "" || rec.Backend == "" || rec.Scenario == "" || rec.Procs < 1 || j != nil && !j.Names(rec) {
+		return harness.Record{}, false
 	}
 	return rec, true
 }
@@ -253,18 +249,15 @@ func (s *Store) save(dir, key string, rec harness.Record) error {
 	if err != nil {
 		return err
 	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
+	if err == nil {
+		err = os.Rename(tmp.Name(), p)
 	}
-	if err := os.Rename(tmp.Name(), p); err != nil {
+	if err != nil {
 		os.Remove(tmp.Name())
-		return err
 	}
-	return nil
+	return err
 }

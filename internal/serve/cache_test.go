@@ -102,13 +102,16 @@ func TestStoreDiskPersistence(t *testing.T) {
 		t.Fatal("evicted entry lost from disk tier")
 	}
 
-	// Corrupt file: miss, not an error.
+	// Corrupt file, or one that decodes to no job's record: miss, not
+	// an error.
 	bad := key("x")
-	if err := os.WriteFile(filepath.Join(dir, bad+".json"), []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s2.Get(bad); ok {
-		t.Fatal("corrupt persisted record served as a hit")
+	for _, data := range []string{"{not json", "null", "{}", `{"app":"app","procs":8}`} {
+		if err := os.WriteFile(filepath.Join(dir, bad+".json"), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if r, ok := s2.Get(bad); ok {
+			t.Fatalf("persisted %s served as a hit: %+v", data, r)
+		}
 	}
 
 	// Non-hex keys must not reach the filesystem.
@@ -213,7 +216,7 @@ func TestStoreGetJSON(t *testing.T) {
 	}
 	getJSON := func(s *Store, k string) ([]byte, bool) {
 		t.Helper()
-		b, ok, err := s.GetJSON(k)
+		b, ok, err := s.GetJSON(k, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

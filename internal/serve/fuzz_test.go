@@ -56,12 +56,13 @@ func FuzzGridRequest(f *testing.F) {
 }
 
 // FuzzStoreLoad writes arbitrary bytes as a job's <hash>.json in a disk
-// tier.  A fresh store must read them back as a miss, or as a record
-// whose RecordJSON decodes to the same record; a server over another
-// fresh store must answer the job's /v1/grid with 200, from the file or
-// by computing the job.  The seed corpus in testdata/fuzz holds a valid
-// record, a truncated one, null, and a value of the wrong type in each
-// field in turn.
+// tier.  A fresh store must read them back as a miss, or as a record of
+// that job whose RecordJSON decodes to the same record; a server over
+// another fresh store must answer the job's /v1/grid with 200 and a
+// record of that job, from the file or by computing the job.  The seed
+// corpus in testdata/fuzz holds a valid record of another job, a
+// truncated one, null, and a value of the wrong type in each field in
+// turn.
 func FuzzStoreLoad(f *testing.F) {
 	dir := f.TempDir()
 	srv := New(Options{Scale: 0.01})
@@ -82,13 +83,14 @@ func FuzzStoreLoad(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if rec, ok := fresh(t).Get(p.hashes[0]); ok {
+		job := &p.jobs[0]
+		if rec, _, ok := fresh(t).lookup(p.hashes[0], true, job); ok {
 			frag, err := harness.RecordJSON(rec)
 			var back harness.Record
 			if err == nil {
 				err = json.Unmarshal(frag, &back)
 			}
-			if err != nil || back != rec {
+			if err != nil || back != rec || !job.Names(rec) {
 				t.Fatalf("loaded %+v, which reads back as %+v (%v)", rec, back, err)
 			}
 		}
@@ -97,6 +99,10 @@ func FuzzStoreLoad(f *testing.F) {
 		srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, query, nil))
 		if w.Code != http.StatusOK {
 			t.Fatalf("/v1/grid status %d: %s", w.Code, w.Body.Bytes())
+		}
+		var recs []harness.Record
+		if err := json.Unmarshal(w.Body.Bytes(), &recs); err != nil || len(recs) != 1 || !job.Names(recs[0]) {
+			t.Fatalf("/v1/grid served %s for %s/%s/%s P=%d (%v)", w.Body.Bytes(), job.App.Name(), job.Backend.Name(), job.Scenario.Name, job.Scenario.Procs, err)
 		}
 	})
 }

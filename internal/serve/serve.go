@@ -234,7 +234,8 @@ type Stats struct {
 // Shared counts the store entries a run added for jobs other than its
 // own, so each cold job is counted once, as computed, dispatched or
 // shared, while the memory tier keeps what a sweep stores.  Inflight is
-// the cold-path flights requests are in, one per run; Fallbacks the
+// the cold-path flights under way, one per run however many requests
+// joined it; Fallbacks the
 // jobs that came back from the dispatcher unserved and ran locally
 // instead; JobPanics the local runs that panicked and became their
 // request's 500.
@@ -486,12 +487,12 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) {
 	var cold []int
 	for i, h := range p.hashes {
 		if req.Stream {
-			if rec, ok := s.opts.Store.Get(h); ok {
+			if rec, _, ok := s.opts.Store.lookup(h, true, &p.jobs[i]); ok {
 				emit(streamLine{Index: i, Total: total, Cached: true, Record: &rec})
 				continue
 			}
 		} else {
-			frag, ok, err := s.opts.Store.GetJSON(h)
+			frag, ok, err := s.opts.Store.GetJSON(h, &p.jobs[i])
 			if err != nil {
 				s.writeError(w, http.StatusInternalServerError, err)
 				return
@@ -610,7 +611,7 @@ func (s *Server) runCold(ctx context.Context, p *plan, cold []int, emit func(any
 	// counting each new entry as shared.
 	put := func(group []int, run harness.Record) {
 		for _, k := range group {
-			if _, _, ok := s.opts.Store.lookup(hashes[k], false); !ok && s.opts.Store.Put(hashes[k], jobs[k].Share(run)) {
+			if _, _, ok := s.opts.Store.lookup(hashes[k], false, &jobs[k]); !ok && s.opts.Store.Put(hashes[k], jobs[k].Share(run)) {
 				s.shared.Add(1)
 			}
 		}
@@ -620,10 +621,11 @@ func (s *Server) runCold(ctx context.Context, p *plan, cold []int, emit func(any
 	var mu sync.Mutex
 	err := harness.ForEach(ctx, len(runs), width, func(r int) error {
 		group := runs[r]
-		s.inflight.Add(1)
-		run, err, joined := s.flights.do(keys[group[0]], func() (harness.Record, error) {
+		fly := func() (harness.Record, error) {
+			s.inflight.Add(1)
+			defer s.inflight.Add(-1)
 			for _, k := range group {
-				if rec, _, ok := s.opts.Store.lookup(hashes[k], false); ok {
+				if rec, _, ok := s.opts.Store.lookup(hashes[k], false, &jobs[k]); ok {
 					put(group, rec)
 					return rec, nil
 				}
@@ -634,8 +636,13 @@ func (s *Server) runCold(ctx context.Context, p *plan, cold []int, emit func(any
 				s.opts.Store.Put(hashes[group[0]], rec)
 			}
 			return rec, err
-		})
-		s.inflight.Add(-1)
+		}
+		run, err, joined := s.flights.do(keys[group[0]], fly)
+		// A joined flight that stopped because its leader's client left
+		// flies again for this request's client, which has not.
+		for joined && ctx.Err() == nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+			run, err, joined = s.flights.do(keys[group[0]], fly)
+		}
 		if err != nil {
 			return err
 		}
