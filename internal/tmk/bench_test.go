@@ -203,11 +203,11 @@ func startLargeP(nprocs, imagePages int) error {
 	e := sim.NewEngine()
 	s := NewSystem(e, vnet.New(vnet.FDDI()), nprocs, cfg)
 	base := s.MallocPageAligned(cfg.PageSize * imagePages)
-	img := make([]byte, cfg.PageSize*imagePages)
+	img := make([]int64, cfg.PageSize/8*imagePages)
 	for i := range img {
-		img[i] = byte(i)
+		img[i] = int64(i)
 	}
-	s.InitBytes(base, img)
+	s.InitI64(base, img)
 	for i := 0; i < nprocs; i++ {
 		s.Spawn(i, func(p *Proc) {
 			p.WriteI64(base+Addr(p.ID()*cfg.PageSize), -1)

@@ -187,7 +187,7 @@ func referenceMakeDiff(twin, cur []byte) *Diff {
 	return d
 }
 
-// Property: the word-at-a-time MakeDiff produces encodings identical to
+// Property: the block-at-a-time MakeDiff produces encodings identical to
 // the byte-at-a-time reference — offsets, lengths, payloads and Size.
 // Diff sizes feed modeled time and wire byte counts, so any divergence
 // would break the determinism guarantee across implementations.
@@ -199,7 +199,7 @@ func TestMakeDiffMatchesReferenceProperty(t *testing.T) {
 		twin := make([]byte, n)
 		r.Read(twin)
 		cur := append([]byte(nil), twin...)
-		switch r.Intn(7) {
+		switch r.Intn(9) {
 		case 0: // sparse byte flips
 			for k := r.Intn(12); k > 0; k-- {
 				cur[r.Intn(n)] ^= byte(1 + r.Intn(255))
@@ -239,6 +239,39 @@ func TestMakeDiffMatchesReferenceProperty(t *testing.T) {
 			cur[i] ^= byte(1 + r.Intn(255))
 			for i -= 1 + 8 + r.Intn(2); i >= 0; i -= 1 + r.Intn(12) {
 				cur[i] ^= byte(1 + r.Intn(255))
+			}
+		case 7: // 32-byte blocks whose every word differs in its lowest byte, 7 to 10 equal bytes apart across block boundaries
+			n = 32 * (2 + r.Intn(20))
+			twin = make([]byte, n)
+			r.Read(twin)
+			cur = append([]byte(nil), twin...)
+			for i := range cur {
+				if i%8 == 0 || r.Intn(2) == 0 {
+					cur[i] ^= byte(1 + r.Intn(255))
+				}
+			}
+			for j := 32; j < n; j += 32 {
+				if r.Intn(4) == 0 {
+					continue // the blocks touch: no gap
+				}
+				g := 7 + r.Intn(4) // equal bytes just before block j, which opens with a differing byte
+				copy(cur[j-g:j], twin[j-g:j])
+				cur[j-g-1] = twin[j-g-1] ^ byte(1+r.Intn(255))
+			}
+		case 8: // up to a page and 40 bytes, float-like words: whole pages, and 1-3 words or a part word past the last block
+			n = 32*[]int{r.Intn(129), 128}[r.Intn(2)] + []int{0, 8, 16, 24, r.Intn(41)}[r.Intn(5)]
+			twin = make([]byte, n)
+			r.Read(twin)
+			cur = append([]byte(nil), twin...)
+			for i := 0; i < n; i += 8 {
+				if r.Intn(4) == 0 {
+					continue
+				}
+				for b := 0; b < 5 && i+b < n; b++ { // the low bytes of a float's mantissa
+					if b == 0 || r.Intn(2) == 0 {
+						cur[i+b] ^= byte(1 + r.Intn(255))
+					}
+				}
 			}
 		}
 		got := MakeDiff(0, twin, cur)

@@ -246,59 +246,53 @@ func (s *System) Pages() int {
 	return (int(s.brk) + s.cfg.PageSize - 1) / s.cfg.PageSize
 }
 
-// InitBytes preloads shared memory with initial contents, present on
-// every processor at no modeled cost.  The paper's measurements exclude
-// initial data distribution (e.g. SOR's first iteration, FFT's initial
-// value distribution); preloading models that exclusion.  On the host the
-// image is held once and shared read-only: a processor copies a page out
-// of it on its first local mutation, also at no modeled cost.
-func (s *System) InitBytes(a Addr, b []byte) {
+// initImage preloads bytes [a, a+n) of shared memory, present on every
+// processor at no modeled cost.  The paper's measurements exclude initial
+// data distribution (e.g. SOR's first iteration, FFT's initial value
+// distribution); preloading models that exclusion.  On the host the image
+// is held once and shared read-only: a processor copies a page out of it
+// on its first local mutation, also at no modeled cost.
+//
+// initImage hands put each page's share of the range in address order:
+// dst is that share of the image page, i its offset in the range.  The
+// Init* encoders write straight into it, with no staging copy of the
+// range (12 MB per SOR array at paper scale).  An element of width w
+// starts at a multiple of w and pages are multiples of 8, so no element
+// is split across two shares.
+func (s *System) initImage(a Addr, n, w int, put func(dst []byte, i int)) {
 	if s.started {
-		panic("tmk: InitBytes after start")
+		panic("tmk: Init after start")
+	}
+	if int(a)%w != 0 {
+		panic(fmt.Sprintf("tmk: misaligned %d-byte preload at %d", w, a))
 	}
 	ps := s.cfg.PageSize
-	for i := 0; i < len(b); {
-		pg := (int(a) + i) / ps
-		off := (int(a) + i) % ps
-		n := ps - off
-		if n > len(b)-i {
-			n = len(b) - i
-		}
+	for i := 0; i < n; {
+		pg, off := (int(a)+i)/ps, (int(a)+i)%ps
+		k := min(ps-off, n-i)
 		dst := s.initial[pg]
 		if dst == nil {
 			dst = make([]byte, ps)
 			s.initial[pg] = dst
 		}
-		copy(dst[off:], b[i:i+n])
-		i += n
+		put(dst[off:off+k], i)
+		i += k
 	}
 }
 
 // InitF64 preloads a float64 slice at address a.
 func (s *System) InitF64(a Addr, vals []float64) {
-	b := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		putF64(b[8*i:], v)
-	}
-	s.InitBytes(a, b)
+	s.initImage(a, 8*len(vals), 8, func(dst []byte, i int) { encF64(dst, vals[i/8:][:len(dst)/8]) })
 }
 
 // InitI32 preloads an int32 slice at address a.
 func (s *System) InitI32(a Addr, vals []int32) {
-	b := make([]byte, 4*len(vals))
-	for i, v := range vals {
-		putU32(b[4*i:], uint32(v))
-	}
-	s.InitBytes(a, b)
+	s.initImage(a, 4*len(vals), 4, func(dst []byte, i int) { encI32(dst, vals[i/4:][:len(dst)/4]) })
 }
 
 // InitI64 preloads an int64 slice at address a.
 func (s *System) InitI64(a Addr, vals []int64) {
-	b := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		putU64(b[8*i:], uint64(v))
-	}
-	s.InitBytes(a, b)
+	s.initImage(a, 8*len(vals), 8, func(dst []byte, i int) { encI64(dst, vals[i/8:][:len(dst)/8]) })
 }
 
 // Spawn registers the application body for processor id and starts its

@@ -6,6 +6,9 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"repro/internal/sim"
+	"repro/internal/vnet"
 )
 
 // bulkOp is one step of a TestLoadStoreMatchScalarProperty script: a Load
@@ -246,6 +249,170 @@ func TestBulkBoundsTable(t *testing.T) {
 		}
 		if p.Faults != 0 {
 			t.Errorf("empty and refused bulk accesses took %d faults, want 0", p.Faults)
+		}
+	})
+}
+
+// bulkKind is one element type's bulk and element-wise access paths, for
+// TestBulkMatchesElementwise.  Only put and init are set for a type whose
+// view has no bulk Load or Store (int64: only InitI64 encodes in bulk).
+type bulkKind[T float64 | int32 | int64] struct {
+	width int
+	put   func(b []byte, v T) // one element, the reference encoding
+	init  func(s *System, a Addr, vals []T)
+	at    func(p *Proc, a Addr, n, i int) T
+	set   func(p *Proc, a Addr, n, i int, v T)
+	load  func(p *Proc, a Addr, n int, dst []T, lo, hi int)
+	store func(p *Proc, a Addr, n int, src []T, lo int)
+}
+
+// TestBulkMatchesElementwise holds the four-wide codecs to the
+// one-element-at-a-time encoding: every length from 0 to two pages of
+// elements, starting on either side of a page boundary (residues 0-3 of
+// the four-element pass, so every tail length meets every page split),
+// at page sizes 1024 and 4096, for all three element types.
+//   - InitF64, InitI32 and InitI64 build the same preloaded image, page
+//     for page, as encoding each element alone.
+//   - Load from never-written (nil) pages reads zeros, as At does, and
+//     stops at hi.
+//   - Store then At, and Set then Load, read back what was written, and
+//     neither touches an element outside its range.
+func TestBulkMatchesElementwise(t *testing.T) {
+	f64Kind := bulkKind[float64]{
+		width: 8,
+		put:   putF64,
+		init:  (*System).InitF64,
+		at:    func(p *Proc, a Addr, n, i int) float64 { return p.F64Array(a, n).At(i) },
+		set:   func(p *Proc, a Addr, n, i int, v float64) { p.F64Array(a, n).Set(i, v) },
+		load:  func(p *Proc, a Addr, n int, dst []float64, lo, hi int) { p.F64Array(a, n).Load(dst, lo, hi) },
+		store: func(p *Proc, a Addr, n int, src []float64, lo int) { p.F64Array(a, n).Store(src, lo) },
+	}
+	i32Kind := bulkKind[int32]{
+		width: 4,
+		put:   func(b []byte, v int32) { putU32(b, uint32(v)) },
+		init:  (*System).InitI32,
+		at:    func(p *Proc, a Addr, n, i int) int32 { return p.I32Array(a, n).At(i) },
+		set:   func(p *Proc, a Addr, n, i int, v int32) { p.I32Array(a, n).Set(i, v) },
+		load:  func(p *Proc, a Addr, n int, dst []int32, lo, hi int) { p.I32Array(a, n).Load(dst, lo, hi) },
+		store: func(p *Proc, a Addr, n int, src []int32, lo int) { p.I32Array(a, n).Store(src, lo) },
+	}
+	i64Kind := bulkKind[int64]{
+		width: 8,
+		put:   func(b []byte, v int64) { putU64(b, uint64(v)) },
+		init:  (*System).InitI64,
+	}
+	for _, ps := range []int{1024, 4096} {
+		t.Run(fmt.Sprintf("page-%d", ps), func(t *testing.T) {
+			t.Run("f64", func(t *testing.T) {
+				checkBulk(t, ps, f64Kind, func(k int) float64 { return float64(k) + 0.25 })
+			})
+			t.Run("i32", func(t *testing.T) {
+				checkBulk(t, ps, i32Kind, func(k int) int32 { return int32(k)*-3 + 1 })
+			})
+			t.Run("i64", func(t *testing.T) {
+				checkBulk(t, ps, i64Kind, func(k int) int64 { return int64(k)<<33 | int64(k) })
+			})
+		})
+	}
+}
+
+func checkBulk[T float64 | int32 | int64](t *testing.T, ps int, kind bulkKind[T], val func(int) T) {
+	w, e := kind.width, ps/kind.width // element width, elements per page
+	starts := []int{e - 3, e - 2, e - 1, e, e + 1}
+	nextVal := 1
+	fresh := func(n int) []T {
+		vals := make([]T, n)
+		for i := range vals {
+			vals[i] = val(nextVal)
+			nextVal++
+		}
+		return vals
+	}
+
+	cfg := DefaultConfig()
+	cfg.PageSize = ps
+	// The preloaded image, against a page-by-page reference.  The system
+	// never starts, so each case resets its image.
+	sys := NewSystem(sim.NewEngine(), vnet.New(vnet.FDDI()), 1, cfg)
+	base := sys.MallocPageAligned(4 * ps)
+	for _, s := range starts {
+		for n := 0; n <= 2*e; n++ {
+			vals := fresh(n)
+			sys.initial = map[int][]byte{}
+			kind.init(sys, base+Addr(w*s), vals)
+			want := map[int][]byte{}
+			for i, v := range vals {
+				a := int(base) + w*(s+i)
+				pg := want[a/ps]
+				if pg == nil {
+					pg = make([]byte, ps)
+					want[a/ps] = pg
+				}
+				kind.put(pg[a%ps:], v)
+			}
+			if len(sys.initial) != len(want) {
+				t.Fatalf("init of %d elements at %d: %d image pages, want %d", n, s, len(sys.initial), len(want))
+			}
+			for pg, b := range want {
+				if !slices.Equal(sys.initial[pg], b) {
+					t.Fatalf("init of %d elements at %d: image page %d differs from one element at a time", n, s, pg)
+				}
+			}
+		}
+	}
+	if kind.load == nil {
+		return
+	}
+
+	eng := sim.NewEngine()
+	sys = NewSystem(eng, vnet.New(vnet.FDDI()), 1, cfg)
+	words := 4 * e // each region: four pages of elements
+	nilA := sys.MallocPageAligned(4 * ps)
+	rwA := sys.MallocPageAligned(4 * ps)
+	runAll(t, eng, sys, func(p *Proc) {
+		var sentinel T = val(0)
+		mirror := make([]T, words) // rwA as written so far
+		check := func(what string, s, n int) {
+			for i := max(0, s-4); i < min(words, s+n+4); i++ {
+				if got := kind.at(p, rwA, words, i); got != mirror[i] {
+					t.Fatalf("%s of %d elements at %d: element %d reads %v, want %v", what, n, s, i, got, mirror[i])
+				}
+			}
+		}
+		for _, s := range starts {
+			for n := 0; n <= 2*e; n++ {
+				dst := append(make([]T, n), sentinel)
+				for i := range dst[:n] {
+					dst[i] = sentinel
+				}
+				kind.load(p, nilA, words, dst, s, s+n)
+				for i, v := range dst[:n] {
+					if want := kind.at(p, nilA, words, s+i); v != want {
+						t.Fatalf("load of %d elements at %d from never-written pages: element %d is %v, want %v", n, s, i, v, want)
+					}
+				}
+				if dst[n] != sentinel {
+					t.Fatalf("load of %d elements at %d wrote past hi", n, s)
+				}
+
+				vals := fresh(n)
+				kind.store(p, rwA, words, vals, s)
+				copy(mirror[s:], vals)
+				check("store", s, n)
+
+				for i, v := range fresh(n) {
+					kind.set(p, rwA, words, s+i, v)
+					mirror[s+i] = v
+				}
+				dst[n] = sentinel
+				kind.load(p, rwA, words, dst, s, s+n)
+				if !slices.Equal(dst[:n], mirror[s:s+n]) || dst[n] != sentinel {
+					t.Fatalf("load of %d elements at %d after element-wise sets differs from At", n, s)
+				}
+			}
+		}
+		if p.Faults != 0 {
+			t.Errorf("a lone processor took %d faults", p.Faults)
 		}
 	})
 }
