@@ -38,7 +38,7 @@
 // equal hashes mean byte-identical records.  Hence a sweep through a
 // fleet with crashing and stalling workers yields exactly the records
 // of the serial local run: no losses (expiry/liveness requeue every
-// abandoned job), no duplicates (hash-keyed suppression), no reordering
+// job a worker dropped), no duplicates (hash-keyed suppression), no reordering
 // (records land by job index).
 //
 // # Degradation
@@ -218,6 +218,7 @@ type task struct {
 	readyAt  time.Time         // backoff gate while queued
 	leases   map[string]*lease // outstanding grants
 	queued   bool              // currently in d.pending
+	waiters  int               // Do calls still waiting on done
 
 	done chan struct{}
 	rec  harness.Record
@@ -259,6 +260,7 @@ type Stats struct {
 	WorkerErrors         int64 `json:"worker_errors"`
 	TasksDispatched      int64 `json:"tasks_dispatched"`
 	TasksFailed          int64 `json:"tasks_failed"`
+	Abandoned            int64 `json:"abandoned"`
 }
 
 // Dispatcher is the coordinator side of the tier: the lease table, the
@@ -283,6 +285,7 @@ type Dispatcher struct {
 		reassigned, hedged                           int64
 		completions, lateCompletions, dupCompletions int64
 		workerErrors, tasksDispatched, tasksFailed   int64
+		abandoned                                    int64
 	}
 
 	stopReaper chan struct{}
@@ -435,6 +438,12 @@ func (d *Dispatcher) HasWorkers() bool {
 // completes it, the job fails terminally, or ctx is canceled.
 // Concurrent Do calls for the same hash share one task.  ErrNoWorkers
 // and ErrDraining mean "compute locally instead".
+//
+// A caller whose ctx ends stops waiting.  When it was the task's last
+// waiter and no worker holds a lease on the task, the task leaves the
+// queue and the table (counted as abandoned): nobody would read its
+// record, since a completion is handed only to its waiters.  A leased
+// task runs to completion.
 func (d *Dispatcher) Do(ctx context.Context, ref JobRef, hash string) (harness.Record, error) {
 	d.mu.Lock()
 	if d.closed || d.drain {
@@ -452,15 +461,21 @@ func (d *Dispatcher) Do(ctx context.Context, ref JobRef, hash string) (harness.R
 		d.enqueueLocked(t)
 		d.stats.tasksDispatched++
 	}
+	t.waiters++
 	d.mu.Unlock()
 
 	select {
 	case <-t.done:
 		return t.rec, t.err
 	case <-ctx.Done():
-		// The task stays live for any other waiter (and a completion
-		// still lands in the store via the next request); this caller
-		// just stops waiting.
+		d.mu.Lock()
+		t.waiters--
+		if t.waiters == 0 && len(t.leases) == 0 && !d.isDone(t) {
+			d.dequeueLocked(t)
+			delete(d.tasks, t.hash)
+			d.stats.abandoned++
+		}
+		d.mu.Unlock()
 		return harness.Record{}, ctx.Err()
 	}
 }
@@ -778,6 +793,7 @@ func (d *Dispatcher) Stats() Stats {
 		WorkerErrors:         d.stats.workerErrors,
 		TasksDispatched:      d.stats.tasksDispatched,
 		TasksFailed:          d.stats.tasksFailed,
+		Abandoned:            d.stats.abandoned,
 	}
 	for _, w := range d.workers {
 		if w.draining {

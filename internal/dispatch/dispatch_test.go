@@ -342,6 +342,59 @@ func TestDoContextCancel(t *testing.T) {
 	if _, err := d.Do(ctx, JobRef{}, "job-g"); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Do with canceled ctx: %v", err)
 	}
+	if st := d.Stats(); st.TasksQueued != 0 || st.Abandoned != 1 {
+		t.Fatalf("a task nobody waits on: queued %d, abandoned %d, want 0 and 1", st.TasksQueued, st.Abandoned)
+	}
+}
+
+// TestDoAbandonsOnlyUnwatchedUnleasedTasks: a task leaves the queue when
+// its last waiter leaves before any lease, and not while another Do
+// still waits on it; a leased task whose waiters all left still runs to
+// completion.
+func TestDoAbandonsOnlyUnwatchedUnleasedTasks(t *testing.T) {
+	d := New(quietCfg())
+	defer d.Close()
+	wid, _, _ := d.Register("w")
+
+	ctx, leave := context.WithCancel(context.Background())
+	left := make(chan error, 1)
+	go func() { _, err := d.Do(ctx, JobRef{}, "job-a"); left <- err }()
+	stay := doAsync(d, "job-a")
+	waitStat(t, d, "job-a queued", func(s Stats) bool { return s.TasksQueued == 1 })
+	time.Sleep(10 * time.Millisecond) // both Do calls are waiting
+	leave()
+	if err := <-left; !errors.Is(err, context.Canceled) {
+		t.Fatalf("Do after its ctx ended: %v", err)
+	}
+	if st := d.Stats(); st.TasksQueued != 1 || st.Abandoned != 0 {
+		t.Fatalf("one waiter left, one waits: queued %d, abandoned %d, want 1 and 0", st.TasksQueued, st.Abandoned)
+	}
+	g, err := d.Lease(wid, time.Second)
+	if err != nil || g == nil {
+		t.Fatalf("lease: %v, %v", g, err)
+	}
+	rec := testRecord(1)
+	if ok, err := d.Complete(wid, g.LeaseID, g.Hash, &rec, ""); !ok || err != nil {
+		t.Fatalf("complete: %v, %v", ok, err)
+	}
+	if r := <-stay; r.err != nil || r.rec.TimeNS != 1 {
+		t.Fatalf("the waiter that stayed: %+v", r)
+	}
+
+	ctx, leave = context.WithCancel(context.Background())
+	go func() { _, err := d.Do(ctx, JobRef{}, "job-b"); left <- err }()
+	g, err = d.Lease(wid, time.Second)
+	if err != nil || g == nil || g.Hash != "job-b" {
+		t.Fatalf("lease: %v, %v", g, err)
+	}
+	leave()
+	<-left
+	if st := d.Stats(); st.LeasesOutstanding != 1 || st.Abandoned != 0 {
+		t.Fatalf("a leased task's waiter left: leases %d, abandoned %d, want 1 and 0", st.LeasesOutstanding, st.Abandoned)
+	}
+	if ok, err := d.Complete(wid, g.LeaseID, g.Hash, &rec, ""); !ok || err != nil {
+		t.Fatalf("a leased task with no waiter left completes: %v, %v", ok, err)
+	}
 }
 
 // TestJobRefResolve checks the wire ref round-trips through the local

@@ -341,7 +341,9 @@ func perJobBody(t *testing.T, sel harness.Selection) []byte {
 // one flight.  The client of the request leading it disconnects while
 // the run waits on the fleet; the request that joined it must still get
 // its 200 and its bytes once a worker serves the run, and the flight
-// counts once in inflight while both wait.
+// counts once in inflight while both wait.  The leader's task, which no
+// request waits on any more, leaves the queue unleased, so the fleet
+// runs the job once: one lease, one completion.
 func TestFleetJoinerOutlivesCanceledLeader(t *testing.T) {
 	want := perJobBody(t, harness.Selection{Apps: []string{"ep"}, Backends: []string{"pvm"}, Scenarios: []string{"handler"}, NProcs: []int{2}})
 	srv, d, ts := fleetServer(t, dispatch.Config{LeaseTTL: 10 * time.Second, Heartbeat: 5 * time.Second})
@@ -388,6 +390,10 @@ func TestFleetJoinerOutlivesCanceledLeader(t *testing.T) {
 	if err := <-leader; err == nil {
 		t.Fatal("the leader's request completed although its client left")
 	}
+	waitCond(t, "the leader's task abandoned and the joiner's queued", func() bool {
+		st := d.Stats()
+		return st.Abandoned == 1 && st.TasksDispatched == 2 && st.TasksQueued == 1
+	})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -401,6 +407,10 @@ func TestFleetJoinerOutlivesCanceledLeader(t *testing.T) {
 	cancel()
 	if err := <-runErr; err != nil {
 		t.Errorf("worker exit: %v", err)
+	}
+	if st := d.Stats(); st.LeasesGranted != 1 || st.Completions != 1 || st.Abandoned != 1 {
+		t.Errorf("leases_granted %d, completions %d, abandoned %d for one run, want 1, 1, 1",
+			st.LeasesGranted, st.Completions, st.Abandoned)
 	}
 }
 
