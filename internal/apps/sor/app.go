@@ -136,9 +136,10 @@ func (a *app) SetupTMK(sys *tmk.System) {
 // are loaded at the band's first interior row, and each row after loads
 // only row i+1, so the Loads still reach each page first in the order
 // the three-Loads-per-row loop did, before the same Compute, and every
-// modeled value stays put.  At paper scale under tmk at P=8 this took
-// SOR-Zero from 0.72-0.75 s to 0.43-0.51 s of host time, together with
-// the bulk codecs and the block diff scan in package tmk.
+// modeled value stays put.  Together with package tmk's four-wide bulk
+// codecs and block diff scan, this took the paper-scale tmk cell at P=8
+// from 0.60-0.63 s to 0.42-0.44 s of host time for SOR-Zero and from
+// 1.02-1.18 s to 0.67-0.80 s for SOR-Nonzero (2 vCPUs, 5 pairs).
 func (a *app) TMK(p *tmk.Proc) {
 	cfg := a.cfg
 	h := cfg.half()

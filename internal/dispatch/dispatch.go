@@ -38,8 +38,8 @@
 // equal hashes mean byte-identical records.  Hence a sweep through a
 // fleet with crashing and stalling workers yields exactly the records
 // of the serial local run: no losses (expiry/liveness requeue every
-// job a worker dropped), no duplicates (hash-keyed suppression), no reordering
-// (records land by job index).
+// job a worker dropped), no duplicates (hash-keyed suppression), no
+// reordering (records land by job index).
 //
 // # Degradation
 //

@@ -52,10 +52,12 @@ type Run struct {
 // seven bytes past the previous word's last, so only the first word can
 // start a new run, and the run ends at the last word's last differing
 // byte.  That is a page of floats that all moved, as SOR leaves its rows:
-// 2.1 µs per 4 KB page against 3.9-5.3 µs for the word-at-a-time scan
-// this replaced, on 2 vCPUs.  Run boundaries stay byte-exact, so the
-// encoding is identical to a byte-at-a-time scan — diff sizes feed
-// modeled time and wire accounting, which must not drift.
+// BenchmarkMakeDiff/float read 2.0-2.3 µs per 4 KB page against 3.9-5.1
+// µs for the word-at-a-time scan this replaced (2 vCPUs), and the clean,
+// sparse and dense shapes are faster too.  Run boundaries stay
+// byte-exact, so the encoding is identical to a byte-at-a-time scan —
+// diff sizes feed modeled time and wire accounting, which must not
+// drift.
 func MakeDiff(page int, twin, cur []byte) *Diff {
 	return makeDiff(twin, cur, nil)
 }

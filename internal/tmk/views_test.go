@@ -318,7 +318,8 @@ func TestBulkMatchesElementwise(t *testing.T) {
 
 func checkBulk[T float64 | int32 | int64](t *testing.T, ps int, kind bulkKind[T], val func(int) T) {
 	w, e := kind.width, ps/kind.width // element width, elements per page
-	starts := []int{e - 3, e - 2, e - 1, e, e + 1}
+	// Every residue mod 4, on both sides of a page boundary.
+	starts := []int{e - 2, e - 1, e, e + 1}
 	nextVal := 1
 	fresh := func(n int) []T {
 		vals := make([]T, n)
@@ -335,26 +336,25 @@ func checkBulk[T float64 | int32 | int64](t *testing.T, ps int, kind bulkKind[T]
 	// never starts, so each case resets its image.
 	sys := NewSystem(sim.NewEngine(), vnet.New(vnet.FDDI()), 1, cfg)
 	base := sys.MallocPageAligned(4 * ps)
+	want := make([]byte, 4*ps) // the four pages at base, one element at a time
 	for _, s := range starts {
 		for n := 0; n <= 2*e; n++ {
 			vals := fresh(n)
 			sys.initial = map[int][]byte{}
 			kind.init(sys, base+Addr(w*s), vals)
-			want := map[int][]byte{}
+			clear(want)
 			for i, v := range vals {
-				a := int(base) + w*(s+i)
-				pg := want[a/ps]
-				if pg == nil {
-					pg = make([]byte, ps)
-					want[a/ps] = pg
-				}
-				kind.put(pg[a%ps:], v)
+				kind.put(want[w*(s+i):], v)
 			}
-			if len(sys.initial) != len(want) {
-				t.Fatalf("init of %d elements at %d: %d image pages, want %d", n, s, len(sys.initial), len(want))
+			first, last := w*s/ps, (w*(s+n)-1)/ps // the pages the range touches
+			if n == 0 {
+				first, last = 0, -1
 			}
-			for pg, b := range want {
-				if !slices.Equal(sys.initial[pg], b) {
+			if len(sys.initial) != last-first+1 {
+				t.Fatalf("init of %d elements at %d: %d image pages, want %d", n, s, len(sys.initial), last-first+1)
+			}
+			for pg := first; pg <= last; pg++ {
+				if !slices.Equal(sys.initial[int(base)/ps+pg], want[pg*ps:(pg+1)*ps]) {
 					t.Fatalf("init of %d elements at %d: image page %d differs from one element at a time", n, s, pg)
 				}
 			}
