@@ -42,15 +42,8 @@ func Paper() Config {
 		UpdateCost: 3 * sim.Microsecond}
 }
 
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
 func (c Config) unit(i uint64) float64 {
-	return float64(splitmix64(c.Seed+i)>>11) / (1 << 53)
+	return float64(sim.SplitMix64(c.Seed+i)>>11) / (1 << 53)
 }
 
 // initBodies places bodies in a Plummer-like clustered sphere.

@@ -58,17 +58,11 @@ func closeEnough(a, b float64) bool {
 	return d <= 1e-9*(1+math.Abs(a)+math.Abs(b))
 }
 
-// splitmix64 gives a reproducible, index-addressable random stream, so
-// every processor can generate its slice of pairs independently.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
+// uniform is draw idx of a reproducible, index-addressable stream in
+// [-1, 1), so every processor can generate its slice of pairs
+// independently.
 func uniform(seed, idx uint64) float64 {
-	return 2*float64(splitmix64(seed+idx)>>11)/(1<<53) - 1
+	return 2*float64(sim.SplitMix64(seed+idx)>>11)/(1<<53) - 1
 }
 
 // chunk computes EP over pair indices [lo,hi), charging modeled time.

@@ -1,6 +1,7 @@
 package ep
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -98,4 +99,31 @@ func TestTMKTrafficSmall(t *testing.T) {
 // small returns a CI-sized problem.
 func small() Config {
 	return Config{Pairs: 1 << 14, CostScale: 1, PairCost: 3300 * sim.Nanosecond, Seed: 271828}
+}
+
+// TestCheckRejectsEachMismatch pins what Check compares: an annulus
+// count, the accepted count and either deviate sum that differs fails
+// it; sums that differ only by reduction order (a few ulps) pass.
+func TestCheckRejectsEachMismatch(t *testing.T) {
+	a := newApp(small())
+	run(t, core.Seq, a, 1)
+	want := a.seqOut
+	for _, tc := range []struct {
+		name string
+		edit func(*Output)
+		ok   bool
+	}{
+		{"equal", func(*Output) {}, true},
+		{"sums reordered", func(o *Output) { o.SumX = math.Nextafter(math.Nextafter(o.SumX, 0), 0) }, true},
+		{"annulus", func(o *Output) { o.Q[9]++ }, false},
+		{"accepted", func(o *Output) { o.Accepted-- }, false},
+		{"sum x", func(o *Output) { o.SumX += 1e-3 * (1 + math.Abs(o.SumX)) }, false},
+		{"sum y", func(o *Output) { o.SumY -= 1e-3 * (1 + math.Abs(o.SumY)) }, false},
+	} {
+		got := want
+		tc.edit(&got)
+		if err := want.Check(got); (err == nil) != tc.ok {
+			t.Errorf("%s: Check = %v, want ok %v", tc.name, err, tc.ok)
+		}
+	}
 }

@@ -61,20 +61,13 @@ func ilog2(n int) int {
 	return l
 }
 
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
 // initData builds elements [lo,hi) of the deterministic initial array
 // (interleaved re/im float64, row-major; the whole array is
 // [0, 2*c.points())).  Each value depends only on its global index.
 func (c Config) initData(lo, hi int) []float64 {
 	v := make([]float64, hi-lo)
 	for i := range v {
-		v[i] = float64(splitmix64(c.Seed+uint64(lo+i))>>11)/(1<<53) - 0.5
+		v[i] = float64(sim.SplitMix64(c.Seed+uint64(lo+i))>>11)/(1<<53) - 0.5
 	}
 	return v
 }

@@ -48,15 +48,8 @@ func Paper() Config {
 		SumCost: 1 * sim.Microsecond}
 }
 
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
 func (c Config) unit(k uint64) float64 {
-	return float64(splitmix64(c.Seed+k)>>11) / (1 << 53)
+	return float64(sim.SplitMix64(c.Seed+k)>>11) / (1 << 53)
 }
 
 // clusterStart gives the nonzero cluster origin for (family, member).
@@ -65,7 +58,7 @@ func (c Config) clusterStart(fam, member int) int {
 	if span <= 0 {
 		return 0
 	}
-	return int(splitmix64(c.Seed+uint64(1000*fam+member)) % uint64(span))
+	return int(sim.SplitMix64(c.Seed+uint64(1000*fam+member)) % uint64(span))
 }
 
 // initValue returns person member's genarray entry g for the given
@@ -76,7 +69,7 @@ func (c Config) initValue(fam, member, g int) float64 {
 		return 0
 	}
 	key := uint64(fam)<<40 | uint64(member)<<32 | uint64(g)
-	if splitmix64(c.Seed+key)%100 >= 80 {
+	if sim.SplitMix64(c.Seed+key)%100 >= 80 {
 		return 0
 	}
 	return 0.1 + 0.9*c.unit(key+7)

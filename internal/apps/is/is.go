@@ -52,18 +52,11 @@ func PaperLarge() Config {
 		KeyCost: 1600 * sim.Nanosecond, BktCost: 100 * sim.Nanosecond}
 }
 
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
 // key returns the i-th key, reproducible and processor-independent.
 // As in NAS IS, keys follow a centered (sum-of-uniforms) distribution,
 // so middle buckets are hot and the tails nearly empty.
 func (c Config) key(i int) int32 {
-	r := splitmix64(c.Seed + uint64(i))
+	r := sim.SplitMix64(c.Seed + uint64(i))
 	// Average four 16-bit lanes of the random word.
 	s := (r & 0xFFFF) + (r >> 16 & 0xFFFF) + (r >> 32 & 0xFFFF) + (r >> 48 & 0xFFFF)
 	return int32(s * uint64(c.Bmax) / (4 << 16))

@@ -34,18 +34,11 @@ func Paper() Config {
 		PartCost: 250 * sim.Nanosecond, BubbleCost: 150 * sim.Nanosecond}
 }
 
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
 // input generates the deterministic unsorted list.
 func (c Config) input() []int32 {
 	v := make([]int32, c.N)
 	for i := range v {
-		v[i] = int32(splitmix64(c.Seed+uint64(i)) & 0x7FFFFFFF)
+		v[i] = int32(sim.SplitMix64(c.Seed+uint64(i)) & 0x7FFFFFFF)
 	}
 	return v
 }

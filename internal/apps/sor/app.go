@@ -122,9 +122,15 @@ func (a *app) SetupTMK(sys *tmk.System) {
 	a.redA = sys.Malloc(8 * cfg.M * h)
 	a.blackA = sys.Malloc(8 * cfg.M * h)
 	a.sumsA = sys.Malloc(8 * 2 * cfg.M)
-	red, black := cfg.grids()
-	sys.InitF64(a.redA, red)
-	sys.InitF64(a.blackA, black)
+	// Preload row by row through one reused row, as PVM fills its band,
+	// rather than building both whole grids (12 MB each at paper scale).
+	row := make([]float64, h)
+	for i := 0; i < cfg.M; i++ {
+		for colour, base := range [2]tmk.Addr{a.redA, a.blackA} {
+			cfg.fillRow(row, i, colour)
+			sys.InitF64(base+tmk.Addr(8*i*h), row)
+		}
+	}
 }
 
 // TMK: both arrays live in shared memory, processors synchronize with one
@@ -215,10 +221,8 @@ func (a *app) PVM(p *pvm.Proc) {
 	red := make([]float64, (ghi-glo)*h)
 	black := make([]float64, (ghi-glo)*h)
 	for i := glo; i < ghi; i++ {
-		for k := 0; k < h; k++ {
-			red[(i-glo)*h+k] = cfg.initValue(i, 2*k+(i%2))
-			black[(i-glo)*h+k] = cfg.initValue(i, 2*k+((i+1)%2))
-		}
+		cfg.fillRow(red[(i-glo)*h:(i-glo+1)*h], i, 0)
+		cfg.fillRow(black[(i-glo)*h:(i-glo+1)*h], i, 1)
 	}
 	row := func(arr []float64, i int) []float64 {
 		if i < glo || i >= ghi {

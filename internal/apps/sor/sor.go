@@ -71,17 +71,23 @@ func (c Config) initValue(i, j int) float64 {
 	return 1.0 + 0.5*math.Sin(float64(i*31+j*17))
 }
 
+// fillRow writes row i of one colour's initial array into dst (N/2
+// elements; colour 0 is red, 1 black).  Red holds matrix elements with
+// (i+j) even, black the odd ones.
+func (c Config) fillRow(dst []float64, i, colour int) {
+	for k := range dst {
+		dst[k] = c.initValue(i, 2*k+(i+colour)%2)
+	}
+}
+
 // grids builds the initial red and black arrays (row-major, M x N/2).
-// Red holds matrix elements with (i+j) even, black the odd ones.
 func (c Config) grids() (red, black []float64) {
 	h := c.half()
 	red = make([]float64, c.M*h)
 	black = make([]float64, c.M*h)
 	for i := 0; i < c.M; i++ {
-		for k := 0; k < h; k++ {
-			red[i*h+k] = c.initValue(i, 2*k+(i%2))
-			black[i*h+k] = c.initValue(i, 2*k+((i+1)%2))
-		}
+		c.fillRow(red[i*h:(i+1)*h], i, 0)
+		c.fillRow(black[i*h:(i+1)*h], i, 1)
 	}
 	return red, black
 }

@@ -59,17 +59,11 @@ const maxCities = 32
 // fixed-stride rows: cities on a seeded pseudo-random grid, Euclidean
 // distances rounded to integers.
 func (c Config) dist() [][maxCities]int32 {
-	sm := func(x uint64) uint64 {
-		x += 0x9E3779B97F4A7C15
-		x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-		x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-		return x ^ (x >> 31)
-	}
 	xs := make([]float64, c.Cities)
 	ys := make([]float64, c.Cities)
 	for i := 0; i < c.Cities; i++ {
-		xs[i] = float64(sm(c.Seed+uint64(2*i))%1000) / 10
-		ys[i] = float64(sm(c.Seed+uint64(2*i+1))%1000) / 10
+		xs[i] = float64(sim.SplitMix64(c.Seed+uint64(2*i))%1000) / 10
+		ys[i] = float64(sim.SplitMix64(c.Seed+uint64(2*i+1))%1000) / 10
 	}
 	d := make([][maxCities]int32, c.Cities)
 	for i := range d {

@@ -62,13 +62,6 @@ func (c Config) cutoff() float64 {
 	return half * 0.9
 }
 
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
 // initPositions places molecules on a perturbed lattice.
 func (c Config) initPositions() []float64 {
 	side := int(math.Ceil(math.Cbrt(float64(c.Mols))))
@@ -78,9 +71,9 @@ func (c Config) initPositions() []float64 {
 	for x := 0; x < side && i < c.Mols; x++ {
 		for y := 0; y < side && i < c.Mols; y++ {
 			for z := 0; z < side && i < c.Mols; z++ {
-				jx := float64(splitmix64(c.Seed+uint64(3*i))%1000)/5000 - 0.1
-				jy := float64(splitmix64(c.Seed+uint64(3*i+1))%1000)/5000 - 0.1
-				jz := float64(splitmix64(c.Seed+uint64(3*i+2))%1000)/5000 - 0.1
+				jx := float64(sim.SplitMix64(c.Seed+uint64(3*i))%1000)/5000 - 0.1
+				jy := float64(sim.SplitMix64(c.Seed+uint64(3*i+1))%1000)/5000 - 0.1
+				jz := float64(sim.SplitMix64(c.Seed+uint64(3*i+2))%1000)/5000 - 0.1
 				pos[3*i] = (float64(x) + 0.5 + jx) * spacing
 				pos[3*i+1] = (float64(y) + 0.5 + jy) * spacing
 				pos[3*i+2] = (float64(z) + 0.5 + jz) * spacing

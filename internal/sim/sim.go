@@ -108,6 +108,20 @@ func (t Time) String() string {
 // Seconds converts a virtual time to floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
+// SplitMix64 is the finalizing mixer of the splitmix64 generator: a
+// bijective avalanche over 64 bits, used as a stateless hash.  Every
+// seeded draw in the model goes through it — the apps' inputs, indexed by
+// element, and vnet's fault decisions, indexed by message — so a draw
+// depends on its key alone, never on how many draws came before or in
+// what order procs ran, and the package's determinism invariant holds for
+// random inputs too.
+func SplitMix64(x uint64) uint64 {
+	x += 0x9E3779B97F4A7C15
+	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
+	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
+	return x ^ (x >> 31)
+}
+
 type procState int
 
 const (

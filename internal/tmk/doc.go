@@ -141,7 +141,8 @@
 // lock-manager placement.  Protocol code switches on those values, never
 // on Config.
 //
-//   - system.go: Config and Validate, NewSystem, System and Proc.
+//   - system.go: Config and Validate, NewSystem, System and Proc, Malloc
+//     and the preload behind InitF64, InitI32 and InitI64.
 //   - arena.go: memArena, the allocator behind long-lived records and diffs.
 //   - interval.go: interval close and the record walks (applyRecords,
 //     admitRecord with causal admission, recordsNotCoveredBy).
@@ -154,6 +155,9 @@
 //   - tree.go: the combining-tree barrier.
 //   - fault.go: the service daemon, the diff store and server, and the
 //     access-fault path.
-//   - views.go, diff.go, vc.go, wire.go, rpc.go: typed access, diffs,
-//     vector timestamps, message layouts, the at-least-once layer.
+//   - views.go: typed access — the scalar accessors and their two slow
+//     paths (readAt, writeAt), the typed arrays over one view, the bulk
+//     load and store, and the page walk they share with the preload.
+//   - diff.go, vc.go, wire.go, rpc.go: diffs, vector timestamps, message
+//     layouts, the at-least-once layer.
 package tmk

@@ -246,20 +246,15 @@ func (s *System) Pages() int {
 	return (int(s.brk) + s.cfg.PageSize - 1) / s.cfg.PageSize
 }
 
-// initImage preloads bytes [a, a+n) of shared memory, present on every
-// processor at no modeled cost.  The paper's measurements exclude initial
-// data distribution (e.g. SOR's first iteration, FFT's initial value
-// distribution); preloading models that exclusion.  On the host the image
-// is held once and shared read-only: a processor copies a page out of it
-// on its first local mutation, also at no modeled cost.
-//
-// initImage hands put each page's share of the range in address order:
-// dst is that share of the image page, i its offset in the range.  The
-// Init* encoders write straight into it, with no staging copy of the
-// range (12 MB per SOR array at paper scale).  An element of width w
-// starts at a multiple of w and pages are multiples of 8, so no element
-// is split across two shares.
-func (s *System) initImage(a Addr, n, w int, put func(dst []byte, i int)) {
+// preload writes vals, w bytes each, into shared memory at address a,
+// present on every processor at no modeled cost.  The paper's
+// measurements exclude initial data distribution (e.g. SOR's first
+// iteration, FFT's initial value distribution); preloading models that
+// exclusion.  On the host the image is held once and shared read-only: a
+// processor copies a page out of it on its first local mutation, also at
+// no modeled cost.  enc writes each page's share straight into the image
+// page, with no staging copy of the range.
+func preload[T any](s *System, a Addr, w int, vals []T, enc func([]byte, []T)) {
 	if s.started {
 		panic("tmk: Init after start")
 	}
@@ -267,33 +262,24 @@ func (s *System) initImage(a Addr, n, w int, put func(dst []byte, i int)) {
 		panic(fmt.Sprintf("tmk: misaligned %d-byte preload at %d", w, a))
 	}
 	ps := s.cfg.PageSize
-	for i := 0; i < n; {
-		pg, off := (int(a)+i)/ps, (int(a)+i)%ps
-		k := min(ps-off, n-i)
-		dst := s.initial[pg]
+	pageWalk(a, w, ps, vals, func(pid, off int, share []T) {
+		dst := s.initial[pid]
 		if dst == nil {
 			dst = make([]byte, ps)
-			s.initial[pg] = dst
+			s.initial[pid] = dst
 		}
-		put(dst[off:off+k], i)
-		i += k
-	}
+		enc(dst[off:], share)
+	})
 }
 
 // InitF64 preloads a float64 slice at address a.
-func (s *System) InitF64(a Addr, vals []float64) {
-	s.initImage(a, 8*len(vals), 8, func(dst []byte, i int) { encF64(dst, vals[i/8:][:len(dst)/8]) })
-}
+func (s *System) InitF64(a Addr, vals []float64) { preload(s, a, 8, vals, encF64) }
 
 // InitI32 preloads an int32 slice at address a.
-func (s *System) InitI32(a Addr, vals []int32) {
-	s.initImage(a, 4*len(vals), 4, func(dst []byte, i int) { encI32(dst, vals[i/4:][:len(dst)/4]) })
-}
+func (s *System) InitI32(a Addr, vals []int32) { preload(s, a, 4, vals, encI32) }
 
 // InitI64 preloads an int64 slice at address a.
-func (s *System) InitI64(a Addr, vals []int64) {
-	s.initImage(a, 8*len(vals), 8, func(dst []byte, i int) { encI64(dst, vals[i/8:][:len(dst)/8]) })
-}
+func (s *System) InitI64(a Addr, vals []int64) { preload(s, a, 8, vals, encI64) }
 
 // Spawn registers the application body for processor id and starts its
 // service daemon.  Call once per processor, then eng.Run().
@@ -362,6 +348,8 @@ type Proc struct {
 	// (closeInterval).
 	rc accCache
 	wc accCache
+	// zero is what a scalar read of a never-written page decodes (readAt).
+	zero [8]byte
 
 	// Allocation recycling for protocol hot paths.
 	twinFree [][]byte // page-size buffers returned by closeInterval

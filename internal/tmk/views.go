@@ -13,6 +13,14 @@ import (
 // diff fetch/apply path in fault.go); the first write to a page in an
 // interval creates a twin.  Valid-page accesses charge no virtual time:
 // the real system's post-fault accesses are ordinary loads and stores.
+//
+// Each check is written once, whatever the element type.  A scalar
+// Read*/Write* that misses its cached page window takes the one slow path
+// of its direction, readAt or writeAt.  A bulk Load or Store (load, store)
+// and a preload (System.InitF64 and its siblings, through preload) share
+// one page walk, pageWalk, and differ only in the per-page check and the
+// four-wide codec they pass it.  A hook on every shared access (a race
+// detector, say) therefore goes in readAt, writeAt, load and store.
 
 func putU32(b []byte, v uint32)  { binary.LittleEndian.PutUint32(b, v) }
 func putU64(b []byte, v uint64)  { binary.LittleEndian.PutUint64(b, v) }
@@ -121,23 +129,6 @@ type accCache struct {
 	data   []byte
 }
 
-// cacheRead remembers a page just vetted by readable for scalar reads.
-// Pages with nil data (all-zero, never written) are not cached: their
-// reads return 0 through the slow path.
-func (p *Proc) cacheRead(pid int, pg *page) {
-	if pg.data == nil {
-		return
-	}
-	p.rc = p.window(pid, pg)
-}
-
-// cacheWrite remembers a page just vetted by writable.  A writable page is
-// also readable, so the read cache is filled too.
-func (p *Proc) cacheWrite(pid int, pg *page) {
-	p.wc = p.window(pid, pg)
-	p.rc = p.wc
-}
-
 func (p *Proc) window(pid int, pg *page) accCache {
 	ps := p.sys.cfg.PageSize
 	lo := Addr(pid * ps)
@@ -148,22 +139,38 @@ func (p *Proc) window(pid int, pg *page) accCache {
 	return accCache{lo: lo, hi: hi, data: pg.data}
 }
 
+// readAt is every scalar read's slow path: it vets a read of size bytes at
+// a, faults the page in if it is invalid, refills the read cache and
+// returns the page's bytes from a on.  A never-written page (nil data)
+// reads as p.zero and is not cached, so its reads keep coming here.
+func (p *Proc) readAt(a Addr, size int) []byte {
+	pid, off := p.loc(a, size)
+	pg := p.readable(pid)
+	if pg.data == nil {
+		return p.zero[:]
+	}
+	p.rc = p.window(pid, pg)
+	return pg.data[off:]
+}
+
+// writeAt is every scalar write's slow path: it vets a write of size bytes
+// at a, faults and twins the page as needed and returns the page's bytes
+// from a on.  A writable page is also readable, so both caches are
+// refilled.
+func (p *Proc) writeAt(a Addr, size int) []byte {
+	pid, off := p.loc(a, size)
+	pg := p.writable(pid)
+	p.wc = p.window(pid, pg)
+	p.rc = p.wc
+	return pg.data[off:]
+}
+
 // ReadF64 reads a shared float64.
 func (p *Proc) ReadF64(a Addr) float64 {
 	if c := &p.rc; a >= c.lo && a+8 <= c.hi && a&7 == 0 {
 		return getF64(c.data[a-c.lo:])
 	}
-	return p.readF64Slow(a)
-}
-
-func (p *Proc) readF64Slow(a Addr) float64 {
-	pid, off := p.loc(a, 8)
-	pg := p.readable(pid)
-	if pg.data == nil {
-		return 0
-	}
-	p.cacheRead(pid, pg)
-	return getF64(pg.data[off:])
+	return getF64(p.readAt(a, 8))
 }
 
 // WriteF64 writes a shared float64.
@@ -172,14 +179,7 @@ func (p *Proc) WriteF64(a Addr, v float64) {
 		putF64(c.data[a-c.lo:], v)
 		return
 	}
-	p.writeF64Slow(a, v)
-}
-
-func (p *Proc) writeF64Slow(a Addr, v float64) {
-	pid, off := p.loc(a, 8)
-	pg := p.writable(pid)
-	p.cacheWrite(pid, pg)
-	putF64(pg.data[off:], v)
+	putF64(p.writeAt(a, 8), v)
 }
 
 // ReadI32 reads a shared int32.
@@ -187,17 +187,7 @@ func (p *Proc) ReadI32(a Addr) int32 {
 	if c := &p.rc; a >= c.lo && a+4 <= c.hi && a&3 == 0 {
 		return int32(getU32(c.data[a-c.lo:]))
 	}
-	return p.readI32Slow(a)
-}
-
-func (p *Proc) readI32Slow(a Addr) int32 {
-	pid, off := p.loc(a, 4)
-	pg := p.readable(pid)
-	if pg.data == nil {
-		return 0
-	}
-	p.cacheRead(pid, pg)
-	return int32(getU32(pg.data[off:]))
+	return int32(getU32(p.readAt(a, 4)))
 }
 
 // WriteI32 writes a shared int32.
@@ -206,14 +196,7 @@ func (p *Proc) WriteI32(a Addr, v int32) {
 		putU32(c.data[a-c.lo:], uint32(v))
 		return
 	}
-	p.writeI32Slow(a, v)
-}
-
-func (p *Proc) writeI32Slow(a Addr, v int32) {
-	pid, off := p.loc(a, 4)
-	pg := p.writable(pid)
-	p.cacheWrite(pid, pg)
-	putU32(pg.data[off:], uint32(v))
+	putU32(p.writeAt(a, 4), uint32(v))
 }
 
 // ReadI64 reads a shared int64.
@@ -221,17 +204,7 @@ func (p *Proc) ReadI64(a Addr) int64 {
 	if c := &p.rc; a >= c.lo && a+8 <= c.hi && a&7 == 0 {
 		return int64(getU64(c.data[a-c.lo:]))
 	}
-	return p.readI64Slow(a)
-}
-
-func (p *Proc) readI64Slow(a Addr) int64 {
-	pid, off := p.loc(a, 8)
-	pg := p.readable(pid)
-	if pg.data == nil {
-		return 0
-	}
-	p.cacheRead(pid, pg)
-	return int64(getU64(pg.data[off:]))
+	return int64(getU64(p.readAt(a, 8)))
 }
 
 // WriteI64 writes a shared int64.
@@ -240,25 +213,28 @@ func (p *Proc) WriteI64(a Addr, v int64) {
 		putU64(c.data[a-c.lo:], uint64(v))
 		return
 	}
-	p.writeI64Slow(a, v)
+	putU64(p.writeAt(a, 8), uint64(v))
 }
 
-func (p *Proc) writeI64Slow(a Addr, v int64) {
-	pid, off := p.loc(a, 8)
-	pg := p.writable(pid)
-	p.cacheWrite(pid, pg)
-	putU64(pg.data[off:], uint64(v))
+// pageWalk is the one page walk of bulk accesses and preloads: it hands f
+// the elements of vals, w bytes each and the first at address a, one
+// page's share at a time in address order, with the page id and the
+// share's offset in the page.  An element starts at a multiple of w and
+// pages are multiples of 8, so no element is split across two shares.
+// An empty vals touches no page.
+func pageWalk[T any](a Addr, w, ps int, vals []T, f func(pid, off int, share []T)) {
+	for pid, off := int(a)/ps, int(a)%ps; len(vals) > 0; pid, off = pid+1, 0 {
+		share := vals[:min(len(vals), (ps-off)/w)]
+		f(pid, off, share)
+		vals = vals[len(share):]
+	}
 }
 
-// bulk validates a bulk access to bytes [a, a+n) and returns where it
-// starts — page id and in-page offset — and the page size.  Bulk accesses
-// then walk page by page: one access check each, in address order.
-func (p *Proc) bulk(a Addr, n int) (pid, off, ps int) {
+// checkRange panics unless bytes [a, a+n) lie in shared space.
+func (p *Proc) checkRange(a Addr, n int) {
 	if a < 0 || int(a)+n > int(p.sys.brk) {
 		panic(fmt.Sprintf("tmk: range [%d,%d) outside shared space", a, int(a)+n))
 	}
-	ps = p.sys.cfg.PageSize
-	return int(a) / ps, int(a) % ps, ps
 }
 
 // checkIndex panics unless i indexes an n-element view.
@@ -268,158 +244,112 @@ func checkIndex(i, n int) {
 	}
 }
 
-// F64Array is a typed window onto shared memory.
-type F64Array struct {
+// view is what every typed array holds: n elements of shared memory
+// starting at base, accessed by p.
+type view struct {
 	p    *Proc
 	base Addr
 	n    int
 }
 
-// F64Array views n float64 values starting at base.
-func (p *Proc) F64Array(base Addr, n int) F64Array {
-	p.loc(base, 8) // validate base alignment and start bound
-	return F64Array{p: p, base: base, n: n}
+// newView validates base's alignment and start bound for elements of
+// width w.
+func (p *Proc) newView(base Addr, n, w int) view {
+	p.loc(base, w)
+	return view{p: p, base: base, n: n}
 }
+
+// addr returns the address of element i of width w.
+func (v view) addr(i, w int) Addr {
+	checkIndex(i, v.n)
+	return v.base + Addr(w*i)
+}
+
+// load copies elements [lo,hi) of width w into dst, decoding each page's
+// share with dec after one access check for the page.  A never-written
+// page reads as zeros.  An empty range touches no page.
+func load[T any](v view, w int, dst []T, lo, hi int, dec func([]T, []byte)) {
+	if lo == hi && 0 <= lo && lo <= v.n {
+		return
+	}
+	checkIndex(lo, v.n)
+	if hi < lo || hi > v.n {
+		panic("tmk: bad Load range")
+	}
+	if len(dst) < hi-lo {
+		panic("tmk: Load dst too short")
+	}
+	a := v.base + Addr(w*lo)
+	v.p.checkRange(a, w*(hi-lo))
+	pageWalk(a, w, v.p.sys.cfg.PageSize, dst[:hi-lo], func(pid, off int, d []T) {
+		if data := v.p.readable(pid).data; data == nil {
+			clear(d)
+		} else {
+			dec(d, data[off:])
+		}
+	})
+}
+
+// store copies src into elements of width w from lo on, encoding each
+// page's share with enc after one access check for the page.
+func store[T any](v view, w int, src []T, lo int, enc func([]byte, []T)) {
+	if len(src) == 0 {
+		return
+	}
+	checkIndex(lo, v.n)
+	checkIndex(lo+len(src)-1, v.n)
+	a := v.base + Addr(w*lo)
+	v.p.checkRange(a, w*len(src))
+	pageWalk(a, w, v.p.sys.cfg.PageSize, src, func(pid, off int, s []T) {
+		enc(v.p.writable(pid).data[off:], s)
+	})
+}
+
+// F64Array is a typed window onto shared memory.
+type F64Array struct{ view }
+
+// F64Array views n float64 values starting at base.
+func (p *Proc) F64Array(base Addr, n int) F64Array { return F64Array{p.newView(base, n, 8)} }
 
 // At reads element i.
-func (a F64Array) At(i int) float64 {
-	checkIndex(i, a.n)
-	return a.p.ReadF64(a.base + Addr(8*i))
-}
+func (a F64Array) At(i int) float64 { return a.p.ReadF64(a.addr(i, 8)) }
 
 // Set writes element i.
-func (a F64Array) Set(i int, v float64) {
-	checkIndex(i, a.n)
-	a.p.WriteF64(a.base+Addr(8*i), v)
-}
+func (a F64Array) Set(i int, v float64) { a.p.WriteF64(a.addr(i, 8), v) }
 
 // Load copies elements [lo,hi) into dst (bulk read: one access check per
 // page rather than per element).  An empty range touches no page.
-func (a F64Array) Load(dst []float64, lo, hi int) {
-	if lo == hi && 0 <= lo && lo <= a.n {
-		return
-	}
-	checkIndex(lo, a.n)
-	if hi < lo || hi > a.n {
-		panic("tmk: bad Load range")
-	}
-	if len(dst) < hi-lo {
-		panic("tmk: Load dst too short")
-	}
-	dst = dst[:hi-lo]
-	pid, off, ps := a.p.bulk(a.base+Addr(8*lo), 8*len(dst))
-	for ; len(dst) > 0; pid, off = pid+1, 0 {
-		d := dst[:min(len(dst), (ps-off)/8)]
-		if data := a.p.readable(pid).data; data == nil {
-			clear(d)
-		} else {
-			decF64(d, data[off:])
-		}
-		dst = dst[len(d):]
-	}
-}
+func (a F64Array) Load(dst []float64, lo, hi int) { load(a.view, 8, dst, lo, hi, decF64) }
 
 // Store copies src into elements starting at lo (bulk write).
-func (a F64Array) Store(src []float64, lo int) {
-	if len(src) == 0 {
-		return
-	}
-	checkIndex(lo, a.n)
-	checkIndex(lo+len(src)-1, a.n)
-	pid, off, ps := a.p.bulk(a.base+Addr(8*lo), 8*len(src))
-	for ; len(src) > 0; pid, off = pid+1, 0 {
-		s := src[:min(len(src), (ps-off)/8)]
-		encF64(a.p.writable(pid).data[off:], s)
-		src = src[len(s):]
-	}
-}
+func (a F64Array) Store(src []float64, lo int) { store(a.view, 8, src, lo, encF64) }
 
 // I32Array is a typed int32 window onto shared memory.
-type I32Array struct {
-	p    *Proc
-	base Addr
-	n    int
-}
+type I32Array struct{ view }
 
 // I32Array views n int32 values starting at base.
-func (p *Proc) I32Array(base Addr, n int) I32Array {
-	p.loc(base, 4)
-	return I32Array{p: p, base: base, n: n}
-}
+func (p *Proc) I32Array(base Addr, n int) I32Array { return I32Array{p.newView(base, n, 4)} }
 
 // At reads element i.
-func (a I32Array) At(i int) int32 {
-	checkIndex(i, a.n)
-	return a.p.ReadI32(a.base + Addr(4*i))
-}
+func (a I32Array) At(i int) int32 { return a.p.ReadI32(a.addr(i, 4)) }
 
 // Set writes element i.
-func (a I32Array) Set(i int, v int32) {
-	checkIndex(i, a.n)
-	a.p.WriteI32(a.base+Addr(4*i), v)
-}
+func (a I32Array) Set(i int, v int32) { a.p.WriteI32(a.addr(i, 4), v) }
 
 // Load copies elements [lo,hi) into dst.  An empty range touches no page.
-func (a I32Array) Load(dst []int32, lo, hi int) {
-	if lo == hi && 0 <= lo && lo <= a.n {
-		return
-	}
-	checkIndex(lo, a.n)
-	if hi < lo || hi > a.n {
-		panic("tmk: bad Load range")
-	}
-	if len(dst) < hi-lo {
-		panic("tmk: Load dst too short")
-	}
-	dst = dst[:hi-lo]
-	pid, off, ps := a.p.bulk(a.base+Addr(4*lo), 4*len(dst))
-	for ; len(dst) > 0; pid, off = pid+1, 0 {
-		d := dst[:min(len(dst), (ps-off)/4)]
-		if data := a.p.readable(pid).data; data == nil {
-			clear(d)
-		} else {
-			decI32(d, data[off:])
-		}
-		dst = dst[len(d):]
-	}
-}
+func (a I32Array) Load(dst []int32, lo, hi int) { load(a.view, 4, dst, lo, hi, decI32) }
 
 // Store copies src into elements starting at lo.
-func (a I32Array) Store(src []int32, lo int) {
-	if len(src) == 0 {
-		return
-	}
-	checkIndex(lo, a.n)
-	checkIndex(lo+len(src)-1, a.n)
-	pid, off, ps := a.p.bulk(a.base+Addr(4*lo), 4*len(src))
-	for ; len(src) > 0; pid, off = pid+1, 0 {
-		s := src[:min(len(src), (ps-off)/4)]
-		encI32(a.p.writable(pid).data[off:], s)
-		src = src[len(s):]
-	}
-}
+func (a I32Array) Store(src []int32, lo int) { store(a.view, 4, src, lo, encI32) }
 
 // I64Array is a typed int64 window onto shared memory.
-type I64Array struct {
-	p    *Proc
-	base Addr
-	n    int
-}
+type I64Array struct{ view }
 
 // I64Array views n int64 values starting at base.
-func (p *Proc) I64Array(base Addr, n int) I64Array {
-	p.loc(base, 8)
-	return I64Array{p: p, base: base, n: n}
-}
+func (p *Proc) I64Array(base Addr, n int) I64Array { return I64Array{p.newView(base, n, 8)} }
 
 // At reads element i.
-func (a I64Array) At(i int) int64 {
-	checkIndex(i, a.n)
-	return a.p.ReadI64(a.base + Addr(8*i))
-}
+func (a I64Array) At(i int) int64 { return a.p.ReadI64(a.addr(i, 8)) }
 
 // Set writes element i.
-func (a I64Array) Set(i int, v int64) {
-	checkIndex(i, a.n)
-	a.p.WriteI64(a.base+Addr(8*i), v)
-}
+func (a I64Array) Set(i int, v int64) { a.p.WriteI64(a.addr(i, 8), v) }

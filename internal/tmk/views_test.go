@@ -416,3 +416,113 @@ func checkBulk[T float64 | int32 | int64](t *testing.T, ps int, kind bulkKind[T]
 		}
 	})
 }
+
+// scalarKind is one element type's scalar accessors for checkScalar.
+type scalarKind[T float64 | int32 | int64] struct {
+	width int
+	init  func(*System, Addr, []T)
+	read  func(*Proc, Addr) T
+	write func(*Proc, Addr, T)
+}
+
+// TestScalarMatchesMirror is the scalar path's differential check, the
+// counterpart of TestBulkMatchesElementwise: for float64, int32 and int64,
+// at page sizes 1024 and 4096, two processors take turns writing elements
+// through Write* — on both sides of every page boundary, at the last
+// element before brk and at random — reading each one back at once, and
+// after every barrier both read every element through Read* against a
+// mirror of what was written, in address order and then striding across
+// pages so that every read misses the cached window.  The region's first half page is preloaded
+// and the rest starts never-written, so the reads meet image pages, nil
+// pages (which read zero and are never cached), pages a fault has just
+// brought in and pages whose cached window a barrier dropped.
+func TestScalarMatchesMirror(t *testing.T) {
+	f64 := scalarKind[float64]{8, (*System).InitF64, (*Proc).ReadF64, (*Proc).WriteF64}
+	i32 := scalarKind[int32]{4, (*System).InitI32, (*Proc).ReadI32, (*Proc).WriteI32}
+	i64 := scalarKind[int64]{8, (*System).InitI64, (*Proc).ReadI64, (*Proc).WriteI64}
+	for _, ps := range []int{1024, 4096} {
+		t.Run(fmt.Sprintf("page-%d", ps), func(t *testing.T) {
+			t.Run("f64", func(t *testing.T) {
+				checkScalar(t, ps, f64, func(k int) float64 { return float64(k) + 0.25 })
+			})
+			t.Run("i32", func(t *testing.T) {
+				checkScalar(t, ps, i32, func(k int) int32 { return int32(k)*-3 + 1 })
+			})
+			t.Run("i64", func(t *testing.T) {
+				checkScalar(t, ps, i64, func(k int) int64 { return int64(k)<<33 | int64(k) })
+			})
+		})
+	}
+}
+
+func checkScalar[T float64 | int32 | int64](t *testing.T, ps int, kind scalarKind[T], val func(int) T) {
+	const rounds = 4
+	w, e := kind.width, ps/kind.width // element width, elements per page
+	words := 4*e - 2                  // the last page partial; w*words is a multiple of 8, so it ends at brk
+	cfg := DefaultConfig()
+	cfg.PageSize = ps
+	eng := sim.NewEngine()
+	sys := NewSystem(eng, vnet.New(vnet.FDDI()), 2, cfg)
+	base := sys.MallocPageAligned(w * words)
+	if int(sys.brk) != int(base)+w*words {
+		t.Fatalf("brk %d, want the region's end %d", sys.brk, int(base)+w*words)
+	}
+	mirror := make([]T, words)
+	for i := range e / 2 {
+		mirror[i] = val(-1 - i)
+	}
+	kind.init(sys, base, mirror[:e/2])
+
+	rng := rand.New(rand.NewSource(int64(ps + w)))
+	script := make([][]int, rounds) // [round] the elements its writer writes, in order
+	for r := range script {
+		for pg := 1; pg < 4; pg++ {
+			script[r] = append(script[r], pg*e-2, pg*e-1, pg*e, pg*e+1)
+		}
+		script[r] = append(script[r], words-1, 0)
+		for range 40 {
+			script[r] = append(script[r], rng.Intn(words))
+		}
+		rng.Shuffle(len(script[r]), func(i, j int) { script[r][i], script[r][j] = script[r][j], script[r][i] })
+	}
+
+	next := 1
+	runAll(t, eng, sys, func(p *Proc) {
+		check := func(when string, i int) {
+			if got := kind.read(p, base+Addr(w*i)); got != mirror[i] {
+				t.Fatalf("%s: proc %d reads element %d as %v, want %v", when, p.ID(), i, got, mirror[i])
+			}
+		}
+		// checkAll reads every element twice: in address order, mostly
+		// through the cached window, then page by page in turn, so that
+		// each read misses the one-page cache and takes the slow path.
+		checkAll := func(when string) {
+			for i := range words {
+				check(when, i)
+			}
+			for k := range e {
+				for i := k; i < words; i += e {
+					check(when, i)
+				}
+			}
+		}
+		checkAll("before any write")
+		p.Barrier(2 * rounds)
+		for r, idx := range script {
+			if p.ID() == r%2 {
+				for _, i := range idx {
+					v := val(next)
+					next++
+					kind.write(p, base+Addr(w*i), v)
+					mirror[i] = v
+					if got := kind.read(p, base+Addr(w*i)); got != v {
+						t.Fatalf("round %d: proc %d reads element %d back as %v right after writing %v", r, p.ID(), i, got, v)
+					}
+				}
+			}
+			p.Barrier(2 * r)
+			checkAll(fmt.Sprintf("after round %d", r))
+			p.Barrier(2*r + 1)
+		}
+	})
+}

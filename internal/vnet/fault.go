@@ -134,19 +134,10 @@ const (
 	kStream uint64 = 16
 )
 
-// splitmix64 is the finalizing mixer of the splitmix64 generator: a
-// bijective avalanche over 64 bits, used here as a stateless hash.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // draw returns a uniform [0, 1) variate for (message seq, decision kind),
 // keyed by the scenario seed.
 func (f *FaultConfig) draw(seq, kind uint64) float64 {
-	h := splitmix64(splitmix64(f.Seed^seq) + kind)
+	h := sim.SplitMix64(sim.SplitMix64(f.Seed^seq) + kind)
 	return float64(h>>11) / (1 << 53)
 }
 

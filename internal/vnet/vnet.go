@@ -298,13 +298,8 @@ type Endpoint struct {
 	// Inbox index: one bucket per (from, tag) pair ever seen.  index is
 	// the exact-match lookup; live holds the non-empty buckets, the scan
 	// list for wildcard filters.
-	// lastKey/lastB memoize the most recent exact lookup: delivery and an
-	// exact-filter receive hammer the same (from, tag) pair back to back,
-	// so the common case skips the map hash entirely.
-	index   map[[2]int]*bucket
-	live    []*bucket
-	lastKey [2]int
-	lastB   *bucket
+	index map[[2]int]*bucket
+	live  []*bucket
 
 	// Scheduler integration: the owner blocks in Recv against wake, and
 	// every Send into this inbox notifies it, so only this endpoint's
@@ -556,15 +551,11 @@ func (e *Endpoint) streamArrival(ctx *sim.Ctx, dst *Endpoint, seq uint64, arriva
 // deliver files m into its (from, tag) bucket and wakes the endpoint's
 // waiter, if any.
 func (e *Endpoint) deliver(m *Message) {
-	b := e.lastB
-	if b == nil || e.lastKey[0] != m.From || e.lastKey[1] != m.Tag {
-		key := [2]int{m.From, m.Tag}
-		b = e.index[key]
-		if b == nil {
-			b = &bucket{from: m.From, tag: m.Tag}
-			e.index[key] = b
-		}
-		e.lastKey, e.lastB = key, b
+	key := [2]int{m.From, m.Tag}
+	b := e.index[key]
+	if b == nil {
+		b = &bucket{from: m.From, tag: m.Tag}
+		e.index[key] = b
 	}
 	if b.empty() {
 		b.live = len(e.live)
@@ -576,19 +567,12 @@ func (e *Endpoint) deliver(m *Message) {
 
 // peek returns the earliest message matching (from, tag) and the bucket
 // holding it, without consuming.  Negative from/tag are wildcards.  Exact
-// filters cost one memoized map lookup; wildcard filters scan the heads
-// of the non-empty buckets only.
+// filters cost one map lookup; wildcard filters scan the heads of the
+// non-empty buckets only.
 func (e *Endpoint) peek(from, tag int) (*bucket, *Message) {
 	if from >= 0 && tag >= 0 {
-		b := e.lastB
-		if b == nil || e.lastKey[0] != from || e.lastKey[1] != tag {
-			b = e.index[[2]int{from, tag}]
-			if b == nil {
-				return nil, nil
-			}
-			e.lastKey, e.lastB = [2]int{from, tag}, b
-		}
-		if b.empty() {
+		b := e.index[[2]int{from, tag}]
+		if b == nil || b.empty() {
 			return nil, nil
 		}
 		return b, b.peek()
