@@ -1,6 +1,7 @@
 package qsort
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -178,8 +179,9 @@ func refBubble(v []int32) int64 {
 
 // TestBubbleMatchesReferenceProperty: same slice and — because it is
 // charged as modeled time — the same comparison count, early exit
-// included, on random, sorted, reversed, nearly sorted, few-valued and
-// tiny inputs.
+// included, on random, sorted, reversed, nearly sorted, few-valued,
+// extreme-valued (math.MinInt32 to math.MaxInt32) and long-equal-run
+// inputs, tiny ones and ones up to the paper's threshold of 1024.
 func TestBubbleMatchesReferenceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(141421))
 	check := func(name string, in []int32) {
@@ -192,11 +194,17 @@ func TestBubbleMatchesReferenceProperty(t *testing.T) {
 			t.Fatalf("%s, len %d: ops %d, reference %d; slices equal: %v", name, len(in), gotOps, wantOps, slices.Equal(got, want))
 		}
 	}
+	extremes := []int32{math.MinInt32, math.MinInt32 + 1, -1, 0, 1, math.MaxInt32 - 1, math.MaxInt32}
 	check("nil", nil)
 	for iter := 0; iter < 300; iter++ {
 		n := rng.Intn(200)
-		if iter < 9 {
+		switch {
+		case iter < 9:
 			n = iter / 3 // len 0, 1 and 2, three times each
+		case iter == 9:
+			n = Paper().Threshold
+		case iter%10 == 0:
+			n = 200 + rng.Intn(Paper().Threshold-199)
 		}
 		v := make([]int32, n)
 		for i := range v {
@@ -219,6 +227,18 @@ func TestBubbleMatchesReferenceProperty(t *testing.T) {
 			v[i] = int32(rng.Intn(4))
 		}
 		check("few values", v)
+		for i := range v {
+			v[i] = extremes[rng.Intn(len(extremes))]
+		}
+		check("extremes", v)
+		// Runs of one value, each up to half the slice long.
+		for i := 0; i < n; {
+			x := extremes[rng.Intn(len(extremes))]
+			for end := min(n, i+1+rng.Intn(n/2+1)); i < end; i++ {
+				v[i] = x
+			}
+		}
+		check("equal runs", v)
 	}
 }
 

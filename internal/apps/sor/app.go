@@ -125,9 +125,10 @@ func (a *app) SetupTMK(sys *tmk.System) {
 	// Preload row by row through one reused row, as PVM fills its band,
 	// rather than building both whole grids (12 MB each at paper scale).
 	row := make([]float64, h)
+	f := cfg.filler(0, cfg.M)
 	for i := 0; i < cfg.M; i++ {
 		for colour, base := range [2]tmk.Addr{a.redA, a.blackA} {
-			cfg.fillRow(row, i, colour)
+			f.fillRow(row, i, colour)
 			sys.InitF64(base+tmk.Addr(8*i*h), row)
 		}
 	}
@@ -220,9 +221,10 @@ func (a *app) PVM(p *pvm.Proc) {
 	}
 	red := make([]float64, (ghi-glo)*h)
 	black := make([]float64, (ghi-glo)*h)
+	f := cfg.filler(glo, ghi)
 	for i := glo; i < ghi; i++ {
-		cfg.fillRow(red[(i-glo)*h:(i-glo+1)*h], i, 0)
-		cfg.fillRow(black[(i-glo)*h:(i-glo+1)*h], i, 1)
+		f.fillRow(red[(i-glo)*h:(i-glo+1)*h], i, 0)
+		f.fillRow(black[(i-glo)*h:(i-glo+1)*h], i, 1)
 	}
 	row := func(arr []float64, i int) []float64 {
 		if i < glo || i >= ghi {

@@ -202,6 +202,60 @@ func TestSweepRowMatchesReferenceProperty(t *testing.T) {
 	}
 }
 
+// initValue gives the starting contents of matrix element (i,j), one
+// sine per element: the reference fillRow's table is checked against.
+func (c Config) initValue(i, j int) float64 {
+	if i == 0 || i == c.M-1 || j == 0 || j == c.N-1 {
+		return 1.0
+	}
+	if c.Zero {
+		return 0.0
+	}
+	// Deterministic nonzero interior.
+	return 1.0 + 0.5*math.Sin(float64(i*31+j*17))
+}
+
+// TestFillRowMatchesInitValue: every row a filler covers, both colours,
+// bit for bit against initValue — for the whole matrix (Seq and
+// SetupTMK) and for every P=8 band with its ghost rows (each PVM proc),
+// in the paper, Small and BigApps configs and in tiny matrices down to a
+// single column pair.
+func TestFillRowMatchesInitValue(t *testing.T) {
+	cfgs := []Config{Paper(false), Paper(true), Small(false), Small(true)}
+	for _, a := range BigApps(1) {
+		cfgs = append(cfgs, a.(*app).cfg)
+	}
+	rng := rand.New(rand.NewSource(3072))
+	for range 40 {
+		cfgs = append(cfgs, Config{M: 1 + rng.Intn(12), N: 2 + rng.Intn(30), Zero: rng.Intn(4) == 0})
+	}
+	check := func(cfg Config, lo, hi int) {
+		t.Helper()
+		f := cfg.filler(lo, hi)
+		row := make([]float64, cfg.half())
+		for i := lo; i < hi; i++ {
+			for colour := range 2 {
+				f.fillRow(row, i, colour)
+				for k, got := range row {
+					want := cfg.initValue(i, 2*k+(i+colour)%2)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("M=%d N=%d zero %v, rows [%d,%d): row %d colour %d [%d] = %v, initValue %v",
+							cfg.M, cfg.N, cfg.Zero, lo, hi, i, colour, k, got, want)
+					}
+				}
+			}
+		}
+	}
+	for _, cfg := range cfgs {
+		check(cfg, 0, cfg.M)
+		const nprocs = 8
+		for id := range nprocs {
+			lo, hi := band(cfg.M, nprocs, id)
+			check(cfg, max(lo-1, 0), min(hi+1, cfg.M))
+		}
+	}
+}
+
 // BenchmarkSweepRow is one interior row of the paper's nonzero problem.
 func BenchmarkSweepRow(b *testing.B) {
 	cfg := Paper(false)

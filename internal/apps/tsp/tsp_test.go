@@ -200,14 +200,38 @@ func (s *refSolver) recursiveSolve(path []int32, length int32, best int32, nodes
 	return best
 }
 
+// hasZeroEdge reports whether two cities of d round to one point: an
+// edge of length 0, which makes minE 0 at both of its ends.
+func hasZeroEdge(d [][maxCities]int32) bool {
+	for i := range d {
+		for j := range i {
+			if d[i][j] == 0 {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // TestRecursiveSolveMatchesReferenceProperty: over random instances,
 // prefixes and incoming bounds the kernel must return the reference's
 // best and — because it is charged as modeled time — its exact node
-// count.
+// count.  The instances run from 5 to 32 cities, the large ones also
+// with coincident cities (d = 0, minE = 0); the bounds include those
+// that put the slack best-length at the ends of the live table (0, top,
+// top+1 and past it).
 func TestRecursiveSolveMatchesReferenceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(16180))
-	for iter := 0; iter < 400; iter++ {
+	for iter := 0; iter < 1000; iter++ {
 		cfg := Config{Cities: 5 + rng.Intn(9), Seed: rng.Uint64()}
+		if iter >= 400 {
+			cfg.Cities = 20 + rng.Intn(13)
+		}
+		if iter >= 700 {
+			for !hasZeroEdge(cfg.dist()) {
+				cfg.Seed = rng.Uint64()
+			}
+		}
 		s := newSolver(cfg)
 		ref := &refSolver{cfg: cfg, d: refDist(cfg), minE: s.minE[:]}
 		for i, row := range ref.d {
@@ -235,7 +259,7 @@ func TestRecursiveSolveMatchesReferenceProperty(t *testing.T) {
 		}
 		// Incoming bounds from "prunes everything" to "prunes nothing".
 		var best int32
-		switch rng.Intn(5) {
+		switch rng.Intn(9) {
 		case 0:
 			best = 0
 		case 1:
@@ -246,6 +270,14 @@ func TestRecursiveSolveMatchesReferenceProperty(t *testing.T) {
 			best = s.greedy()
 		case 4:
 			best = math.MaxInt32
+		case 5:
+			best = length + s.top
+		case 6:
+			best = length + s.top + 1
+		case 7:
+			best = length + s.top + 2
+		case 8:
+			best = length + 1 + int32(rng.Intn(int(s.top)+1))
 		}
 		var wantNodes int64
 		wantBest := ref.recursiveSolve(path, length, best, &wantNodes)

@@ -253,7 +253,8 @@ func (s *System) Pages() int {
 // exclusion.  On the host the image is held once and shared read-only: a
 // processor copies a page out of it on its first local mutation, also at
 // no modeled cost.  enc writes each page's share straight into the image
-// page, with no staging copy of the range.
+// page, with no staging copy of the range.  A range outside shared space
+// panics, as an access there does: no processor would map its pages.
 func preload[T any](s *System, a Addr, w int, vals []T, enc func([]byte, []T)) {
 	if s.started {
 		panic("tmk: Init after start")
@@ -261,6 +262,7 @@ func preload[T any](s *System, a Addr, w int, vals []T, enc func([]byte, []T)) {
 	if int(a)%w != 0 {
 		panic(fmt.Sprintf("tmk: misaligned %d-byte preload at %d", w, a))
 	}
+	s.checkRange(a, w*len(vals))
 	ps := s.cfg.PageSize
 	pageWalk(a, w, ps, vals, func(pid, off int, share []T) {
 		dst := s.initial[pid]

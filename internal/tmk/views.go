@@ -231,8 +231,8 @@ func pageWalk[T any](a Addr, w, ps int, vals []T, f func(pid, off int, share []T
 }
 
 // checkRange panics unless bytes [a, a+n) lie in shared space.
-func (p *Proc) checkRange(a Addr, n int) {
-	if a < 0 || int(a)+n > int(p.sys.brk) {
+func (s *System) checkRange(a Addr, n int) {
+	if a < 0 || int(a)+n > int(s.brk) {
 		panic(fmt.Sprintf("tmk: range [%d,%d) outside shared space", a, int(a)+n))
 	}
 }
@@ -280,7 +280,7 @@ func load[T any](v view, w int, dst []T, lo, hi int, dec func([]T, []byte)) {
 		panic("tmk: Load dst too short")
 	}
 	a := v.base + Addr(w*lo)
-	v.p.checkRange(a, w*(hi-lo))
+	v.p.sys.checkRange(a, w*(hi-lo))
 	pageWalk(a, w, v.p.sys.cfg.PageSize, dst[:hi-lo], func(pid, off int, d []T) {
 		if data := v.p.readable(pid).data; data == nil {
 			clear(d)
@@ -299,7 +299,7 @@ func store[T any](v view, w int, src []T, lo int, enc func([]byte, []T)) {
 	checkIndex(lo, v.n)
 	checkIndex(lo+len(src)-1, v.n)
 	a := v.base + Addr(w*lo)
-	v.p.checkRange(a, w*len(src))
+	v.p.sys.checkRange(a, w*len(src))
 	pageWalk(a, w, v.p.sys.cfg.PageSize, src, func(pid, off int, s []T) {
 		enc(v.p.writable(pid).data[off:], s)
 	})

@@ -176,9 +176,11 @@ func TestLoadStoreMatchScalarProperty(t *testing.T) {
 	})
 }
 
-// TestBulkBoundsTable pins which bulk accesses panic and with what: an
-// empty Load, like an empty Store, is a no-op wherever in [0,Len] it sits
-// and touches no page; everything else out of bounds keeps its message.
+// TestBulkBoundsTable pins which bulk accesses and preloads panic and
+// with what: an empty Load, like an empty Store, is a no-op wherever in
+// [0,Len] it sits and touches no page; everything else out of bounds
+// keeps its message, and a preload past the end of shared space gets the
+// same message as an access there.
 func TestBulkBoundsTable(t *testing.T) {
 	const n = 600 // float64s: a page and a bit, ending at brk
 	eng, sys := world(2)
@@ -212,6 +214,12 @@ func TestBulkBoundsTable(t *testing.T) {
 			fmt.Sprintf("tmk: index %d out of range [0,%d)", n, n)},
 		{"f64 store out of space", func(p *Proc) { p.F64Array(a, n+100).Store(make([]float64, 4), n-2) },
 			fmt.Sprintf("tmk: range [%d,%d) outside shared space", brk-16, brk+16)},
+		// A preload runs before start, so it goes to a fresh system laid
+		// out as this one.
+		{"f64 preload out of space", func(*Proc) { _, s := world(2); s.InitF64(s.MallocPageAligned(8*n)+8*(n-2), make([]float64, 4)) },
+			fmt.Sprintf("tmk: range [%d,%d) outside shared space", brk-16, brk+16)},
+		{"i32 preload out of space", func(*Proc) { _, s := world(2); s.InitI32(s.MallocPageAligned(8*n)+8*n, make([]int32, 1)) },
+			fmt.Sprintf("tmk: range [%d,%d) outside shared space", brk, brk+4)},
 		{"f64 misaligned base", func(p *Proc) { p.F64Array(a+4, 1) },
 			fmt.Sprintf("tmk: misaligned 8-byte access at %d", a+4)},
 		{"i32 load lo at end", func(p *Proc) { p.I32Array(a, 2*n).Load(make([]int32, 4), 2*n, 2*n+1) },
