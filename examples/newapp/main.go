@@ -1,21 +1,27 @@
 // Porting template: how to take your own kernel — here a blocked
 // matrix-vector iteration — and register it as a core.App, the way the
-// nine paper applications are registered under internal/apps.  One App
-// implementation gives you every backend (sequential, TreadMarks, PVM,
-// and derived variants) and every scenario (processor counts, page
-// sizes, link speeds) for free: the experiment surface is data.
+// nine paper applications are registered under internal/apps.  One
+// core.Program gives you every backend (sequential, TreadMarks, PVM, and
+// derived variants) and every scenario (processor counts, page sizes,
+// link speeds) for free: the experiment surface is data.
 //
 // The recipe:
 //
-//  1. Put the per-run configuration in a struct and embed it in an app
-//     type that will also carry the outputs.
-//  2. Seq: the plain sequential kernel charging model time (ctx.Compute).
-//  3. SetupTMK/TMK: put the data other processors must see in shared
-//     memory (Malloc + Init*), express synchronization as locks and
-//     barriers, and let the DSM move the data.
-//  4. SetupPVM/PVM (+ Master for master/slave apps): keep everything
-//     private, and pack/send exactly what each process needs.
-//  5. Check: compare the parallel output against the sequential run.
+//  1. Put the configuration in a program type; it holds nothing a run
+//     writes.  Give the output a type whose Check compares a parallel
+//     output against the sequential one.
+//  2. Seq: the plain sequential kernel charging model time
+//     (ctx.Compute), returning its output.
+//  3. TMK: put the data other processors must see in shared memory
+//     (Malloc + Init*), then return the per-processor body — express
+//     synchronization as locks and barriers, and let the DSM move the
+//     data — and the run's output.
+//  4. PVM: return the per-process body (+ a master body for master/slave
+//     apps) and the run's output: keep everything private, and pack/send
+//     exactly what each process needs.  Whatever a run collects lives in
+//     variables its setup declares, so runs never share state.
+//  5. core.NewApp wraps the program; its Check compares the latest
+//     parallel output against the sequential run.
 //
 // Run with:
 //
@@ -79,34 +85,25 @@ func checksum(v []float64) float64 {
 
 func span(id, n int) (int, int) { return id * size / n, (id + 1) * size / n }
 
-// matvec implements core.App: the tenth application.
-type matvec struct {
-	vecA tmk.Addr // shared vector of the current TreadMarks run
+// sum is matvec's output: the final vector's checksum.
+type sum float64
 
-	seqSum, parSum float64
-	hasSeq, hasPar bool
-}
-
-func (a *matvec) Name() string    { return "MatVec" }
-func (a *matvec) Figure() int     { return 0 } // not a paper figure
-func (a *matvec) Problem() string { return fmt.Sprintf("%dx%d f64, %d iters", size, size, iters) }
-
-// Clone (required by core.App) hands the grid's worker pool an isolated
-// instance per run: same configuration, no run state.
-func (a *matvec) Clone() core.App { return &matvec{} }
-
-func (a *matvec) Check() error {
-	if !a.hasSeq || !a.hasPar {
-		return fmt.Errorf("matvec: Check needs a sequential and a parallel run")
-	}
-	if a.seqSum != a.parSum {
-		return fmt.Errorf("matvec: checksum %v vs %v", a.parSum, a.seqSum)
+func (s sum) Check(par sum) error {
+	if s != par {
+		return fmt.Errorf("matvec: checksum %v vs %v", par, s)
 	}
 	return nil
 }
 
+// matvec is the core.Program of the tenth application.
+type matvec struct{}
+
+func (matvec) Name() string    { return "MatVec" }
+func (matvec) Figure() int     { return 0 } // not a paper figure
+func (matvec) Problem() string { return fmt.Sprintf("%dx%d f64, %d iters", size, size, iters) }
+
 // Step 2: the sequential kernel.
-func (a *matvec) Seq(ctx *sim.Ctx) {
+func (matvec) Seq(ctx *sim.Ctx) sum {
 	x := initVec()
 	y := make([]float64, size)
 	for it := 0; it < iters; it++ {
@@ -122,104 +119,98 @@ func (a *matvec) Seq(ctx *sim.Ctx) {
 		normalize(y)
 		x, y = y, x
 	}
-	a.seqSum = checksum(x)
-	a.hasSeq = true
+	return sum(checksum(x))
 }
 
 // Step 3: the TreadMarks version: the vector is shared; each processor
 // computes a band of rows and barriers between iterations.
-func (a *matvec) SetupTMK(sys *tmk.System) {
-	a.parSum, a.hasPar = 0, false
-	a.vecA = sys.Malloc(8 * size)
-	sys.InitF64(a.vecA, initVec())
-}
-
-func (a *matvec) TMK(p *tmk.Proc) {
-	lo, hi := span(p.ID(), p.N())
-	vec := p.F64Array(a.vecA, size)
-	x := make([]float64, size)
-	y := make([]float64, hi-lo)
-	for it := 0; it < iters; it++ {
-		vec.Load(x, 0, size) // remote bands fault in
-		for i := lo; i < hi; i++ {
-			row := matRow(i)
-			acc := 0.0
-			for j := range row {
-				acc += row[j] * x[j]
+func (matvec) TMK(sys *tmk.System) (func(*tmk.Proc), func() sum) {
+	vecA := sys.Malloc(8 * size)
+	sys.InitF64(vecA, initVec())
+	var out sum
+	return func(p *tmk.Proc) {
+		lo, hi := span(p.ID(), p.N())
+		vec := p.F64Array(vecA, size)
+		x := make([]float64, size)
+		y := make([]float64, hi-lo)
+		for it := 0; it < iters; it++ {
+			vec.Load(x, 0, size) // remote bands fault in
+			for i := lo; i < hi; i++ {
+				row := matRow(i)
+				acc := 0.0
+				for j := range row {
+					acc += row[j] * x[j]
+				}
+				y[i-lo] = acc
 			}
-			y[i-lo] = acc
+			p.Compute(sim.Time((hi-lo)*size) * flopCost)
+			// Everyone needs the global maximum before normalizing, so
+			// publish raw results first.
+			vec.Store(y, lo)
+			p.Barrier(2 * it)
+			vec.Load(x, 0, size)
+			normalize(x)
+			vec.Store(x[lo:hi], lo)
+			p.Barrier(2*it + 1)
 		}
-		p.Compute(sim.Time((hi-lo)*size) * flopCost)
-		// Everyone needs the global maximum before normalizing, so
-		// publish raw results first.
-		vec.Store(y, lo)
-		p.Barrier(2 * it)
-		vec.Load(x, 0, size)
-		normalize(x)
-		vec.Store(x[lo:hi], lo)
-		p.Barrier(2*it + 1)
-	}
-	if p.ID() == 0 {
-		vec.Load(x, 0, size)
-		a.parSum = checksum(x)
-		a.hasPar = true
-	}
+		if p.ID() == 0 {
+			vec.Load(x, 0, size)
+			out = sum(checksum(x))
+		}
+	}, func() sum { return out }
 }
 
 // Step 4: the PVM version: each process owns a band and broadcasts its
 // piece after every iteration.
-func (a *matvec) SetupPVM(sys *pvm.System) {
-	a.parSum, a.hasPar = 0, false
-}
-
-func (a *matvec) PVM(p *pvm.Proc) {
-	lo, hi := span(p.ID(), p.N())
-	x := initVec()
-	for it := 0; it < iters; it++ {
-		y := make([]float64, hi-lo)
-		for i := lo; i < hi; i++ {
-			row := matRow(i)
-			acc := 0.0
-			for j := range row {
-				acc += row[j] * x[j]
+func (matvec) PVM(sys *pvm.System) (func(*pvm.Proc), func(*pvm.Proc), func() sum) {
+	var out sum
+	return func(p *pvm.Proc) {
+		lo, hi := span(p.ID(), p.N())
+		x := initVec()
+		for it := 0; it < iters; it++ {
+			y := make([]float64, hi-lo)
+			for i := lo; i < hi; i++ {
+				row := matRow(i)
+				acc := 0.0
+				for j := range row {
+					acc += row[j] * x[j]
+				}
+				y[i-lo] = acc
 			}
-			y[i-lo] = acc
-		}
-		p.Compute(sim.Time((hi-lo)*size) * flopCost)
-		if p.N() > 1 {
-			b := p.InitSend()
-			b.PackFloat64(y, len(y), 1)
-			p.Bcast(1)
-			copy(x[lo:hi], y)
-			for got := 0; got < p.N()-1; got++ {
-				r := p.Recv(-1, 1)
-				qlo, qhi := span(r.Src(), p.N())
-				r.UnpackFloat64(x[qlo:qhi], qhi-qlo, 1)
+			p.Compute(sim.Time((hi-lo)*size) * flopCost)
+			if p.N() > 1 {
+				b := p.InitSend()
+				b.PackFloat64(y, len(y), 1)
+				p.Bcast(1)
+				copy(x[lo:hi], y)
+				for got := 0; got < p.N()-1; got++ {
+					r := p.Recv(-1, 1)
+					qlo, qhi := span(r.Src(), p.N())
+					r.UnpackFloat64(x[qlo:qhi], qhi-qlo, 1)
+				}
+			} else {
+				copy(x[lo:hi], y)
 			}
-		} else {
-			copy(x[lo:hi], y)
+			normalize(x)
 		}
-		normalize(x)
-	}
-	if p.ID() == 0 {
-		a.parSum = checksum(x)
-		a.hasPar = true
-	}
+		if p.ID() == 0 {
+			out = sum(checksum(x))
+		}
+	}, nil, func() sum { return out } // no master process
 }
-
-func (a *matvec) Master() func(*pvm.Proc) { return nil } // no master process
 
 func main() {
-	app := &matvec{}
+	app := core.NewApp(matvec{})
 
 	// Step 5 in action: the sequential baseline, then both systems at
 	// several processor counts, checking outputs after every run.  The
 	// scenario list is data — swapping in a page-size sweep or a slower
 	// link is an edit here, not in the app.
-	if _, err := core.Seq.Run(app, core.Base(1)); err != nil {
+	sres, err := core.Seq.Run(app, core.Base(1))
+	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("sequential: checksum %.6f\n", app.seqSum)
+	fmt.Printf("sequential: %v\n", sres.Time)
 
 	for _, n := range []int{2, 4, 8} {
 		sc := core.Base(n)

@@ -51,7 +51,7 @@ func TestCostzonePartition(t *testing.T) {
 }
 
 // run runs a on backend b at n processors, failing the test on error.
-func run(t *testing.T, b core.Backend, a *app, n int) core.Result {
+func run(t *testing.T, b core.Backend, a core.App, n int) core.Result {
 	t.Helper()
 	res, err := b.Run(a, core.Base(n))
 	if err != nil {
@@ -60,12 +60,23 @@ func run(t *testing.T, b core.Backend, a *app, n int) core.Result {
 	return res
 }
 
+// newApp wraps cfg's program as an App.
+func newApp(cfg Config) core.App { return core.NewApp(&app{cfg: cfg}) }
+
+// seq runs a's sequential program alone and returns its output.
+func seq(t *testing.T, a *app) Output {
+	t.Helper()
+	var out Output
+	if _, err := core.RunSeq(func(ctx *sim.Ctx) { out = a.Seq(ctx) }); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestSeqDeterministic(t *testing.T) {
 	a := &app{cfg: small()}
-	run(t, core.Seq, a, 1)
-	first := a.seqOut
-	run(t, core.Seq, a, 1)
-	if err := first.Check(a.seqOut); err != nil {
+	first := seq(t, a)
+	if err := first.Check(seq(t, a)); err != nil {
 		t.Fatal(err)
 	}
 	if first.Sum == 0 {
@@ -74,7 +85,7 @@ func TestSeqDeterministic(t *testing.T) {
 }
 
 func TestTMKMatchesSequential(t *testing.T) {
-	a := &app{cfg: small()}
+	a := newApp(small())
 	run(t, core.Seq, a, 1)
 	for _, n := range []int{1, 2, 4, 8} {
 		run(t, core.TMK, a, n)
@@ -85,7 +96,7 @@ func TestTMKMatchesSequential(t *testing.T) {
 }
 
 func TestPVMMatchesSequential(t *testing.T) {
-	a := &app{cfg: small()}
+	a := newApp(small())
 	run(t, core.Seq, a, 1)
 	for _, n := range []int{1, 2, 4, 8} {
 		run(t, core.PVM, a, n)
@@ -102,8 +113,9 @@ func TestFalseSharingDrivesMessages(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale run")
 	}
-	a := &app{cfg: Paper()}
-	a.cfg.Steps = 4 // step 1 reads preloaded data: no TreadMarks traffic
+	cfg := Paper()
+	cfg.Steps = 4 // step 1 reads preloaded data: no TreadMarks traffic
+	a := newApp(cfg)
 	const n = 8
 	pvmRes := run(t, core.PVM, a, n)
 	tmkRes := run(t, core.TMK, a, n)
@@ -115,7 +127,7 @@ func TestFalseSharingDrivesMessages(t *testing.T) {
 	// Per steady-state step TreadMarks moves at least as much data as PVM
 	// (false sharing brings in unwanted bytes); TreadMarks pays nothing on
 	// the first (preloaded) step, hence the (Steps-1)/Steps factor.
-	steady := float64(pvmRes.Net.Bytes) * float64(a.cfg.Steps-1) / float64(a.cfg.Steps)
+	steady := float64(pvmRes.Net.Bytes) * float64(cfg.Steps-1) / float64(cfg.Steps)
 	if float64(tmkRes.Net.Bytes) < 0.9*steady {
 		t.Errorf("tmk bytes %d below steady-state parity %.0f with pvm",
 			tmkRes.Net.Bytes, steady)
@@ -128,8 +140,9 @@ func TestPaperScaleGap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale run")
 	}
-	a := &app{cfg: Paper()}
-	a.cfg.Steps = 3
+	cfg := Paper()
+	cfg.Steps = 3
+	a := newApp(cfg)
 	seq := run(t, core.Seq, a, 1)
 	pvmRes := run(t, core.PVM, a, 8)
 	if err := a.Check(); err != nil {

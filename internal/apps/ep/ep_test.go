@@ -9,7 +9,7 @@ import (
 )
 
 // run runs a on backend b at n processors, failing the test on error.
-func run(t *testing.T, b core.Backend, a *app, n int) core.Result {
+func run(t *testing.T, b core.Backend, a core.App, n int) core.Result {
 	t.Helper()
 	res, err := b.Run(a, core.Base(n))
 	if err != nil {
@@ -18,13 +18,24 @@ func run(t *testing.T, b core.Backend, a *app, n int) core.Result {
 	return res
 }
 
+// newApp wraps cfg's program as an App.
+func newApp(cfg Config) core.App { return core.NewApp(&app{cfg: cfg}) }
+
+// seq runs a's sequential program alone and returns its output.
+func seq(t *testing.T, a *app) Output {
+	t.Helper()
+	var out Output
+	if _, err := core.RunSeq(func(ctx *sim.Ctx) { out = a.Seq(ctx) }); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestSeqDeterministic(t *testing.T) {
-	a := newApp(small())
-	run(t, core.Seq, a, 1)
-	first := a.seqOut
-	run(t, core.Seq, a, 1)
-	if first != a.seqOut {
-		t.Fatalf("sequential runs differ: %+v vs %+v", first, a.seqOut)
+	a := &app{small()}
+	first := seq(t, a)
+	if again := seq(t, a); first != again {
+		t.Fatalf("sequential runs differ: %+v vs %+v", first, again)
 	}
 	if first.Accepted == 0 || first.Q[0] == 0 {
 		t.Fatalf("degenerate output: %+v", first)
@@ -63,9 +74,10 @@ func TestPVMMatchesSequential(t *testing.T) {
 func TestNearLinearSpeedup(t *testing.T) {
 	// Use a paper-scale compute/communication ratio (the Small config is
 	// deliberately tiny and communication-bound).
-	a := newApp(small())
-	a.cfg.Pairs = 1 << 17
-	a.cfg.CostScale = 64
+	cfg := small()
+	cfg.Pairs = 1 << 17
+	cfg.CostScale = 64
+	a := newApp(cfg)
 	seq := run(t, core.Seq, a, 1)
 	tmkRes := run(t, core.TMK, a, 8)
 	pvmRes := run(t, core.PVM, a, 8)
@@ -105,9 +117,7 @@ func small() Config {
 // count, the accepted count and either deviate sum that differs fails
 // it; sums that differ only by reduction order (a few ulps) pass.
 func TestCheckRejectsEachMismatch(t *testing.T) {
-	a := newApp(small())
-	run(t, core.Seq, a, 1)
-	want := a.seqOut
+	want := seq(t, &app{small()})
 	for _, tc := range []struct {
 		name string
 		edit func(*Output)

@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/pvm"
 	"repro/internal/sim"
+	"repro/internal/tmk"
 )
 
 func TestParentNonzerosDeterministic(t *testing.T) {
@@ -32,7 +34,7 @@ func TestParentNonzerosDeterministic(t *testing.T) {
 }
 
 // run runs a on backend b at n processors, failing the test on error.
-func run(t *testing.T, b core.Backend, a *app, n int) core.Result {
+func run(t *testing.T, b core.Backend, a core.App, n int) core.Result {
 	t.Helper()
 	res, err := b.Run(a, core.Base(n))
 	if err != nil {
@@ -41,12 +43,47 @@ func run(t *testing.T, b core.Backend, a *app, n int) core.Result {
 	return res
 }
 
+// newApp wraps cfg's program as an App.
+func newApp(cfg Config) core.App { return core.NewApp(&app{cfg: cfg}) }
+
+// seq runs a's sequential program alone and returns its output.
+func seq(t *testing.T, a *app) Output {
+	t.Helper()
+	var out Output
+	if _, err := core.RunSeq(func(ctx *sim.Ctx) { out = a.Seq(ctx) }); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// parity runs a's PVM and TreadMarks programs at n processors, without
+// the sequential reference, fails the test unless their outputs agree,
+// and returns both results.
+func parity(t *testing.T, a *app, n int) (pvmRes, tmkRes core.Result) {
+	t.Helper()
+	var pvmBody func(*pvm.Proc)
+	var tmkBody func(*tmk.Proc)
+	var pvmOut, tmkOut func() Output
+	pvmRes, err := core.RunPVM(core.Default(n), func(sys *pvm.System) { pvmBody, _, pvmOut = a.PVM(sys) },
+		func(p *pvm.Proc) { pvmBody(p) }, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmkRes, err = core.RunTMK(core.Default(n), func(sys *tmk.System) { tmkBody, tmkOut = a.TMK(sys) },
+		func(p *tmk.Proc) { tmkBody(p) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pvmOut().Check(tmkOut()); err != nil {
+		t.Fatal(err)
+	}
+	return pvmRes, tmkRes
+}
+
 func TestSeqDeterministic(t *testing.T) {
 	a := &app{cfg: small()}
-	run(t, core.Seq, a, 1)
-	first := a.seqOut
-	run(t, core.Seq, a, 1)
-	if err := first.Check(a.seqOut); err != nil {
+	first := seq(t, a)
+	if err := first.Check(seq(t, a)); err != nil {
 		t.Fatal(err)
 	}
 	if first.LogLike == 0 {
@@ -55,7 +92,7 @@ func TestSeqDeterministic(t *testing.T) {
 }
 
 func TestTMKMatchesSequential(t *testing.T) {
-	a := &app{cfg: small()}
+	a := newApp(small())
 	run(t, core.Seq, a, 1)
 	for _, n := range []int{1, 2, 4, 8} {
 		run(t, core.TMK, a, n)
@@ -66,7 +103,7 @@ func TestTMKMatchesSequential(t *testing.T) {
 }
 
 func TestPVMMatchesSequential(t *testing.T) {
-	a := &app{cfg: small()}
+	a := newApp(small())
 	run(t, core.Seq, a, 1)
 	for _, n := range []int{1, 2, 4, 8} {
 		run(t, core.PVM, a, n)
@@ -83,14 +120,9 @@ func TestPaperScaleGap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale run")
 	}
-	a := &app{cfg: Paper()}
-	a.cfg.Families = 6
-	pvmRes := run(t, core.PVM, a, 8)
-	pvmOut := a.parOut
-	tmkRes := run(t, core.TMK, a, 8)
-	if err := pvmOut.Check(a.parOut); err != nil {
-		t.Fatal(err)
-	}
+	cfg := Paper()
+	cfg.Families = 6
+	pvmRes, tmkRes := parity(t, &app{cfg}, 8)
 	gap := tmkRes.Time.Seconds() / pvmRes.Time.Seconds()
 	if gap > 1.25 {
 		t.Fatalf("gap %.3f (tmk %.2fs pvm %.2fs), want within ~10-15%%",

@@ -10,7 +10,7 @@ import (
 )
 
 // run runs a on backend b at n processors, failing the test on error.
-func run(t *testing.T, b core.Backend, a *app, n int) core.Result {
+func run(t *testing.T, b core.Backend, a core.App, n int) core.Result {
 	t.Helper()
 	res, err := b.Run(a, core.Base(n))
 	if err != nil {
@@ -19,12 +19,20 @@ func run(t *testing.T, b core.Backend, a *app, n int) core.Result {
 	return res
 }
 
+// seq runs a's sequential program alone and returns its output.
+func seq(t *testing.T, a *app) Output {
+	t.Helper()
+	var out Output
+	if _, err := core.RunSeq(func(ctx *sim.Ctx) { out = a.Seq(ctx) }); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestSeqDeterministic(t *testing.T) {
 	a := newApp(small())
-	run(t, core.Seq, a, 1)
-	first := a.seqOut
-	run(t, core.Seq, a, 1)
-	if err := first.Check(a.seqOut); err != nil {
+	first := seq(t, a)
+	if err := first.Check(seq(t, a)); err != nil {
 		t.Fatal(err)
 	}
 	if first.BucketSum == 0 || first.RankSum == 0 {
@@ -33,7 +41,7 @@ func TestSeqDeterministic(t *testing.T) {
 }
 
 func TestTMKMatchesSequential(t *testing.T) {
-	a := newApp(small())
+	a := NewApp(small())
 	run(t, core.Seq, a, 1)
 	for _, n := range []int{1, 2, 3, 8} {
 		run(t, core.TMK, a, n)
@@ -44,7 +52,7 @@ func TestTMKMatchesSequential(t *testing.T) {
 }
 
 func TestPVMMatchesSequential(t *testing.T) {
-	a := newApp(small())
+	a := NewApp(small())
 	run(t, core.Seq, a, 1)
 	for _, n := range []int{1, 2, 5, 8} {
 		run(t, core.PVM, a, n)
@@ -56,10 +64,10 @@ func TestPVMMatchesSequential(t *testing.T) {
 
 // PVM messages per iteration: (n-1) chain + (n-1) broadcast.
 func TestPVMMessageCount(t *testing.T) {
-	a := newApp(small())
+	cfg := small()
 	const n = 8
-	res := run(t, core.PVM, a, n)
-	want := int64(a.cfg.Iters * 2 * (n - 1))
+	res := run(t, core.PVM, NewApp(cfg), n)
+	want := int64(cfg.Iters * 2 * (n - 1))
 	if res.Net.Messages != want {
 		t.Fatalf("messages = %d, want %d", res.Net.Messages, want)
 	}
@@ -69,7 +77,7 @@ func TestPVMMessageCount(t *testing.T) {
 // results are for tests that also need the traffic.
 func gap(t *testing.T, cfg Config, n int) (ratio float64, tmkRes, pvmRes core.Result) {
 	t.Helper()
-	a := newApp(cfg)
+	a := NewApp(cfg)
 	pvmRes = run(t, core.PVM, a, n)
 	tmkRes = run(t, core.TMK, a, n)
 	return tmkRes.Time.Seconds() / pvmRes.Time.Seconds(), tmkRes, pvmRes

@@ -9,29 +9,12 @@ import (
 	"repro/internal/tmk"
 )
 
-// app implements core.App.  QSORT is a master/slave app under PVM: the
-// master owns the list and work queue, slaves partition and bubble-sort
-// shipped subarrays.
+// app is the core.Program for QSORT.  QSORT is a master/slave app
+// under PVM: the master owns the list and work queue, slaves partition
+// and bubble-sort shipped subarrays.
 type app struct {
 	cfg Config
-
-	// Shared-memory layout of the current TreadMarks run.
-	listA, headA, queueA tmk.Addr
-
-	// sink collects sorted leaves out of band; the parallel output is
-	// assembled from it on demand.
-	sink *leafSink
-
-	seqOut Output
-	hasSeq bool
-	hasPar bool
 }
-
-func newApp(cfg Config) *app { return &app{cfg: cfg, sink: newSink()} }
-
-// Clone returns a fresh instance with the same configuration and no run
-// state, so grid workers can run copies concurrently (core.Cloneable).
-func (a *app) Clone() core.App { return newApp(a.cfg) }
 
 // Apps returns this package's registry entry (Figure 7) at the given
 // workload scale.
@@ -39,7 +22,7 @@ func Apps(scale float64) []core.App {
 	cfg := Paper()
 	cfg.N = core.Scaled(cfg.N, scale, 1<<12)
 	cfg.Threshold = core.Scaled(cfg.Threshold, scale, 64)
-	return []core.App{newApp(cfg)}
+	return []core.App{core.NewApp(&app{cfg})}
 }
 
 // BigApps returns the registry entry for the bigp scenario family: a
@@ -49,7 +32,7 @@ func BigApps(scale float64) []core.App {
 	cfg := Paper()
 	cfg.N, cfg.Threshold = 128*1024, 512
 	cfg.N = core.Scaled(cfg.N, scale, 1<<14)
-	return []core.App{newApp(cfg)}
+	return []core.App{core.NewApp(&app{cfg})}
 }
 
 func (a *app) Name() string { return "QSORT" }
@@ -59,15 +42,8 @@ func (a *app) Problem() string {
 	return fmt.Sprintf("%dK integers, bubble %d", a.cfg.N/1024, a.cfg.Threshold)
 }
 
-func (a *app) Check() error {
-	if !a.hasSeq || !a.hasPar {
-		return fmt.Errorf("qsort: Check needs a sequential and a parallel run")
-	}
-	return a.seqOut.Check(a.sink.assemble(a.cfg.N))
-}
-
 // Seq sorts with an explicit stack of subarrays.
-func (a *app) Seq(ctx *sim.Ctx) {
+func (a *app) Seq(ctx *sim.Ctx) Output {
 	cfg := a.cfg
 	v := cfg.input()
 	type rng struct{ lo, hi int }
@@ -85,82 +61,80 @@ func (a *app) Seq(ctx *sim.Ctx) {
 		ctx.Compute(sim.Time(len(sub)) * cfg.PartCost)
 		stack = append(stack, rng{r.lo, r.lo + m}, rng{r.lo + m, r.hi})
 	}
-	a.seqOut = checksum(v)
-	a.hasSeq = true
-}
-
-func (a *app) SetupTMK(sys *tmk.System) {
-	cfg := a.cfg
-	a.sink = newSink()
-	a.hasPar = true
-	a.listA = sys.MallocPageAligned(4 * cfg.N)
-	a.headA = sys.MallocPageAligned(8) // qcount, doneCount (int32 x2)
-	a.queueA = sys.MallocPageAligned(8 * maxQueue)
-	sys.InitI32(a.listA, cfg.input())
-	sys.InitI32(a.headA, []int32{1, 0})
-	sys.InitI64(a.queueA, []int64{int64(cfg.N)}) // (lo=0)<<32 | hi=N... lo in high half
+	return checksum(v)
 }
 
 // TMK: list and work queue shared, queue under a lock, termination via a
 // shared done-count.
-func (a *app) TMK(p *tmk.Proc) {
+func (a *app) TMK(sys *tmk.System) (func(*tmk.Proc), func() Output) {
 	cfg := a.cfg
-	list := p.I32Array(a.listA, cfg.N)
-	queue := p.I64Array(a.queueA, maxQueue)
-	buf := make([]int32, cfg.N)
-	for {
-		p.LockAcquire(lockQueue)
-		qc := p.ReadI32(a.headA)
-		done := p.ReadI32(a.headA + 4)
-		if qc == 0 {
-			p.LockRelease(lockQueue)
-			if int(done) == cfg.N {
-				break
-			}
-			p.Compute(500 * sim.Microsecond) // idle backoff, then re-poll
-			continue
-		}
-		ent := queue.At(int(qc) - 1)
-		p.WriteI32(a.headA, qc-1)
-		p.LockRelease(lockQueue)
-		lo := int(ent >> 32)
-		hi := int(ent & 0xFFFFFFFF)
-		sub := buf[:hi-lo]
-		list.Load(sub, lo, hi)
-		if hi-lo <= cfg.Threshold {
-			ops := bubble(sub)
-			p.Compute(sim.Time(ops) * cfg.BubbleCost)
-			list.Store(sub, lo)
-			a.sink.add(lo, sub)
+	listA := sys.MallocPageAligned(4 * cfg.N)
+	headA := sys.MallocPageAligned(8) // qcount, doneCount (int32 x2)
+	queueA := sys.MallocPageAligned(8 * maxQueue)
+	sys.InitI32(listA, cfg.input())
+	sys.InitI32(headA, []int32{1, 0})
+	sys.InitI64(queueA, []int64{int64(cfg.N)}) // (lo=0)<<32 | hi=N... lo in high half
+	sink := newSink()
+	return func(p *tmk.Proc) {
+		list := p.I32Array(listA, cfg.N)
+		queue := p.I64Array(queueA, maxQueue)
+		buf := make([]int32, cfg.N)
+		for {
 			p.LockAcquire(lockQueue)
-			p.WriteI32(a.headA+4, p.ReadI32(a.headA+4)+int32(hi-lo))
+			qc := p.ReadI32(headA)
+			done := p.ReadI32(headA + 4)
+			if qc == 0 {
+				p.LockRelease(lockQueue)
+				if int(done) == cfg.N {
+					break
+				}
+				p.Compute(500 * sim.Microsecond) // idle backoff, then re-poll
+				continue
+			}
+			ent := queue.At(int(qc) - 1)
+			p.WriteI32(headA, qc-1)
 			p.LockRelease(lockQueue)
-			continue
+			lo := int(ent >> 32)
+			hi := int(ent & 0xFFFFFFFF)
+			sub := buf[:hi-lo]
+			list.Load(sub, lo, hi)
+			if hi-lo <= cfg.Threshold {
+				ops := bubble(sub)
+				p.Compute(sim.Time(ops) * cfg.BubbleCost)
+				list.Store(sub, lo)
+				sink.add(lo, sub)
+				p.LockAcquire(lockQueue)
+				p.WriteI32(headA+4, p.ReadI32(headA+4)+int32(hi-lo))
+				p.LockRelease(lockQueue)
+				continue
+			}
+			m := partition(sub)
+			p.Compute(sim.Time(hi-lo) * cfg.PartCost)
+			list.Store(sub, lo)
+			// Reacquire the queue to push the two new subarrays.
+			p.LockAcquire(lockQueue)
+			qc = p.ReadI32(headA)
+			if int(qc)+2 > maxQueue {
+				panic("qsort: work queue overflow")
+			}
+			queue.Set(int(qc), int64(lo)<<32|int64(lo+m))
+			queue.Set(int(qc)+1, int64(lo+m)<<32|int64(hi))
+			p.WriteI32(headA, qc+2)
+			p.LockRelease(lockQueue)
 		}
-		m := partition(sub)
-		p.Compute(sim.Time(hi-lo) * cfg.PartCost)
-		list.Store(sub, lo)
-		// Reacquire the queue to push the two new subarrays.
-		p.LockAcquire(lockQueue)
-		qc = p.ReadI32(a.headA)
-		if int(qc)+2 > maxQueue {
-			panic("qsort: work queue overflow")
-		}
-		queue.Set(int(qc), int64(lo)<<32|int64(lo+m))
-		queue.Set(int(qc)+1, int64(lo+m)<<32|int64(hi))
-		p.WriteI32(a.headA, qc+2)
-		p.LockRelease(lockQueue)
-	}
-	p.Barrier(0)
+		p.Barrier(0)
+	}, func() Output { return sink.assemble(cfg.N) }
 }
 
-func (a *app) SetupPVM(sys *pvm.System) {
-	a.sink = newSink()
-	a.hasPar = true
+// PVM: the master owns the list and hands out subarrays; the slaves
+// partition them or sort them with bubble sort.
+func (a *app) PVM(sys *pvm.System) (func(*pvm.Proc), func(*pvm.Proc), func() Output) {
+	sink := newSink()
+	return a.slave, func(p *pvm.Proc) { a.master(p, sink) }, func() Output { return sink.assemble(a.cfg.N) }
 }
 
-// PVM is the slave body of the master/slave version.
-func (a *app) PVM(p *pvm.Proc) {
+// slave is the PVM slave body.
+func (a *app) slave(p *pvm.Proc) {
 	cfg := a.cfg
 	master := p.N()
 	for {
@@ -197,10 +171,9 @@ func (a *app) PVM(p *pvm.Proc) {
 	}
 }
 
-func (a *app) Master() func(*pvm.Proc) { return a.master }
-
-// master owns the list and the work queue.
-func (a *app) master(p *pvm.Proc) {
+// master owns the list and the work queue, and collects sorted leaves
+// into sink.
+func (a *app) master(p *pvm.Proc, sink *leafSink) {
 	cfg := a.cfg
 	n := p.N()
 	v := cfg.input()
@@ -258,7 +231,7 @@ func (a *app) master(p *pvm.Proc) {
 			sub := make([]int32, ln)
 			r.UnpackInt32(sub, ln, 1)
 			copy(v[lo:lo+ln], sub)
-			a.sink.add(lo, sub)
+			sink.add(lo, sub)
 			doneCount += ln
 			outstanding--
 			serveWaiting()

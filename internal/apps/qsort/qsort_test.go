@@ -69,7 +69,7 @@ func TestBubbleSortsProperty(t *testing.T) {
 }
 
 // run runs a on backend b at n processors, failing the test on error.
-func run(t *testing.T, b core.Backend, a *app, n int) core.Result {
+func run(t *testing.T, b core.Backend, a core.App, n int) core.Result {
 	t.Helper()
 	res, err := b.Run(a, core.Base(n))
 	if err != nil {
@@ -78,13 +78,25 @@ func run(t *testing.T, b core.Backend, a *app, n int) core.Result {
 	return res
 }
 
+// newApp wraps cfg's program as an App.
+func newApp(cfg Config) core.App { return core.NewApp(&app{cfg: cfg}) }
+
+// seq runs a's sequential program alone and returns its output.
+func seq(t *testing.T, a *app) Output {
+	t.Helper()
+	var out Output
+	if _, err := core.RunSeq(func(ctx *sim.Ctx) { out = a.Seq(ctx) }); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestSeqSorts(t *testing.T) {
-	a := newApp(small())
-	run(t, core.Seq, a, 1)
-	if !a.seqOut.Sorted {
+	out := seq(t, &app{small()})
+	if !out.Sorted {
 		t.Fatal("sequential result not sorted")
 	}
-	if a.seqOut.Checksum == 0 {
+	if out.Checksum == 0 {
 		t.Fatal("degenerate checksum")
 	}
 }
@@ -94,9 +106,7 @@ func TestTMKMatchesSequential(t *testing.T) {
 	run(t, core.Seq, a, 1)
 	for _, n := range []int{1, 2, 4, 8} {
 		run(t, core.TMK, a, n)
-		if !a.sink.assemble(a.cfg.N).Sorted {
-			t.Fatalf("n=%d: not sorted", n)
-		}
+		// Check compares Sorted too, and the sequential output is sorted.
 		if err := a.Check(); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}

@@ -10,7 +10,7 @@ import (
 )
 
 // run runs a on backend b at n processors, failing the test on error.
-func run(t *testing.T, b core.Backend, a *app, n int) core.Result {
+func run(t *testing.T, b core.Backend, a core.App, n int) core.Result {
 	t.Helper()
 	res, err := b.Run(a, core.Base(n))
 	if err != nil {
@@ -19,13 +19,21 @@ func run(t *testing.T, b core.Backend, a *app, n int) core.Result {
 	return res
 }
 
+// seq runs a's sequential program alone and returns its output.
+func seq(t *testing.T, a *app) Output {
+	t.Helper()
+	var out Output
+	if _, err := core.RunSeq(func(ctx *sim.Ctx) { out = a.Seq(ctx) }); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestSeqDeterministic(t *testing.T) {
 	for _, zero := range []bool{true, false} {
-		a := newApp(Small(zero))
-		run(t, core.Seq, a, 1)
-		first := a.seqOut
-		run(t, core.Seq, a, 1)
-		if err := first.Check(a.seqOut); err != nil {
+		a := &app{Small(zero)}
+		first := seq(t, a)
+		if err := first.Check(seq(t, a)); err != nil {
 			t.Fatalf("zero=%v: %v", zero, err)
 		}
 		if first.Checksum == 0 {
@@ -36,7 +44,7 @@ func TestSeqDeterministic(t *testing.T) {
 
 func TestTMKMatchesSequential(t *testing.T) {
 	for _, zero := range []bool{true, false} {
-		a := newApp(Small(zero))
+		a := NewApp(Small(zero))
 		run(t, core.Seq, a, 1)
 		for _, n := range []int{1, 2, 4, 8} {
 			run(t, core.TMK, a, n)
@@ -49,7 +57,7 @@ func TestTMKMatchesSequential(t *testing.T) {
 
 func TestPVMMatchesSequential(t *testing.T) {
 	for _, zero := range []bool{true, false} {
-		a := newApp(Small(zero))
+		a := NewApp(Small(zero))
 		run(t, core.Seq, a, 1)
 		for _, n := range []int{1, 2, 4, 8} {
 			run(t, core.PVM, a, n)
@@ -64,13 +72,14 @@ func TestPVMMatchesSequential(t *testing.T) {
 // messages; TreadMarks sends 2*(n-1) for the barrier plus ~8*(n-1) to
 // page in the boundary-row diffs, about 5x more.
 func TestMessageRatioNearFive(t *testing.T) {
-	a := newApp(Small(false))
-	a.cfg.Sweeps = 10
+	cfg := Small(false)
+	cfg.Sweeps = 10
+	a := NewApp(cfg)
 	const n = 8
 	pvmRes := run(t, core.PVM, a, n)
 	tmkRes := run(t, core.TMK, a, n)
 	// PVM: 2*(n-1) per sweep plus n-1 residual messages.
-	wantPVM := int64(a.cfg.Sweeps*2*(n-1) + (n - 1))
+	wantPVM := int64(cfg.Sweeps*2*(n-1) + (n - 1))
 	if pvmRes.Net.Messages != wantPVM {
 		t.Errorf("pvm messages = %d, want %d", pvmRes.Net.Messages, wantPVM)
 	}
@@ -84,7 +93,7 @@ func TestMessageRatioNearFive(t *testing.T) {
 // SOR-Zero: most of the matrix stays zero, so TreadMarks diffs are tiny
 // and it ships *less* data than PVM (which sends whole rows regardless).
 func TestZeroCaseTMKSendsLessData(t *testing.T) {
-	a := newApp(Small(true))
+	a := NewApp(Small(true))
 	const n = 4
 	pvmRes := run(t, core.PVM, a, n)
 	tmkRes := run(t, core.TMK, a, n)
@@ -97,8 +106,8 @@ func TestZeroCaseTMKSendsLessData(t *testing.T) {
 // SOR-Zero runs slower sequentially than SOR-Nonzero (underflow traps),
 // and exhibits load imbalance that hurts both systems' speedups.
 func TestZeroSlowerThanNonzero(t *testing.T) {
-	zRes := run(t, core.Seq, newApp(Small(true)), 1)
-	nzRes := run(t, core.Seq, newApp(Small(false)), 1)
+	zRes := run(t, core.Seq, NewApp(Small(true)), 1)
+	nzRes := run(t, core.Seq, NewApp(Small(false)), 1)
 	if zRes.Time <= nzRes.Time {
 		t.Fatalf("zero %v should be slower than nonzero %v", zRes.Time, nzRes.Time)
 	}
@@ -110,8 +119,9 @@ func TestTMKWithinReasonOfPVM(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale run")
 	}
-	a := newApp(Paper(false))
-	a.cfg.Sweeps = 10 // half the sweeps to keep the test quick; ratio per sweep unchanged
+	cfg := Paper(false)
+	cfg.Sweeps = 10 // half the sweeps to keep the test quick; ratio per sweep unchanged
+	a := NewApp(cfg)
 	const n = 8
 	pvmRes := run(t, core.PVM, a, n)
 	tmkRes := run(t, core.TMK, a, n)
@@ -217,14 +227,11 @@ func (c Config) initValue(i, j int) float64 {
 
 // TestFillRowMatchesInitValue: every row a filler covers, both colours,
 // bit for bit against initValue — for the whole matrix (Seq and
-// SetupTMK) and for every P=8 band with its ghost rows (each PVM proc),
+// the TMK setup) and for every P=8 band with its ghost rows (each PVM proc),
 // in the paper, Small and BigApps configs and in tiny matrices down to a
 // single column pair.
 func TestFillRowMatchesInitValue(t *testing.T) {
-	cfgs := []Config{Paper(false), Paper(true), Small(false), Small(true)}
-	for _, a := range BigApps(1) {
-		cfgs = append(cfgs, a.(*app).cfg)
-	}
+	cfgs := []Config{Paper(false), Paper(true), Small(false), Small(true), bigConfig(true, 1), bigConfig(false, 1)}
 	rng := rand.New(rand.NewSource(3072))
 	for range 40 {
 		cfgs = append(cfgs, Config{M: 1 + rng.Intn(12), N: 2 + rng.Intn(30), Zero: rng.Intn(4) == 0})

@@ -9,30 +9,15 @@ import (
 	"repro/internal/tmk"
 )
 
-// app implements core.App.  TSP is a master/slave app under PVM: Master
-// returns the body of the extra master process, which owns all tour
-// structures privately, as in the paper.
+// app is the core.Program for TSP.  TSP is a master/slave app under
+// PVM: its PVM setup also returns the body of the extra master process,
+// which owns all tour structures privately, as in the paper.
 type app struct {
 	cfg Config
-
-	// Per-run machinery, rebuilt by the Setup hooks.
-	s    *solver
-	l    tmkLayout
-	best int32 // improvement collector (verification, outside accounting)
-
-	seqOut Output
-	hasSeq bool
-	hasPar bool
 }
 
 // NewApp wraps a TSP instance as a registrable experiment.
-func NewApp(cfg Config) core.App { return newApp(cfg) }
-
-func newApp(cfg Config) *app { return &app{cfg: cfg} }
-
-// Clone returns a fresh instance with the same configuration and no run
-// state, so grid workers can run copies concurrently (core.Cloneable).
-func (a *app) Clone() core.App { return newApp(a.cfg) }
+func NewApp(cfg Config) core.App { return core.NewApp(&app{cfg}) }
 
 // Apps returns this package's registry entry (Figure 6) at the given
 // workload scale.  The branch-and-bound search does not shrink linearly;
@@ -43,7 +28,7 @@ func Apps(scale float64) []core.App {
 		cfg.Cities = 12
 		cfg.Threshold = 8
 	}
-	return []core.App{newApp(cfg)}
+	return []core.App{NewApp(cfg)}
 }
 
 // BigApps returns the registry entry for the bigp scenario family: a
@@ -55,7 +40,7 @@ func BigApps(scale float64) []core.App {
 	if scale < 1 {
 		cfg.Cities, cfg.Threshold = 11, 7
 	}
-	return []core.App{newApp(cfg)}
+	return []core.App{NewApp(cfg)}
 }
 
 func (a *app) Name() string { return "TSP" }
@@ -65,62 +50,51 @@ func (a *app) Problem() string {
 	return fmt.Sprintf("%d cities, threshold %d", a.cfg.Cities, a.cfg.Threshold)
 }
 
-func (a *app) Check() error {
-	if !a.hasSeq || !a.hasPar {
-		return fmt.Errorf("tsp: Check needs a sequential and a parallel run")
-	}
-	return a.seqOut.Check(Output{Best: a.best})
-}
-
-func (a *app) SetupTMK(sys *tmk.System) {
-	a.s = newSolver(a.cfg)
-	a.best = a.s.greedy()
-	a.hasPar = false
-	a.l = layoutTMK(sys, a.cfg)
-}
-
-func (a *app) TMK(p *tmk.Proc) {
+func (a *app) TMK(sys *tmk.System) (func(*tmk.Proc), func() Output) {
 	cfg := a.cfg
-	w := &tmkWorker{p: p, cfg: cfg, s: a.s, l: a.l,
-		q:  p.I64Array(a.l.queue, maxPool),
-		st: p.I32Array(a.l.stack, maxPool),
-		pl: p.I32Array(a.l.pool, maxPool*cfg.recInts()),
-	}
-	for {
-		path, length := w.getTour()
-		if path == nil {
-			break
+	s := newSolver(cfg)
+	best := s.greedy() // improvement collector (verification, outside accounting)
+	l := layoutTMK(sys, cfg)
+	return func(p *tmk.Proc) {
+		w := &tmkWorker{p: p, cfg: cfg, s: s, l: l,
+			q:  p.I64Array(l.queue, maxPool),
+			st: p.I32Array(l.stack, maxPool),
+			pl: p.I32Array(l.pool, maxPool*cfg.recInts()),
 		}
-		localBest := p.ReadI32(a.l.best)
-		found, nodes := a.s.recursiveSolve(path, length, localBest)
-		p.Compute(sim.Time(nodes) * cfg.NodeCost)
-		if found < localBest {
-			// Update the shortest tour under its lock.
-			p.LockAcquire(lockBest)
-			if cur := p.ReadI32(a.l.best); found < cur {
-				p.WriteI32(a.l.best, found)
-				if found < a.best {
-					a.best = found
-				}
+		for {
+			path, length := w.getTour()
+			if path == nil {
+				break
 			}
-			p.LockRelease(lockBest)
+			localBest := p.ReadI32(l.best)
+			found, nodes := s.recursiveSolve(path, length, localBest)
+			p.Compute(sim.Time(nodes) * cfg.NodeCost)
+			if found < localBest {
+				// Update the shortest tour under its lock.
+				p.LockAcquire(lockBest)
+				if cur := p.ReadI32(l.best); found < cur {
+					p.WriteI32(l.best, found)
+					best = min(best, found)
+				}
+				p.LockRelease(lockBest)
+			}
 		}
-	}
-	p.Barrier(0)
-	if p.ID() == 0 {
-		a.hasPar = true
-	}
+		p.Barrier(0)
+	}, func() Output { return Output{Best: best} }
 }
 
-func (a *app) SetupPVM(sys *pvm.System) {
-	a.s = newSolver(a.cfg)
-	a.best = a.s.greedy()
-	a.hasPar = false
+// PVM: the slaves request solvable tours from the master, solve them,
+// and report improved shortest tours; the master's final bound is the
+// output.
+func (a *app) PVM(sys *pvm.System) (func(*pvm.Proc), func(*pvm.Proc), func() Output) {
+	s := newSolver(a.cfg)
+	var best int32
+	return func(p *pvm.Proc) { a.slave(p, s) }, func(p *pvm.Proc) { best = a.master(p, s) },
+		func() Output { return Output{Best: best} }
 }
 
-// PVM is the slave body: request solvable tours from the master, solve
-// them, and report improved shortest tours.
-func (a *app) PVM(p *pvm.Proc) {
+// slave is the PVM slave body.
+func (a *app) slave(p *pvm.Proc, s *solver) {
 	cfg := a.cfg
 	master := p.N() // the extra process id
 	for {
@@ -136,7 +110,7 @@ func (a *app) PVM(p *pvm.Proc) {
 		r.UnpackInt32(path, ln, 1)
 		length := r.UnpackOneInt32()
 		best := r.UnpackOneInt32()
-		found, nodes := a.s.recursiveSolve(path, length, best)
+		found, nodes := s.recursiveSolve(path, length, best)
 		p.Compute(sim.Time(nodes) * cfg.NodeCost)
 		if found < best {
 			b := p.InitSend()
@@ -146,13 +120,11 @@ func (a *app) PVM(p *pvm.Proc) {
 	}
 }
 
-func (a *app) Master() func(*pvm.Proc) { return a.master }
-
 // master keeps all tour structures in private memory; slaves message it
-// to request solvable tours and to report improved shortest tours.
-func (a *app) master(p *pvm.Proc) {
+// to request solvable tours and to report improved shortest tours.  It
+// returns the shortest tour length.
+func (a *app) master(p *pvm.Proc, s *solver) int32 {
 	cfg := a.cfg
-	s := a.s
 	n := p.N()
 	type item struct {
 		bound  int32
@@ -251,6 +223,5 @@ func (a *app) master(p *pvm.Proc) {
 			p.Send(slave, tagWork)
 		}
 	}
-	a.best = best
-	a.hasPar = true
+	return best
 }

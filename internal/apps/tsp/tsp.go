@@ -283,84 +283,81 @@ func (c Config) returnLen() int { return c.Cities - c.Threshold }
 
 // Seq is the sequential branch and bound: a single worker with a private
 // queue.
-func (a *app) Seq(ctx *sim.Ctx) {
+func (a *app) Seq(ctx *sim.Ctx) Output {
 	cfg := a.cfg
-	{
-		s := newSolver(cfg)
-		best := s.greedy()
-		// Priority queue of (bound, path) — local heap.
-		type item struct {
-			bound  int32
-			length int32
-			path   []int32
-		}
-		var heap []item
-		push := func(it item) {
-			heap = append(heap, it)
-			for i := len(heap) - 1; i > 0; {
-				p := (i - 1) / 2
-				if heap[p].bound <= heap[i].bound {
-					break
-				}
-				heap[p], heap[i] = heap[i], heap[p]
-				i = p
-			}
-			ctx.Compute(cfg.QueueCost)
-		}
-		pop := func() item {
-			top := heap[0]
-			last := len(heap) - 1
-			heap[0] = heap[last]
-			heap = heap[:last]
-			for i := 0; ; {
-				l, r := 2*i+1, 2*i+2
-				m := i
-				if l < last && heap[l].bound < heap[m].bound {
-					m = l
-				}
-				if r < last && heap[r].bound < heap[m].bound {
-					m = r
-				}
-				if m == i {
-					break
-				}
-				heap[i], heap[m] = heap[m], heap[i]
-				i = m
-			}
-			ctx.Compute(cfg.QueueCost)
-			return top
-		}
-		push(item{0, 0, []int32{0}})
-		for len(heap) > 0 {
-			it := pop()
-			if it.bound >= best {
-				continue
-			}
-			if len(it.path) >= cfg.returnLen() {
-				var nodes int64
-				best, nodes = s.recursiveSolve(it.path, it.length, best)
-				ctx.Compute(sim.Time(nodes) * cfg.NodeCost)
-				continue
-			}
-			visited := uint32(0)
-			for _, c := range it.path {
-				visited |= 1 << uint(c)
-			}
-			last := it.path[len(it.path)-1]
-			for c := int32(0); c < int32(cfg.Cities); c++ {
-				if visited&(1<<uint(c)) != 0 {
-					continue
-				}
-				nl := it.length + s.d[last][c]
-				np := append(append([]int32(nil), it.path...), c)
-				nb := s.lowerBound(np, nl)
-				ctx.Compute(cfg.BoundCost)
-				if nb < best {
-					push(item{nb, nl, np})
-				}
-			}
-		}
-		a.seqOut.Best = best
-		a.hasSeq = true
+	s := newSolver(cfg)
+	best := s.greedy()
+	// Priority queue of (bound, path) — local heap.
+	type item struct {
+		bound  int32
+		length int32
+		path   []int32
 	}
+	var heap []item
+	push := func(it item) {
+		heap = append(heap, it)
+		for i := len(heap) - 1; i > 0; {
+			p := (i - 1) / 2
+			if heap[p].bound <= heap[i].bound {
+				break
+			}
+			heap[p], heap[i] = heap[i], heap[p]
+			i = p
+		}
+		ctx.Compute(cfg.QueueCost)
+	}
+	pop := func() item {
+		top := heap[0]
+		last := len(heap) - 1
+		heap[0] = heap[last]
+		heap = heap[:last]
+		for i := 0; ; {
+			l, r := 2*i+1, 2*i+2
+			m := i
+			if l < last && heap[l].bound < heap[m].bound {
+				m = l
+			}
+			if r < last && heap[r].bound < heap[m].bound {
+				m = r
+			}
+			if m == i {
+				break
+			}
+			heap[i], heap[m] = heap[m], heap[i]
+			i = m
+		}
+		ctx.Compute(cfg.QueueCost)
+		return top
+	}
+	push(item{0, 0, []int32{0}})
+	for len(heap) > 0 {
+		it := pop()
+		if it.bound >= best {
+			continue
+		}
+		if len(it.path) >= cfg.returnLen() {
+			var nodes int64
+			best, nodes = s.recursiveSolve(it.path, it.length, best)
+			ctx.Compute(sim.Time(nodes) * cfg.NodeCost)
+			continue
+		}
+		visited := uint32(0)
+		for _, c := range it.path {
+			visited |= 1 << uint(c)
+		}
+		last := it.path[len(it.path)-1]
+		for c := int32(0); c < int32(cfg.Cities); c++ {
+			if visited&(1<<uint(c)) != 0 {
+				continue
+			}
+			nl := it.length + s.d[last][c]
+			np := append(append([]int32(nil), it.path...), c)
+			nb := s.lowerBound(np, nl)
+			ctx.Compute(cfg.BoundCost)
+			if nb < best {
+				push(item{nb, nl, np})
+			}
+		}
+	}
+	return Output{Best: best}
 }

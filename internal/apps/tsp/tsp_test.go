@@ -33,7 +33,7 @@ func bruteForce(cfg Config) int32 {
 }
 
 // run runs a on backend b at n processors, failing the test on error.
-func run(t *testing.T, b core.Backend, a *app, n int) core.Result {
+func run(t *testing.T, b core.Backend, a core.App, n int) core.Result {
 	t.Helper()
 	res, err := b.Run(a, core.Base(n))
 	if err != nil {
@@ -42,19 +42,27 @@ func run(t *testing.T, b core.Backend, a *app, n int) core.Result {
 	return res
 }
 
+// seq runs a's sequential program alone and returns its output.
+func seq(t *testing.T, a *app) Output {
+	t.Helper()
+	var out Output
+	if _, err := core.RunSeq(func(ctx *sim.Ctx) { out = a.Seq(ctx) }); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestSeqFindsOptimum(t *testing.T) {
 	cfg := Config{Cities: 9, Threshold: 5, Seed: 16180,
 		NodeCost: 1, BoundCost: 1, QueueCost: 1}
 	want := bruteForce(cfg)
-	a := newApp(cfg)
-	run(t, core.Seq, a, 1)
-	if a.seqOut.Best != want {
-		t.Fatalf("seq best = %d, brute force = %d", a.seqOut.Best, want)
+	if got := seq(t, &app{cfg}).Best; got != want {
+		t.Fatalf("seq best = %d, brute force = %d", got, want)
 	}
 }
 
 func TestTMKMatchesSequential(t *testing.T) {
-	a := newApp(small())
+	a := NewApp(small())
 	run(t, core.Seq, a, 1)
 	for _, n := range []int{1, 2, 4, 8} {
 		run(t, core.TMK, a, n)
@@ -65,7 +73,7 @@ func TestTMKMatchesSequential(t *testing.T) {
 }
 
 func TestPVMMatchesSequential(t *testing.T) {
-	a := newApp(small())
+	a := NewApp(small())
 	run(t, core.Seq, a, 1)
 	for _, n := range []int{1, 2, 4, 8} {
 		run(t, core.PVM, a, n)
@@ -78,7 +86,7 @@ func TestPVMMatchesSequential(t *testing.T) {
 // The paper: TreadMarks sends an order of magnitude more messages than
 // PVM (migratory data structures vs a handful of master/slave exchanges).
 func TestTMKSendsManyMoreMessages(t *testing.T) {
-	a := newApp(small())
+	a := NewApp(small())
 	const n = 4
 	pvmRes := run(t, core.PVM, a, n)
 	tmkRes := run(t, core.TMK, a, n)
@@ -93,7 +101,7 @@ func TestPaperScaleGap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale run")
 	}
-	a := newApp(Paper())
+	a := NewApp(Paper())
 	seq := run(t, core.Seq, a, 1)
 	pvmRes := run(t, core.PVM, a, 8)
 	if err := a.Check(); err != nil {
@@ -119,7 +127,7 @@ func TestLockWaitDominates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale run")
 	}
-	res := run(t, core.TMK, newApp(Paper()), 8)
+	res := run(t, core.TMK, NewApp(Paper()), 8)
 	frac := res.LockWait.Seconds() / (res.Time.Seconds() * 8)
 	if frac < 0.05 {
 		t.Fatalf("lock wait fraction %.3f: expected significant get_tour contention", frac)

@@ -10,118 +10,104 @@ import (
 	"repro/internal/tmk"
 )
 
-// This file is the Backend conformance suite: a miniature App exercised
-// against every adapter.  Each backend must run the app's bodies, honor
-// the scenario, produce deterministic results, and leave the app in a
-// state its Check accepts.  The real applications get the same treatment
-// across the full registry in internal/harness.
+// This file is the Backend conformance suite: a miniature Program
+// exercised against every adapter.  Each backend must run the program's
+// bodies, honor the scenario, produce deterministic results, and leave
+// the App in a state its Check accepts.  The real applications get the
+// same treatment across the full registry in internal/harness.
 
-// miniApp sums per-processor contributions: shared array + barrier under
-// TreadMarks, a gather to process 0 under PVM, an optional master that
-// collects and acknowledges (for placement tests).
-type miniApp struct {
-	withMaster bool
+// miniOut is the mini program's output.
+type miniOut int64
 
-	addr tmk.Addr
-
-	seqOut, parOut int64
-	hasSeq, hasPar bool
-}
-
-func (a *miniApp) Name() string    { return "mini" }
-func (a *miniApp) Figure() int     { return 0 }
-func (a *miniApp) Problem() string { return "conformance kernel" }
-func (a *miniApp) Clone() App      { return &miniApp{withMaster: a.withMaster} }
-
-func (a *miniApp) Check() error {
-	if !a.hasSeq || !a.hasPar {
-		return fmt.Errorf("mini: Check needs a sequential and a parallel run")
-	}
-	if a.seqOut != a.parOut {
-		return fmt.Errorf("mini: output %d vs %d", a.parOut, a.seqOut)
+func (o miniOut) Check(par miniOut) error {
+	if o != par {
+		return fmt.Errorf("mini: output %d vs %d", par, o)
 	}
 	return nil
 }
 
+// miniProg sums per-processor contributions: shared array + barrier
+// under TreadMarks, a gather to process 0 under PVM, an optional master
+// that collects and acknowledges (for placement tests).
+type miniProg struct {
+	withMaster bool
+}
+
+// miniApp wraps a mini program as an App.
+func miniApp(withMaster bool) App { return NewApp(miniProg{withMaster}) }
+
+func (miniProg) Name() string    { return "mini" }
+func (miniProg) Figure() int     { return 0 }
+func (miniProg) Problem() string { return "conformance kernel" }
+
 const miniProcsModeled = 4 // contributions are identical per proc, so any count agrees
 
-func (a *miniApp) contribution() int64 { return 7 }
+const contribution = 7
 
-func (a *miniApp) Seq(ctx *sim.Ctx) {
+func (miniProg) Seq(ctx *sim.Ctx) miniOut {
 	ctx.Compute(time(1))
-	a.seqOut = a.contribution()
-	a.hasSeq = true
+	return contribution
 }
 
 func time(ms int) sim.Time { return sim.Time(ms) * sim.Millisecond }
 
-func (a *miniApp) SetupTMK(sys *tmk.System) {
-	a.parOut, a.hasPar = 0, false
-	a.addr = sys.Malloc(8)
-}
-
-func (a *miniApp) TMK(p *tmk.Proc) {
-	p.Compute(time(1))
-	if p.ID() == 0 {
-		p.WriteI64(a.addr, a.contribution())
-	}
-	p.Barrier(0)
-	if p.ID() == 0 {
-		a.parOut = p.ReadI64(a.addr)
-		a.hasPar = true
-	} else {
-		_ = p.ReadI64(a.addr) // remote read: forces diff traffic
-	}
-}
-
-func (a *miniApp) SetupPVM(sys *pvm.System) {
-	a.parOut, a.hasPar = 0, false
-}
-
-func (a *miniApp) PVM(p *pvm.Proc) {
-	p.Compute(time(1))
-	if a.withMaster {
-		// Report to the master and await the acknowledged total.
-		b := p.InitSend()
-		b.PackOneInt64(a.contribution())
-		p.Send(p.N(), 1)
-		r := p.Recv(p.N(), 2)
+func (miniProg) TMK(sys *tmk.System) (func(*tmk.Proc), func() miniOut) {
+	addr := sys.Malloc(8)
+	var out miniOut
+	return func(p *tmk.Proc) {
+		p.Compute(time(1))
 		if p.ID() == 0 {
-			a.parOut = r.UnpackOneInt64()
-			a.hasPar = true
+			p.WriteI64(addr, contribution)
 		}
-		return
-	}
-	if p.ID() != 0 {
-		b := p.InitSend()
-		b.PackOneInt64(a.contribution())
-		p.Send(0, 1)
-		return
-	}
-	for src := 1; src < p.N(); src++ {
-		p.Recv(src, 1)
-	}
-	a.parOut = a.contribution()
-	a.hasPar = true
+		p.Barrier(0)
+		if p.ID() == 0 {
+			out = miniOut(p.ReadI64(addr))
+		} else {
+			_ = p.ReadI64(addr) // remote read: forces diff traffic
+		}
+	}, func() miniOut { return out }
 }
 
-func (a *miniApp) Master() func(*pvm.Proc) {
-	if !a.withMaster {
-		return nil
-	}
-	return func(p *pvm.Proc) {
-		var total int64
-		for i := 0; i < p.N(); i++ {
-			r := p.Recv(-1, 1)
-			_ = r.UnpackOneInt64()
-			total = a.contribution() // identical contributions: ack the value
-		}
-		for i := 0; i < p.N(); i++ {
+func (m miniProg) PVM(sys *pvm.System) (body, master func(*pvm.Proc), out func() miniOut) {
+	var total miniOut
+	body = func(p *pvm.Proc) {
+		p.Compute(time(1))
+		if m.withMaster {
+			// Report to the master and await the acknowledged total.
 			b := p.InitSend()
-			b.PackOneInt64(total)
-			p.Send(i, 2)
+			b.PackOneInt64(contribution)
+			p.Send(p.N(), 1)
+			r := p.Recv(p.N(), 2)
+			if p.ID() == 0 {
+				total = miniOut(r.UnpackOneInt64())
+			}
+			return
+		}
+		if p.ID() != 0 {
+			b := p.InitSend()
+			b.PackOneInt64(contribution)
+			p.Send(0, 1)
+			return
+		}
+		for src := 1; src < p.N(); src++ {
+			p.Recv(src, 1)
+		}
+		total = contribution
+	}
+	if m.withMaster {
+		master = func(p *pvm.Proc) {
+			for i := 0; i < p.N(); i++ {
+				r := p.Recv(-1, 1)
+				_ = r.UnpackOneInt64() // identical contributions: ack the value
+			}
+			for i := 0; i < p.N(); i++ {
+				b := p.InitSend()
+				b.PackOneInt64(contribution)
+				p.Send(i, 2)
+			}
 		}
 	}
+	return body, master, func() miniOut { return total }
 }
 
 func TestBackendNames(t *testing.T) {
@@ -157,7 +143,7 @@ func TestBaselineDetection(t *testing.T) {
 // checks the adapter contract: successful run, deterministic repeat,
 // plausible accounting, and an output the app's Check accepts.
 func TestBackendConformance(t *testing.T) {
-	app := &miniApp{}
+	app := miniApp(false)
 	if _, err := Seq.Run(app, Base(1)); err != nil {
 		t.Fatalf("seq: %v", err)
 	}
@@ -195,7 +181,7 @@ func TestBackendConformance(t *testing.T) {
 // TestVariantScenarioOverride checks that a Variant's scenario rewrite
 // reaches the run: XDR conversion costs CPU but moves no extra bytes.
 func TestVariantScenarioOverride(t *testing.T) {
-	app := &miniApp{}
+	app := miniApp(false)
 	if _, err := Seq.Run(app, Base(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +211,7 @@ func TestVariantScenarioOverride(t *testing.T) {
 // TestMasterPlacement checks the PVM placement axis: co-locating the
 // master with slave 0 turns their exchanges into unaccounted loopback.
 func TestMasterPlacement(t *testing.T) {
-	app := &miniApp{withMaster: true}
+	app := miniApp(true)
 	if _, err := Seq.Run(app, Base(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +269,7 @@ func TestRunsAs(t *testing.T) {
 		t.Errorf("RunsAs knows a backend outside core: %v, %v", run, ok)
 	}
 
-	app := &miniApp{withMaster: true}
+	app := miniApp(true)
 	for _, b := range []Backend{TMK, PVM} {
 		want, err := b.Run(app, Base(3))
 		if err != nil {
@@ -310,3 +296,39 @@ type outsideBackend struct{}
 
 func (outsideBackend) Name() string                      { return "outside" }
 func (outsideBackend) Run(App, Scenario) (Result, error) { return Result{}, nil }
+
+// TestAppCheckContract pins the outputs NewApp's wrapper keeps: Check
+// fails until the App has seen a sequential and a parallel run, and a
+// Clone starts with neither.
+func TestAppCheckContract(t *testing.T) {
+	run := func(b Backend, app App, n int) {
+		t.Helper()
+		if _, err := b.Run(app, Base(n)); err != nil {
+			t.Fatalf("%s: %v", b.Name(), err)
+		}
+	}
+	app := miniApp(false)
+	if app.Check() == nil {
+		t.Error("Check passed before any run")
+	}
+	run(Seq, app, 1)
+	if app.Check() == nil {
+		t.Error("Check passed after a Seq run alone")
+	}
+	run(TMK, app, 2)
+	if err := app.Check(); err != nil {
+		t.Errorf("Check after Seq and TMK: %v", err)
+	}
+	clone := app.Clone()
+	if clone.Check() == nil {
+		t.Error("a fresh Clone's Check passed")
+	}
+	run(PVM, clone, 2)
+	if clone.Check() == nil {
+		t.Error("a Clone's Check passed after a parallel run alone")
+	}
+	run(Seq, clone, 1)
+	if err := clone.Check(); err != nil {
+		t.Errorf("Clone's Check after PVM and Seq: %v", err)
+	}
+}

@@ -3,9 +3,12 @@
 // message-passing library and runs an application on it, returning the
 // modeled execution time and the traffic statistics the paper reports.
 //
-// An application is an App, implemented once per package under
-// internal/apps, and there is one way to run it: a Backend — Seq, TMK or
-// PVM, the paper's three measurement modes, or a Variant of one — under a
+// An application is a Program, written once per package under
+// internal/apps: its configuration and its sequential, TreadMarks and
+// PVM bodies, with no state of its own (program.go).  NewApp wraps it as
+// an App, the one type that keeps run state: the outputs Check compares.
+// There is one way to run an App: a Backend — Seq, TMK or PVM, the
+// paper's three measurement modes, or a Variant of one — under a
 // Scenario that fully determines the run (experiment.go):
 //
 //	a := sor.NewApp(sor.Paper(false))
@@ -83,10 +86,19 @@ func RunSeq(body func(ctx *sim.Ctx)) (Result, error) {
 // RunTMK executes the TreadMarks version: setup allocates and preloads
 // shared memory, then body runs on every processor.
 func RunTMK(cfg Config, setup func(sys *tmk.System), body func(p *tmk.Proc)) (Result, error) {
+	return runTMK(cfg, func(sys *tmk.System) func(*tmk.Proc) {
+		setup(sys)
+		return body
+	})
+}
+
+// runTMK is RunTMK with the body made by setup, so that it can close
+// over what setup allocated.
+func runTMK(cfg Config, setup func(sys *tmk.System) func(*tmk.Proc)) (Result, error) {
 	eng := sim.NewEngine()
 	net := vnet.New(cfg.Net)
 	sys := tmk.NewSystem(eng, net, cfg.Procs, cfg.DSM)
-	setup(sys)
+	body := setup(sys)
 	for i := 0; i < cfg.Procs; i++ {
 		sys.Spawn(i, body)
 	}
@@ -97,19 +109,28 @@ func RunTMK(cfg Config, setup func(sys *tmk.System), body func(p *tmk.Proc)) (Re
 }
 
 // RunPVM executes the PVM version: setup (optional) configures the
-// system and resets application run state, then body runs on each of the
-// n regular processes; if master is non-nil it runs as an additional
-// process (id n), as in the paper's master/slave TSP and QSORT.
+// system, then body runs on each of the n regular processes; if master
+// is non-nil it runs as an additional process (id n), as in the paper's
+// master/slave TSP and QSORT.
 func RunPVM(cfg Config, setup func(sys *pvm.System), body func(p *pvm.Proc), master func(p *pvm.Proc)) (Result, error) {
+	return runPVM(cfg, func(sys *pvm.System) (func(*pvm.Proc), func(*pvm.Proc)) {
+		if setup != nil {
+			setup(sys)
+		}
+		return body, master
+	})
+}
+
+// runPVM is RunPVM with the bodies made by setup, so that they can
+// close over what setup made; the master is read after setup.
+func runPVM(cfg Config, setup func(sys *pvm.System) (body, master func(*pvm.Proc))) (Result, error) {
 	eng := sim.NewEngine()
 	net := vnet.New(cfg.Net)
 	sys := pvm.New(eng, net, cfg.Procs)
 	if cfg.XDRPerByte > 0 {
 		sys.EnableXDR(cfg.XDRPerByte)
 	}
-	if setup != nil {
-		setup(sys)
-	}
+	body, master := setup(sys)
 	for i := 0; i < cfg.Procs; i++ {
 		sys.Spawn(i, body)
 	}

@@ -6,8 +6,9 @@
 //     network cost model, DSM cost model, PVM process placement, and
 //     cost-model overrides.  One Scenario value fully determines a run.
 //   - An App is one application/input combination, registered once by its
-//     package: the sequential body, the TreadMarks setup + body, the PVM
-//     setup + body (+ optional master), and an output check.
+//     package as a Program — the sequential body, the TreadMarks setup +
+//     body, the PVM setup + body (+ optional master) — that NewApp wraps
+//     with the output check.
 //   - A Backend adapts an App to one system.  The three standard adapters
 //     (Seq, TMK, PVM) mirror the paper's measurement modes; Variant
 //     derives ablations (e.g. PVM with XDR conversion) as data, so a new
@@ -47,43 +48,32 @@ func Scaled(n int, scale float64, min int) int {
 	return v
 }
 
-// App is one application/input combination.  Each package under
-// internal/apps implements it once; backends supply the system the bodies
-// run on.  Implementations carry their outputs between calls: a backend
-// run records the parallel output, Seq records the reference, and Check
-// compares the two, so correctness verification needs no extra plumbing.
-// That run state belongs to one run at a time, so the harness runs every
-// pooled job on its own Clone.
+// App is one application/input combination as the backends run it: a
+// Program wrapped by NewApp.  A backend run records the parallel output,
+// Seq records the reference, and Check compares the two, so correctness
+// verification needs no extra plumbing.  Those records are the only
+// state an App keeps, and they belong to one run at a time, so the
+// harness runs every pooled job on its own Clone.
 type App interface {
 	Name() string    // registry name, e.g. "SOR-Zero"
 	Figure() int     // paper figure number (0 for custom apps)
 	Problem() string // problem-size description (Table 1 column)
 
-	// Seq is the sequential program body (no communication library).
-	Seq(ctx *sim.Ctx)
-
-	// SetupTMK allocates and preloads shared memory and resets the app's
-	// run state; TMK is the per-processor body.
-	SetupTMK(sys *tmk.System)
-	TMK(p *tmk.Proc)
-
-	// SetupPVM resets the app's run state before the processes spawn;
-	// PVM is the per-process body.  Master returns the body of the extra
-	// master process, or nil when the app has none (master/slave apps —
-	// TSP, QSORT — follow the paper's arrangement).
-	SetupPVM(sys *pvm.System)
-	PVM(p *pvm.Proc)
-	Master() func(*pvm.Proc)
-
 	// Check compares the most recent parallel output against the most
 	// recent sequential output; run the Seq backend first.
 	Check() error
 
-	// Clone returns a fresh instance with the same configuration and no
-	// run state, so two clones may run on concurrent goroutines.  Runs
+	// Clone returns a fresh App over the same Program with no outputs
+	// recorded, so two clones may run on concurrent goroutines.  Runs
 	// are deterministic functions of (configuration, scenario), so a
 	// clone's records are identical to the original's.
 	Clone() App
+
+	// The adapters' entries: run the sequential body, or set one
+	// parallel run up and return its bodies, recording the output.
+	runSeq(ctx *sim.Ctx)
+	setupTMK(sys *tmk.System) func(*tmk.Proc)
+	setupPVM(sys *pvm.System) (body, master func(*pvm.Proc))
 }
 
 // Backend adapts an App to one system.  Run executes the app under the
@@ -132,7 +122,7 @@ func (seqBackend) baseline() bool      { return true }
 func (seqBackend) reads(Config) Config { return Config{} }
 
 func (seqBackend) Run(app App, sc Scenario) (Result, error) {
-	return RunSeq(app.Seq)
+	return RunSeq(app.runSeq)
 }
 
 type tmkBackend struct{}
@@ -144,7 +134,7 @@ func (tmkBackend) reads(c Config) Config {
 }
 
 func (b tmkBackend) Run(app App, sc Scenario) (Result, error) {
-	return RunTMK(b.reads(sc.Config), app.SetupTMK, app.TMK)
+	return runTMK(b.reads(sc.Config), app.setupTMK)
 }
 
 type pvmBackend struct{}
@@ -156,7 +146,7 @@ func (pvmBackend) reads(c Config) Config {
 }
 
 func (b pvmBackend) Run(app App, sc Scenario) (Result, error) {
-	return RunPVM(b.reads(sc.Config), app.SetupPVM, app.PVM, app.Master())
+	return runPVM(b.reads(sc.Config), app.setupPVM)
 }
 
 // RunsAs reports the standard adapter that runs backend b on scenario

@@ -279,14 +279,9 @@ type Dispatcher struct {
 	drain   bool
 	closed  bool
 
-	stats struct {
-		workersRegistered, workersLost               int64
-		leasesGranted, leasesExpired, leasesRevoked  int64
-		reassigned, hedged                           int64
-		completions, lateCompletions, dupCompletions int64
-		workerErrors, tasksDispatched, tasksFailed   int64
-		abandoned                                    int64
-	}
+	// stats holds the counters; Stats fills in the gauges derived from
+	// the tables at snapshot time.
+	stats Stats
 
 	stopReaper chan struct{}
 	reaperDone chan struct{}
@@ -331,7 +326,7 @@ func (d *Dispatcher) Register(name string) (id string, leaseTTL, heartbeat time.
 		id: id, name: name, lastSeen: time.Now(),
 		leases: map[string]*lease{},
 	}
-	d.stats.workersRegistered++
+	d.stats.WorkersRegistered++
 	d.logf("dispatch: worker %s (%s) registered", id, name)
 	return id, d.cfg.LeaseTTL, d.cfg.Heartbeat
 }
@@ -391,7 +386,7 @@ func (d *Dispatcher) removeWorkerLocked(w *workerState, why string) {
 		d.logf("dispatch: worker %s (%s) %s", w.id, w.name, why)
 	}
 	for _, l := range w.leases {
-		d.stats.leasesRevoked++
+		d.stats.LeasesRevoked++
 		d.dropLeaseLocked(l, true)
 	}
 	if !d.hasWorkersLocked() {
@@ -408,7 +403,7 @@ func (d *Dispatcher) removeWorkerLocked(w *workerState, why string) {
 func (d *Dispatcher) failQueuedLocked(err error) {
 	for _, t := range append([]*task(nil), d.pending...) {
 		if len(t.leases) == 0 {
-			d.stats.tasksFailed++
+			d.stats.TasksFailed++
 			d.finishLocked(t, harness.Record{}, err)
 		}
 	}
@@ -440,10 +435,11 @@ func (d *Dispatcher) HasWorkers() bool {
 // and ErrDraining mean "compute locally instead".
 //
 // A caller whose ctx ends stops waiting.  When it was the task's last
-// waiter and no worker holds a lease on the task, the task leaves the
-// queue and the table (counted as abandoned): nobody would read its
-// record, since a completion is handed only to its waiters.  A leased
-// task runs to completion.
+// waiter and no worker holds a lease on the task, the task is abandoned
+// (abandonLocked): nobody would read its record, since a completion is
+// handed only to its waiters.  A leased task runs to completion, but it
+// is never hedged, and when its lease expires or its worker is lost it
+// is abandoned instead of requeued.
 func (d *Dispatcher) Do(ctx context.Context, ref JobRef, hash string) (harness.Record, error) {
 	d.mu.Lock()
 	if d.closed || d.drain {
@@ -459,7 +455,7 @@ func (d *Dispatcher) Do(ctx context.Context, ref JobRef, hash string) (harness.R
 		t = &task{hash: hash, ref: ref, leases: map[string]*lease{}, done: make(chan struct{})}
 		d.tasks[hash] = t
 		d.enqueueLocked(t)
-		d.stats.tasksDispatched++
+		d.stats.TasksDispatched++
 	}
 	t.waiters++
 	d.mu.Unlock()
@@ -471,9 +467,7 @@ func (d *Dispatcher) Do(ctx context.Context, ref JobRef, hash string) (harness.R
 		d.mu.Lock()
 		t.waiters--
 		if t.waiters == 0 && len(t.leases) == 0 && !d.isDone(t) {
-			d.dequeueLocked(t)
-			delete(d.tasks, t.hash)
-			d.stats.abandoned++
+			d.abandonLocked(t)
 		}
 		d.mu.Unlock()
 		return harness.Record{}, ctx.Err()
@@ -489,6 +483,14 @@ func (d *Dispatcher) enqueueLocked(t *task) {
 	t.queued = true
 	d.pending = append(d.pending, t)
 	d.notifyLocked()
+}
+
+// abandonLocked drops an unleased task that no Do waits on from the
+// queue and the table.  Caller holds d.mu.
+func (d *Dispatcher) abandonLocked(t *task) {
+	d.dequeueLocked(t)
+	delete(d.tasks, t.hash)
+	d.stats.Abandoned++
 }
 
 // dequeueLocked removes a task from pending.  Caller holds d.mu.
@@ -566,11 +568,12 @@ func (d *Dispatcher) pickLocked(now time.Time) *task {
 
 // hedgeLocked finds the oldest straggler lease eligible for hedged
 // re-dispatch to this worker: a single outstanding lease, older than
-// hedgeAfter, held by a different worker.  Caller holds d.mu.
+// hedgeAfter, held by a different worker, on a task some Do still waits
+// on.  Caller holds d.mu.
 func (d *Dispatcher) hedgeLocked(w *workerState, now time.Time) *task {
 	var oldest *lease
 	for _, l := range d.leases {
-		if l.worker == w.id || len(l.t.leases) != 1 {
+		if l.worker == w.id || len(l.t.leases) != 1 || l.t.waiters == 0 {
 			continue
 		}
 		if now.Sub(l.granted) < d.cfg.hedgeAfter() {
@@ -599,9 +602,9 @@ func (d *Dispatcher) grantLocked(w *workerState, t *task, now time.Time, hedged 
 	t.leases[l.id] = l
 	d.leases[l.id] = l
 	w.leases[l.id] = l
-	d.stats.leasesGranted++
+	d.stats.LeasesGranted++
 	if hedged {
-		d.stats.hedged++
+		d.stats.Hedged++
 		d.logf("dispatch: hedging straggler job %.12s on worker %s", t.hash, w.id)
 	}
 	return &LeaseGrant{
@@ -614,7 +617,8 @@ func (d *Dispatcher) grantLocked(w *workerState, t *task, now time.Time, hedged 
 
 // dropLeaseLocked removes a lease from every table and, when requeue is
 // set and no sibling (hedge) lease still covers the task, requeues or
-// terminally fails its task.  Caller holds d.mu.
+// terminally fails its task, or abandons it when no Do waits on it.
+// Caller holds d.mu.
 func (d *Dispatcher) dropLeaseLocked(l *lease, requeue bool) {
 	delete(d.leases, l.id)
 	if w := d.workers[l.worker]; w != nil {
@@ -628,18 +632,22 @@ func (d *Dispatcher) dropLeaseLocked(l *lease, requeue bool) {
 	if len(t.leases) > 0 {
 		return // a hedge twin is still running the job
 	}
+	if t.waiters == 0 {
+		d.abandonLocked(t)
+		return
+	}
 	t.failures++
 	switch {
 	case t.failures >= maxFailures:
-		d.stats.tasksFailed++
+		d.stats.TasksFailed++
 		d.finishLocked(t, harness.Record{},
 			fmt.Errorf("dispatch: job %.12s failed %d times (last lease on %s); giving up", t.hash, t.failures, l.worker))
 	case !d.hasWorkersLocked():
-		d.stats.tasksFailed++
+		d.stats.TasksFailed++
 		d.finishLocked(t, harness.Record{}, ErrNoWorkers)
 	default:
 		t.readyAt = time.Now().Add(d.cfg.backoff(t.failures))
-		d.stats.reassigned++
+		d.stats.Reassigned++
 		d.enqueueLocked(t)
 	}
 }
@@ -689,14 +697,14 @@ func (d *Dispatcher) Complete(workerID, leaseID, hash string, rec *harness.Recor
 		// Task already finished (or never existed): a duplicate from a
 		// hedge twin or an expired-lease retry.  Exactly-once holds
 		// because the store upsert for an equal hash is idempotent.
-		d.stats.dupCompletions++
+		d.stats.DuplicateCompletions++
 		if l != nil {
 			d.dropLeaseLocked(l, false)
 		}
 		return false, nil
 	}
 	if workErr != "" {
-		d.stats.workerErrors++
+		d.stats.WorkerErrors++
 		d.logf("dispatch: worker %s failed job %.12s: %s", workerID, hash, workErr)
 		if l != nil && l.t == t {
 			d.dropLeaseLocked(l, true)
@@ -706,12 +714,12 @@ func (d *Dispatcher) Complete(workerID, leaseID, hash string, rec *harness.Recor
 	if rec == nil {
 		return false, fmt.Errorf("dispatch: completion for job %.12s carries neither record nor error", hash)
 	}
-	d.stats.completions++
+	d.stats.Completions++
 	if l == nil {
 		// The lease expired (or its worker was declared dead) before
 		// the result arrived, but the result is still the right bytes
 		// for this hash: accept it rather than burn another worker.
-		d.stats.lateCompletions++
+		d.stats.LateCompletions++
 		d.logf("dispatch: late completion for job %.12s from worker %s accepted", hash, workerID)
 	}
 	d.finishLocked(t, *rec, nil)
@@ -764,7 +772,7 @@ func (d *Dispatcher) Close() {
 	d.closed = true
 	d.drain = true
 	for _, t := range d.tasks {
-		d.stats.tasksFailed++
+		d.stats.TasksFailed++
 		d.finishLocked(t, harness.Record{}, ErrDraining)
 	}
 	d.notifyLocked()
@@ -777,24 +785,8 @@ func (d *Dispatcher) Close() {
 func (d *Dispatcher) Stats() Stats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	st := Stats{
-		TasksQueued:          len(d.pending),
-		LeasesOutstanding:    len(d.leases),
-		WorkersRegistered:    d.stats.workersRegistered,
-		WorkersLost:          d.stats.workersLost,
-		LeasesGranted:        d.stats.leasesGranted,
-		LeasesExpired:        d.stats.leasesExpired,
-		LeasesRevoked:        d.stats.leasesRevoked,
-		Reassigned:           d.stats.reassigned,
-		Hedged:               d.stats.hedged,
-		Completions:          d.stats.completions,
-		LateCompletions:      d.stats.lateCompletions,
-		DuplicateCompletions: d.stats.dupCompletions,
-		WorkerErrors:         d.stats.workerErrors,
-		TasksDispatched:      d.stats.tasksDispatched,
-		TasksFailed:          d.stats.tasksFailed,
-		Abandoned:            d.stats.abandoned,
-	}
+	st := d.stats
+	st.TasksQueued, st.LeasesOutstanding = len(d.pending), len(d.leases)
 	for _, w := range d.workers {
 		if w.draining {
 			st.WorkersDraining++
@@ -824,7 +816,7 @@ func (d *Dispatcher) reap() {
 			if l.deadline.After(now) {
 				continue
 			}
-			d.stats.leasesExpired++
+			d.stats.LeasesExpired++
 			d.logf("dispatch: lease %s (job %.12s) on worker %s expired; reassigning", l.id, l.t.hash, l.worker)
 			d.dropLeaseLocked(l, true)
 		}
@@ -832,7 +824,7 @@ func (d *Dispatcher) reap() {
 			if now.Sub(w.lastSeen) <= d.cfg.liveness() {
 				continue
 			}
-			d.stats.workersLost++
+			d.stats.WorkersLost++
 			d.removeWorkerLocked(w, "missed liveness window")
 		}
 		if len(d.pending) > 0 || len(d.leases) > 0 {

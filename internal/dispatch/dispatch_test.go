@@ -350,7 +350,8 @@ func TestDoContextCancel(t *testing.T) {
 // TestDoAbandonsOnlyUnwatchedUnleasedTasks: a task leaves the queue when
 // its last waiter leaves before any lease, and not while another Do
 // still waits on it; a leased task whose waiters all left still runs to
-// completion.
+// completion, but it is never hedged, and when its lease expires it is
+// abandoned, not leased again.
 func TestDoAbandonsOnlyUnwatchedUnleasedTasks(t *testing.T) {
 	d := New(quietCfg())
 	defer d.Close()
@@ -394,6 +395,30 @@ func TestDoAbandonsOnlyUnwatchedUnleasedTasks(t *testing.T) {
 	}
 	if ok, err := d.Complete(wid, g.LeaseID, g.Hash, &rec, ""); !ok || err != nil {
 		t.Fatalf("a leased task with no waiter left completes: %v, %v", ok, err)
+	}
+
+	ctx, leave = context.WithCancel(context.Background())
+	go func() { _, err := d.Do(ctx, JobRef{}, "job-c"); left <- err }()
+	g, err = d.Lease(wid, time.Second)
+	if err != nil || g == nil || g.Hash != "job-c" {
+		t.Fatalf("lease: %v, %v", g, err)
+	}
+	leave()
+	<-left
+	// A second worker polls past the hedge age (75ms) and the lease's
+	// expiry (150ms): the task has no waiter, so neither grants it.
+	other, _, _ := d.Register("other")
+	if g2, err := d.Lease(other, 400*time.Millisecond); g2 != nil || err != nil {
+		t.Fatalf("a task with no waiter was leased again: %+v, %v", g2, err)
+	}
+	waitStat(t, d, "job-c abandoned", func(s Stats) bool { return s.Abandoned == 1 })
+	if g2, err := d.Lease(other, 50*time.Millisecond); g2 != nil || err != nil {
+		t.Fatalf("an abandoned task was leased again: %+v, %v", g2, err)
+	}
+	st := d.Stats()
+	if st.LeasesExpired != 1 || st.TasksQueued != 0 || st.Abandoned != 1 || st.Hedged != 0 || st.Reassigned != 0 {
+		t.Fatalf("expired lease of a task with no waiter: expired %d, queued %d, abandoned %d, hedged %d, reassigned %d; want 1, 0, 1, 0, 0",
+			st.LeasesExpired, st.TasksQueued, st.Abandoned, st.Hedged, st.Reassigned)
 	}
 }
 

@@ -98,10 +98,11 @@ type Grid struct {
 	Scenarios []core.Scenario
 
 	// Workers is the width of the pool Run executes on: every run is an
-	// independent engine on its own clone of the app, so up to Workers of
-	// them execute on concurrent goroutines with nothing shared between
-	// them.  Records land by job index, so the output is byte-identical
-	// at every width; Workers <= 1 (the default) is a pool of one.
+	// independent engine on its own clone of the app, whose Program no
+	// run writes, so up to Workers of them execute on concurrent
+	// goroutines with nothing they write shared between them.  Records
+	// land by job index, so the output is byte-identical at every width;
+	// Workers <= 1 (the default) is a pool of one.
 	Workers int
 }
 

@@ -6,9 +6,11 @@
 //
 // Three core types (internal/core) make configurations declarative:
 //
-//   - core.App — one application/input combination, implemented once by
-//     its package under internal/apps.  The registry (Apps) returns all
-//     twelve in the paper's figure order, configured at a workload scale.
+//   - core.App — one application/input combination: a core.Program
+//     written once by its package under internal/apps, with no run state
+//     of its own, wrapped by core.NewApp, which keeps the outputs Check
+//     compares.  The registry (Apps) returns all twelve in the paper's
+//     figure order, configured at a workload scale.
 //   - core.Backend — adapts an App to one system.  The standard adapters
 //     are core.Seq, core.TMK and core.PVM; Backends() lists them with
 //     the derived variants such as PVM-with-XDR.  A new backend is one
@@ -22,8 +24,10 @@
 //
 // A Grid is the cross product apps × backends × scenarios; Grid.Run
 // executes it and emits one structured Record per run.  Runs are
-// independent engines, each on its own clone of its app, so nothing is
-// shared between them and Grid.Workers sets how many run at once (jobs
+// independent engines, each on its own clone of its app — clones share
+// the app's Program, which no run writes, and each keeps its own outputs
+// (TestClonesShareNoRunState) — so nothing a run writes is shared
+// between them and Grid.Workers sets how many run at once (jobs
 // handed out by index, records collected by index: output byte-
 // identical at every width).  ForEach is that pool, and the serve cold
 // path runs on it too.  Everything else — the rendered Table 1/Table 2,

@@ -142,9 +142,10 @@ func (tr *tree) check(ip string) *types.Package {
 		return p.types
 	}
 	p.info = &types.Info{
-		Defs:  map[*ast.Ident]types.Object{},
-		Uses:  map[*ast.Ident]types.Object{},
-		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:      map[*ast.Ident]types.Object{},
+		Uses:      map[*ast.Ident]types.Object{},
+		Types:     map[ast.Expr]types.TypeAndValue{},
+		Instances: map[*ast.Ident]types.Instance{},
 	}
 	conf := types.Config{
 		Importer: importerFunc(func(path string) (*types.Package, error) {
@@ -277,7 +278,8 @@ func deadCode(tr *tree) []string {
 }
 
 // interfaces lists the interfaces whose methods are reached by dynamic
-// dispatch: every interface the tree's non-test code declares, and the
+// dispatch: every interface the tree's non-test code declares, each
+// instance of a generic one that the code makes (instantiated), and the
 // standard ones the tree implements.
 func interfaces(tr *tree) []*types.Interface {
 	var out []*types.Interface
@@ -290,6 +292,7 @@ func interfaces(tr *tree) []*types.Interface {
 				}
 			}
 		}
+		out = append(out, instantiated(p)...)
 	}
 	for _, std := range []struct{ pkg, name string }{{"sort", "Interface"}, {"fmt", "Stringer"}} {
 		sp, err := stdImporter.Import(std.pkg)
@@ -303,6 +306,60 @@ func interfaces(tr *tree) []*types.Interface {
 		types.NewSignatureType(nil, nil, nil, nil, types.NewTuple(types.NewVar(token.NoPos, nil, "", errType)), false))
 	out = append(out, errType.Underlying().(*types.Interface),
 		types.NewInterfaceType([]*types.Func{unwrap}, nil).Complete())
+	return out
+}
+
+// instantiated lists the generic interfaces p instantiates: where p
+// names a generic function or type with type arguments, each interface
+// instance in the instance's signature or type, and in its type
+// parameters' constraints with the arguments put in.  A method that
+// implements Program[O] only for the O its package passes to NewApp is
+// reached through that instance alone.
+func instantiated(p *pkg) []*types.Interface {
+	var out []*types.Interface
+	var walk func(t types.Type)
+	constraints := func(tps *types.TypeParamList, args *types.TypeList) {
+		for i := 0; i < tps.Len(); i++ {
+			c, ok := tps.At(i).Constraint().(*types.Named)
+			if !ok || c.TypeArgs().Len() == 0 {
+				continue
+			}
+			cargs := make([]types.Type, c.TypeArgs().Len())
+			for j := range cargs {
+				cargs[j] = c.TypeArgs().At(j)
+				if tp, ok := cargs[j].(*types.TypeParam); ok && tp.Index() < args.Len() {
+					cargs[j] = args.At(tp.Index())
+				}
+			}
+			if inst, err := types.Instantiate(nil, c.Origin(), cargs, true); err == nil {
+				walk(inst)
+			}
+		}
+	}
+	walk = func(t types.Type) {
+		switch t := t.(type) {
+		case *types.Named:
+			if t.TypeArgs().Len() == 0 {
+				return
+			}
+			if it, ok := t.Underlying().(*types.Interface); ok {
+				out = append(out, it)
+			}
+			constraints(t.Origin().TypeParams(), t.TypeArgs())
+		case *types.Signature:
+			for _, vs := range []*types.Tuple{t.Params(), t.Results()} {
+				for i := 0; i < vs.Len(); i++ {
+					walk(vs.At(i).Type())
+				}
+			}
+		}
+	}
+	for id, inst := range p.info.Instances {
+		walk(inst.Type)
+		if f, ok := p.info.Uses[id].(*types.Func); ok {
+			constraints(f.Origin().Type().(*types.Signature).TypeParams(), inst.TypeArgs)
+		}
+	}
 	return out
 }
 
@@ -628,6 +685,7 @@ func TestFixtures(t *testing.T) {
 	want := map[string][]string{
 		"deadCode": {
 			"model.Dead",
+			"model.G.Idle",
 			"model.OnlySelf",
 			"model.T.Dead",
 			"model.T.dead",

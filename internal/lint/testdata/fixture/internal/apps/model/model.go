@@ -10,7 +10,7 @@ var mutable = unsafe.Sizeof(0)
 var _ = mutable
 
 // Live is called from cmd/use.
-func Live() { bump(&counter{}, pair{}) }
+func Live() { bump(&counter{}, pair{}); Reduce(G{}) }
 
 // Dead is called only from model_test.go.
 func Dead() {}
@@ -85,3 +85,31 @@ func bump(c *counter, p pair) bool {
 	c.Tagged = 1
 	return p == pair{1, 2}
 }
+
+// Runner and Checked are generic interfaces, reached through the
+// instances Reduce makes of them, as core.Program and core.Output are.
+type Runner[O any] interface{ Run() O }
+
+// Checked constrains Reduce's type argument.
+type Checked[O any] interface{ Same(O) bool }
+
+// Reduce runs r and compares its output with itself.
+func Reduce[O Checked[O]](r Runner[O]) bool {
+	o := r.Run()
+	return o.Same(o)
+}
+
+// G implements Runner[Out], the instance Live makes.
+type G struct{}
+
+// Run is reached through Runner[Out].
+func (G) Run() Out { return Out{} }
+
+// Idle implements nothing and nothing calls it.
+func (G) Idle() {}
+
+// Out implements Checked[Out].
+type Out struct{}
+
+// Same is reached through Checked[Out].
+func (Out) Same(Out) bool { return true }

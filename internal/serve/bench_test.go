@@ -3,6 +3,7 @@ package serve
 import (
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -32,22 +33,27 @@ var warmFigure = sync.OnceValue(func() http.Handler {
 	return h
 })
 
-// BenchmarkServeWarm is one warm figure-grid request through the
-// handler, no sockets: a plan lookup, 204 store reads that return kept
-// JSON fragments, one join, one write.
-func BenchmarkServeWarm(b *testing.B) {
+// warmRequest returns one warm figure-grid request through the handler,
+// no sockets: a plan lookup, 204 store reads that return kept JSON
+// fragments, one join, one write.  It returns the body's length.
+func warmRequest(tb testing.TB) func() int {
 	h := warmFigure()
 	req := httptest.NewRequest(http.MethodGet, figureGrid, nil)
 	w := &sink{header: http.Header{}}
-	serve := func() int {
+	return func() int {
 		clear(w.header)
 		w.status, w.n = http.StatusOK, 0
 		h.ServeHTTP(w, req)
 		if w.status != http.StatusOK {
-			b.Fatalf("status %d", w.status)
+			tb.Fatalf("status %d", w.status)
 		}
 		return w.n
 	}
+}
+
+// BenchmarkServeWarm is warmRequest's request.
+func BenchmarkServeWarm(b *testing.B) {
+	serve := warmRequest(b)
 	b.SetBytes(int64(serve()))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -70,16 +76,27 @@ const (
 )
 
 // TestServeWarmAllocBudget pins the warm path's footprint: whatever a
-// warm request does per record, it must not allocate per record.
+// warm request does per record, it must not allocate per record.  The
+// per-request counts do not depend on how many requests are measured,
+// so a fixed 200 read what BenchmarkServeWarm reads, in a fraction of
+// its second.
 func TestServeWarmAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark-backed budget check")
 	}
-	res := testing.Benchmark(BenchmarkServeWarm)
-	if got := res.AllocsPerOp(); got > warmAllocBudget {
+	serve := warmRequest(t)
+	serve()
+	const n = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range n {
+		serve()
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.Mallocs - before.Mallocs) / n; got > warmAllocBudget {
 		t.Errorf("warm 204-record request allocates %d times, budget %d", got, warmAllocBudget)
 	}
-	if got := res.AllocedBytesPerOp(); got > warmBytesBudget {
+	if got := (after.TotalAlloc - before.TotalAlloc) / n; got > warmBytesBudget {
 		t.Errorf("warm 204-record request allocates %d bytes, budget %d", got, warmBytesBudget)
 	}
 }

@@ -73,8 +73,10 @@
 //     it empties the cache first.  A request looks its plan up, then
 //     probes the store once per hash; the registry is rebuilt and the
 //     selection resolved only on a plan miss.  A cold job runs on a
-//     clone of its plan job's app, so the plan's jobs never carry run
-//     state and serve every request for the selection.
+//     clone of its plan job's app: the clone shares the app's
+//     core.Program, which no run writes, and keeps the run's outputs
+//     itself, so the plan's jobs never carry run state and serve every
+//     request for the selection.
 //   - Each cached record's JSON: the store keeps harness.RecordJSON of
 //     a record from its first read on (Store.GetJSON), and the array
 //     body is harness.JoinRecordJSON over those fragments — warm and

@@ -119,19 +119,30 @@ func BenchmarkFault(b *testing.B) { benchFaultRound(b, vnet.FDDI()) }
 // ever dropping a message, so sequence numbers, retransmit timers and
 // the retransmit-path timestamp clones (routed through the per-proc
 // arena) all run on a deterministic schedule.
-func BenchmarkFaultReliable(b *testing.B) {
+func BenchmarkFaultReliable(b *testing.B) { benchFaultRound(b, reliableNet()) }
+
+func reliableNet() vnet.Config {
 	nc := vnet.FDDI()
 	nc.Faults.Partitions = []vnet.Partition{{Start: sim.Millisecond, Heal: sim.Millisecond, Nodes: []int{1}}}
-	benchFaultRound(b, nc)
+	return nc
 }
 
 func benchFaultRound(b *testing.B, nc vnet.Config) {
+	run := faultRounds(b, nc, b.N)
+	b.ReportAllocs()
+	b.ResetTimer()
+	run()
+}
+
+// faultRounds builds the two-processor system of BenchmarkFault over nc
+// and returns its run of k rounds, which checks every read and the
+// fault count.
+func faultRounds(tb testing.TB, nc vnet.Config, k int) (run func()) {
 	const pages = 8
 	e := sim.NewEngine()
 	n := vnet.New(nc)
 	s := NewSystem(e, n, 2, DefaultConfig())
 	base := s.MallocPageAligned(4096 * pages)
-	k := b.N
 	s.Spawn(0, func(p *Proc) {
 		for r := 0; r < k; r++ {
 			for pg := 0; pg < pages; pg++ {
@@ -147,7 +158,7 @@ func benchFaultRound(b *testing.B, nc vnet.Config) {
 			p.Barrier(2 * r)
 			for pg := 0; pg < pages; pg++ {
 				if got := p.ReadI64(base + Addr(pg*4096)); got != int64(r+pg) {
-					b.Errorf("round %d page %d: got %d", r, pg, got)
+					tb.Errorf("round %d page %d: got %d", r, pg, got)
 					return
 				}
 			}
@@ -155,14 +166,13 @@ func benchFaultRound(b *testing.B, nc vnet.Config) {
 		}
 		faults = p.Faults
 	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	if err := e.Run(); err != nil {
-		b.Fatal(err)
-	}
-	b.StopTimer()
-	if faults != pages*k {
-		b.Fatalf("faults = %d, want %d", faults, pages*k)
+	return func() {
+		if err := e.Run(); err != nil {
+			tb.Fatal(err)
+		}
+		if faults != pages*k {
+			tb.Fatalf("faults = %d, want %d", faults, pages*k)
+		}
 	}
 }
 
@@ -304,12 +314,26 @@ func TestFaultPathAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark-backed budget check")
 	}
-	res := testing.Benchmark(BenchmarkFault)
-	if got := res.AllocsPerOp(); got > faultAllocBudget {
+	// A round allocates the same however many rounds run; only a run's
+	// start does not.  So the difference between a 400- and a 200-round
+	// run, per round, reads what the benchmarks read at their large N,
+	// in a fraction of their second.
+	const k = 200
+	allocs := func(nc vnet.Config) uint64 {
+		mallocs := func(rounds int) uint64 {
+			run := faultRounds(t, nc, rounds)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			run()
+			runtime.ReadMemStats(&after)
+			return after.Mallocs - before.Mallocs
+		}
+		return (mallocs(2*k) - mallocs(k)) / k
+	}
+	if got := allocs(vnet.FDDI()); got > faultAllocBudget {
 		t.Errorf("fault round allocates %d times, budget %d", got, faultAllocBudget)
 	}
-	res = testing.Benchmark(BenchmarkFaultReliable)
-	if got := res.AllocsPerOp(); got > reliableAllocBudget {
+	if got := allocs(reliableNet()); got > reliableAllocBudget {
 		t.Errorf("reliable fault round allocates %d times, budget %d", got, reliableAllocBudget)
 	}
 }
