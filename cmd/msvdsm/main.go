@@ -71,8 +71,8 @@
 //	-poll d           lease long-poll duration (2s)
 //	-fault-crash-on n, -fault-stall-on n, -fault-reject-on n
 //	                  deterministic fault injection: crash, stall or
-//	                reject on the nth leased job; the CI fleet smoke
-//	                drives these
+//	                reject on the nth leased job; TestFleetWorkerLoss
+//	                drives -fault-stall-on
 //
 // The service answers /v1/grid with the same record JSON the grid
 // command emits, memoized by a canonical content hash of each job spec;
@@ -87,6 +87,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -94,6 +95,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -105,108 +107,120 @@ import (
 )
 
 func main() {
-	scale := flag.Float64("scale", 1.0, "workload scale factor (1.0 = paper scale)")
-	procs := flag.Int("procs", 8, "maximum processor count for figures")
-	format := flag.String("format", "text", "output format: text, json or csv")
-	workers := flag.Int("j", runtime.GOMAXPROCS(0), "grid worker pool width (1 = serial)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to `file`")
-	memprofile := flag.String("memprofile", "", "write an allocation profile to `file` at exit")
-	flag.Usage = usage
-	flag.Parse()
-	if flag.NArg() < 1 {
-		usage()
-		os.Exit(2)
+	os.Exit(run(context.Background(), os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// invocation is one run of the command: its global flags and the
+// streams it writes to.
+type invocation struct {
+	scale   float64
+	procs   int
+	format  string
+	workers int
+	stdout  io.Writer
+	stderr  io.Writer
+}
+
+// run executes the command line args and returns the process exit
+// code: 0 on success, 1 when the command fails and 2 on a usage error.
+// serve and worker run until ctx is done or the process gets SIGINT or
+// SIGTERM; every other command runs to completion.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	inv := invocation{stdout: stdout, stderr: stderr}
+	fs := flag.NewFlagSet("msvdsm", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Float64Var(&inv.scale, "scale", 1.0, "workload scale factor (1.0 = paper scale)")
+	fs.IntVar(&inv.procs, "procs", 8, "maximum processor count for figures")
+	fs.StringVar(&inv.format, "format", "text", "output format: text, json or csv")
+	fs.IntVar(&inv.workers, "j", runtime.GOMAXPROCS(0), "grid worker pool width (1 = serial)")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to `file`")
+	memprofile := fs.String("memprofile", "", "write an allocation profile to `file` at exit")
+	fs.Usage = func() { usage(fs) }
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
-	switch *format {
+	if fs.NArg() < 1 {
+		fs.Usage()
+		return 2
+	}
+	switch inv.format {
 	case "text", "json", "csv":
 	default:
-		fmt.Fprintf(os.Stderr, "msvdsm: unknown format %q (have text, json, csv)\n", *format)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "msvdsm: unknown format %q (have text, json, csv)\n", inv.format)
+		return 2
 	}
-	stopProfiles, perr := startProfiles(*cpuprofile, *memprofile)
-	if perr != nil {
-		fmt.Fprintln(os.Stderr, "msvdsm:", perr)
-		os.Exit(1)
+	stopProfiles, err := startProfiles(*cpuprofile, *memprofile, stderr)
+	if err != nil {
+		fmt.Fprintln(stderr, "msvdsm:", err)
+		return 1
 	}
-	apps := harness.Apps(*scale)
-	cmd := strings.ToLower(flag.Arg(0))
-	var err error
+	defer stopProfiles()
+	apps := harness.Apps(inv.scale)
+	cmd := strings.ToLower(fs.Arg(0))
 	switch cmd {
 	case "table1":
-		err = run(harness.Table1Grid(apps), *workers, *format, harness.RenderTable1)
+		err = inv.runGrid(harness.Table1Grid(apps), harness.RenderTable1)
 	case "table2":
-		err = run(harness.Table2Grid(apps), *workers, *format, harness.RenderTable2)
+		err = inv.runGrid(harness.Table2Grid(apps), harness.RenderTable2)
 	case "fig", "figure":
-		if flag.NArg() < 2 {
-			fmt.Fprintln(os.Stderr, "msvdsm fig <name>; see 'msvdsm list'")
-			stopProfiles()
-			os.Exit(2)
+		if fs.NArg() < 2 {
+			fmt.Fprintln(stderr, "msvdsm fig <name>; see 'msvdsm list'")
+			return 2
 		}
-		app := harness.Find(apps, flag.Arg(1))
+		app := harness.Find(apps, fs.Arg(1))
 		if app == nil {
-			err = fmt.Errorf("unknown experiment %q (try 'msvdsm list')", flag.Arg(1))
+			err = fmt.Errorf("unknown experiment %q (try 'msvdsm list')", fs.Arg(1))
 			break
 		}
-		err = run(harness.FiguresGrid([]core.App{app}, *procs), *workers, *format, renderFigures)
+		err = inv.runGrid(harness.FiguresGrid([]core.App{app}, inv.procs), renderFigures)
 	case "figures":
-		err = run(harness.FiguresGrid(apps, *procs), *workers, *format, renderFigures)
+		err = inv.runGrid(harness.FiguresGrid(apps, inv.procs), renderFigures)
 	case "grid":
-		err = runGrid(*scale, flag.Args()[1:], *format, *workers)
+		err = inv.gridCommand(fs.Args()[1:])
 	case "serve":
-		err = runServe(flag.Args()[1:], *scale, *workers)
+		err = inv.serve(ctx, fs.Args()[1:])
 	case "worker":
-		err = runWorker(flag.Args()[1:])
+		err = inv.worker(ctx, fs.Args()[1:])
 	case "ablate":
 		var out string
-		out, err = harness.Ablations(*scale)
+		out, err = harness.Ablations(inv.scale)
 		if err == nil {
-			fmt.Println(out)
+			fmt.Fprintln(stdout, out)
 		}
 	case "all":
-		figures := harness.FiguresGrid(apps, *procs)
-		if *format != "text" {
-			// One structured document, not three concatenated ones: the
-			// figures grid (seq + both systems at 1..procs) is a superset
-			// of the tables' records, so emit it once.
-			err = run(figures, *workers, *format, renderFigures)
-			break
-		}
-		if err = run(harness.Table1Grid(apps), *workers, *format, harness.RenderTable1); err == nil {
-			if err = run(harness.Table2Grid(apps), *workers, *format, harness.RenderTable2); err == nil {
-				err = run(figures, *workers, *format, renderFigures)
-			}
-		}
+		err = inv.all(apps)
 	case "list":
-		fmt.Println("experiments:")
+		fmt.Fprintln(stdout, "experiments:")
 		for _, n := range harness.Names(apps) {
-			fmt.Println("  " + n)
+			fmt.Fprintln(stdout, "  "+n)
 		}
-		fmt.Println("backends:")
+		fmt.Fprintln(stdout, "backends:")
 		for _, b := range harness.Backends() {
-			fmt.Println("  " + b.Name())
+			fmt.Fprintln(stdout, "  "+b.Name())
 		}
-		fmt.Println("scenario sets:")
+		fmt.Fprintln(stdout, "scenario sets:")
 		for _, s := range harness.ScenarioSets() {
-			fmt.Println("  " + s)
+			fmt.Fprintln(stdout, "  "+s)
 		}
 	default:
-		fmt.Fprintf(os.Stderr, "unknown command %q\n", cmd)
-		usage()
-		stopProfiles()
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown command %q\n", cmd)
+		fs.Usage()
+		return 2
 	}
-	stopProfiles()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "msvdsm:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "msvdsm:", err)
+		return 1
 	}
+	return 0
 }
 
 // startProfiles turns on the requested runtime profiles and returns a
-// stop function that flushes them.  os.Exit skips deferred calls, so
-// every exit path after this point invokes the stop function explicitly
-// before exiting — a truncated CPU profile is unreadable.
-func startProfiles(cpu, mem string) (func(), error) {
+// stop function that flushes them; a truncated CPU profile is
+// unreadable.
+func startProfiles(cpu, mem string, stderr io.Writer) (func(), error) {
 	var cpuFile *os.File
 	if cpu != "" {
 		f, err := os.Create(cpu)
@@ -229,19 +243,19 @@ func startProfiles(cpu, mem string) (func(), error) {
 		}
 		f, err := os.Create(mem)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "msvdsm:", err)
+			fmt.Fprintln(stderr, "msvdsm:", err)
 			return
 		}
 		defer f.Close()
 		runtime.GC() // settle the live set so the profile reflects retained memory
 		if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-			fmt.Fprintln(os.Stderr, "msvdsm:", err)
+			fmt.Fprintln(stderr, "msvdsm:", err)
 		}
 	}, nil
 }
 
-func usage() {
-	fmt.Fprintf(os.Stderr, `msvdsm - PVM vs TreadMarks comparison (SC '95 reproduction)
+func usage(fs *flag.FlagSet) {
+	fmt.Fprintf(fs.Output(), `msvdsm - PVM vs TreadMarks comparison (SC '95 reproduction)
 
 usage: msvdsm [-scale f] [-procs n] [-format text|json|csv] <command>
 
@@ -260,27 +274,79 @@ commands:
   all           tables and figures
   list          experiment, backend and scenario-set names
 `)
-	flag.PrintDefaults()
+	fs.PrintDefaults()
 }
 
-// run executes g on a pool of the given width and prints its records in
-// the requested structured format, or renders them with the given text
-// renderer.
-func run(g harness.Grid, workers int, format string, text func([]harness.Record) string) error {
-	g.Workers = workers
+// runGrid executes g on the invocation's pool and writes its records.
+func (inv *invocation) runGrid(g harness.Grid, text func([]harness.Record) string) error {
+	g.Workers = inv.workers
 	recs, err := g.Run()
 	if err != nil {
 		return err
 	}
-	switch format {
+	return inv.write(recs, text)
+}
+
+// write prints recs in the requested structured format, or renders them
+// with the given text renderer.
+func (inv *invocation) write(recs []harness.Record, text func([]harness.Record) string) error {
+	switch inv.format {
 	case "json":
-		return harness.WriteJSON(os.Stdout, recs)
+		return harness.WriteJSON(inv.stdout, recs)
 	case "csv":
-		return harness.WriteCSV(os.Stdout, recs)
+		return harness.WriteCSV(inv.stdout, recs)
 	default:
-		fmt.Println(text(recs))
+		fmt.Fprintln(inv.stdout, text(recs))
 		return nil
 	}
+}
+
+// all runs the jobs of Table 1, Table 2 and the figures as one list, so
+// a cell two of them share runs once.  Text output is the three views,
+// each rendered from its own grid's records.  Structured output is one
+// document: the figures' records, then every table record whose spec
+// the figures grid lacks (Table 2's below -procs 8).
+func (inv *invocation) all(apps []core.App) error {
+	grids := []harness.Grid{harness.Table1Grid(apps), harness.Table2Grid(apps), harness.FiguresGrid(apps, inv.procs)}
+	views := []func([]harness.Record) string{harness.RenderTable1, harness.RenderTable2, renderFigures}
+	var jobs []harness.Job
+	var ends []int
+	for _, g := range grids {
+		js, err := g.Jobs()
+		if err != nil {
+			return err
+		}
+		jobs = append(jobs, js...)
+		ends = append(ends, len(jobs))
+	}
+	recs, err := harness.RunJobs(jobs, inv.workers, nil)
+	if err != nil {
+		return err
+	}
+	if inv.format == "text" {
+		start := 0
+		for i, end := range ends {
+			if err := inv.write(recs[start:end], views[i]); err != nil {
+				return err
+			}
+			start = end
+		}
+		return nil
+	}
+	tables := ends[1]
+	hashes := harness.SpecHashes(jobs)
+	have := map[string]bool{}
+	for _, h := range hashes[tables:] {
+		have[h] = true
+	}
+	out := slices.Clone(recs[tables:])
+	for i, h := range hashes[:tables] {
+		if !have[h] {
+			have[h] = true
+			out = append(out, recs[i])
+		}
+	}
+	return inv.write(out, nil)
 }
 
 // renderFigures is the text view of a figures grid: each app's speedup
@@ -303,26 +369,28 @@ func renderFigures(recs []harness.Record) string {
 	return strings.Join(parts, "\n")
 }
 
-// runGrid parses the grid command's own flags and runs the described
-// cross product.
-func runGrid(scale float64, args []string, format string, workers int) error {
-	sel, err := parseGridFlags(args)
+// gridCommand parses the grid command's own flags and runs the
+// described cross product.
+func (inv *invocation) gridCommand(args []string) error {
+	sel, err := parseGridFlags(args, inv.stderr)
 	if err != nil {
 		return err
 	}
-	grid, err := sel.Resolve(scale)
+	grid, err := sel.Resolve(inv.scale)
 	if err != nil {
 		return err
 	}
-	return run(grid, workers, format, renderGridTable)
+	return inv.runGrid(grid, renderGridTable)
 }
 
-// parseGridFlags reads the grid command's flags into a selection.
-// Parsing (harness.ParseSelection) and resolution (names, defaults, bigp
+// parseGridFlags reads the grid command's flags into a selection,
+// printing flag errors and help to output.  Parsing
+// (harness.ParseSelection) and resolution (names, defaults, bigp
 // registry swap, validation errors) live in harness, which the serve API
 // shares — the two surfaces accept and reject identically.
-func parseGridFlags(args []string) (harness.Selection, error) {
+func parseGridFlags(args []string, output io.Writer) (harness.Selection, error) {
 	fs := flag.NewFlagSet("grid", flag.ContinueOnError)
+	fs.SetOutput(output)
 	apps := fs.String("apps", "", "comma-separated app names (default: all)")
 	backends := fs.String("backends", "", "comma-separated backend names (default tmk,pvm; bigp: tmk,tmk-sc,tmk-tree,pvm)")
 	scenarios := fs.String("scenarios", "base", "comma-separated scenario sets")
@@ -333,18 +401,32 @@ func parseGridFlags(args []string) (harness.Selection, error) {
 	return harness.ParseSelection(*apps, *backends, *scenarios, *nprocs)
 }
 
-// runServe starts the experiment service: the serve API over this
+// untilSignal returns a context that is done when parent is, or on the
+// first SIGINT or SIGTERM.  Once it is done the two signals get their
+// default handling back, so a second one kills the process at once.
+func untilSignal(parent context.Context) (context.Context, context.CancelFunc) {
+	ctx, stop := signal.NotifyContext(parent, os.Interrupt, syscall.SIGTERM)
+	go func() {
+		<-ctx.Done()
+		stop()
+	}()
+	return ctx, stop
+}
+
+// serve starts the experiment service: the serve API over this
 // invocation's scale and worker pool, backed by a content-addressed
 // record cache and, with -workers, fronting a worker fleet through the
 // lease dispatcher.  See internal/serve and internal/dispatch.
 //
-// SIGINT/SIGTERM triggers a graceful shutdown: the dispatcher stops
-// leasing and waits for in-flight leases, then http.Server.Shutdown
-// drains in-flight requests up to the -drain deadline.  A clean drain
-// exits 0; blowing the deadline forces connections closed and exits
-// nonzero.  A second signal forces immediate process death.
-func runServe(args []string, scale float64, workers int) error {
+// When ctx is done, or on SIGINT/SIGTERM, it shuts down gracefully: the
+// dispatcher stops leasing and waits for in-flight leases, then
+// http.Server.Shutdown drains in-flight requests up to the -drain
+// deadline.  A clean drain returns nil; blowing the deadline forces
+// connections closed and returns an error.  A second signal forces
+// immediate process death.
+func (inv *invocation) serve(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
+	fs.SetOutput(inv.stderr)
 	addr := fs.String("addr", "127.0.0.1:8177", "listen address")
 	cacheDir := fs.String("cache-dir", "", "persist cached records as <hash>.json files in this directory")
 	cacheEntries := fs.Int("cache-entries", 65536, "in-memory cache capacity in records (0 = unbounded)")
@@ -355,6 +437,7 @@ func runServe(args []string, scale float64, workers int) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	logger := log.New(inv.stderr, "", log.LstdFlags)
 	store, err := serve.NewStore(*cacheEntries, *cacheDir)
 	if err != nil {
 		return err
@@ -364,15 +447,17 @@ func runServe(args []string, scale float64, workers int) error {
 		dsp = dispatch.New(dispatch.Config{
 			LeaseTTL:  *leaseTTL,
 			Heartbeat: *heartbeat,
-			Logf:      log.Printf,
+			Logf:      logger.Printf,
 		})
 	}
 	srv := serve.New(serve.Options{
-		Scale:      scale,
-		Workers:    workers,
+		Scale:      inv.scale,
+		Workers:    inv.workers,
 		Store:      store,
 		Dispatcher: dsp,
 	})
+	ctx, stop := untilSignal(ctx)
+	defer stop()
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
@@ -390,36 +475,32 @@ func runServe(args []string, scale float64, workers int) error {
 	if dsp != nil {
 		fleet = fmt.Sprintf(", worker fleet on /v1/dispatch (lease ttl %v)", *leaseTTL)
 	}
-	fmt.Printf("msvdsm serve: engine %s, scale %g, %d workers%s; listening on http://%s\n",
-		harness.EngineVersion, scale, workers, fleet, ln.Addr())
+	fmt.Fprintf(inv.stdout, "msvdsm serve: engine %s, scale %g, %d workers%s; listening on http://%s\n",
+		harness.EngineVersion, inv.scale, inv.workers, fleet, ln.Addr())
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()
-
-	sigCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	select {
 	case err := <-errCh:
 		if dsp != nil {
 			dsp.Close()
 		}
 		return err
-	case <-sigCtx.Done():
+	case <-ctx.Done():
 	}
-	stop() // restore default handling: a second signal kills immediately
-	log.Printf("msvdsm serve: signal received; draining (deadline %v)", *drainTimeout)
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	logger.Printf("msvdsm serve: signal received; draining (deadline %v)", *drainTimeout)
+	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	if dsp != nil {
 		// Stop leasing first so queued jobs bounce back to local
 		// compute, then let in-flight leases report their results
 		// before the listener goes away.
 		dsp.StartDrain()
-		if err := dsp.Quiesce(ctx); err != nil {
-			log.Printf("msvdsm serve: %d worker leases still in flight at drain deadline", dsp.Stats().LeasesOutstanding)
+		if err := dsp.Quiesce(drainCtx); err != nil {
+			logger.Printf("msvdsm serve: %d worker leases still in flight at drain deadline", dsp.Stats().LeasesOutstanding)
 		}
 	}
-	shutdownErr := httpSrv.Shutdown(ctx)
+	shutdownErr := httpSrv.Shutdown(drainCtx)
 	if dsp != nil {
 		dsp.Close()
 	}
@@ -430,19 +511,20 @@ func runServe(args []string, scale float64, workers int) error {
 		httpSrv.Close()
 		return fmt.Errorf("forced shutdown: in-flight requests outlived the %v drain deadline: %w", *drainTimeout, shutdownErr)
 	}
-	log.Printf("msvdsm serve: clean shutdown")
+	logger.Printf("msvdsm serve: clean shutdown")
 	return nil
 }
 
-// runWorker joins a coordinator's fleet: register, long-poll for job
+// worker joins a coordinator's fleet: register, long-poll for job
 // leases, run each leased job through the local registries (the spec
-// hash check refuses version-skewed work), report records back.
-// SIGINT/SIGTERM drains gracefully — announce drain, finish the
-// in-flight job, deregister, exit 0; a second signal kills immediately.
-// The -fault-* flags are the deterministic fault-injection harness the
-// CI fleet smoke drives.
-func runWorker(args []string) error {
+// hash check refuses version-skewed work), report records back.  When
+// ctx is done, or on SIGINT/SIGTERM, it drains gracefully — announce
+// drain, finish the in-flight job, deregister, return nil; a second
+// signal kills immediately.  The -fault-* flags are the deterministic
+// fault-injection harness; TestFleetWorkerLoss drives -fault-stall-on.
+func (inv *invocation) worker(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("worker", flag.ContinueOnError)
+	fs.SetOutput(inv.stderr)
 	coordinator := fs.String("coordinator", "", "coordinator base URL (required), e.g. http://127.0.0.1:8177")
 	name := fs.String("name", "", "worker name in coordinator logs (default host:pid)")
 	poll := fs.Duration("poll", 2*time.Second, "lease long-poll duration")
@@ -459,6 +541,7 @@ func runWorker(args []string) error {
 		host, _ := os.Hostname()
 		*name = fmt.Sprintf("%s:%d", host, os.Getpid())
 	}
+	logger := log.New(inv.stderr, "", log.LstdFlags)
 	w := dispatch.NewWorker(dispatch.WorkerOptions{
 		Coordinator: strings.TrimRight(*coordinator, "/"),
 		Name:        *name,
@@ -468,15 +551,11 @@ func runWorker(args []string) error {
 			StallOnJob:  *stallOn,
 			RejectOnJob: *rejectOn,
 		},
-		Logf: log.Printf,
+		Logf: logger.Printf,
 	})
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := untilSignal(ctx)
 	defer stop()
-	go func() {
-		<-ctx.Done()
-		stop() // second signal: default handling, immediate death
-	}()
-	log.Printf("msvdsm worker %s: joining %s (engine %s)", *name, *coordinator, harness.EngineVersion)
+	logger.Printf("msvdsm worker %s: joining %s (engine %s)", *name, *coordinator, harness.EngineVersion)
 	if err := w.Run(ctx); err != nil && !errors.Is(err, context.Canceled) {
 		return err
 	}

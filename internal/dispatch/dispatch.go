@@ -331,17 +331,16 @@ func (d *Dispatcher) Register(name string) (id string, leaseTTL, heartbeat time.
 	return id, d.cfg.LeaseTTL, d.cfg.Heartbeat
 }
 
-// Heartbeat refreshes a worker's liveness.  draining reports whether
-// the coordinator wants the fleet to wind down.
-func (d *Dispatcher) Heartbeat(workerID string) (draining bool, err error) {
+// Heartbeat refreshes a worker's liveness.
+func (d *Dispatcher) Heartbeat(workerID string) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	w := d.workers[workerID]
 	if w == nil {
-		return false, ErrUnknownWorker
+		return ErrUnknownWorker
 	}
 	w.lastSeen = time.Now()
-	return d.drain, nil
+	return nil
 }
 
 // DrainWorker marks a worker as winding down: it receives no new

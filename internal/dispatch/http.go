@@ -42,14 +42,6 @@ type completeReply struct {
 	Accepted bool `json:"accepted"`
 }
 
-type heartbeatRequest struct {
-	WorkerID string `json:"worker_id"`
-}
-
-type heartbeatReply struct {
-	Draining bool `json:"draining"`
-}
-
 type workerIDRequest struct {
 	WorkerID string `json:"worker_id"`
 }
@@ -107,16 +99,15 @@ func (d *Dispatcher) Handler() http.Handler {
 		writeJSON(w, completeReply{Accepted: accepted})
 	})
 	mux.HandleFunc("/v1/dispatch/heartbeat", func(w http.ResponseWriter, r *http.Request) {
-		var req heartbeatRequest
+		var req workerIDRequest
 		if !decodeBody(w, r, &req) {
 			return
 		}
-		draining, err := d.Heartbeat(req.WorkerID)
-		if err != nil {
+		if err := d.Heartbeat(req.WorkerID); err != nil {
 			writeDispatchError(w, err)
 			return
 		}
-		writeJSON(w, heartbeatReply{Draining: draining})
+		writeJSON(w, struct{}{})
 	})
 	mux.HandleFunc("/v1/dispatch/drain", func(w http.ResponseWriter, r *http.Request) {
 		var req workerIDRequest

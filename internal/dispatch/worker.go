@@ -238,8 +238,7 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 		case <-ticker.C:
 		}
 		hctx, cancel := context.WithTimeout(ctx, interval)
-		var reply heartbeatReply
-		_, err := w.post(hctx, "heartbeat", heartbeatRequest{WorkerID: w.workerID()}, &reply)
+		_, err := w.post(hctx, "heartbeat", workerIDRequest{WorkerID: w.workerID()}, nil)
 		cancel()
 		if err != nil && ctx.Err() == nil {
 			w.logf("dispatch: heartbeat failed: %v", err)

@@ -184,34 +184,52 @@ func TestPins(t *testing.T) {
 }
 
 // checkPins runs the named sets on a pool of the given width and compares
-// each CSV with its checked-in file, one subtest per set.  With -update it
+// each CSV with its checked-in file, one subtest per set.  The sets run as
+// one job list, so a cell two of them hold (paper-tsp and paper-fft are
+// rows of paper-table2) is simulated once (RunJobs).  With -update it
 // rewrites the files from a serial run instead.
 func checkPins(t *testing.T, workers int, names ...string) {
 	t.Helper()
 	if *update {
 		workers = 1
 	}
+	var sets []pinSet
+	var jobs []Job
+	var ends []int
 	for _, name := range names {
 		i := slices.IndexFunc(pinSets, func(p pinSet) bool { return p.name == name })
 		if i < 0 {
 			t.Fatalf("no pin set %q", name)
 		}
 		p := pinSets[i]
+		if !(p.long && testing.Short()) {
+			g, err := p.sel.Resolve(p.scale)
+			if err != nil {
+				t.Fatalf("%s: %v", p.name, err)
+			}
+			js, err := g.Jobs()
+			if err != nil {
+				t.Fatalf("%s: %v", p.name, err)
+			}
+			jobs = append(jobs, js...)
+		}
+		sets = append(sets, p)
+		ends = append(ends, len(jobs))
+	}
+	recs, err := RunJobs(jobs, workers, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := 0
+	for k, p := range sets {
+		setRecs := recs[start:ends[k]]
+		start = ends[k]
 		t.Run(p.name, func(t *testing.T) {
 			if p.long && testing.Short() {
 				t.Skip("long pin set in -short mode")
 			}
-			g, err := p.sel.Resolve(p.scale)
-			if err != nil {
-				t.Fatal(err)
-			}
-			g.Workers = workers
-			recs, err := g.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
 			var got bytes.Buffer
-			if err := WriteCSV(&got, recs); err != nil {
+			if err := WriteCSV(&got, setRecs); err != nil {
 				t.Fatal(err)
 			}
 			path := filepath.Join(pinDir, p.name+".csv")
