@@ -1,6 +1,7 @@
 package barnes
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -204,10 +205,30 @@ func refForce(t *tree, i int, theta float64, acc *[3]float64) int {
 
 // TestForceMatchesReferenceProperty: for every body of random clustered
 // sets — coincident bodies included, which end in the degenerate
-// two-body leaf — the kernel must add bit-identical accelerations and
-// count the same interactions as the reference.
+// two-body leaf — and of the paper's 8192-body set at θ = 0.7, as
+// initialized and after one integrated step, the kernel must add
+// bit-identical accelerations and count the same interactions as the
+// reference.
 func TestForceMatchesReferenceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(667430))
+	// same checks body i's force from tr against the reference, both
+	// added to start, and returns the acceleration.
+	same := func(what string, tr *tree, i int, theta float64, start [3]float64) [3]float64 {
+		t.Helper()
+		want, got := start, start
+		wantN := refForce(tr, i, theta, &want)
+		gotN := tr.force(i, theta, &got)
+		if gotN != wantN {
+			t.Fatalf("%s: n=%d theta=%v body %d: %d interactions, reference %d", what, tr.n, theta, i, gotN, wantN)
+		}
+		for k := range want {
+			if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+				t.Fatalf("%s: n=%d theta=%v body %d: acc[%d] = %x, reference %x",
+					what, tr.n, theta, i, k, math.Float64bits(got[k]), math.Float64bits(want[k]))
+			}
+		}
+		return got
+	}
 	thetas := []float64{0, 0.3, 0.7, 1, 2.5}
 	for iter := 0; iter < 60; iter++ {
 		n := 1 + rng.Intn(300)
@@ -235,19 +256,19 @@ func TestForceMatchesReferenceProperty(t *testing.T) {
 		tr := buildTree(bodies, n)
 		theta := thetas[rng.Intn(len(thetas))]
 		for i := 0; i < n; i++ {
-			start := [3]float64{rng.NormFloat64(), rng.NormFloat64(), 0}
-			want, got := start, start
-			wantN := refForce(tr, i, theta, &want)
-			gotN := tr.force(i, theta, &got)
-			if gotN != wantN {
-				t.Fatalf("iter %d: n=%d theta=%v body %d: %d interactions, reference %d", iter, n, theta, i, gotN, wantN)
-			}
-			for k := range want {
-				if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
-					t.Fatalf("iter %d: n=%d theta=%v body %d: acc[%d] = %x, reference %x",
-						iter, n, theta, i, k, math.Float64bits(got[k]), math.Float64bits(want[k]))
-				}
-			}
+			same(fmt.Sprintf("iter %d", iter), tr, i, theta, [3]float64{rng.NormFloat64(), rng.NormFloat64(), 0})
+		}
+	}
+	cfg := Paper()
+	bodies := cfg.initBodies()
+	for step := 0; step < 2; step++ {
+		tr := buildTree(bodies, cfg.Bodies)
+		accs := make([][3]float64, cfg.Bodies)
+		for i := range accs {
+			accs[i] = same(fmt.Sprintf("paper step %d", step), tr, i, cfg.Theta, [3]float64{})
+		}
+		for i, acc := range accs {
+			integrate(bodies, i, acc)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package water
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/core"
@@ -155,6 +157,157 @@ func TestWater288DataRatio(t *testing.T) {
 	}
 	if ratio > 8 {
 		t.Fatalf("data ratio %.2f implausibly large", ratio)
+	}
+}
+
+// refForceRange is forceRange as it stood before its pair loop dropped
+// the per-pair wraparound index, kept verbatim (with pairForce) as the
+// reference the production kernel is differenced against.
+func refForceRange(s *state, lo, hi int, acc []int64) int {
+	n := s.cfg.Mols
+	half := n / 2
+	pairs := 0
+	for a := lo; a < hi; a++ {
+		pa := s.pos[3*a : 3*a+3]
+		for off := 1; off <= half; off++ {
+			b := (a + off) % n
+			// With even n, pair (a, a+n/2) appears twice (once from each
+			// side); keep only the copy from the smaller index.
+			if 2*off == n && a >= b {
+				continue
+			}
+			pairs++
+			f, ok := pairForce(s.box, s.cut, pa, s.pos[3*b:3*b+3])
+			if !ok {
+				continue
+			}
+			for k := 0; k < 3; k++ {
+				acc[3*a+k] += f[k]
+				acc[3*b+k] -= f[k]
+			}
+		}
+	}
+	return pairs
+}
+
+// propertyPositions returns n positions uniform in a box of side box,
+// with the cases a pair loop can get wrong planted at random molecules:
+// coincident molecules (r2 == 0), coordinates of -0 and +0, coordinate
+// differences of exactly ±box/2 (the minimum-image tie), and pairs at
+// exactly r2 == cut*cut whose r2 a fused multiply-add would round below
+// the cutoff.
+func propertyPositions(rng *rand.Rand, n int, box, cut float64) []float64 {
+	pos := make([]float64, 3*n)
+	for i := range pos {
+		pos[i] = box * rng.Float64()
+	}
+	set := func(i int, x, y, z float64) { pos[3*i], pos[3*i+1], pos[3*i+2] = x, y, z }
+	plants := max(1, n/16)
+	for p := 0; p < plants; p++ {
+		i, j := rng.Intn(n), rng.Intn(n)
+		if i == j {
+			continue
+		}
+		z := box * rng.Float64()
+		switch p % 4 {
+		case 0: // coincident
+			copy(pos[3*j:3*j+3], pos[3*i:3*i+3])
+		case 1: // differences of -0 and +0 on x and y
+			set(i, math.Copysign(0, -1), 0, z)
+			set(j, 0, math.Copysign(0, -1), z)
+		case 2: // a difference of exactly box/2 on one axis, 0 on the others
+			k := rng.Intn(3)
+			set(i, z, z, z)
+			set(j, z, z, z)
+			pos[3*i+k], pos[3*j+k] = 0, box/2
+		case 3: // r2 == cut*cut exactly, but below it if fused
+			if 2*cut >= box {
+				continue // boundaryPair's d1 would need the minimum image
+			}
+			d0, d1 := boundaryPair(rng, cut)
+			set(i, 0, 0, z)
+			set(j, d0, d1, z)
+		}
+	}
+	return pos
+}
+
+// boundaryPair returns a displacement (d0, d1, 0) whose squared length,
+// summed one square at a time from zero, is exactly cut*cut, while
+// math.FMA(d1, d1, d0*d0) is below it.  d1*d1 is drawn from cut*cut's
+// binade, so its rounding is at the sum's last place and a fused add
+// can see it.
+func boundaryPair(rng *rand.Rand, cut float64) (float64, float64) {
+	c2 := cut * cut
+	_, exp := math.Frexp(c2)
+	low := math.Ldexp(0.5, exp)
+	for {
+		d1 := math.Sqrt(low + (c2-low)*rng.Float64())
+		sq1 := float64(d1 * d1)
+		d0 := math.Sqrt(c2 - sq1)
+		ulp := math.Nextafter(d0, 2*d0) - d0
+		for k := -8; k <= 8; k++ {
+			e := d0 + float64(k)*ulp
+			if float64(e*e)+sq1 == c2 && math.FMA(d1, d1, float64(e*e)) < c2 {
+				return e, d1
+			}
+		}
+	}
+}
+
+// TestForceRangeMatchesReferenceProperty: over random [lo,hi) ranges —
+// the whole set, single molecules, and windows that wrap past n — the
+// kernel must count the same pairs and leave every accumulator entry
+// bit-equal to the reference's, at both parities of n and at the
+// paper's sizes.  Each set runs at the app's cutoff and at 0.6 box,
+// beyond box/2, where a minimum-image tie is inside the cutoff and so
+// reaches the forces.
+func TestForceRangeMatchesReferenceProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(602214))
+	for _, n := range []int{2, 3, 288, 512, 513, 1728} {
+		cfg := Paper288()
+		cfg.Mols = n
+		box := cfg.box()
+		for _, cut := range []float64{cfg.cutoff(), 0.6 * box} {
+			s := &state{cfg: cfg, box: box, cut: cut, pos: propertyPositions(rng, n, box, cut)}
+			ranges := [][2]int{{0, n}, {0, 1}, {n - 1, n}, {n / 2, n}}
+			for r := 0; r < 6; r++ {
+				lo := rng.Intn(n)
+				hi := lo + 1 + rng.Intn(n-lo)
+				if r%2 == 0 {
+					hi = lo + 1
+				}
+				ranges = append(ranges, [2]int{lo, hi})
+			}
+			for _, r := range ranges {
+				want := make([]int64, 3*n)
+				for i := range want {
+					want[i] = rng.Int63n(1<<40) - 1<<39
+				}
+				got := append([]int64(nil), want...)
+				wantN := refForceRange(s, r[0], r[1], want)
+				gotN := s.forceRange(r[0], r[1], got)
+				if gotN != wantN {
+					t.Fatalf("n=%d cut=%v [%d,%d): %d pairs, reference %d", n, cut, r[0], r[1], gotN, wantN)
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("n=%d cut=%v [%d,%d): acc[%d] = %d, reference %d", n, cut, r[0], r[1], i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkForceRange is one step's force phase over the large input:
+// forceRange(0, n) at 1728 molecules.
+func BenchmarkForceRange(b *testing.B) {
+	s := newState(Paper1728())
+	acc := make([]int64, 3*s.cfg.Mols)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s.forceRange(0, s.cfg.Mols, acc)
 	}
 }
 
