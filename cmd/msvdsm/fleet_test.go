@@ -62,7 +62,8 @@ func waitStats(t *testing.T, base, what string, cond func(serve.Stats) bool) {
 // recovered from the lost worker and reassigned to the survivor, which
 // joins only once the lease is out.  The sweep's body must still be the
 // local CLI's, byte for byte, and the coordinator must drain cleanly
-// (exit 0) on SIGTERM.
+// (exit 0) within a second of SIGTERM, though the survivor is in a
+// lease long-poll.
 func TestFleetWorkerLoss(t *testing.T) {
 	if testing.Short() {
 		t.Skip("starts processes and waits out a worker's liveness window")
@@ -97,10 +98,8 @@ func TestFleetWorkerLoss(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	survivorErr := new(syncBuffer)
 	survivor := make(chan int, 1)
-	// A draining coordinator answers a lease poll only when it times
-	// out, so the survivor polls briefly to keep the drain below short.
 	go func() {
-		survivor <- run(ctx, []string{"worker", "-coordinator", base, "-name", "survivor", "-poll", "100ms"}, io.Discard, survivorErr)
+		survivor <- run(ctx, []string{"worker", "-coordinator", base, "-name", "survivor"}, io.Discard, survivorErr)
 	}()
 	t.Cleanup(func() {
 		cancel()
@@ -125,10 +124,16 @@ func TestFleetWorkerLoss(t *testing.T) {
 			d.WorkersLost, d.Reassigned, s.Dispatched, s.Computed)
 	}
 
+	// The survivor is long-polling (2 s); the draining coordinator must
+	// answer that poll at once rather than wait it out.
+	start := time.Now()
 	if err := coord.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
 	if err := coord.Wait(); err != nil {
 		t.Errorf("coordinator after SIGTERM: %v", err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("coordinator took %v to exit after SIGTERM, want under 1s", took)
 	}
 }

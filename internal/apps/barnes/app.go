@@ -43,10 +43,10 @@ func (a *app) Problem() string {
 func (a *app) Seq(ctx *sim.Ctx) Output {
 	cfg := a.cfg
 	bodies := cfg.initBodies()
+	var trees treeShare
 	for st := 0; st < cfg.Steps; st++ {
-		t := buildTree(bodies, cfg.Bodies)
+		t, leaves := trees.get(bodies, cfg.Bodies)
 		ctx.Compute(sim.Time(t.built) * cfg.TreeCost)
-		leaves := t.leavesInOrder(t.root, nil)
 		accs := make([][3]float64, cfg.Bodies)
 		inter := 0
 		for _, b := range leaves {
@@ -74,34 +74,33 @@ func (a *app) TMK(sys *tmk.System) (func(*tmk.Proc), func() Output) {
 	// Each processor adds the checksum of its own bodies; integer
 	// addition commutes, so any order gives the same output.
 	var sum int64
+	var trees treeShare
 	return func(p *tmk.Proc) {
 		n3 := stride * cfg.Bodies
 		bv := p.F64Array(bodyA, n3)
 		local := make([]float64, n3)
 		var mine []int
 		for st := 0; st < cfg.Steps; st++ {
-			// MakeTree: read all shared bodies, build a private tree.
+			// MakeTree: read all shared bodies; build a private tree (on
+			// the host, one per step while the snapshots agree).
 			bv.Load(local, 0, n3)
-			t := buildTree(local, cfg.Bodies)
+			t, leaves := trees.get(local, cfg.Bodies)
 			p.Compute(sim.Time(t.built) * cfg.TreeCost)
 			p.Barrier(3 * st)
 			// Costzones partition over the deterministic leaf order.
-			leaves := t.leavesInOrder(t.root, nil)
-			mine = append([]int(nil), costzone(leaves, p.N(), p.ID())...)
+			mine = costzone(leaves, p.N(), p.ID())
 			// Force computation: no synchronization needed.
-			accs := make(map[int][3]float64, len(mine))
+			accs := make([][3]float64, len(mine))
 			inter := 0
-			for _, b := range mine {
-				var acc [3]float64
-				inter += t.force(b, cfg.Theta, &acc)
-				accs[b] = acc
+			for j, b := range mine {
+				inter += t.force(b, cfg.Theta, &accs[j])
 			}
 			p.Compute(sim.Time(inter) * cfg.InteractCost)
 			// Barrier: everyone has finished reading positions.
 			p.Barrier(3*st + 1)
 			// Update: write my bodies (scattered in memory).
-			for _, b := range mine {
-				integrate(local, b, accs[b])
+			for j, b := range mine {
+				integrate(local, b, accs[j])
 				for k := 0; k < 6; k++ {
 					bv.Set(stride*b+k, local[stride*b+k])
 				}
@@ -120,25 +119,24 @@ const tagBodies = 1
 // step so each can rebuild the complete tree.
 func (a *app) PVM(sys *pvm.System) (func(*pvm.Proc), func(*pvm.Proc), func() Output) {
 	cfg := a.cfg
+	initial := cfg.initBodies()
 	var sum int64
+	var trees treeShare
 	return func(p *pvm.Proc) {
-		bodies := cfg.initBodies()
+		bodies := append([]float64(nil), initial...)
 		var mine []int
 		for st := 0; st < cfg.Steps; st++ {
-			t := buildTree(bodies, cfg.Bodies)
+			t, leaves := trees.get(bodies, cfg.Bodies)
 			p.Compute(sim.Time(t.built) * cfg.TreeCost)
-			leaves := t.leavesInOrder(t.root, nil)
-			mine = append([]int(nil), costzone(leaves, p.N(), p.ID())...)
-			accs := make(map[int][3]float64, len(mine))
+			mine = costzone(leaves, p.N(), p.ID())
+			accs := make([][3]float64, len(mine))
 			inter := 0
-			for _, b := range mine {
-				var acc [3]float64
-				inter += t.force(b, cfg.Theta, &acc)
-				accs[b] = acc
+			for j, b := range mine {
+				inter += t.force(b, cfg.Theta, &accs[j])
 			}
 			p.Compute(sim.Time(inter) * cfg.InteractCost)
-			for _, b := range mine {
-				integrate(bodies, b, accs[b])
+			for j, b := range mine {
+				integrate(bodies, b, accs[j])
 			}
 			p.Compute(sim.Time(len(mine)) * cfg.UpdateCost)
 			// Broadcast my updated bodies; receive everyone else's.  The tag

@@ -14,6 +14,12 @@
 // extra messages here.  In the PVM version every processor broadcasts its
 // updated bodies at the end of each step so all can rebuild the full
 // tree, which saturates the network at 8 processors.
+//
+// Every processor of a run builds the same tree from the same bodies, so
+// the host builds it once per step: a processor whose body snapshot is
+// bit-equal to the one the run's last tree was built from takes that
+// tree (treeShare).  Each processor still charges the whole MakeTree to
+// its own modeled time, so no modeled value depends on the sharing.
 package barnes
 
 import (
@@ -231,6 +237,43 @@ func (t *tree) summarize(c *cell) {
 		}
 	}
 	c.com = com
+}
+
+// treeShare is one run's most recent tree and its leaf order, shared by
+// the run's processors.  A processor whose snapshot is bit-equal to the
+// one the tree was built from takes it; one whose snapshot differs (it
+// is at another step, or its DSM served it other data) builds its own
+// tree, which replaces the shared one.  The comparison is of bits, not
+// values, since a −0 and a +0 can build different trees.  The tree owns
+// a copy of its snapshot: callers integrate their bodies in place after
+// the force phase.  Trees and leaf orders are never written after they
+// are built.
+type treeShare struct {
+	t      *tree
+	leaves []int
+}
+
+// get returns the tree over bodies, its n bodies inserted in index
+// order, and its leaf order.
+func (s *treeShare) get(bodies []float64, n int) (*tree, []int) {
+	if s.t == nil || !sameBits(s.t.pos, bodies) {
+		s.t = buildTree(append([]float64(nil), bodies...), n)
+		s.leaves = s.t.leavesInOrder(s.t.root, nil)
+	}
+	return s.t, s.leaves
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // leavesInOrder appends body indices in deterministic tree order: the

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -269,6 +270,73 @@ func TestForceMatchesReferenceProperty(t *testing.T) {
 		}
 		for i, acc := range accs {
 			integrate(bodies, i, acc)
+		}
+	}
+}
+
+// TestTreeShareExact: a run's processors share a tree only across
+// snapshots with the same bits.  Snapshots that differ in the sign of
+// one zero coordinate, or by one ulp, get distinct trees; equal
+// snapshots get the same *tree, even after the processor that built it
+// integrates its bodies in place; and every tree the share hands out
+// gives the insertion count, leaf order and forces, bit for bit, of
+// buildTree over the caller's own snapshot.
+func TestTreeShareExact(t *testing.T) {
+	cfg := small()
+	base := cfg.initBodies()
+	base[stride*3] = 0 // a zero x coordinate, of either sign below
+	negZero := append([]float64(nil), base...)
+	negZero[stride*3] = math.Copysign(0, -1)
+	ulp := append([]float64(nil), base...)
+	ulp[stride*5+1] = math.Nextafter(ulp[stride*5+1], math.Inf(1))
+
+	// exact fails unless tr, handed out for bodies, matches a tree built
+	// from bodies alone.
+	exact := func(what string, tr *tree, leaves []int, bodies []float64) {
+		t.Helper()
+		own := buildTree(append([]float64(nil), bodies...), cfg.Bodies)
+		if tr.built != own.built || !slices.Equal(leaves, own.leavesInOrder(own.root, nil)) {
+			t.Fatalf("%s: built %d, leaves differ from own tree's (built %d)", what, tr.built, own.built)
+		}
+		for i := 0; i < cfg.Bodies; i++ {
+			var got, want [3]float64
+			gotN, wantN := tr.force(i, cfg.Theta, &got), own.force(i, cfg.Theta, &want)
+			for k := range got {
+				if gotN != wantN || math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+					t.Fatalf("%s: body %d: %d interactions, acc %v; own tree %d, %v", what, i, gotN, got, wantN, want)
+				}
+			}
+		}
+	}
+
+	var s treeShare
+	first := append([]float64(nil), base...)
+	t0, l0 := s.get(first, cfg.Bodies)
+	exact("first", t0, l0, base)
+	// The builder integrates in place; an equal snapshot from another
+	// processor still gets the run's tree.
+	for i := 0; i < cfg.Bodies; i++ {
+		integrate(first, i, [3]float64{1, 1, 1})
+	}
+	if tr, _ := s.get(append([]float64(nil), base...), cfg.Bodies); tr != t0 {
+		t.Fatal("an equal snapshot got a new tree")
+	}
+	for _, c := range []struct {
+		name   string
+		bodies []float64
+	}{{"sign of zero", negZero}, {"one ulp", ulp}} {
+		tr, leaves := s.get(c.bodies, cfg.Bodies)
+		if tr == t0 {
+			t.Fatalf("%s: shared the tree of a different snapshot", c.name)
+		}
+		exact(c.name, tr, leaves, c.bodies)
+		if again, _ := s.get(append([]float64(nil), c.bodies...), cfg.Bodies); again != tr {
+			t.Fatalf("%s: an equal snapshot got a new tree", c.name)
+		}
+		// Back to the first snapshot: the share must not hand out the
+		// tree just built.
+		if back, _ := s.get(base, cfg.Bodies); back == tr {
+			t.Fatalf("%s: the first snapshot got the tree of %s", c.name, c.name)
 		}
 	}
 }

@@ -508,12 +508,15 @@ func (d *Dispatcher) dequeueLocked(t *task) {
 
 // Lease blocks up to wait for a job to lease to workerID and returns
 // the grant, or nil when none became available.  A lease poll also
-// refreshes the worker's liveness.
+// refreshes the worker's liveness.  A draining coordinator grants no
+// lease, so it answers a pending or new poll at once with ErrDraining
+// instead of holding it to its deadline: its listener need not wait out
+// the poll to shut down.
 func (d *Dispatcher) Lease(workerID string, wait time.Duration) (*LeaseGrant, error) {
 	deadline := time.Now().Add(wait)
 	for {
 		d.mu.Lock()
-		if d.closed {
+		if d.drain {
 			d.mu.Unlock()
 			return nil, ErrDraining
 		}
@@ -524,7 +527,7 @@ func (d *Dispatcher) Lease(workerID string, wait time.Duration) (*LeaseGrant, er
 		}
 		now := time.Now()
 		w.lastSeen = now
-		if !d.drain && !w.draining {
+		if !w.draining {
 			if t := d.pickLocked(now); t != nil {
 				g := d.grantLocked(w, t, now, false)
 				d.mu.Unlock()

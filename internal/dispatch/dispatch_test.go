@@ -3,7 +3,10 @@ package dispatch
 import (
 	"context"
 	"errors"
+	"fmt"
+	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -278,6 +281,68 @@ func TestNoWorkersAndDrainErrors(t *testing.T) {
 	d.StartDrain()
 	if _, err := d.Do(context.Background(), JobRef{}, "h"); !errors.Is(err, ErrDraining) {
 		t.Fatalf("Do while draining: %v, want ErrDraining", err)
+	}
+}
+
+// TestDrainAnswersLeasePolls: a draining coordinator answers a pending
+// lease poll and every later one at once with ErrDraining, and a worker
+// that meets it logs the drain once, however often it polls.
+func TestDrainAnswersLeasePolls(t *testing.T) {
+	d := New(quietCfg())
+	defer d.Close()
+	id, _, _ := d.Register("poller")
+	type reply struct {
+		g   *LeaseGrant
+		err error
+		in  time.Duration
+	}
+	pending := make(chan reply, 1)
+	go func() {
+		start := time.Now()
+		g, err := d.Lease(id, 10*time.Second)
+		pending <- reply{g, err, time.Since(start)}
+	}()
+	time.Sleep(20 * time.Millisecond) // let the poll block
+	d.StartDrain()
+	r := <-pending
+	if r.g != nil || !errors.Is(r.err, ErrDraining) || r.in > 2*time.Second {
+		t.Fatalf("pending poll at drain: %v, %v after %v; want ErrDraining at once", r.g, r.err, r.in)
+	}
+	start := time.Now()
+	if g, err := d.Lease(id, 10*time.Second); g != nil || !errors.Is(err, ErrDraining) || time.Since(start) > time.Second {
+		t.Fatalf("poll after drain: %v, %v after %v; want ErrDraining at once", g, err, time.Since(start))
+	}
+
+	// A worker against a draining coordinator's HTTP API.
+	ts := httptest.NewServer(d.Handler())
+	defer ts.Close()
+	var mu sync.Mutex
+	var logs []string
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	wk := NewWorker(WorkerOptions{Coordinator: ts.URL, Name: "late", PollWait: 10 * time.Second,
+		Logf: func(format string, args ...any) {
+			mu.Lock()
+			logs = append(logs, fmt.Sprintf(format, args...))
+			mu.Unlock()
+		}})
+	go func() { done <- wk.Run(ctx) }()
+	// Three refused polls, about a second.
+	time.Sleep(2*leaseRetry + leaseRetry/2)
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	n := 0
+	for _, l := range logs {
+		if strings.Contains(l, "draining") {
+			n++
+		}
+	}
+	if n != 1 {
+		t.Fatalf("%d drain log lines, want 1:\n%s", n, strings.Join(logs, "\n"))
 	}
 }
 

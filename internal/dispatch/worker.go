@@ -49,6 +49,10 @@ type WorkerOptions struct {
 	Logf func(format string, args ...any)
 }
 
+// leaseRetry is how long a worker waits after a lease poll fails or a
+// draining coordinator refuses it.
+const leaseRetry = 500 * time.Millisecond
+
 // Worker is the fleet member: it registers with the coordinator,
 // long-polls for job leases, runs each job through the local registries
 // (verifying the spec hash first), and reports records back.  Cancel
@@ -114,6 +118,9 @@ func (w *Worker) Run(ctx context.Context) error {
 		w.post(dctx, "drain", workerIDRequest{WorkerID: w.workerID()}, nil)
 	}()
 
+	// coordDraining is set by the first poll a draining coordinator
+	// refuses, which alone is logged, and cleared by a poll it answers.
+	coordDraining := false
 	for {
 		if ctx.Err() != nil {
 			w.deregister()
@@ -132,13 +139,19 @@ func (w *Worker) Run(ctx context.Context) error {
 				}
 				continue
 			}
-			w.logf("dispatch: lease poll failed: %v (retrying)", err)
+			if !errors.Is(err, ErrDraining) {
+				w.logf("dispatch: lease poll failed: %v (retrying)", err)
+			} else if !coordDraining {
+				coordDraining = true
+				w.logf("dispatch: coordinator draining; polling every %v until it leaves or recovers", leaseRetry)
+			}
 			select {
-			case <-time.After(500 * time.Millisecond):
+			case <-time.After(leaseRetry):
 			case <-ctx.Done():
 			}
 			continue
 		}
+		coordDraining = false
 		if grant == nil {
 			continue // long-poll timed out with no work
 		}
