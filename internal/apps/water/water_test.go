@@ -1,6 +1,7 @@
 package water
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -327,15 +328,19 @@ func TestForceRangeMatchesReferenceProperty(t *testing.T) {
 	}
 }
 
-// BenchmarkForceRange is one step's force phase over the large input:
-// forceRange(0, n) at 1728 molecules.
+// BenchmarkForceRange is one step's force phase over each paper input:
+// forceRange(0, n) at 288 and at 1728 molecules.
 func BenchmarkForceRange(b *testing.B) {
-	s := newState(Paper1728())
-	acc := make([]int64, 3*s.cfg.Mols)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.forceRange(0, s.cfg.Mols, acc)
+	for _, cfg := range []Config{Paper288(), Paper1728()} {
+		b.Run(fmt.Sprint(cfg.Mols), func(b *testing.B) {
+			s := newState(cfg)
+			acc := make([]int64, 3*cfg.Mols)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.forceRange(0, cfg.Mols, acc)
+			}
+		})
 	}
 }
 
